@@ -4,8 +4,7 @@ Variables live in an immutable :class:`Ring` (an ordered tuple of names).
 Monomials are dense exponent tuples, polynomials are sparse maps from exponent
 tuple to ``Fraction``.  Monomial orders are small declarative specs compiled to
 key functions; supported kinds are lex, graded lex, y-degree-first (the
-"y-compatible" wrapper), elimination (block-degree first) and block
-concatenation.  All values are immutable after construction.
+"y-compatible" wrapper) and elimination (block-degree first).  All values are immutable after construction.
 """
 
 from __future__ import annotations
@@ -17,12 +16,12 @@ from typing import Iterable, Mapping, NamedTuple, Union
 
 __all__ = [
     "Ring", "Poly", "Term",
-    "Lex", "GrLex", "YFirst", "Elim", "Block", "Order",
+    "Lex", "GrLex", "YFirst", "Elim", "Order",
     "compile_order", "storage_order", "lex_order", "y_order", "elim_order",
     "order_from_dict",
     "compare", "initial_term", "initial_y_form", "y_split",
     "mono_mul", "mono_div", "mono_divides", "mono_lcm", "mono_gcd",
-    "mono_degree", "mono_support", "mono_is_squarefree", "mono_one",
+    "mono_support", "mono_is_squarefree", "mono_one",
     "parse_poly", "format_poly",
 ]
 
@@ -57,10 +56,6 @@ def mono_lcm(a: tuple, b: tuple) -> tuple:
 
 def mono_gcd(a: tuple, b: tuple) -> tuple:
     return tuple(min(x, y) for x, y in zip(a, b))
-
-
-def mono_degree(a: tuple) -> int:
-    return sum(a)
 
 
 def mono_support(a: tuple) -> tuple:
@@ -182,15 +177,9 @@ class Poly:
     def is_constant(self) -> bool:
         return all(not any(m) for m in self.terms)
 
-    def is_term(self) -> bool:
-        return len(self.terms) == 1
-
     def is_monomial(self) -> bool:
         """A single term with coefficient +1 or -1 counts after normalization."""
         return len(self.terms) == 1
-
-    def is_binomial(self) -> bool:
-        return len(self.terms) == 2
 
     def is_variable(self) -> bool:
         if len(self.terms) != 1:
@@ -278,9 +267,6 @@ class Poly:
 
     # -- structure ----------------------------------------------------------
 
-    def coeff_of(self, mono: tuple) -> Fraction:
-        return self.terms.get(mono, ZERO)
-
     def canonical(self) -> tuple:
         return tuple((m, c) for m, c in self.sorted_terms())
 
@@ -351,11 +337,6 @@ class Elim:
     inner: object
 
 
-@dataclass(frozen=True)
-class Block:
-    parts: tuple
-
-
 class Order:
     """A compiled monomial order: a spec plus a sort-key function."""
 
@@ -380,11 +361,6 @@ def _spec_deciders(spec) -> set:
         return {spec.y} | _spec_deciders(spec.inner)
     if isinstance(spec, Elim):
         return set(spec.vars) | _spec_deciders(spec.inner)
-    if isinstance(spec, Block):
-        out = set()
-        for p in spec.parts:
-            out |= _spec_deciders(p)
-        return out
     raise TypeError("not an order spec: %r" % (spec,))
 
 
@@ -403,9 +379,6 @@ def _compile(ring: Ring, spec):
         idx = tuple(ring.vidx(v) for v in spec.vars)
         inner = _compile(ring, spec.inner)
         return lambda m: (sum(m[i] for i in idx), inner(m))
-    if isinstance(spec, Block):
-        parts = tuple(_compile(ring, p) for p in spec.parts)
-        return lambda m: tuple(k(m) for k in parts)
     raise TypeError("not an order spec: %r" % (spec,))
 
 
@@ -455,8 +428,6 @@ def _spec_to_dict(spec) -> dict:
         return {"kind": "y-first", "y": spec.y, "inner": _spec_to_dict(spec.inner)}
     if isinstance(spec, Elim):
         return {"kind": "elim", "vars": list(spec.vars), "inner": _spec_to_dict(spec.inner)}
-    if isinstance(spec, Block):
-        return {"kind": "block", "parts": [_spec_to_dict(p) for p in spec.parts]}
     raise TypeError("not an order spec: %r" % (spec,))
 
 
@@ -474,8 +445,6 @@ def _spec_from_dict(d: dict):
         return YFirst(d["y"], _spec_from_dict(d["inner"]))
     if kind == "elim":
         return Elim(tuple(d["vars"]), _spec_from_dict(d["inner"]))
-    if kind == "block":
-        return Block(tuple(_spec_from_dict(p) for p in d["parts"]))
     raise ValueError("unknown order kind %r" % kind)
 
 

@@ -27,11 +27,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import Ring, initial_term, lex_order
-from .components import UnmixednessEvidence, unmixedness_evidence
+from .algebra import Ring, lex_order
 from .graphs import Graph, universal_groebner_basis
-from .groebner import Ideal, contract, ideal_contains, ideal_equal, initial_ideal
-from .gvd import GvdCertificate, check_decomposition, cn_split
+from .groebner import (
+    Ideal, ideal_contains, ideal_equal, is_square_free_groebner_basis,
+)
+from .gvd import (
+    GvdCertificate, base_certificate, certify_step, inconclusive, memoised,
+)
 from .util import Budget
 
 __all__ = [
@@ -195,7 +198,8 @@ def matching_monomials(G: Graph, pom: PathOrderedMatching, ring: Ring) -> list:
                 # A side inside the matching would need a connector edge
                 # from a later left vertex to an earlier right vertex,
                 # which the order condition forbids.
-                assert m, "cycle side contained in the matching"
+                if not m:
+                    raise ValueError("cycle side contained in the matching")
                 found.add(frozenset(m))
     return [ring.monomial({v: 1 for v in m})
             for m in sorted(found, key=lambda s: (len(s), sorted(s)))]
@@ -215,19 +219,13 @@ def bipartite_ideal(G: Graph, pom: PathOrderedMatching,
         ring = G.edge_ring()
     eset = set(pom.edges)
     cycles = [f.rename(ring) for f in universal_groebner_basis(G.delete_edges(pom.edges))]
-    monos = matching_monomials(G, pom, ring)
-    I = Ideal(ring, cycles + monos)
-    if verify and (cycles or monos):
+    I = Ideal(ring, cycles + matching_monomials(G, pom, ring))
+    if verify and I.gens:
         matched = [e for e in reversed(pom.edges) if e in set(ring.names)]
         rest = [n for n in ring.names if n not in eset]
-        order = lex_order(ring, matched + rest)
-        leads = [initial_term(order, g).mono for g in cycles + monos]
-        if not all(all(e <= 1 for e in m) for m in leads):
-            raise ValueError("initial ideal is not square-free")
-        lead_ideal = Ideal(ring, [ring.monomial(
-            {ring.names[i]: e for i, e in enumerate(m) if e}) for m in leads])
-        if not ideal_equal(lead_ideal, initial_ideal(order, I)):
-            raise ValueError("natural generators are not a Groebner basis")
+        if not is_square_free_groebner_basis(lex_order(ring, matched + rest), I):
+            raise ValueError("natural generators are not a Groebner basis "
+                             "with square-free initial ideal")
     return I
 
 
@@ -240,40 +238,6 @@ def _leaf_edge(G: Graph) -> Optional[str]:
         if G.degree(u) == 1 or G.degree(v) == 1:
             return label
     return None
-
-
-def _node_evidence(I: Ideal, context: Graph) -> UnmixednessEvidence:
-    ev = unmixedness_evidence(I, context)
-    if ev.refuted or ev.conclusive_unmixed:
-        return ev
-    return UnmixednessEvidence("cited", CITED_DETAIL)
-
-
-def _zero_cert(ring: Ring) -> GvdCertificate:
-    return GvdCertificate("zero", "gvd", ring.names,
-                          unmixedness=UnmixednessEvidence(
-                              "zero", "the zero ideal is prime"))
-
-
-def _unit_cert(ring: Ring) -> GvdCertificate:
-    return GvdCertificate("unit", "gvd", ring.names,
-                          unmixedness=UnmixednessEvidence(
-                              "unit", "the unit ideal is vacuously unmixed"))
-
-
-def _variables_cert(ring: Ring, rgb: tuple) -> GvdCertificate:
-    idx = sorted(next(i for i, e in enumerate(next(iter(g.terms))) if e)
-                 for g in rgb)
-    return GvdCertificate(
-        "variables", "gvd", ring.names,
-        unmixedness=UnmixednessEvidence("variables",
-                                        "generated by variables, hence prime"),
-        variables=tuple(ring.names[i] for i in idx))
-
-
-def _inconclusive(ring: Ring, reason: str) -> GvdCertificate:
-    return GvdCertificate("inconclusive", "inconclusive", ring.names,
-                          reason=reason)
 
 
 def certify_bipartite_gvd(G: Graph, budget: Optional[Budget] = None) -> GvdCertificate:
@@ -296,34 +260,22 @@ def certify_bipartite_gvd(G: Graph, budget: Optional[Budget] = None) -> GvdCerti
 def _certify_node(G: Graph, pom: PathOrderedMatching, ring: Ring,
                   budget: Budget, memo: dict) -> GvdCertificate:
     if budget.exceeded():
-        return _inconclusive(ring, "budget exhausted")
-    key = (G.vertices, G.edges, pom.pairs, ring.names)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
+        return inconclusive(ring.names, "budget exhausted")
+    return memoised(memo, (G.vertices, G.edges, pom.pairs, ring.names),
+                    ring.names, lambda: _node(G, pom, ring, budget, memo))
+
+
+def _node(G: Graph, pom: PathOrderedMatching, ring: Ring, budget: Budget,
+          memo: dict) -> GvdCertificate:
+    """Leaves are certified at once; a leaf matching edge is dropped; else
+    the node decomposes at a leaf edge or at a contained variable (both
+    degenerate steps, whose N branch is the matching ideal without that
+    edge) or at the edge extending the matching, whose C branch is the
+    matching ideal of the extended matching."""
     I = bipartite_ideal(G, pom, ring)
-    rgb = I.groebner()
-    if not rgb:
-        cert = _zero_cert(ring)
-        memo[key] = cert
-        return cert
-    if len(rgb) == 1 and rgb[0].is_constant():
-        cert = _unit_cert(ring)
-        memo[key] = cert
-        return cert
-    if all(g.is_variable() for g in rgb):
-        cert = _variables_cert(ring, rgb)
-        memo[key] = cert
-        return cert
-
-    context = G.delete_edges(pom.edges)
-    ev = _node_evidence(I, context)
-    if ev.refuted:
-        cert = GvdCertificate("not-gvd", "not-gvd", ring.names, unmixedness=ev,
-                              reason="unmixedness refuted")
-        memo[key] = cert
-        return cert
-
+    base = base_certificate(I)
+    if base is not None:
+        return base
     leaf = _leaf_edge(G)
     if leaf is not None and leaf in pom.edges:
         # Dropping a leaf matching edge changes neither the ideal nor the
@@ -332,87 +284,36 @@ def _certify_node(G: Graph, pom: PathOrderedMatching, ring: Ring,
         child_pom = pom.without_end(leaf)
         if not ideal_equal(I, bipartite_ideal(child_graph, child_pom, ring,
                                               verify=False)):
-            return _inconclusive(
-                ring, "dropping the leaf matching edge %s changed the ideal"
-                      % leaf)
-        cert = _certify_node(child_graph, child_pom, ring, budget, memo)
-        memo[key] = cert
-        return cert
+            return inconclusive(
+                ring.names, "dropping the leaf matching edge %s changed the "
+                            "ideal" % leaf)
+        return _certify_node(child_graph, child_pom, ring, budget, memo)
 
+    c_pom = None
     if leaf is not None:
-        return _step(G, pom, ring, budget, memo, key, I, ev, yname=leaf,
-                     child_graph=G.delete_edges([leaf]), child_pom=pom,
-                     mismatch="leaf branch is not the smaller matching ideal")
-
-    ext = right_extendable(G, pom)
-    if ext is None:
-        contained = [v for v in ring.names if ideal_contains(I, ring.var(v))]
-        if not contained:
-            return _inconclusive(
-                ring, "matching is not extendable yet the ideal contains "
-                      "no variable")
-        return _step(G, pom, ring, budget, memo, key, I, ev,
-                     yname=contained[0],
-                     child_graph=G.delete_edges([contained[0]]),
-                     child_pom=pom,
-                     mismatch="variable branch is not the smaller matching ideal")
-
-    pair = next(p for label, p in _extension_pairs(G, pom) if label == ext)
-    return _step(G, pom, ring, budget, memo, key, I, ev, yname=ext,
-                 child_graph=G.delete_edges([ext]), child_pom=pom,
-                 c_pom=pom.extended(pair, ext),
-                 mismatch="extension branches do not match the matching ideals")
-
-
-def _step(G: Graph, pom: PathOrderedMatching, ring: Ring, budget: Budget,
-          memo: dict, key, I: Ideal, ev: UnmixednessEvidence, yname: str,
-          child_graph: Graph, child_pom: PathOrderedMatching, mismatch: str,
-          c_pom: Optional[PathOrderedMatching] = None) -> GvdCertificate:
-    """One decomposition node at ``yname`` with re-verified branches.
-
-    The N branch is always the matching ideal of ``child_graph`` with
-    ``child_pom``; the C branch is the unit ideal for degenerate steps and
-    the matching ideal of (G, c_pom) for extension steps.
-    """
-    split = cn_split(I, yname)
-    check = check_decomposition(I, split)
-    if not check.holds:
-        return _inconclusive(ring, "decomposition identity failed at %s" % yname)
-    sub = ring.without(yname)
-    n_child_ideal = bipartite_ideal(child_graph, child_pom, sub, verify=False)
-    if not ideal_equal(contract(split.N, yname), n_child_ideal):
-        return _inconclusive(ring, mismatch)
-    if c_pom is None:
-        if not contract(split.C, yname).is_unit_ideal() and not ideal_equal(
-                contract(split.C, yname), n_child_ideal):
-            return _inconclusive(ring, mismatch)
-        cert_n = _certify_node(child_graph, child_pom, sub, budget, memo)
-        cert_c = (_unit_cert(sub) if contract(split.C, yname).is_unit_ideal()
-                  else cert_n)
+        y = leaf
     else:
-        c_child_ideal = bipartite_ideal(G, c_pom, sub, verify=False)
-        if not ideal_equal(contract(split.C, yname), c_child_ideal):
-            return _inconclusive(ring, mismatch)
-        cert_c = _certify_node(G, c_pom, sub, budget, memo)
-        cert_n = _certify_node(child_graph, child_pom, sub, budget, memo)
-    verdicts = {cert_c.verdict, cert_n.verdict}
-    if verdicts == {"gvd"}:
-        cert = GvdCertificate("decomposition", "gvd", ring.names,
-                              unmixedness=ev, y=yname,
-                              order=split.order.to_dict(),
-                              degenerate=check.degenerate,
-                              child_c=cert_c, child_n=cert_n)
-        memo[key] = cert
-        return cert
-    if "not-gvd" in verdicts and c_pom is None:
-        # Degenerate steps split off a unit or an absent variable, so the
-        # ideal is decomposable exactly when the surviving branch is.
-        cert = GvdCertificate(
-            "not-gvd", "not-gvd", ring.names, unmixedness=ev,
-            failures=((yname, "the surviving branch of the degenerate step "
-                              "is certified not decomposable"),))
-        memo[key] = cert
-        return cert
-    return _inconclusive(
-        ring, "a branch at %s did not certify (C: %s, N: %s)"
-              % (yname, cert_c.verdict, cert_n.verdict))
+        y = right_extendable(G, pom)
+        if y is not None:
+            pair = next(p for label, p in _extension_pairs(G, pom) if label == y)
+            c_pom = pom.extended(pair, y)
+        else:
+            contained = [v for v in ring.names if ideal_contains(I, ring.var(v))]
+            if not contained:
+                return inconclusive(
+                    ring.names, "matching is not extendable yet the ideal "
+                                "contains no variable")
+            y = contained[0]
+    sub = ring.without(y)
+    child_graph = G.delete_edges([y])
+    n_ideal = bipartite_ideal(child_graph, pom, sub, verify=False)
+    if c_pom is not None:
+        c_ideal = bipartite_ideal(G, c_pom, sub, verify=False)
+    elif leaf is not None:
+        c_ideal = n_ideal  # a leaf edge lies on no cycle: y is absent
+    else:
+        c_ideal = None  # y lies in I, so C is the unit ideal
+    return certify_step(
+        I, y, G.delete_edges(pom.edges), CITED_DETAIL, c_ideal, n_ideal,
+        lambda: _certify_node(G, c_pom, sub, budget, memo),
+        lambda: _certify_node(child_graph, pom, sub, budget, memo))

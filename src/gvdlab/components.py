@@ -21,35 +21,15 @@ from typing import Optional
 from .algebra import ONE, Poly, mono_is_squarefree, mono_support
 from .graphs import Graph, toric_dimension, universal_groebner_basis
 from .groebner import (
-    Ideal, ideal_contains, ideal_equal, intersect, krull_dimension,
-    radical_contains,
+    Ideal, ideal_contains, ideal_contains_ideal, ideal_equal, intersect,
+    krull_dimension, minimal_generators, radical_contains,
 )
 
 __all__ = [
     "PrimeComponent", "UnmixednessEvidence", "SplitNotApplicable",
-    "minimal_generators", "sqfree_monomial_components",
-    "binomial_monomial_split", "unmixedness_evidence",
+    "sqfree_monomial_components", "binomial_monomial_split",
+    "base_evidence", "unmixedness_evidence",
 ]
-
-
-def minimal_generators(I: Ideal) -> list:
-    """A generating subset of I.gens with no redundant member.
-
-    Greedy by ascending degree, so for homogeneous input this is a minimal
-    generating set; in general it is merely irredundant.  Useful before
-    structural classification: raw generator lists coming out of C/N splits
-    often carry redundant non-square-free elements that would otherwise
-    block the splitting machinery.
-    """
-    cands = [g for g in I.gens if not g.is_zero()]
-    cands.sort(key=lambda f: f.canonical(), reverse=True)
-    cands.sort(key=lambda f: f.total_degree())
-    kept = []
-    for f in cands:
-        if kept and ideal_contains(Ideal(I.ring, kept), f):
-            continue
-        kept.append(f)
-    return kept
 
 
 class SplitNotApplicable(Exception):
@@ -312,10 +292,10 @@ def binomial_monomial_split(monomials: list, binomials: list, context: Optional[
         for j, d in enumerate(components):
             if i == j:
                 continue
-            if all(ideal_contains(ideals[i], g) for g in ideals[j].gens):
+            if ideal_contains_ideal(ideals[i], ideals[j]):
                 # component i contains component j: i is redundant,
                 # unless they are equal and j comes first
-                if not all(ideal_contains(ideals[j], g) for g in ideals[i].gens):
+                if not ideal_contains_ideal(ideals[j], ideals[i]):
                     contained_other = True
                     break
                 if j < i:
@@ -350,6 +330,19 @@ def binomial_monomial_split(monomials: list, binomials: list, context: Optional[
 # ---------------------------------------------------------------------------
 # Unmixedness evidence.
 
+def base_evidence(rgb: tuple) -> Optional[UnmixednessEvidence]:
+    """Evidence for the three base cases of decomposability, from a reduced
+    basis: the zero ideal, the unit ideal, and ideals generated by
+    variables.  The status names the case; None for any other ideal."""
+    if not rgb:
+        return UnmixednessEvidence("zero", "the zero ideal is prime")
+    if len(rgb) == 1 and rgb[0].is_constant():
+        return UnmixednessEvidence("unit", "the unit ideal is vacuously unmixed")
+    if all(g.is_variable() for g in rgb):
+        return UnmixednessEvidence("variables", "generated by variables, hence prime")
+    return None
+
+
 def unmixedness_evidence(I: Ideal, context: Optional[Graph] = None) -> UnmixednessEvidence:
     """Evidence that I is unmixed (all associated primes share one dimension).
 
@@ -365,12 +358,9 @@ def unmixedness_evidence(I: Ideal, context: Optional[Graph] = None) -> Unmixedne
     and the evidence is inconclusive with the dimensions attached.
     """
     rgb = I.groebner()
-    if not rgb:
-        return UnmixednessEvidence("zero", "the zero ideal is prime")
-    if len(rgb) == 1 and rgb[0].is_constant():
-        return UnmixednessEvidence("unit", "the unit ideal is vacuously unmixed")
-    if all(g.is_variable() for g in rgb):
-        return UnmixednessEvidence("variables", "generated by variables, hence prime")
+    base = base_evidence(rgb)
+    if base is not None:
+        return base
     if len(rgb) == 1:
         return UnmixednessEvidence("principal", "principal ideals are unmixed")
 

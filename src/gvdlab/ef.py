@@ -34,9 +34,13 @@ from .algebra import Order, Ring, initial_term, lex_order, mono_is_squarefree
 from .components import UnmixednessEvidence, unmixedness_evidence
 from .graphs import Graph, universal_groebner_basis
 from .groebner import (
-    Ideal, contract, ideal_equal, initial_ideal, minimal_monomial_generators,
+    Ideal, ideal_equal, is_square_free_groebner_basis,
+    minimal_monomial_generators,
 )
-from .gvd import GvdCertificate, check_decomposition, cn_split
+from .gvd import (
+    GvdCertificate, base_certificate, certify_step, check_decomposition,
+    cn_split, inconclusive,
+)
 from .util import Budget
 
 __all__ = [
@@ -286,19 +290,6 @@ class EFReport:
                 "conclusion": self.conclusion}
 
 
-def _groebner_property(I: Ideal, order: Order) -> bool:
-    """The given generators already form a Groebner basis whose initial
-    ideal is square-free."""
-    leads = [initial_term(order, g).mono for g in I.gens if not g.is_zero()]
-    if not all(mono_is_squarefree(m)
-               for m in minimal_monomial_generators(leads)):
-        return False
-    ring = I.ring
-    lead_ideal = Ideal(ring, [ring.monomial(
-        {ring.names[i]: e for i, e in enumerate(m) if e}) for m in leads])
-    return ideal_equal(lead_ideal, initial_ideal(order, I))
-
-
 def check_statements_ABC(G: Graph, budget: Optional[Budget] = None) -> EFReport:
     """Walk the full split tree and verify the three framework statements.
 
@@ -321,8 +312,8 @@ def check_statements_ABC(G: Graph, budget: Optional[Budget] = None) -> EFReport:
                             "inconclusive")
         state = node.state
         trivial = state.trivial()
-        groebner_ok = trivial is not None or _groebner_property(state.ideal,
-                                                                order)
+        groebner_ok = (trivial is not None
+                       or is_square_free_groebner_basis(order, state.ideal))
         split_ok = None
         kids = node.children()
         if kids is not None:
@@ -378,33 +369,19 @@ def quadratic_pipeline(G: Graph, budget: Optional[Budget] = None) -> GvdCertific
                                  "square-free: %s" % g)
     if budget is None:
         budget = Budget(None)
-    return _quadratic_node(G, (), (), G.edge_ring(), budget, {})
+    return _quadratic_node(G, (), (), G.edge_ring(), budget)
 
 
 def _quadratic_node(G: Graph, E: tuple, F: tuple, ring: Ring,
-                    budget: Budget, memo: dict) -> GvdCertificate:
+                    budget: Budget) -> GvdCertificate:
+    # Every split (E, F) has one parent in the tree, so nothing is memoised.
     if budget.exceeded():
-        return GvdCertificate("inconclusive", "inconclusive", ring.names,
-                              reason="budget exhausted")
-    key = (E, F)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
+        return inconclusive(ring.names, "budget exhausted")
     gens = _natural_generators(G, E, F, ring)
     I = Ideal(ring, gens)
-    rgb = I.groebner()
-    if not rgb:
-        cert = GvdCertificate("zero", "gvd", ring.names,
-                              unmixedness=UnmixednessEvidence(
-                                  "zero", "the zero ideal is prime"))
-        memo[key] = cert
-        return cert
-    if len(rgb) == 1 and rgb[0].is_constant():
-        cert = GvdCertificate("unit", "gvd", ring.names,
-                              unmixedness=UnmixednessEvidence(
-                                  "unit", "the unit ideal is vacuously unmixed"))
-        memo[key] = cert
-        return cert
+    base = base_certificate(I)
+    if base is not None:
+        return base
 
     # quadratic collapse: shadow monomials are single variables, and the
     # node ideal equals those variables plus the toric ideal of the graph
@@ -412,67 +389,22 @@ def _quadratic_node(G: Graph, E: tuple, F: tuple, ring: Ring,
     shadow = [g for g in gens if g.is_monomial()]
     if not all(g.is_variable() for g in shadow):
         raise AssertionError("quadratic shadow monomials must be variables")
-    var_names = [ring.names[next(i for i, e in enumerate(next(iter(g.terms)))
-                                 if e)] for g in shadow]
+    var_names = [ring.names[g.support()[0]] for g in shadow]
     smaller = G.delete_edges(E + F + tuple(var_names))
     collapsed = [g.rename(ring) for g in universal_groebner_basis(smaller)]
     collapsed += [ring.var(v) for v in var_names]
     collapsed_ideal = Ideal(ring, collapsed)
     if not ideal_equal(I, collapsed_ideal):
-        cert = GvdCertificate("inconclusive", "inconclusive", ring.names,
-                              reason="node ideal did not collapse to "
-                                     "variables plus a subgraph toric ideal")
-        return cert
-    # evidence is evaluated on the collapsed generators, whose shape the
-    # prime recognizer handles directly
-    I = collapsed_ideal
+        return inconclusive(ring.names, "node ideal did not collapse to "
+                                        "variables plus a subgraph toric ideal")
 
-    if all(g.is_variable() for g in rgb):
-        idx = sorted(next(i for i, e in enumerate(next(iter(g.terms))) if e)
-                     for g in rgb)
-        cert = GvdCertificate(
-            "variables", "gvd", ring.names,
-            unmixedness=UnmixednessEvidence(
-                "variables", "generated by variables, hence prime"),
-            variables=tuple(ring.names[i] for i in idx))
-        memo[key] = cert
-        return cert
-
-    context = G.delete_edges(E + F)
-    ev = unmixedness_evidence(I, context)
-    if ev.refuted:
-        cert = GvdCertificate("not-gvd", "not-gvd", ring.names, unmixedness=ev,
-                              reason="unmixedness refuted")
-        memo[key] = cert
-        return cert
-    if not ev.conclusive_unmixed:
-        ev = UnmixednessEvidence("cited", QUADRATIC_CITED_DETAIL)
-
-    yname = G.edge_labels[len(E) + len(F)]
-    split = cn_split(I, yname)
-    check = check_decomposition(I, split)
-    if not check.holds:
-        return GvdCertificate("inconclusive", "inconclusive", ring.names,
-                              reason="decomposition identity failed at %s"
-                                     % yname)
-    sub = ring.without(yname)
-    c_ideal = Ideal(sub, _natural_generators(G, E + (yname,), F, sub))
-    n_ideal = Ideal(sub, _natural_generators(G, E, F + (yname,), sub))
-    if not (ideal_equal(contract(split.C, yname), c_ideal)
-            and ideal_equal(contract(split.N, yname), n_ideal)):
-        return GvdCertificate("inconclusive", "inconclusive", ring.names,
-                              reason="split branches do not match the "
-                                     "child ideals at %s" % yname)
-    cert_c = _quadratic_node(G, E + (yname,), F, sub, budget, memo)
-    cert_n = _quadratic_node(G, E, F + (yname,), sub, budget, memo)
-    if {cert_c.verdict, cert_n.verdict} == {"gvd"}:
-        cert = GvdCertificate("decomposition", "gvd", ring.names,
-                              unmixedness=ev, y=yname,
-                              order=split.order.to_dict(),
-                              degenerate=check.degenerate,
-                              child_c=cert_c, child_n=cert_n)
-        memo[key] = cert
-        return cert
-    return GvdCertificate("inconclusive", "inconclusive", ring.names,
-                          reason="a branch at %s did not certify (C: %s, N: %s)"
-                                 % (yname, cert_c.verdict, cert_n.verdict))
+    # the step runs on the collapsed generators, whose shape the prime
+    # recognizer of the unmixedness evidence handles directly
+    y = G.edge_labels[len(E) + len(F)]
+    sub = ring.without(y)
+    return certify_step(
+        collapsed_ideal, y, G.delete_edges(E + F), QUADRATIC_CITED_DETAIL,
+        Ideal(sub, _natural_generators(G, E + (y,), F, sub)),
+        Ideal(sub, _natural_generators(G, E, F + (y,), sub)),
+        lambda: _quadratic_node(G, E + (y,), F, sub, budget),
+        lambda: _quadratic_node(G, E, F + (y,), sub, budget))

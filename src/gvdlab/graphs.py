@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .algebra import Poly, Ring
-from .groebner import Ideal, ideal_contains, ideal_equal
+from .groebner import Ideal, ideal_equal, minimal_generators
 
 __all__ = [
     "Graph", "cycle_graph", "path_graph", "complete_graph",
@@ -406,14 +406,7 @@ def toric_ideal(G: Graph) -> Ideal:
     ascending); by graded Nakayama this yields a minimal generating set.
     """
     ring = G.edge_ring()
-    ugb = universal_groebner_basis(G)
-    chosen = []
-    pool = sorted(ugb, key=lambda f: f.canonical(), reverse=True)
-    pool.sort(key=lambda f: f.total_degree())
-    for f in pool:
-        if not chosen or not ideal_contains(Ideal(ring, chosen), f):
-            chosen.append(f)
-    return Ideal(ring, chosen)
+    return Ideal(ring, minimal_generators(Ideal(ring, universal_groebner_basis(G))))
 
 
 def toric_dimension(G: Graph) -> int:

@@ -20,17 +20,17 @@ from typing import Iterable, Sequence, Union
 
 from .algebra import (
     Order, Poly, Ring,
-    elim_order, initial_term, mono_div, mono_divides, mono_gcd, mono_lcm,
-    mono_mul, mono_one, mono_support, mono_is_squarefree, storage_order,
+    elim_order, initial_term, mono_div, mono_divides, mono_lcm, mono_mul,
+    mono_support, mono_is_squarefree, storage_order,
 )
 
 __all__ = [
     "Ideal", "s_polynomial", "normal_form", "buchberger", "initial_ideal",
     "ideal_equal", "ideal_contains", "ideal_contains_ideal", "intersect",
-    "saturate_variable", "eliminate", "contract", "extend",
+    "saturate_variable", "eliminate", "contract",
     "krull_dimension", "is_generated_by_variables", "is_square_free_monomial_ideal",
-    "is_unit_ideal", "radical_contains", "radical_equal",
-    "minimal_monomial_generators", "fresh_name",
+    "is_square_free_groebner_basis", "radical_contains", "radical_equal",
+    "minimal_generators", "minimal_monomial_generators", "fresh_name",
 ]
 
 ONE = Fraction(1)
@@ -255,6 +255,22 @@ def ideal_contains_ideal(I: Ideal, J: Ideal) -> bool:
     return all(ideal_contains(I, g) for g in J.gens)
 
 
+def minimal_generators(I: Ideal) -> list:
+    """A generating subset of I.gens with no redundant member.
+
+    Greedy by ascending degree, so for homogeneous input this is a minimal
+    generating set (graded Nakayama); in general it is merely irredundant.
+    """
+    cands = sorted(I.gens, key=lambda f: f.canonical(), reverse=True)
+    cands.sort(key=lambda f: f.total_degree())
+    kept = []
+    for f in cands:
+        if kept and ideal_contains(Ideal(I.ring, kept), f):
+            continue
+        kept.append(f)
+    return kept
+
+
 def ideal_equal(I: Ideal, J: Ideal) -> bool:
     """Exact equality via the (unique) reduced bases under the storage order."""
     if I.ring.names != J.ring.names:
@@ -291,11 +307,6 @@ def eliminate(I: Ideal, vars_out: Iterable[Union[int, str]]) -> Ideal:
 def contract(I: Ideal, y: Union[int, str]) -> Ideal:
     """The contraction I ∩ Q[ring without y], in the smaller ring."""
     return eliminate(I, [y])
-
-
-def extend(I: Ideal, big: Ring) -> Ideal:
-    """Re-express the ideal in a larger ring (same generator set)."""
-    return I.rename(big)
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
@@ -405,12 +416,18 @@ def is_generated_by_variables(I: Ideal) -> bool:
     return all(g.is_variable() for g in I.groebner())
 
 
+def is_square_free_groebner_basis(order: Order, I: Ideal) -> bool:
+    """True iff the generators of I, as given, form a Groebner basis under
+    ``order`` whose initial ideal is square-free."""
+    leads = [initial_term(order, g).mono for g in I.gens]
+    if not all(mono_is_squarefree(m) for m in minimal_monomial_generators(leads)):
+        return False
+    lead_ideal = Ideal(I.ring, [Poly(I.ring, {m: ONE}) for m in leads])
+    return ideal_equal(lead_ideal, initial_ideal(order, I))
+
+
 def is_square_free_monomial_ideal(I: Ideal) -> bool:
     """True iff the reduced basis consists of square-free monomials."""
     rgb = I.groebner()
     return all(g.is_monomial() and mono_is_squarefree(next(iter(g.terms)))
                for g in rgb)
-
-
-def is_unit_ideal(I: Ideal) -> bool:
-    return I.is_unit_ideal()

@@ -20,7 +20,7 @@ from typing import Optional
 from .algebra import (
     Order, Ring, initial_y_form, order_from_dict, y_order, y_split,
 )
-from .components import UnmixednessEvidence, unmixedness_evidence
+from .components import UnmixednessEvidence, base_evidence, unmixedness_evidence
 from .graphs import Graph, toric_ideal
 from .groebner import (
     Ideal, contract, ideal_equal, intersect, radical_equal, saturate_variable,
@@ -30,6 +30,7 @@ from .util import Budget
 __all__ = [
     "CnSplit", "DecompositionCheck", "GvdCertificate",
     "cn_split", "initial_y_ideal", "check_decomposition",
+    "base_certificate", "inconclusive", "memoised", "certify_step",
     "is_gvd", "gvd_disjoint_union", "replay_certificate",
 ]
 
@@ -52,7 +53,6 @@ class CnSplit:
     C: Ideal
     N: Ideal
     square_free_in_y: bool
-    rgb: tuple
 
 
 def initial_y_ideal(I: Ideal, y, order: Order = None) -> Ideal:
@@ -91,11 +91,11 @@ def cn_split(I: Ideal, y, order: Order = None, verify: bool = True) -> CnSplit:
     C = Ideal(ring, c_gens)
     N = Ideal(ring, n_gens)
     if verify and square_free:
-        iny = Ideal(ring, [initial_y_form(yname, g) for g in rgb])
+        iny = initial_y_ideal(I, yname, order)
         if not ideal_equal(saturate_variable(iny, yname), C):
             raise AssertionError(
                 "C at %s disagrees with the saturation of in_y(I)" % yname)
-    return CnSplit(yname, order, C, N, square_free, rgb)
+    return CnSplit(yname, order, C, N, square_free)
 
 
 @dataclass(frozen=True)
@@ -118,9 +118,8 @@ def check_decomposition(I: Ideal, split: CnSplit) -> DecompositionCheck:
     (asserted: an identity at a non-square-free variable is impossible, so
     hitting it would mean the Groebner layer is wrong).
     """
-    ring = I.ring
-    iny = Ideal(ring, [initial_y_form(split.y, g) for g in split.rgb])
-    rhs = intersect(split.C, split.N.with_extra([ring.var(split.y)]))
+    iny = initial_y_ideal(I, split.y, split.order)
+    rhs = intersect(split.C, split.N.with_extra([I.ring.var(split.y)]))
     holds = ideal_equal(iny, rhs)
     if holds and not split.square_free_in_y:
         raise AssertionError(
@@ -158,6 +157,9 @@ class GvdCertificate:
     "inconclusive" | "disjoint-union".  ``verdict`` is the overall call at
     this node ("gvd", "not-gvd" or "inconclusive"); for a certified node it
     is determined by the kind, children and unmixedness evidence.
+    ``failures`` pairs a variable with the reason no decomposition works
+    there; a reason names its own variable as ``{y}``, filled in on output,
+    so that renaming keeps it right.
     """
 
     kind: str
@@ -193,7 +195,8 @@ class GvdCertificate:
             if self.child_n is not None:
                 out["children"]["N"] = self.child_n.to_json_dict()
         if self.failures:
-            out["failures"] = [{"y": v, "reason": r} for v, r in self.failures]
+            out["failures"] = [{"y": v, "reason": r.replace("{y}", v)}
+                               for v, r in self.failures]
         if self.reason:
             out["reason"] = self.reason
         return out
@@ -216,6 +219,117 @@ class GvdCertificate:
             variables=tuple(rn(v) for v in self.variables),
             failures=tuple((rn(v), r) for v, r in self.failures),
             reason=self.reason)
+
+
+def base_certificate(I: Ideal) -> Optional[GvdCertificate]:
+    """The leaf for a base case (the zero ideal, the unit ideal, an ideal
+    generated by variables), or None when I is none of them."""
+    rgb = I.groebner()
+    ev = base_evidence(rgb)
+    if ev is None:
+        return None
+    names = I.ring.names
+    variables = ()
+    if ev.status == "variables":
+        variables = tuple(names[i] for i in sorted(g.support()[0] for g in rgb))
+    return GvdCertificate(ev.status, "gvd", names, unmixedness=ev,
+                          variables=variables)
+
+
+def inconclusive(ring_names: tuple, reason: str, **fields) -> GvdCertificate:
+    """A node that decides nothing, with the reason why."""
+    return GvdCertificate("inconclusive", "inconclusive", ring_names,
+                          reason=reason, **fields)
+
+
+def _refutation(ring_names: tuple, ev: UnmixednessEvidence) -> GvdCertificate:
+    return GvdCertificate("not-gvd", "not-gvd", ring_names, unmixedness=ev,
+                          reason="unmixedness refuted")
+
+
+def _decomposition(ring_names: tuple, ev: UnmixednessEvidence, split: CnSplit,
+                   check: DecompositionCheck, cert_c: GvdCertificate,
+                   cert_n: GvdCertificate) -> GvdCertificate:
+    """The node for a verified step whose two branches certified.
+
+    It is decomposable when the unmixedness evidence is conclusive or cited
+    from a structural theorem, and otherwise inconclusive with the step
+    attached.
+    """
+    step = dict(unmixedness=ev, y=split.y, order=split.order.to_dict(),
+                degenerate=check.degenerate, child_c=cert_c, child_n=cert_n)
+    if ev.conclusive_unmixed or ev.status == "cited":
+        return GvdCertificate("decomposition", "gvd", ring_names, **step)
+    return inconclusive(
+        ring_names, "decomposition found at %s but unmixedness evidence "
+                    "is inconclusive (%s)" % (split.y, ev.detail), **step)
+
+
+def memoised(memo: dict, key, ring_names: tuple, certify) -> GvdCertificate:
+    """The certificate stored under ``key``, renamed onto ``ring_names``;
+    else ``certify()``, stored unless it is inconclusive (an inconclusive
+    node may certify once the search is allowed further)."""
+    hit = memo.get(key)
+    if hit is not None:
+        if hit.ring_names == ring_names:
+            return hit
+        return hit.rename(dict(zip(hit.ring_names, ring_names)))
+    cert = certify()
+    if cert.verdict != "inconclusive":
+        memo[key] = cert
+    return cert
+
+
+def certify_step(I: Ideal, y: str, context: Optional[Graph], cited: str,
+                 expected_c: Optional[Ideal], expected_n: Ideal,
+                 certify_c, certify_n) -> GvdCertificate:
+    """One node of a structural certifier, which has chosen the variable y
+    and knows what the two branches must be.
+
+    Unmixedness is computed over ``context``; where the computation is
+    inconclusive the node cites the structural theorem ``cited`` instead.
+    The identity is then verified at y, and the contracted branches must
+    equal ``expected_c`` and ``expected_n`` (ideals of the ring without y;
+    ``expected_c`` is None when C must be the unit ideal), which
+    ``certify_c()`` and ``certify_n()`` certify.  A degenerate step,
+    where y is absent (C = N) or lies in I (C is the unit ideal), certifies
+    N only: C reuses N's certificate or is the unit leaf, and a refuted N
+    refutes I.  Any failed check is reported as inconclusive.
+    """
+    names = I.ring.names
+    ev = unmixedness_evidence(I, context)
+    if ev.refuted:
+        return _refutation(names, ev)
+    if not ev.conclusive_unmixed:
+        ev = UnmixednessEvidence("cited", cited)
+    split = cn_split(I, y)
+    check = check_decomposition(I, split)
+    if not check.holds:
+        return inconclusive(names, "decomposition identity failed at %s" % y)
+    n_branch = contract(split.N, y)
+    c_branch = n_branch if split.C.gens == split.N.gens else contract(split.C, y)
+    if expected_c is None:
+        c_matches = c_branch.is_unit_ideal()
+    else:
+        c_matches = ideal_equal(c_branch, expected_c)
+    if not (c_matches and ideal_equal(n_branch, expected_n)):
+        return inconclusive(names, "split branches do not match the expected "
+                                   "ideals at %s" % y)
+    if c_branch is n_branch or c_branch.is_unit_ideal():
+        cert_n = certify_n()
+        cert_c = cert_n if c_branch is n_branch else base_certificate(c_branch)
+        if cert_n.verdict == "not-gvd":
+            return GvdCertificate(
+                "not-gvd", "not-gvd", names, unmixedness=ev,
+                failures=((y, "the surviving branch of the degenerate step "
+                              "is certified not decomposable"),))
+    else:
+        cert_c = certify_c()
+        cert_n = certify_n()
+    if cert_c.verdict == "gvd" and cert_n.verdict == "gvd":
+        return _decomposition(names, ev, split, check, cert_c, cert_n)
+    return inconclusive(names, "a branch at %s did not certify (C: %s, N: %s)"
+                               % (y, cert_c.verdict, cert_n.verdict))
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +397,6 @@ def _context_key(I: Ideal, context: Optional[Graph]):
     return (context.vertices,
             tuple(sorted((I.ring.vidx(e), tuple(sorted(context.ends(e))))
                          for e in context.edge_labels)))
-
-
-def _evidence(status, detail):
-    return UnmixednessEvidence(status, detail)
 
 
 def _child_context(context: Optional[Graph], yname: str) -> Optional[Graph]:
@@ -399,36 +509,34 @@ def is_gvd(I: Ideal, context: Optional[Graph] = None,
 
 def _certify(I: Ideal, context, budget: Budget, prefer: tuple,
              memo: dict, pool: _Pool) -> GvdCertificate:
-    ring = I.ring
+    names = I.ring.names
     if budget.exceeded():
-        return GvdCertificate("inconclusive", "inconclusive", ring.names,
-                              reason="budget exhausted")
+        return inconclusive(names, "budget exhausted")
+    base = base_certificate(I)
+    if base is not None:
+        return base
     rgb = I.groebner()
-    if not rgb:
-        return GvdCertificate("zero", "gvd", ring.names,
-                              unmixedness=_evidence("zero", "the zero ideal is prime"))
-    if len(rgb) == 1 and rgb[0].is_constant():
-        return GvdCertificate("unit", "gvd", ring.names,
-                              unmixedness=_evidence("unit",
-                                                    "the unit ideal is vacuously unmixed"))
-    if all(g.is_variable() for g in rgb):
-        idx = sorted(next(i for i, e in enumerate(next(iter(g.terms))) if e)
-                     for g in rgb)
-        return GvdCertificate(
-            "variables", "gvd", ring.names,
-            unmixedness=_evidence("variables", "generated by variables, hence prime"),
-            variables=tuple(ring.names[i] for i in idx))
+    basis = tuple(g.canonical() for g in rgb)
+    key = (I.ring.arity, basis, _context_key(I, context))
+    return memoised(memo, key, names, lambda: _search(
+        I, rgb, basis, context, budget, prefer, memo, pool))
 
-    key = (ring.arity, tuple(g.canonical() for g in rgb), _context_key(I, context))
-    hit = memo.get(key)
-    if hit is not None:
-        stored_names, cert = hit
-        if stored_names == ring.names:
-            return cert
-        return cert.rename(dict(zip(stored_names, ring.names)))
+
+def _split_at(I: Ideal, basis: tuple, yname: str, memo: dict) -> tuple:
+    """The split at yname and its check, kept in the memo across rounds."""
+    aux = ("split", I.ring.names, basis, yname)
+    got = memo.get(aux)
+    if got is None:
+        split = cn_split(I, yname)
+        got = memo[aux] = (split, check_decomposition(I, split))
+    return got
+
+
+def _search(I: Ideal, rgb: tuple, basis: tuple, context, budget: Budget,
+            prefer: tuple, memo: dict, pool: _Pool) -> GvdCertificate:
+    ring = I.ring
     if not pool.take():
-        return GvdCertificate("inconclusive", "inconclusive", ring.names,
-                              reason="search allowance exhausted")
+        return inconclusive(ring.names, "search allowance exhausted")
 
     # When the generators split into groups with disjoint variable supports,
     # the ideal is the sum of the groups over a tensor product of subrings
@@ -447,41 +555,30 @@ def _certify(I: Ideal, context, budget: Budget, prefer: tuple,
                           _restrict_context(context, left_names),
                           budget, prefer, memo, pool)
         if cert_l.verdict == "not-gvd":
-            cert = GvdCertificate(
+            return GvdCertificate(
                 "disjoint-union", "not-gvd", ring.names,
                 child_c=cert_l,
                 reason="the factor on %s is not decomposable"
                        % ", ".join(left_names))
-            memo[key] = (ring.names, cert)
-            return cert
         cert_r = _certify(Ideal(ring, rest).rename(right_ring),
                           _restrict_context(context, right_names),
                           budget, prefer, memo, pool)
         if cert_r.verdict == "not-gvd":
-            cert = GvdCertificate(
+            return GvdCertificate(
                 "disjoint-union", "not-gvd", ring.names,
                 child_n=cert_r,
                 reason="the factor on %s is not decomposable"
                        % ", ".join(right_names))
-            memo[key] = (ring.names, cert)
-            return cert
         if cert_l.verdict == "gvd" and cert_r.verdict == "gvd":
-            cert = GvdCertificate(
+            return GvdCertificate(
                 "disjoint-union", "gvd", ring.names,
                 child_c=cert_l, child_n=cert_r,
                 reason="generators split over disjoint variables")
-            memo[key] = (ring.names, cert)
-            return cert
-        return GvdCertificate(
-            "inconclusive", "inconclusive", ring.names,
-            reason="a disjoint factor was inconclusive")
+        return inconclusive(ring.names, "a disjoint factor was inconclusive")
 
     ev = unmixedness_evidence(I, context)
     if ev.refuted:
-        cert = GvdCertificate("not-gvd", "not-gvd", ring.names, unmixedness=ev,
-                              reason="unmixedness refuted")
-        memo[key] = (ring.names, cert)
-        return cert
+        return _refutation(ring.names, ev)
 
     # A variable absent from the reduced basis is absent from every reduced
     # basis, so the ideal is extended from the smaller ring and is
@@ -494,14 +591,7 @@ def _certify(I: Ideal, context, budget: Budget, prefer: tuple,
               if i not in _present_indices(rgb)]
     if absent:
         yname = absent[0]
-        aux = ("split", ring.names, key[1], yname)
-        got = memo.get(aux)
-        if got is None:
-            split = cn_split(I, yname)
-            check = check_decomposition(I, split)
-            memo[aux] = (split, check)
-        else:
-            split, check = got
+        split, check = _split_at(I, basis, yname, memo)
         if not (check.holds and check.degenerate):
             raise AssertionError(
                 "the step at absent variable %s must be degenerate" % yname)
@@ -509,35 +599,20 @@ def _certify(I: Ideal, context, budget: Budget, prefer: tuple,
                         _child_context(context, yname), budget, prefer, memo,
                         pool)
         if core.verdict == "gvd":
-            if ev.conclusive_unmixed:
-                cert = GvdCertificate(
-                    "decomposition", "gvd", ring.names, unmixedness=ev,
-                    y=yname, order=split.order.to_dict(), degenerate=True,
-                    child_c=core, child_n=core)
-                memo[key] = (ring.names, cert)
-                return cert
-            return GvdCertificate(
-                "inconclusive", "inconclusive", ring.names, unmixedness=ev,
-                y=yname, order=split.order.to_dict(), degenerate=True,
-                child_c=core, child_n=core,
-                reason="decomposition found at %s but unmixedness evidence "
-                       "is inconclusive (%s)" % (yname, ev.detail))
+            return _decomposition(ring.names, ev, split, check, core, core)
         if core.verdict == "not-gvd":
             # Decomposability is equivalent for the ideal and its contraction
             # when the variable is absent, so the refutation needs no
             # unmixedness evidence of its own.
-            cert = GvdCertificate(
+            return GvdCertificate(
                 "not-gvd", "not-gvd", ring.names, unmixedness=ev,
                 failures=((yname,
-                           "the ideal does not involve %s and its "
+                           "the ideal does not involve {y} and its "
                            "contraction is certified not decomposable, "
-                           "which rules out every variable" % yname),))
-            memo[key] = (ring.names, cert)
-            return cert
-        return GvdCertificate(
-            "inconclusive", "inconclusive", ring.names, unmixedness=ev,
-            reason="the contraction away from absent %s was inconclusive"
-                   % yname)
+                           "which rules out every variable"),))
+        return inconclusive(
+            ring.names, "the contraction away from absent %s was inconclusive"
+                        % yname, unmixedness=ev)
 
     failures = []
     stuck = []  # branches that ended without a conclusive failure
@@ -548,23 +623,19 @@ def _certify(I: Ideal, context, budget: Budget, prefer: tuple,
         if pool.left <= 0:
             stuck.append((yname, "search allowance exhausted"))
             break
-        aux = ("split", ring.names, key[1], yname)
-        got = memo.get(aux)
-        if got is None:
-            split = cn_split(I, yname)
-            check = check_decomposition(I, split)
-            memo[aux] = (split, check)
-        else:
-            split, check = got
+        split, check = _split_at(I, basis, yname, memo)
         if not check.holds:
-            # By the square-free dichotomy this also rules out every other
-            # y-compatible order at this variable.
-            assert not split.square_free_in_y
+            # By the square-free dichotomy the identity holds whenever the
+            # basis is square-free in y, and its failure then rules out every
+            # other y-compatible order at this variable.
+            if split.square_free_in_y:
+                raise AssertionError(
+                    "identity fails at %s although the basis is square-free "
+                    "in it" % yname)
             failures.append(
                 (yname, "identity fails: the reduced basis is not square-free "
-                        "in %s, so no compatible order works" % yname))
+                        "in {y}, so no compatible order works"))
             continue
-        assert check.holds and split.square_free_in_y
         child_ctx = _child_context(context, yname)
         cert_c = _certify(contract(split.C, yname), child_ctx, budget, prefer,
                           memo, pool)
@@ -584,33 +655,17 @@ def _certify(I: Ideal, context, budget: Budget, prefer: tuple,
         if cert_n.verdict == "inconclusive":
             stuck.append((yname, "a branch was inconclusive"))
             continue
-        if ev.conclusive_unmixed:
-            cert = GvdCertificate(
-                "decomposition", "gvd", ring.names, unmixedness=ev,
-                y=yname, order=split.order.to_dict(),
-                degenerate=check.degenerate,
-                child_c=cert_c, child_n=cert_n)
-            memo[key] = (ring.names, cert)
-            return cert
-        return GvdCertificate(
-            "inconclusive", "inconclusive", ring.names, unmixedness=ev,
-            y=yname, order=split.order.to_dict(),
-            degenerate=check.degenerate, child_c=cert_c, child_n=cert_n,
-            reason="decomposition found at %s but unmixedness evidence "
-                   "is inconclusive (%s)" % (yname, ev.detail))
+        return _decomposition(ring.names, ev, split, check, cert_c, cert_n)
 
     if stuck:
         reason = "; ".join("%s: %s" % pair for pair in stuck)
-        return GvdCertificate("inconclusive", "inconclusive", ring.names,
-                              unmixedness=ev, failures=tuple(failures),
-                              reason=reason)
+        return inconclusive(ring.names, reason, unmixedness=ev,
+                            failures=tuple(failures))
     # Every variable carries a conclusive, order-independent failure, and the
     # ideal is none of the base cases, so no decomposition exists no matter
     # what the unmixedness status is.
-    cert = GvdCertificate("not-gvd", "not-gvd", ring.names, unmixedness=ev,
+    return GvdCertificate("not-gvd", "not-gvd", ring.names, unmixedness=ev,
                           failures=tuple(failures))
-    memo[key] = (ring.names, cert)
-    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -661,17 +716,10 @@ def replay_certificate(I: Ideal, cert: GvdCertificate,
     if cert.verdict != "gvd" or cert.kind == "disjoint-union":
         fresh = is_gvd(I, context=context)
         return fresh.verdict == cert.verdict
-    if cert.kind == "zero":
-        return I.is_zero_ideal()
-    if cert.kind == "unit":
-        return I.is_unit_ideal()
-    rgb = I.groebner()
-    if cert.kind == "variables":
-        if not all(g.is_variable() for g in rgb):
-            return False
-        got = {I.ring.names[next(i for i, e in enumerate(next(iter(g.terms))) if e)]
-               for g in rgb}
-        return got == set(cert.variables)
+    if cert.kind in ("zero", "unit", "variables"):
+        base = base_certificate(I)
+        return (base is not None and base.kind == cert.kind
+                and set(base.variables) == set(cert.variables))
     if cert.kind != "decomposition":
         return False
     ev = unmixedness_evidence(I, context)

@@ -5,11 +5,13 @@ import pytest
 
 from gvdlab.algebra import Ring, initial_y_form, parse_poly
 from gvdlab.components import (
-    SplitNotApplicable, binomial_monomial_split, minimal_generators,
-    sqfree_monomial_components, unmixedness_evidence,
+    SplitNotApplicable, binomial_monomial_split, sqfree_monomial_components,
+    unmixedness_evidence,
 )
 from gvdlab.graphs import complete_bipartite, cycle_graph
-from gvdlab.groebner import Ideal, ideal_contains, ideal_equal, intersect
+from gvdlab.groebner import (
+    Ideal, ideal_contains, ideal_equal, intersect, minimal_generators,
+)
 
 from fixtures import (
     TWO_K4_C_E2, TWO_K4_LEX_E2_BASIS, TWO_K4_N_E2, two_k4_sharing_vertex,

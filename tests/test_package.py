@@ -1,0 +1,51 @@
+"""The package's declarations hold, and its source keeps its invariants
+under ``python -O``."""
+
+import ast
+import importlib
+import pathlib
+import pkgutil
+
+import pytest
+
+import gvdlab
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "gvdlab").glob("*.py"))
+
+
+def project() -> dict:
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        return tomllib.load(fh)["project"]
+
+
+def test_source_has_no_assert_statements():
+    # ``python -O`` strips assert statements, so a check written as one
+    # silently stops checking; invariants raise explicit exceptions.
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += ["%s:%d" % (path.name, node.lineno)
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert SOURCES and found == []
+
+
+def test_declared_readme_exists():
+    assert (ROOT / project()["readme"]).is_file()
+
+
+def test_declared_scripts_import():
+    for name, target in project().get("scripts", {}).items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+def test_every_exported_name_resolves():
+    missing = []
+    for info in pkgutil.iter_modules(gvdlab.__path__):
+        module = importlib.import_module("gvdlab." + info.name)
+        missing += ["%s.%s" % (info.name, name)
+                    for name in getattr(module, "__all__", ())
+                    if not hasattr(module, name)]
+    assert missing == []

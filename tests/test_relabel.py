@@ -1,0 +1,77 @@
+"""Metamorphic checks: certificates do not depend on names.
+
+Renaming vertices and edges so that the new names sort as the old ones did
+must give exactly the renamed certificate, since the certifiers read names
+only through their order.  Listing the edges in another order changes the
+ring's variable order, and so the search, but never the verdict.
+"""
+
+import random
+
+import pytest
+
+from gvdlab.bipartite import certify_bipartite_gvd
+from gvdlab.graphs import (
+    Graph, complete_bipartite, complete_graph, cycle_graph, toric_ideal,
+)
+from gvdlab.gvd import is_gvd
+
+from fixtures import two_triangles_bridged
+
+GRAPHS = {
+    "C6": cycle_graph(6),
+    "K23": complete_bipartite(2, 3),
+    "K4": complete_graph(4),
+    "two_triangles_bridged": two_triangles_bridged(),
+}
+
+
+def certify(G):
+    return is_gvd(toric_ideal(G), context=G)
+
+
+def sorted_rename(names, rng, prefix) -> dict:
+    """New random names that sort among themselves as ``names`` do."""
+    picks = sorted(rng.sample(range(10 ** 4), len(names)))
+    return {old: "%s%04d" % (prefix, k) for old, k in zip(sorted(names), picks)}
+
+
+def relabeled(G, seed):
+    rng = random.Random(seed)
+    vmap = sorted_rename(G.vertices, rng, "v")
+    emap = sorted_rename(G.edge_labels, rng, "f")
+    H = Graph([vmap[v] for v in G.vertices],
+              [(emap[e], vmap[u], vmap[v]) for e, u, v in G.edges])
+    return H, emap
+
+
+def permuted(G, seed):
+    edges = list(G.edges)
+    random.Random(seed).shuffle(edges)
+    return Graph(G.vertices, edges)
+
+
+def certifiers(G):
+    yield certify
+    if G.is_bipartite():
+        yield certify_bipartite_gvd
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_order_preserving_rename_renames_the_certificate(name):
+    G = GRAPHS[name]
+    for seed in (1, 2):
+        H, emap = relabeled(G, seed)
+        for run in certifiers(G):
+            assert (run(H).to_json_dict()
+                    == run(G).rename(emap).to_json_dict())
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_permuted_edge_order_keeps_the_verdict(name):
+    G = GRAPHS[name]
+    for seed in (1, 2):
+        H = permuted(G, seed)
+        assert H.edge_labels != G.edge_labels
+        for run in certifiers(G):
+            assert run(H).verdict == run(G).verdict
