@@ -77,7 +77,7 @@ def _grlex_key(m: tuple):
 class Ring:
     """An ordered list of variable names; the ambient polynomial ring over Q."""
 
-    __slots__ = ("names", "index", "_hash")
+    __slots__ = ("names", "index", "_hash", "_storage")
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
@@ -89,6 +89,7 @@ class Ring:
         self.names = names
         self.index = {n: i for i, n in enumerate(names)}
         self._hash = hash(names)
+        self._storage = None  # the compiled storage order, on first use
 
     @property
     def arity(self) -> int:
@@ -391,8 +392,11 @@ def compile_order(ring: Ring, spec) -> Order:
 
 
 def storage_order(ring: Ring) -> Order:
-    """The fixed canonical order (graded lex on the ring's own variable order)."""
-    return compile_order(ring, GrLex(ring.names))
+    """The fixed canonical order (graded lex on the ring's own variable
+    order), compiled once per ring."""
+    if ring._storage is None:
+        ring._storage = compile_order(ring, GrLex(ring.names))
+    return ring._storage
 
 
 def lex_order(ring: Ring, names: Iterable[str] = None) -> Order:

@@ -183,8 +183,9 @@ def _ugb_signs(G: Graph, ring) -> set:
 
 
 def binomial_monomial_split(monomials: list, binomials: list, context: Optional[Graph],
-                            ring) -> list:
-    """Prime components of <monomials> + <binomials> over the context graph.
+                            ring) -> tuple:
+    """Prime components of <monomials> + <binomials> over the context graph,
+    and their intersection.
 
     Binomials must be doubly square-free primitive walk binomials of
     ``context``; raises SplitNotApplicable outside that regime.  Monomials
@@ -279,13 +280,13 @@ def binomial_monomial_split(monomials: list, binomials: list, context: Optional[
         components.append(comp)
 
     # revalidate dimensions against the Groebner computation
-    for comp in components:
-        if krull_dimension(comp.ideal(ring)) != comp.dimension:
+    ideals = [c.ideal(ring) for c in components]
+    for comp, P in zip(components, ideals):
+        if krull_dimension(P) != comp.dimension:
             raise AssertionError("component dimension formula disagrees with "
                                  "the Groebner computation")
 
     # prune components containing another component
-    ideals = [c.ideal(ring) for c in components]
     keep = []
     for i, c in enumerate(components):
         contained_other = False
@@ -324,7 +325,7 @@ def binomial_monomial_split(monomials: list, binomials: list, context: Optional[
         if not all(radical_contains(original, g) for g in total.groebner()):
             raise SplitNotApplicable(
                 "component intersection does not reproduce the ideal")
-    return components
+    return components, total
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +428,8 @@ def unmixedness_evidence(I: Ideal, context: Optional[Graph] = None) -> Unmixedne
                 "subgraph, hence prime")
 
     try:
-        comps = binomial_monomial_split(variables + monos, binoms, context, I.ring)
+        comps, total = binomial_monomial_split(variables + monos, binoms,
+                                               context, I.ring)
     except SplitNotApplicable as exc:
         return UnmixednessEvidence("inconclusive", "splitting not applicable: %s" % exc)
     dims = tuple(c.dimension for c in comps)
@@ -435,11 +437,7 @@ def unmixedness_evidence(I: Ideal, context: Optional[Graph] = None) -> Unmixedne
         return UnmixednessEvidence("refuted",
                                    "split components of different dimensions",
                                    dims, tuple(comps))
-    total = None
-    for comp in comps:
-        P = comp.ideal(I.ring)
-        total = P if total is None else intersect(total, P)
-    if total is not None and ideal_equal(total, I):
+    if ideal_equal(total, I):
         return UnmixednessEvidence("equal-dims",
                                    "all split components share one dimension",
                                    dims, tuple(comps))

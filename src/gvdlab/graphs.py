@@ -3,9 +3,8 @@
 The toric ideal of a graph G lives in Q[edge labels] and is generated by the
 binomials of closed even walks.  Its universal Groebner basis is the set of
 primitive walk binomials, computed here as the Graver basis of the integer
-kernel of the vertex-edge incidence matrix (Pottier-style completion).  A
-bounded walk enumerator is kept alongside as an independent small-scale
-oracle.  The graph operations that interact well with these ideals -- leaf
+kernel of the vertex-edge incidence matrix (Pottier-style completion).  The
+graph operations that interact well with these ideals -- leaf
 removal, even-cycle gluing, disjoint union, gap-freeness and 4-cycle tests --
 live here too.
 """
@@ -22,8 +21,8 @@ from .groebner import Ideal, ideal_equal, minimal_generators
 __all__ = [
     "Graph", "cycle_graph", "path_graph", "complete_graph",
     "complete_bipartite", "ferrers_graph",
-    "integer_kernel_basis", "graver_basis",
-    "universal_groebner_basis", "primitive_walk_binomials", "toric_ideal",
+    "integer_kernel_basis", "graver_basis", "oriented_minimal",
+    "universal_groebner_basis", "toric_ideal",
     "toric_dimension", "remove_leaves_fixpoint", "glue_even_cycle",
     "disjoint_union", "is_gap_free", "four_cycles_containing",
     "has_four_cycle", "vector_to_binomial",
@@ -259,11 +258,8 @@ def _conformal(s: tuple, f: tuple) -> bool:
 
 
 def graver_basis(lattice_basis: list) -> list:
-    """All conformally-minimal nonzero lattice vectors (Pottier completion).
-
-    Returns one representative per +/- pair, oriented so the positive part is
-    the storage-order-larger monomial; sorted for determinism.
-    """
+    """All conformally-minimal nonzero lattice vectors (Pottier completion),
+    as ``oriented_minimal`` returns them."""
     S = []
     seen = set()
     for b in lattice_basis:
@@ -301,16 +297,21 @@ def graver_basis(lattice_basis: list) -> list:
                 queue.append((w, s))
             S.append(w)
 
-    minimal = [u for u in S
-               if not any(v != u and _conformal(v, u) for v in S)]
+    return oriented_minimal(S)
+
+
+def oriented_minimal(vectors) -> list:
+    """The conformally minimal members of a collection of lattice vectors,
+    one per +/- pair, oriented so the positive part is the
+    storage-order-larger monomial; sorted for determinism."""
+    vectors = list(vectors)
     out = set()
-    for u in minimal:
+    for u in vectors:
+        if any(v != u and _conformal(v, u) for v in vectors):
+            continue
         pos = tuple(max(x, 0) for x in u)
         neg = tuple(max(-x, 0) for x in u)
-        if (sum(pos), pos) > (sum(neg), neg):
-            out.add(u)
-        else:
-            out.add(tuple(-x for x in u))
+        out.add(u if (sum(pos), pos) > (sum(neg), neg) else tuple(-x for x in u))
     return sorted(out)
 
 
@@ -348,55 +349,6 @@ def universal_groebner_basis(G: Graph) -> tuple:
     out = tuple(polys)
     _UGB_CACHE[key] = out
     return out
-
-
-def primitive_walk_binomials(G: Graph, max_edges: int = 10) -> tuple:
-    """Independent oracle: bounded enumeration of closed even walks.
-
-    Uses the fact that a primitive walk traverses each edge at most twice and
-    never repeats an edge immediately (cyclically); the collected exponent
-    vectors are then filtered to the conformally minimal ones.  Exponential --
-    intended for graphs with few edges only.
-    """
-    if len(G.edges) > max_edges:
-        raise ValueError("walk enumeration limited to %d edges" % max_edges)
-    ring = G.edge_ring()
-    eidx = {label: i for i, label in enumerate(G.edge_labels)}
-    m = len(G.edges)
-    vectors = set()
-    order = {v: i for i, v in enumerate(sorted(G.vertices))}
-
-    def walk(v0, v, used, last, step, vec, first_edge):
-        for label, w in sorted(G.neighbors(v)):
-            i = eidx[label]
-            if i == last or used[i] == 2 or order[w] < order[v0]:
-                continue
-            used[i] += 1
-            vec[i] += 1 if step % 2 == 1 else -1
-            if w == v0 and step % 2 == 0 and i != first_edge and any(vec):
-                vectors.add(tuple(vec))
-            if step < 2 * m:
-                walk(v0, w, used, i, step + 1,
-                     vec, first_edge if first_edge is not None else i)
-            used[i] -= 1
-            vec[i] -= 1 if step % 2 == 1 else -1
-
-    for v0 in sorted(G.vertices):
-        walk(v0, v0, [0] * m, None, 1, [0] * m, None)
-
-    minimal = [u for u in vectors
-               if not any(v != u and _conformal(v, u) for v in vectors)]
-    out = set()
-    for u in minimal:
-        pos = tuple(max(x, 0) for x in u)
-        neg = tuple(max(-x, 0) for x in u)
-        if (sum(pos), pos) > (sum(neg), neg):
-            out.add(u)
-        else:
-            out.add(tuple(-x for x in u))
-    polys = [vector_to_binomial(ring, u) for u in sorted(out)]
-    polys.sort(key=lambda f: (f.total_degree(), f.canonical()))
-    return tuple(polys)
 
 
 def toric_ideal(G: Graph) -> Ideal:

@@ -22,9 +22,7 @@ from .algebra import (
 )
 from .components import UnmixednessEvidence, base_evidence, unmixedness_evidence
 from .graphs import Graph, toric_ideal
-from .groebner import (
-    Ideal, contract, ideal_equal, intersect, radical_equal, saturate_variable,
-)
+from .groebner import Ideal, contract, ideal_equal, radical_contains
 from .util import Budget
 
 __all__ = [
@@ -66,36 +64,23 @@ def initial_y_ideal(I: Ideal, y, order: Order = None) -> Ideal:
     return Ideal(ring, [initial_y_form(yname, g) for g in I.groebner(order)])
 
 
-def cn_split(I: Ideal, y, order: Order = None, verify: bool = True) -> CnSplit:
-    """Split I at y into the C and N ideals of its reduced basis.
-
-    When the basis is square-free in y and ``verify`` is on, C is
-    cross-checked against the order-free characterization
-    C = (in_y(I) : y^∞), so the split cannot silently depend on the
-    tie-breaking order.
-    """
+def cn_split(I: Ideal, y, order: Order = None) -> CnSplit:
+    """Split I at y into the C and N ideals of its reduced basis."""
     ring = I.ring
     yname = ring.names[ring.vidx(y)]
     if order is None:
         order = y_order(ring, yname)
-    rgb = I.groebner(order)
     c_gens, n_gens = [], []
     square_free = True
-    for g in rgb:
+    for g in I.groebner(order):
         d, q, _ = y_split(yname, g)
         if d > 1:
             square_free = False
         c_gens.append(q)
         if d == 0:
             n_gens.append(q)
-    C = Ideal(ring, c_gens)
-    N = Ideal(ring, n_gens)
-    if verify and square_free:
-        iny = initial_y_ideal(I, yname, order)
-        if not ideal_equal(saturate_variable(iny, yname), C):
-            raise AssertionError(
-                "C at %s disagrees with the saturation of in_y(I)" % yname)
-    return CnSplit(yname, order, C, N, square_free)
+    return CnSplit(yname, order, Ideal(ring, c_gens), Ideal(ring, n_gens),
+                   square_free)
 
 
 @dataclass(frozen=True)
@@ -114,23 +99,24 @@ class DecompositionCheck:
 def check_decomposition(I: Ideal, split: CnSplit) -> DecompositionCheck:
     """Honestly verify in_y(I) = C ∩ (N + <y>) and classify degeneracy.
 
-    If the identity holds, the reduced basis must be square-free in y
-    (asserted: an identity at a non-square-free variable is impossible, so
-    hitting it would mean the Groebner layer is wrong).
+    The right side is computed as N + y·C, which is the same ideal: N ⊆ C,
+    and y is a nonzerodivisor modulo C because C is generated by y-free
+    polynomials, so f = n + y·h in C forces h into C.  If the identity
+    holds, the reduced basis must be square-free in y (checked: an identity
+    at a non-square-free variable is impossible, so hitting it would mean
+    the Groebner layer is wrong).  The generators of N are among those of
+    C, so √N ⊆ √C always, and degeneracy only needs the other inclusion.
     """
-    iny = initial_y_ideal(I, split.y, split.order)
-    rhs = intersect(split.C, split.N.with_extra([I.ring.var(split.y)]))
-    holds = ideal_equal(iny, rhs)
+    y = I.ring.var(split.y)
+    rhs = split.N.with_extra([y * c for c in split.C.gens])
+    holds = ideal_equal(initial_y_ideal(I, split.y, split.order), rhs)
     if holds and not split.square_free_in_y:
         raise AssertionError(
             "identity holds at %s but the basis is not square-free in it"
             % split.y)
-    if split.C.is_unit_ideal():
-        degenerate = True
-    elif ideal_equal(split.C, split.N):
-        degenerate = True
-    else:
-        degenerate = radical_equal(split.C, split.N)
+    n_gens = set(split.N.gens)
+    degenerate = split.C.is_unit_ideal() or all(
+        radical_contains(split.N, c) for c in split.C.gens if c not in n_gens)
     return DecompositionCheck(holds, degenerate)
 
 
@@ -158,8 +144,10 @@ class GvdCertificate:
     this node ("gvd", "not-gvd" or "inconclusive"); for a certified node it
     is determined by the kind, children and unmixedness evidence.
     ``failures`` pairs a variable with the reason no decomposition works
-    there; a reason names its own variable as ``{y}``, filled in on output,
-    so that renaming keeps it right.
+    there.  Reasons name variables only through placeholders, filled in on
+    output so that renaming keeps them right: ``{y}`` is the failure's or
+    the node's variable, and ``{factor}`` the variables of the one child of
+    a refuted disjoint union.
     """
 
     kind: str
@@ -198,7 +186,13 @@ class GvdCertificate:
             out["failures"] = [{"y": v, "reason": r.replace("{y}", v)}
                                for v, r in self.failures]
         if self.reason:
-            out["reason"] = self.reason
+            reason = self.reason
+            if self.y is not None:
+                reason = reason.replace("{y}", self.y)
+            if "{factor}" in reason:
+                factor = self.child_c or self.child_n
+                reason = reason.replace("{factor}", ", ".join(factor.ring_names))
+            out["reason"] = reason
         return out
 
     def rename(self, name_map: dict) -> "GvdCertificate":
@@ -261,8 +255,8 @@ def _decomposition(ring_names: tuple, ev: UnmixednessEvidence, split: CnSplit,
     if ev.conclusive_unmixed or ev.status == "cited":
         return GvdCertificate("decomposition", "gvd", ring_names, **step)
     return inconclusive(
-        ring_names, "decomposition found at %s but unmixedness evidence "
-                    "is inconclusive (%s)" % (split.y, ev.detail), **step)
+        ring_names, "decomposition found at {y} but unmixedness evidence "
+                    "is inconclusive (%s)" % ev.detail, **step)
 
 
 def memoised(memo: dict, key, ring_names: tuple, certify) -> GvdCertificate:
@@ -558,8 +552,7 @@ def _search(I: Ideal, rgb: tuple, basis: tuple, context, budget: Budget,
             return GvdCertificate(
                 "disjoint-union", "not-gvd", ring.names,
                 child_c=cert_l,
-                reason="the factor on %s is not decomposable"
-                       % ", ".join(left_names))
+                reason="the factor on {factor} is not decomposable")
         cert_r = _certify(Ideal(ring, rest).rename(right_ring),
                           _restrict_context(context, right_names),
                           budget, prefer, memo, pool)
@@ -567,8 +560,7 @@ def _search(I: Ideal, rgb: tuple, basis: tuple, context, budget: Budget,
             return GvdCertificate(
                 "disjoint-union", "not-gvd", ring.names,
                 child_n=cert_r,
-                reason="the factor on %s is not decomposable"
-                       % ", ".join(right_names))
+                reason="the factor on {factor} is not decomposable")
         if cert_l.verdict == "gvd" and cert_r.verdict == "gvd":
             return GvdCertificate(
                 "disjoint-union", "gvd", ring.names,

@@ -1,7 +1,10 @@
-"""Benchmark graphs and frozen expected values shared across the test suite."""
+"""Benchmark graphs, frozen expected values and the walk oracle shared
+across the test suite."""
 
 from gvdlab.algebra import Ring, parse_poly
-from gvdlab.graphs import Graph
+from gvdlab.graphs import Graph, oriented_minimal, toric_ideal, vector_to_binomial
+from gvdlab.groebner import contract
+from gvdlab.gvd import cn_split
 
 
 def two_k4_sharing_vertex() -> Graph:
@@ -13,6 +16,17 @@ def two_k4_sharing_vertex() -> Graph:
          ("e7", "x4", "x5"), ("e8", "x4", "x6"), ("e9", "x4", "x7"),
          ("e10", "x5", "x6"), ("e11", "x5", "x7"), ("e12", "x7", "x6")],
     )
+
+
+def two_k4_chain() -> dict:
+    """The witness chain of ideals inside the toric ideal of
+    two_k4_sharing_vertex: J and K are its contracted C and N branches at
+    e2, L is the C branch of K at e5, and M the N branch of L at e12."""
+    split = cn_split(toric_ideal(two_k4_sharing_vertex()), "e2")
+    J, K = contract(split.C, "e2"), contract(split.N, "e2")
+    L = contract(cn_split(K, "e5").C, "e5")
+    M = contract(cn_split(L, "e12").N, "e12")
+    return {"J": J, "K": K, "L": L, "M": M}
 
 
 # Minimal generating set of the toric ideal of two_k4_sharing_vertex:
@@ -178,3 +192,40 @@ def rational_rank(rows) -> int:
                 M[r] = [a - c * b for a, b in zip(M[r], M[rank])]
         rank += 1
     return rank
+
+
+def primitive_walk_binomials(G: Graph, max_edges: int = 10) -> set:
+    """Independent oracle for the universal basis: bounded enumeration of
+    closed even walks.
+
+    Uses the fact that a primitive walk traverses each edge at most twice and
+    never repeats an edge immediately (cyclically); the collected exponent
+    vectors are then filtered to the conformally minimal ones.  Exponential --
+    intended for graphs with few edges only.
+    """
+    if len(G.edges) > max_edges:
+        raise ValueError("walk enumeration limited to %d edges" % max_edges)
+    eidx = {label: i for i, label in enumerate(G.edge_labels)}
+    m = len(G.edges)
+    vectors = set()
+    order = {v: i for i, v in enumerate(sorted(G.vertices))}
+
+    def walk(v0, v, used, last, step, vec, first_edge):
+        for label, w in sorted(G.neighbors(v)):
+            i = eidx[label]
+            if i == last or used[i] == 2 or order[w] < order[v0]:
+                continue
+            used[i] += 1
+            vec[i] += 1 if step % 2 == 1 else -1
+            if w == v0 and step % 2 == 0 and i != first_edge and any(vec):
+                vectors.add(tuple(vec))
+            if step < 2 * m:
+                walk(v0, w, used, i, step + 1,
+                     vec, first_edge if first_edge is not None else i)
+            used[i] -= 1
+            vec[i] -= 1 if step % 2 == 1 else -1
+
+    for v0 in sorted(G.vertices):
+        walk(v0, v0, [0] * m, None, 1, [0] * m, None)
+    ring = G.edge_ring()
+    return {vector_to_binomial(ring, u) for u in oriented_minimal(vectors)}

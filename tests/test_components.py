@@ -51,8 +51,9 @@ def test_components_reject_non_square_free():
 # Binomial-monomial splitting.
 
 def test_split_single_monomial_no_binomials():
-    comps = binomial_monomial_split([parse_poly(XYZ, "y")], [], None, XYZ)
+    comps, total = binomial_monomial_split([parse_poly(XYZ, "y")], [], None, XYZ)
     assert len(comps) == 1
+    assert ideal_equal(total, I("y"))
     assert comps[0].monomial_vars == ("y",)
     assert comps[0].dimension == 2
 
@@ -62,8 +63,9 @@ def test_split_variable_plus_cycle_binomial():
     ring = G.edge_ring()
     mono = [parse_poly(ring, "e1")]
     bino = [parse_poly(ring, "e2*e6 - e3*e5")]
-    comps = binomial_monomial_split(mono, bino, G, ring)
+    comps, total = binomial_monomial_split(mono, bino, G, ring)
     assert len(comps) == 1
+    assert ideal_equal(total, Ideal(ring, mono + bino))
     assert comps[0].monomial_vars == ("e1",)
     assert comps[0].removed_edges == ("e1",)
     got = comps[0].ideal(ring)
@@ -89,7 +91,7 @@ def test_split_of_nonradical_input_gives_minimal_primes():
     assert not ideal_contains(C, parse_poly(ring, "e9*e10"))
     monos = [g for g in gens if len(g.terms) == 1]
     binos = [g for g in gens if len(g.terms) == 2]
-    comps = binomial_monomial_split(monos, binos, G, ring)
+    comps, split_total = binomial_monomial_split(monos, binos, G, ring)
     assert {c.monomial_vars for c in comps} == {
         ("e5", "e7", "e8", "e9"), ("e12", "e5", "e8", "e9"),
         ("e11", "e5", "e7", "e9"), ("e10", "e5", "e7", "e8")}
@@ -97,6 +99,7 @@ def test_split_of_nonradical_input_gives_minimal_primes():
     total = None
     for c in comps:
         total = c.ideal(ring) if total is None else intersect(total, c.ideal(ring))
+    assert ideal_equal(split_total, total)
     assert all(ideal_contains(total, g) for g in gens)
     assert ideal_contains(total, parse_poly(ring, "e9*e10"))
 

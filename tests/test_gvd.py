@@ -16,7 +16,8 @@ from fixtures import (
     TWO_K4_C_E2, TWO_K4_C_E5_OF_K, TWO_K4_C_E8_OF_J, TWO_K4_C_E11_OF_M,
     TWO_K4_C_E12_OF_L, TWO_K4_IN_E5_OF_K, TWO_K4_IN_E11_OF_M,
     TWO_K4_IN_E12_OF_L, TWO_K4_N_E2, TWO_K4_N_E8_OF_J, TWO_K4_N_E11_OF_M,
-    TWO_K4_N_E12_OF_L, two_k4_sharing_vertex, two_triangles_bridged,
+    TWO_K4_N_E12_OF_L, two_k4_chain, two_k4_sharing_vertex,
+    two_triangles_bridged,
 )
 
 XYZW = Ring(["x", "y", "z", "w"])
@@ -123,24 +124,14 @@ def test_initial_y_ideal_of_principal():
 # is checked against the frozen display; the chain is meaningful independent
 # of any decomposability verdicts.
 
-def chain_rings_and_ideals():
-    G = two_k4_sharing_vertex()
-    I_G = toric_ideal(G)
-    split2 = cn_split(I_G, "e2")
-    J = contract(split2.C, "e2")
-    K = contract(split2.N, "e2")
-    return G, J, K
-
-
 def test_chain_step_j_at_e8():
-    _, J, _ = chain_rings_and_ideals()
-    split = cn_split(J, "e8")
+    split = cn_split(two_k4_chain()["J"], "e8")
     assert equal_to_display(split.C, TWO_K4_C_E8_OF_J)
     assert equal_to_display(split.N, TWO_K4_N_E8_OF_J)
 
 
 def test_chain_step_k_at_e5():
-    _, _, K = chain_rings_and_ideals()
+    K = two_k4_chain()["K"]
     assert equal_to_display(initial_y_ideal(K, "e5"), TWO_K4_IN_E5_OF_K)
     split = cn_split(K, "e5")
     assert equal_to_display(split.C, TWO_K4_C_E5_OF_K)
@@ -152,13 +143,12 @@ def test_chain_step_k_at_e5():
 
 
 def test_chain_steps_l_and_m():
-    _, _, K = chain_rings_and_ideals()
-    L = contract(cn_split(K, "e5").C, "e5")
+    chain = two_k4_chain()
+    L, M = chain["L"], chain["M"]
     assert equal_to_display(initial_y_ideal(L, "e12"), TWO_K4_IN_E12_OF_L)
     split12 = cn_split(L, "e12")
     assert equal_to_display(split12.N, TWO_K4_N_E12_OF_L)
     assert equal_to_display(split12.C, TWO_K4_C_E12_OF_L)
-    M = contract(split12.N, "e12")
     assert equal_to_display(initial_y_ideal(M, "e11"), TWO_K4_IN_E11_OF_M)
     split11 = cn_split(M, "e11")
     assert equal_to_display(split11.N, TWO_K4_N_E11_OF_M)

@@ -49,3 +49,25 @@ def test_every_exported_name_resolves():
                     for name in getattr(module, "__all__", ())
                     if not hasattr(module, name)]
     assert missing == []
+
+
+def test_benchmark_traced_names_resolve():
+    # The benchmark wraps these names (module, then attribute path) in a
+    # traced run; read them without importing the benchmark.
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = getattr(node.targets[0], "id", None)
+            if target in ("TRACED", "COUNTED"):
+                names[target] = ast.literal_eval(node.value)
+    assert set(names) == {"TRACED", "COUNTED"}
+    unresolved = []
+    for name in names["TRACED"] + names["COUNTED"]:
+        module, *path = name.split(".")
+        owner = importlib.import_module("gvdlab." + module)
+        for attr in path:
+            owner = getattr(owner, attr, None)
+        if not callable(owner):
+            unresolved.append(name)
+    assert unresolved == []

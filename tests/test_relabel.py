@@ -10,10 +10,12 @@ import random
 
 import pytest
 
+from gvdlab.algebra import Ring, parse_poly
 from gvdlab.bipartite import certify_bipartite_gvd
 from gvdlab.graphs import (
     Graph, complete_bipartite, complete_graph, cycle_graph, toric_ideal,
 )
+from gvdlab.groebner import Ideal
 from gvdlab.gvd import is_gvd
 
 from fixtures import two_triangles_bridged
@@ -75,3 +77,16 @@ def test_permuted_edge_order_keeps_the_verdict(name):
         assert H.edge_labels != G.edge_labels
         for run in certifiers(G):
             assert run(H).verdict == run(G).verdict
+
+
+def test_rename_reaches_the_reason_of_a_refuted_disjoint_union():
+    # The reason names the refuted factor's variables; a renamed certificate,
+    # and a memo hit from another ring, must name the new ones.
+    ring, new = Ring(["x", "y", "z", "w"]), Ring(["a1", "a2", "a3", "a4"])
+    name_map = dict(zip(ring.names, new.names))
+    I = Ideal(ring, [parse_poly(ring, "x^2"), parse_poly(ring, "z*w")])
+    fresh = is_gvd(I.rename(new, name_map)).to_json_dict()
+    assert fresh["reason"] == "the factor on a1 is not decomposable"
+    memo = {}
+    assert is_gvd(I, memo=memo).rename(name_map).to_json_dict() == fresh
+    assert is_gvd(I.rename(new, name_map), memo=memo).to_json_dict() == fresh
