@@ -14,7 +14,8 @@ the recursion certifies decomposability of the toric ideal itself
 (the empty matching) for every bipartite graph.
 
 Every recursion step is re-verified from scratch: the decomposition
-identity by explicit intersection, the branch ideals by ideal equality
+identity in_y(I) = C ∩ (N + <y>) by ``check_decomposition``, which computes
+the right side as N + y·C, the branch ideals by ideal equality
 against their structural descriptions, and the Groebner property of the
 natural generators under the prescribed order.  Unmixedness evidence is
 recomputed per node; where the computation is inconclusive, the

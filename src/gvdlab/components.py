@@ -1,16 +1,35 @@
-"""Primary-decomposition machinery for the ideals the decomposability search
-actually meets: square-free monomial ideals and sums of square-free monomials
-with primitive walk binomials of a graph.
+"""Minimal primes of the ideals the decomposability search meets: square-free
+monomial ideals, and sums of square-free monomials and primitive walk
+binomials of a graph.
 
-The split into prime components M_i + I_{G minus E_i} is implemented exactly
-where it is provably correct: every binomial must be doubly square-free and a
-primitive walk binomial of the context graph, and every component's toric
-part is re-verified against the universal basis of the corresponding
-subgraph.  The intersection of the components is verified to reproduce the
-input ideal, or, failing that, its radical (some of these ideals are not
-radical, so their minimal primes can only cut out the radical); either way
-the returned components are provably exactly the minimal primes.  Anything
-outside that regime yields ``Inconclusive`` rather than a guess.
+One search decides both.  Given monomial supports and the sides (u, v) of
+binomials, a closed cover is a set W of variables that meets every support
+and, for every binomial, meets u exactly when it meets v.  Over a context
+graph G its component is P_W = <W> + I_{G minus W}: the variables of W plus
+the toric ideal of G without the edges in W.
+
+Why the minimal closed covers give exactly the minimal primes.  Let I be
+generated by the monomials and by binomials with coefficients +1 and -1.
+
+- A prime P containing I meets the variables in a closed cover: P holds a
+  variable of each monomial, and if u - v lies in P and u meets P, then u,
+  hence v, lies in P.
+- For a closed cover W, each binomial meets W on both sides, and so lies
+  in <W>, or meets it on neither.  The split checks, for each minimal W,
+  that the binomials avoiding W generate I_{G minus W}.  Toric ideals are
+  prime, hold no variable, and this one lives in variables outside W, so
+  P_W is prime, contains I, and holds no variable outside W.
+- So a prime P containing I contains P_W for every minimal closed cover W
+  among its variables, and a prime between I and P_W meets the variables in
+  W itself, so it contains P_W.  The P_W are the minimal primes, and none
+  contains another.
+
+Hence their intersection is the radical of I, and dim P_W counts the
+variables in neither W nor G minus W plus the toric dimension of G minus W.
+Without binomials this is Alexander duality: a square-free monomial ideal
+is the intersection of its <W>.  ``tests/test_minimal_primes.py`` checks
+these facts with the general Groebner routines.  Anything outside this
+regime yields ``Inconclusive`` rather than a guess.
 """
 
 from __future__ import annotations
@@ -20,10 +39,7 @@ from typing import Optional
 
 from .algebra import ONE, Poly, mono_is_squarefree, mono_support
 from .graphs import Graph, toric_dimension, universal_groebner_basis
-from .groebner import (
-    Ideal, ideal_contains, ideal_contains_ideal, ideal_equal, intersect,
-    krull_dimension, minimal_generators, radical_contains,
-)
+from .groebner import Ideal, ideal_equal, intersect, minimal_generators
 
 __all__ = [
     "PrimeComponent", "UnmixednessEvidence", "SplitNotApplicable",
@@ -106,53 +122,51 @@ class UnmixednessEvidence:
 
 
 # ---------------------------------------------------------------------------
-# Square-free monomial ideals: minimal primes = minimal covers.
+# Minimal closed covers.
 
-def _minimal_covers(supports: list) -> list:
-    """All inclusion-minimal transversals of a list of variable sets."""
-    supports = [frozenset(s) for s in supports]
-    if any(not s for s in supports):
-        raise ValueError("empty support (the ideal contains a unit)")
-    covers = set()
+def _closed_covers(supports: list, side_pairs: list) -> list:
+    """The inclusion-minimal closed covers: sets of variable names meeting
+    every set in ``supports`` and, for each pair (u, v) in ``side_pairs``,
+    meeting u exactly when they meet v.  Sorted by size, then by names;
+    empty when a support is empty."""
+    found, seen = set(), set()
 
-    def dfs(V):
-        for s in supports:
-            if not (s & V):
-                for x in sorted(s):
-                    dfs(V | {x})
-                return
-        covers.add(frozenset(V))
+    def grow(V):
+        if V in seen:
+            return
+        seen.add(V)
+        missed = next((s for s in supports if not s & V), None)
+        if missed is None:
+            missed = next((v if u & V else u for u, v in side_pairs
+                           if bool(u & V) != bool(v & V)), None)
+        if missed is None:
+            found.add(V)
+            return
+        for x in sorted(missed):
+            grow(V | {x})
 
-    dfs(frozenset())
-    minimal = [c for c in covers
-               if not any(d != c and d <= c for d in covers)]
+    grow(frozenset())
+    minimal = [c for c in found if not any(d < c for d in found)]
     return sorted(minimal, key=lambda c: (len(c), tuple(sorted(c))))
 
 
 def sqfree_monomial_components(I: Ideal) -> list:
     """Minimal primes of a square-free monomial ideal, as variable-name sets.
 
-    The zero ideal yields [frozenset()] (the single empty cover); the
-    intersection of the returned variable ideals is verified to equal I.
+    The zero ideal yields [frozenset()] (the single empty cover).  The
+    returned variable ideals intersect to I (Alexander duality).
     """
-    rgb = I.groebner()
-    if not rgb:
-        return [frozenset()]
     supports = []
-    for g in rgb:
+    for g in I.groebner():
         if not g.is_monomial():
             raise ValueError("not a monomial ideal")
         (m, _), = g.terms.items()
         if not mono_is_squarefree(m):
             raise ValueError("not square-free: %s" % g)
         supports.append(frozenset(I.ring.names[i] for i in mono_support(m)))
-    covers = _minimal_covers(supports)
-    got = None
-    for cover in covers:
-        P = Ideal(I.ring, [I.ring.var(v) for v in sorted(cover)])
-        got = P if got is None else intersect(got, P)
-    if got is None or not ideal_equal(got, I):
-        raise AssertionError("cover intersection does not reproduce the ideal")
+    covers = _closed_covers(supports, [])
+    if not covers:
+        raise ValueError("empty support (the ideal contains a unit)")
     return covers
 
 
@@ -182,150 +196,68 @@ def _ugb_signs(G: Graph, ring) -> set:
     return {_sign_canonical(f.rename(ring)) for f in universal_groebner_basis(G)}
 
 
-def binomial_monomial_split(monomials: list, binomials: list, context: Optional[Graph],
-                            ring) -> tuple:
-    """Prime components of <monomials> + <binomials> over the context graph,
-    and their intersection.
+def _generates_toric_ideal(binomials, G: Graph, ring) -> bool:
+    """True iff the binomials generate the toric ideal of G in ``ring``."""
+    if {_sign_canonical(f) for f in binomials} == _ugb_signs(G, ring):
+        return True
+    ext = [f.rename(ring) for f in universal_groebner_basis(G)]
+    return ideal_equal(Ideal(ring, list(binomials)), Ideal(ring, ext))
 
-    Binomials must be doubly square-free primitive walk binomials of
-    ``context``; raises SplitNotApplicable outside that regime.  Monomials
-    are radicalized up front (minimal primes only see the radical, and
-    stripping exponents does not change it).  Components are verified: each
-    toric part must reproduce the universal basis of its subgraph, and the
-    intersection of all components must equal the input ideal, or at least
-    its radical when the input is not radical (the components are its
-    minimal primes in either case).
+
+def binomial_monomial_split(monomials: list, binomials: list, context: Optional[Graph],
+                            ring) -> list:
+    """The minimal primes of <monomials> + <binomials> over the context
+    graph, one component per minimal closed cover, in cover order.
+
+    Binomials must be +1/-1, doubly square-free primitive walk binomials of
+    ``context``, and the binomials avoiding each minimal cover must generate
+    the toric ideal of its subgraph; SplitNotApplicable is raised otherwise.
+    Under these checks the components are exactly the minimal primes (see
+    the module docstring): they intersect to the radical of the input, and
+    their dimensions follow from the subgraphs.
     """
-    mono_supports = []
-    rad_monomials = []
+    supports = []
     for f in monomials:
         (m, _), = f.terms.items()
-        rad = tuple(1 if e else 0 for e in m)
-        rad_monomials.append(Poly(ring, {rad: ONE}))
-        mono_supports.append(frozenset(ring.names[i] for i in mono_support(m)))
-    monomials = rad_monomials
+        supports.append(frozenset(ring.names[i] for i in mono_support(m)))
     sides = []
     for f in binomials:
         pair = _binomial_sides(f)
         if pair is None:
             raise SplitNotApplicable("not a +1/-1 binomial: %s" % f)
-        u, v = pair
-        for mono, _ in f.terms.items():
-            if not mono_is_squarefree(mono):
-                raise SplitNotApplicable("binomial not doubly square-free: %s" % f)
-        sides.append((u, v, f))
+        if not all(mono_is_squarefree(m) for m in f.terms):
+            raise SplitNotApplicable("binomial not doubly square-free: %s" % f)
+        sides.append(pair)
     if sides and context is None:
         raise SplitNotApplicable("binomials present but no graph context")
     if context is not None:
         if not set(context.edge_labels) <= set(ring.names):
             raise SplitNotApplicable("context graph edges not contained in the ring")
         in_ugb = _ugb_signs(context, ring)
-        for u, v, f in sides:
+        for f in binomials:
             if _sign_canonical(f) not in in_ugb:
                 raise SplitNotApplicable(
                     "binomial %s is not a primitive walk binomial of the context" % f)
 
     edge_set = set(context.edge_labels) if context is not None else set()
-    covers = set()
-
-    def dfs(V):
-        for s in mono_supports:
-            if not (s & V):
-                for x in sorted(s):
-                    dfs(V | {x})
-                return
-        for u, v, _ in sides:
-            hit_u, hit_v = bool(u & V), bool(v & V)
-            if hit_u and not hit_v:
-                for x in sorted(v):
-                    dfs(V | {x})
-                return
-            if hit_v and not hit_u:
-                for x in sorted(u):
-                    dfs(V | {x})
-                return
-        covers.add(frozenset(V))
-
-    dfs(frozenset())
-
-    sub_cache = {}
     components = []
-    seen = set()
-    for V in sorted(covers, key=lambda c: (len(c), tuple(sorted(c)))):
-        removed = frozenset(V & edge_set)
-        key = (V, removed)
-        if key in seen:
-            continue
-        seen.add(key)
-        survivors = tuple(f for u, v, f in sides if not (u & V) and not (v & V))
+    for V in _closed_covers(supports, sides):
+        removed = tuple(sorted(V & edge_set))
+        survivors = tuple(f for f, (u, v) in zip(binomials, sides)
+                          if not (u & V) and not (v & V))
+        toric_dim, toric_edges = 0, ()
         if context is not None:
-            if removed not in sub_cache:
-                sub = context.delete_edges(sorted(removed))
-                sub_cache[removed] = (sub, _ugb_signs(sub, ring))
-            sub, sub_ugb = sub_cache[removed]
-            if {_sign_canonical(f) for f in survivors} != sub_ugb:
-                ext = [f.rename(ring) for f in universal_groebner_basis(sub)]
-                if not ideal_equal(Ideal(ring, list(survivors)), Ideal(ring, ext)):
-                    raise SplitNotApplicable(
-                        "component toric part differs from the subgraph ideal")
-            toric_dim = toric_dimension(sub)
-            free = [n for n in ring.names
-                    if n not in V and n not in set(sub.edge_labels)]
-        else:
-            toric_dim = 0
-            free = [n for n in ring.names if n not in V]
-        dim = len(free) + toric_dim
-        comp = PrimeComponent(tuple(sorted(V)), tuple(sorted(removed)),
-                              survivors, dim)
-        components.append(comp)
-
-    # revalidate dimensions against the Groebner computation
-    ideals = [c.ideal(ring) for c in components]
-    for comp, P in zip(components, ideals):
-        if krull_dimension(P) != comp.dimension:
-            raise AssertionError("component dimension formula disagrees with "
-                                 "the Groebner computation")
-
-    # prune components containing another component
-    keep = []
-    for i, c in enumerate(components):
-        contained_other = False
-        for j, d in enumerate(components):
-            if i == j:
-                continue
-            if ideal_contains_ideal(ideals[i], ideals[j]):
-                # component i contains component j: i is redundant,
-                # unless they are equal and j comes first
-                if not ideal_contains_ideal(ideals[j], ideals[i]):
-                    contained_other = True
-                    break
-                if j < i:
-                    contained_other = True
-                    break
-        if not contained_other:
-            keep.append(i)
-    components = [components[i] for i in keep]
-    ideals = [ideals[i] for i in keep]
-
-    total = None
-    for P in ideals:
-        total = P if total is None else intersect(total, P)
-    original = Ideal(ring, list(monomials) + list(binomials))
-    if total is None:
+            sub = context.delete_edges(removed)
+            if not _generates_toric_ideal(survivors, sub, ring):
+                raise SplitNotApplicable(
+                    "component toric part differs from the subgraph ideal")
+            toric_dim, toric_edges = toric_dimension(sub), set(sub.edge_labels)
+        free = [n for n in ring.names if n not in V and n not in toric_edges]
+        components.append(PrimeComponent(tuple(sorted(V)), removed, survivors,
+                                         len(free) + toric_dim))
+    if not components:
         raise SplitNotApplicable("no components found")
-    if not ideal_equal(total, original):
-        # The intersection of the minimal primes is the radical, which can
-        # exceed a non-radical input.  The components are still exactly the
-        # minimal primes provided the comparison holds at radical level:
-        # every prime contains the input, and the intersection stays inside
-        # the radical.
-        if not all(ideal_contains(total, g) for g in original.gens):
-            raise SplitNotApplicable(
-                "component intersection does not contain the ideal")
-        if not all(radical_contains(original, g) for g in total.groebner()):
-            raise SplitNotApplicable(
-                "component intersection does not reproduce the ideal")
-    return components, total
+    return components
 
 
 # ---------------------------------------------------------------------------
@@ -417,19 +349,13 @@ def unmixedness_evidence(I: Ideal, context: Optional[Graph] = None) -> Unmixedne
                           for i in mono_support(next(iter(g.terms)))}
                          & set(context.edge_labels))
         sub = context.delete_edges(removed)
-        mine = {_sign_canonical(g) for g in binoms}
-        recognized = mine == _ugb_signs(sub, I.ring)
-        if not recognized:
-            ext = [f.rename(I.ring) for f in universal_groebner_basis(sub)]
-            recognized = ideal_equal(Ideal(I.ring, binoms), Ideal(I.ring, ext))
-        if recognized:
+        if _generates_toric_ideal(binoms, sub, I.ring):
             return UnmixednessEvidence(
                 "prime", "variables plus the toric ideal of the context "
                 "subgraph, hence prime")
 
     try:
-        comps, total = binomial_monomial_split(variables + monos, binoms,
-                                               context, I.ring)
+        comps = binomial_monomial_split(variables + monos, binoms, context, I.ring)
     except SplitNotApplicable as exc:
         return UnmixednessEvidence("inconclusive", "splitting not applicable: %s" % exc)
     dims = tuple(c.dimension for c in comps)
@@ -437,7 +363,13 @@ def unmixedness_evidence(I: Ideal, context: Optional[Graph] = None) -> Unmixedne
         return UnmixednessEvidence("refuted",
                                    "split components of different dimensions",
                                    dims, tuple(comps))
-    if ideal_equal(total, I):
+    # The components are the minimal primes, so they intersect to the
+    # radical: equal to I exactly when I is radical.
+    radical = None
+    for c in comps:
+        P = c.ideal(I.ring)
+        radical = P if radical is None else intersect(radical, P)
+    if ideal_equal(radical, I):
         return UnmixednessEvidence("equal-dims",
                                    "all split components share one dimension",
                                    dims, tuple(comps))

@@ -160,13 +160,12 @@ class EFNode:
     (``child_c``, the saturated initial-form side) or into F (``child_n``,
     the deletion side).  Trivial and depth-capped nodes are leaves."""
 
-    __slots__ = ("state", "_graph", "_depth", "_memo", "_children")
+    __slots__ = ("state", "_graph", "_depth", "_children")
 
-    def __init__(self, state: EFState, graph: Graph, depth: int, memo: dict):
+    def __init__(self, state: EFState, graph: Graph, depth: int):
         self.state = state
         self._graph = graph
         self._depth = depth
-        self._memo = memo
         self._children = ()
 
     @property
@@ -185,10 +184,8 @@ class EFNode:
             self._children = None
             return None
         self._children = (
-            _tree_node(self._graph, self.state.E + (y,), self.state.F,
-                       self._depth, self._memo),
-            _tree_node(self._graph, self.state.E, self.state.F + (y,),
-                       self._depth, self._memo))
+            _tree_node(self._graph, self.state.E + (y,), self.state.F, self._depth),
+            _tree_node(self._graph, self.state.E, self.state.F + (y,), self._depth))
         return self._children
 
     def to_json_dict(self) -> dict:
@@ -203,15 +200,12 @@ class EFNode:
         return out
 
 
-def _tree_node(G: Graph, E: tuple, F: tuple, depth: int, memo: dict) -> EFNode:
-    key = (E, F)
-    node = memo.get(key)
-    if node is None:
-        ring = G.edge_ring()
-        state = EFState(E, F, Ideal(ring, _natural_generators(G, E, F, ring)))
-        node = EFNode(state, G, depth, memo)
-        memo[key] = node
-    return node
+def _tree_node(G: Graph, E: tuple, F: tuple, depth: int) -> EFNode:
+    # Every split (E, F) has one parent, and ``children`` caches, so each
+    # node is built once.
+    ring = G.edge_ring()
+    state = EFState(E, F, Ideal(ring, _natural_generators(G, E, F, ring)))
+    return EFNode(state, G, depth)
 
 
 def ef_tree(G: Graph, depth: Optional[int] = None) -> EFNode:
@@ -221,7 +215,7 @@ def ef_tree(G: Graph, depth: Optional[int] = None) -> EFNode:
         raise ValueError("label-order initial ideal is not square-free")
     if depth is None:
         depth = len(G.edges)
-    return _tree_node(G, (), (), depth, {})
+    return _tree_node(G, (), (), depth)
 
 
 def tree_nodes(root: EFNode) -> list:

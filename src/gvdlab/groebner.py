@@ -26,7 +26,7 @@ from .algebra import (
 
 __all__ = [
     "Ideal", "s_polynomial", "normal_form", "buchberger", "initial_ideal",
-    "ideal_equal", "ideal_contains", "ideal_contains_ideal", "intersect",
+    "ideal_equal", "ideal_contains", "intersect",
     "saturate_variable", "eliminate", "contract",
     "krull_dimension", "is_generated_by_variables", "is_square_free_monomial_ideal",
     "is_square_free_groebner_basis", "radical_contains", "radical_equal",
@@ -250,11 +250,6 @@ def ideal_contains(I: Ideal, f: Poly) -> bool:
     return normal_form(order, f, I.groebner(order)).is_zero()
 
 
-def ideal_contains_ideal(I: Ideal, J: Ideal) -> bool:
-    """True iff J is a subset of I (generatorwise membership)."""
-    return all(ideal_contains(I, g) for g in J.gens)
-
-
 def minimal_generators(I: Ideal) -> list:
     """A generating subset of I.gens with no redundant member.
 
@@ -263,11 +258,12 @@ def minimal_generators(I: Ideal) -> list:
     """
     cands = sorted(I.gens, key=lambda f: f.canonical(), reverse=True)
     cands.sort(key=lambda f: f.total_degree())
-    kept = []
+    kept, span = [], None
     for f in cands:
-        if kept and ideal_contains(Ideal(I.ring, kept), f):
+        if span is not None and ideal_contains(span, f):
             continue
         kept.append(f)
+        span = Ideal(I.ring, kept)  # rejected candidates share its basis
     return kept
 
 

@@ -3,7 +3,7 @@ across the test suite."""
 
 from gvdlab.algebra import Ring, parse_poly
 from gvdlab.graphs import Graph, oriented_minimal, toric_ideal, vector_to_binomial
-from gvdlab.groebner import contract
+from gvdlab.groebner import contract, intersect
 from gvdlab.gvd import cn_split
 
 
@@ -27,6 +27,14 @@ def two_k4_chain() -> dict:
     L = contract(cn_split(K, "e5").C, "e5")
     M = contract(cn_split(L, "e12").N, "e12")
     return {"J": J, "K": K, "L": L, "M": M}
+
+
+def intersection(ideals):
+    """The intersection of a nonempty list of ideals of one ring."""
+    total = None
+    for P in ideals:
+        total = P if total is None else intersect(total, P)
+    return total
 
 
 # Minimal generating set of the toric ideal of two_k4_sharing_vertex:

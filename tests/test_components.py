@@ -10,11 +10,12 @@ from gvdlab.components import (
 )
 from gvdlab.graphs import complete_bipartite, cycle_graph
 from gvdlab.groebner import (
-    Ideal, ideal_contains, ideal_equal, intersect, minimal_generators,
+    Ideal, ideal_contains, ideal_equal, minimal_generators,
 )
 
 from fixtures import (
-    TWO_K4_C_E2, TWO_K4_LEX_E2_BASIS, TWO_K4_N_E2, two_k4_sharing_vertex,
+    TWO_K4_C_E2, TWO_K4_LEX_E2_BASIS, TWO_K4_N_E2, intersection,
+    two_k4_sharing_vertex,
 )
 
 XYZ = Ring(["x", "y", "z"])
@@ -51,7 +52,8 @@ def test_components_reject_non_square_free():
 # Binomial-monomial splitting.
 
 def test_split_single_monomial_no_binomials():
-    comps, total = binomial_monomial_split([parse_poly(XYZ, "y")], [], None, XYZ)
+    comps = binomial_monomial_split([parse_poly(XYZ, "y")], [], None, XYZ)
+    total = intersection([c.ideal(XYZ) for c in comps])
     assert len(comps) == 1
     assert ideal_equal(total, I("y"))
     assert comps[0].monomial_vars == ("y",)
@@ -63,7 +65,8 @@ def test_split_variable_plus_cycle_binomial():
     ring = G.edge_ring()
     mono = [parse_poly(ring, "e1")]
     bino = [parse_poly(ring, "e2*e6 - e3*e5")]
-    comps, total = binomial_monomial_split(mono, bino, G, ring)
+    comps = binomial_monomial_split(mono, bino, G, ring)
+    total = intersection([c.ideal(ring) for c in comps])
     assert len(comps) == 1
     assert ideal_equal(total, Ideal(ring, mono + bino))
     assert comps[0].monomial_vars == ("e1",)
@@ -91,15 +94,12 @@ def test_split_of_nonradical_input_gives_minimal_primes():
     assert not ideal_contains(C, parse_poly(ring, "e9*e10"))
     monos = [g for g in gens if len(g.terms) == 1]
     binos = [g for g in gens if len(g.terms) == 2]
-    comps, split_total = binomial_monomial_split(monos, binos, G, ring)
+    comps = binomial_monomial_split(monos, binos, G, ring)
     assert {c.monomial_vars for c in comps} == {
         ("e5", "e7", "e8", "e9"), ("e12", "e5", "e8", "e9"),
         ("e11", "e5", "e7", "e9"), ("e10", "e5", "e7", "e8")}
     assert {c.dimension for c in comps} == {7}
-    total = None
-    for c in comps:
-        total = c.ideal(ring) if total is None else intersect(total, c.ideal(ring))
-    assert ideal_equal(split_total, total)
+    total = intersection([c.ideal(ring) for c in comps])
     assert all(ideal_contains(total, g) for g in gens)
     assert ideal_contains(total, parse_poly(ring, "e9*e10"))
 

@@ -1,0 +1,105 @@
+"""The split's components are the minimal primes, checked the long way.
+
+``components`` reads the minimal primes off the minimal closed covers and,
+by the proof in its docstring, does not verify them at run time.  Here, for
+every ideal the split accepts, the components intersect to the radical
+(``radical_equal``), each has the dimension the split reports
+(``krull_dimension``), and none contains another (``ideal_contains``).  On
+square-free monomial ideals the covers intersect back to the ideal.
+"""
+
+import pytest
+
+from gvdlab.algebra import initial_y_form, lex_order, parse_poly, storage_order
+from gvdlab.components import (
+    SplitNotApplicable, binomial_monomial_split, sqfree_monomial_components,
+)
+from gvdlab.graphs import toric_ideal
+from gvdlab.groebner import (
+    Ideal, contract, ideal_contains, ideal_equal, initial_ideal,
+    is_square_free_monomial_ideal, krull_dimension, minimal_generators,
+    radical_equal,
+)
+from gvdlab.gvd import cn_split
+
+from fixtures import (
+    TWO_K4_C_E2, TWO_K4_LEX_E2_BASIS, intersection, two_k4_chain,
+    two_k4_sharing_vertex,
+)
+from graph_corpus import connected_graphs, to_graph
+
+GRAPHS = [to_graph(n, edges) for n, edges in connected_graphs(7)]
+
+
+def split(I: Ideal, context):
+    """The split of I's minimal generators, as ``unmixedness_evidence``
+    calls it; None where the split does not apply."""
+    gens = minimal_generators(I)
+    monos = [g for g in gens if g.is_monomial()]
+    binoms = [g for g in gens if not g.is_monomial()]
+    try:
+        return binomial_monomial_split(monos, binoms, context, I.ring)
+    except SplitNotApplicable:
+        return None
+
+
+def assert_minimal_primes(I: Ideal, context) -> bool:
+    """The checks the split no longer runs; False where it does not apply."""
+    comps = split(I, context)
+    if comps is None:
+        return False
+    primes = [c.ideal(I.ring) for c in comps]
+    assert radical_equal(intersection(primes), I)
+    for c, P in zip(comps, primes):
+        assert krull_dimension(P) == c.dimension
+    for P in primes:
+        for Q in primes:
+            assert P is Q or not all(ideal_contains(P, g) for g in Q.gens)
+    return True
+
+
+def test_c_branches_of_the_corpus():
+    seen = {}
+    for G in GRAPHS:
+        I = toric_ideal(G)
+        for y in I.ring.names:
+            C = contract(cn_split(I, y).C, y)
+            context = G.delete_edges([y])
+            basis = tuple(g.canonical() for g in C.groebner())
+            key = (C.ring.names, basis, context.edges)
+            if basis and key not in seen:
+                seen[key] = assert_minimal_primes(C, context)
+    assert len(seen) == 296 and all(seen.values())
+
+
+def test_two_k4_c_branch_and_initial_forms():
+    G = two_k4_sharing_vertex()
+    ring = G.edge_ring()
+    C = Ideal(ring, [parse_poly(ring, t) for t in TWO_K4_C_E2])
+    assert assert_minimal_primes(C, G.delete_edges(["e2"]))
+    forms = Ideal(ring, [initial_y_form("e2", parse_poly(ring, t))
+                         for t in TWO_K4_LEX_E2_BASIS])
+    assert assert_minimal_primes(forms, G)
+
+
+@pytest.mark.parametrize("name, removed", [
+    ("J", ["e2"]), ("K", ["e2"]), ("L", ["e2", "e5"]),
+    ("M", ["e2", "e5", "e12"])])
+def test_two_k4_chain(name, removed):
+    ideal = two_k4_chain()[name]
+    assert assert_minimal_primes(ideal, two_k4_sharing_vertex().delete_edges(removed))
+
+
+def test_covers_of_square_free_initial_ideals_intersect_back():
+    checked = 0
+    for G in GRAPHS:
+        I = toric_ideal(G)
+        for order in (storage_order(I.ring), lex_order(I.ring)):
+            J = initial_ideal(order, I)
+            if not J.gens or not is_square_free_monomial_ideal(J):
+                continue
+            covers = sqfree_monomial_components(J)
+            primes = [Ideal(J.ring, [J.ring.var(v) for v in sorted(W)]) for W in covers]
+            assert ideal_equal(intersection(primes), J)
+            checked += 1
+    assert checked == 92

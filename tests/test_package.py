@@ -31,6 +31,32 @@ def test_source_has_no_assert_statements():
     assert SOURCES and found == []
 
 
+def test_every_imported_name_is_used_or_exported():
+    # An import the module neither reads nor lists in ``__all__`` is dead
+    # API: typically a helper whose last caller in the module was deleted.
+    unused = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set()
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+                exported = set(ast.literal_eval(node.value))
+        unused += ["%s:%d %s" % (path.name, line, name)
+                   for name, line in imported.items()
+                   if name not in read and name not in exported]
+    assert SOURCES and unused == []
+
+
 def test_declared_readme_exists():
     assert (ROOT / project()["readme"]).is_file()
 

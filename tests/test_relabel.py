@@ -2,8 +2,10 @@
 
 Renaming vertices and edges so that the new names sort as the old ones did
 must give exactly the renamed certificate, since the certifiers read names
-only through their order.  Listing the edges in another order changes the
-ring's variable order, and so the search, but never the verdict.
+only through their order.  Renames that change that order, listing the
+edges in another order (which changes the ring's variable order), and
+another order of preferred variables all change the search, but never the
+verdict.
 """
 
 import random
@@ -38,13 +40,19 @@ def sorted_rename(names, rng, prefix) -> dict:
     return {old: "%s%04d" % (prefix, k) for old, k in zip(sorted(names), picks)}
 
 
-def relabeled(G, seed):
+def shuffled_rename(names, rng, prefix) -> dict:
+    """New random names, whatever their sort order."""
+    picks = rng.sample(range(10 ** 4), len(names))
+    return {old: "%s%04d" % (prefix, k) for old, k in zip(names, picks)}
+
+
+def relabeled(G, seed, rename=sorted_rename):
     rng = random.Random(seed)
-    vmap = sorted_rename(G.vertices, rng, "v")
-    emap = sorted_rename(G.edge_labels, rng, "f")
+    vmap = rename(G.vertices, rng, "v")
+    emap = rename(G.edge_labels, rng, "f")
     H = Graph([vmap[v] for v in G.vertices],
               [(emap[e], vmap[u], vmap[v]) for e, u, v in G.edges])
-    return H, emap
+    return H, vmap, emap
 
 
 def permuted(G, seed):
@@ -63,7 +71,7 @@ def certifiers(G):
 def test_order_preserving_rename_renames_the_certificate(name):
     G = GRAPHS[name]
     for seed in (1, 2):
-        H, emap = relabeled(G, seed)
+        H, _, emap = relabeled(G, seed)
         for run in certifiers(G):
             assert (run(H).to_json_dict()
                     == run(G).rename(emap).to_json_dict())
@@ -77,6 +85,28 @@ def test_permuted_edge_order_keeps_the_verdict(name):
         assert H.edge_labels != G.edge_labels
         for run in certifiers(G):
             assert run(H).verdict == run(G).verdict
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_rename_that_reorders_the_names_keeps_the_verdict(name):
+    G = GRAPHS[name]
+    for seed in (1, 2):
+        H, vmap, emap = relabeled(G, seed, shuffled_rename)
+        for names, new in ((G.vertices, vmap), (G.edge_labels, emap)):
+            assert sorted(new[n] for n in names) != [new[n] for n in sorted(names)]
+        for run in certifiers(G):
+            assert run(H).verdict == run(G).verdict
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_permuted_prefer_keeps_the_verdict(name):
+    G = GRAPHS[name]
+    I = toric_ideal(G)
+    verdict = is_gvd(I, context=G).verdict
+    for seed in (1, 2):
+        prefer = list(G.edge_labels)
+        random.Random(seed).shuffle(prefer)
+        assert is_gvd(I, context=G, prefer=prefer).verdict == verdict
 
 
 def test_rename_reaches_the_reason_of_a_refuted_disjoint_union():
