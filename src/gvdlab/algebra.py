@@ -4,7 +4,19 @@ Variables live in an immutable :class:`Ring` (an ordered tuple of names).
 Monomials are dense exponent tuples, polynomials are sparse maps from exponent
 tuple to ``Fraction``.  Monomial orders are small declarative specs compiled to
 key functions; supported kinds are lex, graded lex, y-degree-first (the
-"y-compatible" wrapper) and elimination (block-degree first).  All values are immutable after construction.
+"y-compatible" wrapper) and elimination (block-degree first).  All values are
+immutable after construction.
+
+Orders compile to sort keys that compare as the spec says, and Groebner
+computations call them for every term they touch, so the common cases stay
+in C.  A lex key picks its variables out of the monomial with one
+``operator.itemgetter``; when the variables are the ring's own in ring order
+there is nothing to pick, and the key is the monomial itself (``tuple``).  A
+graded lex key is ``(degree, pick)``, so the storage order's key is
+``(sum(m), m)``.  A y-first key is ``(m[y], inner key)`` and an elimination
+key ``(degree in the block, inner key)``.  The monomial helpers
+(``mono_mul`` and the rest) likewise map ``operator`` functions over the two
+exponent tuples.
 """
 
 from __future__ import annotations
@@ -12,6 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, itemgetter, le, sub
 from typing import Iterable, Mapping, NamedTuple, Union
 
 __all__ = [
@@ -37,25 +50,25 @@ def mono_one(arity: int) -> tuple:
 
 
 def mono_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: tuple, b: tuple) -> bool:
     """True iff monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: tuple, b: tuple) -> tuple:
     """a / b, assuming b divides a."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_gcd(a: tuple, b: tuple) -> tuple:
-    return tuple(min(x, y) for x, y in zip(a, b))
+    return tuple(map(min, a, b))
 
 
 def mono_support(a: tuple) -> tuple:
@@ -264,6 +277,8 @@ class Poly:
     __rmul__ = __mul__
 
     def term_mul(self, mono: tuple, coeff: Fraction) -> "Poly":
+        if coeff == 1:
+            return Poly(self.ring, {mono_mul(m, mono): c for m, c in self.terms.items()})
         return Poly(self.ring, {mono_mul(m, mono): c * coeff for m, c in self.terms.items()})
 
     # -- structure ----------------------------------------------------------
@@ -365,13 +380,32 @@ def _spec_deciders(spec) -> set:
     raise TypeError("not an order spec: %r" % (spec,))
 
 
+def _picker(ring: Ring, names: tuple):
+    """A function picking the exponents of ``names`` out of a monomial as a
+    tuple, or None when they are the ring's variables in ring order (then
+    the monomial is its own pick)."""
+    idx = tuple(ring.vidx(v) for v in names)
+    if idx == tuple(range(ring.arity)):
+        return None
+    if len(idx) >= 2:
+        return itemgetter(*idx)
+    # itemgetter returns a bare value for one index and needs at least one
+    return lambda m: tuple(m[i] for i in idx)
+
+
 def _compile(ring: Ring, spec):
     if isinstance(spec, Lex):
-        idx = tuple(ring.vidx(v) for v in spec.vars)
-        return lambda m: tuple(m[i] for i in idx)
+        pick = _picker(ring, spec.vars)
+        return tuple if pick is None else pick  # tuple(m) is m itself
     if isinstance(spec, GrLex):
-        idx = tuple(ring.vidx(v) for v in spec.vars)
-        return lambda m: (sum(m[i] for i in idx), tuple(m[i] for i in idx))
+        pick = _picker(ring, spec.vars)
+        if pick is None:
+            return _grlex_key
+
+        def grlex_key(m):
+            t = pick(m)
+            return sum(t), t
+        return grlex_key
     if isinstance(spec, YFirst):
         iy = ring.vidx(spec.y)
         inner = _compile(ring, spec.inner)

@@ -35,6 +35,7 @@ from .groebner import (
 )
 from .gvd import (
     GvdCertificate, base_certificate, certify_step, inconclusive, memoised,
+    var_placeholder,
 )
 from .util import Budget
 
@@ -287,7 +288,7 @@ def _node(G: Graph, pom: PathOrderedMatching, ring: Ring, budget: Budget,
                                               verify=False)):
             return inconclusive(
                 ring.names, "dropping the leaf matching edge %s changed the "
-                            "ideal" % leaf)
+                            "ideal" % var_placeholder(ring.names, leaf))
         return _certify_node(child_graph, child_pom, ring, budget, memo)
 
     c_pom = None

@@ -37,7 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import ONE, Poly, mono_is_squarefree, mono_support
+from .algebra import (
+    ONE, Poly, initial_term, mono_is_squarefree, mono_support, storage_order,
+)
 from .graphs import Graph, toric_dimension, universal_groebner_basis
 from .groebner import Ideal, ideal_equal, intersect, minimal_generators
 
@@ -364,7 +366,15 @@ def unmixedness_evidence(I: Ideal, context: Optional[Graph] = None) -> Unmixedne
                                    "split components of different dimensions",
                                    dims, tuple(comps))
     # The components are the minimal primes, so they intersect to the
-    # radical: equal to I exactly when I is radical.
+    # radical: equal to I exactly when I is radical.  A square-free initial
+    # ideal proves that I is radical without intersecting: if f^k lies in I
+    # for a nonzero f in normal form, then in(f)^k lies in the square-free
+    # in(I), so in(f) does too, and f was not in normal form.
+    order = storage_order(I.ring)
+    if all(mono_is_squarefree(initial_term(order, g).mono) for g in rgb):
+        return UnmixednessEvidence("equal-dims",
+                                   "all split components share one dimension",
+                                   dims, tuple(comps))
     radical = None
     for c in comps:
         P = c.ideal(I.ring)

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from operator import add, neg, sub
 from typing import Iterable, Sequence
 
-from .algebra import Poly, Ring
+from .algebra import Poly, Ring, mono_div, mono_divides
 from .groebner import Ideal, ideal_equal, minimal_generators
 
 __all__ = [
@@ -252,34 +253,51 @@ def integer_kernel_basis(rows: list) -> list:
     return [tuple(U[j]) for j in range(lead, m)]
 
 
-def _conformal(s: tuple, f: tuple) -> bool:
-    """s <= f in the conformal (sign-compatible, componentwise) order."""
-    return all(si * fi >= 0 and abs(si) <= abs(fi) for si, fi in zip(s, f))
+def _sign_parts(u: tuple) -> tuple:
+    """The positive and negative parts (u+, u-) of an integer vector, as
+    exponent tuples: u = u+ - u-."""
+    zero = (0,) * len(u)
+    return tuple(map(max, u, zero)), tuple(map(max, map(neg, u), zero))
 
 
 def graver_basis(lattice_basis: list) -> list:
     """All conformally-minimal nonzero lattice vectors (Pottier completion),
-    as ``oriented_minimal`` returns them."""
-    S = []
+    as ``oriented_minimal`` returns them.
+
+    A vector s lies conformally below f (same sign as f wherever s is
+    nonzero, and no larger in absolute value) exactly when the monomial s+
+    divides f+ and s- divides f-; then f - s has the parts f+/s+ and f-/s-.
+    So the normal form reduces sign parts with the monomial helpers, and
+    each member of the growing set S has its parts computed once, when it
+    joins S.  The scan order and the first-match rule are those of plain
+    vector reduction, so the result is the same.
+    """
+    S, parts = [], []
     seen = set()
+
+    def join(v):
+        seen.add(v)
+        S.append(v)
+        parts.append(_sign_parts(v))
+
     for b in lattice_basis:
-        for v in (tuple(b), tuple(-x for x in b)):
+        for v in (tuple(b), tuple(map(neg, b))):
             if any(v) and v not in seen:
-                seen.add(v)
-                S.append(v)
+                join(v)
     if not S:
         return []
 
     def nf(f):
+        fp, fn = _sign_parts(f)
         while True:
-            if not any(f):
+            if not (any(fp) or any(fn)):
                 return None
-            for s in S:
-                if _conformal(s, f):
-                    f = tuple(a - b for a, b in zip(f, s))
+            for sp, sn in parts:
+                if mono_divides(sp, fp) and mono_divides(sn, fn):
+                    fp, fn = mono_div(fp, sp), mono_div(fn, sn)
                     break
             else:
-                return f
+                return tuple(map(sub, fp, fn))
 
     queue = deque()
     for i in range(len(S)):
@@ -287,15 +305,13 @@ def graver_basis(lattice_basis: list) -> list:
             queue.append((S[i], S[j]))
     while queue:
         u, v = queue.popleft()
-        h = nf(tuple(a + b for a, b in zip(u, v)))
+        h = nf(tuple(map(add, u, v)))
         if h is None or h in seen:
             continue
-        hn = tuple(-x for x in h)
-        for w in (h, hn):
-            seen.add(w)
+        for w in (h, tuple(map(neg, h))):
             for s in S:
                 queue.append((w, s))
-            S.append(w)
+            join(w)
 
     return oriented_minimal(S)
 
@@ -304,22 +320,20 @@ def oriented_minimal(vectors) -> list:
     """The conformally minimal members of a collection of lattice vectors,
     one per +/- pair, oriented so the positive part is the
     storage-order-larger monomial; sorted for determinism."""
-    vectors = list(vectors)
+    vectors = [(u, _sign_parts(u)) for u in vectors]
     out = set()
-    for u in vectors:
-        if any(v != u and _conformal(v, u) for v in vectors):
+    for u, (pos, negp) in vectors:
+        if any(v != u and mono_divides(vp, pos) and mono_divides(vn, negp)
+               for v, (vp, vn) in vectors):
             continue
-        pos = tuple(max(x, 0) for x in u)
-        neg = tuple(max(-x, 0) for x in u)
-        out.add(u if (sum(pos), pos) > (sum(neg), neg) else tuple(-x for x in u))
+        out.add(u if (sum(pos), pos) > (sum(negp), negp) else tuple(map(neg, u)))
     return sorted(out)
 
 
 def vector_to_binomial(ring: Ring, u: tuple) -> Poly:
     """The binomial x^{u+} - x^{u-} of an integer vector."""
-    pos = tuple(max(x, 0) for x in u)
-    neg = tuple(max(-x, 0) for x in u)
-    return Poly(ring, {pos: ONE, neg: -ONE})
+    pos, negp = _sign_parts(u)
+    return Poly(ring, {pos: ONE, negp: -ONE})
 
 
 # ---------------------------------------------------------------------------

@@ -102,41 +102,49 @@ class Ideal:
 # ---------------------------------------------------------------------------
 # Core reduction machinery.
 
+def _inverse(c: Fraction) -> Fraction:
+    """1/c, skipping the division for the common monic case."""
+    return ONE if c == 1 else ONE / c
+
+
+def _monic(terms: dict, c: Fraction) -> dict:
+    """The terms divided by c (the same dict when c is 1)."""
+    if c == 1:
+        return terms
+    inv = ONE / c
+    return {m: v * inv for m, v in terms.items()}
+
+
 def s_polynomial(order: Order, f: Poly, g: Poly) -> Poly:
     """The S-polynomial (lcm/lt_f)*f - (lcm/lt_g)*g."""
     mf, cf = initial_term(order, f)
     mg, cg = initial_term(order, g)
     lcm = mono_lcm(mf, mg)
-    return f.term_mul(mono_div(lcm, mf), ONE / cf) - g.term_mul(mono_div(lcm, mg), ONE / cg)
+    return (f.term_mul(mono_div(lcm, mf), _inverse(cf))
+            - g.term_mul(mono_div(lcm, mg), _inverse(cg)))
 
 
-def _reducers(basis: Sequence[Poly], order: Order):
-    out = []
-    for g in basis:
-        if g.is_zero():
-            continue
-        m, c = initial_term(order, g)
-        out.append((g.terms, m, c))
-    return out
+def _reducer(terms: dict, m: tuple, c: Fraction) -> tuple:
+    """A divisor as reduction uses it: its initial monomial m, and its other
+    terms divided by the initial coefficient c."""
+    return m, tuple((gm, gc) for gm, gc in _monic(terms, c).items() if gm != m)
 
 
 def _normal_form_raw(order: Order, terms: dict, reducers) -> dict:
-    """Full normal form of a raw term dict against precomputed reducers."""
+    """Full normal form of a raw term dict against precomputed reducers
+    (first divisor wins).  Terms enter the result in descending order."""
     key = order.key
     work = dict(terms)
     rem: dict = {}
     while work:
         m = max(work, key=key)
         c = work.pop(m)
-        for gterms, ltm, ltc in reducers:
+        for ltm, tail in reducers:
             if mono_divides(ltm, m):
                 q = mono_div(m, ltm)
-                s = c / ltc
-                for gm, gc in gterms.items():
-                    if gm == ltm:
-                        continue
+                for gm, gc in tail:
                     mm = mono_mul(gm, q)
-                    v = work.get(mm, 0) - s * gc
+                    v = work.get(mm, 0) - c * gc
                     if v:
                         work[mm] = v
                     elif mm in work:
@@ -149,7 +157,9 @@ def _normal_form_raw(order: Order, terms: dict, reducers) -> dict:
 
 def normal_form(order: Order, f: Poly, basis: Sequence[Poly]) -> Poly:
     """Fully reduce f modulo the list of polynomials (first divisor wins)."""
-    return Poly(f.ring, _normal_form_raw(order, f.terms, _reducers(basis, order)))
+    reducers = [_reducer(g.terms, *initial_term(order, g))
+                for g in basis if not g.is_zero()]
+    return Poly(f.ring, _normal_form_raw(order, f.terms, reducers))
 
 
 def buchberger(order: Order, gens: Iterable[Poly]) -> list:
@@ -158,34 +168,45 @@ def buchberger(order: Order, gens: Iterable[Poly]) -> list:
     Deterministic: normal selection strategy keyed by (order key of pair lcm,
     i, j); the result is minimalized, fully inter-reduced, monic, and sorted
     by ascending initial term.
+
+    Each basis element is monic, and its initial monomial and that
+    monomial's order key are computed once, when it joins the basis; the
+    reducer list grows with it.  A remainder's initial term is the first it
+    received, since reduction visits terms in descending order.
     """
-    basis = []
+    ring, key = order.ring, order.key
+    basis, lts, keys, reducers = [], [], [], []
+
+    def add(terms: dict, m: tuple):
+        basis.append(Poly(ring, terms))
+        lts.append(m)
+        keys.append(key(m))
+        reducers.append(_reducer(terms, m, ONE))
+
     seen = set()
     for g in gens:
         if g.is_zero():
             continue
-        _, c = initial_term(order, g)
-        g = g * (ONE / c)
-        if g.canonical() in seen:
-            continue
-        seen.add(g.canonical())
-        basis.append(g)
+        m, c = initial_term(order, g)
+        terms = _monic(g.terms, c)
+        fingerprint = frozenset(terms.items())
+        if fingerprint not in seen:
+            seen.add(fingerprint)
+            add(terms, m)
     if not basis:
         return []
 
-    lts = [initial_term(order, g).mono for g in basis]
     heap = []
     for i, j in combinations(range(len(basis)), 2):
         lcm = mono_lcm(lts[i], lts[j])
-        heapq.heappush(heap, (order.key(lcm), i, j))
+        heapq.heappush(heap, (key(lcm), i, j, lcm))
     done = set()
 
     while heap:
-        _, i, j = heapq.heappop(heap)
+        _, i, j, lcm = heapq.heappop(heap)
         if (i, j) in done:
             continue
         done.add((i, j))
-        lcm = mono_lcm(lts[i], lts[j])
         if mono_mul(lts[i], lts[j]) == lcm:
             continue  # coprime initial terms
         chained = False
@@ -200,35 +221,29 @@ def buchberger(order: Order, gens: Iterable[Poly]) -> list:
         if chained:
             continue
         s = s_polynomial(order, basis[i], basis[j])
-        rem = _normal_form_raw(order, s.terms, _reducers(basis, order))
+        rem = _normal_form_raw(order, s.terms, reducers)
         if not rem:
             continue
-        h = Poly(order.ring, rem)
-        m, c = initial_term(order, h)
-        h = h * (ONE / c)
-        basis.append(h)
-        lts.append(m)
+        m = next(iter(rem))
+        add(_monic(rem, rem[m]), m)
         n = len(basis) - 1
         for k in range(n):
-            heapq.heappush(heap, (order.key(mono_lcm(lts[k], m)), k, n))
+            lcm = mono_lcm(lts[k], m)
+            heapq.heappush(heap, (key(lcm), k, n, lcm))
 
-    # minimalize: drop elements whose initial term another initial term divides
-    order_idx = sorted(range(len(basis)), key=lambda i: order.key(lts[i]))
+    # minimalize: drop elements whose initial term another initial term
+    # divides; ascending keys, so the survivors are sorted
     kept = []
-    for i in order_idx:
+    for i in sorted(range(len(basis)), key=keys.__getitem__):
         if not any(mono_divides(lts[k], lts[i]) for k in kept):
             kept.append(i)
-    minimal = [basis[i] for i in kept]
 
-    # inter-reduce tails
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        h = Poly(order.ring, _normal_form_raw(order, g.terms, _reducers(others, order)))
-        _, c = initial_term(order, h)
-        reduced.append(h * (ONE / c))
-    reduced.sort(key=lambda g: (order.key(initial_term(order, g).mono), g.canonical()))
-    return reduced
+    # inter-reduce tails; no initial term of a minimal basis divides
+    # another, so each keeps its monic initial term
+    minimal = [reducers[i] for i in kept]
+    return [Poly(ring, _normal_form_raw(order, basis[k].terms,
+                                        minimal[:i] + minimal[i + 1:]))
+            for i, k in enumerate(kept)]
 
 
 def initial_ideal(order: Order, I: Ideal) -> Ideal:

@@ -14,6 +14,7 @@ never trades the identity check for a structural shortcut.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,6 +30,7 @@ __all__ = [
     "CnSplit", "DecompositionCheck", "GvdCertificate",
     "cn_split", "initial_y_ideal", "check_decomposition",
     "base_certificate", "inconclusive", "memoised", "certify_step",
+    "var_placeholder",
     "is_gvd", "gvd_disjoint_union", "replay_certificate",
 ]
 
@@ -123,6 +125,15 @@ def check_decomposition(I: Ideal, split: CnSplit) -> DecompositionCheck:
 # ---------------------------------------------------------------------------
 # Certificates.
 
+_PLACEHOLDER = re.compile(r"\{(y|factor|\d+)\}")
+
+
+def var_placeholder(ring_names: tuple, name: str) -> str:
+    """The placeholder for the variable ``name`` in a node reason; the
+    node's ``to_json_dict`` writes the name back, renamed if need be."""
+    return "{%d}" % ring_names.index(name)
+
+
 def _rename_tree(value, name_map: dict):
     """Rename variable names inside a serialized order spec."""
     if isinstance(value, dict):
@@ -146,8 +157,9 @@ class GvdCertificate:
     ``failures`` pairs a variable with the reason no decomposition works
     there.  Reasons name variables only through placeholders, filled in on
     output so that renaming keeps them right: ``{y}`` is the failure's or
-    the node's variable, and ``{factor}`` the variables of the one child of
-    a refuted disjoint union.
+    the node's variable, ``{factor}`` the variables of the one child of a
+    refuted disjoint union, and ``{i}`` (a number) the i-th variable of the
+    node's ring (see ``var_placeholder``).
     """
 
     kind: str
@@ -186,14 +198,16 @@ class GvdCertificate:
             out["failures"] = [{"y": v, "reason": r.replace("{y}", v)}
                                for v, r in self.failures]
         if self.reason:
-            reason = self.reason
-            if self.y is not None:
-                reason = reason.replace("{y}", self.y)
-            if "{factor}" in reason:
-                factor = self.child_c or self.child_n
-                reason = reason.replace("{factor}", ", ".join(factor.ring_names))
-            out["reason"] = reason
+            out["reason"] = _PLACEHOLDER.sub(self._placeholder_name, self.reason)
         return out
+
+    def _placeholder_name(self, match) -> str:
+        key = match.group(1)
+        if key == "y":
+            return match.group(0) if self.y is None else self.y
+        if key == "factor":
+            return ", ".join((self.child_c or self.child_n).ring_names)
+        return self.ring_names[int(key)]
 
     def rename(self, name_map: dict) -> "GvdCertificate":
         def rn(n):
@@ -299,7 +313,8 @@ def certify_step(I: Ideal, y: str, context: Optional[Graph], cited: str,
     split = cn_split(I, y)
     check = check_decomposition(I, split)
     if not check.holds:
-        return inconclusive(names, "decomposition identity failed at %s" % y)
+        return inconclusive(names, "decomposition identity failed at %s"
+                                   % var_placeholder(names, y))
     n_branch = contract(split.N, y)
     c_branch = n_branch if split.C.gens == split.N.gens else contract(split.C, y)
     if expected_c is None:
@@ -308,7 +323,7 @@ def certify_step(I: Ideal, y: str, context: Optional[Graph], cited: str,
         c_matches = ideal_equal(c_branch, expected_c)
     if not (c_matches and ideal_equal(n_branch, expected_n)):
         return inconclusive(names, "split branches do not match the expected "
-                                   "ideals at %s" % y)
+                                   "ideals at %s" % var_placeholder(names, y))
     if c_branch is n_branch or c_branch.is_unit_ideal():
         cert_n = certify_n()
         cert_c = cert_n if c_branch is n_branch else base_certificate(c_branch)
@@ -323,7 +338,8 @@ def certify_step(I: Ideal, y: str, context: Optional[Graph], cited: str,
     if cert_c.verdict == "gvd" and cert_n.verdict == "gvd":
         return _decomposition(names, ev, split, check, cert_c, cert_n)
     return inconclusive(names, "a branch at %s did not certify (C: %s, N: %s)"
-                               % (y, cert_c.verdict, cert_n.verdict))
+                               % (var_placeholder(names, y), cert_c.verdict,
+                                  cert_n.verdict))
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +620,7 @@ def _search(I: Ideal, rgb: tuple, basis: tuple, context, budget: Budget,
                            "which rules out every variable"),))
         return inconclusive(
             ring.names, "the contraction away from absent %s was inconclusive"
-                        % yname, unmixedness=ev)
+                        % var_placeholder(ring.names, yname), unmixedness=ev)
 
     failures = []
     stuck = []  # branches that ended without a conclusive failure
@@ -650,7 +666,8 @@ def _search(I: Ideal, rgb: tuple, basis: tuple, context, budget: Budget,
         return _decomposition(ring.names, ev, split, check, cert_c, cert_n)
 
     if stuck:
-        reason = "; ".join("%s: %s" % pair for pair in stuck)
+        reason = "; ".join("%s: %s" % (var_placeholder(ring.names, yname), why)
+                           for yname, why in stuck)
         return inconclusive(ring.names, reason, unmixedness=ev,
                             failures=tuple(failures))
     # Every variable carries a conclusive, order-independent failure, and the

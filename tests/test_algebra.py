@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gvdlab.algebra import (
-    Elim, GrLex, Lex, Poly, Ring, YFirst,
+    Elim, GrLex, Lex, Poly, Ring, YFirst, _compile,
     compare, compile_order, elim_order, format_poly, initial_term,
     initial_y_form, lex_order, mono_div, mono_divides, mono_lcm, mono_mul,
     order_from_dict, parse_poly, storage_order, y_order, y_split,
@@ -215,3 +215,62 @@ def test_y_order_initial_term_lies_in_initial_y_form(f):
 @settings(max_examples=60)
 def test_parse_format_agree(f):
     assert parse_poly(R4, format_poly(f)) == f
+
+
+# ---------------------------------------------------------------------------
+# Compiled order keys against the plain definitions.
+
+def reference_key(ring, spec):
+    """The order key written out with generator expressions."""
+    if isinstance(spec, (Lex, GrLex)):
+        idx = tuple(ring.vidx(v) for v in spec.vars)
+        if isinstance(spec, Lex):
+            return lambda m: tuple(m[i] for i in idx)
+        return lambda m: (sum(m[i] for i in idx), tuple(m[i] for i in idx))
+    inner = reference_key(ring, spec.inner)
+    if isinstance(spec, YFirst):
+        iy = ring.vidx(spec.y)
+        return lambda m: (m[iy], inner(m))
+    idx = tuple(ring.vidx(v) for v in spec.vars)
+    return lambda m: (sum(m[i] for i in idx), inner(m))
+
+
+def var_lists(names):
+    """The ring's own list, or any permuted part of it (possibly empty)."""
+    part = st.permutations(names).flatmap(
+        lambda p: st.integers(0, len(p)).map(lambda k: tuple(p[:k])))
+    return st.one_of(st.just(names), part)
+
+
+def specs(names, depth=2):
+    flat = st.one_of(var_lists(names).map(Lex), var_lists(names).map(GrLex))
+    if not depth or not names:
+        return flat
+    inner = specs(names, depth - 1)
+    # a y-first wrapper whose inner order may omit y, as y_order's rest does
+    yfirst = st.sampled_from(names).flatmap(lambda y: st.one_of(
+        inner, specs(tuple(n for n in names if n != y), depth - 1)).map(
+        lambda spec: YFirst(y, spec)))
+    elim = st.tuples(var_lists(names), inner).map(lambda t: Elim(*t))
+    return st.one_of(flat, yfirst, elim)
+
+
+@st.composite
+def keyed_monomials(draw):
+    names = tuple("x%d" % i for i in range(draw(st.integers(0, 5))))
+    spec = draw(specs(names))
+    ms = draw(st.lists(st.tuples(*[st.integers(0, 3)] * len(names)),
+                       min_size=1, max_size=8))
+    return Ring(names), spec, ms
+
+
+@given(keyed_monomials())
+@settings(max_examples=300)
+def test_compiled_keys_compare_as_the_plain_definitions(case):
+    ring, spec, ms = case
+    key, ref = _compile(ring, spec), reference_key(ring, spec)
+    for a in ms:
+        for b in ms:
+            assert (key(a) < key(b)) == (ref(a) < ref(b))
+            assert (key(a) == key(b)) == (ref(a) == ref(b))
+    assert sorted(ms, key=key) == sorted(ms, key=ref)

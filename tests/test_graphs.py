@@ -9,7 +9,7 @@ from gvdlab.graphs import (
     ferrers_graph, four_cycles_containing, glue_even_cycle, graver_basis,
     has_four_cycle, integer_kernel_basis, is_gap_free, path_graph,
     remove_leaves_fixpoint, toric_dimension, toric_ideal,
-    universal_groebner_basis,
+    universal_groebner_basis, vector_to_binomial,
 )
 from gvdlab.util import seeded_rng
 
@@ -117,6 +117,23 @@ WALK_ORACLE_GRAPHS = [
 @pytest.mark.parametrize("G", WALK_ORACLE_GRAPHS, ids=lambda g: repr(g))
 def test_completion_matches_walk_enumeration(G):
     assert set(universal_groebner_basis(G)) == primitive_walk_binomials(G)
+
+
+@pytest.mark.parametrize("G", WALK_ORACLE_GRAPHS, ids=lambda g: repr(g))
+def test_graver_basis_matches_walk_enumeration(G):
+    # graver_basis itself (no cache), checked against the walk oracle and
+    # against the componentwise definition of the conformal order.
+    A = G.incidence_matrix()
+    vectors = graver_basis(integer_kernel_basis(A))
+    assert vectors == sorted(set(vectors))
+    ring = G.edge_ring()
+    assert {vector_to_binomial(ring, u) for u in vectors} == primitive_walk_binomials(G)
+    for u in vectors:
+        assert all(sum(a * x for a, x in zip(row, u)) == 0 for row in A)
+        for v in vectors:
+            for w in (v, tuple(-x for x in v)):
+                below = all(a * b >= 0 and abs(a) <= abs(b) for a, b in zip(w, u))
+                assert not below or w == u
 
 
 def test_two_triangles_bridged_is_principal():

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from gvdlab.algebra import Ring, lex_order, parse_poly, storage_order
+from gvdlab.algebra import (
+    GrLex, Lex, Poly, Ring, compile_order, lex_order, parse_poly, storage_order,
+)
 from gvdlab.groebner import (
     Ideal, buchberger, contract, eliminate, ideal_contains,
     ideal_equal, initial_ideal, intersect,
@@ -81,9 +83,10 @@ def test_initial_ideal_collects_leading_monomials():
 # ---------------------------------------------------------------------------
 # Oracle cross-checks against sympy.
 
-def _sympy_gb(texts, names, order):
-    syms = sympy.symbols(names)
-    ring = Ring(names)
+def _sympy_gb(texts, order, gens=XYZ.names):
+    """sympy's reduced basis, with the symbols passed in the order ``gens``
+    (most significant first), as canonical forms over XYZ."""
+    syms = sympy.symbols(gens)
     exprs = [sympy.sympify(t.replace("^", "**")) for t in texts]
     gb = sympy.groebner(exprs, *syms, order=order, domain="QQ")
     out = set()
@@ -91,9 +94,10 @@ def _sympy_gb(texts, names, order):
         p = sympy.Poly(e, *syms)
         terms = {}
         for mono, c in p.terms():
-            terms[tuple(int(k) for k in mono)] = Fraction(int(c.p), int(c.q))
-        from gvdlab.algebra import Poly
-        out.add(Poly(ring, terms).canonical())
+            exps = dict(zip(gens, mono))
+            m = tuple(int(exps[n]) for n in XYZ.names)
+            terms[m] = Fraction(int(c.p), int(c.q))
+        out.add(Poly(XYZ, terms).canonical())
     return out
 
 
@@ -108,13 +112,22 @@ SYMPY_CASES = [
 @pytest.mark.parametrize("texts", SYMPY_CASES)
 def test_reduced_basis_matches_sympy_grlex(texts):
     mine = {g.canonical() for g in I(*texts).groebner()}
-    assert mine == _sympy_gb(texts, ["x", "y", "z"], "grlex")
+    assert mine == _sympy_gb(texts, "grlex")
 
 
 @pytest.mark.parametrize("texts", SYMPY_CASES)
 def test_reduced_basis_matches_sympy_lex(texts):
     mine = {g.canonical() for g in I(*texts).groebner(lex_order(XYZ))}
-    assert mine == _sympy_gb(texts, ["x", "y", "z"], "lex")
+    assert mine == _sympy_gb(texts, "lex")
+
+
+@pytest.mark.parametrize("texts", SYMPY_CASES)
+@pytest.mark.parametrize("gens", [("z", "x", "y"), ("y", "z", "x")])
+@pytest.mark.parametrize("spec,kind", [(Lex, "lex"), (GrLex, "grlex")])
+def test_reduced_basis_matches_sympy_under_permuted_variables(texts, gens, spec, kind):
+    order = compile_order(XYZ, spec(gens))
+    mine = {g.canonical() for g in I(*texts).groebner(order)}
+    assert mine == _sympy_gb(texts, kind, gens)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,10 @@ square-free monomial ideals the covers intersect back to the ideal.
 
 import pytest
 
-from gvdlab.algebra import initial_y_form, lex_order, parse_poly, storage_order
+from gvdlab.algebra import (
+    initial_term, initial_y_form, lex_order, mono_is_squarefree, parse_poly,
+    storage_order,
+)
 from gvdlab.components import (
     SplitNotApplicable, binomial_monomial_split, sqfree_monomial_components,
 )
@@ -103,3 +106,39 @@ def test_covers_of_square_free_initial_ideals_intersect_back():
             assert ideal_equal(intersection(primes), J)
             checked += 1
     assert checked == 92
+
+
+def shortcut_primes(I: Ideal, context):
+    """The components of I where ``unmixedness_evidence`` proves I radical
+    by its square-free initial ideal (the split applies, the dimensions
+    agree, and every storage-order initial term is square-free); else None."""
+    comps = split(I, context)
+    if comps is None or len({c.dimension for c in comps}) > 1:
+        return None
+    order = storage_order(I.ring)
+    if not all(mono_is_squarefree(initial_term(order, g).mono) for g in I.groebner()):
+        return None
+    return [c.ideal(I.ring) for c in comps]
+
+
+def test_square_free_initial_ideal_shortcut_is_the_intersection():
+    # Every C and N branch of the corpus with two or more components where
+    # the shortcut applies, and the two-K4 chain ideals L and M.
+    decided = set()
+    for G in GRAPHS:
+        I = toric_ideal(G)
+        for y in I.ring.names:
+            s = cn_split(I, y)
+            context = G.delete_edges([y])
+            for J in (contract(s.C, y), contract(s.N, y)):
+                key = (J.ring.names, tuple(g.canonical() for g in J.groebner()),
+                       context.edges)
+                primes = shortcut_primes(J, context)
+                if key not in decided and primes is not None and len(primes) > 1:
+                    assert ideal_equal(intersection(primes), J)
+                    decided.add(key)
+    assert len(decided) == 45
+    for name, removed in (("L", ["e2", "e5"]), ("M", ["e2", "e5", "e12"])):
+        ideal = two_k4_chain()[name]
+        primes = shortcut_primes(ideal, two_k4_sharing_vertex().delete_edges(removed))
+        assert ideal_equal(intersection(primes), ideal)

@@ -18,7 +18,8 @@ from gvdlab.graphs import (
     Graph, complete_bipartite, complete_graph, cycle_graph, toric_ideal,
 )
 from gvdlab.groebner import Ideal
-from gvdlab.gvd import is_gvd
+from gvdlab.gvd import _certify, _Pool, certify_step, is_gvd
+from gvdlab.util import Budget
 
 from fixtures import two_triangles_bridged
 
@@ -120,3 +121,31 @@ def test_rename_reaches_the_reason_of_a_refuted_disjoint_union():
     memo = {}
     assert is_gvd(I, memo=memo).rename(name_map).to_json_dict() == fresh
     assert is_gvd(I.rename(new, name_map), memo=memo).to_json_dict() == fresh
+
+
+def renamed_reason(cert) -> tuple:
+    """The reason of a node before and after renaming every variable."""
+    name_map = {n: "z" + n for n in cert.ring_names}
+    return cert.to_json_dict()["reason"], cert.rename(name_map).to_json_dict()["reason"]
+
+
+def test_rename_reaches_the_reason_of_a_failed_structural_step():
+    # C must be the unit ideal here, but the split at e1 gives C = <e3>.
+    G = cycle_graph(4)
+    I = toric_ideal(G)
+    cert = certify_step(I, "e1", G, "cited", None, I, None, None)
+    assert cert.verdict == "inconclusive"
+    assert renamed_reason(cert) == (
+        "split branches do not match the expected ideals at e1",
+        "split branches do not match the expected ideals at ze1")
+
+
+def test_rename_reaches_the_reason_of_a_starved_search():
+    # Two nodes of allowance: the search at e1 starves its branch, and
+    # then no allowance is left for e2.
+    G = complete_graph(4)
+    cert = _certify(toric_ideal(G), G, Budget(None), (), {}, _Pool(2))
+    assert cert.verdict == "inconclusive"
+    assert renamed_reason(cert) == (
+        "e1: a branch was inconclusive; e2: search allowance exhausted",
+        "ze1: a branch was inconclusive; ze2: search allowance exhausted")
