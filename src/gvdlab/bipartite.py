@@ -13,13 +13,14 @@ matching cannot be extended, or decompose at a fresh matching edge -- and
 the recursion certifies decomposability of the toric ideal itself
 (the empty matching) for every bipartite graph.
 
-Every recursion step is re-verified from scratch: the decomposition
-identity in_y(I) = C ∩ (N + <y>) by ``check_decomposition``, which computes
-the right side as N + y·C, the branch ideals by ideal equality
-against their structural descriptions, and the Groebner property of the
-natural generators under the prescribed order.  Unmixedness evidence is
-recomputed per node; where the computation is inconclusive, the
-certificate carries a "cited" tag (the family is Cohen-Macaulay) that
+Every recursion step is checked through ``gvd.certify_step``: the
+decomposition identity in_y(I) = C ∩ (N + <y>) is read off the reduced
+basis, which must be square-free in y (see ``gvd.CnSplit``), and the
+branch ideals must equal their structural descriptions; the Groebner
+property of the natural generators under the prescribed order is verified
+as well.  Certificate replay checks each identity literally.  Unmixedness
+evidence is recomputed per node; where the computation is inconclusive,
+the certificate carries a "cited" tag (the family is Cohen-Macaulay) that
 replay treats as a citation, never as a computed fact.
 """
 

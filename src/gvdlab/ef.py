@@ -312,7 +312,7 @@ def check_statements_ABC(G: Graph, budget: Optional[Budget] = None) -> EFReport:
         kids = node.children()
         if kids is not None:
             split = cn_split(state.ideal, node.split_edge)
-            split_ok = (check_decomposition(state.ideal, split).holds
+            split_ok = (check_decomposition(state.ideal, split)
                         and ideal_equal(split.C, kids[0].state.ideal)
                         and ideal_equal(split.N, kids[1].state.ideal))
             a_ok = a_ok and split_ok and groebner_ok

@@ -316,8 +316,11 @@ def eliminate(I: Ideal, vars_out: Iterable[Union[int, str]]) -> Ideal:
 
 
 def contract(I: Ideal, y: Union[int, str]) -> Ideal:
-    """The contraction I ∩ Q[ring without y], in the smaller ring."""
-    return eliminate(I, [y])
+    """The contraction I ∩ Q[ring without y], in the smaller ring, of an
+    ideal generated by y-free polynomials: the extension Q[x] → Q[x][y] is
+    free, so such an ideal contracts to its own generators, renamed.  A
+    generator involving y raises ``KeyError``; ``eliminate`` handles it."""
+    return I.rename(I.ring.without(y))
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:

@@ -1,5 +1,5 @@
-"""Geometric vertex decomposition: the C/N split at a variable, the honest
-decomposition-identity check, and the recursive decomposability certifier.
+"""Geometric vertex decomposition: the C/N split at a variable, the
+decomposition identity, and the recursive decomposability certifier.
 
 Decomposing an ideal I at a variable y means writing the y-graded initial
 ideal as in_y(I) = C ∩ (N + <y>), where C and N collect the y-free factors
@@ -8,8 +8,9 @@ geometrically vertex decomposable when it is unmixed and either a base case
 (zero, unit, generated by variables) or some variable admits the identity
 with both contracted pieces again decomposable.  The certifier below returns
 a full certificate tree for "decomposable", an exhaustive per-variable
-refutation for "not decomposable", and an explicit reason otherwise; it
-never trades the identity check for a structural shortcut.
+refutation for "not decomposable", and an explicit reason otherwise.  It
+reads the identity off the reduced basis by theorem (see ``CnSplit``), and
+replay checks it literally.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .groebner import Ideal, contract, ideal_equal, radical_contains
 from .util import Budget
 
 __all__ = [
-    "CnSplit", "DecompositionCheck", "GvdCertificate",
+    "CnSplit", "GvdCertificate",
     "cn_split", "initial_y_ideal", "check_decomposition",
     "base_certificate", "inconclusive", "memoised", "certify_step",
     "var_placeholder",
@@ -44,8 +45,22 @@ class CnSplit:
 
     C is generated by all y-free factors q of the reduced basis elements
     g = y^d q + r under the y-compatible ``order``; N by those with d = 0.
-    N ⊆ C holds by construction, no generator of either mentions y, and
-    ``square_free_in_y`` records whether every d is at most 1.
+    N ⊆ C, and no generator of either mentions y (when y is absent from I,
+    every d is 0 and the two generator lists are equal).
+
+    ``square_free_in_y`` (every d ≤ 1) is the verdict of the identity
+    in_y(I) = C ∩ (N + <y>), whose right side is N + y·C: y is a
+    nonzerodivisor modulo the y-free C, so n + y·h in C forces h into C.
+    The forms y^d q are a Groebner basis of in_y(I) with initial terms
+    y^d·in(q) (Knutson–Miller–Yong, J. Reine Angew. Math. 630 (2009),
+    Thm 2.1).  (⇐) If every d ≤ 1, N + y·C has the generators y·q (d = 1)
+    and q (d = 0) of in_y(I), plus the y·q with d = 0, which lie in N.
+    (⇒) If some d ≥ 2, y·q lies in N + y·C but not in in_y(I): its initial
+    term would be divisible by some y^e·in(q') with e ≤ 1, which would then
+    divide y^d·in(q), another initial term of the reduced basis.  So the
+    identity says in_y(I) is generated in y-degree ≤ 1, whatever the order
+    (the square-free dichotomy; Klein–Rajchgot, Forum Math. Sigma 9
+    (2021)): a failure at one y-compatible order is a failure at all.
     """
 
     y: str
@@ -54,16 +69,24 @@ class CnSplit:
     N: Ideal
     square_free_in_y: bool
 
+    def degenerate(self) -> bool:
+        """C is the unit ideal or √C = √N: a valid step that only shrinks
+        the problem.  N's generators are among C's, so only √C ⊆ √N is
+        tested, and not at all when the lists are equal (y absent)."""
+        n_gens = set(self.N.gens)
+        return (self.C.gens == self.N.gens or self.C.is_unit_ideal()
+                or all(radical_contains(self.N, c)
+                       for c in self.C.gens if c not in n_gens))
 
-def initial_y_ideal(I: Ideal, y, order: Order = None) -> Ideal:
-    """in_y(I): the ideal of maximal-y-degree forms, via a reduced basis
-    under a y-compatible order (which makes the generator-wise forms a
-    generating set)."""
+
+def initial_y_ideal(I: Ideal, y) -> Ideal:
+    """in_y(I): the ideal of maximal-y-degree forms, via the reduced basis
+    under the y-compatible ``y_order`` (which makes the generator-wise forms
+    a generating set)."""
     ring = I.ring
     yname = ring.names[ring.vidx(y)]
-    if order is None:
-        order = y_order(ring, yname)
-    return Ideal(ring, [initial_y_form(yname, g) for g in I.groebner(order)])
+    return Ideal(ring, [initial_y_form(yname, g)
+                        for g in I.groebner(y_order(ring, yname))])
 
 
 def cn_split(I: Ideal, y, order: Order = None) -> CnSplit:
@@ -85,41 +108,14 @@ def cn_split(I: Ideal, y, order: Order = None) -> CnSplit:
                    square_free)
 
 
-@dataclass(frozen=True)
-class DecompositionCheck:
-    """Verdict of the decomposition identity at one variable.
-
-    ``holds`` is the literal ideal equality in_y(I) = C ∩ (N + <y>);
-    ``degenerate`` reports whether C is the unit ideal or C and N share
-    their radical (such steps are valid but only shrink the problem).
-    """
-
-    holds: bool
-    degenerate: bool
-
-
-def check_decomposition(I: Ideal, split: CnSplit) -> DecompositionCheck:
-    """Honestly verify in_y(I) = C ∩ (N + <y>) and classify degeneracy.
-
-    The right side is computed as N + y·C, which is the same ideal: N ⊆ C,
-    and y is a nonzerodivisor modulo C because C is generated by y-free
-    polynomials, so f = n + y·h in C forces h into C.  If the identity
-    holds, the reduced basis must be square-free in y (checked: an identity
-    at a non-square-free variable is impossible, so hitting it would mean
-    the Groebner layer is wrong).  The generators of N are among those of
-    C, so √N ⊆ √C always, and degeneracy only needs the other inclusion.
-    """
+def check_decomposition(I: Ideal, split: CnSplit) -> bool:
+    """The literal identity in_y(I) = N + y·C (= C ∩ (N + <y>), see
+    ``CnSplit``), for the verifiers, certificate replay and
+    ``ef.check_statements_ABC``, which do not rest on the theorem the
+    certifiers use to read it off ``split.square_free_in_y``."""
     y = I.ring.var(split.y)
     rhs = split.N.with_extra([y * c for c in split.C.gens])
-    holds = ideal_equal(initial_y_ideal(I, split.y, split.order), rhs)
-    if holds and not split.square_free_in_y:
-        raise AssertionError(
-            "identity holds at %s but the basis is not square-free in it"
-            % split.y)
-    n_gens = set(split.N.gens)
-    degenerate = split.C.is_unit_ideal() or all(
-        radical_contains(split.N, c) for c in split.C.gens if c not in n_gens)
-    return DecompositionCheck(holds, degenerate)
+    return ideal_equal(initial_y_ideal(I, split.y), rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +252,7 @@ def _refutation(ring_names: tuple, ev: UnmixednessEvidence) -> GvdCertificate:
 
 
 def _decomposition(ring_names: tuple, ev: UnmixednessEvidence, split: CnSplit,
-                   check: DecompositionCheck, cert_c: GvdCertificate,
-                   cert_n: GvdCertificate) -> GvdCertificate:
+                   cert_c: GvdCertificate, cert_n: GvdCertificate) -> GvdCertificate:
     """The node for a verified step whose two branches certified.
 
     It is decomposable when the unmixedness evidence is conclusive or cited
@@ -265,7 +260,7 @@ def _decomposition(ring_names: tuple, ev: UnmixednessEvidence, split: CnSplit,
     attached.
     """
     step = dict(unmixedness=ev, y=split.y, order=split.order.to_dict(),
-                degenerate=check.degenerate, child_c=cert_c, child_n=cert_n)
+                degenerate=split.degenerate(), child_c=cert_c, child_n=cert_n)
     if ev.conclusive_unmixed or ev.status == "cited":
         return GvdCertificate("decomposition", "gvd", ring_names, **step)
     return inconclusive(
@@ -296,7 +291,7 @@ def certify_step(I: Ideal, y: str, context: Optional[Graph], cited: str,
 
     Unmixedness is computed over ``context``; where the computation is
     inconclusive the node cites the structural theorem ``cited`` instead.
-    The identity is then verified at y, and the contracted branches must
+    The identity must hold at y, and the contracted branches must
     equal ``expected_c`` and ``expected_n`` (ideals of the ring without y;
     ``expected_c`` is None when C must be the unit ideal), which
     ``certify_c()`` and ``certify_n()`` certify.  A degenerate step,
@@ -311,8 +306,7 @@ def certify_step(I: Ideal, y: str, context: Optional[Graph], cited: str,
     if not ev.conclusive_unmixed:
         ev = UnmixednessEvidence("cited", cited)
     split = cn_split(I, y)
-    check = check_decomposition(I, split)
-    if not check.holds:
+    if not split.square_free_in_y:
         return inconclusive(names, "decomposition identity failed at %s"
                                    % var_placeholder(names, y))
     n_branch = contract(split.N, y)
@@ -336,7 +330,7 @@ def certify_step(I: Ideal, y: str, context: Optional[Graph], cited: str,
         cert_c = certify_c()
         cert_n = certify_n()
     if cert_c.verdict == "gvd" and cert_n.verdict == "gvd":
-        return _decomposition(names, ev, split, check, cert_c, cert_n)
+        return _decomposition(names, ev, split, cert_c, cert_n)
     return inconclusive(names, "a branch at %s did not certify (C: %s, N: %s)"
                                % (var_placeholder(names, y), cert_c.verdict,
                                   cert_n.verdict))
@@ -532,13 +526,12 @@ def _certify(I: Ideal, context, budget: Budget, prefer: tuple,
         I, rgb, basis, context, budget, prefer, memo, pool))
 
 
-def _split_at(I: Ideal, basis: tuple, yname: str, memo: dict) -> tuple:
-    """The split at yname and its check, kept in the memo across rounds."""
+def _split_at(I: Ideal, basis: tuple, yname: str, memo: dict) -> CnSplit:
+    """The split at yname, kept in the memo across rounds."""
     aux = ("split", I.ring.names, basis, yname)
     got = memo.get(aux)
     if got is None:
-        split = cn_split(I, yname)
-        got = memo[aux] = (split, check_decomposition(I, split))
+        got = memo[aux] = cn_split(I, yname)
     return got
 
 
@@ -591,23 +584,20 @@ def _search(I: Ideal, rgb: tuple, basis: tuple, context, budget: Budget,
     # A variable absent from the reduced basis is absent from every reduced
     # basis, so the ideal is extended from the smaller ring and is
     # decomposable exactly when its contraction is: the step at the absent
-    # variable is degenerate with C = N = I, and conversely any working
-    # decomposition never mentions the absent variable, so it descends to the
-    # contraction.  Handle one absent variable per node instead of exploring
-    # every removal order.
+    # variable holds and is degenerate with C = N = I (see CnSplit), and
+    # conversely any working decomposition never mentions the absent
+    # variable, so it descends to the contraction.  Handle one absent
+    # variable per node instead of exploring every removal order.
     absent = [ring.names[i] for i in range(ring.arity)
               if i not in _present_indices(rgb)]
     if absent:
         yname = absent[0]
-        split, check = _split_at(I, basis, yname, memo)
-        if not (check.holds and check.degenerate):
-            raise AssertionError(
-                "the step at absent variable %s must be degenerate" % yname)
+        split = _split_at(I, basis, yname, memo)
         core = _certify(contract(split.N, yname),
                         _child_context(context, yname), budget, prefer, memo,
                         pool)
         if core.verdict == "gvd":
-            return _decomposition(ring.names, ev, split, check, core, core)
+            return _decomposition(ring.names, ev, split, core, core)
         if core.verdict == "not-gvd":
             # Decomposability is equivalent for the ideal and its contraction
             # when the variable is absent, so the refutation needs no
@@ -631,15 +621,10 @@ def _search(I: Ideal, rgb: tuple, basis: tuple, context, budget: Budget,
         if pool.left <= 0:
             stuck.append((yname, "search allowance exhausted"))
             break
-        split, check = _split_at(I, basis, yname, memo)
-        if not check.holds:
-            # By the square-free dichotomy the identity holds whenever the
-            # basis is square-free in y, and its failure then rules out every
-            # other y-compatible order at this variable.
-            if split.square_free_in_y:
-                raise AssertionError(
-                    "identity fails at %s although the basis is square-free "
-                    "in it" % yname)
+        split = _split_at(I, basis, yname, memo)
+        if not split.square_free_in_y:
+            # By the square-free dichotomy (see CnSplit) the identity fails
+            # here, and under every other y-compatible order at this variable.
             failures.append(
                 (yname, "identity fails: the reduced basis is not square-free "
                         "in {y}, so no compatible order works"))
@@ -663,7 +648,7 @@ def _search(I: Ideal, rgb: tuple, basis: tuple, context, budget: Budget,
         if cert_n.verdict == "inconclusive":
             stuck.append((yname, "a branch was inconclusive"))
             continue
-        return _decomposition(ring.names, ev, split, check, cert_c, cert_n)
+        return _decomposition(ring.names, ev, split, cert_c, cert_n)
 
     if stuck:
         reason = "; ".join("%s: %s" % (var_placeholder(ring.names, yname), why)
@@ -714,13 +699,16 @@ def replay_certificate(I: Ideal, cert: GvdCertificate,
     """Re-verify a stored certificate from scratch.
 
     Certified-decomposable trees are replayed node by node: base-case kinds
-    are recomputed, every decomposition identity is re-checked under the
-    recorded order, the degeneracy flag is re-derived, and unmixedness
-    evidence is recomputed and must be conclusive again.  Certificates with
-    other verdicts are re-decided by running the certifier afresh and
-    comparing verdicts.  Returns True when everything matches.
+    are recomputed, every decomposition identity is checked literally by
+    ``check_decomposition`` for C and N under the recorded order, the
+    degeneracy flag is re-derived, and unmixedness evidence is recomputed
+    and must be conclusive again.  Certificates with other verdicts are
+    re-decided by running the certifier afresh and comparing verdicts.
+    Returns True when everything matches; a malformed node (an unknown
+    variable or order, a missing child) does not.
     """
-    if tuple(cert.ring_names) != I.ring.names:
+    if (not isinstance(cert, GvdCertificate)
+            or tuple(cert.ring_names) != I.ring.names):
         return False
     if cert.verdict != "gvd" or cert.kind == "disjoint-union":
         fresh = is_gvd(I, context=context)
@@ -741,10 +729,15 @@ def replay_certificate(I: Ideal, cert: GvdCertificate,
             return False
     elif not ev.conclusive_unmixed:
         return False
-    order = order_from_dict(I.ring, cert.order)
+    if cert.y not in I.ring.names:
+        return False
+    try:
+        order = order_from_dict(I.ring, cert.order)
+    except (KeyError, TypeError, ValueError):
+        return False
     split = cn_split(I, cert.y, order=order)
-    check = check_decomposition(I, split)
-    if not check.holds or check.degenerate != cert.degenerate:
+    if (not check_decomposition(I, split)
+            or split.degenerate() != cert.degenerate):
         return False
     child_ctx = _child_context(context, cert.y)
     return (replay_certificate(contract(split.C, cert.y), cert.child_c, child_ctx)

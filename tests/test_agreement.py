@@ -1,0 +1,37 @@
+"""The four certifiers never reach conflicting conclusive verdicts.
+
+The generic search, the bipartite certifier and the quadratic pipeline
+read each step's identity off the reduced basis instead of computing it,
+so they are checked against each other and against the E/F statement
+checks, which verify every split literally.  A statement-check report is
+conclusive only when it verifies decomposability: a refuted statement C is
+about one split tree, not about the toric ideal.
+"""
+
+from gvdlab.bipartite import certify_bipartite_gvd
+from gvdlab.ef import check_statements_ABC, quadratic_pipeline
+from gvdlab.graphs import toric_ideal, universal_groebner_basis
+from gvdlab.gvd import is_gvd
+
+from fixtures import two_triangles_bridged
+from graph_corpus import connected_graphs, to_graph
+
+GRAPHS = ([to_graph(n, edges) for n, edges in connected_graphs(7)]
+          + [two_triangles_bridged()])
+
+
+def conclusive_verdicts(G) -> dict:
+    verdicts = {"is_gvd": is_gvd(toric_ideal(G), context=G).verdict}
+    if G.is_bipartite():
+        verdicts["bipartite"] = certify_bipartite_gvd(G).verdict
+    if all(g.total_degree() == 2 for g in universal_groebner_basis(G)):
+        verdicts["quadratic"] = quadratic_pipeline(G).verdict
+    if check_statements_ABC(G).conclusion == "decomposability-verified":
+        verdicts["ABC"] = "gvd"
+    return {k: v for k, v in verdicts.items() if v != "inconclusive"}
+
+
+def test_conclusive_verdicts_agree():
+    for G in GRAPHS:
+        verdicts = conclusive_verdicts(G)
+        assert len(set(verdicts.values())) <= 1, (G.edges, verdicts)

@@ -9,7 +9,7 @@ from gvdlab.algebra import (
     GrLex, Lex, Poly, Ring, compile_order, lex_order, parse_poly, storage_order,
 )
 from gvdlab.groebner import (
-    Ideal, buchberger, contract, eliminate, ideal_contains,
+    Ideal, buchberger, eliminate, ideal_contains,
     ideal_equal, initial_ideal, intersect,
     is_generated_by_variables, is_square_free_monomial_ideal, krull_dimension,
     normal_form, radical_contains, radical_equal, s_polynomial,
@@ -159,7 +159,7 @@ def test_eliminate_parametrized_curve():
 
 def test_contract_drops_one_variable():
     J = I("x - y*z", "y^2 - z")
-    K = contract(J, "x")
+    K = eliminate(J, ["x"])
     assert K.ring.names == ("y", "z")
     assert gb_texts(K) == ["y^2 - z"]
 

@@ -1,14 +1,17 @@
 """The C/N split, the decomposition-identity check, and the recursive
 decomposability certifier, including refutations and certificate replay."""
 
+from dataclasses import replace
+
 import pytest
 
-from gvdlab.algebra import Ring, parse_poly, y_order
+from gvdlab.algebra import Ring, lex_order, parse_poly
+from gvdlab.components import UnmixednessEvidence
 from gvdlab.graphs import Graph, complete_graph, cycle_graph, toric_ideal
 from gvdlab.groebner import Ideal, contract, ideal_equal
 from gvdlab.gvd import (
-    check_decomposition, cn_split, gvd_disjoint_union, initial_y_ideal,
-    is_gvd, replay_certificate,
+    GvdCertificate, base_certificate, check_decomposition, cn_split,
+    gvd_disjoint_union, initial_y_ideal, is_gvd, replay_certificate,
 )
 from gvdlab.util import Budget
 
@@ -90,9 +93,8 @@ def test_check_holds_for_benchmark_at_e2():
     G = two_k4_sharing_vertex()
     J = toric_ideal(G)
     split = cn_split(J, "e2")
-    check = check_decomposition(J, split)
-    assert check.holds
-    assert not check.degenerate
+    assert check_decomposition(J, split)
+    assert not split.degenerate()
 
 
 def test_check_fails_for_square_generator():
@@ -101,17 +103,15 @@ def test_check_fails_for_square_generator():
     R1 = Ring(["e4"])
     J = Ideal(R1, [parse_poly(R1, "e4^2")])
     split = cn_split(J, "e4")
-    check = check_decomposition(J, split)
-    assert not check.holds
-    assert check.degenerate
+    assert not check_decomposition(J, split)
+    assert split.degenerate()
 
 
 def test_check_degenerate_at_absent_variable():
     J = I("x*z - w^2")
     split = cn_split(J, "y")
-    check = check_decomposition(J, split)
-    assert check.holds
-    assert check.degenerate
+    assert check_decomposition(J, split)
+    assert split.degenerate()
 
 
 def test_initial_y_ideal_of_principal():
@@ -262,6 +262,15 @@ def test_gvd_refutes_benchmark_c_side():
     assert replay_certificate(J, cert, context=sub)
 
 
+def test_gvd_refutes_the_benchmark_and_replays():
+    # The paper's non-GVD example, two K4s sharing a vertex.
+    G = two_k4_sharing_vertex()
+    J = toric_ideal(G)
+    cert = is_gvd(J, context=G)
+    assert cert.verdict == "not-gvd"
+    assert replay_certificate(J, cert, context=G)
+
+
 def test_gvd_certifies_benchmark_c_side_at_e3():
     # The C-branch at e3 of the benchmark ideal is decomposable, and its
     # certificate replays.
@@ -331,10 +340,30 @@ def test_replay_rejects_tampered_certificate():
     J = toric_ideal(G)
     cert = is_gvd(J, context=G)
     assert cert.verdict == "gvd"
+    assert cert.kind == "decomposition"
     assert replay_certificate(J, cert, context=G)
     flipped = cert.rename({})  # deep copy via identity rename
     object.__setattr__(flipped, "degenerate", not cert.degenerate)
     assert not replay_certificate(J, flipped, context=G)
+    for tamper in [dict(y="zz"), dict(order={"type": "nope"}),
+                   dict(child_c=None)]:
+        assert not replay_certificate(J, replace(cert, **tamper), context=G)
+
+
+def test_replay_rejects_an_order_that_is_not_y_compatible():
+    # Under lex x > z > y the basis of <y - x^2, y - z> is {x^2 - y, z - y}:
+    # C is the unit ideal and N is zero, so N + y·C = <y>.  That is the ideal
+    # of the basis's y-forms, but in_y(I) = <y, x^2 - z>.
+    R = Ring(["x", "y", "z"])
+    J = Ideal(R, [parse_poly(R, "y - x^2"), parse_poly(R, "y - z")])
+    XZ = Ring(["x", "z"])
+    forged = GvdCertificate(
+        "decomposition", "gvd", R.names,
+        unmixedness=UnmixednessEvidence("cited", "prime"), y="y",
+        order=lex_order(R, ["x", "z", "y"]).to_dict(), degenerate=True,
+        child_c=base_certificate(Ideal.unit(XZ)),
+        child_n=base_certificate(Ideal.zero(XZ)))
+    assert not replay_certificate(J, forged)
 
 
 def test_replay_of_negative_certificate_reruns_the_engine():

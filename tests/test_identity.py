@@ -1,15 +1,18 @@
-"""The algebra behind the decomposition check, tested against the general
-elimination routines.
+"""The facts the certifiers trust at a decomposition step, tested against
+the general elimination routines.
 
-A step of the certifier splits I at y into C and N and checks
-in_y(I) = C ∩ (N + <y>).  ``check_decomposition`` computes the right side
-as N + y·C, which is the same ideal because N ⊆ C and y is a nonzerodivisor
-modulo the y-free ideal C.  Where the reduced basis is square-free in y, C
-is the saturation in_y(I) : y^∞, since y·C ⊆ in_y(I) ⊆ C; the certifier
-relies on that without computing it.  Degeneracy is tested one way only,
-√C ⊆ √N, since the generators of N are among those of C.  These facts are
-checked here at every variable, with ``intersect``, ``saturate_variable``
-and ``radical_equal``.
+A step of the certifier splits I at y into C and N.  The certifiers read
+the identity in_y(I) = C ∩ (N + <y>) off the reduced basis: it holds
+exactly when the basis is square-free in y (proved at ``gvd.CnSplit``).
+``check_decomposition`` computes the identity literally, with the right
+side as N + y·C, which is the same ideal because N ⊆ C and y is a
+nonzerodivisor modulo the y-free ideal C.  Where the basis is square-free
+in y, C is the saturation in_y(I) : y^∞, since y·C ⊆ in_y(I) ⊆ C.  The
+generators of C and N do not involve y, so ``contract`` renames them
+instead of eliminating y.  Degeneracy is tested one way only, √C ⊆ √N,
+since the generators of N are among those of C.  These facts are checked
+here at every variable, with ``intersect``, ``saturate_variable``,
+``eliminate`` and ``radical_equal``.
 """
 
 import pytest
@@ -17,7 +20,8 @@ import pytest
 from gvdlab.algebra import Ring, parse_poly
 from gvdlab.graphs import toric_ideal
 from gvdlab.groebner import (
-    Ideal, contract, ideal_equal, intersect, radical_equal, saturate_variable,
+    Ideal, contract, eliminate, ideal_equal, intersect, radical_equal,
+    saturate_variable,
 )
 from gvdlab.gvd import check_decomposition, cn_split, initial_y_ideal
 
@@ -29,27 +33,29 @@ XYZW = Ring(["x", "y", "z", "w"])
 
 
 def assert_split_facts(I: Ideal, y: str):
-    """N + y·C = C ∩ (N + <y>), and C = in_y(I) : y^∞ where the basis is
-    square-free in y.  Returns the split and the intersection."""
+    """N + y·C = C ∩ (N + <y>), the literal identity holds exactly when the
+    basis is square-free in y, C = in_y(I) : y^∞ where it is, and renaming
+    contracts C and N.  Returns the split."""
     split = cn_split(I, y)
     C, N = split.C, split.N
     yvar = I.ring.var(y)
     rhs = intersect(C, N.with_extra([yvar]))
     assert ideal_equal(N.with_extra([yvar * c for c in C.gens]), rhs)
+    assert check_decomposition(I, split) == split.square_free_in_y
     if split.square_free_in_y:
         assert ideal_equal(saturate_variable(initial_y_ideal(I, y), y), C)
-    return split, rhs
+    for B in (C, N):
+        assert ideal_equal(contract(B, y), eliminate(B, [y]))
+    return split
 
 
 def assert_check_facts(I: Ideal):
-    """The split facts at every variable, and ``check_decomposition`` agrees
-    with the identity and the degeneracy computed the long way."""
+    """The split facts at every variable, and the degeneracy agrees with
+    the one computed the long way."""
     for y in I.ring.names:
-        split, rhs = assert_split_facts(I, y)
-        check = check_decomposition(I, split)
-        assert check.holds == ideal_equal(initial_y_ideal(I, y), rhs)
-        assert check.degenerate == (split.C.is_unit_ideal()
-                                    or radical_equal(split.C, split.N))
+        split = assert_split_facts(I, y)
+        assert split.degenerate() == (split.C.is_unit_ideal()
+                                      or radical_equal(split.C, split.N))
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +68,7 @@ def test_toric_ideals_of_the_corpus_and_their_c_branches():
     for G in GRAPHS:
         I = toric_ideal(G)
         for y in I.ring.names:
-            C = contract(assert_split_facts(I, y)[0].C, y)
+            C = contract(assert_split_facts(I, y).C, y)
             basis = tuple(g.canonical() for g in C.groebner())
             branches.setdefault((C.ring.names, basis), C)
     assert len(branches) == 189
@@ -79,3 +85,9 @@ def test_two_k4_chain_ideals(chain, name):
 @pytest.mark.parametrize("texts", [["y^2"], ["x^2", "z*w"]])
 def test_non_square_free_ideals(texts):
     assert_check_facts(Ideal(XYZW, [parse_poly(XYZW, t) for t in texts]))
+
+
+def test_contract_refuses_generators_that_involve_the_variable():
+    J = Ideal(XYZW, [parse_poly(XYZW, "x - y*z")])
+    with pytest.raises(KeyError):
+        contract(J, "y")
