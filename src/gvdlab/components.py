@@ -34,11 +34,13 @@ regime yields ``Inconclusive`` rather than a guess.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import (
-    ONE, Poly, initial_term, mono_is_squarefree, mono_support, storage_order,
+    ONE, Poly, Ring, initial_term, mono_is_squarefree, mono_support,
+    storage_order,
 )
 from .graphs import Graph, toric_dimension, universal_groebner_basis
 from .groebner import Ideal, ideal_equal, intersect, minimal_generators
@@ -52,6 +54,15 @@ __all__ = [
 
 class SplitNotApplicable(Exception):
     """The binomial-monomial splitting hypotheses are not met."""
+
+
+_VARIABLE = re.compile(r"\{(\d+)\}")
+
+
+def _placeheld(f: Poly) -> str:
+    """f written with the placeholder {i} for the i-th variable of its ring,
+    so that text quoting it stays right when the variables are renamed."""
+    return str(Poly(Ring("{%d}" % i for i in range(f.ring.arity)), f.terms))
 
 
 @dataclass(frozen=True)
@@ -91,7 +102,9 @@ class UnmixednessEvidence:
     "equal-dims", "refuted", "inconclusive", "cited".  The first six are
     conclusive evidence of unmixedness, "refuted" is conclusive evidence
     against, "inconclusive" decides nothing, and "cited" marks unmixedness
-    taken from a structural theorem rather than a computation.
+    taken from a structural theorem rather than a computation.  ``detail``
+    quotes polynomials with the placeholder {i} for the i-th variable of
+    the ideal's ring, which ``to_json_dict`` fills in from the ring's names.
     """
 
     status: str
@@ -108,8 +121,9 @@ class UnmixednessEvidence:
     def refuted(self) -> bool:
         return self.status == "refuted"
 
-    def to_json_dict(self) -> dict:
-        out = {"status": self.status, "detail": self.detail}
+    def to_json_dict(self, ring_names: tuple) -> dict:
+        detail = _VARIABLE.sub(lambda m: ring_names[int(m.group(1))], self.detail)
+        out = {"status": self.status, "detail": detail}
         if self.dims is not None:
             out["dims"] = list(self.dims)
         if self.components is not None:
@@ -226,9 +240,9 @@ def binomial_monomial_split(monomials: list, binomials: list, context: Optional[
     for f in binomials:
         pair = _binomial_sides(f)
         if pair is None:
-            raise SplitNotApplicable("not a +1/-1 binomial: %s" % f)
+            raise SplitNotApplicable("not a +1/-1 binomial: %s" % _placeheld(f))
         if not all(mono_is_squarefree(m) for m in f.terms):
-            raise SplitNotApplicable("binomial not doubly square-free: %s" % f)
+            raise SplitNotApplicable("binomial not doubly square-free: %s" % _placeheld(f))
         sides.append(pair)
     if sides and context is None:
         raise SplitNotApplicable("binomials present but no graph context")
@@ -239,7 +253,8 @@ def binomial_monomial_split(monomials: list, binomials: list, context: Optional[
         for f in binomials:
             if _sign_canonical(f) not in in_ugb:
                 raise SplitNotApplicable(
-                    "binomial %s is not a primitive walk binomial of the context" % f)
+                    "binomial %s is not a primitive walk binomial of the "
+                    "context" % _placeheld(f))
 
     edge_set = set(context.edge_labels) if context is not None else set()
     components = []

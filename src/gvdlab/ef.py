@@ -246,12 +246,13 @@ class EFNodeCheck:
     groebner_ok: bool
     split_ok: Optional[bool]
     evidence: Optional[UnmixednessEvidence]
+    ring_names: tuple  # the ring of the node's ideal, which the evidence names
 
     def to_json_dict(self) -> dict:
         return {"E": list(self.E), "F": list(self.F), "trivial": self.trivial,
                 "groebner_ok": self.groebner_ok, "split_ok": self.split_ok,
                 "evidence": (None if self.evidence is None
-                             else self.evidence.to_json_dict())}
+                             else self.evidence.to_json_dict(self.ring_names))}
 
 
 @dataclass(frozen=True)
@@ -327,7 +328,7 @@ def check_statements_ABC(G: Graph, budget: Optional[Budget] = None) -> EFReport:
             elif not evidence.conclusive_unmixed:
                 c_inconclusive = True
         checks.append(EFNodeCheck(state.E, state.F, trivial, groebner_ok,
-                                  split_ok, evidence))
+                                  split_ok, evidence, state.ideal.ring.names))
         a_ok = a_ok and groebner_ok
     statement_c = ("refuted" if c_refuted
                    else "inconclusive" if c_inconclusive else "verified")

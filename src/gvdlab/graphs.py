@@ -2,11 +2,12 @@
 
 The toric ideal of a graph G lives in Q[edge labels] and is generated by the
 binomials of closed even walks.  Its universal Groebner basis is the set of
-primitive walk binomials, computed here as the Graver basis of the integer
-kernel of the vertex-edge incidence matrix (Pottier-style completion).  The
-graph operations that interact well with these ideals -- leaf
-removal, even-cycle gluing, disjoint union, gap-freeness and 4-cycle tests --
-live here too.
+primitive walk binomials: the Graver basis of the integer kernel of the
+vertex-edge incidence matrix.  For a bipartite graph that basis is the set
+of its even cycles, listed directly; for any other graph it comes from
+Pottier completion of a lattice basis of the kernel.  The graph operations
+that interact well with these ideals -- leaf removal, even-cycle gluing,
+disjoint union, gap-freeness and 4-cycle tests -- live here too.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from .groebner import Ideal, ideal_equal, minimal_generators
 __all__ = [
     "Graph", "cycle_graph", "path_graph", "complete_graph",
     "complete_bipartite", "ferrers_graph",
-    "integer_kernel_basis", "graver_basis", "oriented_minimal",
+    "integer_kernel_basis", "graver_completion", "graver_basis",
+    "oriented_minimal",
     "universal_groebner_basis", "toric_ideal",
     "toric_dimension", "remove_leaves_fixpoint", "glue_even_cycle",
     "disjoint_union", "is_gap_free", "four_cycles_containing",
@@ -260,7 +262,12 @@ def _sign_parts(u: tuple) -> tuple:
     return tuple(map(max, u, zero)), tuple(map(max, map(neg, u), zero))
 
 
-def graver_basis(lattice_basis: list) -> list:
+def _conflict(u: tuple, v: tuple) -> bool:
+    """True iff u and v have opposite signs in some coordinate."""
+    return any(a * b < 0 for a, b in zip(u, v))
+
+
+def graver_completion(lattice_basis: list) -> list:
     """All conformally-minimal nonzero lattice vectors (Pottier completion),
     as ``oriented_minimal`` returns them.
 
@@ -271,6 +278,12 @@ def graver_basis(lattice_basis: list) -> list:
     each member of the growing set S has its parts computed once, when it
     joins S.  The scan order and the first-match rule are those of plain
     vector reduction, so the result is the same.
+
+    Only pairs with a sign conflict are formed.  The completion is done
+    when every u + v over pairs of S is a sum of members of S conformally
+    below it; if u and v agree in sign wherever both are nonzero, then u
+    and v lie conformally below u + v, and u + v = u + v is such a sum
+    (Hemmecke, Math. Program. 2003).
     """
     S, parts = [], []
     seen = set()
@@ -302,7 +315,8 @@ def graver_basis(lattice_basis: list) -> list:
     queue = deque()
     for i in range(len(S)):
         for j in range(i + 1, len(S)):
-            queue.append((S[i], S[j]))
+            if _conflict(S[i], S[j]):
+                queue.append((S[i], S[j]))
     while queue:
         u, v = queue.popleft()
         h = nf(tuple(map(add, u, v)))
@@ -310,10 +324,76 @@ def graver_basis(lattice_basis: list) -> list:
             continue
         for w in (h, tuple(map(neg, h))):
             for s in S:
-                queue.append((w, s))
+                if _conflict(w, s):
+                    queue.append((w, s))
             join(w)
 
     return oriented_minimal(S)
+
+
+def _cycle_vectors(G: Graph) -> list:
+    """Every cycle of G once, as the vector that is +1 and -1 alternately
+    along it (G bipartite, so each cycle is even and the vector lies in the
+    kernel of the incidence matrix).
+
+    A cycle is listed from its least vertex s, in the direction whose
+    second vertex precedes its last one.
+    """
+    vpos = {v: i for i, v in enumerate(G.vertices)}
+    epos = {label: j for j, label in enumerate(G.edge_labels)}
+    adj = [[(vpos[w], epos[label]) for label, w in G.neighbors(v)]
+           for v in G.vertices]
+    vec = [0] * len(G.edges)
+    on_path = [False] * len(adj)
+    out = []
+
+    def extend(s, second, v, sign):
+        for w, j in adj[v]:
+            if w == s:
+                if second < v:
+                    vec[j] = sign
+                    out.append(tuple(vec))
+                    vec[j] = 0
+            elif w > s and not on_path[w]:
+                on_path[w] = True
+                vec[j] = sign
+                extend(s, w if v == s else second, w, -sign)
+                vec[j] = 0
+                on_path[w] = False
+
+    for s in range(len(adj)):
+        extend(s, None, s, 1)
+    return out
+
+
+def graver_basis(G: Graph) -> list:
+    """The Graver basis of the kernel of G's incidence matrix: its
+    conformally minimal nonzero vectors, one per +/- pair, oriented and
+    sorted as ``oriented_minimal`` returns them.
+
+    A bipartite G gets its cycles.  Its incidence matrix is totally
+    unimodular, so every Graver element is a circuit, and the circuits of
+    a graph are its even cycles (Sturmfels, *Groebner Bases and Convex
+    Polytopes*, 1996, ch. 4 and 8).  Directly: at each vertex the entries
+    of a kernel vector u on its edges sum to zero, so a walk that starts on
+    an edge where u is positive can leave every vertex it reaches by an
+    edge where u has the other sign.  When the walk first returns to a
+    vertex it has closed a cycle whose edges alternate in sign; the cycle
+    is even, as G is bipartite, so its +1/-1 vector signed as u lies
+    conformally below u, and a minimal u is that vector.  Conversely, a
+    kernel vector conformally below a cycle's vector is supported on the
+    cycle, where the kernel is spanned by that vector, whose entries are
+    +1 and -1; so each cycle is minimal.  Any other graph gets the
+    completion of a lattice basis of the kernel (``graver_completion``).
+    """
+    if G.is_bipartite():
+        return sorted(_oriented(u, *_sign_parts(u)) for u in _cycle_vectors(G))
+    return graver_completion(integer_kernel_basis(G.incidence_matrix()))
+
+
+def _oriented(u: tuple, pos: tuple, negp: tuple) -> tuple:
+    """u or -u, whichever has the storage-order-larger positive part."""
+    return u if (sum(pos), pos) > (sum(negp), negp) else tuple(map(neg, u))
 
 
 def oriented_minimal(vectors) -> list:
@@ -326,7 +406,7 @@ def oriented_minimal(vectors) -> list:
         if any(v != u and mono_divides(vp, pos) and mono_divides(vn, negp)
                for v, (vp, vn) in vectors):
             continue
-        out.add(u if (sum(pos), pos) > (sum(negp), negp) else tuple(map(neg, u)))
+        out.add(_oriented(u, pos, negp))
     return sorted(out)
 
 
@@ -345,9 +425,11 @@ _UGB_CACHE: dict = {}
 def universal_groebner_basis(G: Graph) -> tuple:
     """The primitive closed-even-walk binomials of G (its universal basis).
 
-    Computed as the Graver basis of the incidence-matrix kernel; forests give
-    the empty tuple.  Results are cached by graph structure, since the
-    decomposability search revisits the same subgraphs many times.
+    They are the binomials of ``graver_basis(G)``, which is a universal
+    Groebner basis: the even cycles of a bipartite G, the completion for
+    any other graph.  Forests give the empty tuple.  Results are cached by
+    graph structure, since the decomposability search revisits the same
+    subgraphs many times.
     """
     if not G.edges:
         return ()
@@ -356,9 +438,7 @@ def universal_groebner_basis(G: Graph) -> tuple:
     if hit is not None:
         return hit
     ring = G.edge_ring()
-    kernel = integer_kernel_basis(G.incidence_matrix())
-    vs = graver_basis(kernel)
-    polys = [vector_to_binomial(ring, u) for u in vs]
+    polys = [vector_to_binomial(ring, u) for u in graver_basis(G)]
     polys.sort(key=lambda f: (f.total_degree(), f.canonical()))
     out = tuple(polys)
     _UGB_CACHE[key] = out
@@ -368,8 +448,10 @@ def universal_groebner_basis(G: Graph) -> tuple:
 def toric_ideal(G: Graph) -> Ideal:
     """The toric ideal of G with a minimal generating set as generators.
 
-    Generators are chosen greedily from the universal basis (degree
-    ascending); by graded Nakayama this yields a minimal generating set.
+    ``minimal_generators`` chooses them from the universal basis, degree
+    ascending, with one Groebner basis per degree; the binomials are
+    homogeneous, so by graded Nakayama the choice is a minimal generating
+    set.
     """
     ring = G.edge_ring()
     return Ideal(ring, minimal_generators(Ideal(ring, universal_groebner_basis(G))))

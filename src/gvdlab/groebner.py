@@ -268,17 +268,53 @@ def ideal_contains(I: Ideal, f: Poly) -> bool:
 def minimal_generators(I: Ideal) -> list:
     """A generating subset of I.gens with no redundant member.
 
-    Greedy by ascending degree, so for homogeneous input this is a minimal
-    generating set (graded Nakayama); in general it is merely irredundant.
+    The candidates are taken by ascending degree (ties by descending
+    canonical form), and one is kept when the kept ones before it do not
+    generate it; for homogeneous input this is a minimal generating set
+    (graded Nakayama), and in general it is merely irredundant.
+
+    Homogeneous input takes one Groebner basis per degree d: the reduced
+    basis of the kept candidates of lower degree.  Before a candidate f of
+    degree d, the kept ones generate in degree d the degree-d part of the
+    ideal of that basis plus the span of the kept of degree d.  The normal form
+    modulo the basis is Q-linear and, in degree d, zero exactly on the
+    first summand; so f lies in the sum exactly when its normal form lies
+    in the span of the normal forms of the kept of degree d.  Those are
+    held in echelon form, as reducers: a monomial of degree d divides one
+    of degree d only when they are equal, so reducing by them is Gaussian
+    elimination, and f reduced by the basis and the echelon together is
+    zero exactly when f lies in the sum.  The kept list is the one the
+    membership test keeps, which inhomogeneous input still uses.
     """
     cands = sorted(I.gens, key=lambda f: f.canonical(), reverse=True)
     cands.sort(key=lambda f: f.total_degree())
+    if not all(len(set(map(sum, f.terms))) == 1 for f in cands):
+        return _greedy_generators(I.ring, cands)
+    order = storage_order(I.ring)
+    kept, lower, echelon, degree = [], [], [], None
+    for f in cands:
+        if f.total_degree() != degree:
+            degree = f.total_degree()
+            if echelon:
+                lower = [_reducer(g.terms, *initial_term(order, g))
+                         for g in Ideal(I.ring, kept).groebner(order)]
+            echelon = []
+        rem = _normal_form_raw(order, f.terms, lower + echelon)
+        if rem:
+            m = next(iter(rem))
+            echelon.append(_reducer(rem, m, rem[m]))
+            kept.append(f)
+    return kept
+
+
+def _greedy_generators(ring: Ring, cands: list) -> list:
+    """Keep each candidate that the kept ones before it do not generate."""
     kept, span = [], None
     for f in cands:
         if span is not None and ideal_contains(span, f):
             continue
         kept.append(f)
-        span = Ideal(I.ring, kept)  # rejected candidates share its basis
+        span = Ideal(ring, kept)  # rejected candidates share its basis
     return kept
 
 

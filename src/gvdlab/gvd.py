@@ -181,7 +181,7 @@ class GvdCertificate:
         if self.degenerate is not None:
             out["degenerate"] = self.degenerate
         if self.unmixedness is not None:
-            out["unmixedness"] = self.unmixedness.to_json_dict()
+            out["unmixedness"] = self.unmixedness.to_json_dict(self.ring_names)
         if self.kind == "variables":
             out["variables"] = list(self.variables)
         if self.child_c is not None or self.child_n is not None:

@@ -2,17 +2,20 @@
 
 import pytest
 
+from gvdlab import graphs
 from gvdlab.algebra import Ring, lex_order, parse_poly
 from gvdlab.groebner import Ideal, ideal_equal, krull_dimension, normal_form, s_polynomial
 from gvdlab.graphs import (
     Graph, complete_bipartite, complete_graph, cycle_graph, disjoint_union,
     ferrers_graph, four_cycles_containing, glue_even_cycle, graver_basis,
+    graver_completion,
     has_four_cycle, integer_kernel_basis, is_gap_free, path_graph,
     remove_leaves_fixpoint, toric_dimension, toric_ideal,
     universal_groebner_basis, vector_to_binomial,
 )
 from gvdlab.util import seeded_rng
 
+from graph_corpus import connected_graphs, to_graph
 from fixtures import (
     TWO_K4_GENERATORS, k2d_with_path, k2d_with_path_universal_basis,
     primitive_walk_binomials, rational_rank, two_k4_sharing_vertex,
@@ -64,8 +67,8 @@ def test_kernel_rank_complement():
 
 
 def test_graver_of_trivial_lattices():
-    assert graver_basis([]) == []
-    assert graver_basis([(0, 0)]) == []
+    assert graver_completion([]) == []
+    assert graver_completion([(0, 0)]) == []
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +124,10 @@ def test_completion_matches_walk_enumeration(G):
 
 @pytest.mark.parametrize("G", WALK_ORACLE_GRAPHS, ids=lambda g: repr(g))
 def test_graver_basis_matches_walk_enumeration(G):
-    # graver_basis itself (no cache), checked against the walk oracle and
+    # graver_completion itself (no cache), checked against the walk oracle and
     # against the componentwise definition of the conformal order.
     A = G.incidence_matrix()
-    vectors = graver_basis(integer_kernel_basis(A))
+    vectors = graver_completion(integer_kernel_basis(A))
     assert vectors == sorted(set(vectors))
     ring = G.edge_ring()
     assert {vector_to_binomial(ring, u) for u in vectors} == primitive_walk_binomials(G)
@@ -134,6 +137,61 @@ def test_graver_basis_matches_walk_enumeration(G):
             for w in (v, tuple(-x for x in v)):
                 below = all(a * b >= 0 and abs(a) <= abs(b) for a, b in zip(w, u))
                 assert not below or w == u
+
+
+BIPARTITE_GRAPHS = [G for G in (to_graph(n, edges) for n, edges in connected_graphs(7))
+                    if G.is_bipartite()] + [
+    ferrers_graph([3, 2, 1]), complete_bipartite(2, 5), complete_bipartite(3, 4),
+    # edges listed against the vertex order, so orientation is not free
+    Graph(complete_bipartite(3, 4).vertices, reversed(complete_bipartite(3, 4).edges))]
+
+
+def test_bipartite_graver_basis_is_the_completion():
+    # Both uncached: universal_groebner_basis would answer from its cache.
+    assert len(BIPARTITE_GRAPHS) == 72
+    for G in BIPARTITE_GRAPHS:
+        assert graver_basis(G) == graver_completion(integer_kernel_basis(G.incidence_matrix()))
+
+
+def is_cycle_binomial(G, f) -> bool:
+    """Whether f = x^a - x^b with a and b the alternate edges of one cycle
+    of G."""
+    if len(f.terms) != 2 or any(e > 1 for m in f.terms for e in m):
+        return False
+    names = f.ring.names
+    sides = [{names[i] for i, e in enumerate(m) if e} for m in f.terms]
+    cycle = G.delete_edges(set(G.edge_labels) - sides[0] - sides[1])
+    cycle = cycle.delete_vertices(v for v in cycle.vertices if not cycle.degree(v))
+    return (len(cycle.components()) == 1
+            and all(sorted(label in sides[0] for label, _ in cycle.neighbors(v))
+                    == [False, True] for v in cycle.vertices))
+
+
+def test_k44_basis_is_its_even_cycles():
+    G = complete_bipartite(4, 4)
+    basis = universal_groebner_basis(G)
+    degrees = [f.total_degree() for f in basis]
+    assert [degrees.count(d) for d in (2, 3, 4)] == [36, 96, 72]
+    assert len(basis) == 204
+    assert all(is_cycle_binomial(G, f) for f in basis)
+    ring = G.edge_ring()
+    for text in ("e1*e2 - e5*e6", "e1*e6*e11*e16 - e2*e5*e12*e15"):
+        assert not is_cycle_binomial(G, parse_poly(ring, text))
+    gens = toric_ideal(G).gens
+    assert len(gens) == 36 and all(f.total_degree() == 2 for f in gens)
+
+
+def test_each_cache_miss_calls_graver_basis_once(monkeypatch):
+    # The benchmark's trace counts graphs.graver_basis calls against
+    # universal_groebner_basis calls, whichever way the basis is found.
+    calls = []
+    real = graphs.graver_basis
+    monkeypatch.setattr(graphs, "graver_basis", lambda G: calls.append(G) or real(G))
+    monkeypatch.setattr(graphs, "_UGB_CACHE", {})
+    bipartite, other = complete_bipartite(2, 3), complete_graph(4)
+    for G in (bipartite, other, bipartite, other):
+        assert universal_groebner_basis(G)
+    assert calls == [bipartite, other]
 
 
 def test_two_triangles_bridged_is_principal():

@@ -14,14 +14,15 @@ import pytest
 
 from gvdlab.algebra import Ring, parse_poly
 from gvdlab.bipartite import certify_bipartite_gvd
+from gvdlab.components import unmixedness_evidence
 from gvdlab.graphs import (
     Graph, complete_bipartite, complete_graph, cycle_graph, toric_ideal,
 )
 from gvdlab.groebner import Ideal
-from gvdlab.gvd import _certify, _Pool, certify_step, is_gvd
+from gvdlab.gvd import _certify, _Pool, certify_step, inconclusive, is_gvd
 from gvdlab.util import Budget
 
-from fixtures import two_triangles_bridged
+from fixtures import two_k4_sharing_vertex, two_triangles_bridged
 
 GRAPHS = {
     "C6": cycle_graph(6),
@@ -149,3 +150,19 @@ def test_rename_reaches_the_reason_of_a_starved_search():
     assert renamed_reason(cert) == (
         "e1: a branch was inconclusive; e2: search allowance exhausted",
         "ze1: a branch was inconclusive; ze2: search allowance exhausted")
+
+
+def test_rename_reaches_the_polynomial_in_an_evidence_detail():
+    # The split rejects the binomial, and the detail quotes it.
+    G = two_k4_sharing_vertex()
+    ring = G.edge_ring()
+    I = Ideal(ring, [parse_poly(ring, "e1^2*e6 - e2*e5*e3"), parse_poly(ring, "e4")])
+    cert = inconclusive(ring.names, "no search", unmixedness=unmixedness_evidence(I, G))
+    name_map = {n: "z" + n[1:] for n in ring.names}
+    details = [c.to_json_dict()["unmixedness"]["detail"]
+               for c in (cert, cert.rename(name_map))]
+    assert details == [
+        "splitting not applicable: binomial not doubly square-free: "
+        "e1^2*e6 - e2*e3*e5",
+        "splitting not applicable: binomial not doubly square-free: "
+        "z1^2*z6 - z2*z3*z5"]
