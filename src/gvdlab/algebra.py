@@ -192,7 +192,7 @@ class Poly:
         return all(not any(m) for m in self.terms)
 
     def is_monomial(self) -> bool:
-        """A single term with coefficient +1 or -1 counts after normalization."""
+        """True iff f has exactly one term, whatever its coefficient."""
         return len(self.terms) == 1
 
     def is_variable(self) -> bool:

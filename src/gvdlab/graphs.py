@@ -419,7 +419,11 @@ def vector_to_binomial(ring: Ring, u: tuple) -> Poly:
 # ---------------------------------------------------------------------------
 # Universal Groebner basis / toric ideal.
 
+# Universal bases by graph structure, oldest first.  The cap bounds a
+# long-lived process; a census of all 710 connected 9-edge graphs fills
+# about 1,400 entries.
 _UGB_CACHE: dict = {}
+_UGB_CACHE_SIZE = 4096
 
 
 def universal_groebner_basis(G: Graph) -> tuple:
@@ -429,7 +433,8 @@ def universal_groebner_basis(G: Graph) -> tuple:
     Groebner basis: the even cycles of a bipartite G, the completion for
     any other graph.  Forests give the empty tuple.  Results are cached by
     graph structure, since the decomposability search revisits the same
-    subgraphs many times.
+    subgraphs many times; past ``_UGB_CACHE_SIZE`` entries the oldest is
+    dropped.
     """
     if not G.edges:
         return ()
@@ -441,6 +446,8 @@ def universal_groebner_basis(G: Graph) -> tuple:
     polys = [vector_to_binomial(ring, u) for u in graver_basis(G)]
     polys.sort(key=lambda f: (f.total_degree(), f.canonical()))
     out = tuple(polys)
+    if len(_UGB_CACHE) >= _UGB_CACHE_SIZE:
+        del _UGB_CACHE[next(iter(_UGB_CACHE))]
     _UGB_CACHE[key] = out
     return out
 

@@ -6,6 +6,29 @@ chain criteria, followed by minimalization and full inter-reduction.  Reduced
 Groebner bases are unique for a given order, which is what makes
 ``ideal_equal`` and the certificate replay byte-stable.
 
+The engine holds its elements in one of two representations, chosen from
+the input and kept to the end; the pair loop is the same for both.
+Generators that are all monomials c*x^a or pure differences c*(x^a - x^b)
+(c a nonzero rational, constants included) are held without coefficients,
+as pairs (initial monomial, tail monomial or None).  Any other input is held
+as records of monic polynomials with ``Fraction`` coefficients.  The first
+class is closed under what Buchberger does to it (Eisenbud-Sturmfels,
+*Binomial ideals*, Duke Math. J. 84 (1996)), so nothing is lost:
+
+- S-pairs.  Of the monic x^a - x^b and x^c - x^d (a tail may be absent),
+  with L = lcm(a, c), the S-polynomial x^(L-a)(x^a - x^b) -
+  x^(L-c)(x^c - x^d) is x^(L-c+d) - x^(L-a+b): zero, a monomial or a pure
+  difference.
+- Reduction steps.  Reducing k*(x^u - x^v), initial term x^u, by x^l - x^t
+  with x^l dividing x^u gives k*(x^(u-l+t) - x^v); by a monomial x^l it
+  gives -k*x^v.  A monomial k*x^u goes to k*x^(u-l+t) or to 0.
+
+So every polynomial the engine forms has at most two terms, whose
+coefficients are k and -k, and made monic it is determined by its monomials
+and the order alone.  Reduction visits terms largest first and takes the
+first divisor in either representation, so both compute the same terms and
+return the same reduced basis.
+
 Intersections use the ``t*I + (1-t)*J`` elimination trick, saturation by a
 variable uses the Rabinowitsch trick, and Krull dimension comes from a
 minimum vertex cover of the initial-ideal supports.
@@ -16,6 +39,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from itertools import combinations
+from operator import add, le, sub
 from typing import Iterable, Sequence, Union
 
 from .algebra import (
@@ -102,26 +126,12 @@ class Ideal:
 # ---------------------------------------------------------------------------
 # Core reduction machinery.
 
-def _inverse(c: Fraction) -> Fraction:
-    """1/c, skipping the division for the common monic case."""
-    return ONE if c == 1 else ONE / c
-
-
 def _monic(terms: dict, c: Fraction) -> dict:
     """The terms divided by c (the same dict when c is 1)."""
     if c == 1:
         return terms
     inv = ONE / c
     return {m: v * inv for m, v in terms.items()}
-
-
-def s_polynomial(order: Order, f: Poly, g: Poly) -> Poly:
-    """The S-polynomial (lcm/lt_f)*f - (lcm/lt_g)*g."""
-    mf, cf = initial_term(order, f)
-    mg, cg = initial_term(order, g)
-    lcm = mono_lcm(mf, mg)
-    return (f.term_mul(mono_div(lcm, mf), _inverse(cf))
-            - g.term_mul(mono_div(lcm, mg), _inverse(cg)))
 
 
 def _reducer(terms: dict, m: tuple, c: Fraction) -> tuple:
@@ -162,37 +172,162 @@ def normal_form(order: Order, f: Poly, basis: Sequence[Poly]) -> Poly:
     return Poly(f.ring, _normal_form_raw(order, f.terms, reducers))
 
 
+class _Fractions:
+    """Elements with coefficients: the record (initial monomial, tail) of a
+    monic polynomial, the tail a tuple of (monomial, Fraction) in descending
+    order.  A polynomial in the making is a term dict."""
+
+    @staticmethod
+    def store(order: Order, g: Poly) -> tuple:
+        # sorted, so that generators equal up to a scalar give equal records
+        m, tail = _reducer(g.terms, *initial_term(order, g))
+        key = order.key
+        return m, tuple(sorted(tail, key=lambda t: key(t[0]), reverse=True))
+
+    @staticmethod
+    def shifted_difference(tf, qf: tuple, tg, qg: tuple) -> dict:
+        out = {mono_mul(m, qf): c for m, c in tf}
+        for m, c in tg:
+            mm = mono_mul(m, qg)
+            v = out.get(mm, 0) - c
+            if v:
+                out[mm] = v
+            else:
+                del out[mm]
+        return out
+
+    @staticmethod
+    def reduce(order: Order, terms: dict, reducers):
+        rem = _normal_form_raw(order, terms, reducers)
+        if not rem:
+            return None
+        m = next(iter(rem))
+        return _reducer(rem, m, rem[m])
+
+    @staticmethod
+    def terms(e: tuple) -> dict:
+        m, tail = e
+        return {m: ONE, **dict(tail)}
+
+    @staticmethod
+    def poly(ring: Ring, e: tuple) -> Poly:
+        return Poly(ring, _Fractions.terms(e))
+
+
+class _Binomials:
+    """Elements without coefficients: the pair (initial monomial, tail
+    monomial or None) stands for the monic x^a - x^b, or for x^a.  A
+    polynomial in the making is a pair of monomials, either possibly None,
+    standing for +-(x^u - x^v), for +-x^u or x^v, or for 0."""
+
+    @staticmethod
+    def store(order: Order, g: Poly) -> tuple:
+        ms = sorted(g.terms, key=order.key, reverse=True)
+        return ms[0], (ms[1] if len(ms) == 2 else None)
+
+    @staticmethod
+    def shifted_difference(tf, qf: tuple, tg, qg: tuple) -> tuple:
+        return (None if tf is None else mono_mul(tf, qf),
+                None if tg is None else mono_mul(tg, qg))
+
+    @staticmethod
+    def reduce(order: Order, s: tuple, reducers):
+        # the larger term first: replaced by way of the first reducer whose
+        # initial monomial divides it, then re-oriented, until none divides it
+        key = order.key
+        u, v = s
+        while True:
+            if u is None:
+                if v is None:
+                    return None
+                u, v = v, None
+            elif v is not None:
+                if u == v:
+                    return None
+                if key(u) < key(v):
+                    u, v = v, u
+            for lt, t in reducers:
+                if all(map(le, lt, u)):
+                    u = None if t is None else tuple(map(add, t, map(sub, u, lt)))
+                    break
+            else:
+                break
+        # then the tail, which stays below u
+        while v is not None:
+            for lt, t in reducers:
+                if all(map(le, lt, v)):
+                    v = None if t is None else tuple(map(add, t, map(sub, v, lt)))
+                    break
+            else:
+                break
+        return u, v
+
+    @staticmethod
+    def terms(e: tuple) -> tuple:
+        return e
+
+    @staticmethod
+    def poly(ring: Ring, e: tuple) -> Poly:
+        m, t = e
+        return Poly(ring, {m: ONE} if t is None else {m: ONE, t: -ONE})
+
+
+def _is_binomial(g: Poly) -> bool:
+    """One term, or two whose coefficients sum to zero (compared as reduced
+    fractions, which is cheaper than adding them)."""
+    if len(g.terms) == 1:
+        return True
+    if len(g.terms) != 2:
+        return False
+    a, b = g.terms.values()
+    return a.numerator == -b.numerator and a.denominator == b.denominator
+
+
+def s_polynomial(arith, f: tuple, g: tuple):
+    """The S-polynomial (lcm/in f)*f - (lcm/in g)*g of two elements stored
+    by ``buchberger`` in the representation ``arith``.
+
+    Both are monic and their initial monomials are stored, so the initial
+    terms cancel unread and only the tails are shifted and subtracted.
+    """
+    (mf, tf), (mg, tg) = f, g
+    lcm = mono_lcm(mf, mg)
+    return arith.shifted_difference(tf, mono_div(lcm, mf), tg, mono_div(lcm, mg))
+
+
 def buchberger(order: Order, gens: Iterable[Poly]) -> list:
     """The reduced Groebner basis of the given generators under the order.
 
     Deterministic: normal selection strategy keyed by (order key of pair lcm,
-    i, j); the result is minimalized, fully inter-reduced, monic, and sorted
-    by ascending initial term.
+    i, j), with the coprime and chain criteria; the result is minimalized,
+    fully inter-reduced, monic, and sorted by ascending initial term.
 
-    Each basis element is monic, and its initial monomial and that
-    monomial's order key are computed once, when it joins the basis; the
-    reducer list grows with it.  A remainder's initial term is the first it
-    received, since reduction visits terms in descending order.
+    The representation of the elements is ``_Binomials`` when every
+    generator is a monomial or a pure difference (see the module docstring
+    for why the class is closed), ``_Fractions`` otherwise.  Only storing an
+    element, forming an S-pair and reducing depend on it; the pair heap, the
+    criteria, the ``done`` set, minimalization and inter-reduction are
+    shared.  Either way each element is monic, its initial monomial and that
+    monomial's order key are computed once, when it joins the basis, and the
+    basis is its own reducer list.  A remainder's initial monomial is the
+    first it received, since reduction visits terms in descending order.
     """
+    gens = [g for g in gens if not g.is_zero()]
+    arith = _Binomials if all(map(_is_binomial, gens)) else _Fractions
     ring, key = order.ring, order.key
-    basis, lts, keys, reducers = [], [], [], []
+    basis, lts, keys = [], [], []
 
-    def add(terms: dict, m: tuple):
-        basis.append(Poly(ring, terms))
-        lts.append(m)
-        keys.append(key(m))
-        reducers.append(_reducer(terms, m, ONE))
+    def add(e: tuple):
+        basis.append(e)
+        lts.append(e[0])
+        keys.append(key(e[0]))
 
     seen = set()
     for g in gens:
-        if g.is_zero():
-            continue
-        m, c = initial_term(order, g)
-        terms = _monic(g.terms, c)
-        fingerprint = frozenset(terms.items())
-        if fingerprint not in seen:
-            seen.add(fingerprint)
-            add(terms, m)
+        e = arith.store(order, g)
+        if e not in seen:
+            seen.add(e)
+            add(e)
     if not basis:
         return []
 
@@ -211,7 +346,7 @@ def buchberger(order: Order, gens: Iterable[Poly]) -> list:
             continue  # coprime initial terms
         chained = False
         for k in range(len(basis)):
-            if k in (i, j) or not mono_divides(lts[k], lcm):
+            if k in (i, j) or not all(map(le, lts[k], lcm)):
                 continue
             a = (min(i, k), max(i, k))
             b = (min(j, k), max(j, k))
@@ -220,15 +355,13 @@ def buchberger(order: Order, gens: Iterable[Poly]) -> list:
                 break
         if chained:
             continue
-        s = s_polynomial(order, basis[i], basis[j])
-        rem = _normal_form_raw(order, s.terms, reducers)
-        if not rem:
+        e = arith.reduce(order, s_polynomial(arith, basis[i], basis[j]), basis)
+        if e is None:
             continue
-        m = next(iter(rem))
-        add(_monic(rem, rem[m]), m)
+        add(e)
         n = len(basis) - 1
         for k in range(n):
-            lcm = mono_lcm(lts[k], m)
+            lcm = mono_lcm(lts[k], e[0])
             heapq.heappush(heap, (key(lcm), k, n, lcm))
 
     # minimalize: drop elements whose initial term another initial term
@@ -240,10 +373,10 @@ def buchberger(order: Order, gens: Iterable[Poly]) -> list:
 
     # inter-reduce tails; no initial term of a minimal basis divides
     # another, so each keeps its monic initial term
-    minimal = [reducers[i] for i in kept]
-    return [Poly(ring, _normal_form_raw(order, basis[k].terms,
-                                        minimal[:i] + minimal[i + 1:]))
-            for i, k in enumerate(kept)]
+    minimal = [basis[i] for i in kept]
+    return [arith.poly(ring, arith.reduce(order, arith.terms(e),
+                                          minimal[:i] + minimal[i + 1:]))
+            for i, e in enumerate(minimal)]
 
 
 def initial_ideal(order: Order, I: Ideal) -> Ideal:

@@ -3,8 +3,10 @@
 import pytest
 
 from gvdlab import graphs
-from gvdlab.algebra import Ring, lex_order, parse_poly
-from gvdlab.groebner import Ideal, ideal_equal, krull_dimension, normal_form, s_polynomial
+from gvdlab.algebra import Poly, Ring, lex_order, parse_poly
+from gvdlab.groebner import (
+    Ideal, _Fractions, ideal_equal, krull_dimension, normal_form, s_polynomial,
+)
 from gvdlab.graphs import (
     Graph, complete_bipartite, complete_graph, cycle_graph, disjoint_union,
     ferrers_graph, four_cycles_containing, glue_even_cycle, graver_basis,
@@ -194,6 +196,22 @@ def test_each_cache_miss_calls_graver_basis_once(monkeypatch):
     assert calls == [bipartite, other]
 
 
+def test_universal_basis_cache_is_capped_and_drops_the_oldest(monkeypatch):
+    calls = []
+    real = graphs.graver_basis
+    monkeypatch.setattr(graphs, "graver_basis", lambda G: calls.append(G) or real(G))
+    monkeypatch.setattr(graphs, "_UGB_CACHE", {})
+    monkeypatch.setattr(graphs, "_UGB_CACHE_SIZE", 2)
+    a, b, c = cycle_graph(4), complete_bipartite(2, 3), complete_graph(4)
+    for G in (a, b, c):
+        universal_groebner_basis(G)
+        assert len(graphs._UGB_CACHE) <= 2
+    assert universal_groebner_basis(c) and universal_groebner_basis(b)
+    assert calls == [a, b, c]  # the repeated lookups hit
+    universal_groebner_basis(a)  # evicted as the oldest: a miss
+    assert calls == [a, b, c, a] and len(graphs._UGB_CACHE) == 2
+
+
 def test_two_triangles_bridged_is_principal():
     assert texts(universal_groebner_basis(two_triangles_bridged())) == [
         "e1*e4^2*e6*e7 - e2*e3*e5^2*e8"]
@@ -226,9 +244,10 @@ def test_universal_property_sampled_lex_orders():
             perm = list(ring.names)
             rng.shuffle(perm)
             o = lex_order(ring, perm)
+            stored = [_Fractions.store(o, f) for f in U]
             for i in range(len(U)):
                 for j in range(i + 1, len(U)):
-                    s = s_polynomial(o, U[i], U[j])
+                    s = Poly(ring, s_polynomial(_Fractions, stored[i], stored[j]))
                     assert normal_form(o, s, U).is_zero()
 
 

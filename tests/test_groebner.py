@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gvdlab.algebra import (
-    GrLex, Lex, Poly, Ring, compile_order, lex_order, parse_poly, storage_order,
+    Elim, GrLex, Lex, Poly, Ring, YFirst, compile_order, lex_order, parse_poly,
+    storage_order,
 )
 from gvdlab.groebner import (
-    Ideal, buchberger, eliminate, ideal_contains,
+    Ideal, _Fractions, buchberger, eliminate, ideal_contains,
     ideal_equal, initial_ideal, intersect,
     is_generated_by_variables, is_square_free_monomial_ideal, krull_dimension,
     normal_form, radical_contains, radical_equal, s_polynomial,
@@ -36,7 +39,8 @@ def gb_texts(ideal, order=None):
 
 def test_s_polynomial_cancels_leading_terms():
     o = storage_order(XYZ)
-    s = s_polynomial(o, P("x^3 - 2*x*y"), P("x^2*y - 2*y^2 + x"))
+    f, g = (_Fractions.store(o, P(t)) for t in ("x^3 - 2*x*y", "x^2*y - 2*y^2 + x"))
+    s = Poly(XYZ, s_polynomial(_Fractions, f, g))
     assert s == P("-x^2")
 
 
@@ -128,6 +132,48 @@ def test_reduced_basis_matches_sympy_under_permuted_variables(texts, gens, spec,
     order = compile_order(XYZ, spec(gens))
     mine = {g.canonical() for g in I(*texts).groebner(order)}
     assert mine == _sympy_gb(texts, kind, gens)
+
+
+# ---------------------------------------------------------------------------
+# The coefficient-free path against the Fraction path.
+
+@st.composite
+def binomial_ideals(draw):
+    """A ring of 2 to 5 variables, an order of each kind on it, and
+    generators that are monomials and pure differences c*(m - m'): with
+    constants, differences m - 1, non-monic c, and scalar-multiple
+    duplicates."""
+    n = draw(st.integers(2, 5))
+    ring = Ring("x%d" % i for i in range(n))
+    mono = st.tuples(*[st.integers(0, 2)] * n)
+    coeff = st.tuples(st.integers(-3, 3).filter(bool), st.integers(1, 3)).map(
+        lambda t: Fraction(*t))
+    monomial = st.tuples(mono, coeff).map(lambda t: Poly(ring, {t[0]: t[1]}))
+    difference = st.tuples(mono, mono, coeff).filter(lambda t: t[0] != t[1]).map(
+        lambda t: Poly(ring, {t[0]: t[2], t[1]: -t[2]}))
+    gens = draw(st.lists(st.one_of(monomial, difference), min_size=1, max_size=4))
+    for k, c in draw(st.lists(st.tuples(st.integers(0, len(gens) - 1), coeff),
+                              max_size=2)):
+        gens.append(gens[k] * c)
+    names = tuple(draw(st.permutations(ring.names)))
+    cut = draw(st.integers(1, n - 1))
+    spec = draw(st.sampled_from([
+        Lex(names), GrLex(names), YFirst(names[0], Lex(names[1:])),
+        Elim(names[:cut], GrLex(names))]))
+    return ring, compile_order(ring, spec), gens
+
+
+@given(binomial_ideals(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_binomial_path_matches_the_fraction_path(case, data):
+    # the appended g_i + x*g_j lies in the ideal and has three or more
+    # terms, so the second run takes the Fraction path to the same basis
+    ring, order, gens = case
+    i, j = (data.draw(st.integers(0, len(gens) - 1)) for _ in range(2))
+    x = ring.var(data.draw(st.sampled_from(ring.names)))
+    extra = gens[i] + x * gens[j]
+    assume(len(extra.terms) >= 3)
+    assert buchberger(order, gens) == buchberger(order, gens + [extra])
 
 
 # ---------------------------------------------------------------------------
