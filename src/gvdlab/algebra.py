@@ -276,11 +276,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def term_mul(self, mono: tuple, coeff: Fraction) -> "Poly":
-        if coeff == 1:
-            return Poly(self.ring, {mono_mul(m, mono): c for m, c in self.terms.items()})
-        return Poly(self.ring, {mono_mul(m, mono): c * coeff for m, c in self.terms.items()})
-
     # -- structure ----------------------------------------------------------
 
     def canonical(self) -> tuple:
