@@ -30,6 +30,14 @@ Without binomials this is Alexander duality: a square-free monomial ideal
 is the intersection of its <W>.  ``tests/test_minimal_primes.py`` checks
 these facts with the general Groebner routines.  Anything outside this
 regime yields ``Inconclusive`` rather than a guess.
+
+So the components intersect to I exactly when I is radical, and
+``unmixedness_evidence`` decides that from the reduced basis where it can.
+A square-free initial ideal proves I radical.  A monomial m of the basis
+that is not square-free proves it is not, once its support monomial
+r = sqrt(m) has a nonzero normal form: m divides r^k for k the largest
+exponent of m, so r lies in the radical of I but not in I.  Only when
+neither applies are the components intersected.
 """
 
 from __future__ import annotations
@@ -43,7 +51,9 @@ from .algebra import (
     storage_order,
 )
 from .graphs import Graph, toric_dimension, universal_groebner_basis
-from .groebner import Ideal, ideal_equal, intersect, minimal_generators
+from .groebner import (
+    Ideal, ideal_equal, intersect, minimal_generators, normal_form,
+)
 
 __all__ = [
     "PrimeComponent", "UnmixednessEvidence", "SplitNotApplicable",
@@ -305,7 +315,11 @@ def unmixedness_evidence(I: Ideal, context: Optional[Graph] = None) -> Unmixedne
     (minimal primes are associated primes no matter what, so unequal
     dimensions always refute unmixedness).  When a non-radical ideal has
     equal-dimensional minimal primes, its embedded primes remain undecided
-    and the evidence is inconclusive with the dimensions attached.
+    and the evidence is inconclusive with the dimensions attached.  Whether
+    the split components intersect back to I is read off the reduced basis
+    when it has a square-free initial ideal (radical) or a witness
+    monomial (not radical; see the module docstring); otherwise they are
+    intersected.
     """
     rgb = I.groebner()
     base = base_evidence(rgb)
@@ -384,12 +398,19 @@ def unmixedness_evidence(I: Ideal, context: Optional[Graph] = None) -> Unmixedne
     # radical: equal to I exactly when I is radical.  A square-free initial
     # ideal proves that I is radical without intersecting: if f^k lies in I
     # for a nonzero f in normal form, then in(f)^k lies in the square-free
-    # in(I), so in(f) does too, and f was not in normal form.
+    # in(I), so in(f) does too, and f was not in normal form.  A witness
+    # monomial proves that I is not radical, again without intersecting.
     order = storage_order(I.ring)
     if all(mono_is_squarefree(initial_term(order, g).mono) for g in rgb):
         return UnmixednessEvidence("equal-dims",
                                    "all split components share one dimension",
                                    dims, tuple(comps))
+    not_radical = UnmixednessEvidence(
+        "inconclusive", "the minimal primes share one dimension but the ideal "
+        "is not their intersection, so embedded primes are undecided",
+        dims, tuple(comps))
+    if _non_radical_witness(order, rgb) is not None:
+        return not_radical
     radical = None
     for c in comps:
         P = c.ideal(I.ring)
@@ -398,7 +419,27 @@ def unmixedness_evidence(I: Ideal, context: Optional[Graph] = None) -> Unmixedne
         return UnmixednessEvidence("equal-dims",
                                    "all split components share one dimension",
                                    dims, tuple(comps))
-    return UnmixednessEvidence(
-        "inconclusive", "the minimal primes share one dimension but the ideal "
-        "is not their intersection, so embedded primes are undecided",
-        dims, tuple(comps))
+    return not_radical
+
+
+def _non_radical_witness(order, rgb: tuple) -> Optional[Poly]:
+    """A square-free monomial in the radical of the ideal with reduced basis
+    ``rgb`` but not in the ideal, read off the basis; None if none is found.
+
+    For a monomial m of the basis that is not square-free, its support
+    monomial r = sqrt(m) divides m, and m divides r^k for k the largest
+    exponent of m, so r lies in the radical.  When r also has a nonzero
+    normal form, r is not in the ideal, so the ideal is not radical.  The
+    minimal primes intersect to the radical (module docstring), so then
+    they do not intersect to the ideal.
+    """
+    for g in rgb:
+        if not g.is_monomial():
+            continue
+        (m, _), = g.terms.items()
+        if mono_is_squarefree(m):
+            continue
+        r = Poly(g.ring, {tuple(1 if e else 0 for e in m): ONE})
+        if not normal_form(order, r, rgb).is_zero():
+            return r
+    return None

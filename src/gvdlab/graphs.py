@@ -5,7 +5,12 @@ binomials of closed even walks.  Its universal Groebner basis is the set of
 primitive walk binomials: the Graver basis of the integer kernel of the
 vertex-edge incidence matrix.  For a bipartite graph that basis is the set
 of its even cycles, listed directly; for any other graph it comes from
-Pottier completion of a lattice basis of the kernel.  The graph operations
+Pottier completion of a lattice basis of the kernel.  A graph cut from
+another by ``delete_edges`` remembers it, and takes its basis from a cached
+ancestor's: the Graver elements that avoid the deleted edges, which are
+exactly the subgraph's (the proof is in ``universal_groebner_basis``).  So
+the decomposability search, whose contexts are all edge deletions of one
+graph, completes only that graph.  The graph operations
 that interact well with these ideals -- leaf removal, even-cycle gluing,
 disjoint union, gap-freeness and 4-cycle tests -- live here too.
 """
@@ -38,9 +43,10 @@ class Graph:
     """A finite simple graph with named vertices and named edges.
 
     Edge names double as polynomial ring variables, in listed order.
+    ``parent`` is the graph that ``delete_edges`` cut this one from, or None.
     """
 
-    __slots__ = ("vertices", "edges", "_ends", "_adj", "_labels")
+    __slots__ = ("vertices", "edges", "_ends", "_adj", "_labels", "parent")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Sequence[str]]):
         self.vertices = tuple(vertices)
@@ -72,6 +78,7 @@ class Graph:
             adj[u].append((label, v))
             adj[v].append((label, u))
         self._adj = adj
+        self.parent = None
 
     # -- basic queries -------------------------------------------------------
 
@@ -107,7 +114,9 @@ class Graph:
         unknown = drop - set(self._labels)
         if unknown:
             raise KeyError("no such edges: %s" % sorted(unknown))
-        return Graph(self.vertices, [e for e in self.edges if e[0] not in drop])
+        H = Graph(self.vertices, [e for e in self.edges if e[0] not in drop])
+        H.parent = self
+        return H
 
     def delete_vertices(self, vs: Iterable[str]) -> "Graph":
         drop = set(vs)
@@ -435,6 +444,27 @@ def universal_groebner_basis(G: Graph) -> tuple:
     graph structure, since the decomposability search revisits the same
     subgraphs many times; past ``_UGB_CACHE_SIZE`` entries the oldest is
     dropped.
+
+    On a miss, a graph cut from others by ``delete_edges`` takes the basis
+    of its nearest ancestor in the cache: the binomials that avoid the
+    deleted edges, renamed into G's ring.  Only a graph with no cached
+    ancestor calls ``graver_basis``.  This gives the same tuple:
+
+    - The same vectors.  The ancestor A has G's vertices and a superset of
+      its edges, so ker G is the slice of ker A that is zero on the deleted
+      edges.  A vector v conformally below u has support inside u's, so for
+      u in that slice the vectors conformally below u are the same in
+      either kernel, and u is minimal in one exactly when it is minimal in
+      the other.  The Graver basis of G is the members of A's that are
+      zero on the deleted edges (Sturmfels, *Groebner Bases and Convex
+      Polytopes*, 1996, ch. 4).
+    - The same orientation.  A vector is oriented by comparing the degree
+      and then the exponent tuple of its positive and negative parts.
+      Dropping a coordinate where both parts are zero changes neither
+      degree, and drops a position where the two tuples agree, so the
+      first position where they differ, and the comparison, stay.
+    - The same order and terms.  Renaming keeps each binomial's terms in
+      their order, and the result is sorted by the key used here.
     """
     if not G.edges:
         return ()
@@ -443,13 +473,31 @@ def universal_groebner_basis(G: Graph) -> tuple:
     if hit is not None:
         return hit
     ring = G.edge_ring()
-    polys = [vector_to_binomial(ring, u) for u in graver_basis(G)]
+    polys = _restricted_basis(G, ring)
+    if polys is None:
+        polys = [vector_to_binomial(ring, u) for u in graver_basis(G)]
     polys.sort(key=lambda f: (f.total_degree(), f.canonical()))
     out = tuple(polys)
     if len(_UGB_CACHE) >= _UGB_CACHE_SIZE:
         del _UGB_CACHE[next(iter(_UGB_CACHE))]
     _UGB_CACHE[key] = out
     return out
+
+
+def _restricted_basis(G: Graph, ring: Ring):
+    """The cached basis of G's nearest ancestor, restricted to G's edges
+    and renamed into ``ring``; None when no ancestor is cached."""
+    A = G.parent
+    while A is not None:
+        hit = _UGB_CACHE.get((A.vertices, A.edges))
+        if hit is not None:
+            kept = set(G.edge_labels)
+            dropped = [i for i, label in enumerate(A.edge_labels)
+                       if label not in kept]
+            return [f.rename(ring) for f in hit
+                    if not any(m[i] for m in f.terms for i in dropped)]
+        A = A.parent
+    return None
 
 
 def toric_ideal(G: Graph) -> Ideal:

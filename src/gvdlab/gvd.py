@@ -16,6 +16,7 @@ replay checks it literally.
 from __future__ import annotations
 
 import re
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Optional
 
@@ -694,6 +695,12 @@ def gvd_disjoint_union(G: Graph, H: Graph,
 # ---------------------------------------------------------------------------
 # Certificate replay.
 
+# The verified nodes of the replay in progress, or None outside a replay.
+# Replay recurses through ``replay_certificate`` itself, so the memo is held
+# here for the length of one top-level call rather than passed along.
+_REPLAYED: ContextVar = ContextVar("gvdlab_replayed", default=None)
+
+
 def replay_certificate(I: Ideal, cert: GvdCertificate,
                        context: Optional[Graph] = None) -> bool:
     """Re-verify a stored certificate from scratch.
@@ -706,7 +713,37 @@ def replay_certificate(I: Ideal, cert: GvdCertificate,
     re-decided by running the certifier afresh and comparing verdicts.
     Returns True when everything matches; a malformed node (an unknown
     variable or order, a missing child) does not.
+
+    The search shares one node among every branch that reaches the same
+    ideal and context, so a tree can hold a node many times.  Within one
+    top-level call each node is verified once per ideal and context (the
+    ring's names, the reduced basis, the context's key), and its other
+    occurrences reuse that result.
     """
+    if _REPLAYED.get() is not None:
+        return _replay(I, cert, context)
+    token = _REPLAYED.set({})
+    try:
+        return _replay(I, cert, context)
+    finally:
+        _REPLAYED.reset(token)
+
+
+def _replay_once(I: Ideal, cert: GvdCertificate, context: Optional[Graph]) -> bool:
+    """``replay_certificate`` on a child node, once per distinct (ideal,
+    node, context) within the replay in progress."""
+    memo = _REPLAYED.get()
+    key = (I.ring.names, tuple(g.canonical() for g in I.groebner()),
+           _context_key(I, context), id(cert))
+    got = memo.get(key)
+    if got is None:
+        # The node is stored with its result, so its id is not reused by
+        # another node while the memo lives.
+        got = memo[key] = (cert, replay_certificate(I, cert, context))
+    return got[1]
+
+
+def _replay(I: Ideal, cert: GvdCertificate, context: Optional[Graph]) -> bool:
     if (not isinstance(cert, GvdCertificate)
             or tuple(cert.ring_names) != I.ring.names):
         return False
@@ -740,5 +777,5 @@ def replay_certificate(I: Ideal, cert: GvdCertificate,
             or split.degenerate() != cert.degenerate):
         return False
     child_ctx = _child_context(context, cert.y)
-    return (replay_certificate(contract(split.C, cert.y), cert.child_c, child_ctx)
-            and replay_certificate(contract(split.N, cert.y), cert.child_n, child_ctx))
+    return (_replay_once(contract(split.C, cert.y), cert.child_c, child_ctx)
+            and _replay_once(contract(split.N, cert.y), cert.child_n, child_ctx))

@@ -212,6 +212,66 @@ def test_universal_basis_cache_is_capped_and_drops_the_oldest(monkeypatch):
     assert calls == [a, b, c, a] and len(graphs._UGB_CACHE) == 2
 
 
+def completed_basis(H):
+    """The universal basis of a fresh copy of H, with no parent to restrict
+    from, built from ``graver_basis`` and sorted as the library sorts it."""
+    fresh = Graph(H.vertices, H.edges)
+    assert fresh.parent is None
+    ring = fresh.edge_ring()
+    polys = [vector_to_binomial(ring, u) for u in graver_basis(fresh)]
+    return tuple(sorted(polys, key=lambda f: (f.total_degree(), f.canonical())))
+
+
+def test_restricted_basis_is_the_completed_one(monkeypatch):
+    # Every one- and two-edge deletion, restricted from the root (directly,
+    # and past an ancestor with no cached basis) and from a restricted
+    # one-edge deletion, against the basis of a fresh copy.
+    roots = [to_graph(n, edges) for n, edges in connected_graphs(7)]
+    roots += [complete_graph(5), two_k4_sharing_vertex()]
+    completions = []
+    monkeypatch.setattr(graphs, "graver_basis", completions.append)
+    expected, compared = {}, 0
+
+    def check(H):
+        nonlocal compared
+        want = expected.get(H.edges)
+        if want is None:
+            want = expected[H.edges] = completed_basis(H)
+        got = universal_groebner_basis(H)
+        assert not completions
+        assert got == want
+        assert [list(f.terms) for f in got] == [list(f.terms) for f in want]
+        compared += 1
+
+    for G in roots:
+        expected.clear()
+        labels = G.edge_labels
+        root = {(G.vertices, G.edges): completed_basis(G)}
+        monkeypatch.setattr(graphs, "_UGB_CACHE", dict(root))
+        for i, a in enumerate(labels):
+            for b in labels[i + 1:]:
+                check(G.delete_edges([a]).delete_edges([b]))
+        monkeypatch.setattr(graphs, "_UGB_CACHE", dict(root))
+        for i, a in enumerate(labels):
+            H = G.delete_edges([a])
+            check(H)
+            for b in labels[i + 1:]:
+                check(H.delete_edges([b]))
+    assert compared == 5607
+
+
+def test_subgraph_without_cached_ancestor_completes_once(monkeypatch):
+    calls = []
+    real = graphs.graver_basis
+    monkeypatch.setattr(graphs, "graver_basis", lambda G: calls.append(G) or real(G))
+    monkeypatch.setattr(graphs, "_UGB_CACHE", {})
+    H = complete_graph(5).delete_edges(["e1"])
+    assert universal_groebner_basis(H)
+    assert universal_groebner_basis(H.delete_edges(["e2"]))
+    assert universal_groebner_basis(H.delete_edges(["e3"]).delete_edges(["e4"]))
+    assert calls == [H]
+
+
 def test_two_triangles_bridged_is_principal():
     assert texts(universal_groebner_basis(two_triangles_bridged())) == [
         "e1*e4^2*e6*e7 - e2*e3*e5^2*e8"]

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from gvdlab import components, graphs, gvd
 from gvdlab.algebra import Ring, lex_order, parse_poly
 from gvdlab.components import UnmixednessEvidence
 from gvdlab.graphs import Graph, complete_graph, cycle_graph, toric_ideal
@@ -262,12 +263,29 @@ def test_gvd_refutes_benchmark_c_side():
     assert replay_certificate(J, cert, context=sub)
 
 
-def test_gvd_refutes_the_benchmark_and_replays():
+def test_gvd_refutes_the_benchmark_and_replays(monkeypatch):
     # The paper's non-GVD example, two K4s sharing a vertex.
     G = two_k4_sharing_vertex()
     J = toric_ideal(G)
+    calls = {"intersect": 0, "graver_completion": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(components, "intersect")
+    counted(graphs, "graver_completion")
     cert = is_gvd(J, context=G)
+    monkeypatch.undo()
     assert cert.verdict == "not-gvd"
+    # The witness settles every non-radical step, and each context's
+    # universal basis is restricted from the graph's.
+    assert calls["intersect"] == 0
+    assert calls["graver_completion"] <= 1
     assert replay_certificate(J, cert, context=G)
 
 
@@ -348,6 +366,52 @@ def test_replay_rejects_tampered_certificate():
     for tamper in [dict(y="zz"), dict(order={"type": "nope"}),
                    dict(child_c=None)]:
         assert not replay_certificate(J, replace(cert, **tamper), context=G)
+
+
+def tree_nodes(cert) -> list:
+    """Every occurrence of a node in the tree, C before N."""
+    if cert is None:
+        return []
+    return [cert] + tree_nodes(cert.child_c) + tree_nodes(cert.child_n)
+
+
+def swap_last(cert, target, new):
+    """The tree with the last occurrence of ``target`` replaced by ``new``,
+    and whether one was found."""
+    if cert is target:
+        return new, True
+    if cert is None:
+        return cert, False
+    for field in ("child_n", "child_c"):
+        child, found = swap_last(getattr(cert, field), target, new)
+        if found:
+            return replace(cert, **{field: child}), True
+    return cert, False
+
+
+def test_replay_verifies_each_shared_node_once(monkeypatch):
+    G = cycle_graph(6)
+    J = toric_ideal(G)
+    cert = is_gvd(J, context=G)
+    nodes = tree_nodes(cert)
+    assert len(nodes) == 33 and len({id(c) for c in nodes}) == 8
+    calls = []
+    real = gvd.replay_certificate
+    monkeypatch.setattr(gvd, "replay_certificate",
+                        lambda I, c, context=None: calls.append(c) or real(I, c, context))
+    assert gvd.replay_certificate(J, cert, context=G)
+    assert len(calls) == 8
+    monkeypatch.undo()
+    # A copy of a shared node at its last occurrence is checked on its own:
+    # accepted as it is, rejected once tampered.
+    shared = next(c for c in nodes
+                  if c.kind == "decomposition" and sum(d is c for d in nodes) > 1)
+    copy = shared.rename({})
+    assert replay_certificate(J, swap_last(cert, shared, copy)[0], context=G)
+    object.__setattr__(copy, "degenerate", not shared.degenerate)
+    assert not replay_certificate(J, swap_last(cert, shared, copy)[0], context=G)
+    # One node under both branches is checked against each branch's ideal.
+    assert not replay_certificate(J, replace(cert, child_n=cert.child_c), context=G)
 
 
 def test_replay_rejects_an_order_that_is_not_y_compatible():
