@@ -284,43 +284,36 @@ def memoised(memo: dict, key, ring_names: tuple, certify) -> GvdCertificate:
     return cert
 
 
-def certify_step(I: Ideal, y: str, context: Optional[Graph], cited: str,
-                 expected_c: Optional[Ideal], expected_n: Ideal,
+def certify_step(I: Ideal, y: str, context: Optional[Graph], cited,
                  certify_c, certify_n) -> GvdCertificate:
-    """One node of a structural certifier, which has chosen the variable y
-    and knows what the two branches must be.
+    """One node of a structural certifier, which has chosen the variable y.
 
-    Unmixedness is computed over ``context``; where the computation is
-    inconclusive the node cites the structural theorem ``cited`` instead.
-    The identity must hold at y, and the contracted branches must
-    equal ``expected_c`` and ``expected_n`` (ideals of the ring without y;
-    ``expected_c`` is None when C must be the unit ideal), which
-    ``certify_c()`` and ``certify_n()`` certify.  A degenerate step,
-    where y is absent (C = N) or lies in I (C is the unit ideal), certifies
-    N only: C reuses N's certificate or is the unit leaf, and a refuted N
-    refutes I.  Any failed check is reported as inconclusive.
+    The step is the split of I itself at y, which must be square-free in y
+    (see ``CnSplit``); ``certify_c(C)`` and ``certify_n(N)`` certify the
+    contracted branches.  So a structure that describes I wrongly can only
+    make the node inconclusive.  A degenerate step, where y is absent
+    (C = N) or lies in I (C is the unit ideal), certifies N only: C reuses
+    N's certificate or is the unit leaf, and a refuted N refutes I.
+    Unmixedness is computed over ``context``; where that is inconclusive,
+    ``cited()`` gives the detail of the structural theorem to cite, or
+    None when I is not the ideal the theorem describes.
     """
     names = I.ring.names
     ev = unmixedness_evidence(I, context)
     if ev.refuted:
         return _refutation(names, ev)
     if not ev.conclusive_unmixed:
-        ev = UnmixednessEvidence("cited", cited)
+        detail = cited()
+        if detail is not None:
+            ev = UnmixednessEvidence("cited", detail)
     split = cn_split(I, y)
     if not split.square_free_in_y:
         return inconclusive(names, "decomposition identity failed at %s"
                                    % var_placeholder(names, y))
     n_branch = contract(split.N, y)
     c_branch = n_branch if split.C.gens == split.N.gens else contract(split.C, y)
-    if expected_c is None:
-        c_matches = c_branch.is_unit_ideal()
-    else:
-        c_matches = ideal_equal(c_branch, expected_c)
-    if not (c_matches and ideal_equal(n_branch, expected_n)):
-        return inconclusive(names, "split branches do not match the expected "
-                                   "ideals at %s" % var_placeholder(names, y))
     if c_branch is n_branch or c_branch.is_unit_ideal():
-        cert_n = certify_n()
+        cert_n = certify_n(n_branch)
         cert_c = cert_n if c_branch is n_branch else base_certificate(c_branch)
         if cert_n.verdict == "not-gvd":
             return GvdCertificate(
@@ -328,8 +321,8 @@ def certify_step(I: Ideal, y: str, context: Optional[Graph], cited: str,
                 failures=((y, "the surviving branch of the degenerate step "
                               "is certified not decomposable"),))
     else:
-        cert_c = certify_c()
-        cert_n = certify_n()
+        cert_c = certify_c(c_branch)
+        cert_n = certify_n(n_branch)
     if cert_c.verdict == "gvd" and cert_n.verdict == "gvd":
         return _decomposition(names, ev, split, cert_c, cert_n)
     return inconclusive(names, "a branch at %s did not certify (C: %s, N: %s)"
@@ -708,8 +701,9 @@ def replay_certificate(I: Ideal, cert: GvdCertificate,
     Certified-decomposable trees are replayed node by node: base-case kinds
     are recomputed, every decomposition identity is checked literally by
     ``check_decomposition`` for C and N under the recorded order, the
-    degeneracy flag is re-derived, and unmixedness evidence is recomputed
-    and must be conclusive again.  Certificates with other verdicts are
+    degeneracy flag is re-derived, unmixedness evidence is recomputed and
+    must be conclusive again, and a disjoint union must split the reduced
+    basis over its children's rings.  Certificates with other verdicts are
     re-decided by running the certifier afresh and comparing verdicts.
     Returns True when everything matches; a malformed node (an unknown
     variable or order, a missing child) does not.
@@ -747,9 +741,11 @@ def _replay(I: Ideal, cert: GvdCertificate, context: Optional[Graph]) -> bool:
     if (not isinstance(cert, GvdCertificate)
             or tuple(cert.ring_names) != I.ring.names):
         return False
-    if cert.verdict != "gvd" or cert.kind == "disjoint-union":
+    if cert.verdict != "gvd":
         fresh = is_gvd(I, context=context)
         return fresh.verdict == cert.verdict
+    if cert.kind == "disjoint-union":
+        return _replay_factors(I, cert, context)
     if cert.kind in ("zero", "unit", "variables"):
         base = base_certificate(I)
         return (base is not None and base.kind == cert.kind
@@ -779,3 +775,26 @@ def _replay(I: Ideal, cert: GvdCertificate, context: Optional[Graph]) -> bool:
     child_ctx = _child_context(context, cert.y)
     return (_replay_once(contract(split.C, cert.y), cert.child_c, child_ctx)
             and _replay_once(contract(split.N, cert.y), cert.child_n, child_ctx))
+
+
+def _replay_factors(I: Ideal, cert: GvdCertificate,
+                    context: Optional[Graph]) -> bool:
+    """A "gvd" disjoint union: the children's rings partition the node's
+    ring and every reduced-basis element lies in one of them, so I is the
+    sum of the two factors, and each factor replays against its child."""
+    kids = (cert.child_c, cert.child_n)
+    if not all(isinstance(c, GvdCertificate) for c in kids):
+        return False
+    factors = [tuple(c.ring_names) for c in kids]
+    if sorted(factors[0] + factors[1]) != sorted(I.ring.names):
+        return False
+    sides = [{I.ring.vidx(v) for v in f} for f in factors]
+    gens = ([], [])
+    for g in I.groebner():
+        inside = [set(g.support()) <= side for side in sides]
+        if not any(inside):
+            return False
+        gens[inside.index(True)].append(g)
+    return all(_replay_once(Ideal(I.ring, gs).rename(Ring(f)), c,
+                            _restrict_context(context, f))
+               for gs, f, c in zip(gens, factors, kids))

@@ -5,6 +5,8 @@ from itertools import permutations
 
 import pytest
 
+from gvdlab import bipartite, gvd
+from gvdlab.algebra import lex_order
 from gvdlab.bipartite import (
     EMPTY_POM, PathOrderedMatching, bipartite_ideal, certify_bipartite_gvd,
     find_path_ordered_matchings, right_extendable, validate_pom,
@@ -13,7 +15,7 @@ from gvdlab.graphs import (
     complete_bipartite, complete_graph, cycle_graph, disjoint_union,
     ferrers_graph, path_graph, toric_ideal,
 )
-from gvdlab.groebner import Ideal, ideal_equal
+from gvdlab.groebner import Ideal, ideal_equal, is_square_free_groebner_basis
 from gvdlab.gvd import is_gvd, replay_certificate
 from gvdlab.components import UnmixednessEvidence
 from gvdlab.util import Budget
@@ -157,11 +159,15 @@ def test_matching_ideal_in_the_smaller_ring():
 
 
 def test_natural_generators_verify_as_groebner_everywhere():
-    # construction re-checks the Groebner property and square-freeness of
-    # the initial ideal; any failure raises
+    # The natural generators are a Groebner basis under lex with the
+    # matching edges first, newest greatest, and the initial ideal is
+    # square-free.
     for G in (C6, K23, K33):
         for pom in find_path_ordered_matchings(G, 4):
-            bipartite_ideal(G, pom)
+            I = bipartite_ideal(G, pom)
+            rest = [e for e in I.ring.names if e not in pom.edges]
+            order = lex_order(I.ring, list(reversed(pom.edges)) + rest)
+            assert I.gens and is_square_free_groebner_basis(order, I)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +212,47 @@ def test_cited_unmixedness_replays():
     object.__setattr__(cert, "unmixedness",
                        UnmixednessEvidence("cited", "structural theorem"))
     assert replay_certificate(toric_ideal(C6), cert, context=C6)
+
+
+def test_every_node_is_handed_its_matching_ideal(monkeypatch):
+    # The certifier splits the ideal it holds and never builds the matching
+    # ideal; on this corpus the two agree at every node.
+    seen = []
+    real = bipartite._certify_node
+
+    def record(H, pom, I, budget, memo):
+        seen.append((H, pom, I))
+        return real(H, pom, I, budget, memo)
+
+    monkeypatch.setattr(bipartite, "_certify_node", record)
+    graphs = [to_graph(n, edges) for n, edges in connected_graphs(7)]
+    graphs = [G for G in graphs if G.is_bipartite()]
+    assert len(graphs) == 68
+    for G in graphs + [K33, ferrers_graph((3, 2, 1))]:
+        assert certify_bipartite_gvd(G).verdict == "gvd"
+    monkeypatch.undo()
+    assert len(seen) > len(graphs) + 2
+    for H, pom, I in seen:
+        assert ideal_equal(I, bipartite_ideal(H, pom, I.ring))
+
+
+def test_cited_only_for_the_described_ideal(monkeypatch):
+    # With no computed evidence, a node cites the theorem for its matching
+    # ideal, and only for it.
+    monkeypatch.setattr(gvd, "unmixedness_evidence",
+                        lambda I, context=None: UnmixednessEvidence("inconclusive", "forced"))
+    memo = {}
+    cert = bipartite._certify_node(C6, EMPTY_POM, toric_ideal(C6), Budget(None), memo)
+    assert cert.verdict == "gvd"
+    assert cert.unmixedness.to_json_dict(cert.ring_names) == {
+        "status": "cited", "detail": bipartite.CITED_DETAIL}
+    # The same structure with another ideal, and the memo of the first.
+    ring = C6.edge_ring()
+    other = Ideal(ring, [ring.monomial({"e1": 1, "e3": 1})])
+    cert = bipartite._certify_node(C6, EMPTY_POM, other, Budget(None), memo)
+    assert cert.verdict == "inconclusive" and cert.y == "e1"
+    assert cert.unmixedness.status == "inconclusive"
+    assert "unmixedness evidence is inconclusive" in cert.reason
 
 
 def test_exhausted_budget_is_inconclusive():

@@ -3,7 +3,9 @@ checks, and the quadratic certification pipeline."""
 
 import pytest
 
+from gvdlab import ef, gvd
 from gvdlab.algebra import initial_term, lex_order, mono_is_squarefree
+from gvdlab.components import UnmixednessEvidence
 from gvdlab.ef import (
     check_statements_ABC, ef_ideal, ef_tree, label_order, quadratic_pipeline,
     squarefree_lex_initial, tree_nodes,
@@ -17,6 +19,7 @@ from gvdlab.gvd import is_gvd, replay_certificate
 from gvdlab.util import Budget, seeded_rng
 
 from fixtures import two_k4_sharing_vertex
+from graph_corpus import connected_graphs, to_graph
 
 C4 = cycle_graph(4)
 C6 = cycle_graph(6)
@@ -185,6 +188,61 @@ def test_quadratic_pipeline_evidence_is_computed():
     found = statuses(quadratic_pipeline(K4), set())
     assert "cited" not in found
     assert "inconclusive" not in found
+
+
+def quadratic_graphs() -> list:
+    graphs = [to_graph(n, edges) for n, edges in connected_graphs(7)]
+    return [G for G in graphs
+            if all(g.total_degree() == 2 for g in universal_groebner_basis(G))]
+
+
+def test_quadratic_bases_are_doubly_square_free():
+    graphs = quadratic_graphs()
+    assert len(graphs) == 122
+    for G in graphs + [K4]:
+        for g in universal_groebner_basis(G):
+            assert all(mono_is_squarefree(m) for m in g.terms), g
+
+
+def test_every_quadratic_node_is_variables_plus_a_toric_ideal(monkeypatch):
+    # The pipeline splits the ideal it holds; on this corpus that ideal is
+    # always the node's shadow variables plus the toric ideal of the graph
+    # without them and without the first k edges.
+    seen = []
+    real = ef._quadratic_node
+
+    def record(G, E, F, I, budget):
+        seen.append((G, E, F, I))
+        return real(G, E, F, I, budget)
+
+    monkeypatch.setattr(ef, "_quadratic_node", record)
+    graphs = quadratic_graphs() + [K4]
+    for G in graphs:
+        assert quadratic_pipeline(G).verdict == "gvd"
+    monkeypatch.undo()
+    assert len(seen) > len(graphs)
+    for G, E, F, I in seen:
+        ring = I.ring
+        shadow = [g for g in ef._natural_generators(G, E, F, ring) if g.is_monomial()]
+        assert all(g.is_variable() for g in shadow)
+        names = tuple(ring.names[g.support()[0]] for g in shadow)
+        toric = universal_groebner_basis(G.delete_edges(E + F + names))
+        collapsed = [g.rename(ring) for g in toric] + [ring.var(v) for v in names]
+        assert ideal_equal(I, Ideal(ring, collapsed))
+
+
+def test_quadratic_cites_only_for_the_described_ideal(monkeypatch):
+    monkeypatch.setattr(gvd, "unmixedness_evidence",
+                        lambda I, context=None: UnmixednessEvidence("inconclusive", "forced"))
+    cert = quadratic_pipeline(K4)
+    assert cert.verdict == "gvd"
+    assert cert.unmixedness.status == "cited"
+    assert cert.unmixedness.detail == ef.QUADRATIC_CITED_DETAIL
+    ring = C4.edge_ring()
+    other = Ideal(ring, [ring.monomial({"e1": 1, "e3": 1})])
+    cert = ef._quadratic_node(C4, (), (), other, Budget(None))
+    assert cert.verdict == "inconclusive" and cert.y == "e1"
+    assert cert.unmixedness.status == "inconclusive"
 
 
 def test_quadratic_pipeline_budget():

@@ -8,7 +8,9 @@ import pytest
 from gvdlab import components, graphs, gvd
 from gvdlab.algebra import Ring, lex_order, parse_poly
 from gvdlab.components import UnmixednessEvidence
-from gvdlab.graphs import Graph, complete_graph, cycle_graph, toric_ideal
+from gvdlab.graphs import (
+    Graph, complete_bipartite, complete_graph, cycle_graph, toric_ideal,
+)
 from gvdlab.groebner import Ideal, contract, ideal_equal
 from gvdlab.gvd import (
     GvdCertificate, base_certificate, check_decomposition, cn_split,
@@ -412,6 +414,47 @@ def test_replay_verifies_each_shared_node_once(monkeypatch):
     assert not replay_certificate(J, swap_last(cert, shared, copy)[0], context=G)
     # One node under both branches is checked against each branch's ideal.
     assert not replay_certificate(J, replace(cert, child_n=cert.child_c), context=G)
+
+
+def test_replay_checks_a_disjoint_union_node_by_node(monkeypatch):
+    G = complete_bipartite(3, 3)
+    J = toric_ideal(G)
+    cert = is_gvd(J, context=G)
+    nodes = tree_nodes(cert)
+    union = next(c for c in nodes if c.kind == "disjoint-union")
+    assert union.verdict == "gvd"
+    calls = []
+    real = gvd.replay_certificate
+    monkeypatch.setattr(gvd, "replay_certificate",
+                        lambda I, c, context=None: calls.append(c) or real(I, c, context))
+    monkeypatch.setattr(gvd, "is_gvd", None)  # replay must not search
+    assert gvd.replay_certificate(J, cert, context=G)
+    assert len(calls) == len({id(c) for c in nodes}) == 12
+    monkeypatch.undo()
+    # A tampered leaf under the union is checked, and so is the partition.
+    leaf = next(c for c in (union.child_c, union.child_n) if c.kind == "variables")
+    field = "child_c" if leaf is union.child_c else "child_n"
+    forged = replace(union, **{field: replace(leaf, variables=leaf.variables[1:])})
+    assert not replay_certificate(J, swap_last(cert, union, forged)[0], context=G)
+    forged = replace(union, child_n=union.child_c)
+    assert not replay_certificate(J, swap_last(cert, union, forged)[0], context=G)
+
+
+def test_replay_rejects_a_union_that_does_not_split_the_basis():
+    J = I("x*y", ring=Ring(["x", "y"]))
+    forged = GvdCertificate(
+        "disjoint-union", "gvd", J.ring.names,
+        child_c=base_certificate(Ideal.zero(Ring(["x"]))),
+        child_n=base_certificate(Ideal.zero(Ring(["y"]))))
+    assert not replay_certificate(J, forged)
+    # The basis splits, but the children's rings overlap in y.
+    J = I("x*y", ring=Ring(["x", "y", "z"]))
+    XY = Ring(["x", "y"])
+    forged = replace(forged, ring_names=J.ring.names,
+                     child_c=is_gvd(I("x*y", ring=XY)),
+                     child_n=base_certificate(Ideal.zero(Ring(["y", "z"]))))
+    assert forged.child_c.verdict == "gvd"
+    assert not replay_certificate(J, forged)
 
 
 def test_replay_rejects_an_order_that_is_not_y_compatible():

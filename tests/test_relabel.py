@@ -131,14 +131,13 @@ def renamed_reason(cert) -> tuple:
 
 
 def test_rename_reaches_the_reason_of_a_failed_structural_step():
-    # C must be the unit ideal here, but the split at e1 gives C = <e3>.
-    G = cycle_graph(4)
-    I = toric_ideal(G)
-    cert = certify_step(I, "e1", G, "cited", None, I, None, None)
+    # The basis of <x^2 - y*z> has x-degree 2, so the step at x fails.
+    ring = Ring(["x", "y", "z"])
+    I = Ideal(ring, [parse_poly(ring, "x^2 - y*z")])
+    cert = certify_step(I, "x", None, lambda: None, None, None)
     assert cert.verdict == "inconclusive"
-    assert renamed_reason(cert) == (
-        "split branches do not match the expected ideals at e1",
-        "split branches do not match the expected ideals at ze1")
+    assert renamed_reason(cert) == ("decomposition identity failed at x",
+                                    "decomposition identity failed at zx")
 
 
 def test_rename_reaches_the_reason_of_a_starved_search():
