@@ -36,7 +36,7 @@ from typing import Optional
 
 from .algebra import Ring
 from .graphs import Graph, universal_groebner_basis
-from .groebner import Ideal, ideal_contains, ideal_equal
+from .groebner import Ideal, ideal_contains
 from .gvd import (
     GvdCertificate, base_certificate, certify_step, inconclusive, memoised,
 )
@@ -307,11 +307,8 @@ def _node(G: Graph, pom: PathOrderedMatching, I: Ideal, budget: Budget,
         # the structure describes.
         c_graph, c_pom = n_graph, pom
 
-    def cited():
-        described = bipartite_ideal(G, pom, ring)
-        return CITED_DETAIL if ideal_equal(I, described) else None
-
     return certify_step(
-        I, y, G.delete_edges(pom.edges), cited,
+        I, y, G.delete_edges(pom.edges), CITED_DETAIL,
+        lambda: bipartite_ideal(G, pom, ring),
         lambda C: _certify_node(c_graph, c_pom, C, budget, memo),
         lambda N: _certify_node(n_graph, pom, N, budget, memo))

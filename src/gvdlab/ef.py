@@ -377,12 +377,9 @@ def _quadratic_node(G: Graph, E: tuple, F: tuple, I: Ideal,
     if base is not None:
         return base
 
-    def cited():
-        described = Ideal(ring, _natural_generators(G, E, F, ring))
-        return QUADRATIC_CITED_DETAIL if ideal_equal(I, described) else None
-
     y = G.edge_labels[len(E) + len(F)]
     return certify_step(
-        I, y, G.delete_edges(E + F), cited,
+        I, y, G.delete_edges(E + F), QUADRATIC_CITED_DETAIL,
+        lambda: Ideal(ring, _natural_generators(G, E, F, ring)),
         lambda C: _quadratic_node(G, E + (y,), F, C, budget),
         lambda N: _quadratic_node(G, E, F + (y,), N, budget))

@@ -284,8 +284,8 @@ def memoised(memo: dict, key, ring_names: tuple, certify) -> GvdCertificate:
     return cert
 
 
-def certify_step(I: Ideal, y: str, context: Optional[Graph], cited,
-                 certify_c, certify_n) -> GvdCertificate:
+def certify_step(I: Ideal, y: str, context: Optional[Graph], theorem: str,
+                 described, certify_c, certify_n) -> GvdCertificate:
     """One node of a structural certifier, which has chosen the variable y.
 
     The step is the split of I itself at y, which must be square-free in y
@@ -295,17 +295,15 @@ def certify_step(I: Ideal, y: str, context: Optional[Graph], cited,
     (C = N) or lies in I (C is the unit ideal), certifies N only: C reuses
     N's certificate or is the unit leaf, and a refuted N refutes I.
     Unmixedness is computed over ``context``; where that is inconclusive,
-    ``cited()`` gives the detail of the structural theorem to cite, or
-    None when I is not the ideal the theorem describes.
+    the node cites ``theorem`` (the detail of the structural result) only
+    if I equals ``described()``, the ideal the theorem is about.
     """
     names = I.ring.names
     ev = unmixedness_evidence(I, context)
     if ev.refuted:
         return _refutation(names, ev)
-    if not ev.conclusive_unmixed:
-        detail = cited()
-        if detail is not None:
-            ev = UnmixednessEvidence("cited", detail)
+    if not ev.conclusive_unmixed and ideal_equal(I, described()):
+        ev = UnmixednessEvidence("cited", theorem)
     split = cn_split(I, y)
     if not split.square_free_in_y:
         return inconclusive(names, "decomposition identity failed at %s"
@@ -704,7 +702,8 @@ def replay_certificate(I: Ideal, cert: GvdCertificate,
     degeneracy flag is re-derived, unmixedness evidence is recomputed and
     must be conclusive again, and a disjoint union must split the reduced
     basis over its children's rings.  Certificates with other verdicts are
-    re-decided by running the certifier afresh and comparing verdicts.
+    re-decided by running the certifier afresh and comparing verdicts, so
+    every child of a "gvd" node must itself be "gvd".
     Returns True when everything matches; a malformed node (an unknown
     variable or order, a missing child) does not.
 
@@ -744,6 +743,12 @@ def _replay(I: Ideal, cert: GvdCertificate, context: Optional[Graph]) -> bool:
     if cert.verdict != "gvd":
         fresh = is_gvd(I, context=context)
         return fresh.verdict == cert.verdict
+    if cert.kind in ("decomposition", "disjoint-union") and not all(
+            isinstance(c, GvdCertificate) and c.verdict == "gvd"
+            for c in (cert.child_c, cert.child_n)):
+        # Both parts of a decomposable node must be decomposable; a child
+        # with another verdict would only be re-decided, not checked.
+        return False
     if cert.kind == "disjoint-union":
         return _replay_factors(I, cert, context)
     if cert.kind in ("zero", "unit", "variables"):
@@ -783,8 +788,6 @@ def _replay_factors(I: Ideal, cert: GvdCertificate,
     ring and every reduced-basis element lies in one of them, so I is the
     sum of the two factors, and each factor replays against its child."""
     kids = (cert.child_c, cert.child_n)
-    if not all(isinstance(c, GvdCertificate) for c in kids):
-        return False
     factors = [tuple(c.ring_names) for c in kids]
     if sorted(factors[0] + factors[1]) != sorted(I.ring.names):
         return False

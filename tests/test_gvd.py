@@ -455,6 +455,36 @@ def test_replay_rejects_a_union_that_does_not_split_the_basis():
                      child_n=base_certificate(Ideal.zero(Ring(["y", "z"]))))
     assert forged.child_c.verdict == "gvd"
     assert not replay_certificate(J, forged)
+    # The basis splits and the rings partition, but one child honestly
+    # certifies its factor not decomposable.
+    K = toric_ideal(two_triangles_bridged())
+    R = Ring(K.ring.names + ("z",))
+    J = K.rename(R)
+    factor = is_gvd(K)
+    assert factor.verdict == "not-gvd" and replay_certificate(K, factor)
+    forged = GvdCertificate(
+        "disjoint-union", "gvd", R.names, child_c=factor,
+        child_n=base_certificate(Ideal.zero(Ring(["z"]))))
+    assert not replay_certificate(J, forged)
+
+
+def test_replay_rejects_a_decomposition_whose_branch_is_not_gvd():
+    # J is K extended by the absent variable z, so the split at z is a true
+    # degenerate identity with both branches K; K is prime, so unmixedness
+    # is conclusive.  K is not decomposable, and so neither is J.
+    K = toric_ideal(two_triangles_bridged())
+    R = Ring(K.ring.names + ("z",))
+    J = K.rename(R)
+    split = cn_split(J, "z")
+    assert check_decomposition(J, split) and split.degenerate()
+    factor = is_gvd(K)
+    assert factor.verdict == "not-gvd"
+    forged = GvdCertificate(
+        "decomposition", "gvd", R.names,
+        unmixedness=UnmixednessEvidence("cited", "prime"), y="z",
+        order=split.order.to_dict(), degenerate=True,
+        child_c=factor, child_n=factor)
+    assert not replay_certificate(J, forged)
 
 
 def test_replay_rejects_an_order_that_is_not_y_compatible():

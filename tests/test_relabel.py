@@ -134,7 +134,7 @@ def test_rename_reaches_the_reason_of_a_failed_structural_step():
     # The basis of <x^2 - y*z> has x-degree 2, so the step at x fails.
     ring = Ring(["x", "y", "z"])
     I = Ideal(ring, [parse_poly(ring, "x^2 - y*z")])
-    cert = certify_step(I, "x", None, lambda: None, None, None)
+    cert = certify_step(I, "x", None, "cited", lambda: I, None, None)
     assert cert.verdict == "inconclusive"
     assert renamed_reason(cert) == ("decomposition identity failed at x",
                                     "decomposition identity failed at zx")
