@@ -33,7 +33,7 @@ __all__ = [
     "compile_order", "storage_order", "lex_order", "y_order", "elim_order",
     "order_from_dict",
     "compare", "initial_term", "initial_y_form", "y_split",
-    "mono_mul", "mono_div", "mono_divides", "mono_lcm", "mono_gcd",
+    "mono_mul", "mono_div", "mono_divides", "mono_lcm",
     "mono_support", "mono_is_squarefree", "mono_one",
     "parse_poly", "format_poly",
 ]
@@ -65,10 +65,6 @@ def mono_div(a: tuple, b: tuple) -> tuple:
 
 def mono_lcm(a: tuple, b: tuple) -> tuple:
     return tuple(map(max, a, b))
-
-
-def mono_gcd(a: tuple, b: tuple) -> tuple:
-    return tuple(map(min, a, b))
 
 
 def mono_support(a: tuple) -> tuple:

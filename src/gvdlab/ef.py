@@ -119,7 +119,7 @@ def _validate_sets(G: Graph, E, F) -> tuple:
             tuple(l for l in prefix if l not in in_e))
 
 
-def _shadow_monomials(G: Graph, E: tuple, F: tuple, ring: Ring) -> list:
+def _shadow_monomials(G: Graph, E: tuple, F: tuple) -> list:
     """Exponent tuples of the M_{E,F} generators: for each universal-basis
     element whose lead involves an E-edge and no F-edge, the lead with its
     E-part deleted (minimal ones only)."""
@@ -141,7 +141,7 @@ def _natural_generators(G: Graph, E: tuple, F: tuple, ring: Ring) -> list:
     deleted = G.delete_edges(E + F)
     gens = [g.rename(ring) for g in universal_groebner_basis(deleted)]
     full = G.edge_ring()
-    for mono in _shadow_monomials(G, E, F, ring):
+    for mono in _shadow_monomials(G, E, F):
         gens.append(ring.monomial({full.names[i]: e
                                    for i, e in enumerate(mono) if e}))
     return gens

@@ -34,7 +34,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import lex_order, mono_is_squarefree
-from .graphs import Graph, four_cycles_containing, is_gap_free, toric_ideal
+from .graphs import (
+    Graph, even_cycle_binomial, four_cycles_containing, is_gap_free,
+    toric_ideal,
+)
 from .groebner import Ideal, ideal_equal, initial_ideal
 from .util import Budget, seeded_rng
 
@@ -172,19 +175,6 @@ def _gluing_base(G: Graph, edge: str, path: tuple) -> Graph:
     return G.delete_edges(path).delete_vertices(inner)
 
 
-def _cycle_binomial(G: Graph, edge: str, path: tuple):
-    """The binomial of the even cycle formed by ``edge`` and ``path``."""
-    ring = G.edge_ring()
-    odd = ring.one()
-    even = ring.var(edge)
-    for i, lab in enumerate(path):
-        if i % 2 == 0:
-            odd = odd * ring.var(lab)
-        else:
-            even = even * ring.var(lab)
-    return odd - even
-
-
 # ---------------------------------------------------------------------------
 # The three hypothesis checks.
 
@@ -232,7 +222,7 @@ def _gluing_check(G: Graph, trials: int, seed: int,
         if names is None:
             continue
         glued = toric_ideal(base).rename(ring).with_extra(
-            [_cycle_binomial(G, edge, path)])
+            [even_cycle_binomial(G, edge, path)])
         if not ideal_equal(IG, glued):
             continue
         return GlicciCheck("even-cycle-gluing", True, {

@@ -31,7 +31,8 @@ __all__ = [
     "integer_kernel_basis", "graver_completion", "graver_basis",
     "oriented_minimal",
     "universal_groebner_basis", "toric_ideal",
-    "toric_dimension", "remove_leaves_fixpoint", "glue_even_cycle",
+    "toric_dimension", "remove_leaves_fixpoint", "even_cycle_binomial",
+    "glue_even_cycle",
     "disjoint_union", "is_gap_free", "four_cycles_containing",
     "has_four_cycle", "vector_to_binomial",
 ]
@@ -545,6 +546,21 @@ def _next_index(names: Iterable[str], prefix: str) -> int:
     return best + 1
 
 
+def even_cycle_binomial(G: Graph, edge: str, path: tuple):
+    """The binomial of the even cycle that ``edge`` closes with ``path``:
+    the product of the path's odd-numbered edges minus ``edge`` times its
+    even-numbered ones, in ``G``'s edge ring."""
+    ring = G.edge_ring()
+    odd = ring.one()
+    even = ring.var(edge)
+    for i, lab in enumerate(path):
+        if i % 2 == 0:
+            odd = odd * ring.var(lab)
+        else:
+            even = even * ring.var(lab)
+    return odd - even
+
+
 def glue_even_cycle(G: Graph, edge: str, length: int, prefix: str = "f",
                     verify: bool = True):
     """Glue an even cycle of the given length onto G along an existing edge.
@@ -567,19 +583,10 @@ def glue_even_cycle(G: Graph, edge: str, length: int, prefix: str = "f",
     new_edges = [(labels[i], chain[i], chain[i + 1]) for i in range(k)]
     H = G.with_edges(inner, new_edges)
 
-    ring = H.edge_ring()
-    odd = ring.one()
-    even = ring.var(edge)
-    for i, lab in enumerate(labels):
-        if i % 2 == 0:
-            odd = odd * ring.var(lab)
-        else:
-            even = even * ring.var(lab)
-    F = odd - even
-
+    F = even_cycle_binomial(H, edge, labels)
     if verify:
         IH = toric_ideal(H)
-        IG_ext = toric_ideal(G).rename(ring).with_extra([F])
+        IG_ext = toric_ideal(G).rename(H.edge_ring()).with_extra([F])
         if not ideal_equal(IH, IG_ext):
             raise AssertionError("gluing identity I_H = I_G + <F> failed")
     return H, F

@@ -54,7 +54,7 @@ __all__ = [
     "saturate_variable", "eliminate", "contract",
     "krull_dimension", "is_generated_by_variables", "is_square_free_monomial_ideal",
     "is_square_free_groebner_basis", "radical_contains", "radical_equal",
-    "minimal_generators", "minimal_monomial_generators", "fresh_name",
+    "minimal_generators", "minimal_monomial_generators",
 ]
 
 ONE = Fraction(1)
@@ -463,7 +463,7 @@ def ideal_equal(I: Ideal, J: Ideal) -> bool:
 # ---------------------------------------------------------------------------
 # Elimination-based operations.
 
-def fresh_name(ring: Ring, base: str) -> str:
+def _fresh_name(ring: Ring, base: str) -> str:
     if base not in ring.index:
         return base
     k = 1
@@ -502,7 +502,7 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
         return Ideal(J.ring, J.gens)
     if J.is_unit_ideal():
         return Ideal(I.ring, I.gens)
-    t = fresh_name(I.ring, "t")
+    t = _fresh_name(I.ring, "t")
     big = I.ring.with_vars([t], front=True)
     tp = big.var(t)
     gens = [tp * g.rename(big) for g in I.gens]
@@ -515,7 +515,7 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
 def saturate_variable(I: Ideal, y: Union[int, str]) -> Ideal:
     """The saturation I : y^infinity, in the same ring."""
     yname = I.ring.names[I.ring.vidx(y)]
-    w = fresh_name(I.ring, "w")
+    w = _fresh_name(I.ring, "w")
     big = I.ring.with_vars([w], front=True)
     gens = [g.rename(big) for g in I.gens]
     gens.append(big.var(w) * big.var(yname) - big.one())
@@ -527,7 +527,7 @@ def radical_contains(I: Ideal, f: Poly) -> bool:
     """True iff f lies in the radical of I (Rabinowitsch trick)."""
     if f.is_zero():
         return True
-    w = fresh_name(I.ring, "w")
+    w = _fresh_name(I.ring, "w")
     big = I.ring.with_vars([w], front=True)
     gens = [g.rename(big) for g in I.gens]
     gens.append(big.var(w) * f.rename(big) - big.one())

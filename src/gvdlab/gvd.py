@@ -24,7 +24,7 @@ from .algebra import (
     Order, Ring, initial_y_form, order_from_dict, y_order, y_split,
 )
 from .components import UnmixednessEvidence, base_evidence, unmixedness_evidence
-from .graphs import Graph, toric_ideal
+from .graphs import Graph
 from .groebner import Ideal, contract, ideal_equal, radical_contains
 from .util import Budget
 
@@ -33,7 +33,7 @@ __all__ = [
     "cn_split", "initial_y_ideal", "check_decomposition",
     "base_certificate", "inconclusive", "memoised", "certify_step",
     "var_placeholder",
-    "is_gvd", "gvd_disjoint_union", "replay_certificate",
+    "is_gvd", "replay_certificate",
 ]
 
 
@@ -271,8 +271,8 @@ def _decomposition(ring_names: tuple, ev: UnmixednessEvidence, split: CnSplit,
 
 def memoised(memo: dict, key, ring_names: tuple, certify) -> GvdCertificate:
     """The certificate stored under ``key``, renamed onto ``ring_names``;
-    else ``certify()``, stored unless it is inconclusive (an inconclusive
-    node may certify once the search is allowed further)."""
+    else ``certify()``, stored unless it is inconclusive: a caller may reuse
+    ``memo`` under a larger budget, where that node may yet certify."""
     hit = memo.get(key)
     if hit is not None:
         if hit.ring_names == ring_names:
@@ -448,26 +448,6 @@ def _support_factors(rgb: tuple) -> list:
     return out
 
 
-class _Pool:
-    """Mutable node allowance for one search round."""
-
-    __slots__ = ("left",)
-
-    def __init__(self, n: int):
-        self.left = n
-
-    def take(self) -> bool:
-        if self.left <= 0:
-            return False
-        self.left -= 1
-        return True
-
-
-_POOL_START = 64
-_POOL_GROWTH = 8
-_POOL_CEILING = 1 << 21
-
-
 def is_gvd(I: Ideal, context: Optional[Graph] = None,
            budget: Optional[Budget] = None, prefer=(),
            memo: Optional[dict] = None) -> GvdCertificate:
@@ -478,33 +458,16 @@ def is_gvd(I: Ideal, context: Optional[Graph] = None,
     ``budget`` bounds wall-clock time, with exhaustion reported as an
     inconclusive verdict; ``prefer`` lists variables to try first at every
     node; ``memo`` carries certified results between calls.
-
-    The search deepens iteratively: each round explores at most a fixed
-    number of nodes, and an exhausted round restarts with a larger allowance
-    while keeping every conclusive sub-verdict, so one barren branch cannot
-    starve the others.
     """
     if budget is None:
         budget = Budget(None)
     if memo is None:
         memo = {}
-    allowance = _POOL_START
-    while True:
-        pool = _Pool(allowance)
-        cert = _certify(I, context, budget, tuple(prefer), memo, pool)
-        if cert.verdict != "inconclusive":
-            return cert
-        if pool.left > 0:
-            # The round was not starved, so the verdict is structural and a
-            # larger allowance cannot change it.
-            return cert
-        if budget.exceeded() or allowance >= _POOL_CEILING:
-            return cert
-        allowance *= _POOL_GROWTH
+    return _certify(I, context, budget, tuple(prefer), memo)
 
 
 def _certify(I: Ideal, context, budget: Budget, prefer: tuple,
-             memo: dict, pool: _Pool) -> GvdCertificate:
+             memo: dict) -> GvdCertificate:
     names = I.ring.names
     if budget.exceeded():
         return inconclusive(names, "budget exhausted")
@@ -515,24 +478,12 @@ def _certify(I: Ideal, context, budget: Budget, prefer: tuple,
     basis = tuple(g.canonical() for g in rgb)
     key = (I.ring.arity, basis, _context_key(I, context))
     return memoised(memo, key, names, lambda: _search(
-        I, rgb, basis, context, budget, prefer, memo, pool))
+        I, rgb, context, budget, prefer, memo))
 
 
-def _split_at(I: Ideal, basis: tuple, yname: str, memo: dict) -> CnSplit:
-    """The split at yname, kept in the memo across rounds."""
-    aux = ("split", I.ring.names, basis, yname)
-    got = memo.get(aux)
-    if got is None:
-        got = memo[aux] = cn_split(I, yname)
-    return got
-
-
-def _search(I: Ideal, rgb: tuple, basis: tuple, context, budget: Budget,
-            prefer: tuple, memo: dict, pool: _Pool) -> GvdCertificate:
+def _search(I: Ideal, rgb: tuple, context, budget: Budget, prefer: tuple,
+            memo: dict) -> GvdCertificate:
     ring = I.ring
-    if not pool.take():
-        return inconclusive(ring.names, "search allowance exhausted")
-
     # When the generators split into groups with disjoint variable supports,
     # the ideal is the sum of the groups over a tensor product of subrings
     # and is decomposable exactly when every summand is (and then unmixedness
@@ -548,7 +499,7 @@ def _search(I: Ideal, rgb: tuple, basis: tuple, context, budget: Budget,
         rest = [g for _, gs in factors[1:] for g in gs]
         cert_l = _certify(Ideal(ring, gens).rename(left_ring),
                           _restrict_context(context, left_names),
-                          budget, prefer, memo, pool)
+                          budget, prefer, memo)
         if cert_l.verdict == "not-gvd":
             return GvdCertificate(
                 "disjoint-union", "not-gvd", ring.names,
@@ -556,7 +507,7 @@ def _search(I: Ideal, rgb: tuple, basis: tuple, context, budget: Budget,
                 reason="the factor on {factor} is not decomposable")
         cert_r = _certify(Ideal(ring, rest).rename(right_ring),
                           _restrict_context(context, right_names),
-                          budget, prefer, memo, pool)
+                          budget, prefer, memo)
         if cert_r.verdict == "not-gvd":
             return GvdCertificate(
                 "disjoint-union", "not-gvd", ring.names,
@@ -584,10 +535,9 @@ def _search(I: Ideal, rgb: tuple, basis: tuple, context, budget: Budget,
               if i not in _present_indices(rgb)]
     if absent:
         yname = absent[0]
-        split = _split_at(I, basis, yname, memo)
+        split = cn_split(I, yname)
         core = _certify(contract(split.N, yname),
-                        _child_context(context, yname), budget, prefer, memo,
-                        pool)
+                        _child_context(context, yname), budget, prefer, memo)
         if core.verdict == "gvd":
             return _decomposition(ring.names, ev, split, core, core)
         if core.verdict == "not-gvd":
@@ -610,10 +560,7 @@ def _search(I: Ideal, rgb: tuple, basis: tuple, context, budget: Budget,
         if budget.exceeded():
             stuck.append((yname, "budget exhausted"))
             break
-        if pool.left <= 0:
-            stuck.append((yname, "search allowance exhausted"))
-            break
-        split = _split_at(I, basis, yname, memo)
+        split = cn_split(I, yname)
         if not split.square_free_in_y:
             # By the square-free dichotomy (see CnSplit) the identity fails
             # here, and under every other y-compatible order at this variable.
@@ -623,7 +570,7 @@ def _search(I: Ideal, rgb: tuple, basis: tuple, context, budget: Budget,
             continue
         child_ctx = _child_context(context, yname)
         cert_c = _certify(contract(split.C, yname), child_ctx, budget, prefer,
-                          memo, pool)
+                          memo)
         if cert_c.verdict == "not-gvd":
             failures.append(
                 (yname, "C-branch is certified not decomposable"))
@@ -632,7 +579,7 @@ def _search(I: Ideal, rgb: tuple, basis: tuple, context, budget: Budget,
             stuck.append((yname, "a branch was inconclusive"))
             continue
         cert_n = _certify(contract(split.N, yname), child_ctx, budget, prefer,
-                          memo, pool)
+                          memo)
         if cert_n.verdict == "not-gvd":
             failures.append(
                 (yname, "N-branch is certified not decomposable"))
@@ -652,35 +599,6 @@ def _search(I: Ideal, rgb: tuple, basis: tuple, context, budget: Budget,
     # what the unmixedness status is.
     return GvdCertificate("not-gvd", "not-gvd", ring.names, unmixedness=ev,
                           failures=tuple(failures))
-
-
-# ---------------------------------------------------------------------------
-# Disjoint unions.
-
-def gvd_disjoint_union(G: Graph, H: Graph,
-                       budget: Optional[Budget] = None) -> GvdCertificate:
-    """Decide decomposability of the toric ideal of a disjoint union.
-
-    Toric ideals of disjoint graphs live in disjoint variable sets, and a sum
-    of proper ideals over disjoint variables is decomposable exactly when
-    both summands are, so the verdict is the conjunction of the per-part
-    verdicts (with refutations dominating).
-    """
-    if budget is None:
-        budget = Budget(None)
-    cert_g = is_gvd(toric_ideal(G), context=G, budget=budget)
-    cert_h = is_gvd(toric_ideal(H), context=H, budget=budget)
-    verdicts = {cert_g.verdict, cert_h.verdict}
-    if verdicts == {"gvd"}:
-        verdict = "gvd"
-    elif "not-gvd" in verdicts:
-        verdict = "not-gvd"
-    else:
-        verdict = "inconclusive"
-    ring_names = tuple(G.edge_labels) + tuple(H.edge_labels)
-    return GvdCertificate("disjoint-union", verdict, ring_names,
-                          child_c=cert_g, child_n=cert_h,
-                          reason="verdict is the conjunction over the parts")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from gvdlab.graphs import (
 from gvdlab.groebner import Ideal, contract, ideal_equal
 from gvdlab.gvd import (
     GvdCertificate, base_certificate, check_decomposition, cn_split,
-    gvd_disjoint_union, initial_y_ideal, is_gvd, replay_certificate,
+    initial_y_ideal, is_gvd, replay_certificate,
 )
 from gvdlab.util import Budget
 
@@ -314,11 +314,15 @@ def test_gvd_even_cycles():
 
 
 def test_gvd_disjoint_union_combines_verdicts():
-    both = gvd_disjoint_union(cycle_graph(4), cycle_graph(6))
-    assert both.kind == "disjoint-union"
-    assert both.verdict == "gvd"
-    mixed = gvd_disjoint_union(cycle_graph(4), two_triangles_bridged())
-    assert mixed.verdict == "not-gvd"
+    # The toric ideal of a disjoint union is the sum of its parts' ideals
+    # over disjoint variables, decomposable exactly when both parts are.
+    for H, verdict in [(cycle_graph(6), "gvd"),
+                       (two_triangles_bridged(), "not-gvd")]:
+        U = graphs.disjoint_union(cycle_graph(4), H)
+        J = toric_ideal(U)
+        cert = is_gvd(J, context=U)
+        assert (cert.kind, cert.verdict) == ("disjoint-union", verdict)
+        assert replay_certificate(J, cert, context=U)
 
 
 def test_gvd_budget_exhaustion_is_inconclusive():
@@ -326,6 +330,26 @@ def test_gvd_budget_exhaustion_is_inconclusive():
     cert = is_gvd(toric_ideal(G), context=G, budget=Budget(0.0))
     assert cert.verdict == "inconclusive"
     assert "budget" in cert.reason
+
+
+def test_one_pass_searches_each_node_once(monkeypatch):
+    # A non-decomposable graph of the 9-edge census whose search reaches
+    # 115 distinct nodes; a search that restarts would visit some twice.
+    G = Graph(["x%d" % i for i in range(1, 8)],
+              [("e1", "x1", "x2"), ("e2", "x1", "x4"), ("e3", "x2", "x4"),
+               ("e4", "x3", "x5"), ("e5", "x3", "x6"), ("e6", "x4", "x7"),
+               ("e7", "x5", "x6"), ("e8", "x5", "x7"), ("e9", "x6", "x7")])
+    search = gvd._search
+    keys = []
+
+    def spy(I, rgb, context, *rest):
+        keys.append((I.ring.names, tuple(g.canonical() for g in rgb),
+                     gvd._context_key(I, context)))
+        return search(I, rgb, context, *rest)
+
+    monkeypatch.setattr(gvd, "_search", spy)
+    assert is_gvd(toric_ideal(G), context=G).verdict == "not-gvd"
+    assert keys and len(keys) == len(set(keys))
 
 
 def test_gvd_memo_is_shared_across_renamings():

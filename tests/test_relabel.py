@@ -19,7 +19,7 @@ from gvdlab.graphs import (
     Graph, complete_bipartite, complete_graph, cycle_graph, toric_ideal,
 )
 from gvdlab.groebner import Ideal
-from gvdlab.gvd import _certify, _Pool, certify_step, inconclusive, is_gvd
+from gvdlab.gvd import certify_step, inconclusive, is_gvd
 from gvdlab.util import Budget
 
 from fixtures import two_k4_sharing_vertex, two_triangles_bridged
@@ -140,15 +140,27 @@ def test_rename_reaches_the_reason_of_a_failed_structural_step():
                                     "decomposition identity failed at zx")
 
 
+class PolledBudget(Budget):
+    """A budget that runs out after ``polls`` calls of ``exceeded``."""
+
+    def __init__(self, polls: int):
+        super().__init__(None)
+        self.polls = polls
+
+    def exceeded(self) -> bool:
+        self.polls -= 1
+        return self.polls < 0
+
+
 def test_rename_reaches_the_reason_of_a_starved_search():
-    # Two nodes of allowance: the search at e1 starves its branch, and
-    # then no allowance is left for e2.
+    # The budget lasts for the root and its step at e1, so the C branch at
+    # e1 gives up and the loop stops at e2.
     G = complete_graph(4)
-    cert = _certify(toric_ideal(G), G, Budget(None), (), {}, _Pool(2))
+    cert = is_gvd(toric_ideal(G), context=G, budget=PolledBudget(2))
     assert cert.verdict == "inconclusive"
     assert renamed_reason(cert) == (
-        "e1: a branch was inconclusive; e2: search allowance exhausted",
-        "ze1: a branch was inconclusive; ze2: search allowance exhausted")
+        "e1: a branch was inconclusive; e2: budget exhausted",
+        "ze1: a branch was inconclusive; ze2: budget exhausted")
 
 
 def test_rename_reaches_the_polynomial_in_an_evidence_detail():
