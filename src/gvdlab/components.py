@@ -38,6 +38,12 @@ that is not square-free proves it is not, once its support monomial
 r = sqrt(m) has a nonzero normal form: m divides r^k for k the largest
 exponent of m, so r lies in the radical of I but not in I.  Only when
 neither applies are the components intersected.
+
+Three outcomes prove I not radical: a monomial ideal with a generator that
+is not square-free, a witness monomial, and components that intersect to
+something other than I.  The evidence records them in ``not_radical``.  A
+decomposable ideal is radical (see ``gvd``), so each of them also refutes
+decomposability, whatever the dimensions say about unmixedness.
 """
 
 from __future__ import annotations
@@ -115,12 +121,16 @@ class UnmixednessEvidence:
     taken from a structural theorem rather than a computation.  ``detail``
     quotes polynomials with the placeholder {i} for the i-th variable of
     the ideal's ring, which ``to_json_dict`` fills in from the ring's names.
+    ``not_radical`` records that the computation proved the ideal not
+    radical, which refutes decomposability (see ``gvd``); it is not
+    serialized, so certificates read the same with or without it.
     """
 
     status: str
     detail: str = ""
     dims: Optional[tuple] = None
     components: Optional[tuple] = None
+    not_radical: bool = False
 
     @property
     def conclusive_unmixed(self) -> bool:
@@ -144,7 +154,8 @@ class UnmixednessEvidence:
         comps = None
         if self.components is not None:
             comps = tuple(c.rename(name_map) for c in self.components)
-        return UnmixednessEvidence(self.status, self.detail, self.dims, comps)
+        return UnmixednessEvidence(self.status, self.detail, self.dims, comps,
+                                   self.not_radical)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +330,8 @@ def unmixedness_evidence(I: Ideal, context: Optional[Graph] = None) -> Unmixedne
     the split components intersect back to I is read off the reduced basis
     when it has a square-free initial ideal (radical) or a witness
     monomial (not radical; see the module docstring); otherwise they are
-    intersected.
+    intersected.  Every outcome that proves I not radical sets
+    ``not_radical``.
     """
     rgb = I.groebner()
     base = base_evidence(rgb)
@@ -340,10 +352,13 @@ def unmixedness_evidence(I: Ideal, context: Optional[Graph] = None) -> Unmixedne
         dims = tuple(I.ring.arity - len(c) for c in covers)
         comps = tuple(PrimeComponent(tuple(sorted(c)), (), (), I.ring.arity - len(c))
                       for c in covers)
+        # The reduced basis of a monomial ideal is its minimal generators, so
+        # the support of one that is not square-free is not in the ideal.
         if len(set(dims)) > 1:
             return UnmixednessEvidence("refuted",
                                        "minimal primes of different dimensions",
-                                       dims, comps)
+                                       dims, comps,
+                                       not_radical=not radical_input)
         if radical_input:
             return UnmixednessEvidence("equal-dims",
                                        "all minimal primes share one dimension",
@@ -351,7 +366,7 @@ def unmixedness_evidence(I: Ideal, context: Optional[Graph] = None) -> Unmixedne
         return UnmixednessEvidence(
             "inconclusive", "the minimal primes share one dimension but the "
             "ideal is not radical, so embedded primes are undecided",
-            dims, comps)
+            dims, comps, not_radical=True)
 
     # Mixed monomial/binomial ideals: classify an irredundant generating
     # subset rather than the reduced basis (S-polynomial completion can
@@ -408,7 +423,7 @@ def unmixedness_evidence(I: Ideal, context: Optional[Graph] = None) -> Unmixedne
     not_radical = UnmixednessEvidence(
         "inconclusive", "the minimal primes share one dimension but the ideal "
         "is not their intersection, so embedded primes are undecided",
-        dims, tuple(comps))
+        dims, tuple(comps), not_radical=True)
     if _non_radical_witness(order, rgb) is not None:
         return not_radical
     radical = None

@@ -11,6 +11,26 @@ a full certificate tree for "decomposable", an exhaustive per-variable
 refutation for "not decomposable", and an explicit reason otherwise.  It
 reads the identity off the reduced basis by theorem (see ``CnSplit``), and
 replay checks it literally.
+
+A decomposable ideal is radical (Klein–Rajchgot, Forum Math. Sigma 9
+(2021)), so an ideal that ``unmixedness_evidence`` proves not radical is a
+"not-gvd" leaf, and the search does not look below it.  By induction over
+the certificate tree:
+
+- The base cases are radical: the zero and unit ideals, and ideals
+  generated by variables, which are prime.
+- At a step at y, C and N are radical by induction, and neither mentions
+  y, so N + <y> is radical (its quotient is that of N in the other
+  variables).  So in_y(I) = C ∩ (N + <y>) is radical.  Take a
+  y-compatible order < and f in normal form modulo I with f^k in I.  Then
+  in_y(f)^k = in_y(f^k) lies in in_y(I), so in_y(f) does too.  Its initial
+  term in(f) therefore lies in in(in_y(I)) = in(I) (Knutson–Miller–Yong,
+  J. Reine Angew. Math. 630 (2009)).  In normal form that forces f = 0,
+  so I is radical.
+- Extension by an absent variable keeps radicality: the quotient is a
+  polynomial ring over the old one.  So does a sum over disjoint
+  variables: its quotient is the tensor product over Q of the two
+  quotients, and Q is perfect.
 """
 
 from __future__ import annotations
@@ -247,9 +267,19 @@ def inconclusive(ring_names: tuple, reason: str, **fields) -> GvdCertificate:
                           reason=reason, **fields)
 
 
-def _refutation(ring_names: tuple, ev: UnmixednessEvidence) -> GvdCertificate:
+def _refutation(ring_names: tuple,
+                ev: UnmixednessEvidence) -> Optional[GvdCertificate]:
+    """The "not-gvd" leaf for evidence that rules out decomposability by
+    itself, or None: unmixedness refuted, or the ideal proved not radical
+    (a decomposable ideal is radical; see the module docstring)."""
+    if ev.refuted:
+        reason = "unmixedness refuted"
+    elif ev.not_radical:
+        reason = "not radical, and a decomposable ideal is radical"
+    else:
+        return None
     return GvdCertificate("not-gvd", "not-gvd", ring_names, unmixedness=ev,
-                          reason="unmixedness refuted")
+                          reason=reason)
 
 
 def _decomposition(ring_names: tuple, ev: UnmixednessEvidence, split: CnSplit,
@@ -294,14 +324,17 @@ def certify_step(I: Ideal, y: str, context: Optional[Graph], theorem: str,
     make the node inconclusive.  A degenerate step, where y is absent
     (C = N) or lies in I (C is the unit ideal), certifies N only: C reuses
     N's certificate or is the unit leaf, and a refuted N refutes I.
-    Unmixedness is computed over ``context``; where that is inconclusive,
-    the node cites ``theorem`` (the detail of the structural result) only
-    if I equals ``described()``, the ideal the theorem is about.
+    Unmixedness is computed over ``context``; evidence that refutes it or
+    proves I not radical makes the node a "not-gvd" leaf, as in the search.
+    Where it is inconclusive, the node cites ``theorem`` (the detail of the
+    structural result) only if I equals ``described()``, the ideal the
+    theorem is about.
     """
     names = I.ring.names
     ev = unmixedness_evidence(I, context)
-    if ev.refuted:
-        return _refutation(names, ev)
+    leaf = _refutation(names, ev)
+    if leaf is not None:
+        return leaf
     if not ev.conclusive_unmixed and ideal_equal(I, described()):
         ev = UnmixednessEvidence("cited", theorem)
     split = cn_split(I, y)
@@ -342,8 +375,9 @@ def _present_indices(rgb: tuple) -> set:
     return present
 
 
-def _variable_order(I: Ideal, rgb: tuple, prefer: tuple) -> list:
-    """Search order over the variables that occur in the basis.
+def _variable_order(I: Ideal, rgb: tuple, present: set, prefer: tuple) -> list:
+    """Search order over the variables that occur in the basis, whose
+    indices are ``present``.
 
     Explicit preferences come first.  The rest are ranked by a free proxy
     computed from the storage basis: variables whose y-graded factors are
@@ -352,7 +386,6 @@ def _variable_order(I: Ideal, rgb: tuple, prefer: tuple) -> list:
     last, since their decomposition identity is doomed to fail.
     """
     ring = I.ring
-    present = _present_indices(rgb)
     scored = []
     for i in sorted(present):
         name = ring.names[i]
@@ -458,6 +491,13 @@ def is_gvd(I: Ideal, context: Optional[Graph] = None,
     ``budget`` bounds wall-clock time, with exhaustion reported as an
     inconclusive verdict; ``prefer`` lists variables to try first at every
     node; ``memo`` carries certified results between calls.
+
+    A node whose unmixedness is refuted, or which the evidence proves not
+    radical, is a "not-gvd" leaf.  A decomposable ideal is radical: base
+    cases are; C and N radical make C ∩ (N + <y>) = in_y(I) radical, and a
+    radical in_y(I) under the y-compatible order forces I to be radical;
+    absent variables and disjoint unions over Q keep radicality (see the
+    module docstring for the details).
     """
     if budget is None:
         budget = Budget(None)
@@ -521,8 +561,9 @@ def _search(I: Ideal, rgb: tuple, context, budget: Budget, prefer: tuple,
         return inconclusive(ring.names, "a disjoint factor was inconclusive")
 
     ev = unmixedness_evidence(I, context)
-    if ev.refuted:
-        return _refutation(ring.names, ev)
+    leaf = _refutation(ring.names, ev)
+    if leaf is not None:
+        return leaf
 
     # A variable absent from the reduced basis is absent from every reduced
     # basis, so the ideal is extended from the smaller ring and is
@@ -531,8 +572,8 @@ def _search(I: Ideal, rgb: tuple, context, budget: Budget, prefer: tuple,
     # conversely any working decomposition never mentions the absent
     # variable, so it descends to the contraction.  Handle one absent
     # variable per node instead of exploring every removal order.
-    absent = [ring.names[i] for i in range(ring.arity)
-              if i not in _present_indices(rgb)]
+    present = _present_indices(rgb)
+    absent = [ring.names[i] for i in range(ring.arity) if i not in present]
     if absent:
         yname = absent[0]
         split = cn_split(I, yname)
@@ -556,7 +597,7 @@ def _search(I: Ideal, rgb: tuple, context, budget: Budget, prefer: tuple,
 
     failures = []
     stuck = []  # branches that ended without a conclusive failure
-    for yname in _variable_order(I, rgb, prefer):
+    for yname in _variable_order(I, rgb, present, prefer):
         if budget.exceeded():
             stuck.append((yname, "budget exhausted"))
             break
@@ -619,9 +660,12 @@ def replay_certificate(I: Ideal, cert: GvdCertificate,
     ``check_decomposition`` for C and N under the recorded order, the
     degeneracy flag is re-derived, unmixedness evidence is recomputed and
     must be conclusive again, and a disjoint union must split the reduced
-    basis over its children's rings.  Certificates with other verdicts are
-    re-decided by running the certifier afresh and comparing verdicts, so
-    every child of a "gvd" node must itself be "gvd".
+    basis over its children's rings.  A "not-gvd" leaf (no failures, no
+    children) is checked without a search: its recomputed evidence must
+    refute unmixedness or prove the ideal not radical.  Certificates with
+    other verdicts are re-decided by running the certifier afresh and
+    comparing verdicts, so every child of a "gvd" node must itself be
+    "gvd".
     Returns True when everything matches; a malformed node (an unknown
     variable or order, a missing child) does not.
 
@@ -658,6 +702,11 @@ def _replay(I: Ideal, cert: GvdCertificate, context: Optional[Graph]) -> bool:
     if (not isinstance(cert, GvdCertificate)
             or tuple(cert.ring_names) != I.ring.names):
         return False
+    if (cert.kind == cert.verdict == "not-gvd" and not cert.failures
+            and cert.child_c is None and cert.child_n is None):
+        # A leaf refutation rests on its evidence alone.
+        return _refutation(I.ring.names,
+                           unmixedness_evidence(I, context)) is not None
     if cert.verdict != "gvd":
         fresh = is_gvd(I, context=context)
         return fresh.verdict == cert.verdict

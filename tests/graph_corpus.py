@@ -15,6 +15,15 @@ from gvdlab.graphs import Graph
 # connected simple graphs with m = 1, 2, ... edges, one per isomorphism class
 CLASS_COUNTS = (1, 1, 3, 5, 12, 30, 79, 227)
 
+# Three 9-edge graphs whose ideals below the toric ideal include some that
+# the evidence proves not radical with a witness; no graph with at most 7
+# edges has one.
+NINE_EDGE_GRAPHS = (
+    (7, ((0, 1), (0, 3), (1, 3), (2, 4), (2, 5), (3, 6), (4, 5), (4, 6), (5, 6))),
+    (7, ((0, 1), (0, 5), (1, 5), (2, 3), (2, 6), (3, 6), (4, 5), (4, 6), (5, 6))),
+    (7, ((0, 1), (0, 6), (1, 6), (2, 4), (2, 5), (3, 4), (3, 6), (4, 5), (5, 6))),
+)
+
 
 def _refined_labels(n, edges):
     adj = {v: [] for v in range(n)}

@@ -1,6 +1,8 @@
 """Minimal primes of square-free monomial ideals, the binomial-monomial
 splitting over a graph, and unmixedness evidence."""
 
+from dataclasses import replace
+
 import pytest
 
 from gvdlab.algebra import Ring, initial_y_form, parse_poly
@@ -137,11 +139,26 @@ def test_evidence_square_free_monomial_cases():
     assert ev2.status == "refuted"
     assert sorted(ev2.dims) == [1, 2]
     assert not ev2.conclusive_unmixed
+    assert not ev.not_radical and not ev2.not_radical
 
 
 def test_evidence_non_square_free_is_inconclusive():
     ev = unmixedness_evidence(I("x^2", "x*y"))
     assert ev.status == "inconclusive"
+    # A minimal generator that is not square-free: x is in the radical
+    # only.  The flag holds where the dimensions also refute unmixedness.
+    assert ev.not_radical
+    ev2 = unmixedness_evidence(I("x^2*y", "x*z"))
+    assert ev2.refuted and ev2.not_radical
+
+
+def test_not_radical_is_renamed_but_not_serialized():
+    ev = unmixedness_evidence(I("x^2", "x*y"))
+    assert ev.rename({"x": "a", "y": "b"}).not_radical
+    plain = unmixedness_evidence(I("x*y", "x*z", "y*z"))
+    assert not plain.rename({"x": "a"}).not_radical
+    assert (ev.to_json_dict(XYZ.names)
+            == replace(ev, not_radical=False).to_json_dict(XYZ.names))
 
 
 def test_evidence_hidden_monomial_ideal_needs_no_context():
@@ -193,7 +210,7 @@ def test_evidence_c_side_of_benchmark_splits_evenly():
     sub = G.delete_edges(["e2"])
     C = Ideal(ring, [parse_poly(ring, t) for t in TWO_K4_C_E2])
     ev = unmixedness_evidence(C, sub)
-    assert ev.status == "inconclusive"
+    assert ev.status == "inconclusive" and ev.not_radical
     assert set(ev.dims) == {7}
     assert not ideal_contains(C, parse_poly(ring, "e9*e10"))
     assert ideal_contains(C, parse_poly(ring, "e9^2*e10^2"))

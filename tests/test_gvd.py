@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from gvdlab import components, graphs, gvd
+from gvdlab import components, graphs, groebner, gvd
 from gvdlab.algebra import Ring, lex_order, parse_poly
 from gvdlab.components import UnmixednessEvidence
 from gvdlab.graphs import (
@@ -266,10 +266,12 @@ def test_gvd_refutes_benchmark_c_side():
 
 
 def test_gvd_refutes_the_benchmark_and_replays(monkeypatch):
-    # The paper's non-GVD example, two K4s sharing a vertex.
+    # The paper's non-GVD example, two K4s sharing a vertex, from an empty
+    # universal-basis cache.
+    monkeypatch.setattr(graphs, "_UGB_CACHE", {})
     G = two_k4_sharing_vertex()
-    J = toric_ideal(G)
-    calls = {"intersect": 0, "graver_completion": 0}
+    calls = {"intersect": 0, "graver_completion": 0, "_search": 0,
+             "buchberger": 0}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -281,6 +283,9 @@ def test_gvd_refutes_the_benchmark_and_replays(monkeypatch):
 
     counted(components, "intersect")
     counted(graphs, "graver_completion")
+    counted(gvd, "_search")
+    counted(groebner, "buchberger")
+    J = toric_ideal(G)
     cert = is_gvd(J, context=G)
     monkeypatch.undo()
     assert cert.verdict == "not-gvd"
@@ -288,6 +293,11 @@ def test_gvd_refutes_the_benchmark_and_replays(monkeypatch):
     # universal basis is restricted from the graph's.
     assert calls["intersect"] == 0
     assert calls["graver_completion"] <= 1
+    # The work of the search, which stops at ideals proved not radical:
+    # without that stop it made 1,490 _search and 5,261 buchberger calls,
+    # with it 1,070 and 3,598.
+    assert calls["_search"] <= 1100
+    assert calls["buchberger"] <= 3700
     assert replay_certificate(J, cert, context=G)
 
 
@@ -525,6 +535,46 @@ def test_replay_rejects_an_order_that_is_not_y_compatible():
         child_c=base_certificate(Ideal.unit(XZ)),
         child_n=base_certificate(Ideal.zero(XZ)))
     assert not replay_certificate(J, forged)
+
+
+def test_replay_checks_a_leaf_refutation_without_a_search(monkeypatch):
+    # <e1^2, e1*e3 - e2*e4> is not radical (e1 is in its radical only), so
+    # the search ends at the root with a leaf.
+    G = cycle_graph(4)
+    ring = G.edge_ring()
+    J = Ideal(ring, [parse_poly(ring, "e1^2"), parse_poly(ring, "e1*e3 - e2*e4")])
+    cert = is_gvd(J, context=G)
+    assert (cert.kind, cert.verdict) == ("not-gvd", "not-gvd")
+    assert not cert.failures and cert.child_c is None and cert.child_n is None
+    assert "decomposable ideal is radical" in cert.reason
+    calls = []
+    real = gvd.is_gvd
+    monkeypatch.setattr(gvd, "is_gvd",
+                        lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    assert replay_certificate(J, cert, context=G)
+    assert calls == []
+    # The same leaf forged onto a decomposable ideal is rejected.
+    C4 = toric_ideal(G)
+    assert not replay_certificate(C4, cert, context=G)
+    assert calls == []
+
+
+def test_a_non_radical_factor_is_a_leaf():
+    # <e1> plus the toric ideal of two_k4 is a disjoint union of <e1> and a
+    # factor whose components intersect to something else, so the factor is
+    # not radical and not decomposable: the union shows it as a leaf.
+    G = two_k4_sharing_vertex()
+    J = toric_ideal(G)
+    J = J.with_extra([J.ring.var("e1")])
+    cert = is_gvd(J, context=G)
+    assert (cert.kind, cert.verdict) == ("disjoint-union", "not-gvd")
+    factor = cert.child_n
+    assert factor.kind == "not-gvd" and factor.child_c is factor.child_n is None
+    assert factor.unmixedness.status == "inconclusive"
+    assert factor.unmixedness.not_radical
+    assert factor.to_json_dict()["reason"] == (
+        "not radical, and a decomposable ideal is radical")
+    assert replay_certificate(J, cert, context=G)
 
 
 def test_replay_of_negative_certificate_reruns_the_engine():

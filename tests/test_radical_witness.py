@@ -5,61 +5,80 @@ Where the split components share one dimension and the initial ideal is not
 square-free, the evidence looks in the reduced basis for a monomial m that
 is not square-free and whose support monomial sqrt(m) is not in the ideal.
 Such a witness proves the ideal is not the intersection of its minimal
-primes.  Here every ideal that reaches that step, in the searches over the
-7-edge corpus, three 9-edge graphs and the paper's non-GVD example, is
-checked the long way: when the witness fires, the components intersected
-with ``intersect`` are not the ideal, the witness lies in the radical, and
-it is not in the ideal.
+primes.  Here the ideals where it fires, met by a walk over the C and N
+branches below the toric ideals of the 7-edge corpus, three 9-edge graphs
+and the paper's non-GVD example, are checked the long way: the components
+intersected with ``intersect`` are not the ideal, the witness lies in the
+radical, and it is not in the ideal.
 """
 
 import pytest
 
-from gvdlab import components, gvd
+from gvdlab import components
 from gvdlab.algebra import parse_poly, storage_order
 from gvdlab.graphs import cycle_graph, toric_ideal
-from gvdlab.groebner import Ideal, ideal_contains, ideal_equal, radical_contains
-from gvdlab.gvd import is_gvd
+from gvdlab.groebner import (
+    Ideal, contract, ideal_contains, ideal_equal, radical_contains,
+)
+from gvdlab.gvd import base_certificate, cn_split
 
 from fixtures import intersection, two_k4_sharing_vertex
-from graph_corpus import connected_graphs, to_graph
+from graph_corpus import NINE_EDGE_GRAPHS, connected_graphs, to_graph
 
 
-@pytest.fixture
-def radical_steps(monkeypatch):
-    """(ideal, evidence, witness) for each evidence call that reaches the
-    radical step, as the search makes them."""
+def witness_steps(graphs, wanted: int) -> list:
+    """(ideal, evidence, witness) for the first ``wanted`` ideals whose
+    evidence fires the witness, met by a depth-first walk over the C and N
+    branches of every square-free split below each graph's toric ideal.
+
+    The search stops at an ideal once the evidence proves it not radical,
+    so it no longer meets the ideals below; the walk goes on through them,
+    and stops only at base cases and refuted unmixedness.
+    """
     steps, found = [], []
-    real_evidence = components.unmixedness_evidence
     real_witness = components._non_radical_witness
 
     def witness(order, rgb):
         found.append(real_witness(order, rgb))
         return found[-1]
 
-    def evidence(I, context=None):
+    def walk(I, context, seen):
+        key = (I.ring.names, tuple(g.canonical() for g in I.groebner()))
+        if key in seen or len(steps) >= wanted:
+            return
+        seen.add(key)
+        if base_certificate(I) is not None:
+            return
         found.clear()
-        ev = real_evidence(I, context)
-        if found:
+        ev = components.unmixedness_evidence(I, context)
+        if found and found[0] is not None:
             steps.append((I, ev, found[0]))
-        return ev
+        if ev.refuted:
+            return
+        for y in I.ring.names:
+            split = cn_split(I, y)
+            if not split.square_free_in_y:
+                continue
+            ctx = context.delete_edges([y]) if y in context.edge_labels else context
+            walk(contract(split.C, y), ctx, seen)
+            if split.C.gens != split.N.gens:
+                walk(contract(split.N, y), ctx, seen)
 
-    monkeypatch.setattr(components, "_non_radical_witness", witness)
-    monkeypatch.setattr(gvd, "unmixedness_evidence", evidence)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(components, "_non_radical_witness", witness)
+        for G in graphs:
+            walk(toric_ideal(G), G, set())
     return steps
 
 
 def check_against_intersection(steps) -> int:
     """Check every step against the oracle; the number of witnesses."""
-    fired = 0
     for I, ev, w in steps:
-        if w is None:
-            continue
-        fired += 1
-        assert ev.status == "inconclusive"
+        assert ev.status == "inconclusive" and ev.not_radical
         radical = intersection([c.ideal(I.ring) for c in ev.components])
         assert not ideal_equal(radical, I)
         assert radical_contains(I, w) and not ideal_contains(I, w)
-    return fired
+    return len(steps)
 
 
 def test_witness_on_a_four_cycle():
@@ -69,7 +88,7 @@ def test_witness_on_a_four_cycle():
     ring = G.edge_ring()
     J = Ideal(ring, [parse_poly(ring, "e1^2"), parse_poly(ring, "e1*e3 - e2*e4")])
     ev = components.unmixedness_evidence(J, G)
-    assert ev.status == "inconclusive"
+    assert ev.status == "inconclusive" and ev.not_radical
     assert ev.dims == (2, 2)
     assert "not their intersection" in ev.detail
     order = storage_order(ring)
@@ -100,26 +119,19 @@ def test_intersection_decides_without_a_witness():
     assert components._non_radical_witness(order, J.groebner()) is None
     ev = components.unmixedness_evidence(J, G)
     assert ev.status == "inconclusive" and set(ev.dims) == {6}
+    assert ev.not_radical
     assert not ideal_equal(intersection([c.ideal(ring) for c in ev.components]), J)
 
 
-# The 9-edge graphs whose searches reach the radical step: the searches over
-# the 7-edge corpus never do.
-NINE_EDGE_GRAPHS = (
-    (7, ((0, 1), (0, 3), (1, 3), (2, 4), (2, 5), (3, 6), (4, 5), (4, 6), (5, 6))),
-    (7, ((0, 1), (0, 5), (1, 5), (2, 3), (2, 6), (3, 6), (4, 5), (4, 6), (5, 6))),
-    (7, ((0, 1), (0, 6), (1, 6), (2, 4), (2, 5), (3, 4), (3, 6), (4, 5), (5, 6))),
-)
+def test_witness_agrees_with_intersection_on_small_graphs():
+    # The search without its stop at non-radical ideals met 17 witnesses
+    # here, all in the 9-edge graphs.
+    graphs = [to_graph(n, edges)
+              for n, edges in connected_graphs(7) + list(NINE_EDGE_GRAPHS)]
+    assert check_against_intersection(witness_steps(graphs, 17)) == 17
 
 
-def test_witness_agrees_with_intersection_on_small_graphs(radical_steps):
-    for n, edges in connected_graphs(7) + list(NINE_EDGE_GRAPHS):
-        G = to_graph(n, edges)
-        is_gvd(toric_ideal(G), context=G)
-    assert check_against_intersection(radical_steps) == 17
-
-
-def test_witness_agrees_with_intersection_on_two_k4(radical_steps):
-    G = two_k4_sharing_vertex()
-    assert is_gvd(toric_ideal(G), context=G).verdict == "not-gvd"
-    assert check_against_intersection(radical_steps) == 206
+def test_witness_agrees_with_intersection_on_two_k4():
+    # The search without its stop at non-radical ideals met 206 witnesses.
+    steps = witness_steps([two_k4_sharing_vertex()], 206)
+    assert check_against_intersection(steps) == 206
