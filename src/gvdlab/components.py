@@ -34,10 +34,9 @@ regime yields ``Inconclusive`` rather than a guess.
 So the components intersect to I exactly when I is radical, and
 ``unmixedness_evidence`` decides that from the reduced basis where it can.
 A square-free initial ideal proves I radical.  A monomial m of the basis
-that is not square-free proves it is not, once its support monomial
-r = sqrt(m) has a nonzero normal form: m divides r^k for k the largest
-exponent of m, so r lies in the radical of I but not in I.  Only when
-neither applies are the components intersected.
+that is not square-free proves it is not: its support monomial r = sqrt(m)
+lies in the radical of I but not in I (see ``_non_radical_witness``).
+Only when neither applies are the components intersected.
 
 Three outcomes prove I not radical: a monomial ideal with a generator that
 is not square-free, a witness monomial, and components that intersect to
@@ -57,9 +56,7 @@ from .algebra import (
     storage_order,
 )
 from .graphs import Graph, toric_dimension, universal_groebner_basis
-from .groebner import (
-    Ideal, ideal_equal, intersect, minimal_generators, normal_form,
-)
+from .groebner import Ideal, ideal_equal, intersect, minimal_generators
 
 __all__ = [
     "PrimeComponent", "UnmixednessEvidence", "SplitNotApplicable",
@@ -223,9 +220,12 @@ def _binomial_sides(f: Poly):
             frozenset(names[i] for i in mono_support(m2)))
 
 
-def _sign_canonical(f: Poly):
-    """Orientation-free key identifying a binomial up to sign."""
-    return frozenset(f.terms.items()) | frozenset((m, -c) for m, c in f.terms.items())
+def _sign_canonical(f: Poly) -> frozenset:
+    """Orientation-free key identifying a +1/-1 binomial up to sign: the set
+    of its two monomials.  Every caller passes only such binomials (the
+    universal basis, and generators ``_binomial_sides`` accepted), and
+    among them the monomials determine the binomial up to sign."""
+    return frozenset(f.terms)
 
 
 def _ugb_signs(G: Graph, ring) -> set:
@@ -424,7 +424,7 @@ def unmixedness_evidence(I: Ideal, context: Optional[Graph] = None) -> Unmixedne
         "inconclusive", "the minimal primes share one dimension but the ideal "
         "is not their intersection, so embedded primes are undecided",
         dims, tuple(comps), not_radical=True)
-    if _non_radical_witness(order, rgb) is not None:
+    if _non_radical_witness(rgb) is not None:
         return not_radical
     radical = None
     for c in comps:
@@ -437,24 +437,24 @@ def unmixedness_evidence(I: Ideal, context: Optional[Graph] = None) -> Unmixedne
     return not_radical
 
 
-def _non_radical_witness(order, rgb: tuple) -> Optional[Poly]:
+def _non_radical_witness(rgb: tuple) -> Optional[Poly]:
     """A square-free monomial in the radical of the ideal with reduced basis
-    ``rgb`` but not in the ideal, read off the basis; None if none is found.
+    ``rgb`` but not in the ideal, read off the basis; None when the basis
+    has no monomial that is not square-free.
 
-    For a monomial m of the basis that is not square-free, its support
-    monomial r = sqrt(m) divides m, and m divides r^k for k the largest
-    exponent of m, so r lies in the radical.  When r also has a nonzero
-    normal form, r is not in the ideal, so the ideal is not radical.  The
-    minimal primes intersect to the radical (module docstring), so then
-    they do not intersect to the ideal.
+    For such a monomial m of the basis, its support monomial r = sqrt(m)
+    properly divides m, and m divides r^k for k the largest exponent of m,
+    so r lies in the radical.  It does not lie in the ideal: if it did,
+    the initial term of some basis element would divide r, its own initial
+    term, and so properly divide m.  That element is not m, and in a
+    reduced basis no initial term divides a term of another element.  So
+    the ideal is not radical, and its minimal primes, which intersect to
+    the radical (module docstring), do not intersect to the ideal.
     """
     for g in rgb:
         if not g.is_monomial():
             continue
         (m, _), = g.terms.items()
-        if mono_is_squarefree(m):
-            continue
-        r = Poly(g.ring, {tuple(1 if e else 0 for e in m): ONE})
-        if not normal_form(order, r, rgb).is_zero():
-            return r
+        if not mono_is_squarefree(m):
+            return Poly(g.ring, {tuple(1 if e else 0 for e in m): ONE})
     return None

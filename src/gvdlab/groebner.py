@@ -311,6 +311,11 @@ def buchberger(order: Order, gens: Iterable[Poly]) -> list:
     monomial's order key are computed once, when it joins the basis, and the
     basis is its own reducer list.  A remainder's initial monomial is the
     first it received, since reduction visits terms in descending order.
+
+    Two inputs skip the pair heap, since the reduced basis is unique.  A
+    single element (after storing and deduplicating) is its own reduced
+    basis, made monic.  Monomials alone have S-polynomials that all vanish,
+    so their reduced basis is their minimal elements, in ascending order.
     """
     gens = [g for g in gens if not g.is_zero()]
     arith = _Binomials if all(map(_is_binomial, gens)) else _Fractions
@@ -330,6 +335,10 @@ def buchberger(order: Order, gens: Iterable[Poly]) -> list:
             add(e)
     if not basis:
         return []
+    if len(basis) == 1:
+        return [arith.poly(ring, basis[0])]
+    if all(t is None for _, t in basis):  # monomials, held as _Binomials
+        return [arith.poly(ring, basis[i]) for i in _minimal(lts, keys)]
 
     heap = []
     for i, j in combinations(range(len(basis)), 2):
@@ -364,19 +373,23 @@ def buchberger(order: Order, gens: Iterable[Poly]) -> list:
             lcm = mono_lcm(lts[k], e[0])
             heapq.heappush(heap, (key(lcm), k, n, lcm))
 
-    # minimalize: drop elements whose initial term another initial term
-    # divides; ascending keys, so the survivors are sorted
-    kept = []
-    for i in sorted(range(len(basis)), key=keys.__getitem__):
-        if not any(mono_divides(lts[k], lts[i]) for k in kept):
-            kept.append(i)
-
     # inter-reduce tails; no initial term of a minimal basis divides
     # another, so each keeps its monic initial term
-    minimal = [basis[i] for i in kept]
+    minimal = [basis[i] for i in _minimal(lts, keys)]
     return [arith.poly(ring, arith.reduce(order, arith.terms(e),
                                           minimal[:i] + minimal[i + 1:]))
             for i, e in enumerate(minimal)]
+
+
+def _minimal(lts: list, keys: list) -> list:
+    """Indices of a minimal subset of the initial monomials ``lts``, by
+    ascending order key ``keys``: each is kept unless a kept one divides
+    it, and a divisor never comes after its multiple."""
+    kept = []
+    for i in sorted(range(len(lts)), key=keys.__getitem__):
+        if not any(mono_divides(lts[k], lts[i]) for k in kept):
+            kept.append(i)
+    return kept
 
 
 def initial_ideal(order: Order, I: Ideal) -> Ideal:

@@ -93,7 +93,9 @@ class CnSplit:
     def degenerate(self) -> bool:
         """C is the unit ideal or √C = √N: a valid step that only shrinks
         the problem.  N's generators are among C's, so only √C ⊆ √N is
-        tested, and not at all when the lists are equal (y absent)."""
+        tested, and not at all when the lists are equal (y absent).  This
+        is the literal test replay makes; the certifiers read the flag off
+        the certified branches instead (see ``_decomposition``)."""
         n_gens = set(self.N.gens)
         return (self.C.gens == self.N.gens or self.C.is_unit_ideal()
                 or all(radical_contains(self.N, c)
@@ -283,15 +285,32 @@ def _refutation(ring_names: tuple,
 
 
 def _decomposition(ring_names: tuple, ev: UnmixednessEvidence, split: CnSplit,
+                   c_branch: Ideal, n_branch: Ideal,
                    cert_c: GvdCertificate, cert_n: GvdCertificate) -> GvdCertificate:
-    """The node for a verified step whose two branches certified.
+    """The node for a verified step whose two branches, the contractions
+    ``c_branch`` of C and ``n_branch`` of N, certified as ``cert_c`` and
+    ``cert_n``.
 
     It is decomposable when the unmixedness evidence is conclusive or cited
     from a structural theorem, and otherwise inconclusive with the step
     attached.
+
+    The flag ``degenerate`` is the value of ``split.degenerate()``, read
+    off the branches without a radical membership test.  Both branches
+    certified "gvd", so both are radical (module docstring), and so are C
+    and N, their extensions by y: the quotient is a polynomial ring over
+    the branch's.  For radical N ⊆ C, √C = √N exactly when C = N.  C and N
+    are generated by y-free polynomials, and the extension Q[x] → Q[x][y]
+    is free, so each contracts back to its branch: C = N exactly when the
+    two branches are equal, that is when their reduced bases under the
+    storage order, which certifying them computed, agree.  The generator
+    lists are compared first (equal when y is absent), then C's branch is
+    tested for the unit ideal.
     """
+    degenerate = (split.C.gens == split.N.gens or c_branch.is_unit_ideal()
+                  or c_branch.groebner() == n_branch.groebner())
     step = dict(unmixedness=ev, y=split.y, order=split.order.to_dict(),
-                degenerate=split.degenerate(), child_c=cert_c, child_n=cert_n)
+                degenerate=degenerate, child_c=cert_c, child_n=cert_n)
     if ev.conclusive_unmixed or ev.status == "cited":
         return GvdCertificate("decomposition", "gvd", ring_names, **step)
     return inconclusive(
@@ -355,7 +374,8 @@ def certify_step(I: Ideal, y: str, context: Optional[Graph], theorem: str,
         cert_c = certify_c(c_branch)
         cert_n = certify_n(n_branch)
     if cert_c.verdict == "gvd" and cert_n.verdict == "gvd":
-        return _decomposition(names, ev, split, cert_c, cert_n)
+        return _decomposition(names, ev, split, c_branch, n_branch,
+                              cert_c, cert_n)
     return inconclusive(names, "a branch at %s did not certify (C: %s, N: %s)"
                                % (var_placeholder(names, y), cert_c.verdict,
                                   cert_n.verdict))
@@ -577,10 +597,12 @@ def _search(I: Ideal, rgb: tuple, context, budget: Budget, prefer: tuple,
     if absent:
         yname = absent[0]
         split = cn_split(I, yname)
-        core = _certify(contract(split.N, yname),
-                        _child_context(context, yname), budget, prefer, memo)
+        contraction = contract(split.N, yname)
+        core = _certify(contraction, _child_context(context, yname), budget,
+                        prefer, memo)
         if core.verdict == "gvd":
-            return _decomposition(ring.names, ev, split, core, core)
+            return _decomposition(ring.names, ev, split, contraction,
+                                  contraction, core, core)
         if core.verdict == "not-gvd":
             # Decomposability is equivalent for the ideal and its contraction
             # when the variable is absent, so the refutation needs no
@@ -610,8 +632,8 @@ def _search(I: Ideal, rgb: tuple, context, budget: Budget, prefer: tuple,
                         "in {y}, so no compatible order works"))
             continue
         child_ctx = _child_context(context, yname)
-        cert_c = _certify(contract(split.C, yname), child_ctx, budget, prefer,
-                          memo)
+        c_branch = contract(split.C, yname)
+        cert_c = _certify(c_branch, child_ctx, budget, prefer, memo)
         if cert_c.verdict == "not-gvd":
             failures.append(
                 (yname, "C-branch is certified not decomposable"))
@@ -619,8 +641,8 @@ def _search(I: Ideal, rgb: tuple, context, budget: Budget, prefer: tuple,
         if cert_c.verdict == "inconclusive":
             stuck.append((yname, "a branch was inconclusive"))
             continue
-        cert_n = _certify(contract(split.N, yname), child_ctx, budget, prefer,
-                          memo)
+        n_branch = contract(split.N, yname)
+        cert_n = _certify(n_branch, child_ctx, budget, prefer, memo)
         if cert_n.verdict == "not-gvd":
             failures.append(
                 (yname, "N-branch is certified not decomposable"))
@@ -628,7 +650,8 @@ def _search(I: Ideal, rgb: tuple, context, budget: Budget, prefer: tuple,
         if cert_n.verdict == "inconclusive":
             stuck.append((yname, "a branch was inconclusive"))
             continue
-        return _decomposition(ring.names, ev, split, cert_c, cert_n)
+        return _decomposition(ring.names, ev, split, c_branch, n_branch,
+                              cert_c, cert_n)
 
     if stuck:
         reason = "; ".join("%s: %s" % (var_placeholder(ring.names, yname), why)

@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gvdlab.algebra import (
-    Elim, GrLex, Lex, Poly, Ring, YFirst, compile_order, lex_order, parse_poly,
-    storage_order,
+    Elim, GrLex, Lex, Poly, Ring, YFirst, compile_order, initial_term,
+    lex_order, parse_poly, storage_order,
 )
 from gvdlab.groebner import (
     Ideal, _Fractions, buchberger, eliminate, ideal_contains,
@@ -132,6 +132,69 @@ def test_reduced_basis_matches_sympy_under_permuted_variables(texts, gens, spec,
     order = compile_order(XYZ, spec(gens))
     mine = {g.canonical() for g in I(*texts).groebner(order)}
     assert mine == _sympy_gb(texts, kind, gens)
+
+
+# ---------------------------------------------------------------------------
+# Inputs that skip the pair heap: one generator, or monomials only.
+
+TRIVIAL_ORDERS = [
+    (GrLex(("x", "y", "z")), "grlex", ("x", "y", "z")),
+    (Lex(("z", "x", "y")), "lex", ("z", "x", "y")),
+    # y-degree first, ties by lex: the engine's y-compatible order, which
+    # is lex with y first
+    (YFirst("y", Lex(("y", "x", "z"))), "lex", ("y", "x", "z")),
+]
+
+_MONO = st.tuples(*[st.integers(0, 3)] * 3)
+_COEFF = st.tuples(st.integers(-4, 4).filter(bool), st.integers(1, 4)).map(
+    lambda t: Fraction(*t))
+_MONOMIAL = st.builds(lambda m, c: Poly(XYZ, {m: c}), _MONO, _COEFF)
+
+
+@st.composite
+def single_generators(draw):
+    """One generator: a monomial, a pure difference, a trinomial with
+    Fraction coefficients, or a constant."""
+    kind = draw(st.sampled_from(["monomial", "difference", "trinomial",
+                                 "constant"]))
+    if kind == "monomial":
+        return [draw(_MONOMIAL)]
+    if kind == "constant":
+        return [Poly(XYZ, {(0, 0, 0): draw(_COEFF)})]
+    size = 2 if kind == "difference" else 3
+    monos = draw(st.lists(_MONO, min_size=size, max_size=size, unique=True))
+    if kind == "difference":
+        c = draw(_COEFF)
+        return [Poly(XYZ, {monos[0]: c, monos[1]: -c})]
+    return [Poly(XYZ, {m: draw(_COEFF) for m in monos})]
+
+
+@st.composite
+def monomial_lists(draw):
+    """Monomials, with scalar-multiple duplicates and multiples of others."""
+    gens = draw(st.lists(_MONOMIAL, min_size=1, max_size=5))
+    for k, c in draw(st.lists(st.tuples(st.integers(0, len(gens) - 1), _COEFF),
+                              max_size=2)):
+        gens.append(gens[k] * c)
+    for k, m in draw(st.lists(st.tuples(st.integers(0, len(gens) - 1), _MONO),
+                              max_size=2)):
+        gens.append(gens[k] * Poly(XYZ, {m: Fraction(1)}))
+    return gens
+
+
+@given(st.one_of(single_generators(), monomial_lists()),
+       st.sampled_from(TRIVIAL_ORDERS))
+@settings(max_examples=150, deadline=None)
+def test_trivial_inputs_match_sympy(gens, case):
+    spec, kind, names = case
+    order = compile_order(XYZ, spec)
+    got = buchberger(order, gens)
+    assert {g.canonical() for g in got} == _sympy_gb([str(g) for g in gens],
+                                                     kind, names)
+    leads = [initial_term(order, g) for g in got]
+    assert all(t.coeff == 1 for t in leads)
+    keys = [order.key(t.mono) for t in leads]
+    assert keys == sorted(set(keys))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from gvdlab import components, graphs, groebner, gvd
 from gvdlab.algebra import Ring, lex_order, parse_poly
+from gvdlab.bipartite import certify_bipartite_gvd
 from gvdlab.components import UnmixednessEvidence
 from gvdlab.graphs import (
     Graph, complete_bipartite, complete_graph, cycle_graph, toric_ideal,
@@ -25,6 +26,7 @@ from fixtures import (
     TWO_K4_N_E12_OF_L, two_k4_chain, two_k4_sharing_vertex,
     two_triangles_bridged,
 )
+from graph_corpus import NINE_EDGE_GRAPHS, connected_graphs, to_graph
 
 XYZW = Ring(["x", "y", "z", "w"])
 
@@ -402,6 +404,31 @@ def test_replay_rejects_tampered_certificate():
     for tamper in [dict(y="zz"), dict(order={"type": "nope"}),
                    dict(child_c=None)]:
         assert not replay_certificate(J, replace(cert, **tamper), context=G)
+
+
+def test_the_certifiers_read_the_degenerate_flag_off_the_branches(monkeypatch):
+    # The certifiers set the flag from the certified branches, so they make
+    # no radical membership test; replay re-derives it literally, with them.
+    calls = []
+    real = gvd.radical_contains
+    monkeypatch.setattr(gvd, "radical_contains",
+                        lambda *args: calls.append(args) or real(*args))
+    searched = [to_graph(n, edges) for n, edges in NINE_EDGE_GRAPHS]
+    searched.append(two_k4_sharing_vertex())
+    generic = [(G, is_gvd(toric_ideal(G), context=G)) for G in searched]
+    assert [c.verdict for _, c in generic] == ["not-gvd", "gvd", "gvd",
+                                               "not-gvd"]
+    matched = [to_graph(n, edges) for n, edges in connected_graphs(7)]
+    matched = [G for G in matched if G.is_bipartite()]
+    matched.append(complete_bipartite(3, 3))
+    structural = [(G, certify_bipartite_gvd(G)) for G in matched]
+    assert calls == []
+    flags = {n.degenerate for _, c in generic + structural
+             for n in tree_nodes(c) if n.kind == "decomposition"}
+    assert flags == {True, False}
+    for G, cert in generic[1:3] + structural:
+        assert replay_certificate(toric_ideal(G), cert, context=G)
+    assert calls
 
 
 def tree_nodes(cert) -> list:

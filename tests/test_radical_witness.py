@@ -3,7 +3,7 @@ the intersection it replaces.
 
 Where the split components share one dimension and the initial ideal is not
 square-free, the evidence looks in the reduced basis for a monomial m that
-is not square-free and whose support monomial sqrt(m) is not in the ideal.
+is not square-free; its support monomial sqrt(m) is then not in the ideal.
 Such a witness proves the ideal is not the intersection of its minimal
 primes.  Here the ideals where it fires, met by a walk over the C and N
 branches below the toric ideals of the 7-edge corpus, three 9-edge graphs
@@ -15,7 +15,7 @@ radical, and it is not in the ideal.
 import pytest
 
 from gvdlab import components
-from gvdlab.algebra import parse_poly, storage_order
+from gvdlab.algebra import parse_poly
 from gvdlab.graphs import cycle_graph, toric_ideal
 from gvdlab.groebner import (
     Ideal, contract, ideal_contains, ideal_equal, radical_contains,
@@ -38,8 +38,8 @@ def witness_steps(graphs, wanted: int) -> list:
     steps, found = [], []
     real_witness = components._non_radical_witness
 
-    def witness(order, rgb):
-        found.append(real_witness(order, rgb))
+    def witness(rgb):
+        found.append(real_witness(rgb))
         return found[-1]
 
     def walk(I, context, seen):
@@ -91,8 +91,7 @@ def test_witness_on_a_four_cycle():
     assert ev.status == "inconclusive" and ev.not_radical
     assert ev.dims == (2, 2)
     assert "not their intersection" in ev.detail
-    order = storage_order(ring)
-    assert components._non_radical_witness(order, J.groebner()) == parse_poly(ring, "e1")
+    assert components._non_radical_witness(J.groebner()) == parse_poly(ring, "e1")
     radical = intersection([c.ideal(ring) for c in ev.components])
     assert ideal_equal(radical, Ideal(ring, [parse_poly(ring, "e1"),
                                              parse_poly(ring, "e2*e4")]))
@@ -102,10 +101,9 @@ def test_no_witness_in_a_radical_basis():
     # <e1^2, e1*e3 - e2*e4> with e1 in place of e1^2 is <e1, e2*e4>.
     G = cycle_graph(4)
     ring = G.edge_ring()
-    order = storage_order(ring)
     J = Ideal(ring, [parse_poly(ring, "e1"), parse_poly(ring, "e1*e3 - e2*e4")])
     for radical in (J, toric_ideal(G)):
-        assert components._non_radical_witness(order, radical.groebner()) is None
+        assert components._non_radical_witness(radical.groebner()) is None
 
 
 def test_intersection_decides_without_a_witness():
@@ -115,8 +113,7 @@ def test_intersection_decides_without_a_witness():
     G = two_k4_sharing_vertex()
     ring = G.edge_ring()
     J = toric_ideal(G).with_extra([ring.var("e1")])
-    order = storage_order(ring)
-    assert components._non_radical_witness(order, J.groebner()) is None
+    assert components._non_radical_witness(J.groebner()) is None
     ev = components.unmixedness_evidence(J, G)
     assert ev.status == "inconclusive" and set(ev.dims) == {6}
     assert ev.not_radical
