@@ -16,7 +16,35 @@ graded lex key is ``(degree, pick)``, so the storage order's key is
 ``(sum(m), m)``.  A y-first key is ``(m[y], inner key)`` and an elimination
 key ``(degree in the block, inner key)``.  The monomial helpers
 (``mono_mul`` and the rest) likewise map ``operator`` functions over the two
-exponent tuples.
+exponent tuples.  A key depends only on the spec's index form, the spec with
+each variable name replaced by its position in the ring, so
+``compile_order`` compiles each index form once, in a capped module cache
+that rings with other names share, and hands every caller a fresh ``Order``
+over its own ring.
+
+The Groebner and Graver kernels hold monomials as single ints instead
+(``Packing``).  An order's packing is built on first use and cached with its
+key.  Its fields are the rows of the order's key, most significant first:
+the degree rows of ``GrLex`` and ``Elim`` where they occur, and each
+variable at its first rank in the spec (a variable the spec ranks only
+inside a degree row gets a last field of its own).  Each field is ``width``
+bits wide with a guard bit on top, so it holds values below
+``2**(width - 1)``.  Every row is linear in the exponents and no field
+carries into the next, so:
+
+- int comparison is the order (a repeated variable row only ever compares
+  equal, so leaving it out changes nothing; where a spec's key ties two
+  monomials, as an elimination spec over part of the variables can, the
+  last fields break the tie);
+- a product is ``a + b`` and a quotient ``a - b``;
+- a divides b exactly when ``((b | G) - a) & G == G``, G the guard bits:
+  a field of b with its guard set, less that of a, keeps the guard exactly
+  when b's field is at least a's, and never borrows from the next field;
+- an lcm is a fieldwise max, after which each degree row is summed again
+  from the variable fields, since a max of sums is not a sum of maxes.
+
+A field that reaches its guard bit raises ``PackingOverflow``; the kernels
+then restart with ``Packing.wider()``, so a value never wraps silently.
 """
 
 from __future__ import annotations
@@ -29,7 +57,7 @@ from typing import Iterable, Mapping, NamedTuple, Union
 
 __all__ = [
     "Ring", "Poly", "Term",
-    "Lex", "GrLex", "YFirst", "Elim", "Order",
+    "Lex", "GrLex", "YFirst", "Elim", "Order", "Packing", "PackingOverflow",
     "compile_order", "storage_order", "lex_order", "y_order", "elim_order",
     "order_from_dict",
     "compare", "initial_term", "initial_y_form", "y_split",
@@ -345,14 +373,26 @@ class Elim:
 
 
 class Order:
-    """A compiled monomial order: a spec plus a sort-key function."""
+    """A compiled monomial order: a spec plus a sort-key function, taken
+    from ``shared``, the cache entry of the spec's index form, which also
+    holds the packing once it is built."""
 
-    __slots__ = ("ring", "spec", "key")
+    __slots__ = ("ring", "spec", "key", "_shared")
 
-    def __init__(self, ring: Ring, spec, key):
+    def __init__(self, ring: Ring, spec, shared: "_Compiled"):
         self.ring = ring
         self.spec = spec
-        self.key = key
+        self.key = shared.key
+        self._shared = shared
+
+    @property
+    def packing(self) -> "Packing":
+        """The packed layout of this order, at the narrowest width."""
+        shared = self._shared
+        if shared.packing is None:
+            shared.packing = Packing(shared.arity,
+                                     _packed_rows(shared.arity, shared.form))
+        return shared.packing
 
     def to_dict(self) -> dict:
         return _spec_to_dict(self.spec)
@@ -361,59 +401,249 @@ class Order:
         return "Order(%r)" % (self.spec,)
 
 
-def _spec_deciders(spec) -> set:
-    if isinstance(spec, (Lex, GrLex)):
-        return set(spec.vars)
-    if isinstance(spec, YFirst):
-        return {spec.y} | _spec_deciders(spec.inner)
-    if isinstance(spec, Elim):
-        return set(spec.vars) | _spec_deciders(spec.inner)
-    raise TypeError("not an order spec: %r" % (spec,))
+class _Compiled:
+    """What ``compile_order`` caches per arity and index form: the key, and
+    the packing once an Order asks for it."""
+
+    __slots__ = ("arity", "form", "key", "packing")
+
+    def __init__(self, arity: int, form: tuple):
+        self.arity, self.form = arity, form
+        self.key = _compile_form(arity, form)
+        self.packing = None
 
 
-def _picker(ring: Ring, names: tuple):
-    """A function picking the exponents of ``names`` out of a monomial as a
-    tuple, or None when they are the ring's variables in ring order (then
-    the monomial is its own pick)."""
-    idx = tuple(ring.vidx(v) for v in names)
-    if idx == tuple(range(ring.arity)):
-        return None
+class PackingOverflow(ArithmeticError):
+    """A field of a packed monomial reached its guard bit."""
+
+
+class Packing:
+    """Monomials of ``arity`` variables as ints, one field per row of
+    ``rows`` (most significant first): a variable index, or a tuple of
+    indices whose exponents the field sums (a degree row).  Every variable
+    needs a row of its own.  The module docstring gives the layout and the
+    rules.
+    """
+
+    __slots__ = ("arity", "rows", "width", "guard", "values", "var_guard",
+                 "_var_pick", "_sums", "_degrees", "_unpick", "_shifts", "_low", "_top",
+                 "_wider")
+
+    def __init__(self, arity: int, rows, width: int = 8):
+        rows = tuple(rows)
+        self.arity, self.rows, self.width = arity, rows, width
+        n = len(rows)
+        shift = [(n - 1 - k) * width for k in range(n)]
+        self._low = sum(1 << s for s in shift)
+        self.guard = self._low << (width - 1)
+        self.values = self.guard - self._low  # the value bits of every field
+        self._top = shift[0] if n else 0
+        var_row = {r: k for k, r in enumerate(rows) if isinstance(r, int)}
+        if sorted(var_row) != list(range(arity)):
+            raise ValueError("every variable needs a row of its own")
+        field = (1 << width) - 1
+        value = field >> 1
+        self.var_guard = sum((value + 1) << shift[var_row[i]] for i in range(arity))
+        # the variables in row order; each degree row as (its position in
+        # the list of fields, a picker of its variables) for packing, and
+        # as (its shift, the value bits of its variables, a mask clearing
+        # its field) for the lcm and the gcd
+        self._var_pick = _tuple_picker([r for r in rows if isinstance(r, int)], arity)
+        degree_rows = [(k, r) for k, r in enumerate(rows) if not isinstance(r, int)]
+        self._sums = tuple((k, _tuple_picker(r, arity)) for k, r in degree_rows)
+        self._degrees = tuple(
+            (shift[k], sum(value << shift[var_row[i]] for i in r), ~(field << shift[k]))
+            for k, r in degree_rows)
+        self._shifts = tuple(shift[var_row[i]] for i in range(arity))
+        self._unpick = _tuple_picker([var_row[i] for i in range(arity)], n)
+        self._wider = None
+
+    def pack(self, m: tuple) -> int:
+        vals = self._var_pick(m)
+        if self._sums:
+            vals = list(vals)
+            for k, pick in self._sums:
+                vals.insert(k, sum(pick(m)))
+        w = self.width
+        if w == 8:
+            try:
+                p = int.from_bytes(bytes(vals), "big")
+            except ValueError:  # a value of 256 or more
+                raise PackingOverflow(max(vals)) from None
+            if p & self.guard:
+                raise PackingOverflow(max(vals))
+            return p
+        if max(vals, default=0) >> (w - 1):
+            raise PackingOverflow(max(vals))
+        p = 0
+        for v in vals:
+            p = p << w | v
+        return p
+
+    def unpack(self, p: int) -> tuple:
+        if self.width == 8:
+            return self._unpick(p.to_bytes(len(self.rows), "big"))
+        value = (1 << (self.width - 1)) - 1
+        return tuple(p >> s & value for s in self._shifts)
+
+    def divides(self, a: int, b: int) -> bool:
+        """True iff the monomial a divides b."""
+        G = self.guard
+        return ((b | G) - a) & G == G
+
+    def support(self, a: int) -> int:
+        """The guard bits of the variables that occur in a: (a + values)
+        sets the guard of a field exactly when the field is nonzero."""
+        return (a + self.values) & self.var_guard
+
+    def lcm(self, a: int, b: int) -> int:
+        ge = self._at_least(a, b)
+        return self._resummed(a & ge | b & ~ge)
+
+    def gcd(self, a: int, b: int) -> int:
+        ge = self._at_least(a, b)
+        return self._resummed(b & ge | a & ~ge)
+
+    def _at_least(self, a: int, b: int) -> int:
+        """The value bits of the fields where a is at least b."""
+        G = self.guard
+        ge = ((a | G) - b) & G  # the guards of those fields
+        return ge - (ge >> (self.width - 1))
+
+    def _resummed(self, c: int) -> int:
+        """c, a fieldwise max or min of two packed monomials, with each
+        degree row summed again from the variable fields."""
+        field = (1 << self.width) - 1
+        for s, mask, clear in self._degrees:
+            # (c & mask) * low gathers the sum of the row's variable fields
+            # in the top field; every partial sum is at most the row's
+            # degree of the one monomial plus that of the other, below
+            # 2**width, so no field carries
+            c = c & clear | ((c & mask) * self._low >> self._top & field) << s
+        if c & self.guard:
+            raise PackingOverflow("degree row")
+        return c
+
+    def wider(self) -> "Packing":
+        """The same rows at twice the width (built once)."""
+        if self._wider is None:
+            self._wider = Packing(self.arity, self.rows, 2 * self.width)
+        return self._wider
+
+
+def _tuple_picker(idx, size: int):
+    """A function picking the entries ``idx`` of a sequence of length
+    ``size`` as a tuple: ``tuple`` when they are all of it, in order."""
+    idx = tuple(idx)
+    if idx == tuple(range(size)):
+        return tuple
     if len(idx) >= 2:
         return itemgetter(*idx)
     # itemgetter returns a bare value for one index and needs at least one
     return lambda m: tuple(m[i] for i in idx)
 
 
-def _compile(ring: Ring, spec):
-    if isinstance(spec, Lex):
-        pick = _picker(ring, spec.vars)
-        return tuple if pick is None else pick  # tuple(m) is m itself
-    if isinstance(spec, GrLex):
-        pick = _picker(ring, spec.vars)
-        if pick is None:
+def _index_form(index: dict, spec) -> tuple:
+    """The spec with each variable name replaced by its position in the
+    ring (``index``), tagged by kind: all that its key and its packing
+    depend on, and shared by the rings whose names differ."""
+    kind = type(spec)
+    if kind is Lex or kind is GrLex:
+        return kind, tuple(map(index.__getitem__, spec.vars))
+    if kind is YFirst:
+        return kind, index[spec.y], _index_form(index, spec.inner)
+    if kind is Elim:
+        return kind, tuple(map(index.__getitem__, spec.vars)), _index_form(index, spec.inner)
+    raise TypeError("not an order spec: %r" % (spec,))
+
+
+def _ranked(form: tuple) -> set:
+    """The positions an index form decides."""
+    kind = form[0]
+    if kind is Lex or kind is GrLex:
+        return set(form[1])
+    ranked = _ranked(form[2])
+    ranked.update((form[1],) if kind is YFirst else form[1])
+    return ranked
+
+
+def _packed_rows(arity: int, form: tuple) -> tuple:
+    """The fields of the packing of an order of this index form (see the
+    module docstring)."""
+    rows, ranked = [], set()
+    while form is not None:
+        kind = form[0]
+        if kind is YFirst:
+            ranks, form = (form[1],), form[2]
+        else:
+            ranks = form[1]
+            if kind is not Lex:
+                rows.append(ranks)  # the degree row of a GrLex or an Elim
+            if kind is Elim:
+                ranks, form = (), form[2]
+            else:
+                form = None
+        for i in ranks:
+            if i not in ranked:
+                ranked.add(i)
+                rows.append(i)
+    rows.extend(i for i in range(arity) if i not in ranked)
+    return tuple(rows)
+
+
+def _compile_form(arity: int, form: tuple):
+    """The key function of an index form."""
+    kind = form[0]
+    if kind is Lex:
+        return _tuple_picker(form[1], arity)  # tuple(m) is m itself
+    if kind is GrLex:
+        pick = _tuple_picker(form[1], arity)
+        if pick is tuple:
             return _grlex_key
 
         def grlex_key(m):
             t = pick(m)
             return sum(t), t
         return grlex_key
-    if isinstance(spec, YFirst):
-        iy = ring.vidx(spec.y)
-        inner = _compile(ring, spec.inner)
+    inner = _compile_form(arity, form[2])
+    if kind is YFirst:
+        iy = form[1]
         return lambda m: (m[iy], inner(m))
-    if isinstance(spec, Elim):
-        idx = tuple(ring.vidx(v) for v in spec.vars)
-        inner = _compile(ring, spec.inner)
-        return lambda m: (sum(m[i] for i in idx), inner(m))
-    raise TypeError("not an order spec: %r" % (spec,))
+    idx = form[1]
+    return lambda m: (sum(m[i] for i in idx), inner(m))
+
+
+def _compile(ring: Ring, spec):
+    """The key function of ``spec`` over ``ring``."""
+    return _compile_form(ring.arity, _index_form(ring.index, spec))
+
+
+# Compiled orders by (arity, index form), oldest first.  Every ideal the
+# search derives builds a new ``Ring``, often with the same names, and
+# rings with other names share index forms; caching on the ring alone would
+# compile the same order again and again.
+_ORDER_CACHE: dict = {}
+_ORDER_CACHE_SIZE = 1024
 
 
 def compile_order(ring: Ring, spec) -> Order:
-    """Compile a spec to an Order, checking it decides every variable."""
-    missing = set(ring.names) - _spec_deciders(spec)
-    if missing:
-        raise ValueError("order does not decide variables: %s" % sorted(missing))
-    return Order(ring, spec, _compile(ring, spec))
+    """Compile a spec to an Order, checking it decides every variable.
+
+    The key function and the packing come from ``_ORDER_CACHE``; the
+    Order is new, so its ``ring`` and ``spec`` are the caller's.  Past
+    ``_ORDER_CACHE_SIZE`` entries the oldest is dropped.
+    """
+    ck = (ring.arity, _index_form(ring.index, spec))
+    shared = _ORDER_CACHE.get(ck)
+    if shared is None:
+        missing = set(range(ring.arity)) - _ranked(ck[1])
+        if missing:
+            raise ValueError("order does not decide variables: %s"
+                             % sorted(ring.names[i] for i in missing))
+        if len(_ORDER_CACHE) >= _ORDER_CACHE_SIZE:
+            del _ORDER_CACHE[next(iter(_ORDER_CACHE))]
+        shared = _ORDER_CACHE[ck] = _Compiled(*ck)
+    return Order(ring, spec, shared)
 
 
 def storage_order(ring: Ring) -> Order:

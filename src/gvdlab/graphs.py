@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from operator import add, neg, sub
+from operator import neg, sub
 from typing import Iterable, Sequence
 
-from .algebra import Poly, Ring, mono_div, mono_divides
+from .algebra import Packing, PackingOverflow, Poly, Ring, mono_divides
 from .groebner import Ideal, ideal_equal, minimal_generators
 
 __all__ = [
@@ -272,11 +272,6 @@ def _sign_parts(u: tuple) -> tuple:
     return tuple(map(max, u, zero)), tuple(map(max, map(neg, u), zero))
 
 
-def _conflict(u: tuple, v: tuple) -> bool:
-    """True iff u and v have opposite signs in some coordinate."""
-    return any(a * b < 0 for a, b in zip(u, v))
-
-
 def graver_completion(lattice_basis: list) -> list:
     """All conformally-minimal nonzero lattice vectors (Pottier completion),
     as ``oriented_minimal`` returns them.
@@ -284,10 +279,15 @@ def graver_completion(lattice_basis: list) -> list:
     A vector s lies conformally below f (same sign as f wherever s is
     nonzero, and no larger in absolute value) exactly when the monomial s+
     divides f+ and s- divides f-; then f - s has the parts f+/s+ and f-/s-.
-    So the normal form reduces sign parts with the monomial helpers, and
-    each member of the growing set S has its parts computed once, when it
-    joins S.  The scan order and the first-match rule are those of plain
-    vector reduction, so the result is the same.
+    So the members of the growing set S are held as their sign parts, each
+    a packed monomial with one field per coordinate (``algebra.Packing``),
+    and the conformal test in the normal form is two masked subtractions.
+    Two vectors have a sign conflict when the support of one's positive
+    part meets that of the other's negative part.  The parts of u + v are
+    u+ + v+ and u- + v-, less their fieldwise minimum.  A part that reaches
+    a guard bit restarts the completion with fields twice as wide.  The
+    scan order and the first-match rule are those of plain vector
+    reduction, so the result is the same.
 
     Only pairs with a sign conflict are formed.  The completion is done
     when every u + v over pairs of S is a sum of members of S conformally
@@ -295,50 +295,67 @@ def graver_completion(lattice_basis: list) -> list:
     and v lie conformally below u + v, and u + v = u + v is such a sum
     (Hemmecke, Math. Program. 2003).
     """
-    S, parts = [], []
+    n = len(lattice_basis[0]) if lattice_basis else 0
+    pk = Packing(n, range(n))
+    while True:
+        try:
+            S = _completion(pk, lattice_basis)
+        except PackingOverflow:
+            pk = pk.wider()
+            continue
+        return oriented_minimal(tuple(map(sub, pk.unpack(p), pk.unpack(q)))
+                                for p, q in S)
+
+
+def _completion(pk: Packing, lattice_basis: list) -> list:
+    """``graver_completion``'s set S, as packed sign parts (u+, u-)."""
+    G, gcd, support = pk.guard, pk.gcd, pk.support
+    S, sup_p, sup_n = [], [], []
     seen = set()
 
     def join(v):
         seen.add(v)
         S.append(v)
-        parts.append(_sign_parts(v))
+        sup_p.append(support(v[0]))
+        sup_n.append(support(v[1]))
+
+    def conflicts(p, q):
+        sp, sn = support(p), support(q)
+        return [k for k in range(len(S)) if sp & sup_n[k] or sn & sup_p[k]]
 
     for b in lattice_basis:
-        for v in (tuple(b), tuple(map(neg, b))):
-            if any(v) and v not in seen:
+        p, q = map(pk.pack, _sign_parts(tuple(b)))
+        for v in ((p, q), (q, p)):
+            if (p or q) and v not in seen:
                 join(v)
-    if not S:
-        return []
 
-    def nf(f):
-        fp, fn = _sign_parts(f)
-        while True:
-            if not (any(fp) or any(fn)):
-                return None
-            for sp, sn in parts:
-                if mono_divides(sp, fp) and mono_divides(sn, fn):
-                    fp, fn = mono_div(fp, sp), mono_div(fn, sn)
+    def nf(p, q):
+        while p or q:
+            pG, qG = p | G, q | G
+            for sp, sn in S:
+                if (pG - sp) & G == G and (qG - sn) & G == G:
+                    p -= sp
+                    q -= sn
                     break
             else:
-                return tuple(map(sub, fp, fn))
+                return p, q
+        return None
 
-    queue = deque()
-    for i in range(len(S)):
-        for j in range(i + 1, len(S)):
-            if _conflict(S[i], S[j]):
-                queue.append((S[i], S[j]))
+    queue = deque((i, j) for i in range(len(S)) for j in conflicts(*S[i]) if j > i)
     while queue:
-        u, v = queue.popleft()
-        h = nf(tuple(map(add, u, v)))
+        i, j = queue.popleft()
+        (pi, qi), (pj, qj) = S[i], S[j]
+        p, q = pi + pj, qi + qj
+        if (p | q) & G:
+            raise PackingOverflow("sum")
+        common = gcd(p, q)
+        h = nf(p - common, q - common)
         if h is None or h in seen:
             continue
-        for w in (h, tuple(map(neg, h))):
-            for s in S:
-                if _conflict(w, s):
-                    queue.append((w, s))
-            join(w)
-
-    return oriented_minimal(S)
+        for v in (h, h[::-1]):
+            queue.extend((len(S), k) for k in conflicts(*v))
+            join(v)
+    return S
 
 
 def _cycle_vectors(G: Graph) -> list:

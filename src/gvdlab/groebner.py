@@ -29,6 +29,20 @@ and the order alone.  Reduction visits terms largest first and takes the
 first divisor in either representation, so both compute the same terms and
 return the same reduced basis.
 
+Inside ``buchberger`` every monomial is one int, packed by the order's
+``algebra.Packing``: a fixed-width field per row of the order key (each
+degree row, and each variable at its first rank), most significant first,
+with a guard bit on top of each field.  Int comparison is then the
+order, a product or quotient is ``+`` or ``-``, divisibility is
+``((b | G) - a) & G == G`` for the guard bits G, the lcm is a fieldwise max
+with the degree fields summed again, and two monomials are coprime when
+their masks of nonzero variable fields do not meet.  Elements are packed
+when stored and unpacked once, when the result is built, so callers see
+exponent tuples only.  A sum that reaches a guard bit raises
+``PackingOverflow``, and ``buchberger`` starts again with fields twice as
+wide; no value wraps, and nothing else changes, so the result does not
+depend on the width.
+
 Intersections use the ``t*I + (1-t)*J`` elimination trick, saturation by a
 variable uses the Rabinowitsch trick, and Krull dimension comes from a
 minimum vertex cover of the initial-ideal supports.
@@ -39,12 +53,11 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from itertools import combinations
-from operator import add, le, sub
 from typing import Iterable, Sequence, Union
 
 from .algebra import (
-    Order, Poly, Ring,
-    elim_order, initial_term, mono_div, mono_divides, mono_lcm, mono_mul,
+    Order, Packing, PackingOverflow, Poly, Ring,
+    elim_order, initial_term, mono_div, mono_divides, mono_mul,
     mono_support, mono_is_squarefree, storage_order,
 )
 
@@ -175,20 +188,26 @@ def normal_form(order: Order, f: Poly, basis: Sequence[Poly]) -> Poly:
 class _Fractions:
     """Elements with coefficients: the record (initial monomial, tail) of a
     monic polynomial, the tail a tuple of (monomial, Fraction) in descending
-    order.  A polynomial in the making is a term dict."""
+    order.  A polynomial in the making is a term dict.  Monomials are
+    packed by ``pk``."""
 
-    @staticmethod
-    def store(order: Order, g: Poly) -> tuple:
+    __slots__ = ("pk",)
+
+    def __init__(self, pk: Packing):
+        self.pk = pk
+
+    def store(self, g: Poly) -> tuple:
         # sorted, so that generators equal up to a scalar give equal records
-        m, tail = _reducer(g.terms, *initial_term(order, g))
-        key = order.key
-        return m, tuple(sorted(tail, key=lambda t: key(t[0]), reverse=True))
+        pack = self.pk.pack
+        terms = {pack(m): c for m, c in g.terms.items()}
+        m = max(terms)
+        m, tail = _reducer(terms, m, terms[m])
+        return m, tuple(sorted(tail, reverse=True))
 
-    @staticmethod
-    def shifted_difference(tf, qf: tuple, tg, qg: tuple) -> dict:
-        out = {mono_mul(m, qf): c for m, c in tf}
+    def shifted_difference(self, tf, qf: int, tg, qg: int) -> dict:
+        out = {m + qf: c for m, c in tf}
         for m, c in tg:
-            mm = mono_mul(m, qg)
+            mm = m + qg
             v = out.get(mm, 0) - c
             if v:
                 out[mm] = v
@@ -196,9 +215,31 @@ class _Fractions:
                 del out[mm]
         return out
 
-    @staticmethod
-    def reduce(order: Order, terms: dict, reducers):
-        rem = _normal_form_raw(order, terms, reducers)
+    def reduce(self, terms: dict, reducers):
+        # the normal form, first divisor wins; terms leave ``work`` largest
+        # first, and a sum that overflowed is caught as it leaves
+        G = self.pk.guard
+        work = dict(terms)
+        rem: dict = {}
+        while work:
+            m = max(work)
+            c = work.pop(m)
+            if m & G:
+                raise PackingOverflow("product")
+            mG = m | G
+            for lt, tail in reducers:
+                if (mG - lt) & G == G:
+                    q = m - lt
+                    for gm, gc in tail:
+                        mm = gm + q
+                        v = work.get(mm, 0) - c * gc
+                        if v:
+                            work[mm] = v
+                        elif mm in work:
+                            del work[mm]
+                    break
+            else:
+                rem[m] = c
         if not rem:
             return None
         m = next(iter(rem))
@@ -209,32 +250,39 @@ class _Fractions:
         m, tail = e
         return {m: ONE, **dict(tail)}
 
-    @staticmethod
-    def poly(ring: Ring, e: tuple) -> Poly:
-        return Poly(ring, _Fractions.terms(e))
+    def poly(self, ring: Ring, e: tuple) -> Poly:
+        unpack = self.pk.unpack
+        return Poly(ring, {unpack(m): c for m, c in self.terms(e).items()})
 
 
 class _Binomials:
     """Elements without coefficients: the pair (initial monomial, tail
     monomial or None) stands for the monic x^a - x^b, or for x^a.  A
     polynomial in the making is a pair of monomials, either possibly None,
-    standing for +-(x^u - x^v), for +-x^u or x^v, or for 0."""
+    standing for +-(x^u - x^v), for +-x^u or x^v, or for 0.  Monomials are
+    packed by ``pk``."""
 
-    @staticmethod
-    def store(order: Order, g: Poly) -> tuple:
-        ms = sorted(g.terms, key=order.key, reverse=True)
+    __slots__ = ("pk",)
+
+    def __init__(self, pk: Packing):
+        self.pk = pk
+
+    def store(self, g: Poly) -> tuple:
+        ms = sorted(map(self.pk.pack, g.terms), reverse=True)
         return ms[0], (ms[1] if len(ms) == 2 else None)
 
-    @staticmethod
-    def shifted_difference(tf, qf: tuple, tg, qg: tuple) -> tuple:
-        return (None if tf is None else mono_mul(tf, qf),
-                None if tg is None else mono_mul(tg, qg))
+    def shifted_difference(self, tf, qf: int, tg, qg: int) -> tuple:
+        G = self.pk.guard
+        u = None if tf is None else tf + qf
+        v = None if tg is None else tg + qg
+        if (u or 0) & G or (v or 0) & G:
+            raise PackingOverflow("product")
+        return u, v
 
-    @staticmethod
-    def reduce(order: Order, s: tuple, reducers):
+    def reduce(self, s: tuple, reducers):
         # the larger term first: replaced by way of the first reducer whose
         # initial monomial divides it, then re-oriented, until none divides it
-        key = order.key
+        G = self.pk.guard
         u, v = s
         while True:
             if u is None:
@@ -244,19 +292,31 @@ class _Binomials:
             elif v is not None:
                 if u == v:
                     return None
-                if key(u) < key(v):
+                if u < v:
                     u, v = v, u
+            uG = u | G
             for lt, t in reducers:
-                if all(map(le, lt, u)):
-                    u = None if t is None else tuple(map(add, t, map(sub, u, lt)))
+                if (uG - lt) & G == G:
+                    if t is None:
+                        u = None
+                    else:
+                        u += t - lt
+                        if u & G:
+                            raise PackingOverflow("product")
                     break
             else:
                 break
         # then the tail, which stays below u
         while v is not None:
+            vG = v | G
             for lt, t in reducers:
-                if all(map(le, lt, v)):
-                    v = None if t is None else tuple(map(add, t, map(sub, v, lt)))
+                if (vG - lt) & G == G:
+                    if t is None:
+                        v = None
+                    else:
+                        v += t - lt
+                        if v & G:
+                            raise PackingOverflow("product")
                     break
             else:
                 break
@@ -266,10 +326,12 @@ class _Binomials:
     def terms(e: tuple) -> tuple:
         return e
 
-    @staticmethod
-    def poly(ring: Ring, e: tuple) -> Poly:
+    def poly(self, ring: Ring, e: tuple) -> Poly:
         m, t = e
-        return Poly(ring, {m: ONE} if t is None else {m: ONE, t: -ONE})
+        unpack = self.pk.unpack
+        if t is None:
+            return Poly(ring, {unpack(m): ONE})
+        return Poly(ring, {unpack(m): ONE, unpack(t): -ONE})
 
 
 def _is_binomial(g: Poly) -> bool:
@@ -291,8 +353,8 @@ def s_polynomial(arith, f: tuple, g: tuple):
     terms cancel unread and only the tails are shifted and subtracted.
     """
     (mf, tf), (mg, tg) = f, g
-    lcm = mono_lcm(mf, mg)
-    return arith.shifted_difference(tf, mono_div(lcm, mf), tg, mono_div(lcm, mg))
+    lcm = arith.pk.lcm(mf, mg)
+    return arith.shifted_difference(tf, lcm - mf, tg, lcm - mg)
 
 
 def buchberger(order: Order, gens: Iterable[Poly]) -> list:
@@ -306,88 +368,100 @@ def buchberger(order: Order, gens: Iterable[Poly]) -> list:
     generator is a monomial or a pure difference (see the module docstring
     for why the class is closed), ``_Fractions`` otherwise.  Only storing an
     element, forming an S-pair and reducing depend on it; the pair heap, the
-    criteria, the ``done`` set, minimalization and inter-reduction are
-    shared.  Either way each element is monic, its initial monomial and that
-    monomial's order key are computed once, when it joins the basis, and the
-    basis is its own reducer list.  A remainder's initial monomial is the
-    first it received, since reduction visits terms in descending order.
+    criteria, minimalization and inter-reduction are shared.  Either way
+    each element is monic, and its initial monomial and that monomial's
+    support are computed once, when it joins the basis, and the basis is its
+    own reducer list.  A remainder's initial monomial is the first it
+    received, since reduction visits terms in descending order.
+
+    Monomials are packed ints (module docstring) from ``store`` until the
+    output is built: the order key of a pair's lcm is the lcm itself, and
+    initial terms are coprime exactly when their supports do not meet.  A
+    product that reaches a guard bit restarts the computation with the
+    packing twice as wide.
 
     Two inputs skip the pair heap, since the reduced basis is unique.  A
-    single element (after storing and deduplicating) is its own reduced
-    basis, made monic.  Monomials alone have S-polynomials that all vanish,
-    so their reduced basis is their minimal elements, in ascending order.
+    single generator is its own reduced basis, made monic, and needs no
+    packing.  Monomials alone have S-polynomials that all vanish, so their
+    reduced basis is their minimal elements, in ascending order.
     """
     gens = [g for g in gens if not g.is_zero()]
+    if len(gens) <= 1:
+        return [_made_monic(order, g) for g in gens]
     arith = _Binomials if all(map(_is_binomial, gens)) else _Fractions
-    ring, key = order.ring, order.key
-    basis, lts, keys = [], [], []
+    pk = order.packing
+    while True:
+        try:
+            return _reduced_basis(arith(pk), order.ring, gens)
+        except PackingOverflow:
+            pk = pk.wider()
+
+
+def _reduced_basis(ar, ring: Ring, gens: list) -> list:
+    """``buchberger`` at one packing width ``ar.pk``."""
+    pk = ar.pk
+    G, lcm_of, values, var_guard = pk.guard, pk.lcm, pk.values, pk.var_guard
+    basis, lts, sups = [], [], []
 
     def add(e: tuple):
         basis.append(e)
         lts.append(e[0])
-        keys.append(key(e[0]))
+        sups.append((e[0] + values) & var_guard)  # as in Packing.support
 
     seen = set()
     for g in gens:
-        e = arith.store(order, g)
+        e = ar.store(g)
         if e not in seen:
             seen.add(e)
             add(e)
-    if not basis:
-        return []
-    if len(basis) == 1:
-        return [arith.poly(ring, basis[0])]
     if all(t is None for _, t in basis):  # monomials, held as _Binomials
-        return [arith.poly(ring, basis[i]) for i in _minimal(lts, keys)]
+        return [ar.poly(ring, basis[i]) for i in _minimal(lts, pk)]
 
-    heap = []
-    for i, j in combinations(range(len(basis)), 2):
-        lcm = mono_lcm(lts[i], lts[j])
-        heapq.heappush(heap, (key(lcm), i, j, lcm))
-    done = set()
+    heap = [(lcm_of(lts[i], lts[j]), i, j)
+            for i, j in combinations(range(len(basis)), 2)]
+    heapq.heapify(heap)
+    done = set()  # the pairs taken off the heap, each both ways round
 
     while heap:
-        _, i, j, lcm = heapq.heappop(heap)
-        if (i, j) in done:
-            continue
+        lcm, i, j = heapq.heappop(heap)
         done.add((i, j))
-        if mono_mul(lts[i], lts[j]) == lcm:
+        done.add((j, i))
+        if not sups[i] & sups[j]:
             continue  # coprime initial terms
-        chained = False
-        for k in range(len(basis)):
-            if k in (i, j) or not all(map(le, lts[k], lcm)):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a in done and b in done:
-                chained = True
-                break
-        if chained:
-            continue
-        e = arith.reduce(order, s_polynomial(arith, basis[i], basis[j]), basis)
+        lcm |= G
+        if any((i, k) in done and (j, k) in done
+               for k, lt in enumerate(lts) if (lcm - lt) & G == G):
+            continue  # chain criterion; k = i or j fails, as no (k, k) is done
+        e = ar.reduce(s_polynomial(ar, basis[i], basis[j]), basis)
         if e is None:
             continue
         add(e)
         n = len(basis) - 1
         for k in range(n):
-            lcm = mono_lcm(lts[k], e[0])
-            heapq.heappush(heap, (key(lcm), k, n, lcm))
+            heapq.heappush(heap, (lcm_of(lts[k], e[0]), k, n))
 
     # inter-reduce tails; no initial term of a minimal basis divides
     # another, so each keeps its monic initial term
-    minimal = [basis[i] for i in _minimal(lts, keys)]
-    return [arith.poly(ring, arith.reduce(order, arith.terms(e),
-                                          minimal[:i] + minimal[i + 1:]))
+    minimal = [basis[i] for i in _minimal(lts, pk)]
+    return [ar.poly(ring, ar.reduce(ar.terms(e), minimal[:i] + minimal[i + 1:]))
             for i, e in enumerate(minimal)]
 
 
-def _minimal(lts: list, keys: list) -> list:
-    """Indices of a minimal subset of the initial monomials ``lts``, by
-    ascending order key ``keys``: each is kept unless a kept one divides
-    it, and a divisor never comes after its multiple."""
+def _made_monic(order: Order, g: Poly) -> Poly:
+    """g divided by its initial coefficient, with its terms in descending
+    order, as the pair loop returns them."""
+    ms = sorted(g.terms, key=order.key, reverse=True)
+    terms = _monic(g.terms, g.terms[ms[0]])
+    return Poly(order.ring, {m: terms[m] for m in ms})
+
+
+def _minimal(lts: list, pk: Packing) -> list:
+    """Indices of a minimal subset of the initial monomials ``lts``, packed
+    by ``pk``, ascending: each is kept unless a kept one divides it, and a
+    divisor never comes after its multiple."""
     kept = []
-    for i in sorted(range(len(lts)), key=keys.__getitem__):
-        if not any(mono_divides(lts[k], lts[i]) for k in kept):
+    for i in sorted(range(len(lts)), key=lts.__getitem__):
+        if not any(pk.divides(lts[k], lts[i]) for k in kept):
             kept.append(i)
     return kept
 

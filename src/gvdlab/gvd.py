@@ -285,10 +285,10 @@ def _refutation(ring_names: tuple,
 
 
 def _decomposition(ring_names: tuple, ev: UnmixednessEvidence, split: CnSplit,
-                   c_branch: Ideal, n_branch: Ideal,
+                   c_branch: Ideal,
                    cert_c: GvdCertificate, cert_n: GvdCertificate) -> GvdCertificate:
-    """The node for a verified step whose two branches, the contractions
-    ``c_branch`` of C and ``n_branch`` of N, certified as ``cert_c`` and
+    """The node for a verified step whose two branches, the contraction
+    ``c_branch`` of C and that of N, certified as ``cert_c`` and
     ``cert_n``.
 
     It is decomposable when the unmixedness evidence is conclusive or cited
@@ -296,19 +296,22 @@ def _decomposition(ring_names: tuple, ev: UnmixednessEvidence, split: CnSplit,
     attached.
 
     The flag ``degenerate`` is the value of ``split.degenerate()``, read
-    off the branches without a radical membership test.  Both branches
-    certified "gvd", so both are radical (module docstring), and so are C
-    and N, their extensions by y: the quotient is a polynomial ring over
-    the branch's.  For radical N ⊆ C, √C = √N exactly when C = N.  C and N
-    are generated by y-free polynomials, and the extension Q[x] → Q[x][y]
-    is free, so each contracts back to its branch: C = N exactly when the
-    two branches are equal, that is when their reduced bases under the
-    storage order, which certifying them computed, agree.  The generator
-    lists are compared first (equal when y is absent), then C's branch is
-    tested for the unit ideal.
+    off the branches without a radical membership test: it holds exactly
+    when the generator lists of C and N are equal or C's branch is the
+    unit ideal.  Both branches certified "gvd", so both are radical
+    (module docstring), and so are C and N, their extensions by y: the
+    quotient is a polynomial ring over the branch's.  For radical N ⊆ C,
+    √C = √N exactly when C = N.  The lists are equal exactly when y is
+    absent from the reduced basis, and then C = N.  Otherwise C ≠ N: some
+    element is g = y^d·q + r with d ≥ 1, and q is a generator of C.  If q
+    lay in N, which lies in I, some initial term of the reduced basis
+    would divide in(q), and so properly divide in(g) = y^d·in(q) under the
+    y-compatible order, which a reduced basis rules out.  So past the two
+    tests the step is degenerate only if C is the unit ideal, and C's
+    branch, which C extends along the free Q[x] → Q[x][y], is unit
+    exactly when C is.
     """
-    degenerate = (split.C.gens == split.N.gens or c_branch.is_unit_ideal()
-                  or c_branch.groebner() == n_branch.groebner())
+    degenerate = split.C.gens == split.N.gens or c_branch.is_unit_ideal()
     step = dict(unmixedness=ev, y=split.y, order=split.order.to_dict(),
                 degenerate=degenerate, child_c=cert_c, child_n=cert_n)
     if ev.conclusive_unmixed or ev.status == "cited":
@@ -374,8 +377,7 @@ def certify_step(I: Ideal, y: str, context: Optional[Graph], theorem: str,
         cert_c = certify_c(c_branch)
         cert_n = certify_n(n_branch)
     if cert_c.verdict == "gvd" and cert_n.verdict == "gvd":
-        return _decomposition(names, ev, split, c_branch, n_branch,
-                              cert_c, cert_n)
+        return _decomposition(names, ev, split, c_branch, cert_c, cert_n)
     return inconclusive(names, "a branch at %s did not certify (C: %s, N: %s)"
                                % (var_placeholder(names, y), cert_c.verdict,
                                   cert_n.verdict))
@@ -601,8 +603,7 @@ def _search(I: Ideal, rgb: tuple, context, budget: Budget, prefer: tuple,
         core = _certify(contraction, _child_context(context, yname), budget,
                         prefer, memo)
         if core.verdict == "gvd":
-            return _decomposition(ring.names, ev, split, contraction,
-                                  contraction, core, core)
+            return _decomposition(ring.names, ev, split, contraction, core, core)
         if core.verdict == "not-gvd":
             # Decomposability is equivalent for the ideal and its contraction
             # when the variable is absent, so the refutation needs no
@@ -650,8 +651,7 @@ def _search(I: Ideal, rgb: tuple, context, budget: Budget, prefer: tuple,
         if cert_n.verdict == "inconclusive":
             stuck.append((yname, "a branch was inconclusive"))
             continue
-        return _decomposition(ring.names, ev, split, c_branch, n_branch,
-                              cert_c, cert_n)
+        return _decomposition(ring.names, ev, split, c_branch, cert_c, cert_n)
 
     if stuck:
         reason = "; ".join("%s: %s" % (var_placeholder(ring.names, yname), why)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gvdlab import algebra
 from gvdlab.algebra import (
-    Elim, GrLex, Lex, Poly, Ring, YFirst, _compile,
+    Elim, GrLex, Lex, PackingOverflow, Poly, Ring, YFirst, _compile,
     compare, compile_order, elim_order, format_poly, initial_term,
     initial_y_form, lex_order, mono_div, mono_divides, mono_lcm, mono_mul,
     order_from_dict, parse_poly, storage_order, y_order, y_split,
@@ -274,3 +275,75 @@ def test_compiled_keys_compare_as_the_plain_definitions(case):
             assert (key(a) < key(b)) == (ref(a) < ref(b))
             assert (key(a) == key(b)) == (ref(a) == ref(b))
     assert sorted(ms, key=key) == sorted(ms, key=ref)
+
+
+# ---------------------------------------------------------------------------
+# The order cache and packed monomials.
+
+def test_compiled_orders_come_from_a_capped_cache():
+    cap = algebra._ORDER_CACHE_SIZE
+    forms = [(n, r) for n in range(1, 50) for r in range(n)][:cap + 10]
+    for n, r in forms:  # lex orders rotated by r: distinct index forms
+        ring = Ring(["c%d" % i for i in range(n)])
+        compile_order(ring, Lex(ring.names[r:] + ring.names[:r])).packing
+    assert len(algebra._ORDER_CACHE) == cap
+    # one compilation per index form: rings with other names, or other
+    # Ring objects, share it, and each Order keeps its own ring and spec
+    R, S, T = Ring(["a", "b"]), Ring(["a", "b"]), Ring(["u", "v"])
+    o, p, q = storage_order(R), compile_order(S, GrLex(("a", "b"))), storage_order(T)
+    assert o is not p and o.ring is R and p.ring is S and q.spec == GrLex(("u", "v"))
+    assert o.key is p.key is q.key and o.packing is p.packing is q.packing
+
+
+@st.composite
+def packed_monomials(draw):
+    """An order of each kind on permuted variables, and monomials whose
+    products and lcms may not fit the first field width."""
+    n = draw(st.integers(1, 5))
+    names = tuple("x%d" % i for i in range(n))
+    perm = tuple(draw(st.permutations(names)))
+    cut = draw(st.integers(0, n))
+    spec = draw(st.sampled_from([
+        Lex(perm), GrLex(perm),
+        YFirst(perm[0], Lex(perm[1:])), YFirst(perm[0], GrLex(perm)),
+        Elim(perm[:cut], GrLex(perm)), Elim(perm[:cut], Lex(perm[::-1]))]))
+    ms = draw(st.lists(st.tuples(*[st.integers(0, 40)] * n),
+                       min_size=2, max_size=6))
+    return compile_order(Ring(names), spec), ms
+
+
+@given(packed_monomials())
+@settings(max_examples=300, deadline=None)
+def test_packed_monomials_follow_the_order_and_the_tuple_operations(case):
+    order, ms = case
+    pk = order.packing
+    while True:  # the narrowest width that holds every input
+        try:
+            packed = [pk.pack(m) for m in ms]
+            break
+        except PackingOverflow:
+            pk = pk.wider()
+    for a, pa in zip(ms, packed):
+        assert pk.unpack(pa) == a
+        for b, pb in zip(ms, packed):
+            ka, kb = order.key(a), order.key(b)
+            assert (pa < pb) == (ka < kb) and (pa == pb) == (ka == kb)
+            assert pk.divides(pb, pa) == mono_divides(b, a)
+            if mono_divides(b, a):
+                assert pa - pb == pk.pack(mono_div(a, b))
+            coprime = mono_mul(a, b) == mono_lcm(a, b)
+            assert (not pk.support(pa) & pk.support(pb)) == coprime
+            try:
+                product = pk.pack(mono_mul(a, b))
+            except PackingOverflow:
+                assert (pa + pb) & pk.guard  # the guard catches it
+            else:
+                assert pa + pb == product
+            try:
+                lcm = pk.pack(mono_lcm(a, b))
+            except PackingOverflow:
+                with pytest.raises(PackingOverflow):
+                    pk.lcm(pa, pb)
+            else:
+                assert pk.lcm(pa, pb) == lcm
+            assert pk.gcd(pa, pb) == pk.pack(tuple(map(min, a, b)))

@@ -3,7 +3,7 @@
 import pytest
 
 from gvdlab import graphs
-from gvdlab.algebra import Poly, Ring, lex_order, parse_poly
+from gvdlab.algebra import Packing, Poly, Ring, lex_order, parse_poly
 from gvdlab.groebner import (
     Ideal, _Fractions, ideal_equal, krull_dimension, normal_form, s_polynomial,
 )
@@ -11,7 +11,7 @@ from gvdlab.graphs import (
     Graph, complete_bipartite, complete_graph, cycle_graph, disjoint_union,
     ferrers_graph, four_cycles_containing, glue_even_cycle, graver_basis,
     graver_completion,
-    has_four_cycle, integer_kernel_basis, is_gap_free, path_graph,
+    has_four_cycle, integer_kernel_basis, is_gap_free, oriented_minimal, path_graph,
     remove_leaves_fixpoint, toric_dimension, toric_ideal,
     universal_groebner_basis, vector_to_binomial,
 )
@@ -71,6 +71,54 @@ def test_kernel_rank_complement():
 def test_graver_of_trivial_lattices():
     assert graver_completion([]) == []
     assert graver_completion([(0, 0)]) == []
+
+
+def test_graver_completion_widens_for_large_entries(monkeypatch):
+    # The Graver basis of ker [1, 2, 200] is (2, -1, 0) and the 101 vectors
+    # (200 - 2b, b, -1): a conformally smaller vector with last entry 0 would
+    # be a multiple of (2, -1, 0), and with -1 it would equal the vector.
+    # Entries of 200 do not fit the first field width.
+    widened = []
+    wider = Packing.wider
+
+    def spy(pk):
+        widened.append(pk.width)
+        return wider(pk)
+
+    monkeypatch.setattr(Packing, "wider", spy)
+    assert graver_completion(integer_kernel_basis([[1, 200]])) == [(200, -1)]
+    assert widened == [8]
+    expected = sorted([(2, -1, 0)] + [(200 - 2 * b, b, -1) for b in range(101)])
+    assert graver_completion(integer_kernel_basis([[1, 2, 200]])) == expected
+    assert widened == [8, 8]
+    # entries that fit, whose sums do not: (100, -101, 1) - (-90, 89, 1)
+    lattice = [(100, -101, 1), (-90, 89, 1)]
+    assert graver_completion(lattice) == plain_completion(lattice)
+    assert widened == [8, 8, 8]
+
+
+def plain_completion(basis):
+    """Pottier's completion on plain integer tuples, forming every pair."""
+    def below(s, f):
+        return all(a * b >= 0 and abs(a) <= abs(b) for a, b in zip(s, f))
+
+    S = []
+    for b in basis:
+        for v in (tuple(b), tuple(-x for x in b)):
+            if any(v) and v not in S:
+                S.append(v)
+    pairs = [(i, j) for i in range(len(S)) for j in range(i)]
+    while pairs:
+        i, j = pairs.pop()
+        f = tuple(a + b for a, b in zip(S[i], S[j]))
+        while any(f):
+            s = next((s for s in S if below(s, f)), None)
+            if s is None:
+                pairs += [(len(S), k) for k in range(len(S))]
+                S.append(f)
+                break
+            f = tuple(a - b for a, b in zip(f, s))
+    return oriented_minimal(S)
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +352,12 @@ def test_universal_property_sampled_lex_orders():
             perm = list(ring.names)
             rng.shuffle(perm)
             o = lex_order(ring, perm)
-            stored = [_Fractions.store(o, f) for f in U]
+            fr = _Fractions(o.packing)
+            stored = [fr.store(f) for f in U]
             for i in range(len(U)):
                 for j in range(i + 1, len(U)):
-                    s = Poly(ring, s_polynomial(_Fractions, stored[i], stored[j]))
+                    s = Poly(ring, {o.packing.unpack(m): c for m, c in
+                                    s_polynomial(fr, stored[i], stored[j]).items()})
                     assert normal_form(o, s, U).is_zero()
 
 

@@ -8,11 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gvdlab.algebra import (
-    Elim, GrLex, Lex, Poly, Ring, YFirst, compile_order, initial_term,
-    lex_order, parse_poly, storage_order,
+    Elim, GrLex, Lex, Packing, PackingOverflow, Poly, Ring, YFirst,
+    compile_order, initial_term, lex_order, parse_poly, storage_order,
 )
 from gvdlab.groebner import (
-    Ideal, _Fractions, buchberger, eliminate, ideal_contains,
+    Ideal, _Binomials, _Fractions, buchberger, eliminate, ideal_contains,
     ideal_equal, initial_ideal, intersect,
     is_generated_by_variables, is_square_free_monomial_ideal, krull_dimension,
     normal_form, radical_contains, radical_equal, s_polynomial,
@@ -38,10 +38,11 @@ def gb_texts(ideal, order=None):
 # S-polynomials and normal forms.
 
 def test_s_polynomial_cancels_leading_terms():
-    o = storage_order(XYZ)
-    f, g = (_Fractions.store(o, P(t)) for t in ("x^3 - 2*x*y", "x^2*y - 2*y^2 + x"))
-    s = Poly(XYZ, s_polynomial(_Fractions, f, g))
-    assert s == P("-x^2")
+    pk = storage_order(XYZ).packing
+    fr = _Fractions(pk)
+    f, g = (fr.store(P(t)) for t in ("x^3 - 2*x*y", "x^2*y - 2*y^2 + x"))
+    s = s_polynomial(fr, f, g)
+    assert Poly(XYZ, {pk.unpack(m): c for m, c in s.items()}) == P("-x^2")
 
 
 def test_normal_form_full_reduction():
@@ -208,7 +209,7 @@ def binomial_ideals(draw):
     duplicates."""
     n = draw(st.integers(2, 5))
     ring = Ring("x%d" % i for i in range(n))
-    mono = st.tuples(*[st.integers(0, 2)] * n)
+    mono = st.tuples(*[st.integers(0, 3)] * n)
     coeff = st.tuples(st.integers(-3, 3).filter(bool), st.integers(1, 3)).map(
         lambda t: Fraction(*t))
     monomial = st.tuples(mono, coeff).map(lambda t: Poly(ring, {t[0]: t[1]}))
@@ -237,6 +238,47 @@ def test_binomial_path_matches_the_fraction_path(case, data):
     extra = gens[i] + x * gens[j]
     assume(len(extra.terms) >= 3)
     assert buchberger(order, gens) == buchberger(order, gens + [extra])
+
+
+# ---------------------------------------------------------------------------
+# Exponents past the first field width of the packed monomials.
+
+WIDE_CASES = [
+    # inputs that fit the first width; S-pairs and reductions outgrow it
+    (["x^100*y - z", "x*y^2 - z^3"], GrLex(("x", "y", "z")), "grlex", [8]),
+    (["x^70*z - y^2", "y^3 - x*z^60"], Lex(("z", "x", "y")), "lex", [8]),
+    (["x^90 - 1/2*y^3 + z", "x*y - z^2"], GrLex(("x", "y", "z")), "grlex", [8]),
+    # a reduction step outgrows it: of the initial term, and of the tail
+    (["x^51*y*z^2 - y^83", "x*y - y^21"], Lex(("x", "y", "z")), "lex", [8]),
+    (["y*z^2 - y^2*z", "x^39*y^69*z^79 - x^63"], Lex(("x", "y", "z")), "lex", [8]),
+    # inputs that need two widenings before the pair loop starts
+    (["x^40000 - y", "y^2 - z"], Lex(("x", "y", "z")), "lex", [8, 16]),
+]
+
+
+@pytest.mark.parametrize("texts,spec,kind,widths", WIDE_CASES)
+def test_wide_exponents_widen_the_packing_and_match_sympy(
+        monkeypatch, texts, spec, kind, widths):
+    widened = []
+    wider = Packing.wider
+
+    def spy(pk):
+        widened.append(pk.width)
+        return wider(pk)
+
+    monkeypatch.setattr(Packing, "wider", spy)
+    got = buchberger(compile_order(XYZ, spec), [P(t) for t in texts])
+    assert widened == widths
+    assert {g.canonical() for g in got} == _sympy_gb(texts, kind, spec.vars)
+
+
+@pytest.mark.parametrize("arith", [_Binomials, _Fractions])
+def test_an_s_polynomial_past_the_guard_raises(arith):
+    # z > x > y: the S-polynomial of xz - y^100 and y^30 z - x is x^2 - y^130
+    ar = arith(compile_order(XYZ, Lex(("z", "x", "y"))).packing)
+    f, g = ar.store(P("x*z - y^100")), ar.store(P("y^30*z - x"))
+    with pytest.raises(PackingOverflow):
+        ar.reduce(s_polynomial(ar, f, g), [f, g])
 
 
 # ---------------------------------------------------------------------------

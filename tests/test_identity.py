@@ -10,7 +10,9 @@ nonzerodivisor modulo the y-free ideal C.  Where the basis is square-free
 in y, C is the saturation in_y(I) : y^∞, since y·C ⊆ in_y(I) ⊆ C.  The
 generators of C and N do not involve y, so ``contract`` renames them
 instead of eliminating y.  Degeneracy is tested one way only, √C ⊆ √N,
-since the generators of N are among those of C.  These facts are checked
+since the generators of N are among those of C; and C = N only when y is
+absent from the reduced basis, which the certifiers rely on when they read
+the degenerate flag off the branches.  These facts are checked
 here at every variable, with ``intersect``, ``saturate_variable``,
 ``eliminate`` and ``radical_equal``.
 """
@@ -34,8 +36,9 @@ XYZW = Ring(["x", "y", "z", "w"])
 
 def assert_split_facts(I: Ideal, y: str):
     """N + y·C = C ∩ (N + <y>), the literal identity holds exactly when the
-    basis is square-free in y, C = in_y(I) : y^∞ where it is, and renaming
-    contracts C and N.  Returns the split."""
+    basis is square-free in y, C = in_y(I) : y^∞ where it is, renaming
+    contracts C and N, and the contractions differ unless the generator
+    lists agree.  Returns the split."""
     split = cn_split(I, y)
     C, N = split.C, split.N
     yvar = I.ring.var(y)
@@ -46,6 +49,8 @@ def assert_split_facts(I: Ideal, y: str):
         assert ideal_equal(saturate_variable(initial_y_ideal(I, y), y), C)
     for B in (C, N):
         assert ideal_equal(contract(B, y), eliminate(B, [y]))
+    if C.gens != N.gens:  # y occurs in the basis, so C ≠ N (gvd._decomposition)
+        assert contract(C, y).groebner() != contract(N, y).groebner()
     return split
 
 
