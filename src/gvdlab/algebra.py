@@ -43,8 +43,10 @@ carries into the next, so:
 - an lcm is a fieldwise max, after which each degree row is summed again
   from the variable fields, since a max of sums is not a sum of maxes.
 
-A field that reaches its guard bit raises ``PackingOverflow``; the kernels
-then restart with ``Packing.wider()``, so a value never wraps silently.
+The kernels use these through ``Packing``'s methods and never spell out
+the layout.  A field that reaches its guard bit raises
+``PackingOverflow``; ``Packing.widening`` then runs the kernel again with
+``Packing.wider()``, so a value never wraps silently.
 """
 
 from __future__ import annotations
@@ -459,6 +461,9 @@ class Packing:
         self._wider = None
 
     def pack(self, m: tuple) -> int:
+        # At the first width, 8, ``bytes`` and ``int.from_bytes`` do the
+        # packing (and ``to_bytes`` the unpacking) in C, three to five
+        # times faster than the shift loops that every width can use.
         vals = self._var_pick(m)
         if self._sums:
             vals = list(vals)
@@ -486,10 +491,38 @@ class Packing:
         value = (1 << (self.width - 1)) - 1
         return tuple(p >> s & value for s in self._shifts)
 
+    def checked(self, a: int) -> int:
+        """a, a sum or difference of packed monomials, unless one of its
+        fields reached the guard bit; then ``PackingOverflow``."""
+        if a & self.guard:
+            raise PackingOverflow(a)
+        return a
+
     def divides(self, a: int, b: int) -> bool:
         """True iff the monomial a divides b."""
         G = self.guard
         return ((b | G) - a) & G == G
+
+    def divisor(self, m: int, records):
+        """The first of ``records`` whose first entry, a monomial, divides
+        m, or None.  One scan for one call: the reductions ask this once
+        per step."""
+        G = self.guard
+        mG = m | G
+        for r in records:
+            if (mG - r[0]) & G == G:
+                return r
+        return None
+
+    def pair_divisor(self, p: int, q: int, pairs):
+        """The first (a, b) of ``pairs`` with a dividing p and b dividing
+        q, or None."""
+        G = self.guard
+        pG, qG = p | G, q | G
+        for r in pairs:
+            if (pG - r[0]) & G == G and (qG - r[1]) & G == G:
+                return r
+        return None
 
     def support(self, a: int) -> int:
         """The guard bits of the variables that occur in a: (a + values)
@@ -529,6 +562,16 @@ class Packing:
         if self._wider is None:
             self._wider = Packing(self.arity, self.rows, 2 * self.width)
         return self._wider
+
+    def widening(self, run):
+        """run(packing) from this packing on, started again with the next
+        wider one each time it raises ``PackingOverflow``."""
+        pk = self
+        while True:
+            try:
+                return run(pk)
+            except PackingOverflow:
+                pk = pk.wider()
 
 
 def _tuple_picker(idx, size: int):

@@ -22,7 +22,7 @@ from fractions import Fraction
 from operator import neg, sub
 from typing import Iterable, Sequence
 
-from .algebra import Packing, PackingOverflow, Poly, Ring, mono_divides
+from .algebra import Packing, Poly, Ring, mono_divides
 from .groebner import Ideal, ideal_equal, minimal_generators
 
 __all__ = [
@@ -281,7 +281,8 @@ def graver_completion(lattice_basis: list) -> list:
     divides f+ and s- divides f-; then f - s has the parts f+/s+ and f-/s-.
     So the members of the growing set S are held as their sign parts, each
     a packed monomial with one field per coordinate (``algebra.Packing``),
-    and the conformal test in the normal form is two masked subtractions.
+    and the conformal test in the normal form is ``Packing.pair_divisor``,
+    two masked subtractions per member of S.
     Two vectors have a sign conflict when the support of one's positive
     part meets that of the other's negative part.  The parts of u + v are
     u+ + v+ and u- + v-, less their fieldwise minimum.  A part that reaches
@@ -297,19 +298,14 @@ def graver_completion(lattice_basis: list) -> list:
     """
     n = len(lattice_basis[0]) if lattice_basis else 0
     pk = Packing(n, range(n))
-    while True:
-        try:
-            S = _completion(pk, lattice_basis)
-        except PackingOverflow:
-            pk = pk.wider()
-            continue
-        return oriented_minimal(tuple(map(sub, pk.unpack(p), pk.unpack(q)))
-                                for p, q in S)
+    return pk.widening(lambda pk: oriented_minimal(
+        tuple(map(sub, pk.unpack(p), pk.unpack(q)))
+        for p, q in _completion(pk, lattice_basis)))
 
 
 def _completion(pk: Packing, lattice_basis: list) -> list:
     """``graver_completion``'s set S, as packed sign parts (u+, u-)."""
-    G, gcd, support = pk.guard, pk.gcd, pk.support
+    checked, gcd, support, pair_divisor = pk.checked, pk.gcd, pk.support, pk.pair_divisor
     S, sup_p, sup_n = [], [], []
     seen = set()
 
@@ -331,23 +327,18 @@ def _completion(pk: Packing, lattice_basis: list) -> list:
 
     def nf(p, q):
         while p or q:
-            pG, qG = p | G, q | G
-            for sp, sn in S:
-                if (pG - sp) & G == G and (qG - sn) & G == G:
-                    p -= sp
-                    q -= sn
-                    break
-            else:
+            s = pair_divisor(p, q, S)
+            if s is None:
                 return p, q
+            p -= s[0]
+            q -= s[1]
         return None
 
     queue = deque((i, j) for i in range(len(S)) for j in conflicts(*S[i]) if j > i)
     while queue:
         i, j = queue.popleft()
         (pi, qi), (pj, qj) = S[i], S[j]
-        p, q = pi + pj, qi + qj
-        if (p | q) & G:
-            raise PackingOverflow("sum")
+        p, q = checked(pi + pj), checked(qi + qj)
         common = gcd(p, q)
         h = nf(p - common, q - common)
         if h is None or h in seen:

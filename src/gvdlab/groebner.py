@@ -29,19 +29,19 @@ and the order alone.  Reduction visits terms largest first and takes the
 first divisor in either representation, so both compute the same terms and
 return the same reduced basis.
 
-Inside ``buchberger`` every monomial is one int, packed by the order's
-``algebra.Packing``: a fixed-width field per row of the order key (each
-degree row, and each variable at its first rank), most significant first,
-with a guard bit on top of each field.  Int comparison is then the
-order, a product or quotient is ``+`` or ``-``, divisibility is
-``((b | G) - a) & G == G`` for the guard bits G, the lcm is a fieldwise max
-with the degree fields summed again, and two monomials are coprime when
-their masks of nonzero variable fields do not meet.  Elements are packed
-when stored and unpacked once, when the result is built, so callers see
-exponent tuples only.  A sum that reaches a guard bit raises
-``PackingOverflow``, and ``buchberger`` starts again with fields twice as
-wide; no value wraps, and nothing else changes, so the result does not
-depend on the width.
+Inside ``buchberger``, ``normal_form`` and ``minimal_generators`` every
+monomial is one int, packed by the order's ``algebra.Packing``: a
+fixed-width field per row of the order key (each degree row, and each
+variable at its first rank), most significant first, with a guard bit on
+top of each field.  Int comparison is then the order, and a product or
+quotient is ``+`` or ``-``; divisibility, the lcm, supports and the
+overflow check are ``Packing`` methods, so this module does not see the
+layout.  Two monomials are coprime when their supports do not meet.
+Elements are packed when stored and unpacked once, when the result is
+built, so callers see exponent tuples only.  A sum that reaches a guard
+bit raises ``PackingOverflow``, and ``Packing.widening`` starts the
+computation again with fields twice as wide; no value wraps, and nothing
+else changes, so the result does not depend on the width.
 
 Intersections use the ``t*I + (1-t)*J`` elimination trick, saturation by a
 variable uses the Rabinowitsch trick, and Krull dimension comes from a
@@ -56,8 +56,8 @@ from itertools import combinations
 from typing import Iterable, Sequence, Union
 
 from .algebra import (
-    Order, Packing, PackingOverflow, Poly, Ring,
-    elim_order, initial_term, mono_div, mono_divides, mono_mul,
+    Order, Packing, Poly, Ring,
+    elim_order, initial_term, mono_divides,
     mono_support, mono_is_squarefree, storage_order,
 )
 
@@ -153,36 +153,16 @@ def _reducer(terms: dict, m: tuple, c: Fraction) -> tuple:
     return m, tuple((gm, gc) for gm, gc in _monic(terms, c).items() if gm != m)
 
 
-def _normal_form_raw(order: Order, terms: dict, reducers) -> dict:
-    """Full normal form of a raw term dict against precomputed reducers
-    (first divisor wins).  Terms enter the result in descending order."""
-    key = order.key
-    work = dict(terms)
-    rem: dict = {}
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        for ltm, tail in reducers:
-            if mono_divides(ltm, m):
-                q = mono_div(m, ltm)
-                for gm, gc in tail:
-                    mm = mono_mul(gm, q)
-                    v = work.get(mm, 0) - c * gc
-                    if v:
-                        work[mm] = v
-                    elif mm in work:
-                        del work[mm]
-                break
-        else:
-            rem[m] = c
-    return rem
-
-
 def normal_form(order: Order, f: Poly, basis: Sequence[Poly]) -> Poly:
-    """Fully reduce f modulo the list of polynomials (first divisor wins)."""
-    reducers = [_reducer(g.terms, *initial_term(order, g))
-                for g in basis if not g.is_zero()]
-    return Poly(f.ring, _normal_form_raw(order, f.terms, reducers))
+    """Fully reduce f modulo the list of polynomials (first divisor wins),
+    on packed monomials, as ``buchberger`` reduces."""
+    basis = [g for g in basis if not g.is_zero()]
+
+    def run(pk: Packing) -> Poly:
+        ar = _Fractions(pk)
+        rem = ar.remainder(ar.packed(f), list(map(ar.store, basis)))
+        return Poly(f.ring, {pk.unpack(m): c for m, c in rem.items()})
+    return order.packing.widening(run)
 
 
 class _Fractions:
@@ -196,10 +176,13 @@ class _Fractions:
     def __init__(self, pk: Packing):
         self.pk = pk
 
+    def packed(self, g: Poly) -> dict:
+        pack = self.pk.pack
+        return {pack(m): c for m, c in g.terms.items()}
+
     def store(self, g: Poly) -> tuple:
         # sorted, so that generators equal up to a scalar give equal records
-        pack = self.pk.pack
-        terms = {pack(m): c for m, c in g.terms.items()}
+        terms = self.packed(g)
         m = max(terms)
         m, tail = _reducer(terms, m, terms[m])
         return m, tuple(sorted(tail, reverse=True))
@@ -215,31 +198,34 @@ class _Fractions:
                 del out[mm]
         return out
 
-    def reduce(self, terms: dict, reducers):
-        # the normal form, first divisor wins; terms leave ``work`` largest
-        # first, and a sum that overflowed is caught as it leaves
-        G = self.pk.guard
+    def remainder(self, terms: dict, reducers) -> dict:
+        """The full normal form of a term dict against the records
+        ``reducers`` (first divisor wins).  Terms leave ``work`` largest
+        first, so they enter the result in descending order, and a sum
+        that overflowed is caught as it leaves."""
+        checked, divisor = self.pk.checked, self.pk.divisor
         work = dict(terms)
         rem: dict = {}
         while work:
             m = max(work)
             c = work.pop(m)
-            if m & G:
-                raise PackingOverflow("product")
-            mG = m | G
-            for lt, tail in reducers:
-                if (mG - lt) & G == G:
-                    q = m - lt
-                    for gm, gc in tail:
-                        mm = gm + q
-                        v = work.get(mm, 0) - c * gc
-                        if v:
-                            work[mm] = v
-                        elif mm in work:
-                            del work[mm]
-                    break
-            else:
+            r = divisor(checked(m), reducers)
+            if r is None:
                 rem[m] = c
+                continue
+            lt, tail = r
+            q = m - lt
+            for gm, gc in tail:
+                mm = gm + q
+                v = work.get(mm, 0) - c * gc
+                if v:
+                    work[mm] = v
+                elif mm in work:
+                    del work[mm]
+        return rem
+
+    def reduce(self, terms: dict, reducers):
+        rem = self.remainder(terms, reducers)
         if not rem:
             return None
         m = next(iter(rem))
@@ -272,17 +258,14 @@ class _Binomials:
         return ms[0], (ms[1] if len(ms) == 2 else None)
 
     def shifted_difference(self, tf, qf: int, tg, qg: int) -> tuple:
-        G = self.pk.guard
-        u = None if tf is None else tf + qf
-        v = None if tg is None else tg + qg
-        if (u or 0) & G or (v or 0) & G:
-            raise PackingOverflow("product")
-        return u, v
+        checked = self.pk.checked
+        return (None if tf is None else checked(tf + qf),
+                None if tg is None else checked(tg + qg))
 
     def reduce(self, s: tuple, reducers):
         # the larger term first: replaced by way of the first reducer whose
         # initial monomial divides it, then re-oriented, until none divides it
-        G = self.pk.guard
+        checked, divisor = self.pk.checked, self.pk.divisor
         u, v = s
         while True:
             if u is None:
@@ -294,32 +277,18 @@ class _Binomials:
                     return None
                 if u < v:
                     u, v = v, u
-            uG = u | G
-            for lt, t in reducers:
-                if (uG - lt) & G == G:
-                    if t is None:
-                        u = None
-                    else:
-                        u += t - lt
-                        if u & G:
-                            raise PackingOverflow("product")
-                    break
-            else:
+            r = divisor(u, reducers)
+            if r is None:
                 break
+            lt, t = r
+            u = None if t is None else checked(u + t - lt)
         # then the tail, which stays below u
         while v is not None:
-            vG = v | G
-            for lt, t in reducers:
-                if (vG - lt) & G == G:
-                    if t is None:
-                        v = None
-                    else:
-                        v += t - lt
-                        if v & G:
-                            raise PackingOverflow("product")
-                    break
-            else:
+            r = divisor(v, reducers)
+            if r is None:
                 break
+            lt, t = r
+            v = None if t is None else checked(v + t - lt)
         return u, v
 
     @staticmethod
@@ -378,7 +347,10 @@ def buchberger(order: Order, gens: Iterable[Poly]) -> list:
     output is built: the order key of a pair's lcm is the lcm itself, and
     initial terms are coprime exactly when their supports do not meet.  A
     product that reaches a guard bit restarts the computation with the
-    packing twice as wide.
+    packing twice as wide.  The chain criterion skips (i, j) when some k,
+    already paired with both, has an initial term dividing their lcm; each
+    element keeps the set of its partners taken off the heap, so only the
+    common partners of i and j are tested for divisibility.
 
     Two inputs skip the pair heap, since the reduced basis is unique.  A
     single generator is its own reduced basis, made monic, and needs no
@@ -389,24 +361,22 @@ def buchberger(order: Order, gens: Iterable[Poly]) -> list:
     if len(gens) <= 1:
         return [_made_monic(order, g) for g in gens]
     arith = _Binomials if all(map(_is_binomial, gens)) else _Fractions
-    pk = order.packing
-    while True:
-        try:
-            return _reduced_basis(arith(pk), order.ring, gens)
-        except PackingOverflow:
-            pk = pk.wider()
+    return order.packing.widening(
+        lambda pk: _reduced_basis(arith(pk), order.ring, gens))
 
 
 def _reduced_basis(ar, ring: Ring, gens: list) -> list:
     """``buchberger`` at one packing width ``ar.pk``."""
     pk = ar.pk
-    G, lcm_of, values, var_guard = pk.guard, pk.lcm, pk.values, pk.var_guard
+    lcm_of, support, divides = pk.lcm, pk.support, pk.divides
     basis, lts, sups = [], [], []
+    taken = []  # taken[i]: each j of a pair (i, j) off the heap
 
     def add(e: tuple):
         basis.append(e)
         lts.append(e[0])
-        sups.append((e[0] + values) & var_guard)  # as in Packing.support
+        sups.append(support(e[0]))
+        taken.append(set())
 
     seen = set()
     for g in gens:
@@ -420,18 +390,15 @@ def _reduced_basis(ar, ring: Ring, gens: list) -> list:
     heap = [(lcm_of(lts[i], lts[j]), i, j)
             for i, j in combinations(range(len(basis)), 2)]
     heapq.heapify(heap)
-    done = set()  # the pairs taken off the heap, each both ways round
 
     while heap:
         lcm, i, j = heapq.heappop(heap)
-        done.add((i, j))
-        done.add((j, i))
+        taken[i].add(j)
+        taken[j].add(i)
         if not sups[i] & sups[j]:
             continue  # coprime initial terms
-        lcm |= G
-        if any((i, k) in done and (j, k) in done
-               for k, lt in enumerate(lts) if (lcm - lt) & G == G):
-            continue  # chain criterion; k = i or j fails, as no (k, k) is done
+        if any(divides(lts[k], lcm) for k in taken[i] & taken[j]):
+            continue  # chain criterion; no k is in its own set, so k != i, j
         e = ar.reduce(s_polynomial(ar, basis[i], basis[j]), basis)
         if e is None:
             continue
@@ -511,18 +478,23 @@ def minimal_generators(I: Ideal) -> list:
     if not all(len(set(map(sum, f.terms))) == 1 for f in cands):
         return _greedy_generators(I.ring, cands)
     order = storage_order(I.ring)
+    return order.packing.widening(
+        lambda pk: _graded_generators(_Fractions(pk), order, cands))
+
+
+def _graded_generators(ar: _Fractions, order: Order, cands: list) -> list:
+    """``minimal_generators`` of homogeneous candidates, in ascending
+    degree, with monomials packed by ``ar.pk``."""
     kept, lower, echelon, degree = [], [], [], None
     for f in cands:
         if f.total_degree() != degree:
             degree = f.total_degree()
             if echelon:
-                lower = [_reducer(g.terms, *initial_term(order, g))
-                         for g in Ideal(I.ring, kept).groebner(order)]
+                lower = list(map(ar.store, Ideal(order.ring, kept).groebner(order)))
             echelon = []
-        rem = _normal_form_raw(order, f.terms, lower + echelon)
-        if rem:
-            m = next(iter(rem))
-            echelon.append(_reducer(rem, m, rem[m]))
+        e = ar.reduce(ar.packed(f), lower + echelon)
+        if e is not None:
+            echelon.append(e)
             kept.append(f)
     return kept
 

@@ -316,16 +316,17 @@ def packed_monomials(draw):
 @settings(max_examples=300, deadline=None)
 def test_packed_monomials_follow_the_order_and_the_tuple_operations(case):
     order, ms = case
-    pk = order.packing
-    while True:  # the narrowest width that holds every input
-        try:
-            packed = [pk.pack(m) for m in ms]
-            break
-        except PackingOverflow:
-            pk = pk.wider()
+    # the narrowest width that holds every input
+    pk, packed = order.packing.widening(lambda pk: (pk, [pk.pack(m) for m in ms]))
+    records = [(p, i) for i, p in enumerate(packed)]
     for a, pa in zip(ms, packed):
         assert pk.unpack(pa) == a
+        first = next(i for i, b in enumerate(ms) if mono_divides(b, a))
+        assert pk.divisor(pa, records) == records[first]
         for b, pb in zip(ms, packed):
+            both = [(p, q) for (x, p), (y, q) in zip(zip(ms, packed), zip(ms[1:], packed[1:]))
+                    if mono_divides(x, a) and mono_divides(y, b)]
+            assert pk.pair_divisor(pa, pb, zip(packed, packed[1:])) == (both[0] if both else None)
             ka, kb = order.key(a), order.key(b)
             assert (pa < pb) == (ka < kb) and (pa == pb) == (ka == kb)
             assert pk.divides(pb, pa) == mono_divides(b, a)
@@ -336,9 +337,10 @@ def test_packed_monomials_follow_the_order_and_the_tuple_operations(case):
             try:
                 product = pk.pack(mono_mul(a, b))
             except PackingOverflow:
-                assert (pa + pb) & pk.guard  # the guard catches it
+                with pytest.raises(PackingOverflow):  # the guard catches it
+                    pk.checked(pa + pb)
             else:
-                assert pa + pb == product
+                assert pk.checked(pa + pb) == product
             try:
                 lcm = pk.pack(mono_lcm(a, b))
             except PackingOverflow:
