@@ -48,7 +48,7 @@ decomposability, whatever the dimensions say about unmixedness.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .algebra import (
@@ -99,10 +99,11 @@ class PrimeComponent:
 
     def rename(self, name_map: dict) -> "PrimeComponent":
         """Reporting-only rename: toric generators are dropped, since only
-        the variable sets and the dimension are serialized."""
+        the variable sets and the dimension are serialized.  The variable
+        lists are sorted by their new names, as a fresh split sorts them."""
         return PrimeComponent(
-            tuple(name_map.get(v, v) for v in self.monomial_vars),
-            tuple(name_map.get(v, v) for v in self.removed_edges),
+            tuple(sorted(name_map.get(v, v) for v in self.monomial_vars)),
+            tuple(sorted(name_map.get(v, v) for v in self.removed_edges)),
             (),
             self.dimension)
 
@@ -148,11 +149,16 @@ class UnmixednessEvidence:
         return out
 
     def rename(self, name_map: dict) -> "UnmixednessEvidence":
-        comps = None
-        if self.components is not None:
-            comps = tuple(c.rename(name_map) for c in self.components)
-        return UnmixednessEvidence(self.status, self.detail, self.dims, comps,
-                                   self.not_radical)
+        """The evidence with variables renamed.  Components are listed in
+        cover order, by size and then by their sorted variable names (see
+        ``_closed_covers``), and ``dims`` follows them, so both are put in
+        that order again under the new names."""
+        if self.components is None:
+            return self
+        comps = sorted((c.rename(name_map) for c in self.components),
+                       key=lambda c: (len(c.monomial_vars), c.monomial_vars))
+        return replace(self, dims=tuple(c.dimension for c in comps),
+                       components=tuple(comps))
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +234,24 @@ def _sign_canonical(f: Poly) -> frozenset:
     return frozenset(f.terms)
 
 
-def _ugb_signs(G: Graph, ring) -> set:
-    """Sign-canonical forms of the universal basis, lifted into ``ring``."""
-    return {_sign_canonical(f.rename(ring)) for f in universal_groebner_basis(G)}
+_SIGNS_CACHE: dict = {}
+_SIGNS_CACHE_SIZE = 4096
+
+
+def _ugb_signs(G: Graph, ring) -> frozenset:
+    """Sign-canonical forms of the universal basis, lifted into ``ring``.
+    Cached by graph structure and ring names, since the search asks for the
+    same subgraph in the same ring many times; past ``_SIGNS_CACHE_SIZE``
+    entries the oldest is dropped."""
+    key = (G.vertices, G.edges, ring.names)
+    signs = _SIGNS_CACHE.get(key)
+    if signs is None:
+        signs = frozenset(_sign_canonical(f.rename(ring))
+                          for f in universal_groebner_basis(G))
+        if len(_SIGNS_CACHE) >= _SIGNS_CACHE_SIZE:
+            del _SIGNS_CACHE[next(iter(_SIGNS_CACHE))]
+        _SIGNS_CACHE[key] = signs
+    return signs
 
 
 def _generates_toric_ideal(binomials, G: Graph, ring) -> bool:

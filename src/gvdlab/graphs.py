@@ -71,15 +71,28 @@ class Graph:
             seen_labels.add(label)
             seen_pairs.add(pair)
             es.append((label, u, v))
-        self.edges = tuple(es)
-        self._labels = tuple(e[0] for e in es)
-        self._ends = {e[0]: (e[1], e[2]) for e in es}
+        self._fill(tuple(es))
+
+    def _fill(self, edges: tuple) -> None:
+        """Set the edges and the lookups built from them."""
+        self.edges = edges
+        self._labels = tuple(e[0] for e in edges)
+        self._ends = {e[0]: (e[1], e[2]) for e in edges}
         adj = {v: [] for v in self.vertices}
-        for label, u, v in es:
+        for label, u, v in edges:
             adj[u].append((label, v))
             adj[v].append((label, u))
         self._adj = adj
         self.parent = None
+
+    @staticmethod
+    def _subgraph(vertices: tuple, edges: tuple) -> "Graph":
+        """The graph on some vertices and edges of a valid graph, unchecked:
+        a subgraph of a valid graph is valid."""
+        H = Graph.__new__(Graph)
+        H.vertices = vertices
+        H._fill(edges)
+        return H
 
     # -- basic queries -------------------------------------------------------
 
@@ -115,14 +128,16 @@ class Graph:
         unknown = drop - set(self._labels)
         if unknown:
             raise KeyError("no such edges: %s" % sorted(unknown))
-        H = Graph(self.vertices, [e for e in self.edges if e[0] not in drop])
+        H = self._subgraph(self.vertices,
+                           tuple(e for e in self.edges if e[0] not in drop))
         H.parent = self
         return H
 
     def delete_vertices(self, vs: Iterable[str]) -> "Graph":
         drop = set(vs)
-        return Graph([v for v in self.vertices if v not in drop],
-                     [e for e in self.edges if e[1] not in drop and e[2] not in drop])
+        return self._subgraph(
+            tuple(v for v in self.vertices if v not in drop),
+            tuple(e for e in self.edges if e[1] not in drop and e[2] not in drop))
 
     def with_edges(self, new_vertices: Iterable[str], new_edges: Iterable[Sequence[str]]) -> "Graph":
         return Graph(self.vertices + tuple(new_vertices), self.edges + tuple(tuple(e) for e in new_edges))
@@ -525,10 +540,8 @@ def toric_dimension(G: Graph) -> int:
     """Rank of the incidence matrix over Q, by the component-wise formula."""
     dim = 0
     for comp in G.components():
-        if not any(u in comp for _, u, v in G.edges):
-            continue
-        sub = G.delete_vertices([v for v in G.vertices if v not in comp])
-        dim += len(comp) - 1 if sub.is_bipartite() else len(comp)
+        if len(comp) > 1:  # a connected component with an edge
+            dim += len(comp) - 1 if G.bipartition_of(comp) else len(comp)
     return dim
 
 

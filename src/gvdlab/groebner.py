@@ -546,9 +546,19 @@ def eliminate(I: Ideal, vars_out: Iterable[Union[int, str]]) -> Ideal:
 def contract(I: Ideal, y: Union[int, str]) -> Ideal:
     """The contraction I ∩ Q[ring without y], in the smaller ring, of an
     ideal generated by y-free polynomials: the extension Q[x] → Q[x][y] is
-    free, so such an ideal contracts to its own generators, renamed.  A
-    generator involving y raises ``KeyError``; ``eliminate`` handles it."""
-    return I.rename(I.ring.without(y))
+    free, so such an ideal contracts to its own generators, with y's
+    exponent dropped from every monomial.  A generator involving y raises
+    ``KeyError``; ``eliminate`` handles it."""
+    ring = I.ring
+    i = ring.vidx(y)
+    small = ring.without(i)
+    gens = []
+    for g in I.gens:
+        if any(m[i] for m in g.terms):
+            raise KeyError("variable %r not in target ring" % ring.names[i])
+        gens.append(Poly(small, {m[:i] + m[i + 1:]: c
+                                 for m, c in g.terms.items()}))
+    return Ideal(small, gens)
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:

@@ -440,14 +440,48 @@ def _variable_order(I: Ideal, rgb: tuple, present: set, prefer: tuple) -> list:
 
 
 def _context_key(I: Ideal, context: Optional[Graph]):
+    """The shape of ``context`` as the search sees it from I's ring: the
+    sorted list, over the vertices that carry an edge, of the ring
+    positions of their edges.  Edges outside the ring only add the flag
+    "foreign"; None when there is no context.
+
+    The key names no vertex and sees no isolated vertex.  Equal keys give
+    a bijection between the vertices with edges that fixes every edge
+    position: in a simple graph two vertices share their list only as the
+    two ends of an edge with no other edge at either end, and they may be
+    matched either way.  Conversely such a bijection keeps every list, so
+    the key catches every isomorphism that fixes the edge positions.
+
+    So a memo hit renamed from another ring, by position, is the node a
+    fresh search would build.  Take nodes with equal memo keys: the same
+    reduced basis by position, contexts of one shape, and ``prefer`` in
+    the same ring positions.  The search reads names only through their
+    ring positions and reads ``prefer`` by position (both in the key).  The
+    evidence reads the context only through its edges (by name, which the
+    rename maps), edge deletions, universal bases up to sign,
+    ``toric_dimension`` and bipartiteness, none of which sees vertex names
+    or isolated vertices.  A foreign edge matters only until a disjoint
+    union restricts the context to its ring, which drops it; until then it
+    makes every split with binomials inconclusive, whatever its ends.  So
+    both searches take the same steps, position for position, and their
+    certificates differ only by the rename.  The only outputs ordered by
+    name are the components of the evidence, whose variable lists and
+    order ``UnmixednessEvidence.rename`` sorts again as a fresh search
+    sorts them.
+    """
     if context is None:
         return None
-    names = set(I.ring.names)
-    if not set(context.edge_labels) <= names:
-        return ("foreign",)
-    return (context.vertices,
-            tuple(sorted((I.ring.vidx(e), tuple(sorted(context.ends(e))))
-                         for e in context.edge_labels)))
+    index = I.ring.index
+    at, foreign = {}, False
+    for label, u, v in context.edges:
+        i = index.get(label)
+        if i is None:
+            foreign = True
+            continue
+        at.setdefault(u, []).append(i)
+        at.setdefault(v, []).append(i)
+    shape = tuple(sorted(tuple(sorted(p)) for p in at.values()))
+    return ("foreign", shape) if foreign else shape
 
 
 def _child_context(context: Optional[Graph], yname: str) -> Optional[Graph]:
@@ -538,7 +572,9 @@ def _certify(I: Ideal, context, budget: Budget, prefer: tuple,
         return base
     rgb = I.groebner()
     basis = tuple(g.canonical() for g in rgb)
-    key = (I.ring.arity, basis, _context_key(I, context))
+    index = I.ring.index
+    key = (I.ring.arity, basis, _context_key(I, context),
+           tuple(index[n] for n in prefer if n in index))
     return memoised(memo, key, names, lambda: _search(
         I, rgb, context, budget, prefer, memo))
 

@@ -5,12 +5,15 @@ from dataclasses import replace
 
 import pytest
 
+from gvdlab import components
 from gvdlab.algebra import Ring, initial_y_form, parse_poly
 from gvdlab.components import (
     SplitNotApplicable, binomial_monomial_split, sqfree_monomial_components,
     unmixedness_evidence,
 )
-from gvdlab.graphs import complete_bipartite, cycle_graph
+from gvdlab.graphs import (
+    complete_bipartite, complete_graph, cycle_graph, universal_groebner_basis,
+)
 from gvdlab.groebner import (
     Ideal, ideal_contains, ideal_equal, minimal_generators,
 )
@@ -219,3 +222,18 @@ def test_evidence_c_side_of_benchmark_splits_evenly():
 def test_evidence_mixed_trinomial_is_inconclusive():
     ev = unmixedness_evidence(I("x + y + z", "x^2"))
     assert ev.status == "inconclusive"
+
+
+def test_universal_basis_sign_sets_are_cached_up_to_a_cap(monkeypatch):
+    monkeypatch.setattr(components, "_SIGNS_CACHE", {})
+    monkeypatch.setattr(components, "_SIGNS_CACHE_SIZE", 2)
+    seen = []
+    for G in (cycle_graph(4), complete_bipartite(2, 3), complete_graph(4)):
+        ring = Ring(("t",) + G.edge_labels)
+        signs = components._ugb_signs(G, ring)
+        assert signs == {frozenset(f.rename(ring).terms)
+                         for f in universal_groebner_basis(G)}
+        assert components._ugb_signs(G, ring) is signs
+        assert len(components._SIGNS_CACHE) <= 2
+        seen.append((G.vertices, G.edges, ring.names))
+    assert list(components._SIGNS_CACHE) == seen[1:]

@@ -361,6 +361,23 @@ def test_universal_property_sampled_lex_orders():
                     assert normal_form(o, s, U).is_zero()
 
 
+def test_subgraphs_are_the_graphs_a_checked_construction_builds():
+    # delete_edges and delete_vertices skip the checks that a subgraph of a
+    # valid graph cannot fail.
+    G = two_k4_sharing_vertex()
+    cases = [(G.delete_edges(["e2", "e7"]),
+              Graph(G.vertices, [e for e in G.edges if e[0] not in ("e2", "e7")])),
+             (G.delete_vertices(["x1", "x4"]),
+              Graph([v for v in G.vertices if v not in ("x1", "x4")],
+                    [e for e in G.edges if not {"x1", "x4"} & set(e[1:])]))]
+    for H, ref in cases:
+        assert (H.vertices, H.edges) == (ref.vertices, ref.edges)
+        assert all(H.neighbors(v) == ref.neighbors(v) for v in ref.vertices)
+    assert cases[0][0].parent is G and cases[1][0].parent is None
+    with pytest.raises(KeyError):
+        G.delete_edges(["e2", "nope"])
+
+
 # ---------------------------------------------------------------------------
 # Dimension.
 

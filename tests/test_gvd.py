@@ -297,9 +297,10 @@ def test_gvd_refutes_the_benchmark_and_replays(monkeypatch):
     assert calls["graver_completion"] <= 1
     # The work of the search, which stops at ideals proved not radical:
     # without that stop it made 1,490 _search and 5,261 buchberger calls,
-    # with it 1,070 and 3,598.
-    assert calls["_search"] <= 1100
-    assert calls["buchberger"] <= 3700
+    # with it 1,070 and 3,598.  Keying the memo by the context's shape
+    # serves symmetric branches from one search: 511 and 2,066.
+    assert calls["_search"] <= 530
+    assert calls["buchberger"] <= 2150
     assert replay_certificate(J, cert, context=G)
 
 
@@ -380,6 +381,50 @@ def test_gvd_memo_is_shared_across_renamings():
     assert second.verdict == "gvd"
     assert len(memo) == filled
     assert second.ring_names == ("h1", "h2", "h3", "h4")
+
+
+@pytest.mark.parametrize("G", [
+    two_k4_sharing_vertex(),
+    to_graph(6, ((0, 1), (0, 4), (1, 4), (2, 3), (2, 5), (3, 5), (4, 5))),
+], ids=["two_k4", "bridged_triangles"])
+def test_gvd_memo_keys_the_context_by_its_shape(G):
+    # Permuted vertex names with the edge labels kept give the same ideal
+    # over a context of the same shape: the second call is a memo hit at
+    # the root, and it reads as a fresh search.
+    flip = dict(zip(G.vertices, reversed(G.vertices)))
+    H = Graph(G.vertices, [(e, flip[u], flip[v]) for e, u, v in G.edges])
+    assert H.edges != G.edges
+    memo = {}
+    is_gvd(toric_ideal(G), context=G, memo=memo)
+    filled = len(memo)
+    cert = is_gvd(toric_ideal(H), context=H, memo=memo)
+    assert len(memo) == filled
+    assert cert.to_json_dict() == is_gvd(toric_ideal(H), context=H).to_json_dict()
+
+
+def test_context_key_tells_a_path_from_a_star():
+    # Edges e2 and e3 both meet e1's ends; only the shape tells whether they
+    # meet at one end (a star) or at two (a path).  Vertex names, the
+    # orientation of an edge and isolated vertices do not count.
+    ring = Ring(["e1", "e2", "e3"])
+    zero = Ideal(ring, [])
+    path = Graph("abcd", [("e1", "a", "b"), ("e2", "a", "c"), ("e3", "b", "d")])
+    star = Graph("abcd", [("e1", "a", "b"), ("e2", "a", "c"), ("e3", "a", "d")])
+    copy = Graph("vwxyz", [("e1", "x", "w"), ("e2", "x", "y"), ("e3", "w", "z")])
+    assert gvd._context_key(zero, path) != gvd._context_key(zero, star)
+    assert gvd._context_key(zero, copy) == gvd._context_key(zero, path)
+
+
+@pytest.mark.parametrize("G", [complete_bipartite(2, 3), cycle_graph(6)],
+                         ids=["K23", "C6"])
+def test_gvd_memo_keeps_other_preferences_apart(G):
+    # The search tries the preferred variables first, so a node searched
+    # under another preference is another node.
+    I = toric_ideal(G)
+    memo = {}
+    is_gvd(I, context=G, prefer=reversed(G.edge_labels), memo=memo)
+    assert (is_gvd(I, context=G, memo=memo).to_json_dict()
+            == is_gvd(I, context=G).to_json_dict())
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from gvdlab import gvd
 from gvdlab.algebra import Ring, parse_poly
 from gvdlab.bipartite import certify_bipartite_gvd
 from gvdlab.components import unmixedness_evidence
@@ -23,6 +24,7 @@ from gvdlab.gvd import certify_step, inconclusive, is_gvd
 from gvdlab.util import Budget
 
 from fixtures import two_k4_sharing_vertex, two_triangles_bridged
+from graph_corpus import NINE_EDGE_GRAPHS, connected_graphs, to_graph
 
 GRAPHS = {
     "C6": cycle_graph(6),
@@ -122,6 +124,43 @@ def test_rename_reaches_the_reason_of_a_refuted_disjoint_union():
     memo = {}
     assert is_gvd(I, memo=memo).rename(name_map).to_json_dict() == fresh
     assert is_gvd(I.rename(new, name_map), memo=memo).to_json_dict() == fresh
+
+
+def test_memo_hit_from_a_ring_sorted_otherwise_is_a_fresh_search():
+    # The components of the evidence are listed by their variable names, so
+    # a hit renamed onto names that sort the other way is sorted again.
+    ring, new = Ring(["x1", "x2", "x3", "x4"]), Ring(["d", "c", "b", "a"])
+    I = Ideal(ring, [parse_poly(ring, t) for t in ("x1*x2", "x2*x3", "x3*x4")])
+    J = I.rename(new, dict(zip(ring.names, new.names)))
+    fresh = is_gvd(J).to_json_dict()
+    assert ([c["M"] for c in fresh["unmixedness"]["components"]]
+            == [["a", "c"], ["b", "c"], ["b", "d"]])
+    memo = {}
+    is_gvd(I, memo=memo)
+    assert is_gvd(J, memo=memo).to_json_dict() == fresh
+
+
+def test_every_memo_hit_is_what_a_fresh_search_builds(monkeypatch):
+    # Symmetric branches of one search share memo entries across rings
+    # whose names sort differently (shuffled names make that common); each
+    # hit must read as a fresh search.
+    real = gvd.memoised
+    hits = []
+
+    def checked(memo, key, ring_names, certify):
+        hit = memo.get(key)
+        got = real(memo, key, ring_names, certify)
+        if hit is not None:
+            hits.append((hit.ring_names != ring_names,
+                         got.to_json_dict() == certify().to_json_dict()))
+        return got
+
+    monkeypatch.setattr(gvd, "memoised", checked)
+    for seed, (n, edges) in enumerate(connected_graphs(7) + list(NINE_EDGE_GRAPHS)):
+        G, _, _ = relabeled(to_graph(n, edges), seed, shuffled_rename)
+        is_gvd(toric_ideal(G), context=G)
+    assert any(renamed for renamed, _ in hits)
+    assert all(same for _, same in hits)
 
 
 def renamed_reason(cert) -> tuple:
