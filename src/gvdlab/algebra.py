@@ -61,7 +61,7 @@ __all__ = [
     "Ring", "Poly", "Term",
     "Lex", "GrLex", "YFirst", "Elim", "Order", "Packing", "PackingOverflow",
     "compile_order", "storage_order", "lex_order", "y_order", "elim_order",
-    "order_from_dict",
+    "order_from_dict", "spec_from_form", "spec_to_dict",
     "compare", "initial_term", "initial_y_form", "y_split",
     "mono_mul", "mono_div", "mono_divides", "mono_lcm",
     "mono_support", "mono_is_squarefree", "mono_one",
@@ -396,8 +396,13 @@ class Order:
                                      _packed_rows(shared.arity, shared.form))
         return shared.packing
 
+    @property
+    def form(self) -> tuple:
+        """The spec with variables by ring position (see ``_index_form``)."""
+        return self._shared.form
+
     def to_dict(self) -> dict:
-        return _spec_to_dict(self.spec)
+        return spec_to_dict(self.spec)
 
     def __repr__(self):
         return "Order(%r)" % (self.spec,)
@@ -721,20 +726,30 @@ def elim_order(ring: Ring, elim_vars: Iterable[str]) -> Order:
     return compile_order(ring, Elim(ev, GrLex(ev + rest)))
 
 
-def _spec_to_dict(spec) -> dict:
+def spec_to_dict(spec) -> dict:
     if isinstance(spec, Lex):
         return {"kind": "lex", "vars": list(spec.vars)}
     if isinstance(spec, GrLex):
         return {"kind": "grlex", "vars": list(spec.vars)}
     if isinstance(spec, YFirst):
-        return {"kind": "y-first", "y": spec.y, "inner": _spec_to_dict(spec.inner)}
+        return {"kind": "y-first", "y": spec.y, "inner": spec_to_dict(spec.inner)}
     if isinstance(spec, Elim):
-        return {"kind": "elim", "vars": list(spec.vars), "inner": _spec_to_dict(spec.inner)}
+        return {"kind": "elim", "vars": list(spec.vars), "inner": spec_to_dict(spec.inner)}
     raise TypeError("not an order spec: %r" % (spec,))
 
 
 def order_from_dict(ring: Ring, d: dict) -> Order:
     return compile_order(ring, _spec_from_dict(d))
+
+
+def spec_from_form(names: tuple, form: tuple):
+    """The spec of an index form over a ring with these names: the inverse
+    of ``_index_form``.  A malformed form raises TypeError or IndexError."""
+    kind = form[0]
+    if kind not in (Lex, GrLex, YFirst, Elim):
+        raise TypeError("not an index form: %r" % (form,))
+    at = names[form[1]] if kind is YFirst else tuple(names[i] for i in form[1])
+    return kind(at) if len(form) == 2 else kind(at, spec_from_form(names, form[2]))
 
 
 def _spec_from_dict(d: dict):

@@ -48,7 +48,7 @@ decomposability, whatever the dimensions say about unmixedness.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import (
@@ -80,7 +80,8 @@ def _placeheld(f: Poly) -> str:
 
 @dataclass(frozen=True)
 class PrimeComponent:
-    """A prime ideal <monomial_vars> + I_{G minus removed_edges}."""
+    """A prime ideal <monomial_vars> + I_{G minus removed_edges}, both
+    lists by ring position; ``to_json_dict`` names and sorts them."""
 
     monomial_vars: tuple
     removed_edges: tuple
@@ -88,24 +89,14 @@ class PrimeComponent:
     dimension: int
 
     def ideal(self, ring) -> Ideal:
-        gens = [ring.var(v) for v in self.monomial_vars]
+        gens = [ring.var(i) for i in self.monomial_vars]
         gens += list(self.toric_gens)
         return Ideal(ring, gens)
 
-    def to_json_dict(self) -> dict:
-        return {"M": list(self.monomial_vars),
-                "removed_edges": list(self.removed_edges),
+    def to_json_dict(self, ring_names: tuple) -> dict:
+        return {"M": sorted(ring_names[i] for i in self.monomial_vars),
+                "removed_edges": sorted(ring_names[i] for i in self.removed_edges),
                 "dim": self.dimension}
-
-    def rename(self, name_map: dict) -> "PrimeComponent":
-        """Reporting-only rename: toric generators are dropped, since only
-        the variable sets and the dimension are serialized.  The variable
-        lists are sorted by their new names, as a fresh split sorts them."""
-        return PrimeComponent(
-            tuple(sorted(name_map.get(v, v) for v in self.monomial_vars)),
-            tuple(sorted(name_map.get(v, v) for v in self.removed_edges)),
-            (),
-            self.dimension)
 
 
 @dataclass(frozen=True)
@@ -118,7 +109,9 @@ class UnmixednessEvidence:
     against, "inconclusive" decides nothing, and "cited" marks unmixedness
     taken from a structural theorem rather than a computation.  ``detail``
     quotes polynomials with the placeholder {i} for the i-th variable of
-    the ideal's ring, which ``to_json_dict`` fills in from the ring's names.
+    the ideal's ring, and ``components`` hold ring positions, so the
+    evidence reads the same in every ring of its arity: ``to_json_dict``
+    fills in the names of the ring it is given.
     ``not_radical`` records that the computation proved the ideal not
     radical, which refutes decomposability (see ``gvd``); it is not
     serialized, so certificates read the same with or without it.
@@ -140,25 +133,16 @@ class UnmixednessEvidence:
         return self.status == "refuted"
 
     def to_json_dict(self, ring_names: tuple) -> dict:
+        """The evidence in the ring named ``ring_names``, its components in
+        cover order (see ``_closed_covers``) and ``dims`` in theirs."""
         detail = _VARIABLE.sub(lambda m: ring_names[int(m.group(1))], self.detail)
         out = {"status": self.status, "detail": detail}
-        if self.dims is not None:
-            out["dims"] = list(self.dims)
         if self.components is not None:
-            out["components"] = [c.to_json_dict() for c in self.components]
+            comps = sorted((c.to_json_dict(ring_names) for c in self.components),
+                           key=lambda c: (len(c["M"]), c["M"]))
+            out["dims"] = [c["dim"] for c in comps]
+            out["components"] = comps
         return out
-
-    def rename(self, name_map: dict) -> "UnmixednessEvidence":
-        """The evidence with variables renamed.  Components are listed in
-        cover order, by size and then by their sorted variable names (see
-        ``_closed_covers``), and ``dims`` follows them, so both are put in
-        that order again under the new names."""
-        if self.components is None:
-            return self
-        comps = sorted((c.rename(name_map) for c in self.components),
-                       key=lambda c: (len(c.monomial_vars), c.monomial_vars))
-        return replace(self, dims=tuple(c.dimension for c in comps),
-                       components=tuple(comps))
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +192,11 @@ def sqfree_monomial_components(I: Ideal) -> list:
     if not covers:
         raise ValueError("empty support (the ideal contains a unit)")
     return covers
+
+
+def _positions(ring, names) -> tuple:
+    """The ring positions of ``names``, in increasing order."""
+    return tuple(sorted(ring.index[n] for n in names))
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +301,8 @@ def binomial_monomial_split(monomials: list, binomials: list, context: Optional[
                     "component toric part differs from the subgraph ideal")
             toric_dim, toric_edges = toric_dimension(sub), set(sub.edge_labels)
         free = [n for n in ring.names if n not in V and n not in toric_edges]
-        components.append(PrimeComponent(tuple(sorted(V)), removed, survivors,
-                                         len(free) + toric_dim))
+        components.append(PrimeComponent(_positions(ring, V), _positions(ring, removed),
+                                         survivors, len(free) + toric_dim))
     if not components:
         raise SplitNotApplicable("no components found")
     return components
@@ -371,7 +360,7 @@ def unmixedness_evidence(I: Ideal, context: Optional[Graph] = None) -> Unmixedne
                 for g in rgb])
         covers = sqfree_monomial_components(target)
         dims = tuple(I.ring.arity - len(c) for c in covers)
-        comps = tuple(PrimeComponent(tuple(sorted(c)), (), (), I.ring.arity - len(c))
+        comps = tuple(PrimeComponent(_positions(I.ring, c), (), (), I.ring.arity - len(c))
                       for c in covers)
         # The reduced basis of a monomial ideal is its minimal generators, so
         # the support of one that is not square-free is not in the ideal.

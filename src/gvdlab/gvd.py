@@ -41,7 +41,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import (
-    Order, Ring, initial_y_form, order_from_dict, y_order, y_split,
+    Order, Ring, compile_order, initial_y_form, spec_from_form, spec_to_dict,
+    y_order, y_split,
 )
 from .components import UnmixednessEvidence, base_evidence, unmixedness_evidence
 from .graphs import Graph
@@ -49,7 +50,7 @@ from .groebner import Ideal, contract, ideal_equal, radical_contains
 from .util import Budget
 
 __all__ = [
-    "CnSplit", "GvdCertificate",
+    "CnSplit", "GvdNode", "GvdCertificate",
     "cn_split", "initial_y_ideal", "check_decomposition",
     "base_certificate", "inconclusive", "memoised", "certify_step",
     "var_placeholder",
@@ -149,70 +150,92 @@ _PLACEHOLDER = re.compile(r"\{(y|factor|\d+)\}")
 
 def var_placeholder(ring_names: tuple, name: str) -> str:
     """The placeholder for the variable ``name`` in a node reason; the
-    node's ``to_json_dict`` writes the name back, renamed if need be."""
+    certificate's ``to_json_dict`` writes back the name in its ring."""
     return "{%d}" % ring_names.index(name)
 
 
-def _rename_tree(value, name_map: dict):
-    """Rename variable names inside a serialized order spec."""
-    if isinstance(value, dict):
-        return {k: (v if k == "type" else _rename_tree(v, name_map))
-                for k, v in value.items()}
-    if isinstance(value, list):
-        return [_rename_tree(v, name_map) for v in value]
-    if isinstance(value, str):
-        return name_map.get(value, value)
-    return value
-
-
-@dataclass(frozen=True)
-class GvdCertificate:
-    """One node of a decomposability certificate tree.
+@dataclass(frozen=True, eq=False)
+class GvdNode:
+    """One node of a decomposability certificate tree, holding every
+    variable by its position in the node's ring: one node serves every ring
+    of its arity, and ``GvdCertificate`` names its variables.
 
     kind: "zero" | "unit" | "variables" | "decomposition" | "not-gvd" |
     "inconclusive" | "disjoint-union".  ``verdict`` is the overall call at
     this node ("gvd", "not-gvd" or "inconclusive"); for a certified node it
     is determined by the kind, children and unmixedness evidence.
     ``failures`` pairs a variable with the reason no decomposition works
-    there.  Reasons name variables only through placeholders, filled in on
-    output so that renaming keeps them right: ``{y}`` is the failure's or
-    the node's variable, ``{factor}`` the variables of the one child of a
-    refuted disjoint union, and ``{i}`` (a number) the i-th variable of the
-    node's ring (see ``var_placeholder``).
+    there; ``order`` is an ``Order.form``.  Reasons name variables only
+    through placeholders: ``{y}`` is the failure's or the node's variable,
+    ``{factor}`` the variables of the one child of a refuted disjoint union,
+    and ``{i}`` (a number) the i-th variable of the node's ring.
     """
 
     kind: str
     verdict: str
-    ring_names: tuple
     unmixedness: Optional[UnmixednessEvidence] = None
-    y: Optional[str] = None
-    order: Optional[dict] = None
+    y: Optional[int] = None
+    order: Optional[tuple] = None
     degenerate: Optional[bool] = None
-    child_c: Optional["GvdCertificate"] = None
-    child_n: Optional["GvdCertificate"] = None
+    child_c: Optional["GvdNode"] = None
+    child_n: Optional["GvdNode"] = None
     variables: tuple = ()
     failures: tuple = ()
+    factors: tuple = ()  # a union's: the ring positions of each child's ring
     reason: str = ""
+
+
+class GvdCertificate:
+    """The tree below ``node`` read in the ring named ``ring_names``: its
+    fields name their variables, and a child is read in its own ring."""
+
+    __slots__ = ("node", "ring_names")
+
+    def __init__(self, node: GvdNode, ring_names: tuple):
+        self.node, self.ring_names = node, ring_names
+
+    kind = property(lambda self: self.node.kind)
+    verdict = property(lambda self: self.node.verdict)
+    unmixedness = property(lambda self: self.node.unmixedness)
+    degenerate = property(lambda self: self.node.degenerate)
+    reason = property(lambda self: self.node.reason)
+    y = property(lambda self: None if self.node.y is None else self.ring_names[self.node.y])
+    variables = property(lambda self: tuple(self.ring_names[i] for i in self.node.variables))
+    failures = property(lambda self: tuple((self.ring_names[i], r)
+                                           for i, r in self.node.failures))
+    child_c = property(lambda self: self._child(self.node.child_c, 0))
+    child_n = property(lambda self: self._child(self.node.child_n, 1))
+
+    def _child(self, child: Optional[GvdNode], side: int):
+        names, node = self.ring_names, self.node
+        if child is None:
+            return None
+        if node.factors:
+            return GvdCertificate(child, tuple(names[i] for i in node.factors[side]))
+        return GvdCertificate(child, names[:node.y] + names[node.y + 1:])
+
+    def rename(self, name_map: dict) -> "GvdCertificate":
+        return GvdCertificate(self.node, tuple(name_map.get(n, n)
+                                               for n in self.ring_names))
 
     def to_json_dict(self) -> dict:
         out = {"kind": self.kind, "verdict": self.verdict,
                "ring": list(self.ring_names)}
         if self.y is not None:
             out["y"] = self.y
-        if self.order is not None:
-            out["order"] = self.order
+        if self.node.order is not None:
+            out["order"] = spec_to_dict(spec_from_form(self.ring_names,
+                                                       self.node.order))
         if self.degenerate is not None:
             out["degenerate"] = self.degenerate
         if self.unmixedness is not None:
             out["unmixedness"] = self.unmixedness.to_json_dict(self.ring_names)
         if self.kind == "variables":
             out["variables"] = list(self.variables)
-        if self.child_c is not None or self.child_n is not None:
-            out["children"] = {}
-            if self.child_c is not None:
-                out["children"]["C"] = self.child_c.to_json_dict()
-            if self.child_n is not None:
-                out["children"]["N"] = self.child_n.to_json_dict()
+        kids = {"C": self.child_c, "N": self.child_n}
+        if kids["C"] is not None or kids["N"] is not None:
+            out["children"] = {side: kid.to_json_dict()
+                               for side, kid in kids.items() if kid is not None}
         if self.failures:
             out["failures"] = [{"y": v, "reason": r.replace("{y}", v)}
                                for v, r in self.failures]
@@ -228,24 +251,10 @@ class GvdCertificate:
             return ", ".join((self.child_c or self.child_n).ring_names)
         return self.ring_names[int(key)]
 
-    def rename(self, name_map: dict) -> "GvdCertificate":
-        def rn(n):
-            return name_map.get(n, n)
-        return GvdCertificate(
-            kind=self.kind,
-            verdict=self.verdict,
-            ring_names=tuple(rn(n) for n in self.ring_names),
-            unmixedness=(self.unmixedness.rename(name_map)
-                         if self.unmixedness is not None else None),
-            y=rn(self.y) if self.y is not None else None,
-            order=(_rename_tree(self.order, name_map)
-                   if self.order is not None else None),
-            degenerate=self.degenerate,
-            child_c=self.child_c.rename(name_map) if self.child_c else None,
-            child_n=self.child_n.rename(name_map) if self.child_n else None,
-            variables=tuple(rn(v) for v in self.variables),
-            failures=tuple((rn(v), r) for v, r in self.failures),
-            reason=self.reason)
+
+def _certificate(ring_names: tuple, kind: str, verdict: str,
+                 **fields) -> GvdCertificate:
+    return GvdCertificate(GvdNode(kind, verdict, **fields), ring_names)
 
 
 def base_certificate(I: Ideal) -> Optional[GvdCertificate]:
@@ -255,18 +264,17 @@ def base_certificate(I: Ideal) -> Optional[GvdCertificate]:
     ev = base_evidence(rgb)
     if ev is None:
         return None
-    names = I.ring.names
     variables = ()
     if ev.status == "variables":
-        variables = tuple(names[i] for i in sorted(g.support()[0] for g in rgb))
-    return GvdCertificate(ev.status, "gvd", names, unmixedness=ev,
-                          variables=variables)
+        variables = tuple(sorted(g.support()[0] for g in rgb))
+    return _certificate(I.ring.names, ev.status, "gvd", unmixedness=ev,
+                        variables=variables)
 
 
 def inconclusive(ring_names: tuple, reason: str, **fields) -> GvdCertificate:
     """A node that decides nothing, with the reason why."""
-    return GvdCertificate("inconclusive", "inconclusive", ring_names,
-                          reason=reason, **fields)
+    return _certificate(ring_names, "inconclusive", "inconclusive",
+                        reason=reason, **fields)
 
 
 def _refutation(ring_names: tuple,
@@ -280,8 +288,8 @@ def _refutation(ring_names: tuple,
         reason = "not radical, and a decomposable ideal is radical"
     else:
         return None
-    return GvdCertificate("not-gvd", "not-gvd", ring_names, unmixedness=ev,
-                          reason=reason)
+    return _certificate(ring_names, "not-gvd", "not-gvd", unmixedness=ev,
+                        reason=reason)
 
 
 def _decomposition(ring_names: tuple, ev: UnmixednessEvidence, split: CnSplit,
@@ -312,27 +320,29 @@ def _decomposition(ring_names: tuple, ev: UnmixednessEvidence, split: CnSplit,
     exactly when C is.
     """
     degenerate = split.C.gens == split.N.gens or c_branch.is_unit_ideal()
-    step = dict(unmixedness=ev, y=split.y, order=split.order.to_dict(),
-                degenerate=degenerate, child_c=cert_c, child_n=cert_n)
+    step = dict(unmixedness=ev, y=ring_names.index(split.y),
+                order=split.order.form, degenerate=degenerate,
+                child_c=cert_c.node, child_n=cert_n.node)
     if ev.conclusive_unmixed or ev.status == "cited":
-        return GvdCertificate("decomposition", "gvd", ring_names, **step)
+        return _certificate(ring_names, "decomposition", "gvd", **step)
     return inconclusive(
         ring_names, "decomposition found at {y} but unmixedness evidence "
                     "is inconclusive (%s)" % ev.detail, **step)
 
 
 def memoised(memo: dict, key, ring_names: tuple, certify) -> GvdCertificate:
-    """The certificate stored under ``key``, renamed onto ``ring_names``;
-    else ``certify()``, stored unless it is inconclusive: a caller may reuse
-    ``memo`` under a larger budget, where that node may yet certify."""
+    """The node stored under ``key``, read in the ring ``ring_names``; else
+    ``certify()``, stored unless it is inconclusive (a caller may reuse
+    ``memo`` under a larger budget, where that node may yet certify), with
+    the oldest entry dropped past ``_MEMO_SIZE``."""
     hit = memo.get(key)
     if hit is not None:
-        if hit.ring_names == ring_names:
-            return hit
-        return hit.rename(dict(zip(hit.ring_names, ring_names)))
+        return GvdCertificate(hit, ring_names)
     cert = certify()
     if cert.verdict != "inconclusive":
-        memo[key] = cert
+        if len(memo) >= _MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[key] = cert.node
     return cert
 
 
@@ -369,10 +379,10 @@ def certify_step(I: Ideal, y: str, context: Optional[Graph], theorem: str,
         cert_n = certify_n(n_branch)
         cert_c = cert_n if c_branch is n_branch else base_certificate(c_branch)
         if cert_n.verdict == "not-gvd":
-            return GvdCertificate(
-                "not-gvd", "not-gvd", names, unmixedness=ev,
-                failures=((y, "the surviving branch of the degenerate step "
-                              "is certified not decomposable"),))
+            return _certificate(
+                names, "not-gvd", "not-gvd", unmixedness=ev,
+                failures=((names.index(y), "the surviving branch of the "
+                           "degenerate step is certified not decomposable"),))
     else:
         cert_c = certify_c(c_branch)
         cert_n = certify_n(n_branch)
@@ -385,17 +395,6 @@ def certify_step(I: Ideal, y: str, context: Optional[Graph], theorem: str,
 
 # ---------------------------------------------------------------------------
 # The recursive certifier.
-
-def _present_indices(rgb: tuple) -> set:
-    """Indices of the variables that occur in some basis element."""
-    present = set()
-    for g in rgb:
-        for m in g.terms:
-            for i, e in enumerate(m):
-                if e:
-                    present.add(i)
-    return present
-
 
 def _variable_order(I: Ideal, rgb: tuple, present: set, prefer: tuple) -> list:
     """Search order over the variables that occur in the basis, whose
@@ -442,8 +441,8 @@ def _variable_order(I: Ideal, rgb: tuple, present: set, prefer: tuple) -> list:
 def _context_key(I: Ideal, context: Optional[Graph]):
     """The shape of ``context`` as the search sees it from I's ring: the
     sorted list, over the vertices that carry an edge, of the ring
-    positions of their edges.  Edges outside the ring only add the flag
-    "foreign"; None when there is no context.
+    positions of their edges, after a flag for edges outside the ring;
+    None when there is no context.
 
     The key names no vertex and sees no isolated vertex.  Equal keys give
     a bijection between the vertices with edges that fixes every edge
@@ -452,22 +451,21 @@ def _context_key(I: Ideal, context: Optional[Graph]):
     matched either way.  Conversely such a bijection keeps every list, so
     the key catches every isomorphism that fixes the edge positions.
 
-    So a memo hit renamed from another ring, by position, is the node a
+    So a memo hit, the stored node read in another ring, is the node a
     fresh search would build.  Take nodes with equal memo keys: the same
     reduced basis by position, contexts of one shape, and ``prefer`` in
     the same ring positions.  The search reads names only through their
     ring positions and reads ``prefer`` by position (both in the key).  The
-    evidence reads the context only through its edges (by name, which the
-    rename maps), edge deletions, universal bases up to sign,
+    evidence reads the context only through its edges (by name, in step
+    with the ring), edge deletions, universal bases up to sign,
     ``toric_dimension`` and bipartiteness, none of which sees vertex names
     or isolated vertices.  A foreign edge matters only until a disjoint
     union restricts the context to its ring, which drops it; until then it
     makes every split with binomials inconclusive, whatever its ends.  So
-    both searches take the same steps, position for position, and their
-    certificates differ only by the rename.  The only outputs ordered by
-    name are the components of the evidence, whose variable lists and
-    order ``UnmixednessEvidence.rename`` sorts again as a fresh search
-    sorts them.
+    both searches take the same steps, position for position, and build
+    the same node.  The only outputs ordered by name are the components of
+    the evidence, which ``UnmixednessEvidence.to_json_dict`` sorts by the
+    names of the ring it is given, as a fresh search sorts them.
     """
     if context is None:
         return None
@@ -480,8 +478,25 @@ def _context_key(I: Ideal, context: Optional[Graph]):
             continue
         at.setdefault(u, []).append(i)
         at.setdefault(v, []).append(i)
-    shape = tuple(sorted(tuple(sorted(p)) for p in at.values()))
-    return ("foreign", shape) if foreign else shape
+    return foreign, tuple(sorted(tuple(sorted(p)) for p in at.values()))
+
+
+def _sub_key(key, keep: tuple, keeps_foreign: bool):
+    """The ``_context_key`` of a branch whose ring keeps the positions
+    ``keep`` (increasing) of the node's: each vertex keeps those of its
+    positions, renumbered, or drops out.  Foreign edges stay in a step's
+    branches (``_child_context``) and leave a union's factors."""
+    if key is None:
+        return None
+    foreign, shape = key
+    new = {p: i for i, p in enumerate(keep)}
+    lists = [tuple(new[i] for i in at if i in new) for at in shape]
+    return foreign and keeps_foreign, tuple(sorted(at for at in lists if at))
+
+
+def _step_key(key, arity: int, p: int):
+    """The ``_context_key`` of the branches of the step at position p."""
+    return _sub_key(key, tuple(i for i in range(arity) if i != p), True)
 
 
 def _child_context(context: Optional[Graph], yname: str) -> Optional[Graph]:
@@ -500,13 +515,12 @@ def _restrict_context(context: Optional[Graph], names: tuple) -> Optional[Graph]
                                  if e not in keep])
 
 
-def _support_factors(rgb: tuple) -> list:
-    """Partition the basis by connected variable support.
-
-    Two generators land in the same factor when their supports are linked
-    through shared variables.  Returns [(sorted index tuple, gens)] sorted by
-    smallest variable index; a single factor means no split is possible.
-    """
+def _disjoint_factors(I: Ideal) -> Optional[tuple]:
+    """The ring positions and ideals (each in its own ring) of the two
+    factors of I: the generators linked through shared variables to the
+    smallest variable of the reduced basis, and the rest, which also holds
+    the absent variables.  None when no generator is left for the rest."""
+    rgb = I.groebner()
     parent = {}
 
     def find(a):
@@ -515,26 +529,29 @@ def _support_factors(rgb: tuple) -> list:
             a = parent[a]
         return a
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
     for g in rgb:
         sup = g.support()
         for i in sup:
             parent.setdefault(i, i)
         for i in sup[1:]:
-            union(sup[0], i)
-    groups = {}
+            parent[find(sup[0])] = find(i)
+    root = find(min(parent))
+    first = {i for i in parent if find(i) == root}
+    if len(first) == len(parent):
+        return None
+    parts = (tuple(sorted(first)),
+             tuple(i for i in range(I.ring.arity) if i not in first))
+    gens = ([], [])
     for g in rgb:
-        root = find(g.support()[0])
-        groups.setdefault(root, [set(), []])
-        groups[root][0].update(g.support())
-        groups[root][1].append(g)
-    out = [(tuple(sorted(sup)), gens) for sup, gens in groups.values()]
-    out.sort(key=lambda t: t[0][0])
-    return out
+        gens[g.support()[0] not in first].append(g)
+    return parts, tuple(Ideal(I.ring, gs).rename(Ring(I.ring.names[i] for i in part))
+                        for gs, part in zip(gens, parts))
+
+
+# The memo of every ``is_gvd`` call given neither a memo nor a budget: the
+# graphs of a census share the subproblems of one shape.
+_MEMO: dict = {}
+_MEMO_SIZE = 4096
 
 
 def is_gvd(I: Ideal, context: Optional[Graph] = None,
@@ -546,7 +563,9 @@ def is_gvd(I: Ideal, context: Optional[Graph] = None,
     unmixedness evidence (pass the graph when I is a toric ideal of it);
     ``budget`` bounds wall-clock time, with exhaustion reported as an
     inconclusive verdict; ``prefer`` lists variables to try first at every
-    node; ``memo`` carries certified results between calls.
+    node; ``memo`` carries certified results between calls.  A call given
+    neither shares ``_MEMO``; a budgeted one keeps its own, since a branch
+    stuck when the budget ran out can let a later variable win.
 
     A node whose unmixedness is refuted, or which the evidence proves not
     radical, is a "not-gvd" leaf.  A decomposable ideal is radical: base
@@ -555,14 +574,13 @@ def is_gvd(I: Ideal, context: Optional[Graph] = None,
     absent variables and disjoint unions over Q keep radicality (see the
     module docstring for the details).
     """
-    if budget is None:
-        budget = Budget(None)
     if memo is None:
-        memo = {}
-    return _certify(I, context, budget, tuple(prefer), memo)
+        memo = _MEMO if budget is None else {}
+    return _certify(I, context, _context_key(I, context),
+                    budget or Budget(None), tuple(prefer), memo)
 
 
-def _certify(I: Ideal, context, budget: Budget, prefer: tuple,
+def _certify(I: Ideal, context, ctx_key, budget: Budget, prefer: tuple,
              memo: dict) -> GvdCertificate:
     names = I.ring.names
     if budget.exceeded():
@@ -573,53 +591,44 @@ def _certify(I: Ideal, context, budget: Budget, prefer: tuple,
     rgb = I.groebner()
     basis = tuple(g.canonical() for g in rgb)
     index = I.ring.index
-    key = (I.ring.arity, basis, _context_key(I, context),
+    key = (I.ring.arity, basis, ctx_key,
            tuple(index[n] for n in prefer if n in index))
     return memoised(memo, key, names, lambda: _search(
-        I, rgb, context, budget, prefer, memo))
+        I, rgb, context, ctx_key, budget, prefer, memo))
 
 
-def _search(I: Ideal, rgb: tuple, context, budget: Budget, prefer: tuple,
-            memo: dict) -> GvdCertificate:
+def _search(I: Ideal, rgb: tuple, context, ctx_key, budget: Budget,
+            prefer: tuple, memo: dict) -> GvdCertificate:
     ring = I.ring
+    names, index = ring.names, ring.index
     # When the generators split into groups with disjoint variable supports,
     # the ideal is the sum of the groups over a tensor product of subrings
     # and is decomposable exactly when every summand is (and then unmixedness
     # also follows from the factors, so none is computed here).  A single
     # refuted factor refutes the whole ideal.
-    factors = _support_factors(rgb)
-    if len(factors) >= 2:
-        sup, gens = factors[0]
-        left_names = tuple(ring.names[i] for i in sup)
-        right_names = tuple(ring.names[i] for i in range(ring.arity)
-                            if i not in set(sup))
-        left_ring, right_ring = Ring(left_names), Ring(right_names)
-        rest = [g for _, gs in factors[1:] for g in gs]
-        cert_l = _certify(Ideal(ring, gens).rename(left_ring),
-                          _restrict_context(context, left_names),
-                          budget, prefer, memo)
-        if cert_l.verdict == "not-gvd":
-            return GvdCertificate(
-                "disjoint-union", "not-gvd", ring.names,
-                child_c=cert_l,
-                reason="the factor on {factor} is not decomposable")
-        cert_r = _certify(Ideal(ring, rest).rename(right_ring),
-                          _restrict_context(context, right_names),
-                          budget, prefer, memo)
-        if cert_r.verdict == "not-gvd":
-            return GvdCertificate(
-                "disjoint-union", "not-gvd", ring.names,
-                child_n=cert_r,
-                reason="the factor on {factor} is not decomposable")
-        if cert_l.verdict == "gvd" and cert_r.verdict == "gvd":
-            return GvdCertificate(
-                "disjoint-union", "gvd", ring.names,
-                child_c=cert_l, child_n=cert_r,
+    split = _disjoint_factors(I)
+    if split is not None:
+        parts, factors = split
+        kids = []
+        for part, factor in zip(parts, factors):
+            kid = _certify(factor, _restrict_context(context, factor.ring.names),
+                           _sub_key(ctx_key, part, False), budget, prefer, memo)
+            if kid.verdict == "not-gvd":
+                side = "child_n" if kids else "child_c"
+                return _certificate(
+                    names, "disjoint-union", "not-gvd", factors=parts,
+                    reason="the factor on {factor} is not decomposable",
+                    **{side: kid.node})
+            kids.append(kid.node)
+        if all(kid.verdict == "gvd" for kid in kids):
+            return _certificate(
+                names, "disjoint-union", "gvd", factors=parts,
+                child_c=kids[0], child_n=kids[1],
                 reason="generators split over disjoint variables")
-        return inconclusive(ring.names, "a disjoint factor was inconclusive")
+        return inconclusive(names, "a disjoint factor was inconclusive")
 
     ev = unmixedness_evidence(I, context)
-    leaf = _refutation(ring.names, ev)
+    leaf = _refutation(names, ev)
     if leaf is not None:
         return leaf
 
@@ -630,29 +639,30 @@ def _search(I: Ideal, rgb: tuple, context, budget: Budget, prefer: tuple,
     # conversely any working decomposition never mentions the absent
     # variable, so it descends to the contraction.  Handle one absent
     # variable per node instead of exploring every removal order.
-    present = _present_indices(rgb)
-    absent = [ring.names[i] for i in range(ring.arity) if i not in present]
+    present = {i for g in rgb for i in g.support()}
+    absent = [i for i in range(ring.arity) if i not in present]
     if absent:
-        yname = absent[0]
+        yname = names[absent[0]]
         split = cn_split(I, yname)
         contraction = contract(split.N, yname)
-        core = _certify(contraction, _child_context(context, yname), budget,
+        core = _certify(contraction, _child_context(context, yname),
+                        _step_key(ctx_key, ring.arity, absent[0]), budget,
                         prefer, memo)
         if core.verdict == "gvd":
-            return _decomposition(ring.names, ev, split, contraction, core, core)
+            return _decomposition(names, ev, split, contraction, core, core)
         if core.verdict == "not-gvd":
             # Decomposability is equivalent for the ideal and its contraction
             # when the variable is absent, so the refutation needs no
             # unmixedness evidence of its own.
-            return GvdCertificate(
-                "not-gvd", "not-gvd", ring.names, unmixedness=ev,
-                failures=((yname,
+            return _certificate(
+                names, "not-gvd", "not-gvd", unmixedness=ev,
+                failures=((absent[0],
                            "the ideal does not involve {y} and its "
                            "contraction is certified not decomposable, "
                            "which rules out every variable"),))
         return inconclusive(
-            ring.names, "the contraction away from absent %s was inconclusive"
-                        % var_placeholder(ring.names, yname), unmixedness=ev)
+            names, "the contraction away from absent %s was inconclusive"
+                   % var_placeholder(names, yname), unmixedness=ev)
 
     failures = []
     stuck = []  # branches that ended without a conclusive failure
@@ -665,40 +675,41 @@ def _search(I: Ideal, rgb: tuple, context, budget: Budget, prefer: tuple,
             # By the square-free dichotomy (see CnSplit) the identity fails
             # here, and under every other y-compatible order at this variable.
             failures.append(
-                (yname, "identity fails: the reduced basis is not square-free "
-                        "in {y}, so no compatible order works"))
+                (index[yname], "identity fails: the reduced basis is not "
+                               "square-free in {y}, so no compatible order works"))
             continue
         child_ctx = _child_context(context, yname)
+        child_key = _step_key(ctx_key, ring.arity, index[yname])
         c_branch = contract(split.C, yname)
-        cert_c = _certify(c_branch, child_ctx, budget, prefer, memo)
+        cert_c = _certify(c_branch, child_ctx, child_key, budget, prefer, memo)
         if cert_c.verdict == "not-gvd":
             failures.append(
-                (yname, "C-branch is certified not decomposable"))
+                (index[yname], "C-branch is certified not decomposable"))
             continue
         if cert_c.verdict == "inconclusive":
             stuck.append((yname, "a branch was inconclusive"))
             continue
         n_branch = contract(split.N, yname)
-        cert_n = _certify(n_branch, child_ctx, budget, prefer, memo)
+        cert_n = _certify(n_branch, child_ctx, child_key, budget, prefer, memo)
         if cert_n.verdict == "not-gvd":
             failures.append(
-                (yname, "N-branch is certified not decomposable"))
+                (index[yname], "N-branch is certified not decomposable"))
             continue
         if cert_n.verdict == "inconclusive":
             stuck.append((yname, "a branch was inconclusive"))
             continue
-        return _decomposition(ring.names, ev, split, c_branch, cert_c, cert_n)
+        return _decomposition(names, ev, split, c_branch, cert_c, cert_n)
 
     if stuck:
-        reason = "; ".join("%s: %s" % (var_placeholder(ring.names, yname), why)
+        reason = "; ".join("%s: %s" % (var_placeholder(names, yname), why)
                            for yname, why in stuck)
-        return inconclusive(ring.names, reason, unmixedness=ev,
+        return inconclusive(names, reason, unmixedness=ev,
                             failures=tuple(failures))
     # Every variable carries a conclusive, order-independent failure, and the
     # ideal is none of the base cases, so no decomposition exists no matter
     # what the unmixedness status is.
-    return GvdCertificate("not-gvd", "not-gvd", ring.names, unmixedness=ev,
-                          failures=tuple(failures))
+    return _certificate(names, "not-gvd", "not-gvd", unmixedness=ev,
+                        failures=tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -718,18 +729,18 @@ def replay_certificate(I: Ideal, cert: GvdCertificate,
     are recomputed, every decomposition identity is checked literally by
     ``check_decomposition`` for C and N under the recorded order, the
     degeneracy flag is re-derived, unmixedness evidence is recomputed and
-    must be conclusive again, and a disjoint union must split the reduced
-    basis over its children's rings.  A "not-gvd" leaf (no failures, no
+    must be conclusive again, and the reduced basis of a disjoint union
+    must split over disjoint variables as its factors say.  A "not-gvd" leaf (no failures, no
     children) is checked without a search: its recomputed evidence must
     refute unmixedness or prove the ideal not radical.  Certificates with
-    other verdicts are re-decided by running the certifier afresh and
-    comparing verdicts, so every child of a "gvd" node must itself be
-    "gvd".
+    other verdicts are re-decided by running the certifier afresh, with a
+    memo of its own, and comparing verdicts, so every child of a "gvd" node
+    must itself be "gvd".
     Returns True when everything matches; a malformed node (an unknown
     variable or order, a missing child) does not.
 
     The search shares one node among every branch that reaches the same
-    ideal and context, so a tree can hold a node many times.  Within one
+    ideal and context by position, so a tree can hold a node many times.  Within one
     top-level call each node is verified once per ideal and context (the
     ring's names, the reduced basis, the context's key), and its other
     occurrences reuse that result.
@@ -743,87 +754,82 @@ def replay_certificate(I: Ideal, cert: GvdCertificate,
         _REPLAYED.reset(token)
 
 
-def _replay_once(I: Ideal, cert: GvdCertificate, context: Optional[Graph]) -> bool:
+def _replay_once(I: Ideal, node: GvdNode, context: Optional[Graph]) -> bool:
     """``replay_certificate`` on a child node, once per distinct (ideal,
     node, context) within the replay in progress."""
     memo = _REPLAYED.get()
     key = (I.ring.names, tuple(g.canonical() for g in I.groebner()),
-           _context_key(I, context), id(cert))
+           _context_key(I, context), id(node))
     got = memo.get(key)
     if got is None:
         # The node is stored with its result, so its id is not reused by
         # another node while the memo lives.
-        got = memo[key] = (cert, replay_certificate(I, cert, context))
+        got = memo[key] = (node, replay_certificate(
+            I, GvdCertificate(node, I.ring.names), context))
     return got[1]
 
 
 def _replay(I: Ideal, cert: GvdCertificate, context: Optional[Graph]) -> bool:
     if (not isinstance(cert, GvdCertificate)
+            or not isinstance(cert.node, GvdNode)
             or tuple(cert.ring_names) != I.ring.names):
         return False
-    if (cert.kind == cert.verdict == "not-gvd" and not cert.failures
-            and cert.child_c is None and cert.child_n is None):
+    node, names = cert.node, I.ring.names
+    if (node.kind == node.verdict == "not-gvd" and not node.failures
+            and node.child_c is None and node.child_n is None):
         # A leaf refutation rests on its evidence alone.
-        return _refutation(I.ring.names,
-                           unmixedness_evidence(I, context)) is not None
-    if cert.verdict != "gvd":
-        fresh = is_gvd(I, context=context)
-        return fresh.verdict == cert.verdict
-    if cert.kind in ("decomposition", "disjoint-union") and not all(
-            isinstance(c, GvdCertificate) and c.verdict == "gvd"
-            for c in (cert.child_c, cert.child_n)):
+        return _refutation(names, unmixedness_evidence(I, context)) is not None
+    if node.verdict != "gvd":
+        # A memo of its own: the shared memo holds the search's answers.
+        fresh = is_gvd(I, context=context, memo={})
+        return fresh.verdict == node.verdict
+    if node.kind in ("decomposition", "disjoint-union") and not all(
+            isinstance(c, GvdNode) and c.verdict == "gvd"
+            for c in (node.child_c, node.child_n)):
         # Both parts of a decomposable node must be decomposable; a child
         # with another verdict would only be re-decided, not checked.
         return False
-    if cert.kind == "disjoint-union":
-        return _replay_factors(I, cert, context)
-    if cert.kind in ("zero", "unit", "variables"):
+    if node.kind == "disjoint-union":
+        return _replay_factors(I, node, context)
+    if node.kind in ("zero", "unit", "variables"):
         base = base_certificate(I)
-        return (base is not None and base.kind == cert.kind
-                and set(base.variables) == set(cert.variables))
-    if cert.kind != "decomposition":
+        return (base is not None and base.kind == node.kind
+                and set(base.node.variables) == set(node.variables))
+    if node.kind != "decomposition":
         return False
     ev = unmixedness_evidence(I, context)
     # A certificate may cite unmixedness from a structural theorem (the
     # stored status is "cited") instead of claiming a computation; replay
     # then only requires that recomputation does not refute it.
-    cited = cert.unmixedness is not None and cert.unmixedness.status == "cited"
+    cited = node.unmixedness is not None and node.unmixedness.status == "cited"
     if cited:
         if ev.refuted:
             return False
     elif not ev.conclusive_unmixed:
         return False
-    if cert.y not in I.ring.names:
+    if node.y not in range(len(names)):
         return False
+    y = names[node.y]
     try:
-        order = order_from_dict(I.ring, cert.order)
-    except (KeyError, TypeError, ValueError):
+        order = compile_order(I.ring, spec_from_form(names, node.order))
+    except (IndexError, TypeError, ValueError):
         return False
-    split = cn_split(I, cert.y, order=order)
+    split = cn_split(I, y, order=order)
     if (not check_decomposition(I, split)
-            or split.degenerate() != cert.degenerate):
+            or split.degenerate() != node.degenerate):
         return False
-    child_ctx = _child_context(context, cert.y)
-    return (_replay_once(contract(split.C, cert.y), cert.child_c, child_ctx)
-            and _replay_once(contract(split.N, cert.y), cert.child_n, child_ctx))
+    child_ctx = _child_context(context, y)
+    return (_replay_once(contract(split.C, y), node.child_c, child_ctx)
+            and _replay_once(contract(split.N, y), node.child_n, child_ctx))
 
 
-def _replay_factors(I: Ideal, cert: GvdCertificate,
-                    context: Optional[Graph]) -> bool:
-    """A "gvd" disjoint union: the children's rings partition the node's
-    ring and every reduced-basis element lies in one of them, so I is the
-    sum of the two factors, and each factor replays against its child."""
-    kids = (cert.child_c, cert.child_n)
-    factors = [tuple(c.ring_names) for c in kids]
-    if sorted(factors[0] + factors[1]) != sorted(I.ring.names):
+def _replay_factors(I: Ideal, node: GvdNode, context: Optional[Graph]) -> bool:
+    """A "gvd" disjoint union: the reduced basis splits over disjoint
+    variables as the node's factors say, so I is the sum of the two factor
+    ideals, and each factor replays against its child."""
+    split = _disjoint_factors(I)
+    if split is None or split[0] != node.factors:
         return False
-    sides = [{I.ring.vidx(v) for v in f} for f in factors]
-    gens = ([], [])
-    for g in I.groebner():
-        inside = [set(g.support()) <= side for side in sides]
-        if not any(inside):
-            return False
-        gens[inside.index(True)].append(g)
-    return all(_replay_once(Ideal(I.ring, gs).rename(Ring(f)), c,
-                            _restrict_context(context, f))
-               for gs, f, c in zip(gens, factors, kids))
+    return all(_replay_once(factor, child,
+                            _restrict_context(context, factor.ring.names))
+               for factor, child in zip(split[1], (node.child_c, node.child_n)))

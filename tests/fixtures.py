@@ -1,10 +1,18 @@
 """Benchmark graphs, frozen expected values and the walk oracle shared
 across the test suite."""
 
+from gvdlab import gvd
 from gvdlab.algebra import Ring, parse_poly
 from gvdlab.graphs import Graph, oriented_minimal, toric_ideal, vector_to_binomial
 from gvdlab.groebner import contract, intersect
 from gvdlab.gvd import cn_split
+
+
+def empty_shared_memo(monkeypatch):
+    """Give ``is_gvd`` an empty shared memo until ``monkeypatch`` is undone,
+    so that a test sees all the work of its searches, and leaves no node
+    behind for the tests after it."""
+    monkeypatch.setattr(gvd, "_MEMO", {})
 
 
 def two_k4_sharing_vertex() -> Graph:

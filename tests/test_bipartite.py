@@ -1,6 +1,7 @@
 """Path ordered matchings, their binomial-plus-monomial ideals, and the
 structural decomposability certifier for bipartite graphs."""
 
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -16,7 +17,7 @@ from gvdlab.graphs import (
     ferrers_graph, path_graph, toric_ideal,
 )
 from gvdlab.groebner import Ideal, ideal_equal, is_square_free_groebner_basis
-from gvdlab.gvd import is_gvd, replay_certificate
+from gvdlab.gvd import GvdCertificate, is_gvd, replay_certificate
 from gvdlab.components import UnmixednessEvidence
 from gvdlab.util import Budget
 
@@ -209,8 +210,8 @@ def test_cited_unmixedness_replays():
     # must accept the citation as long as recomputation does not refute it
     cert = certify_bipartite_gvd(C6)
     assert cert.kind == "decomposition"
-    object.__setattr__(cert, "unmixedness",
-                       UnmixednessEvidence("cited", "structural theorem"))
+    cert = GvdCertificate(replace(cert.node, unmixedness=UnmixednessEvidence(
+        "cited", "structural theorem")), cert.ring_names)
     assert replay_certificate(toric_ideal(C6), cert, context=C6)
 
 

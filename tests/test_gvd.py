@@ -14,7 +14,7 @@ from gvdlab.graphs import (
 )
 from gvdlab.groebner import Ideal, contract, ideal_equal
 from gvdlab.gvd import (
-    GvdCertificate, base_certificate, check_decomposition, cn_split,
+    GvdCertificate, GvdNode, base_certificate, check_decomposition, cn_split,
     initial_y_ideal, is_gvd, replay_certificate,
 )
 from gvdlab.util import Budget
@@ -23,8 +23,8 @@ from fixtures import (
     TWO_K4_C_E2, TWO_K4_C_E5_OF_K, TWO_K4_C_E8_OF_J, TWO_K4_C_E11_OF_M,
     TWO_K4_C_E12_OF_L, TWO_K4_IN_E5_OF_K, TWO_K4_IN_E11_OF_M,
     TWO_K4_IN_E12_OF_L, TWO_K4_N_E2, TWO_K4_N_E8_OF_J, TWO_K4_N_E11_OF_M,
-    TWO_K4_N_E12_OF_L, two_k4_chain, two_k4_sharing_vertex,
-    two_triangles_bridged,
+    TWO_K4_N_E12_OF_L, empty_shared_memo, two_k4_chain,
+    two_k4_sharing_vertex, two_triangles_bridged,
 )
 from graph_corpus import NINE_EDGE_GRAPHS, connected_graphs, to_graph
 
@@ -269,8 +269,9 @@ def test_gvd_refutes_benchmark_c_side():
 
 def test_gvd_refutes_the_benchmark_and_replays(monkeypatch):
     # The paper's non-GVD example, two K4s sharing a vertex, from an empty
-    # universal-basis cache.
+    # universal-basis cache and an empty shared memo.
     monkeypatch.setattr(graphs, "_UGB_CACHE", {})
+    empty_shared_memo(monkeypatch)
     G = two_k4_sharing_vertex()
     calls = {"intersect": 0, "graver_completion": 0, "_search": 0,
              "buchberger": 0}
@@ -345,6 +346,25 @@ def test_gvd_budget_exhaustion_is_inconclusive():
     assert "budget" in cert.reason
 
 
+def test_budgeted_calls_keep_out_of_the_shared_memo(monkeypatch):
+    # Under a finite budget a stuck branch can let a later variable win, so
+    # a budgeted call neither fills the shared memo nor reads it.
+    empty_shared_memo(monkeypatch)
+    C6, K23 = cycle_graph(6), complete_bipartite(2, 3)
+    fresh = is_gvd(toric_ideal(C6), context=C6)
+    stored = dict(gvd._MEMO)
+    assert stored
+    for budget in (Budget(0.0), Budget(60)):
+        assert is_gvd(toric_ideal(K23), context=K23, budget=budget).verdict in (
+            "inconclusive", "gvd")
+        assert gvd._MEMO == stored  # nodes compare by identity
+    leaf = GvdNode("not-gvd", "not-gvd", reason="forged")
+    gvd._MEMO.update((key, leaf) for key in stored)
+    assert is_gvd(toric_ideal(C6), context=C6).verdict == "not-gvd"
+    budgeted = is_gvd(toric_ideal(C6), context=C6, budget=Budget(60))
+    assert budgeted.to_json_dict() == fresh.to_json_dict()
+
+
 def test_one_pass_searches_each_node_once(monkeypatch):
     # A non-decomposable graph of the 9-edge census whose search reaches
     # 115 distinct nodes; a search that restarts would visit some twice.
@@ -352,6 +372,7 @@ def test_one_pass_searches_each_node_once(monkeypatch):
               [("e1", "x1", "x2"), ("e2", "x1", "x4"), ("e3", "x2", "x4"),
                ("e4", "x3", "x5"), ("e5", "x3", "x6"), ("e6", "x4", "x7"),
                ("e7", "x5", "x6"), ("e8", "x5", "x7"), ("e9", "x6", "x7")])
+    empty_shared_memo(monkeypatch)
     search = gvd._search
     keys = []
 
@@ -415,6 +436,32 @@ def test_context_key_tells_a_path_from_a_star():
     assert gvd._context_key(zero, copy) == gvd._context_key(zero, path)
 
 
+def test_derived_context_keys_are_the_keys_of_their_contexts(monkeypatch):
+    # The search derives a branch's context key from its node's.  At every
+    # node it must be the key of the branch's own context, also where a
+    # disjoint union drops an edge outside the ring.
+    empty_shared_memo(monkeypatch)
+    U = graphs.disjoint_union(cycle_graph(4), cycle_graph(6))
+    foreign = Graph(U.vertices, list(U.edges) + [("x", "x1", "x6")])
+    cases = [(toric_ideal(U), foreign),
+             (toric_ideal(two_k4_sharing_vertex()), two_k4_sharing_vertex())]
+    cases += [(toric_ideal(G), G)
+              for G in (to_graph(n, edges) for n, edges in connected_graphs(7))]
+    real = gvd._certify
+    seen = []
+
+    def checked(I, context, ctx_key, *rest):
+        seen.append((ctx_key, gvd._context_key(I, context)))
+        return real(I, context, ctx_key, *rest)
+
+    monkeypatch.setattr(gvd, "_certify", checked)
+    for I, context in cases:
+        is_gvd(I, context=context)
+    assert len(seen) > 1000
+    assert {derived[0] for derived, _ in seen} == {True, False}
+    assert all(derived == built for derived, built in seen)
+
+
 @pytest.mark.parametrize("G", [complete_bipartite(2, 3), cycle_graph(6)],
                          ids=["K23", "C6"])
 def test_gvd_memo_keeps_other_preferences_apart(G):
@@ -443,12 +490,11 @@ def test_replay_rejects_tampered_certificate():
     assert cert.verdict == "gvd"
     assert cert.kind == "decomposition"
     assert replay_certificate(J, cert, context=G)
-    flipped = cert.rename({})  # deep copy via identity rename
-    object.__setattr__(flipped, "degenerate", not cert.degenerate)
+    flipped = forged(cert, degenerate=not cert.degenerate)
     assert not replay_certificate(J, flipped, context=G)
-    for tamper in [dict(y="zz"), dict(order={"type": "nope"}),
+    for tamper in [dict(y=len(cert.ring_names)), dict(order=("nope",)),
                    dict(child_c=None)]:
-        assert not replay_certificate(J, replace(cert, **tamper), context=G)
+        assert not replay_certificate(J, forged(cert, **tamper), context=G)
 
 
 def test_the_certifiers_read_the_degenerate_flag_off_the_branches(monkeypatch):
@@ -483,18 +529,26 @@ def tree_nodes(cert) -> list:
     return [cert] + tree_nodes(cert.child_c) + tree_nodes(cert.child_n)
 
 
+def forged(cert, **fields) -> GvdCertificate:
+    """The certificate with these fields of its root node replaced."""
+    return GvdCertificate(replace(cert.node, **fields), cert.ring_names)
+
+
 def swap_last(cert, target, new):
-    """The tree with the last occurrence of ``target`` replaced by ``new``,
-    and whether one was found."""
-    if cert is target:
-        return new, True
-    if cert is None:
-        return cert, False
-    for field in ("child_n", "child_c"):
-        child, found = swap_last(getattr(cert, field), target, new)
-        if found:
-            return replace(cert, **{field: child}), True
-    return cert, False
+    """The tree with the last occurrence of the node ``target`` replaced by
+    ``new``, and whether one was found."""
+    def swap(node):
+        if node is target:
+            return new, True
+        if node is None:
+            return node, False
+        for field in ("child_n", "child_c"):
+            child, found = swap(getattr(node, field))
+            if found:
+                return replace(node, **{field: child}), True
+        return node, False
+    node, found = swap(cert.node)
+    return GvdCertificate(node, cert.ring_names), found
 
 
 def test_replay_verifies_each_shared_node_once(monkeypatch):
@@ -502,7 +556,7 @@ def test_replay_verifies_each_shared_node_once(monkeypatch):
     J = toric_ideal(G)
     cert = is_gvd(J, context=G)
     nodes = tree_nodes(cert)
-    assert len(nodes) == 33 and len({id(c) for c in nodes}) == 8
+    assert len(nodes) == 33 and len({id(c.node) for c in nodes}) == 8
     calls = []
     real = gvd.replay_certificate
     monkeypatch.setattr(gvd, "replay_certificate",
@@ -512,14 +566,15 @@ def test_replay_verifies_each_shared_node_once(monkeypatch):
     monkeypatch.undo()
     # A copy of a shared node at its last occurrence is checked on its own:
     # accepted as it is, rejected once tampered.
-    shared = next(c for c in nodes
-                  if c.kind == "decomposition" and sum(d is c for d in nodes) > 1)
-    copy = shared.rename({})
+    shared = next(c.node for c in nodes if c.kind == "decomposition"
+                  and sum(d.node is c.node for d in nodes) > 1)
+    copy = replace(shared)
     assert replay_certificate(J, swap_last(cert, shared, copy)[0], context=G)
-    object.__setattr__(copy, "degenerate", not shared.degenerate)
+    copy = replace(shared, degenerate=not shared.degenerate)
     assert not replay_certificate(J, swap_last(cert, shared, copy)[0], context=G)
     # One node under both branches is checked against each branch's ideal.
-    assert not replay_certificate(J, replace(cert, child_n=cert.child_c), context=G)
+    assert not replay_certificate(J, forged(cert, child_n=cert.node.child_c),
+                                  context=G)
 
 
 def test_replay_checks_a_disjoint_union_node_by_node(monkeypatch):
@@ -535,43 +590,45 @@ def test_replay_checks_a_disjoint_union_node_by_node(monkeypatch):
                         lambda I, c, context=None: calls.append(c) or real(I, c, context))
     monkeypatch.setattr(gvd, "is_gvd", None)  # replay must not search
     assert gvd.replay_certificate(J, cert, context=G)
-    assert len(calls) == len({id(c) for c in nodes}) == 12
+    assert len(calls) == len({id(c.node) for c in nodes}) == 12
     monkeypatch.undo()
     # A tampered leaf under the union is checked, and so is the partition.
+    union = union.node
     leaf = next(c for c in (union.child_c, union.child_n) if c.kind == "variables")
     field = "child_c" if leaf is union.child_c else "child_n"
-    forged = replace(union, **{field: replace(leaf, variables=leaf.variables[1:])})
-    assert not replay_certificate(J, swap_last(cert, union, forged)[0], context=G)
-    forged = replace(union, child_n=union.child_c)
-    assert not replay_certificate(J, swap_last(cert, union, forged)[0], context=G)
+    fake = replace(union, **{field: replace(leaf, variables=leaf.variables[1:])})
+    assert not replay_certificate(J, swap_last(cert, union, fake)[0], context=G)
+    fake = replace(union, child_n=union.child_c)
+    assert not replay_certificate(J, swap_last(cert, union, fake)[0], context=G)
 
 
 def test_replay_rejects_a_union_that_does_not_split_the_basis():
     J = I("x*y", ring=Ring(["x", "y"]))
-    forged = GvdCertificate(
-        "disjoint-union", "gvd", J.ring.names,
-        child_c=base_certificate(Ideal.zero(Ring(["x"]))),
-        child_n=base_certificate(Ideal.zero(Ring(["y"]))))
-    assert not replay_certificate(J, forged)
+    zero = base_certificate(Ideal.zero(Ring(["x"]))).node
+    union = GvdNode("disjoint-union", "gvd", child_c=zero, child_n=zero,
+                    factors=((0,), (1,)))
+    assert not replay_certificate(J, GvdCertificate(union, J.ring.names))
     # The basis splits, but the children's rings overlap in y.
     J = I("x*y", ring=Ring(["x", "y", "z"]))
     XY = Ring(["x", "y"])
-    forged = replace(forged, ring_names=J.ring.names,
-                     child_c=is_gvd(I("x*y", ring=XY)),
-                     child_n=base_certificate(Ideal.zero(Ring(["y", "z"]))))
-    assert forged.child_c.verdict == "gvd"
-    assert not replay_certificate(J, forged)
-    # The basis splits and the rings partition, but one child honestly
+    union = replace(union, child_c=is_gvd(I("x*y", ring=XY)).node,
+                    factors=((0, 1), (1, 2)))
+    assert union.child_c.verdict == "gvd"
+    assert not replay_certificate(J, GvdCertificate(union, J.ring.names))
+    # The basis splits as the factors say, but one child honestly
     # certifies its factor not decomposable.
     K = toric_ideal(two_triangles_bridged())
-    R = Ring(K.ring.names + ("z",))
-    J = K.rename(R)
+    ZW = Ring(["z", "w"])
+    R = Ring(K.ring.names + ZW.names)
+    J = K.rename(R).with_extra([parse_poly(R, "z*w")])
     factor = is_gvd(K)
     assert factor.verdict == "not-gvd" and replay_certificate(K, factor)
-    forged = GvdCertificate(
-        "disjoint-union", "gvd", R.names, child_c=factor,
-        child_n=base_certificate(Ideal.zero(Ring(["z"]))))
-    assert not replay_certificate(J, forged)
+    n = K.ring.arity
+    union = GvdNode("disjoint-union", "gvd", child_c=factor.node,
+                    child_n=is_gvd(I("z*w", ring=ZW)).node,
+                    factors=(tuple(range(n)), (n, n + 1)))
+    assert gvd._disjoint_factors(J)[0] == union.factors
+    assert not replay_certificate(J, GvdCertificate(union, R.names))
 
 
 def test_replay_rejects_a_decomposition_whose_branch_is_not_gvd():
@@ -585,12 +642,12 @@ def test_replay_rejects_a_decomposition_whose_branch_is_not_gvd():
     assert check_decomposition(J, split) and split.degenerate()
     factor = is_gvd(K)
     assert factor.verdict == "not-gvd"
-    forged = GvdCertificate(
-        "decomposition", "gvd", R.names,
-        unmixedness=UnmixednessEvidence("cited", "prime"), y="z",
-        order=split.order.to_dict(), degenerate=True,
-        child_c=factor, child_n=factor)
-    assert not replay_certificate(J, forged)
+    step = GvdNode(
+        "decomposition", "gvd",
+        unmixedness=UnmixednessEvidence("cited", "prime"), y=R.index["z"],
+        order=split.order.form, degenerate=True,
+        child_c=factor.node, child_n=factor.node)
+    assert not replay_certificate(J, GvdCertificate(step, R.names))
 
 
 def test_replay_rejects_an_order_that_is_not_y_compatible():
@@ -600,13 +657,30 @@ def test_replay_rejects_an_order_that_is_not_y_compatible():
     R = Ring(["x", "y", "z"])
     J = Ideal(R, [parse_poly(R, "y - x^2"), parse_poly(R, "y - z")])
     XZ = Ring(["x", "z"])
-    forged = GvdCertificate(
-        "decomposition", "gvd", R.names,
-        unmixedness=UnmixednessEvidence("cited", "prime"), y="y",
-        order=lex_order(R, ["x", "z", "y"]).to_dict(), degenerate=True,
-        child_c=base_certificate(Ideal.unit(XZ)),
-        child_n=base_certificate(Ideal.zero(XZ)))
-    assert not replay_certificate(J, forged)
+    step = GvdNode(
+        "decomposition", "gvd",
+        unmixedness=UnmixednessEvidence("cited", "prime"), y=R.index["y"],
+        order=lex_order(R, ["x", "z", "y"]).form, degenerate=True,
+        child_c=base_certificate(Ideal.unit(XZ)).node,
+        child_n=base_certificate(Ideal.zero(XZ)).node)
+    assert not replay_certificate(J, GvdCertificate(step, R.names))
+
+
+def test_replay_does_not_read_the_shared_memo(monkeypatch):
+    # Replay re-decides a refutation with a memo of its own, so a tampered
+    # node under the refutation's key in the shared memo changes nothing.
+    empty_shared_memo(monkeypatch)
+    G = two_triangles_bridged()
+    J = toric_ideal(G)
+    cert = is_gvd(J, context=G)
+    assert cert.verdict == "not-gvd" and cert.failures
+    key = next(k for k, node in gvd._MEMO.items() if node is cert.node)
+    for verdict in ("gvd", "inconclusive"):
+        gvd._MEMO[key] = replace(cert.node, kind=verdict, verdict=verdict)
+        assert is_gvd(J, context=G).verdict == verdict
+        assert replay_certificate(J, cert, context=G)
+        assert not replay_certificate(
+            J, forged(cert, kind=verdict, verdict=verdict), context=G)
 
 
 def test_replay_checks_a_leaf_refutation_without_a_search(monkeypatch):

@@ -18,7 +18,7 @@ from gvdlab import gvd
 from gvdlab.graphs import toric_ideal
 from gvdlab.gvd import is_gvd
 
-from fixtures import two_k4_sharing_vertex
+from fixtures import empty_shared_memo, two_k4_sharing_vertex
 from graph_corpus import NINE_EDGE_GRAPHS, connected_graphs, to_graph
 
 
@@ -44,6 +44,7 @@ def pruned_search(G):
         return ev
 
     with pytest.MonkeyPatch.context() as mp:
+        empty_shared_memo(mp)
         mp.setattr(gvd, "unmixedness_evidence", evidence)
         cert = is_gvd(toric_ideal(G), context=G)
     return cert, stopped
@@ -61,6 +62,7 @@ def unpruned_search(G):
         return cert
 
     with pytest.MonkeyPatch.context() as mp:
+        empty_shared_memo(mp)
         mp.setattr(gvd, "unmixedness_evidence", lambda I, context=None: replace(
             real_evidence(I, context), not_radical=False))
         mp.setattr(gvd, "_certify", certify)

@@ -23,8 +23,9 @@ from gvdlab.groebner import Ideal
 from gvdlab.gvd import certify_step, inconclusive, is_gvd
 from gvdlab.util import Budget
 
-from fixtures import two_k4_sharing_vertex, two_triangles_bridged
+from fixtures import empty_shared_memo, two_k4_sharing_vertex, two_triangles_bridged
 from graph_corpus import NINE_EDGE_GRAPHS, connected_graphs, to_graph
+from test_golden import digest
 
 GRAPHS = {
     "C6": cycle_graph(6),
@@ -144,15 +145,19 @@ def test_every_memo_hit_is_what_a_fresh_search_builds(monkeypatch):
     # Symmetric branches of one search share memo entries across rings
     # whose names sort differently (shuffled names make that common); each
     # hit must read as a fresh search.
+    empty_shared_memo(monkeypatch)
     real = gvd.memoised
     hits = []
+    stored_from = {}  # the ring names of the call that stored each key
 
     def checked(memo, key, ring_names, certify):
         hit = memo.get(key)
         got = real(memo, key, ring_names, certify)
         if hit is not None:
-            hits.append((hit.ring_names != ring_names,
+            hits.append((stored_from[key] != ring_names,
                          got.to_json_dict() == certify().to_json_dict()))
+        elif key in memo:
+            stored_from[key] = ring_names
         return got
 
     monkeypatch.setattr(gvd, "memoised", checked)
@@ -161,6 +166,18 @@ def test_every_memo_hit_is_what_a_fresh_search_builds(monkeypatch):
         is_gvd(toric_ideal(G), context=G)
     assert any(renamed for renamed, _ in hits)
     assert all(same for _, same in hits)
+
+
+def test_a_warm_shared_memo_keeps_the_golden_certificates(monkeypatch):
+    # The corpus in reverse order, from an empty shared memo, so that each
+    # graph meets the nodes of those after it; then again with the memo
+    # full.  The certificates are test_golden's, byte for byte.
+    empty_shared_memo(monkeypatch)
+    graphs = [to_graph(n, edges) for n, edges in connected_graphs(7)]
+    for _ in range(2):
+        certs = [certify(G) for G in reversed(graphs)]
+        assert digest(certs[::-1]) == (
+            "76cdd76fd5cd63170f86a793123ad3b1802112dc94f50e6c7e5daf2d0425cc1b")
 
 
 def renamed_reason(cert) -> tuple:
