@@ -600,6 +600,8 @@ def test_replay_checks_a_disjoint_union_node_by_node(monkeypatch):
     assert not replay_certificate(J, swap_last(cert, union, fake)[0], context=G)
     fake = replace(union, child_n=union.child_c)
     assert not replay_certificate(J, swap_last(cert, union, fake)[0], context=G)
+    fake = replace(union, factors=union.factors[::-1])
+    assert not replay_certificate(J, swap_last(cert, union, fake)[0], context=G)
 
 
 def test_replay_rejects_a_union_that_does_not_split_the_basis():
