@@ -177,9 +177,9 @@ class Ring:
         i = self.vidx(v)
         return Ring(self.names[:i] + self.names[i + 1:])
 
-    def with_vars(self, new_names: Iterable[str], front: bool = True) -> "Ring":
-        new_names = tuple(new_names)
-        return Ring(new_names + self.names if front else self.names + new_names)
+    def with_vars(self, new_names: Iterable[str]) -> "Ring":
+        """This ring with ``new_names`` put in front of its variables."""
+        return Ring(tuple(new_names) + self.names)
 
     def __eq__(self, other):
         return isinstance(other, Ring) and self.names == other.names

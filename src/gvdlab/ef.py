@@ -165,20 +165,20 @@ def ef_ideal(G: Graph, E, F) -> EFState:
 class EFNode:
     """A lazily expanded tree node; children move the next edge into E
     (``child_c``, the saturated initial-form side) or into F (``child_n``,
-    the deletion side).  Trivial and depth-capped nodes are leaves."""
+    the deletion side).  Trivial nodes, and nodes that have placed every
+    edge, are leaves."""
 
-    __slots__ = ("state", "_graph", "_depth", "_children")
+    __slots__ = ("state", "_graph", "_children")
 
-    def __init__(self, state: EFState, graph: Graph, depth: int):
+    def __init__(self, state: EFState, graph: Graph):
         self.state = state
         self._graph = graph
-        self._depth = depth
         self._children = ()
 
     @property
     def split_edge(self) -> Optional[str]:
         k = self.state.k
-        if k >= min(self._depth, len(self._graph.edges)):
+        if k >= len(self._graph.edges):
             return None
         return self._graph.edge_labels[k]
 
@@ -191,8 +191,8 @@ class EFNode:
             self._children = None
             return None
         self._children = (
-            _tree_node(self._graph, self.state.E + (y,), self.state.F, self._depth),
-            _tree_node(self._graph, self.state.E, self.state.F + (y,), self._depth))
+            _tree_node(self._graph, self.state.E + (y,), self.state.F),
+            _tree_node(self._graph, self.state.E, self.state.F + (y,)))
         return self._children
 
     def to_json_dict(self) -> dict:
@@ -207,22 +207,20 @@ class EFNode:
         return out
 
 
-def _tree_node(G: Graph, E: tuple, F: tuple, depth: int) -> EFNode:
+def _tree_node(G: Graph, E: tuple, F: tuple) -> EFNode:
     # Every split (E, F) has one parent, and ``children`` caches, so each
     # node is built once.
     ring = G.edge_ring()
     state = EFState(E, F, Ideal(ring, _natural_generators(G, E, F, ring)))
-    return EFNode(state, G, depth)
+    return EFNode(state, G)
 
 
-def ef_tree(G: Graph, depth: Optional[int] = None) -> EFNode:
-    """Root of the split tree, expanded on demand down to ``depth`` edges
-    (default: all of them) and pruned at trivial nodes."""
+def ef_tree(G: Graph) -> EFNode:
+    """Root of the split tree, expanded on demand over every edge and
+    pruned at trivial nodes."""
     if not squarefree_lex_initial(G):
         raise ValueError("label-order initial ideal is not square-free")
-    if depth is None:
-        depth = len(G.edges)
-    return _tree_node(G, (), (), depth)
+    return _tree_node(G, (), ())
 
 
 def tree_nodes(root: EFNode) -> list:

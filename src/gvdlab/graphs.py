@@ -199,28 +199,28 @@ class Graph:
 # ---------------------------------------------------------------------------
 # Standard families.
 
-def cycle_graph(n: int, vprefix: str = "x", eprefix: str = "e") -> Graph:
+def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
-    vs = ["%s%d" % (vprefix, i) for i in range(1, n + 1)]
-    es = [("%s%d" % (eprefix, i), vs[i - 1], vs[i % n]) for i in range(1, n + 1)]
+    vs = ["x%d" % i for i in range(1, n + 1)]
+    es = [("e%d" % i, vs[i - 1], vs[i % n]) for i in range(1, n + 1)]
     return Graph(vs, es)
 
 
-def path_graph(n: int, vprefix: str = "x", eprefix: str = "e") -> Graph:
-    vs = ["%s%d" % (vprefix, i) for i in range(1, n + 1)]
-    es = [("%s%d" % (eprefix, i), vs[i - 1], vs[i]) for i in range(1, n)]
+def path_graph(n: int) -> Graph:
+    vs = ["x%d" % i for i in range(1, n + 1)]
+    es = [("e%d" % i, vs[i - 1], vs[i]) for i in range(1, n)]
     return Graph(vs, es)
 
 
-def complete_graph(n: int, vprefix: str = "x", eprefix: str = "e") -> Graph:
-    vs = ["%s%d" % (vprefix, i) for i in range(1, n + 1)]
+def complete_graph(n: int) -> Graph:
+    vs = ["x%d" % i for i in range(1, n + 1)]
     es = []
     k = 0
     for i in range(n):
         for j in range(i + 1, n):
             k += 1
-            es.append(("%s%d" % (eprefix, k), vs[i], vs[j]))
+            es.append(("e%d" % k, vs[i], vs[j]))
     return Graph(vs, es)
 
 
@@ -582,13 +582,13 @@ def even_cycle_binomial(G: Graph, edge: str, path: tuple):
     return odd - even
 
 
-def glue_even_cycle(G: Graph, edge: str, length: int, prefix: str = "f",
-                    verify: bool = True):
+def glue_even_cycle(G: Graph, edge: str, length: int):
     """Glue an even cycle of the given length onto G along an existing edge.
 
     Adds length-1 new edges f_i forming a cycle with ``edge`` and returns
     (H, F) where F = f1 f3 ... f_{len-1}  -  e f2 f4 ... f_{len-2} is the new
-    cycle binomial.  With ``verify`` on, asserts I_H = I_G + <F>.
+    cycle binomial.  Checks I_H = I_G + <F> and raises AssertionError if it
+    fails.
     """
     if length % 2 or length < 4:
         raise ValueError("cycle length must be even and at least 4")
@@ -596,20 +596,18 @@ def glue_even_cycle(G: Graph, edge: str, length: int, prefix: str = "f",
         raise KeyError("no edge %r to glue along" % edge)
     a, b = G.ends(edge)
     k = length - 1  # number of new edges
-    e0 = _next_index(G.edge_labels, prefix)
+    e0 = _next_index(G.edge_labels, "f")
     v0 = _next_index(G.vertices, "w")
-    labels = ["%s%d" % (prefix, e0 + i) for i in range(k)]
+    labels = ["f%d" % (e0 + i) for i in range(k)]
     inner = ["w%d" % (v0 + i) for i in range(k - 1)]
     chain = [a] + inner + [b]
     new_edges = [(labels[i], chain[i], chain[i + 1]) for i in range(k)]
     H = G.with_edges(inner, new_edges)
 
     F = even_cycle_binomial(H, edge, labels)
-    if verify:
-        IH = toric_ideal(H)
-        IG_ext = toric_ideal(G).rename(H.edge_ring()).with_extra([F])
-        if not ideal_equal(IH, IG_ext):
-            raise AssertionError("gluing identity I_H = I_G + <F> failed")
+    IG_ext = toric_ideal(G).rename(H.edge_ring()).with_extra([F])
+    if not ideal_equal(toric_ideal(H), IG_ext):
+        raise AssertionError("gluing identity I_H = I_G + <F> failed")
     return H, F
 
 

@@ -572,7 +572,7 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     if J.is_unit_ideal():
         return Ideal(I.ring, I.gens)
     t = _fresh_name(I.ring, "t")
-    big = I.ring.with_vars([t], front=True)
+    big = I.ring.with_vars([t])
     tp = big.var(t)
     gens = [tp * g.rename(big) for g in I.gens]
     gens += [(big.one() - tp) * g.rename(big) for g in J.gens]
@@ -585,7 +585,7 @@ def saturate_variable(I: Ideal, y: Union[int, str]) -> Ideal:
     """The saturation I : y^infinity, in the same ring."""
     yname = I.ring.names[I.ring.vidx(y)]
     w = _fresh_name(I.ring, "w")
-    big = I.ring.with_vars([w], front=True)
+    big = I.ring.with_vars([w])
     gens = [g.rename(big) for g in I.gens]
     gens.append(big.var(w) * big.var(yname) - big.one())
     sat = eliminate(Ideal(big, gens), [w])
@@ -597,7 +597,7 @@ def radical_contains(I: Ideal, f: Poly) -> bool:
     if f.is_zero():
         return True
     w = _fresh_name(I.ring, "w")
-    big = I.ring.with_vars([w], front=True)
+    big = I.ring.with_vars([w])
     gens = [g.rename(big) for g in I.gens]
     gens.append(big.var(w) * f.rename(big) - big.one())
     return Ideal(big, gens).is_unit_ideal()

@@ -396,15 +396,15 @@ def certify_step(I: Ideal, y: str, context: Optional[Graph], theorem: str,
 # ---------------------------------------------------------------------------
 # The recursive certifier.
 
-def _variable_order(I: Ideal, rgb: tuple, present: set, prefer: tuple) -> list:
+def _variable_order(I: Ideal, rgb: tuple, present: set) -> list:
     """Search order over the variables that occur in the basis, whose
     indices are ``present``.
 
-    Explicit preferences come first.  The rest are ranked by a free proxy
-    computed from the storage basis: variables whose y-graded factors are
-    mostly single variables (their C side is close to a base case) come
-    early, and variables occurring with exponent two or more anywhere come
-    last, since their decomposition identity is doomed to fail.
+    They are ranked by a free proxy computed from the storage basis:
+    variables whose y-graded factors are mostly single variables (their C
+    side is close to a base case) come early, and variables occurring with
+    exponent two or more anywhere come last, since their decomposition
+    identity is doomed to fail.
     """
     ring = I.ring
     scored = []
@@ -423,19 +423,7 @@ def _variable_order(I: Ideal, rgb: tuple, present: set, prefer: tuple) -> list:
                 n_size += 1
         scored.append(((1 if doomed else 0, hard, n_size, i), name))
     scored.sort()
-    ordered, seen = [], set()
-    for name in prefer:
-        if name in seen or name not in ring.names:
-            continue
-        if ring.vidx(name) not in present:
-            continue
-        seen.add(name)
-        ordered.append(name)
-    for _, name in scored:
-        if name not in seen:
-            seen.add(name)
-            ordered.append(name)
-    return ordered
+    return [name for _, name in scored]
 
 
 def _context_key(I: Ideal, context: Optional[Graph]):
@@ -453,19 +441,18 @@ def _context_key(I: Ideal, context: Optional[Graph]):
 
     So a memo hit, the stored node read in another ring, is the node a
     fresh search would build.  Take nodes with equal memo keys: the same
-    reduced basis by position, contexts of one shape, and ``prefer`` in
-    the same ring positions.  The search reads names only through their
-    ring positions and reads ``prefer`` by position (both in the key).  The
-    evidence reads the context only through its edges (by name, in step
-    with the ring), edge deletions, universal bases up to sign,
-    ``toric_dimension`` and bipartiteness, none of which sees vertex names
-    or isolated vertices.  A foreign edge matters only until a disjoint
-    union restricts the context to its ring, which drops it; until then it
-    makes every split with binomials inconclusive, whatever its ends.  So
-    both searches take the same steps, position for position, and build
-    the same node.  The only outputs ordered by name are the components of
-    the evidence, which ``UnmixednessEvidence.to_json_dict`` sorts by the
-    names of the ring it is given, as a fresh search sorts them.
+    reduced basis by position and contexts of one shape.  The search reads
+    names only through their ring positions.  The evidence reads the
+    context only through its edges (by name, in step with the ring), edge
+    deletions, universal bases up to sign, ``toric_dimension`` and
+    bipartiteness, none of which sees vertex names or isolated vertices.
+    A foreign edge matters only until a disjoint union restricts the
+    context to its ring, which drops it; until then it makes every split
+    with binomials inconclusive, whatever its ends.  So both searches take
+    the same steps, position for position, and build the same node.  The
+    only outputs ordered by name are the components of the evidence, which
+    ``UnmixednessEvidence.to_json_dict`` sorts by the names of the ring it
+    is given, as a fresh search sorts them.
     """
     if context is None:
         return None
@@ -555,17 +542,17 @@ _MEMO_SIZE = 4096
 
 
 def is_gvd(I: Ideal, context: Optional[Graph] = None,
-           budget: Optional[Budget] = None, prefer=(),
+           budget: Optional[Budget] = None,
            memo: Optional[dict] = None) -> GvdCertificate:
     """Certify, refute, or give up on geometric vertex decomposability.
 
     ``context`` is an optional graph whose toric structure powers the
     unmixedness evidence (pass the graph when I is a toric ideal of it);
     ``budget`` bounds wall-clock time, with exhaustion reported as an
-    inconclusive verdict; ``prefer`` lists variables to try first at every
-    node; ``memo`` carries certified results between calls.  A call given
-    neither shares ``_MEMO``; a budgeted one keeps its own, since a branch
-    stuck when the budget ran out can let a later variable win.
+    inconclusive verdict; ``memo`` carries certified results between
+    calls.  A call given neither shares ``_MEMO``; a budgeted one keeps its
+    own, since a branch stuck when the budget ran out can let a later
+    variable win.
 
     A node whose unmixedness is refuted, or which the evidence proves not
     radical, is a "not-gvd" leaf.  A decomposable ideal is radical: base
@@ -577,10 +564,10 @@ def is_gvd(I: Ideal, context: Optional[Graph] = None,
     if memo is None:
         memo = _MEMO if budget is None else {}
     return _certify(I, context, _context_key(I, context),
-                    budget or Budget(None), tuple(prefer), memo)
+                    budget or Budget(None), memo)
 
 
-def _certify(I: Ideal, context, ctx_key, budget: Budget, prefer: tuple,
+def _certify(I: Ideal, context, ctx_key, budget: Budget,
              memo: dict) -> GvdCertificate:
     names = I.ring.names
     if budget.exceeded():
@@ -590,15 +577,13 @@ def _certify(I: Ideal, context, ctx_key, budget: Budget, prefer: tuple,
         return base
     rgb = I.groebner()
     basis = tuple(g.canonical() for g in rgb)
-    index = I.ring.index
-    key = (I.ring.arity, basis, ctx_key,
-           tuple(index[n] for n in prefer if n in index))
+    key = (I.ring.arity, basis, ctx_key)
     return memoised(memo, key, names, lambda: _search(
-        I, rgb, context, ctx_key, budget, prefer, memo))
+        I, rgb, context, ctx_key, budget, memo))
 
 
 def _search(I: Ideal, rgb: tuple, context, ctx_key, budget: Budget,
-            prefer: tuple, memo: dict) -> GvdCertificate:
+            memo: dict) -> GvdCertificate:
     ring = I.ring
     names, index = ring.names, ring.index
     # When the generators split into groups with disjoint variable supports,
@@ -612,7 +597,7 @@ def _search(I: Ideal, rgb: tuple, context, ctx_key, budget: Budget,
         kids = []
         for part, factor in zip(parts, factors):
             kid = _certify(factor, _restrict_context(context, factor.ring.names),
-                           _sub_key(ctx_key, part, False), budget, prefer, memo)
+                           _sub_key(ctx_key, part, False), budget, memo)
             if kid.verdict == "not-gvd":
                 side = "child_n" if kids else "child_c"
                 return _certificate(
@@ -646,8 +631,7 @@ def _search(I: Ideal, rgb: tuple, context, ctx_key, budget: Budget,
         split = cn_split(I, yname)
         contraction = contract(split.N, yname)
         core = _certify(contraction, _child_context(context, yname),
-                        _step_key(ctx_key, ring.arity, absent[0]), budget,
-                        prefer, memo)
+                        _step_key(ctx_key, ring.arity, absent[0]), budget, memo)
         if core.verdict == "gvd":
             return _decomposition(names, ev, split, contraction, core, core)
         if core.verdict == "not-gvd":
@@ -666,7 +650,7 @@ def _search(I: Ideal, rgb: tuple, context, ctx_key, budget: Budget,
 
     failures = []
     stuck = []  # branches that ended without a conclusive failure
-    for yname in _variable_order(I, rgb, present, prefer):
+    for yname in _variable_order(I, rgb, present):
         if budget.exceeded():
             stuck.append((yname, "budget exhausted"))
             break
@@ -681,7 +665,7 @@ def _search(I: Ideal, rgb: tuple, context, ctx_key, budget: Budget,
         child_ctx = _child_context(context, yname)
         child_key = _step_key(ctx_key, ring.arity, index[yname])
         c_branch = contract(split.C, yname)
-        cert_c = _certify(c_branch, child_ctx, child_key, budget, prefer, memo)
+        cert_c = _certify(c_branch, child_ctx, child_key, budget, memo)
         if cert_c.verdict == "not-gvd":
             failures.append(
                 (index[yname], "C-branch is certified not decomposable"))
@@ -690,7 +674,7 @@ def _search(I: Ideal, rgb: tuple, context, ctx_key, budget: Budget,
             stuck.append((yname, "a branch was inconclusive"))
             continue
         n_branch = contract(split.N, yname)
-        cert_n = _certify(n_branch, child_ctx, child_key, budget, prefer, memo)
+        cert_n = _certify(n_branch, child_ctx, child_key, budget, memo)
         if cert_n.verdict == "not-gvd":
             failures.append(
                 (index[yname], "N-branch is certified not decomposable"))

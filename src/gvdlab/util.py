@@ -6,28 +6,21 @@ import hashlib
 import random
 import time
 
-__all__ = ["Budget", "BudgetExceeded", "seeded_rng"]
-
-
-class BudgetExceeded(Exception):
-    """Raised when a computation runs past its wall-clock budget."""
+__all__ = ["Budget", "seeded_rng"]
 
 
 class Budget:
-    """A soft wall-clock limit; ``None`` seconds means unlimited."""
+    """A soft wall-clock limit; ``None`` seconds means unlimited.  The
+    budget is spent once the clock reaches its deadline, so a zero budget
+    is spent at once."""
 
-    __slots__ = ("deadline", "seconds")
+    __slots__ = ("deadline",)
 
     def __init__(self, seconds: float = None):
-        self.seconds = seconds
         self.deadline = None if seconds is None else time.monotonic() + seconds
 
     def exceeded(self) -> bool:
-        return self.deadline is not None and time.monotonic() > self.deadline
-
-    def check(self):
-        if self.exceeded():
-            raise BudgetExceeded("budget of %.1fs exhausted" % self.seconds)
+        return self.deadline is not None and time.monotonic() >= self.deadline
 
 
 def seeded_rng(seed: int, *labels: str) -> random.Random:

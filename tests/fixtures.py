@@ -2,7 +2,7 @@
 across the test suite."""
 
 from gvdlab import gvd
-from gvdlab.algebra import Ring, parse_poly
+from gvdlab.algebra import parse_poly
 from gvdlab.graphs import Graph, oriented_minimal, toric_ideal, vector_to_binomial
 from gvdlab.groebner import contract, intersect
 from gvdlab.gvd import cn_split

@@ -7,7 +7,7 @@ from gvdlab import ef, gvd
 from gvdlab.algebra import initial_term, lex_order, mono_is_squarefree
 from gvdlab.components import UnmixednessEvidence
 from gvdlab.ef import (
-    check_statements_ABC, ef_ideal, ef_tree, label_order, quadratic_pipeline,
+    check_statements_ABC, ef_ideal, ef_tree, quadratic_pipeline,
     squarefree_lex_initial, tree_nodes,
 )
 from gvdlab.graphs import (
@@ -89,13 +89,6 @@ def test_tree_is_pruned_at_trivial_nodes():
     for node in nodes:
         assert (node.children() is None) == (
             node.state.trivial() is not None or node.split_edge is None)
-
-
-def test_tree_depth_cap():
-    root = ef_tree(K23, depth=1)
-    kids = root.children()
-    assert kids is not None
-    assert all(k.children() is None for k in kids)
 
 
 def test_tree_json_shape():

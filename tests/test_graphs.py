@@ -3,7 +3,7 @@
 import pytest
 
 from gvdlab import graphs
-from gvdlab.algebra import Packing, Poly, Ring, lex_order, parse_poly
+from gvdlab.algebra import Packing, Poly, lex_order, parse_poly
 from gvdlab.groebner import (
     Ideal, _Fractions, ideal_equal, krull_dimension, normal_form, s_polynomial,
 )
