@@ -18,15 +18,15 @@ and every other node the contracted C or N branch of its parent's split,
 and ``gvd.certify_step`` accepts a step only when that ideal's reduced
 basis is square-free in y, which is the decomposition identity (see
 ``gvd.CnSplit``).  So a structure that described a node wrongly could
-only leave it inconclusive; the memo key holds the reduced basis, so a
-hit certifies the very ideal at hand.  By the theorem the structure is
-right: each node's ideal is its matching ideal (``bipartite_ideal``),
-whose natural generators are a Groebner basis with a square-free initial
-ideal, and the tests check both at every node of their corpus.  Only
-unmixedness rests on the theorem: where the evidence computed per node is
-inconclusive, a node whose ideal equals its matching ideal cites it (the
-family is Cohen-Macaulay) with a "cited" tag that replay treats as a
-citation, never as a computed fact.  Replay checks each identity literally.
+only leave it inconclusive.  By the theorem the structure is right: each
+node's ideal is its matching ideal (``bipartite_ideal``), whose natural
+generators are a Groebner basis with a square-free initial ideal, and the
+tests check both at every node of their corpus.  Only unmixedness rests
+on the theorem: where the evidence computed per node is inconclusive, a
+node whose ideal equals its matching ideal cites it (the family is
+Cohen-Macaulay) with a "cited" tag that replay treats as a citation, never
+as a computed fact.  Replay checks each identity literally.  The recursion
+keeps no memo: it seldom meets a node twice.
 """
 
 from __future__ import annotations
@@ -37,9 +37,7 @@ from typing import Optional
 from .algebra import Ring
 from .graphs import Graph, universal_groebner_basis
 from .groebner import Ideal, ideal_contains
-from .gvd import (
-    GvdCertificate, base_certificate, certify_step, inconclusive, memoised,
-)
+from .gvd import GvdCertificate, base_certificate, certify_step, inconclusive
 from .util import Budget
 
 __all__ = [
@@ -253,26 +251,18 @@ def certify_bipartite_gvd(G: Graph, budget: Optional[Budget] = None) -> GvdCerti
     if budget is None:
         budget = Budget(None)
     root = Ideal(G.edge_ring(), universal_groebner_basis(G))
-    return _certify_node(G, EMPTY_POM, root, budget, {})
+    return _certify_node(G, EMPTY_POM, root, budget)
 
 
 def _certify_node(G: Graph, pom: PathOrderedMatching, I: Ideal,
-                  budget: Budget, memo: dict) -> GvdCertificate:
-    names = I.ring.names
-    if budget.exceeded():
-        return inconclusive(names, "budget exhausted")
-    key = (G.vertices, G.edges, pom.pairs, names,
-           tuple(g.canonical() for g in I.groebner()))
-    return memoised(memo, key, names, lambda: _node(G, pom, I, budget, memo))
-
-
-def _node(G: Graph, pom: PathOrderedMatching, I: Ideal, budget: Budget,
-          memo: dict) -> GvdCertificate:
+                  budget: Budget) -> GvdCertificate:
     """Leaves are certified at once; a leaf matching edge is dropped; else
     the node decomposes at a leaf edge or at a contained variable (both
     degenerate steps, whose N branch carries the graph without that edge)
     or at the edge extending the matching, whose C branch carries the
     extended matching."""
+    if budget.exceeded():
+        return inconclusive(I.ring.names, "budget exhausted")
     base = base_certificate(I)
     if base is not None:
         return base
@@ -281,16 +271,16 @@ def _node(G: Graph, pom: PathOrderedMatching, I: Ideal, budget: Budget,
         # Dropping a leaf matching edge changes neither the ideal nor the
         # ring, only the structure.
         return _certify_node(G.delete_edges([leaf]), pom.without_end(leaf), I,
-                             budget, memo)
+                             budget)
 
     ring = I.ring
     c_pom = None
     if leaf is not None:
         y = leaf
     else:
-        y = right_extendable(G, pom)
-        if y is not None:
-            pair = next(p for label, p in _extension_pairs(G, pom) if label == y)
+        extension = next(_extension_pairs(G, pom), None)
+        if extension is not None:
+            y, pair = extension
             c_pom = pom.extended(pair, y)
         else:
             contained = [v for v in ring.names if ideal_contains(I, ring.var(v))]
@@ -310,5 +300,5 @@ def _node(G: Graph, pom: PathOrderedMatching, I: Ideal, budget: Budget,
     return certify_step(
         I, y, G.delete_edges(pom.edges), CITED_DETAIL,
         lambda: bipartite_ideal(G, pom, ring),
-        lambda C: _certify_node(c_graph, c_pom, C, budget, memo),
-        lambda N: _certify_node(n_graph, pom, N, budget, memo))
+        lambda C: _certify_node(c_graph, c_pom, C, budget),
+        lambda N: _certify_node(n_graph, pom, N, budget))

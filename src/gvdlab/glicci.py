@@ -216,12 +216,12 @@ def _gluing_check(G: Graph, trials: int, seed: int,
             return GlicciCheck("even-cycle-gluing", False,
                                {"reason": "budget exhausted during the search"})
         base = _gluing_base(G, edge, path)
+        base_ideal = toric_ideal(base)
         rng = seeded_rng(seed, "glicci-gluing", edge, *path)
-        names = squarefree_order_search(toric_ideal(base), trials, rng,
-                                        budget=budget)
+        names = squarefree_order_search(base_ideal, trials, rng, budget=budget)
         if names is None:
             continue
-        glued = toric_ideal(base).rename(ring).with_extra(
+        glued = base_ideal.rename(ring).with_extra(
             [even_cycle_binomial(G, edge, path)])
         if not ideal_equal(IG, glued):
             continue

@@ -35,8 +35,6 @@ the certificate tree:
 
 from __future__ import annotations
 
-import re
-from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,7 +42,9 @@ from .algebra import (
     Order, Ring, compile_order, initial_y_form, spec_from_form, spec_to_dict,
     y_order, y_split,
 )
-from .components import UnmixednessEvidence, base_evidence, unmixedness_evidence
+from .components import (
+    _VARIABLE, UnmixednessEvidence, base_evidence, unmixedness_evidence,
+)
 from .graphs import Graph
 from .groebner import Ideal, contract, ideal_equal, radical_contains
 from .util import Budget
@@ -52,8 +52,7 @@ from .util import Budget
 __all__ = [
     "CnSplit", "GvdNode", "GvdCertificate",
     "cn_split", "initial_y_ideal", "check_decomposition",
-    "base_certificate", "inconclusive", "memoised", "certify_step",
-    "var_placeholder",
+    "base_certificate", "inconclusive", "certify_step",
     "is_gvd", "replay_certificate",
 ]
 
@@ -145,15 +144,6 @@ def check_decomposition(I: Ideal, split: CnSplit) -> bool:
 # ---------------------------------------------------------------------------
 # Certificates.
 
-_PLACEHOLDER = re.compile(r"\{(y|factor|\d+)\}")
-
-
-def var_placeholder(ring_names: tuple, name: str) -> str:
-    """The placeholder for the variable ``name`` in a node reason; the
-    certificate's ``to_json_dict`` writes back the name in its ring."""
-    return "{%d}" % ring_names.index(name)
-
-
 @dataclass(frozen=True, eq=False)
 class GvdNode:
     """One node of a decomposability certificate tree, holding every
@@ -166,9 +156,8 @@ class GvdNode:
     is determined by the kind, children and unmixedness evidence.
     ``failures`` pairs a variable with the reason no decomposition works
     there; ``order`` is an ``Order.form``.  Reasons name variables only
-    through placeholders: ``{y}`` is the failure's or the node's variable,
-    ``{factor}`` the variables of the one child of a refuted disjoint union,
-    and ``{i}`` (a number) the i-th variable of the node's ring.
+    through the placeholder ``{i}`` for the i-th variable of the node's
+    ring, as evidence details do.
     """
 
     kind: str
@@ -237,19 +226,14 @@ class GvdCertificate:
             out["children"] = {side: kid.to_json_dict()
                                for side, kid in kids.items() if kid is not None}
         if self.failures:
-            out["failures"] = [{"y": v, "reason": r.replace("{y}", v)}
+            out["failures"] = [{"y": v, "reason": self._named(r)}
                                for v, r in self.failures]
         if self.reason:
-            out["reason"] = _PLACEHOLDER.sub(self._placeholder_name, self.reason)
+            out["reason"] = self._named(self.reason)
         return out
 
-    def _placeholder_name(self, match) -> str:
-        key = match.group(1)
-        if key == "y":
-            return match.group(0) if self.y is None else self.y
-        if key == "factor":
-            return ", ".join((self.child_c or self.child_n).ring_names)
-        return self.ring_names[int(key)]
+    def _named(self, text: str) -> str:
+        return _VARIABLE.sub(lambda m: self.ring_names[int(m.group(1))], text)
 
 
 def _certificate(ring_names: tuple, kind: str, verdict: str,
@@ -320,30 +304,14 @@ def _decomposition(ring_names: tuple, ev: UnmixednessEvidence, split: CnSplit,
     exactly when C is.
     """
     degenerate = split.C.gens == split.N.gens or c_branch.is_unit_ideal()
-    step = dict(unmixedness=ev, y=ring_names.index(split.y),
-                order=split.order.form, degenerate=degenerate,
-                child_c=cert_c.node, child_n=cert_n.node)
+    y = ring_names.index(split.y)
+    step = dict(unmixedness=ev, y=y, order=split.order.form,
+                degenerate=degenerate, child_c=cert_c.node, child_n=cert_n.node)
     if ev.conclusive_unmixed or ev.status == "cited":
         return _certificate(ring_names, "decomposition", "gvd", **step)
     return inconclusive(
-        ring_names, "decomposition found at {y} but unmixedness evidence "
-                    "is inconclusive (%s)" % ev.detail, **step)
-
-
-def memoised(memo: dict, key, ring_names: tuple, certify) -> GvdCertificate:
-    """The node stored under ``key``, read in the ring ``ring_names``; else
-    ``certify()``, stored unless it is inconclusive (a caller may reuse
-    ``memo`` under a larger budget, where that node may yet certify), with
-    the oldest entry dropped past ``_MEMO_SIZE``."""
-    hit = memo.get(key)
-    if hit is not None:
-        return GvdCertificate(hit, ring_names)
-    cert = certify()
-    if cert.verdict != "inconclusive":
-        if len(memo) >= _MEMO_SIZE:
-            del memo[next(iter(memo))]
-        memo[key] = cert.node
-    return cert
+        ring_names, "decomposition found at {%d} but unmixedness evidence "
+                    "is inconclusive (%s)" % (y, ev.detail), **step)
 
 
 def certify_step(I: Ideal, y: str, context: Optional[Graph], theorem: str,
@@ -371,8 +339,8 @@ def certify_step(I: Ideal, y: str, context: Optional[Graph], theorem: str,
         ev = UnmixednessEvidence("cited", theorem)
     split = cn_split(I, y)
     if not split.square_free_in_y:
-        return inconclusive(names, "decomposition identity failed at %s"
-                                   % var_placeholder(names, y))
+        return inconclusive(names, "decomposition identity failed at {%d}"
+                                   % names.index(y))
     n_branch = contract(split.N, y)
     c_branch = n_branch if split.C.gens == split.N.gens else contract(split.C, y)
     if c_branch is n_branch or c_branch.is_unit_ideal():
@@ -388,9 +356,8 @@ def certify_step(I: Ideal, y: str, context: Optional[Graph], theorem: str,
         cert_n = certify_n(n_branch)
     if cert_c.verdict == "gvd" and cert_n.verdict == "gvd":
         return _decomposition(names, ev, split, c_branch, cert_c, cert_n)
-    return inconclusive(names, "a branch at %s did not certify (C: %s, N: %s)"
-                               % (var_placeholder(names, y), cert_c.verdict,
-                                  cert_n.verdict))
+    return inconclusive(names, "a branch at {%d} did not certify (C: %s, N: %s)"
+                               % (names.index(y), cert_c.verdict, cert_n.verdict))
 
 
 # ---------------------------------------------------------------------------
@@ -535,24 +502,23 @@ def _disjoint_factors(I: Ideal) -> Optional[tuple]:
                         for gs, part in zip(gens, parts))
 
 
-# The memo of every ``is_gvd`` call given neither a memo nor a budget: the
-# graphs of a census share the subproblems of one shape.
+# The memo of every ``is_gvd`` call given no budget: the graphs of a
+# census share the subproblems of one shape.
 _MEMO: dict = {}
 _MEMO_SIZE = 4096
 
 
 def is_gvd(I: Ideal, context: Optional[Graph] = None,
-           budget: Optional[Budget] = None,
-           memo: Optional[dict] = None) -> GvdCertificate:
+           budget: Optional[Budget] = None) -> GvdCertificate:
     """Certify, refute, or give up on geometric vertex decomposability.
 
     ``context`` is an optional graph whose toric structure powers the
     unmixedness evidence (pass the graph when I is a toric ideal of it);
     ``budget`` bounds wall-clock time, with exhaustion reported as an
-    inconclusive verdict; ``memo`` carries certified results between
-    calls.  A call given neither shares ``_MEMO``; a budgeted one keeps its
-    own, since a branch stuck when the budget ran out can let a later
-    variable win.
+    inconclusive verdict.  A call with no budget shares the memo ``_MEMO``
+    of certified nodes with every other such call; a budgeted one keeps a
+    memo of its own, since a branch stuck when the budget ran out can let
+    a later variable win.
 
     A node whose unmixedness is refuted, or which the evidence proves not
     radical, is a "not-gvd" leaf.  A decomposable ideal is radical: base
@@ -561,14 +527,16 @@ def is_gvd(I: Ideal, context: Optional[Graph] = None,
     absent variables and disjoint unions over Q keep radicality (see the
     module docstring for the details).
     """
-    if memo is None:
-        memo = _MEMO if budget is None else {}
+    memo = _MEMO if budget is None else {}
     return _certify(I, context, _context_key(I, context),
                     budget or Budget(None), memo)
 
 
 def _certify(I: Ideal, context, ctx_key, budget: Budget,
              memo: dict) -> GvdCertificate:
+    """The certificate of I over ``context``, whose ``_context_key`` is
+    ``ctx_key``: a base case at once, else the node ``memo`` holds for its
+    key or a fresh ``_search``."""
     names = I.ring.names
     if budget.exceeded():
         return inconclusive(names, "budget exhausted")
@@ -580,6 +548,22 @@ def _certify(I: Ideal, context, ctx_key, budget: Budget,
     key = (I.ring.arity, basis, ctx_key)
     return memoised(memo, key, names, lambda: _search(
         I, rgb, context, ctx_key, budget, memo))
+
+
+def memoised(memo: dict, key, ring_names: tuple, certify) -> GvdCertificate:
+    """``_certify``'s memo lookup: the node ``memo`` stores under ``key``,
+    read in the ring ``ring_names``; else ``certify()``, stored unless it
+    is inconclusive (a node may be inconclusive for want of budget), with
+    the oldest entry dropped past ``_MEMO_SIZE``."""
+    hit = memo.get(key)
+    if hit is not None:
+        return GvdCertificate(hit, ring_names)
+    cert = certify()
+    if cert.verdict != "inconclusive":
+        if len(memo) >= _MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[key] = cert.node
+    return cert
 
 
 def _search(I: Ideal, rgb: tuple, context, ctx_key, budget: Budget,
@@ -602,7 +586,8 @@ def _search(I: Ideal, rgb: tuple, context, ctx_key, budget: Budget,
                 side = "child_n" if kids else "child_c"
                 return _certificate(
                     names, "disjoint-union", "not-gvd", factors=parts,
-                    reason="the factor on {factor} is not decomposable",
+                    reason="the factor on %s is not decomposable"
+                           % ", ".join("{%d}" % i for i in part),
                     **{side: kid.node})
             kids.append(kid.node)
         if all(kid.verdict == "gvd" for kid in kids):
@@ -641,12 +626,12 @@ def _search(I: Ideal, rgb: tuple, context, ctx_key, budget: Budget,
             return _certificate(
                 names, "not-gvd", "not-gvd", unmixedness=ev,
                 failures=((absent[0],
-                           "the ideal does not involve {y} and its "
+                           "the ideal does not involve {%d} and its "
                            "contraction is certified not decomposable, "
-                           "which rules out every variable"),))
+                           "which rules out every variable" % absent[0]),))
         return inconclusive(
-            names, "the contraction away from absent %s was inconclusive"
-                   % var_placeholder(names, yname), unmixedness=ev)
+            names, "the contraction away from absent {%d} was inconclusive"
+                   % absent[0], unmixedness=ev)
 
     failures = []
     stuck = []  # branches that ended without a conclusive failure
@@ -660,7 +645,8 @@ def _search(I: Ideal, rgb: tuple, context, ctx_key, budget: Budget,
             # here, and under every other y-compatible order at this variable.
             failures.append(
                 (index[yname], "identity fails: the reduced basis is not "
-                               "square-free in {y}, so no compatible order works"))
+                               "square-free in {%d}, so no compatible order "
+                               "works" % index[yname]))
             continue
         child_ctx = _child_context(context, yname)
         child_key = _step_key(ctx_key, ring.arity, index[yname])
@@ -685,7 +671,7 @@ def _search(I: Ideal, rgb: tuple, context, ctx_key, budget: Budget,
         return _decomposition(names, ev, split, c_branch, cert_c, cert_n)
 
     if stuck:
-        reason = "; ".join("%s: %s" % (var_placeholder(names, yname), why)
+        reason = "; ".join("{%d}: %s" % (index[yname], why)
                            for yname, why in stuck)
         return inconclusive(names, reason, unmixedness=ev,
                             failures=tuple(failures))
@@ -699,12 +685,6 @@ def _search(I: Ideal, rgb: tuple, context, ctx_key, budget: Budget,
 # ---------------------------------------------------------------------------
 # Certificate replay.
 
-# The verified nodes of the replay in progress, or None outside a replay.
-# Replay recurses through ``replay_certificate`` itself, so the memo is held
-# here for the length of one top-level call rather than passed along.
-_REPLAYED: ContextVar = ContextVar("gvdlab_replayed", default=None)
-
-
 def replay_certificate(I: Ideal, cert: GvdCertificate,
                        context: Optional[Graph] = None) -> bool:
     """Re-verify a stored certificate from scratch.
@@ -714,58 +694,53 @@ def replay_certificate(I: Ideal, cert: GvdCertificate,
     ``check_decomposition`` for C and N under the recorded order, the
     degeneracy flag is re-derived, unmixedness evidence is recomputed and
     must be conclusive again, and the reduced basis of a disjoint union
-    must split over disjoint variables as its factors say.  A "not-gvd" leaf (no failures, no
-    children) is checked without a search: its recomputed evidence must
-    refute unmixedness or prove the ideal not radical.  Certificates with
-    other verdicts are re-decided by running the certifier afresh, with a
-    memo of its own, and comparing verdicts, so every child of a "gvd" node
-    must itself be "gvd".
+    must split over disjoint variables as its factors say.  A "not-gvd"
+    leaf (no failures, no children) is checked without a search: its
+    recomputed evidence must refute unmixedness or prove the ideal not
+    radical.  Nodes with other verdicts are re-decided by running the
+    search afresh, with a memo of its own, and comparing verdicts, so every
+    child of a "gvd" node must itself be "gvd".
     Returns True when everything matches; a malformed node (an unknown
     variable or order, a missing child) does not.
 
     The search shares one node among every branch that reaches the same
-    ideal and context by position, so a tree can hold a node many times.  Within one
-    top-level call each node is verified once per ideal and context (the
-    ring's names, the reduced basis, the context's key), and its other
-    occurrences reuse that result.
+    ideal and context by position, so a tree can hold a node many times.
+    The walk verifies each node once per ideal and context (the ring's
+    names, the reduced basis, the context's key), and its other
+    occurrences reuse that result.  It derives each child's context key
+    from its node's, as the search does.
     """
-    if _REPLAYED.get() is not None:
-        return _replay(I, cert, context)
-    token = _REPLAYED.set({})
-    try:
-        return _replay(I, cert, context)
-    finally:
-        _REPLAYED.reset(token)
-
-
-def _replay_once(I: Ideal, node: GvdNode, context: Optional[Graph]) -> bool:
-    """``replay_certificate`` on a child node, once per distinct (ideal,
-    node, context) within the replay in progress."""
-    memo = _REPLAYED.get()
-    key = (I.ring.names, tuple(g.canonical() for g in I.groebner()),
-           _context_key(I, context), id(node))
-    got = memo.get(key)
-    if got is None:
-        # The node is stored with its result, so its id is not reused by
-        # another node while the memo lives.
-        got = memo[key] = (node, replay_certificate(
-            I, GvdCertificate(node, I.ring.names), context))
-    return got[1]
-
-
-def _replay(I: Ideal, cert: GvdCertificate, context: Optional[Graph]) -> bool:
     if (not isinstance(cert, GvdCertificate)
             or not isinstance(cert.node, GvdNode)
             or tuple(cert.ring_names) != I.ring.names):
         return False
-    node, names = cert.node, I.ring.names
+    return _replay(I, cert.node, context, _context_key(I, context), {})
+
+
+def _replay(I: Ideal, node: GvdNode, context: Optional[Graph], ctx_key,
+            seen: dict) -> bool:
+    """``_replay_node``, once per distinct (ideal, context, node) in
+    ``seen``."""
+    key = (I.ring.names, tuple(g.canonical() for g in I.groebner()),
+           ctx_key, id(node))
+    got = seen.get(key)
+    if got is None:
+        # The node is stored with its result, so its id is not reused by
+        # another node while ``seen`` lives.
+        got = seen[key] = (node, _replay_node(I, node, context, ctx_key, seen))
+    return got[1]
+
+
+def _replay_node(I: Ideal, node: GvdNode, context: Optional[Graph], ctx_key,
+                 seen: dict) -> bool:
+    names = I.ring.names
     if (node.kind == node.verdict == "not-gvd" and not node.failures
             and node.child_c is None and node.child_n is None):
         # A leaf refutation rests on its evidence alone.
         return _refutation(names, unmixedness_evidence(I, context)) is not None
     if node.verdict != "gvd":
         # A memo of its own: the shared memo holds the search's answers.
-        fresh = is_gvd(I, context=context, memo={})
+        fresh = _certify(I, context, ctx_key, Budget(None), {})
         return fresh.verdict == node.verdict
     if node.kind in ("decomposition", "disjoint-union") and not all(
             isinstance(c, GvdNode) and c.verdict == "gvd"
@@ -774,7 +749,7 @@ def _replay(I: Ideal, cert: GvdCertificate, context: Optional[Graph]) -> bool:
         # with another verdict would only be re-decided, not checked.
         return False
     if node.kind == "disjoint-union":
-        return _replay_factors(I, node, context)
+        return _replay_factors(I, node, context, ctx_key, seen)
     if node.kind in ("zero", "unit", "variables"):
         base = base_certificate(I)
         return (base is not None and base.kind == node.kind
@@ -803,17 +778,23 @@ def _replay(I: Ideal, cert: GvdCertificate, context: Optional[Graph]) -> bool:
             or split.degenerate() != node.degenerate):
         return False
     child_ctx = _child_context(context, y)
-    return (_replay_once(contract(split.C, y), node.child_c, child_ctx)
-            and _replay_once(contract(split.N, y), node.child_n, child_ctx))
+    child_key = _step_key(ctx_key, len(names), node.y)
+    return all(_replay(contract(side, y), child, child_ctx, child_key, seen)
+               for side, child in ((split.C, node.child_c),
+                                   (split.N, node.child_n)))
 
 
-def _replay_factors(I: Ideal, node: GvdNode, context: Optional[Graph]) -> bool:
+def _replay_factors(I: Ideal, node: GvdNode, context: Optional[Graph], ctx_key,
+                    seen: dict) -> bool:
     """A "gvd" disjoint union: the reduced basis splits over disjoint
     variables as the node's factors say, so I is the sum of the two factor
     ideals, and each factor replays against its child."""
     split = _disjoint_factors(I)
     if split is None or split[0] != node.factors:
         return False
-    return all(_replay_once(factor, child,
-                            _restrict_context(context, factor.ring.names))
-               for factor, child in zip(split[1], (node.child_c, node.child_n)))
+    parts, factors = split
+    return all(_replay(factor, child,
+                       _restrict_context(context, factor.ring.names),
+                       _sub_key(ctx_key, part, False), seen)
+               for part, factor, child in zip(parts, factors,
+                                              (node.child_c, node.child_n)))

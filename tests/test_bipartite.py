@@ -221,9 +221,9 @@ def test_every_node_is_handed_its_matching_ideal(monkeypatch):
     seen = []
     real = bipartite._certify_node
 
-    def record(H, pom, I, budget, memo):
+    def record(H, pom, I, budget):
         seen.append((H, pom, I))
-        return real(H, pom, I, budget, memo)
+        return real(H, pom, I, budget)
 
     monkeypatch.setattr(bipartite, "_certify_node", record)
     graphs = [to_graph(n, edges) for n, edges in connected_graphs(7)]
@@ -242,15 +242,14 @@ def test_cited_only_for_the_described_ideal(monkeypatch):
     # ideal, and only for it.
     monkeypatch.setattr(gvd, "unmixedness_evidence",
                         lambda I, context=None: UnmixednessEvidence("inconclusive", "forced"))
-    memo = {}
-    cert = bipartite._certify_node(C6, EMPTY_POM, toric_ideal(C6), Budget(None), memo)
+    cert = bipartite._certify_node(C6, EMPTY_POM, toric_ideal(C6), Budget(None))
     assert cert.verdict == "gvd"
     assert cert.unmixedness.to_json_dict(cert.ring_names) == {
         "status": "cited", "detail": bipartite.CITED_DETAIL}
-    # The same structure with another ideal, and the memo of the first.
+    # The same structure with another ideal.
     ring = C6.edge_ring()
     other = Ideal(ring, [ring.monomial({"e1": 1, "e3": 1})])
-    cert = bipartite._certify_node(C6, EMPTY_POM, other, Budget(None), memo)
+    cert = bipartite._certify_node(C6, EMPTY_POM, other, Budget(None))
     assert cert.verdict == "inconclusive" and cert.y == "e1"
     assert cert.unmixedness.status == "inconclusive"
     assert "unmixedness evidence is inconclusive" in cert.reason

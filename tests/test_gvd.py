@@ -395,7 +395,7 @@ def test_one_pass_searches_each_node_once(monkeypatch):
     assert keys and len(keys) == len(set(keys))
 
 
-def test_gvd_memo_is_shared_across_renamings():
+def test_gvd_memo_is_shared_across_renamings(monkeypatch):
     # Same cycle, same vertices, re-labelled edges: the second call must be
     # served from the memo with the names mapped over.
     verts = ["x1", "x2", "x3", "x4"]
@@ -403,13 +403,13 @@ def test_gvd_memo_is_shared_across_renamings():
                        ("f3", "x3", "x4"), ("f4", "x4", "x1")])
     G2 = Graph(verts, [("h1", "x1", "x2"), ("h2", "x2", "x3"),
                        ("h3", "x3", "x4"), ("h4", "x4", "x1")])
-    memo = {}
-    first = is_gvd(toric_ideal(G1), context=G1, memo=memo)
+    empty_shared_memo(monkeypatch)
+    first = is_gvd(toric_ideal(G1), context=G1)
     assert first.verdict == "gvd"
-    filled = len(memo)
-    second = is_gvd(toric_ideal(G2), context=G2, memo=memo)
+    filled = len(gvd._MEMO)
+    second = is_gvd(toric_ideal(G2), context=G2)
     assert second.verdict == "gvd"
-    assert len(memo) == filled
+    assert len(gvd._MEMO) == filled
     assert second.ring_names == ("h1", "h2", "h3", "h4")
 
 
@@ -417,18 +417,19 @@ def test_gvd_memo_is_shared_across_renamings():
     two_k4_sharing_vertex(),
     to_graph(6, ((0, 1), (0, 4), (1, 4), (2, 3), (2, 5), (3, 5), (4, 5))),
 ], ids=["two_k4", "bridged_triangles"])
-def test_gvd_memo_keys_the_context_by_its_shape(G):
+def test_gvd_memo_keys_the_context_by_its_shape(G, monkeypatch):
     # Permuted vertex names with the edge labels kept give the same ideal
     # over a context of the same shape: the second call is a memo hit at
     # the root, and it reads as a fresh search.
     flip = dict(zip(G.vertices, reversed(G.vertices)))
     H = Graph(G.vertices, [(e, flip[u], flip[v]) for e, u, v in G.edges])
     assert H.edges != G.edges
-    memo = {}
-    is_gvd(toric_ideal(G), context=G, memo=memo)
-    filled = len(memo)
-    cert = is_gvd(toric_ideal(H), context=H, memo=memo)
-    assert len(memo) == filled
+    empty_shared_memo(monkeypatch)
+    is_gvd(toric_ideal(G), context=G)
+    filled = len(gvd._MEMO)
+    cert = is_gvd(toric_ideal(H), context=H)
+    assert len(gvd._MEMO) == filled
+    empty_shared_memo(monkeypatch)
     assert cert.to_json_dict() == is_gvd(toric_ideal(H), context=H).to_json_dict()
 
 
@@ -555,9 +556,9 @@ def test_replay_verifies_each_shared_node_once(monkeypatch):
     nodes = tree_nodes(cert)
     assert len(nodes) == 33 and len({id(c.node) for c in nodes}) == 8
     calls = []
-    real = gvd.replay_certificate
-    monkeypatch.setattr(gvd, "replay_certificate",
-                        lambda I, c, context=None: calls.append(c) or real(I, c, context))
+    real = gvd._replay_node
+    monkeypatch.setattr(gvd, "_replay_node",
+                        lambda I, node, *rest: calls.append(node) or real(I, node, *rest))
     assert gvd.replay_certificate(J, cert, context=G)
     assert len(calls) == 8
     monkeypatch.undo()
@@ -582,10 +583,10 @@ def test_replay_checks_a_disjoint_union_node_by_node(monkeypatch):
     union = next(c for c in nodes if c.kind == "disjoint-union")
     assert union.verdict == "gvd"
     calls = []
-    real = gvd.replay_certificate
-    monkeypatch.setattr(gvd, "replay_certificate",
-                        lambda I, c, context=None: calls.append(c) or real(I, c, context))
-    monkeypatch.setattr(gvd, "is_gvd", None)  # replay must not search
+    real = gvd._replay_node
+    monkeypatch.setattr(gvd, "_replay_node",
+                        lambda I, node, *rest: calls.append(node) or real(I, node, *rest))
+    monkeypatch.setattr(gvd, "_search", None)  # replay must not search
     assert gvd.replay_certificate(J, cert, context=G)
     assert len(calls) == len({id(c.node) for c in nodes}) == 12
     monkeypatch.undo()
@@ -599,6 +600,38 @@ def test_replay_checks_a_disjoint_union_node_by_node(monkeypatch):
     assert not replay_certificate(J, swap_last(cert, union, fake)[0], context=G)
     fake = replace(union, factors=union.factors[::-1])
     assert not replay_certificate(J, swap_last(cert, union, fake)[0], context=G)
+
+
+def test_replay_builds_one_context_key_per_call(monkeypatch):
+    # Replay derives each child's context key from its node's, as the search
+    # does: one key from scratch per call, through steps (C6), a union
+    # (K_{3,3}) and a refutation it re-decides (two bridged triangles).
+    cases = []
+    for G in (cycle_graph(6), complete_bipartite(3, 3), two_triangles_bridged()):
+        J = toric_ideal(G)
+        cases.append((J, is_gvd(J, context=G), G))
+    kinds = {c.kind for _, cert, _ in cases for c in tree_nodes(cert)}
+    assert {"decomposition", "disjoint-union"} <= kinds
+    assert cases[2][1].verdict == "not-gvd" and cases[2][1].failures
+    built = []
+    real_key = gvd._context_key
+    monkeypatch.setattr(gvd, "_context_key",
+                        lambda I, context: built.append(I) or real_key(I, context))
+    for J, cert, G in cases:
+        del built[:]
+        assert gvd.replay_certificate(J, cert, context=G)
+        assert len(built) == 1
+    monkeypatch.undo()
+    # Each derived key is the key of the context it goes with.
+    walked = []
+    real = gvd._replay
+    monkeypatch.setattr(gvd, "_replay", lambda I, node, context, key, seen: (
+        walked.append((I, context, key)) or real(I, node, context, key, seen)))
+    for J, cert, G in cases:
+        assert gvd.replay_certificate(J, cert, context=G)
+    monkeypatch.undo()
+    assert len(walked) > 20
+    assert all(key == gvd._context_key(I, context) for I, context, key in walked)
 
 
 def test_replay_rejects_a_union_that_does_not_split_the_basis():
@@ -693,9 +726,9 @@ def test_replay_checks_a_leaf_refutation_without_a_search(monkeypatch):
     assert not cert.failures and cert.child_c is None and cert.child_n is None
     assert "decomposable ideal is radical" in cert.reason
     calls = []
-    real = gvd.is_gvd
-    monkeypatch.setattr(gvd, "is_gvd",
-                        lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    real = gvd._search
+    monkeypatch.setattr(gvd, "_search",
+                        lambda *args: calls.append(args) or real(*args))
     assert replay_certificate(J, cert, context=G)
     assert calls == []
     # The same leaf forged onto a decomposable ideal is rejected.

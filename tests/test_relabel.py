@@ -102,31 +102,33 @@ def test_rename_that_reorders_the_names_keeps_the_verdict(name):
             assert run(H).verdict == run(G).verdict
 
 
-def test_rename_reaches_the_reason_of_a_refuted_disjoint_union():
+def test_rename_reaches_the_reason_of_a_refuted_disjoint_union(monkeypatch):
     # The reason names the refuted factor's variables; a renamed certificate,
     # and a memo hit from another ring, must name the new ones.
     ring, new = Ring(["x", "y", "z", "w"]), Ring(["a1", "a2", "a3", "a4"])
     name_map = dict(zip(ring.names, new.names))
     I = Ideal(ring, [parse_poly(ring, "x^2"), parse_poly(ring, "z*w")])
+    empty_shared_memo(monkeypatch)
     fresh = is_gvd(I.rename(new, name_map)).to_json_dict()
     assert fresh["reason"] == "the factor on a1 is not decomposable"
-    memo = {}
-    assert is_gvd(I, memo=memo).rename(name_map).to_json_dict() == fresh
-    assert is_gvd(I.rename(new, name_map), memo=memo).to_json_dict() == fresh
+    empty_shared_memo(monkeypatch)
+    assert is_gvd(I).rename(name_map).to_json_dict() == fresh
+    assert is_gvd(I.rename(new, name_map)).to_json_dict() == fresh
 
 
-def test_memo_hit_from_a_ring_sorted_otherwise_is_a_fresh_search():
+def test_memo_hit_from_a_ring_sorted_otherwise_is_a_fresh_search(monkeypatch):
     # The components of the evidence are listed by their variable names, so
     # a hit renamed onto names that sort the other way is sorted again.
     ring, new = Ring(["x1", "x2", "x3", "x4"]), Ring(["d", "c", "b", "a"])
     I = Ideal(ring, [parse_poly(ring, t) for t in ("x1*x2", "x2*x3", "x3*x4")])
     J = I.rename(new, dict(zip(ring.names, new.names)))
+    empty_shared_memo(monkeypatch)
     fresh = is_gvd(J).to_json_dict()
     assert ([c["M"] for c in fresh["unmixedness"]["components"]]
             == [["a", "c"], ["b", "c"], ["b", "d"]])
-    memo = {}
-    is_gvd(I, memo=memo)
-    assert is_gvd(J, memo=memo).to_json_dict() == fresh
+    empty_shared_memo(monkeypatch)
+    is_gvd(I)
+    assert is_gvd(J).to_json_dict() == fresh
 
 
 def test_every_memo_hit_is_what_a_fresh_search_builds(monkeypatch):
