@@ -61,7 +61,7 @@ from .groebner import Ideal, ideal_equal, intersect, minimal_generators
 __all__ = [
     "PrimeComponent", "UnmixednessEvidence", "SplitNotApplicable",
     "sqfree_monomial_components", "binomial_monomial_split",
-    "base_evidence", "unmixedness_evidence",
+    "base_evidence", "unmixedness_evidence", "named",
 ]
 
 
@@ -70,6 +70,11 @@ class SplitNotApplicable(Exception):
 
 
 _VARIABLE = re.compile(r"\{(\d+)\}")
+
+
+def named(text: str, ring_names: tuple) -> str:
+    """``text`` with each placeholder {i} replaced by ``ring_names[i]``."""
+    return _VARIABLE.sub(lambda m: ring_names[int(m.group(1))], text)
 
 
 def _placeheld(f: Poly) -> str:
@@ -135,8 +140,7 @@ class UnmixednessEvidence:
     def to_json_dict(self, ring_names: tuple) -> dict:
         """The evidence in the ring named ``ring_names``, its components in
         cover order (see ``_closed_covers``) and ``dims`` in theirs."""
-        detail = _VARIABLE.sub(lambda m: ring_names[int(m.group(1))], self.detail)
-        out = {"status": self.status, "detail": detail}
+        out = {"status": self.status, "detail": named(self.detail, ring_names)}
         if self.components is not None:
             comps = sorted((c.to_json_dict(ring_names) for c in self.components),
                            key=lambda c: (len(c["M"]), c["M"]))

@@ -43,7 +43,7 @@ from .algebra import (
     y_order, y_split,
 )
 from .components import (
-    _VARIABLE, UnmixednessEvidence, base_evidence, unmixedness_evidence,
+    UnmixednessEvidence, base_evidence, named, unmixedness_evidence,
 )
 from .graphs import Graph
 from .groebner import Ideal, contract, ideal_equal, radical_contains
@@ -226,14 +226,11 @@ class GvdCertificate:
             out["children"] = {side: kid.to_json_dict()
                                for side, kid in kids.items() if kid is not None}
         if self.failures:
-            out["failures"] = [{"y": v, "reason": self._named(r)}
+            out["failures"] = [{"y": v, "reason": named(r, self.ring_names)}
                                for v, r in self.failures]
         if self.reason:
-            out["reason"] = self._named(self.reason)
+            out["reason"] = named(self.reason, self.ring_names)
         return out
-
-    def _named(self, text: str) -> str:
-        return _VARIABLE.sub(lambda m: self.ring_names[int(m.group(1))], text)
 
 
 def _certificate(ring_names: tuple, kind: str, verdict: str,
@@ -686,7 +683,8 @@ def _search(I: Ideal, rgb: tuple, context, ctx_key, budget: Budget,
 # Certificate replay.
 
 def replay_certificate(I: Ideal, cert: GvdCertificate,
-                       context: Optional[Graph] = None) -> bool:
+                       context: Optional[Graph] = None, *,
+                       _walk: Optional[tuple] = None) -> bool:
     """Re-verify a stored certificate from scratch.
 
     Certified-decomposable trees are replayed node by node: base-case kinds
@@ -705,29 +703,38 @@ def replay_certificate(I: Ideal, cert: GvdCertificate,
 
     The search shares one node among every branch that reaches the same
     ideal and context by position, so a tree can hold a node many times.
-    The walk verifies each node once per ideal and context (the ring's
-    names, the reduced basis, the context's key), and its other
-    occurrences reuse that result.  It derives each child's context key
-    from its node's, as the search does.
+    Replay recurses through this function, one call per child, and passes
+    the walk down in ``_walk``: the table of the nodes it has verified
+    (keyed by the ring's names, the reduced basis, the context's key and
+    the node) and the child's context key, derived from its node's as the
+    search derives it.  So each node is verified once per ideal and
+    context, its other occurrences reuse that result, and a replay builds
+    one context key from scratch, at the root.  Callers leave ``_walk``
+    unset.
     """
-    if (not isinstance(cert, GvdCertificate)
-            or not isinstance(cert.node, GvdNode)
-            or tuple(cert.ring_names) != I.ring.names):
-        return False
-    return _replay(I, cert.node, context, _context_key(I, context), {})
+    if _walk is None:
+        if (not isinstance(cert, GvdCertificate)
+                or not isinstance(cert.node, GvdNode)
+                or tuple(cert.ring_names) != I.ring.names):
+            return False
+        _walk = ({}, _context_key(I, context))
+    seen, ctx_key = _walk
+    return _replay_node(I, cert.node, context, ctx_key, seen)
 
 
 def _replay(I: Ideal, node: GvdNode, context: Optional[Graph], ctx_key,
             seen: dict) -> bool:
-    """``_replay_node``, once per distinct (ideal, context, node) in
-    ``seen``."""
+    """``replay_certificate`` on a child node, once per distinct (ideal,
+    context, node) in ``seen``."""
     key = (I.ring.names, tuple(g.canonical() for g in I.groebner()),
            ctx_key, id(node))
     got = seen.get(key)
     if got is None:
         # The node is stored with its result, so its id is not reused by
         # another node while ``seen`` lives.
-        got = seen[key] = (node, _replay_node(I, node, context, ctx_key, seen))
+        got = seen[key] = (node, replay_certificate(
+            I, GvdCertificate(node, I.ring.names), context,
+            _walk=(seen, ctx_key)))
     return got[1]
 
 
