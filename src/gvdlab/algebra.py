@@ -54,7 +54,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, itemgetter, le, sub
+from operator import add, itemgetter, le
 from typing import Iterable, Mapping, NamedTuple, Union
 
 __all__ = [
@@ -62,9 +62,9 @@ __all__ = [
     "Lex", "GrLex", "YFirst", "Elim", "Order", "Packing", "PackingOverflow",
     "compile_order", "storage_order", "lex_order", "y_order", "elim_order",
     "order_from_dict", "spec_from_form", "spec_to_dict",
-    "compare", "initial_term", "initial_y_form", "y_split",
-    "mono_mul", "mono_div", "mono_divides", "mono_lcm",
-    "mono_support", "mono_is_squarefree", "mono_one",
+    "initial_term", "initial_y_form", "y_split",
+    "mono_mul", "mono_divides", "mono_support", "mono_is_squarefree",
+    "mono_one",
     "parse_poly", "format_poly",
 ]
 
@@ -86,15 +86,6 @@ def mono_mul(a: tuple, b: tuple) -> tuple:
 def mono_divides(a: tuple, b: tuple) -> bool:
     """True iff monomial a divides monomial b."""
     return all(map(le, a, b))
-
-
-def mono_div(a: tuple, b: tuple) -> tuple:
-    """a / b, assuming b divides a."""
-    return tuple(map(sub, a, b))
-
-
-def mono_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(map(max, a, b))
 
 
 def mono_support(a: tuple) -> tuple:
@@ -767,12 +758,6 @@ def _spec_from_dict(d: dict):
 
 # ---------------------------------------------------------------------------
 # Order-dependent views of a polynomial.
-
-def compare(order: Order, a: tuple, b: tuple) -> int:
-    """-1, 0 or 1 as a <, =, > b under the order."""
-    ka, kb = order.key(a), order.key(b)
-    return -1 if ka < kb else (0 if ka == kb else 1)
-
 
 def initial_term(order: Order, f: Poly) -> Term:
     """The order-maximal term of f."""

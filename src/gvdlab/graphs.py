@@ -31,10 +31,9 @@ __all__ = [
     "integer_kernel_basis", "graver_completion", "graver_basis",
     "oriented_minimal",
     "universal_groebner_basis", "toric_ideal",
-    "toric_dimension", "remove_leaves_fixpoint", "even_cycle_binomial",
-    "glue_even_cycle",
+    "toric_dimension", "even_cycle_binomial", "glue_even_cycle",
     "disjoint_union", "is_gap_free", "four_cycles_containing",
-    "has_four_cycle", "vector_to_binomial",
+    "vector_to_binomial",
 ]
 
 ONE = Fraction(1)
@@ -548,17 +547,6 @@ def toric_dimension(G: Graph) -> int:
 # ---------------------------------------------------------------------------
 # Graph operations from the decomposability toolkit.
 
-def remove_leaves_fixpoint(G: Graph) -> Graph:
-    """Repeatedly delete edges with a degree-1 endpoint until none remain."""
-    H = G
-    while True:
-        drop = [label for label, u, v in H.edges
-                if H.degree(u) == 1 or H.degree(v) == 1]
-        if not drop:
-            return H
-        H = H.delete_edges(drop)
-
-
 def _next_index(names: Iterable[str], prefix: str) -> int:
     best = 0
     for n in names:
@@ -668,7 +656,3 @@ def four_cycles_containing(G: Graph, edge: str) -> list:
                 rev = (edge, cyc[3], cyc[2], cyc[1])
                 found.add(min(cyc, rev))
     return sorted(found)
-
-
-def has_four_cycle(G: Graph) -> bool:
-    return any(four_cycles_containing(G, label) for label in G.edge_labels)

@@ -57,15 +57,14 @@ from typing import Iterable, Sequence, Union
 
 from .algebra import (
     Order, Packing, Poly, Ring,
-    elim_order, initial_term, mono_divides,
-    mono_support, mono_is_squarefree, storage_order,
+    elim_order, initial_term, mono_divides, mono_is_squarefree,
+    storage_order,
 )
 
 __all__ = [
     "Ideal", "s_polynomial", "normal_form", "buchberger", "initial_ideal",
     "ideal_equal", "ideal_contains", "intersect",
     "saturate_variable", "eliminate", "contract",
-    "krull_dimension", "is_generated_by_variables", "is_square_free_monomial_ideal",
     "is_square_free_groebner_basis", "radical_contains", "radical_equal",
     "minimal_generators", "minimal_monomial_generators",
 ]
@@ -624,50 +623,6 @@ def minimal_monomial_generators(monos: Iterable[tuple]) -> list:
     return out
 
 
-def _min_cover_size(supports: list) -> int:
-    """Minimum number of variables hitting every support set."""
-    supports = [frozenset(s) for s in supports]
-    # quick reductions: drop supersets
-    supports.sort(key=len)
-    core = []
-    for s in supports:
-        if not any(t <= s for t in core):
-            core.append(s)
-    best = len(frozenset().union(*core)) if core else 0
-
-    def bb(uncovered, size):
-        nonlocal best
-        if size >= best:
-            return
-        if not uncovered:
-            best = size
-            return
-        s = min(uncovered, key=len)
-        for v in sorted(s):
-            rest = [t for t in uncovered if v not in t]
-            bb(rest, size + 1)
-
-    bb(core, 0)
-    return best
-
-
-def krull_dimension(I: Ideal) -> int:
-    """dim Q[ring]/I; -1 for the unit ideal, arity for the zero ideal."""
-    rgb = I.groebner()
-    if not rgb:
-        return I.ring.arity
-    if len(rgb) == 1 and rgb[0].is_constant():
-        return -1
-    order = storage_order(I.ring)
-    supports = [mono_support(initial_term(order, g).mono) for g in rgb]
-    return I.ring.arity - _min_cover_size(supports)
-
-
-def is_generated_by_variables(I: Ideal) -> bool:
-    """True iff I is generated by a (possibly empty) set of variables."""
-    return all(g.is_variable() for g in I.groebner())
-
-
 def is_square_free_groebner_basis(order: Order, I: Ideal) -> bool:
     """True iff the generators of I, as given, form a Groebner basis under
     ``order`` whose initial ideal is square-free."""
@@ -676,10 +631,3 @@ def is_square_free_groebner_basis(order: Order, I: Ideal) -> bool:
         return False
     lead_ideal = Ideal(I.ring, [Poly(I.ring, {m: ONE}) for m in leads])
     return ideal_equal(lead_ideal, initial_ideal(order, I))
-
-
-def is_square_free_monomial_ideal(I: Ideal) -> bool:
-    """True iff the reduced basis consists of square-free monomials."""
-    rgb = I.groebner()
-    return all(g.is_monomial() and mono_is_squarefree(next(iter(g.terms)))
-               for g in rgb)

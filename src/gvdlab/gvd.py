@@ -417,6 +417,17 @@ def _context_key(I: Ideal, context: Optional[Graph]):
     only outputs ordered by name are the components of the evidence, which
     ``UnmixednessEvidence.to_json_dict`` sorts by the names of the ring it
     is given, as a fresh search sorts them.
+
+    A node whose reduced basis is one polynomial or all monomials is keyed
+    with no context (``_node_key``), since no context changes its subtree.
+    By induction on the subtree, every node below it is again principal,
+    monomial, zero or unit: at y, the C branch of <f> with f = y^d·q + r is
+    <q> and its N branch is 0; a contraction at an absent variable keeps
+    the basis; and a monomial ideal splits into monomial factors and
+    branches.  For these kinds ``unmixedness_evidence`` returns before it
+    reads the context, and ``_search`` only passes the context on
+    (``_child_context``, ``_restrict_context``).  So a hit is the node a
+    fresh search builds under any context, None included.
     """
     if context is None:
         return None
@@ -430,6 +441,15 @@ def _context_key(I: Ideal, context: Optional[Graph]):
         at.setdefault(u, []).append(i)
         at.setdefault(v, []).append(i)
     return foreign, tuple(sorted(tuple(sorted(p)) for p in at.values()))
+
+
+def _node_key(ring_key, rgb: tuple, ctx_key) -> tuple:
+    """The key of a node with reduced basis ``rgb`` in the ring that
+    ``ring_key`` stands for: the basis by position, and ``ctx_key`` unless
+    the basis is one polynomial or all monomials (see ``_context_key``)."""
+    if len(rgb) == 1 or all(g.is_monomial() for g in rgb):
+        ctx_key = None
+    return ring_key, tuple(g.canonical() for g in rgb), ctx_key
 
 
 def _sub_key(key, keep: tuple, keeps_foreign: bool):
@@ -515,7 +535,9 @@ def is_gvd(I: Ideal, context: Optional[Graph] = None,
     inconclusive verdict.  A call with no budget shares the memo ``_MEMO``
     of certified nodes with every other such call; a budgeted one keeps a
     memo of its own, since a branch stuck when the budget ran out can let
-    a later variable win.
+    a later variable win.  The memo keys a node by its reduced basis by
+    ring position and, unless that basis is one polynomial or all
+    monomials, the shape of its context (``_node_key``).
 
     A node whose unmixedness is refuted, or which the evidence proves not
     radical, is a "not-gvd" leaf.  A decomposable ideal is radical: base
@@ -541,10 +563,8 @@ def _certify(I: Ideal, context, ctx_key, budget: Budget,
     if base is not None:
         return base
     rgb = I.groebner()
-    basis = tuple(g.canonical() for g in rgb)
-    key = (I.ring.arity, basis, ctx_key)
-    return memoised(memo, key, names, lambda: _search(
-        I, rgb, context, ctx_key, budget, memo))
+    return memoised(memo, _node_key(I.ring.arity, rgb, ctx_key), names,
+                    lambda: _search(I, rgb, context, ctx_key, budget, memo))
 
 
 def memoised(memo: dict, key, ring_names: tuple, certify) -> GvdCertificate:
@@ -705,11 +725,11 @@ def replay_certificate(I: Ideal, cert: GvdCertificate,
     ideal and context by position, so a tree can hold a node many times.
     Replay recurses through this function, one call per child, and passes
     the walk down in ``_walk``: the table of the nodes it has verified
-    (keyed by the ring's names, the reduced basis, the context's key and
-    the node) and the child's context key, derived from its node's as the
-    search derives it.  So each node is verified once per ideal and
-    context, its other occurrences reuse that result, and a replay builds
-    one context key from scratch, at the root.  Callers leave ``_walk``
+    (keyed by ``_node_key`` over the ring's names, and by the node) and the
+    child's context key, derived from its node's as the search derives it.
+    So each node is verified once per key, its other occurrences reuse
+    that result, and a replay builds one context key from scratch, at the
+    root.  Callers leave ``_walk``
     unset.
     """
     if _walk is None:
@@ -724,10 +744,9 @@ def replay_certificate(I: Ideal, cert: GvdCertificate,
 
 def _replay(I: Ideal, node: GvdNode, context: Optional[Graph], ctx_key,
             seen: dict) -> bool:
-    """``replay_certificate`` on a child node, once per distinct (ideal,
-    context, node) in ``seen``."""
-    key = (I.ring.names, tuple(g.canonical() for g in I.groebner()),
-           ctx_key, id(node))
+    """``replay_certificate`` on a child node, once per distinct key in
+    ``seen``."""
+    key = _node_key(I.ring.names, I.groebner(), ctx_key) + (id(node),)
     got = seen.get(key)
     if got is None:
         # The node is stored with its result, so its id is not reused by

@@ -1,10 +1,19 @@
-"""Benchmark graphs, frozen expected values and the walk oracle shared
-across the test suite."""
+"""Benchmark graphs, frozen expected values, the walk oracle and the small
+oracles (dimension, monomial and graph helpers) shared across the test
+suite."""
+
+from operator import sub
 
 from gvdlab import gvd
-from gvdlab.algebra import parse_poly
-from gvdlab.graphs import Graph, oriented_minimal, toric_ideal, vector_to_binomial
-from gvdlab.groebner import contract, intersect
+from gvdlab.algebra import (
+    Order, initial_term, mono_is_squarefree, mono_support, parse_poly,
+    storage_order,
+)
+from gvdlab.graphs import (
+    Graph, four_cycles_containing, oriented_minimal, toric_ideal,
+    vector_to_binomial,
+)
+from gvdlab.groebner import Ideal, contract, intersect
 from gvdlab.gvd import cn_split
 
 
@@ -245,3 +254,88 @@ def primitive_walk_binomials(G: Graph, max_edges: int = 10) -> set:
         walk(v0, v0, [0] * m, None, 1, [0] * m, None)
     ring = G.edge_ring()
     return {vector_to_binomial(ring, u) for u in oriented_minimal(vectors)}
+
+
+# ---------------------------------------------------------------------------
+# Small oracles that only the tests call: monomial arithmetic, order
+# comparison, Krull dimension, and two graph checks.
+
+def mono_div(a: tuple, b: tuple) -> tuple:
+    """a / b, assuming b divides a."""
+    return tuple(map(sub, a, b))
+
+
+def mono_lcm(a: tuple, b: tuple) -> tuple:
+    return tuple(map(max, a, b))
+
+
+def compare(order: Order, a: tuple, b: tuple) -> int:
+    """-1, 0 or 1 as a <, =, > b under the order."""
+    ka, kb = order.key(a), order.key(b)
+    return -1 if ka < kb else (0 if ka == kb else 1)
+
+
+def _min_cover_size(supports: list) -> int:
+    """Minimum number of variables hitting every support set."""
+    supports = [frozenset(s) for s in supports]
+    # quick reductions: drop supersets
+    supports.sort(key=len)
+    core = []
+    for s in supports:
+        if not any(t <= s for t in core):
+            core.append(s)
+    best = len(frozenset().union(*core)) if core else 0
+
+    def bb(uncovered, size):
+        nonlocal best
+        if size >= best:
+            return
+        if not uncovered:
+            best = size
+            return
+        s = min(uncovered, key=len)
+        for v in sorted(s):
+            rest = [t for t in uncovered if v not in t]
+            bb(rest, size + 1)
+
+    bb(core, 0)
+    return best
+
+
+def krull_dimension(I: Ideal) -> int:
+    """dim Q[ring]/I; -1 for the unit ideal, arity for the zero ideal."""
+    rgb = I.groebner()
+    if not rgb:
+        return I.ring.arity
+    if len(rgb) == 1 and rgb[0].is_constant():
+        return -1
+    order = storage_order(I.ring)
+    supports = [mono_support(initial_term(order, g).mono) for g in rgb]
+    return I.ring.arity - _min_cover_size(supports)
+
+
+def is_generated_by_variables(I: Ideal) -> bool:
+    """True iff I is generated by a (possibly empty) set of variables."""
+    return all(g.is_variable() for g in I.groebner())
+
+
+def is_square_free_monomial_ideal(I: Ideal) -> bool:
+    """True iff the reduced basis consists of square-free monomials."""
+    rgb = I.groebner()
+    return all(g.is_monomial() and mono_is_squarefree(next(iter(g.terms)))
+               for g in rgb)
+
+
+def remove_leaves_fixpoint(G: Graph) -> Graph:
+    """Repeatedly delete edges with a degree-1 endpoint until none remain."""
+    H = G
+    while True:
+        drop = [label for label, u, v in H.edges
+                if H.degree(u) == 1 or H.degree(v) == 1]
+        if not drop:
+            return H
+        H = H.delete_edges(drop)
+
+
+def has_four_cycle(G: Graph) -> bool:
+    return any(four_cycles_containing(G, label) for label in G.edge_labels)

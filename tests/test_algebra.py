@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from gvdlab import algebra
 from gvdlab.algebra import (
     Elim, GrLex, Lex, PackingOverflow, Poly, Ring, YFirst, _compile,
-    compare, compile_order, elim_order, format_poly, initial_term,
-    initial_y_form, lex_order, mono_div, mono_divides, mono_lcm, mono_mul,
-    order_from_dict, parse_poly, storage_order, y_order, y_split,
+    compile_order, elim_order, format_poly, initial_term, initial_y_form,
+    lex_order, mono_divides, mono_mul, order_from_dict, parse_poly,
+    storage_order, y_order, y_split,
 )
+
+from fixtures import compare, mono_div, mono_lcm
 
 R4 = Ring(["e1", "e2", "e3", "e4"])
 

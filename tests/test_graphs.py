@@ -5,22 +5,22 @@ import pytest
 from gvdlab import graphs
 from gvdlab.algebra import Packing, Poly, lex_order, parse_poly
 from gvdlab.groebner import (
-    Ideal, _Fractions, ideal_equal, krull_dimension, normal_form, s_polynomial,
+    Ideal, _Fractions, ideal_equal, normal_form, s_polynomial,
 )
 from gvdlab.graphs import (
     Graph, complete_bipartite, complete_graph, cycle_graph, disjoint_union,
     ferrers_graph, four_cycles_containing, glue_even_cycle, graver_basis,
-    graver_completion,
-    has_four_cycle, integer_kernel_basis, is_gap_free, oriented_minimal, path_graph,
-    remove_leaves_fixpoint, toric_dimension, toric_ideal,
-    universal_groebner_basis, vector_to_binomial,
+    graver_completion, integer_kernel_basis, is_gap_free, oriented_minimal,
+    path_graph, toric_dimension, toric_ideal, universal_groebner_basis,
+    vector_to_binomial,
 )
 from gvdlab.util import seeded_rng
 
 from graph_corpus import connected_graphs, to_graph
 from fixtures import (
-    TWO_K4_GENERATORS, k2d_with_path, k2d_with_path_universal_basis,
-    primitive_walk_binomials, rational_rank, two_k4_sharing_vertex,
+    TWO_K4_GENERATORS, has_four_cycle, k2d_with_path,
+    k2d_with_path_universal_basis, krull_dimension, primitive_walk_binomials,
+    rational_rank, remove_leaves_fixpoint, two_k4_sharing_vertex,
     two_triangles_bridged,
 )
 

@@ -13,10 +13,12 @@ from gvdlab.algebra import (
 )
 from gvdlab.groebner import (
     Ideal, _Binomials, _Fractions, buchberger, eliminate, ideal_contains,
-    ideal_equal, initial_ideal, intersect,
+    ideal_equal, initial_ideal, intersect, normal_form, radical_contains,
+    radical_equal, s_polynomial, saturate_variable,
+)
+
+from fixtures import (
     is_generated_by_variables, is_square_free_monomial_ideal, krull_dimension,
-    normal_form, radical_contains, radical_equal, s_polynomial,
-    saturate_variable,
 )
 
 XYZ = Ring(["x", "y", "z"])

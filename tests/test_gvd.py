@@ -299,8 +299,9 @@ def test_gvd_refutes_the_benchmark_and_replays(monkeypatch):
     # The work of the search, which stops at ideals proved not radical:
     # without that stop it made 1,490 _search and 5,261 buchberger calls,
     # with it 1,070 and 3,598.  Keying the memo by the context's shape
-    # serves symmetric branches from one search: 511 and 2,066.
-    assert calls["_search"] <= 530
+    # serves symmetric branches from one search: 511 and 2,066.  Keying
+    # principal and monomial bases without the context: 463 _search calls.
+    assert calls["_search"] <= 480
     assert calls["buchberger"] <= 2150
     assert replay_certificate(J, cert, context=G)
 
@@ -431,6 +432,92 @@ def test_gvd_memo_keys_the_context_by_its_shape(G, monkeypatch):
     assert len(gvd._MEMO) == filled
     empty_shared_memo(monkeypatch)
     assert cert.to_json_dict() == is_gvd(toric_ideal(H), context=H).to_json_dict()
+
+
+@pytest.mark.parametrize("texts", [
+    ["e1*e3*e5 - e2*e4*e6"],
+    ["e1*e2", "e2*e3", "e1*e3", "e4*e5*e6"],
+], ids=["principal", "monomial"])
+def test_memo_keys_principal_and_monomial_bases_without_the_context(
+        texts, monkeypatch):
+    # No context changes the subtree of such a basis, so a second context
+    # of another shape is served from the first call's entries.
+    C6 = cycle_graph(6)
+    star = Graph(["c"] + list(C6.vertices),
+                 [(e, "c", u) for e, u, _ in C6.edges])
+    ring = C6.edge_ring()
+    J = Ideal(ring, [parse_poly(ring, t) for t in texts])
+    assert gvd._context_key(J, C6) != gvd._context_key(J, star)
+    empty_shared_memo(monkeypatch)
+    assert is_gvd(J, context=C6).verdict == "gvd"
+    filled = len(gvd._MEMO)
+    calls = []
+    real = gvd._search
+    monkeypatch.setattr(gvd, "_search",
+                        lambda *args: calls.append(args) or real(*args))
+    cert = is_gvd(J, context=star)
+    assert len(gvd._MEMO) == filled and calls == []
+    empty_shared_memo(monkeypatch)
+    assert cert.to_json_dict() == is_gvd(J, context=star).to_json_dict()
+    assert calls
+
+
+def test_memo_keys_several_binomials_with_the_context(monkeypatch):
+    # K_{2,3} with a pendant edge e7 at a vertex of either side: one toric
+    # ideal, with three binomials, over contexts of two shapes.
+    edges = [("e1", "a1", "b1"), ("e2", "a1", "b2"), ("e3", "a1", "b3"),
+             ("e4", "a2", "b1"), ("e5", "a2", "b2"), ("e6", "a2", "b3")]
+    vertices = ["a1", "a2", "b1", "b2", "b3", "p"]
+    contexts = [Graph(vertices, edges + [("e7", end, "p")])
+                for end in ("a1", "b1")]
+    J = toric_ideal(contexts[0])
+    assert len(J.groebner()) == 3
+    assert J.gens == toric_ideal(contexts[1]).gens
+    empty_shared_memo(monkeypatch)
+    keys = set()
+    for G in contexts:
+        assert is_gvd(J, context=G).verdict == "gvd"
+        keys.add(gvd._node_key(J.ring.arity, J.groebner(),
+                               gvd._context_key(J, G)))
+    assert len(keys) == 2 and keys <= set(gvd._MEMO)
+
+
+def test_principal_and_monomial_nodes_read_no_context(monkeypatch):
+    # Over the 7-edge corpus with one shared memo, no principal or monomial
+    # basis is searched twice, and at every node with such a basis the
+    # certificate is the one a search with no context and an empty memo
+    # builds: the claim the context-free key rests on.
+    empty_shared_memo(monkeypatch)
+    real_search, real_certify = gvd._search, gvd._certify
+    searched, checked, inner = [], [], []
+
+    def context_free(rgb):
+        return len(rgb) == 1 or all(g.is_monomial() for g in rgb)
+
+    def search(I, rgb, *rest):
+        if context_free(rgb) and not inner:
+            searched.append((I.ring.arity, tuple(g.canonical() for g in rgb)))
+        return real_search(I, rgb, *rest)
+
+    def certify(I, *rest):
+        cert = real_certify(I, *rest)
+        if (not inner and base_certificate(I) is None
+                and context_free(I.groebner())):
+            inner.append(True)
+            with monkeypatch.context() as mp:
+                mp.setattr(gvd, "_MEMO", {})
+                fresh = is_gvd(I)
+            inner.pop()
+            checked.append(cert.to_json_dict() == fresh.to_json_dict())
+        return cert
+
+    monkeypatch.setattr(gvd, "_search", search)
+    monkeypatch.setattr(gvd, "_certify", certify)
+    for n, edges in connected_graphs(7):
+        G = to_graph(n, edges)
+        is_gvd(toric_ideal(G), context=G)
+    assert searched and len(searched) == len(set(searched))
+    assert len(checked) > 50 and all(checked)
 
 
 def test_context_key_tells_a_path_from_a_star():

@@ -20,13 +20,13 @@ from gvdlab.components import (
 from gvdlab.graphs import toric_ideal
 from gvdlab.groebner import (
     Ideal, contract, ideal_contains, ideal_equal, initial_ideal,
-    is_square_free_monomial_ideal, krull_dimension, minimal_generators,
-    radical_equal,
+    minimal_generators, radical_equal,
 )
 from gvdlab.gvd import cn_split
 
 from fixtures import (
-    TWO_K4_C_E2, TWO_K4_LEX_E2_BASIS, intersection, two_k4_chain,
+    TWO_K4_C_E2, TWO_K4_LEX_E2_BASIS, intersection,
+    is_square_free_monomial_ideal, krull_dimension, two_k4_chain,
     two_k4_sharing_vertex,
 )
 from graph_corpus import connected_graphs, to_graph
