@@ -729,8 +729,7 @@ def replay_certificate(I: Ideal, cert: GvdCertificate,
     child's context key, derived from its node's as the search derives it.
     So each node is verified once per key, its other occurrences reuse
     that result, and a replay builds one context key from scratch, at the
-    root.  Callers leave ``_walk``
-    unset.
+    root.  Callers leave ``_walk`` unset.
     """
     if _walk is None:
         if (not isinstance(cert, GvdCertificate)
