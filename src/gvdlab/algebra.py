@@ -107,7 +107,7 @@ def _grlex_key(m: tuple):
 class Ring:
     """An ordered list of variable names; the ambient polynomial ring over Q."""
 
-    __slots__ = ("names", "index", "_hash", "_storage")
+    __slots__ = ("names", "index", "_storage")
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
@@ -118,7 +118,6 @@ class Ring:
                 raise ValueError("bad variable name: %r" % (n,))
         self.names = names
         self.index = {n: i for i, n in enumerate(names)}
-        self._hash = hash(names)
         self._storage = None  # the compiled storage order, on first use
 
     @property
@@ -176,7 +175,7 @@ class Ring:
         return isinstance(other, Ring) and self.names == other.names
 
     def __hash__(self):
-        return self._hash
+        return hash(self.names)
 
     def __repr__(self):
         return "Ring(%s)" % (",".join(self.names))
@@ -193,12 +192,11 @@ class Term(NamedTuple):
 class Poly:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring: Ring, terms: Mapping[tuple, Fraction]):
         self.ring = ring
         self.terms = {m: c for m, c in terms.items() if c}
-        self._hash = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -327,9 +325,7 @@ class Poly:
                 and self.terms == other.terms)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.ring.names, self.canonical()))
-        return self._hash
+        return hash((self.ring.names, self.canonical()))
 
     def __str__(self):
         return format_poly(self)

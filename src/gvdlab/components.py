@@ -227,24 +227,10 @@ def _sign_canonical(f: Poly) -> frozenset:
     return frozenset(f.terms)
 
 
-_SIGNS_CACHE: dict = {}
-_SIGNS_CACHE_SIZE = 4096
-
-
 def _ugb_signs(G: Graph, ring) -> frozenset:
-    """Sign-canonical forms of the universal basis, lifted into ``ring``.
-    Cached by graph structure and ring names, since the search asks for the
-    same subgraph in the same ring many times; past ``_SIGNS_CACHE_SIZE``
-    entries the oldest is dropped."""
-    key = (G.vertices, G.edges, ring.names)
-    signs = _SIGNS_CACHE.get(key)
-    if signs is None:
-        signs = frozenset(_sign_canonical(f.rename(ring))
-                          for f in universal_groebner_basis(G))
-        if len(_SIGNS_CACHE) >= _SIGNS_CACHE_SIZE:
-            del _SIGNS_CACHE[next(iter(_SIGNS_CACHE))]
-        _SIGNS_CACHE[key] = signs
-    return signs
+    """Sign-canonical forms of the universal basis, lifted into ``ring``."""
+    return frozenset(_sign_canonical(f.rename(ring))
+                     for f in universal_groebner_basis(G))
 
 
 def _generates_toric_ideal(binomials, G: Graph, ring) -> bool:

@@ -443,31 +443,16 @@ def _context_key(I: Ideal, context: Optional[Graph]):
     return foreign, tuple(sorted(tuple(sorted(p)) for p in at.values()))
 
 
-def _node_key(ring_key, rgb: tuple, ctx_key) -> tuple:
-    """The key of a node with reduced basis ``rgb`` in the ring that
-    ``ring_key`` stands for: the basis by position, and ``ctx_key`` unless
-    the basis is one polynomial or all monomials (see ``_context_key``)."""
-    if len(rgb) == 1 or all(g.is_monomial() for g in rgb):
-        ctx_key = None
-    return ring_key, tuple(g.canonical() for g in rgb), ctx_key
-
-
-def _sub_key(key, keep: tuple, keeps_foreign: bool):
-    """The ``_context_key`` of a branch whose ring keeps the positions
-    ``keep`` (increasing) of the node's: each vertex keeps those of its
-    positions, renumbered, or drops out.  Foreign edges stay in a step's
-    branches (``_child_context``) and leave a union's factors."""
-    if key is None:
-        return None
-    foreign, shape = key
-    new = {p: i for i, p in enumerate(keep)}
-    lists = [tuple(new[i] for i in at if i in new) for at in shape]
-    return foreign and keeps_foreign, tuple(sorted(at for at in lists if at))
-
-
-def _step_key(key, arity: int, p: int):
-    """The ``_context_key`` of the branches of the step at position p."""
-    return _sub_key(key, tuple(i for i in range(arity) if i != p), True)
+def _node_key(ring_key, I: Ideal, context: Optional[Graph]) -> tuple:
+    """The key of I's node in the ring that ``ring_key`` stands for: its
+    reduced basis by position, and the ``_context_key`` of ``context``
+    unless that basis is one polynomial or all monomials (see
+    ``_context_key``)."""
+    rgb = I.groebner()
+    shape = None
+    if len(rgb) > 1 and not all(g.is_monomial() for g in rgb):
+        shape = _context_key(I, context)
+    return ring_key, tuple(g.canonical() for g in rgb), shape
 
 
 def _child_context(context: Optional[Graph], yname: str) -> Optional[Graph]:
@@ -547,15 +532,12 @@ def is_gvd(I: Ideal, context: Optional[Graph] = None,
     module docstring for the details).
     """
     memo = _MEMO if budget is None else {}
-    return _certify(I, context, _context_key(I, context),
-                    budget or Budget(None), memo)
+    return _certify(I, context, budget or Budget(None), memo)
 
 
-def _certify(I: Ideal, context, ctx_key, budget: Budget,
-             memo: dict) -> GvdCertificate:
-    """The certificate of I over ``context``, whose ``_context_key`` is
-    ``ctx_key``: a base case at once, else the node ``memo`` holds for its
-    key or a fresh ``_search``."""
+def _certify(I: Ideal, context, budget: Budget, memo: dict) -> GvdCertificate:
+    """The certificate of I over ``context``: a base case at once, else the
+    node ``memo`` holds for its ``_node_key`` or a fresh ``_search``."""
     names = I.ring.names
     if budget.exceeded():
         return inconclusive(names, "budget exhausted")
@@ -563,8 +545,8 @@ def _certify(I: Ideal, context, ctx_key, budget: Budget,
     if base is not None:
         return base
     rgb = I.groebner()
-    return memoised(memo, _node_key(I.ring.arity, rgb, ctx_key), names,
-                    lambda: _search(I, rgb, context, ctx_key, budget, memo))
+    return memoised(memo, _node_key(I.ring.arity, I, context), names,
+                    lambda: _search(I, rgb, context, budget, memo))
 
 
 def memoised(memo: dict, key, ring_names: tuple, certify) -> GvdCertificate:
@@ -583,7 +565,7 @@ def memoised(memo: dict, key, ring_names: tuple, certify) -> GvdCertificate:
     return cert
 
 
-def _search(I: Ideal, rgb: tuple, context, ctx_key, budget: Budget,
+def _search(I: Ideal, rgb: tuple, context, budget: Budget,
             memo: dict) -> GvdCertificate:
     ring = I.ring
     names, index = ring.names, ring.index
@@ -598,7 +580,7 @@ def _search(I: Ideal, rgb: tuple, context, ctx_key, budget: Budget,
         kids = []
         for part, factor in zip(parts, factors):
             kid = _certify(factor, _restrict_context(context, factor.ring.names),
-                           _sub_key(ctx_key, part, False), budget, memo)
+                           budget, memo)
             if kid.verdict == "not-gvd":
                 side = "child_n" if kids else "child_c"
                 return _certificate(
@@ -633,7 +615,7 @@ def _search(I: Ideal, rgb: tuple, context, ctx_key, budget: Budget,
         split = cn_split(I, yname)
         contraction = contract(split.N, yname)
         core = _certify(contraction, _child_context(context, yname),
-                        _step_key(ctx_key, ring.arity, absent[0]), budget, memo)
+                        budget, memo)
         if core.verdict == "gvd":
             return _decomposition(names, ev, split, contraction, core, core)
         if core.verdict == "not-gvd":
@@ -666,9 +648,8 @@ def _search(I: Ideal, rgb: tuple, context, ctx_key, budget: Budget,
                                "works" % index[yname]))
             continue
         child_ctx = _child_context(context, yname)
-        child_key = _step_key(ctx_key, ring.arity, index[yname])
         c_branch = contract(split.C, yname)
-        cert_c = _certify(c_branch, child_ctx, child_key, budget, memo)
+        cert_c = _certify(c_branch, child_ctx, budget, memo)
         if cert_c.verdict == "not-gvd":
             failures.append(
                 (index[yname], "C-branch is certified not decomposable"))
@@ -677,7 +658,7 @@ def _search(I: Ideal, rgb: tuple, context, ctx_key, budget: Budget,
             stuck.append((yname, "a branch was inconclusive"))
             continue
         n_branch = contract(split.N, yname)
-        cert_n = _certify(n_branch, child_ctx, child_key, budget, memo)
+        cert_n = _certify(n_branch, child_ctx, budget, memo)
         if cert_n.verdict == "not-gvd":
             failures.append(
                 (index[yname], "N-branch is certified not decomposable"))
@@ -704,7 +685,7 @@ def _search(I: Ideal, rgb: tuple, context, ctx_key, budget: Budget,
 
 def replay_certificate(I: Ideal, cert: GvdCertificate,
                        context: Optional[Graph] = None, *,
-                       _walk: Optional[tuple] = None) -> bool:
+                       _walk: Optional[dict] = None) -> bool:
     """Re-verify a stored certificate from scratch.
 
     Certified-decomposable trees are replayed node by node: base-case kinds
@@ -724,39 +705,38 @@ def replay_certificate(I: Ideal, cert: GvdCertificate,
     The search shares one node among every branch that reaches the same
     ideal and context by position, so a tree can hold a node many times.
     Replay recurses through this function, one call per child, and passes
-    the walk down in ``_walk``: the table of the nodes it has verified
-    (keyed by ``_node_key`` over the ring's names, and by the node) and the
-    child's context key, derived from its node's as the search derives it.
-    So each node is verified once per key, its other occurrences reuse
-    that result, and a replay builds one context key from scratch, at the
-    root.  Callers leave ``_walk`` unset.
+    down in ``_walk`` the table of the nodes it has verified, keyed by
+    ``_node_key`` over the ring's names and by the node.  So each node is
+    verified once per key, and its other occurrences reuse that result.
+    Callers leave ``_walk`` unset.
     """
     if _walk is None:
         if (not isinstance(cert, GvdCertificate)
                 or not isinstance(cert.node, GvdNode)
                 or tuple(cert.ring_names) != I.ring.names):
             return False
-        _walk = ({}, _context_key(I, context))
-    seen, ctx_key = _walk
-    return _replay_node(I, cert.node, context, ctx_key, seen)
+        _walk = {}
+    return _replay_node(I, cert.node, context, _walk)
 
 
-def _replay(I: Ideal, node: GvdNode, context: Optional[Graph], ctx_key,
+def _replay(I: Ideal, node: GvdNode, context: Optional[Graph],
             seen: dict) -> bool:
     """``replay_certificate`` on a child node, once per distinct key in
-    ``seen``."""
-    key = _node_key(I.ring.names, I.groebner(), ctx_key) + (id(node),)
+    ``seen``.  The key keeps the context: one walk can reach the same ring
+    names through a union, which drops foreign edges, and through steps,
+    which keep them, and a node shared between the two must be checked
+    under each."""
+    key = _node_key(I.ring.names, I, context) + (id(node),)
     got = seen.get(key)
     if got is None:
         # The node is stored with its result, so its id is not reused by
         # another node while ``seen`` lives.
         got = seen[key] = (node, replay_certificate(
-            I, GvdCertificate(node, I.ring.names), context,
-            _walk=(seen, ctx_key)))
+            I, GvdCertificate(node, I.ring.names), context, _walk=seen))
     return got[1]
 
 
-def _replay_node(I: Ideal, node: GvdNode, context: Optional[Graph], ctx_key,
+def _replay_node(I: Ideal, node: GvdNode, context: Optional[Graph],
                  seen: dict) -> bool:
     names = I.ring.names
     if (node.kind == node.verdict == "not-gvd" and not node.failures
@@ -765,7 +745,7 @@ def _replay_node(I: Ideal, node: GvdNode, context: Optional[Graph], ctx_key,
         return _refutation(names, unmixedness_evidence(I, context)) is not None
     if node.verdict != "gvd":
         # A memo of its own: the shared memo holds the search's answers.
-        fresh = _certify(I, context, ctx_key, Budget(None), {})
+        fresh = _certify(I, context, Budget(None), {})
         return fresh.verdict == node.verdict
     if node.kind in ("decomposition", "disjoint-union") and not all(
             isinstance(c, GvdNode) and c.verdict == "gvd"
@@ -774,7 +754,7 @@ def _replay_node(I: Ideal, node: GvdNode, context: Optional[Graph], ctx_key,
         # with another verdict would only be re-decided, not checked.
         return False
     if node.kind == "disjoint-union":
-        return _replay_factors(I, node, context, ctx_key, seen)
+        return _replay_factors(I, node, context, seen)
     if node.kind in ("zero", "unit", "variables"):
         base = base_certificate(I)
         return (base is not None and base.kind == node.kind
@@ -803,13 +783,12 @@ def _replay_node(I: Ideal, node: GvdNode, context: Optional[Graph], ctx_key,
             or split.degenerate() != node.degenerate):
         return False
     child_ctx = _child_context(context, y)
-    child_key = _step_key(ctx_key, len(names), node.y)
-    return all(_replay(contract(side, y), child, child_ctx, child_key, seen)
+    return all(_replay(contract(side, y), child, child_ctx, seen)
                for side, child in ((split.C, node.child_c),
                                    (split.N, node.child_n)))
 
 
-def _replay_factors(I: Ideal, node: GvdNode, context: Optional[Graph], ctx_key,
+def _replay_factors(I: Ideal, node: GvdNode, context: Optional[Graph],
                     seen: dict) -> bool:
     """A "gvd" disjoint union: the reduced basis splits over disjoint
     variables as the node's factors say, so I is the sum of the two factor
@@ -817,9 +796,6 @@ def _replay_factors(I: Ideal, node: GvdNode, context: Optional[Graph], ctx_key,
     split = _disjoint_factors(I)
     if split is None or split[0] != node.factors:
         return False
-    parts, factors = split
     return all(_replay(factor, child,
-                       _restrict_context(context, factor.ring.names),
-                       _sub_key(ctx_key, part, False), seen)
-               for part, factor, child in zip(parts, factors,
-                                              (node.child_c, node.child_n)))
+                       _restrict_context(context, factor.ring.names), seen)
+               for factor, child in zip(split[1], (node.child_c, node.child_n)))

@@ -226,16 +226,8 @@ def test_evidence_mixed_trinomial_is_inconclusive():
     assert ev.status == "inconclusive"
 
 
-def test_universal_basis_sign_sets_are_cached_up_to_a_cap(monkeypatch):
-    monkeypatch.setattr(components, "_SIGNS_CACHE", {})
-    monkeypatch.setattr(components, "_SIGNS_CACHE_SIZE", 2)
-    seen = []
+def test_universal_basis_sign_sets_are_those_of_the_renamed_basis():
     for G in (cycle_graph(4), complete_bipartite(2, 3), complete_graph(4)):
         ring = Ring(("t",) + G.edge_labels)
-        signs = components._ugb_signs(G, ring)
-        assert signs == {frozenset(f.rename(ring).terms)
-                         for f in universal_groebner_basis(G)}
-        assert components._ugb_signs(G, ring) is signs
-        assert len(components._SIGNS_CACHE) <= 2
-        seen.append((G.vertices, G.edges, ring.names))
-    assert list(components._SIGNS_CACHE) == seen[1:]
+        assert components._ugb_signs(G, ring) == {
+            frozenset(f.rename(ring).terms) for f in universal_groebner_basis(G)}

@@ -477,8 +477,7 @@ def test_memo_keys_several_binomials_with_the_context(monkeypatch):
     keys = set()
     for G in contexts:
         assert is_gvd(J, context=G).verdict == "gvd"
-        keys.add(gvd._node_key(J.ring.arity, J.groebner(),
-                               gvd._context_key(J, G)))
+        keys.add(gvd._node_key(J.ring.arity, J, G))
     assert len(keys) == 2 and keys <= set(gvd._MEMO)
 
 
@@ -533,30 +532,28 @@ def test_context_key_tells_a_path_from_a_star():
     assert gvd._context_key(zero, copy) == gvd._context_key(zero, path)
 
 
-def test_derived_context_keys_are_the_keys_of_their_contexts(monkeypatch):
-    # The search derives a branch's context key from its node's.  At every
-    # node it must be the key of the branch's own context, also where a
-    # disjoint union drops an edge outside the ring.
-    empty_shared_memo(monkeypatch)
+def test_a_disjoint_union_drops_an_edge_outside_the_ring(monkeypatch):
+    # An edge x outside the ring sets the foreign flag of the root's key,
+    # and the union's factors, whose contexts drop x, are the entries the
+    # call without x left: one more search, at the root, and one entry.
     U = graphs.disjoint_union(cycle_graph(4), cycle_graph(6))
     foreign = Graph(U.vertices, list(U.edges) + [("x", "x1", "x6")])
-    cases = [(toric_ideal(U), foreign),
-             (toric_ideal(two_k4_sharing_vertex()), two_k4_sharing_vertex())]
-    cases += [(toric_ideal(G), G)
-              for G in (to_graph(n, edges) for n, edges in connected_graphs(7))]
-    real = gvd._certify
-    seen = []
-
-    def checked(I, context, ctx_key, *rest):
-        seen.append((ctx_key, gvd._context_key(I, context)))
-        return real(I, context, ctx_key, *rest)
-
-    monkeypatch.setattr(gvd, "_certify", checked)
-    for I, context in cases:
-        is_gvd(I, context=context)
-    assert len(seen) > 1000
-    assert {derived[0] for derived, _ in seen} == {True, False}
-    assert all(derived == built for derived, built in seen)
+    J = toric_ideal(U)
+    empty_shared_memo(monkeypatch)
+    cert = is_gvd(J, context=U)
+    assert cert.kind == "disjoint-union" and cert.verdict == "gvd"
+    filled = set(gvd._MEMO)
+    calls = []
+    real = gvd._search
+    monkeypatch.setattr(gvd, "_search",
+                        lambda *args: calls.append(args) or real(*args))
+    other = is_gvd(J, context=foreign)
+    assert len(calls) == 1
+    added = set(gvd._MEMO) - filled
+    assert added == {gvd._node_key(J.ring.arity, J, foreign)}
+    assert next(iter(added))[2][0] is True
+    assert other.to_json_dict() == cert.to_json_dict()
+    assert replay_certificate(J, other, context=foreign)
 
 
 # ---------------------------------------------------------------------------
@@ -689,10 +686,9 @@ def test_replay_checks_a_disjoint_union_node_by_node(monkeypatch):
     assert not replay_certificate(J, swap_last(cert, union, fake)[0], context=G)
 
 
-def test_replay_builds_one_context_key_per_call(monkeypatch):
-    # Replay derives each child's context key from its node's, as the search
-    # does: one key from scratch per call, through steps (C6), a union
-    # (K_{3,3}) and a refutation it re-decides (two bridged triangles).
+def test_replay_walks_steps_unions_and_re_decisions():
+    # Replay accepts trees through steps (C6), a union (K_{3,3}) and a
+    # refutation it re-decides (two bridged triangles).
     cases = []
     for G in (cycle_graph(6), complete_bipartite(3, 3), two_triangles_bridged()):
         J = toric_ideal(G)
@@ -700,25 +696,8 @@ def test_replay_builds_one_context_key_per_call(monkeypatch):
     kinds = {c.kind for _, cert, _ in cases for c in tree_nodes(cert)}
     assert {"decomposition", "disjoint-union"} <= kinds
     assert cases[2][1].verdict == "not-gvd" and cases[2][1].failures
-    built = []
-    real_key = gvd._context_key
-    monkeypatch.setattr(gvd, "_context_key",
-                        lambda I, context: built.append(I) or real_key(I, context))
-    for J, cert, G in cases:
-        del built[:]
-        assert gvd.replay_certificate(J, cert, context=G)
-        assert len(built) == 1
-    monkeypatch.undo()
-    # Each derived key is the key of the context it goes with.
-    walked = []
-    real = gvd._replay
-    monkeypatch.setattr(gvd, "_replay", lambda I, node, context, key, seen: (
-        walked.append((I, context, key)) or real(I, node, context, key, seen)))
     for J, cert, G in cases:
         assert gvd.replay_certificate(J, cert, context=G)
-    monkeypatch.undo()
-    assert len(walked) > 20
-    assert all(key == gvd._context_key(I, context) for I, context, key in walked)
 
 
 def test_replay_rejects_a_union_that_does_not_split_the_basis():
