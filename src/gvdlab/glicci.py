@@ -17,119 +17,142 @@ computationally and reports which of them fire:
 * ``gap-free-with-four-cycle`` -- every two vertex-disjoint edges are joined
   by an edge, and the graph contains a 4-cycle.
 
-Order searches run over a bounded, seeded family of lex completions, so a
-miss always means "not found within the trial budget", never a proof that no
-such order exists.  ``glicci_checks`` itself never raises: each check either
-fires with a witness or records why it did not.
-
-:func:`sample_initial_ideals` is the census variant of the same sampling:
-it draws seeded random lex orders for an arbitrary ideal and counts how many
-produce a square-free initial ideal.
+Both order checks call :func:`squarefree_lex_order`, an exact search over
+the leads of the universal basis, and confirm its witness with Buchberger.
+A miss means that no such order exists.  ``glicci_checks`` never raises:
+each check fires with a witness or gives its reason, such as a spent budget.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import lex_order, mono_is_squarefree
 from .graphs import (
     Graph, even_cycle_binomial, four_cycles_containing, is_gap_free,
-    toric_ideal,
+    toric_ideal, universal_groebner_basis,
 )
 from .groebner import Ideal, ideal_equal, initial_ideal
-from .util import Budget, seeded_rng
+from .util import Budget
 
 __all__ = [
-    "GlicciCheck", "GlicciReport", "SampleReport",
-    "find_even_cycle_gluings", "squarefree_order_search",
-    "sample_initial_ideals", "glicci_checks",
+    "GlicciCheck", "GlicciReport", "EXHAUSTED",
+    "find_even_cycle_gluings", "squarefree_lex_order", "glicci_checks",
 ]
 
 
 # ---------------------------------------------------------------------------
-# Seeded searches for square-free initial ideals.
+# The search for a square-free lex degeneration.
+
+# Returned by the search when its budget runs out; the checks' reason then.
+EXHAUSTED = "budget exhausted during the search"
+
 
 def _initial_is_squarefree(order, I: Ideal) -> bool:
-    """True iff every minimal generator of in_<(I) is square-free.
-
-    The generators of :func:`initial_ideal` come from the reduced Groebner
-    basis, so they are exactly the minimal monomial generators.
-    """
+    """True iff every minimal generator of in_<(I) is square-free; the
+    generators of :func:`initial_ideal` are the leads of the reduced basis,
+    so they are exactly the minimal ones."""
     return all(mono_is_squarefree(next(iter(g.terms)))
                for g in initial_ideal(order, I).gens)
 
 
-def squarefree_order_search(I: Ideal, trials: int, rng: random.Random,
-                            first: Optional[str] = None,
-                            budget: Optional[Budget] = None):
-    """Search seeded lex completions for a square-free initial ideal.
+def _bits(mask: int):
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    Trial 0 keeps the ring's own variable order (with ``first`` hoisted to
-    the front when given); later trials shuffle the remaining variables.
-    Returns the lex variable sequence of the first hit, or None after
-    ``trials`` misses or an exhausted budget.
+
+def squarefree_lex_order(G: Graph, first: Optional[str] = None,
+                         budget: Optional[Budget] = None):
+    """A lex order of G's edges, largest first and ``first`` first when
+    given, under which in(I_G) is square-free; None when there is none, and
+    ``EXHAUSTED`` when ``budget`` runs out first.
+
+    The universal basis is a Groebner basis under every order (Sturmfels,
+    *Groebner Bases and Convex Polytopes*, 1996, ch. 7), so the leads of
+    its binomials generate in(I_G).  The sides of a binomial have disjoint
+    supports, so under lex its lead is the side that holds the largest
+    variable of its support.  in(I_G) is square-free exactly when every
+    lead that is not square-free has a proper divisor among the leads.
+
+    The search places edges from the largest down.  An edge decides the
+    undecided binomials whose support holds it; edges that decide nothing
+    follow in ring order.  A prefix is dropped once a lead that is not
+    square-free has no proper divisor among the decided leads and the
+    sides of undecided binomials.  A state with no successful completion
+    is memoised under (U, P, D): the undecided binomials U, the decided
+    leads P that are not square-free and have no decided proper divisor,
+    and the decided leads D that properly divide a side of a binomial in
+    U.  States with equal keys have the same future.  A completion decides
+    each binomial in U by the order of its support, all unplaced, so the
+    future leads F depend on U and the completion alone.  A decided lead
+    outside P needs nothing, and one in P needs a proper divisor in F.  A
+    lead in F that is not square-free needs one in F or among the decided
+    leads, and a decided lead that properly divides it lies in D.  The
+    budget is polled once per state.
     """
-    head = [first] if first is not None else []
-    tail0 = [n for n in I.ring.names if n != first]
-    for t in range(trials):
+    names = G.edge_labels
+    # Side j belongs to binomial j // 2.  The masks below are over sides.
+    sides = [m for g in universal_groebner_basis(G) for m in g.terms]
+    # A side as the set of pairs (v, k) with k below its exponent of v, so
+    # that a proper divisor is a proper subset.
+    sets = [frozenset((v, k) for v, e in enumerate(m) for k in range(e))
+            for m in sides]
+    divisors = [sum(1 << i for i, a in enumerate(sets) if a < s) for s in sets]
+    multiples = [sum(1 << i for i, a in enumerate(sets) if s < a) for s in sets]
+    square = sum(1 << j for j, m in enumerate(sides)
+                 if not mono_is_squarefree(m))
+    # The sides that hold edge v, and both sides of their binomials.
+    holds = [sum(1 << j for j, m in enumerate(sides) if m[v])
+             for v in range(len(names))]
+    pairs = [sum(3 << j - j % 2 for j in _bits(h)) for h in holds]
+
+    def place(v, undecided, leads):
+        """The state after placing edge v; None once a lead that is not
+        square-free has no proper divisor left to get."""
+        leads |= holds[v] & undecided
+        undecided &= ~pairs[v]
+        if all(divisors[p] & (leads | undecided)
+               for p in _bits(leads & square)):
+            return undecided, leads
+        return None
+
+    dead = set()
+
+    def visit(undecided, leads, prefix):
         if budget is not None and budget.exceeded():
+            return EXHAUSTED
+        if not undecided:
+            return prefix + tuple(n for n in names if n not in prefix)
+        key = (undecided,
+               tuple(p for p in _bits(leads & square) if not divisors[p] & leads),
+               sum(1 << j for j in _bits(leads) if multiples[j] & undecided))
+        if key in dead:
             return None
-        tail = list(tail0)
-        if t:
-            rng.shuffle(tail)
-        names = head + tail
-        if _initial_is_squarefree(lex_order(I.ring, names), I):
-            return tuple(names)
-    return None
+        for v in range(len(names)):
+            if holds[v] & undecided:
+                state = place(v, undecided, leads)
+                found = state and visit(*state, prefix + (names[v],))
+                if found:
+                    return found
+        dead.add(key)
+        return None
+
+    state = ((1 << len(sides)) - 1, 0)
+    if first is None:
+        return visit(*state, ())
+    state = place(names.index(first), *state)
+    return state and visit(*state, (first,))
 
 
-@dataclass(frozen=True)
-class SampleReport:
-    """Outcome of sampling random lex orders for square-free initial ideals."""
-
-    ring_names: tuple
-    requested: int
-    tried: int
-    hits: int
-    first_hit: Optional[tuple]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ring": list(self.ring_names),
-            "requested": self.requested,
-            "tried": self.tried,
-            "hits": self.hits,
-            "first_hit": None if self.first_hit is None else list(self.first_hit),
-        }
-
-
-def sample_initial_ideals(I: Ideal, trials: int, seed: int = 0,
-                          budget: Optional[Budget] = None) -> SampleReport:
-    """Count square-free initial ideals among ``trials`` seeded lex orders.
-
-    All permutations are drawn up front from a single seeded stream, so the
-    sampled orders depend only on the seed and trial count.
-    """
-    rng = seeded_rng(seed, "sample-init")
-    orders = []
-    for _ in range(trials):
-        names = list(I.ring.names)
-        rng.shuffle(names)
-        orders.append(names)
-    tried = 0
-    hits = 0
-    first_hit = None
-    for names in orders:
-        if budget is not None and budget.exceeded():
-            break
-        tried += 1
-        if _initial_is_squarefree(lex_order(I.ring, names), I):
-            hits += 1
-            if first_hit is None:
-                first_hit = tuple(names)
-    return SampleReport(I.ring.names, trials, tried, hits, first_hit)
+def _confirmed(names: tuple, I: Ideal) -> tuple:
+    """``names``, once Buchberger confirms its initial ideal of I."""
+    if not _initial_is_squarefree(lex_order(I.ring, names), I):
+        raise RuntimeError("%s is not a square-free lex order" % (names,))
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +226,7 @@ class GlicciReport:
                 "conclusion": self.conclusion}
 
 
-def _gluing_check(G: Graph, trials: int, seed: int,
-                  budget: Optional[Budget]) -> GlicciCheck:
+def _gluing_check(G: Graph, budget: Optional[Budget]) -> GlicciCheck:
     gluings = find_even_cycle_gluings(G)
     if not gluings:
         return GlicciCheck("even-cycle-gluing", False,
@@ -212,15 +234,13 @@ def _gluing_check(G: Graph, trials: int, seed: int,
     ring = G.edge_ring()
     IG = toric_ideal(G)
     for edge, path in gluings:
-        if budget is not None and budget.exceeded():
-            return GlicciCheck("even-cycle-gluing", False,
-                               {"reason": "budget exhausted during the search"})
         base = _gluing_base(G, edge, path)
-        base_ideal = toric_ideal(base)
-        rng = seeded_rng(seed, "glicci-gluing", edge, *path)
-        names = squarefree_order_search(base_ideal, trials, rng, budget=budget)
+        names = squarefree_lex_order(base, budget=budget)
+        if names == EXHAUSTED:
+            return GlicciCheck("even-cycle-gluing", False, {"reason": EXHAUSTED})
         if names is None:
             continue
+        base_ideal = toric_ideal(base)
         glued = base_ideal.rename(ring).with_extra(
             [even_cycle_binomial(G, edge, path)])
         if not ideal_equal(IG, glued):
@@ -229,36 +249,33 @@ def _gluing_check(G: Graph, trials: int, seed: int,
             "edge": edge,
             "path": list(path),
             "base_edges": list(base.edge_labels),
-            "base_order": list(names),
+            "base_order": list(_confirmed(names, base_ideal)),
         })
     return GlicciCheck("even-cycle-gluing", False, {
-        "reason": "no base graph certified Cohen-Macaulay within %d trials"
-                  % trials})
+        "reason": "no base graph has a lex order with a square-free "
+                  "initial ideal"})
 
 
-def _four_cycle_check(G: Graph, trials: int, seed: int,
-                      budget: Optional[Budget]) -> GlicciCheck:
+def _four_cycle_check(G: Graph, budget: Optional[Budget]) -> GlicciCheck:
     candidates = [(y, four_cycles_containing(G, y)) for y in G.edge_labels]
     candidates = [(y, cycles) for y, cycles in candidates if cycles]
     if not candidates:
         return GlicciCheck("four-cycle-square-free-order", False,
                            {"reason": "no edge lies on a 4-cycle"})
-    I = toric_ideal(G)
     for y, cycles in candidates:
-        if budget is not None and budget.exceeded():
+        names = squarefree_lex_order(G, first=y, budget=budget)
+        if names == EXHAUSTED:
             return GlicciCheck("four-cycle-square-free-order", False,
-                               {"reason": "budget exhausted during the search"})
-        rng = seeded_rng(seed, "glicci-four-cycle", y)
-        names = squarefree_order_search(I, trials, rng, first=y, budget=budget)
+                               {"reason": EXHAUSTED})
         if names is not None:
             return GlicciCheck("four-cycle-square-free-order", True, {
                 "edge": y,
                 "four_cycle": list(cycles[0]),
-                "order": list(names),
+                "order": list(_confirmed(names, toric_ideal(G))),
             })
     return GlicciCheck("four-cycle-square-free-order", False, {
-        "reason": "no square-free initial ideal found within %d lex "
-                  "completions per edge" % trials})
+        "reason": "no lex order with an edge of a 4-cycle largest has a "
+                  "square-free initial ideal"})
 
 
 def _gap_free_check(G: Graph) -> GlicciCheck:
@@ -281,12 +298,11 @@ def _gap_free_check(G: Graph) -> GlicciCheck:
                        {"reason": "; ".join(reasons)})
 
 
-def glicci_checks(G: Graph, trials: int = 200, seed: int = 0,
-                  budget: Optional[Budget] = None) -> GlicciReport:
+def glicci_checks(G: Graph, budget: Optional[Budget] = None) -> GlicciReport:
     """Test all three sufficient conditions and report which ones fire."""
     checks = (
-        _gluing_check(G, trials, seed, budget),
-        _four_cycle_check(G, trials, seed, budget),
+        _gluing_check(G, budget),
+        _four_cycle_check(G, budget),
         _gap_free_check(G),
     )
     fired = any(c.fired for c in checks)

@@ -1,7 +1,9 @@
-"""Benchmark graphs, frozen expected values, the walk oracle and the small
-oracles (dimension, monomial and graph helpers) shared across the test
-suite."""
+"""Benchmark graphs, frozen expected values, the walk oracle, the small
+oracles (dimension, monomial and graph helpers) and the seeded random
+streams shared across the test suite."""
 
+import hashlib
+import random
 from operator import sub
 
 from gvdlab import gvd
@@ -33,6 +35,21 @@ def two_k4_sharing_vertex() -> Graph:
          ("e7", "x4", "x5"), ("e8", "x4", "x6"), ("e9", "x4", "x7"),
          ("e10", "x5", "x6"), ("e11", "x5", "x7"), ("e12", "x7", "x6")],
     )
+
+
+def three_k4_sharing_vertex() -> Graph:
+    """Three K4's glued at one vertex: 10 vertices, 18 edges.  No lex
+    order gives its toric ideal a square-free initial ideal, and showing
+    that with an edge of each 4-cycle largest takes over ten seconds."""
+    hub = "x1"
+    vertices, edges = [hub], []
+    for block in range(3):
+        ring = ["x%d" % (2 + 3 * block + i) for i in range(3)]
+        vertices += ring
+        quad = [hub] + ring
+        edges += [(u, v) for i, u in enumerate(quad) for v in quad[i + 1:]]
+    return Graph(vertices, [("e%d" % (i + 1), u, v)
+                            for i, (u, v) in enumerate(edges)])
 
 
 def two_k4_chain() -> dict:
@@ -339,3 +356,18 @@ def remove_leaves_fixpoint(G: Graph) -> Graph:
 
 def has_four_cycle(G: Graph) -> bool:
     return any(four_cycles_containing(G, label) for label in G.edge_labels)
+
+
+def seeded_rng(seed: int, *labels: str) -> random.Random:
+    """An independent RNG stream derived from (seed, labels) via SHA-256.
+
+    Streams with different labels are statistically independent and stable
+    across runs and platforms, which keeps sampled-order experiments
+    reproducible.
+    """
+    h = hashlib.sha256()
+    h.update(str(int(seed)).encode())
+    for lab in labels:
+        h.update(b"\x00")
+        h.update(str(lab).encode())
+    return random.Random(int.from_bytes(h.digest()[:8], "big"))

@@ -16,9 +16,9 @@ from gvdlab.graphs import (
 )
 from gvdlab.groebner import Ideal, ideal_equal, initial_ideal
 from gvdlab.gvd import is_gvd, replay_certificate
-from gvdlab.util import Budget, seeded_rng
+from gvdlab.util import Budget
 
-from fixtures import two_k4_sharing_vertex
+from fixtures import seeded_rng, two_k4_sharing_vertex
 from graph_corpus import connected_graphs, to_graph
 
 C4 = cycle_graph(4)

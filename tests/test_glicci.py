@@ -1,13 +1,16 @@
-"""Tests for the glicci sufficient-condition checks and order sampling."""
+"""Tests for the glicci sufficient-condition checks and the search for a
+square-free lex degeneration."""
 
 import json
+import time
 
-from gvdlab.algebra import lex_order
+from gvdlab.algebra import lex_order, mono_is_squarefree
+from gvdlab.ef import squarefree_lex_initial
 from gvdlab.glicci import (
+    EXHAUSTED,
     find_even_cycle_gluings,
     glicci_checks,
-    sample_initial_ideals,
-    squarefree_order_search,
+    squarefree_lex_order,
 )
 from gvdlab.graphs import (
     Graph,
@@ -18,10 +21,15 @@ from gvdlab.graphs import (
     path_graph,
     toric_ideal,
 )
-from gvdlab.groebner import ideal_equal
-from gvdlab.util import Budget, seeded_rng
+from gvdlab.groebner import ideal_equal, initial_ideal
+from gvdlab.gvd import is_gvd
+from gvdlab.util import Budget
 
-from fixtures import two_k4_sharing_vertex
+from fixtures import (
+    TWO_TRIANGLES_GENERATOR, three_k4_sharing_vertex, two_k4_sharing_vertex,
+    two_triangles_bridged,
+)
+from graph_corpus import connected_graphs, to_graph
 
 C4 = cycle_graph(4)
 C5 = cycle_graph(5)
@@ -65,59 +73,51 @@ def test_odd_cycles_are_rejected_by_parity():
 # -- square-free order search -------------------------------------------------
 
 def test_search_hits_on_the_natural_order():
-    rng = seeded_rng(0, "test-search")
-    names = squarefree_order_search(toric_ideal(C4), 5, rng)
-    assert names == ("e1", "e2", "e3", "e4")
+    assert squarefree_lex_order(C4) == ("e1", "e2", "e3", "e4")
 
 
 def test_search_hoists_the_requested_first_variable():
-    rng = seeded_rng(0, "test-search")
-    names = squarefree_order_search(toric_ideal(K4), 5, rng, first="e4")
+    names = squarefree_lex_order(K4, first="e4")
     assert names is not None
     assert names[0] == "e4"
+    assert sorted(names) == sorted(K4.edge_labels)
 
 
 def test_search_misses_on_the_shared_vertex_benchmark():
-    I = toric_ideal(two_k4_sharing_vertex())
-    rng = seeded_rng(0, "test-search")
-    assert squarefree_order_search(I, 20, rng) is None
+    start = time.process_time()
+    assert squarefree_lex_order(two_k4_sharing_vertex()) is None
+    assert time.process_time() - start < 2.0
 
 
 def test_search_respects_the_budget():
-    I = toric_ideal(C4)
-    rng = seeded_rng(0, "test-search")
-    assert squarefree_order_search(I, 5, rng, budget=Budget(0.0)) is None
+    # A spent budget never reads as "no such order".
+    for G in (C4, K33):
+        assert squarefree_lex_order(G, budget=Budget(0.0)) == EXHAUSTED
 
 
-# -- order sampling ------------------------------------------------------------
-
-def test_sampling_is_seed_deterministic():
-    I = toric_ideal(C4)
-    a = sample_initial_ideals(I, 12, seed=7)
-    b = sample_initial_ideals(I, 12, seed=7)
-    assert a.to_json_dict() == b.to_json_dict()
-    assert a.first_hit is not None
-
-
-def test_sampling_counts_every_hit_on_a_single_binomial():
-    # Both monomials of the C4 cycle binomial are square-free, so every lex
-    # order yields a square-free initial ideal.
-    rep = sample_initial_ideals(toric_ideal(C4), 10, seed=1)
-    assert rep.requested == rep.tried == rep.hits == 10
-
-
-def test_sampling_finds_no_hits_on_the_shared_vertex_benchmark():
-    rep = sample_initial_ideals(toric_ideal(two_k4_sharing_vertex()), 30,
-                                seed=42)
-    assert rep.hits == 0
-    assert rep.first_hit is None
-    assert rep.tried == 30
-
-
-def test_sampling_stops_when_the_budget_is_exhausted():
-    rep = sample_initial_ideals(toric_ideal(C4), 10, seed=1, budget=Budget(0.0))
-    assert rep.tried == 0
-    assert rep.requested == 10
+def test_corpus_graphs_have_confirmed_square_free_lex_orders_and_are_gvd():
+    # The paper's conjecture: a square-free lex degeneration makes I_G GVD.
+    # Every connected graph with at most 7 edges has one.
+    label_order_misses = []
+    for n, edges in connected_graphs(7):
+        G = to_graph(n, edges)
+        names = squarefree_lex_order(G)
+        assert names is not None, edges
+        I = toric_ideal(G)
+        init = initial_ideal(lex_order(I.ring, names), I)
+        assert all(mono_is_squarefree(next(iter(g.terms))) for g in init.gens)
+        assert is_gvd(I, context=G).verdict == "gvd"
+        if not squarefree_lex_initial(G):
+            label_order_misses.append((n, edges))
+    # Two triangles joined by an edge are the only graph whose label order
+    # is not square-free, so a search of the ring order alone would miss.
+    assert label_order_misses == [
+        (6, ((0, 1), (0, 4), (1, 4), (2, 3), (2, 5), (3, 5), (4, 5)))]
+    # A principal ideal whose one generator has two non-square-free sides.
+    bridged = two_triangles_bridged()
+    assert [str(g) for g in toric_ideal(bridged).gens] == [TWO_TRIANGLES_GENERATOR]
+    assert squarefree_lex_order(bridged) is None
+    assert is_gvd(toric_ideal(bridged), context=bridged).verdict == "not-gvd"
 
 
 # -- the three checks -----------------------------------------------------------
@@ -206,6 +206,17 @@ def test_checks_report_budget_exhaustion_without_raising():
     assert _check(report, "gap-free-with-four-cycle").fired
 
 
+def test_a_spent_budget_is_reported_not_read_as_no_order():
+    # No lex order makes this ideal's initial ideal square-free, and the
+    # exhaustive search takes far longer than the budget.
+    start = time.monotonic()
+    report = glicci_checks(three_k4_sharing_vertex(), budget=Budget(0.5))
+    assert time.monotonic() - start < 10.0
+    four = _check(report, "four-cycle-square-free-order")
+    assert not four.fired
+    assert four.witness == {"reason": "budget exhausted during the search"}
+
+
 def test_reports_serialize_to_json():
     report = glicci_checks(TWO_K2)
     blob = json.dumps(report.to_json_dict(), sort_keys=True)
@@ -214,14 +225,3 @@ def test_reports_serialize_to_json():
     assert [c["name"] for c in data["checks"]] == [
         "even-cycle-gluing", "four-cycle-square-free-order",
         "gap-free-with-four-cycle"]
-
-
-def test_search_results_are_real_initial_ideal_witnesses():
-    report = glicci_checks(K33)
-    four = _check(report, "four-cycle-square-free-order")
-    I = toric_ideal(K33)
-    order = lex_order(I.ring, four.witness["order"])
-    from gvdlab.algebra import mono_is_squarefree
-    from gvdlab.groebner import initial_ideal
-    init = initial_ideal(order, I)
-    assert all(mono_is_squarefree(next(iter(g.terms))) for g in init.gens)

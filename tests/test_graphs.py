@@ -14,13 +14,12 @@ from gvdlab.graphs import (
     path_graph, toric_dimension, toric_ideal, universal_groebner_basis,
     vector_to_binomial,
 )
-from gvdlab.util import seeded_rng
 
 from graph_corpus import connected_graphs, to_graph
 from fixtures import (
     TWO_K4_GENERATORS, has_four_cycle, k2d_with_path,
     k2d_with_path_universal_basis, krull_dimension, primitive_walk_binomials,
-    rational_rank, remove_leaves_fixpoint, two_k4_sharing_vertex,
+    rational_rank, remove_leaves_fixpoint, seeded_rng, two_k4_sharing_vertex,
     two_triangles_bridged,
 )
 

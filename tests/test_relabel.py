@@ -4,7 +4,8 @@ Renaming vertices and edges so that the new names sort as the old ones did
 must give exactly the renamed certificate, since the certifiers read names
 only through their order.  Renames that change that order, and listing
 the edges in another order (which changes the ring's variable order), both
-change the search, but never the verdict.
+change the search, but never the verdict, nor whether some lex order gives
+a square-free initial ideal.
 """
 
 import random
@@ -15,6 +16,7 @@ from gvdlab import gvd
 from gvdlab.algebra import Ring, parse_poly
 from gvdlab.bipartite import certify_bipartite_gvd
 from gvdlab.components import unmixedness_evidence
+from gvdlab.glicci import squarefree_lex_order
 from gvdlab.graphs import (
     Graph, complete_bipartite, complete_graph, cycle_graph, toric_ideal,
 )
@@ -89,6 +91,8 @@ def test_permuted_edge_order_keeps_the_verdict(name):
         assert H.edge_labels != G.edge_labels
         for run in certifiers(G):
             assert run(H).verdict == run(G).verdict
+        assert ((squarefree_lex_order(H) is None)
+                == (squarefree_lex_order(G) is None))
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
