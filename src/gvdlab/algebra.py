@@ -60,8 +60,8 @@ from typing import Iterable, Mapping, NamedTuple, Union
 __all__ = [
     "Ring", "Poly", "Term",
     "Lex", "GrLex", "YFirst", "Elim", "Order", "Packing", "PackingOverflow",
-    "compile_order", "storage_order", "lex_order", "y_order", "elim_order",
-    "order_from_dict", "spec_from_form", "spec_to_dict",
+    "compile_order", "storage_order", "lex_order", "y_spec", "y_order",
+    "elim_order", "spec_to_dict",
     "initial_term", "initial_y_form", "y_split",
     "mono_mul", "mono_divides", "mono_support", "mono_is_squarefree",
     "mono_one",
@@ -383,14 +383,6 @@ class Order:
                                      _packed_rows(shared.arity, shared.form))
         return shared.packing
 
-    @property
-    def form(self) -> tuple:
-        """The spec with variables by ring position (see ``_index_form``)."""
-        return self._shared.form
-
-    def to_dict(self) -> dict:
-        return spec_to_dict(self.spec)
-
     def __repr__(self):
         return "Order(%r)" % (self.spec,)
 
@@ -696,15 +688,18 @@ def lex_order(ring: Ring, names: Iterable[str] = None) -> Order:
     return compile_order(ring, Lex(seq))
 
 
-def y_order(ring: Ring, y: Union[int, str]) -> Order:
-    """The engine's default y-compatible order: y-degree first, inner lex.
+def y_spec(names: tuple, y: str) -> YFirst:
+    """The engine's y-compatible order over a ring with these names:
+    y-degree first, then lex with y first and the other variables in ring
+    order, so the composite coincides with plain lex ``y > (others in ring
+    order)``.  Every split is made under it, and a certificate records it
+    next to its y."""
+    return YFirst(y, Lex((y,) + tuple(n for n in names if n != y)))
 
-    The inner lex puts y first and the remaining variables in ring order, so
-    the composite coincides with plain lex ``y > (others in ring order)``.
-    """
-    yname = ring.names[ring.vidx(y)]
-    rest = tuple(n for n in ring.names if n != yname)
-    return compile_order(ring, YFirst(yname, Lex((yname,) + rest)))
+
+def y_order(ring: Ring, y: Union[int, str]) -> Order:
+    """``y_spec`` compiled over ``ring``; y by name or position."""
+    return compile_order(ring, y_spec(ring.names, ring.names[ring.vidx(y)]))
 
 
 def elim_order(ring: Ring, elim_vars: Iterable[str]) -> Order:
@@ -723,33 +718,6 @@ def spec_to_dict(spec) -> dict:
     if isinstance(spec, Elim):
         return {"kind": "elim", "vars": list(spec.vars), "inner": spec_to_dict(spec.inner)}
     raise TypeError("not an order spec: %r" % (spec,))
-
-
-def order_from_dict(ring: Ring, d: dict) -> Order:
-    return compile_order(ring, _spec_from_dict(d))
-
-
-def spec_from_form(names: tuple, form: tuple):
-    """The spec of an index form over a ring with these names: the inverse
-    of ``_index_form``.  A malformed form raises TypeError or IndexError."""
-    kind = form[0]
-    if kind not in (Lex, GrLex, YFirst, Elim):
-        raise TypeError("not an index form: %r" % (form,))
-    at = names[form[1]] if kind is YFirst else tuple(names[i] for i in form[1])
-    return kind(at) if len(form) == 2 else kind(at, spec_from_form(names, form[2]))
-
-
-def _spec_from_dict(d: dict):
-    kind = d["kind"]
-    if kind == "lex":
-        return Lex(tuple(d["vars"]))
-    if kind == "grlex":
-        return GrLex(tuple(d["vars"]))
-    if kind == "y-first":
-        return YFirst(d["y"], _spec_from_dict(d["inner"]))
-    if kind == "elim":
-        return Elim(tuple(d["vars"]), _spec_from_dict(d["inner"]))
-    raise ValueError("unknown order kind %r" % kind)
 
 
 # ---------------------------------------------------------------------------

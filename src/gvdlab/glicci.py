@@ -86,13 +86,14 @@ def squarefree_lex_order(G: Graph, first: Optional[str] = None,
     is memoised under (U, P, D): the undecided binomials U, the decided
     leads P that are not square-free and have no decided proper divisor,
     and the decided leads D that properly divide a side of a binomial in
-    U.  States with equal keys have the same future.  A completion decides
-    each binomial in U by the order of its support, all unplaced, so the
-    future leads F depend on U and the completion alone.  A decided lead
-    outside P needs nothing, and one in P needs a proper divisor in F.  A
-    lead in F that is not square-free needs one in F or among the decided
-    leads, and a decided lead that properly divides it lies in D.  The
-    budget is polled once per state.
+    U that is not square-free.  States with equal keys have the same
+    future.  A completion decides each binomial in U by the order of its
+    support, all unplaced, so the future leads F depend on U and the
+    completion alone.  A decided lead outside P needs nothing, and one in
+    P needs a proper divisor in F.  A lead in F that is square-free needs
+    nothing.  One that is not needs a proper divisor in F or among the
+    decided leads, and a decided lead that properly divides it lies in D.
+    The budget is polled once per state.
     """
     names = G.edge_labels
     # Side j belongs to binomial j // 2.  The masks below are over sides.
@@ -101,10 +102,14 @@ def squarefree_lex_order(G: Graph, first: Optional[str] = None,
     # that a proper divisor is a proper subset.
     sets = [frozenset((v, k) for v, e in enumerate(m) for k in range(e))
             for m in sides]
-    divisors = [sum(1 << i for i, a in enumerate(sets) if a < s) for s in sets]
-    multiples = [sum(1 << i for i, a in enumerate(sets) if s < a) for s in sets]
-    square = sum(1 << j for j, m in enumerate(sides)
-                 if not mono_is_squarefree(m))
+    # Only a lead that is not square-free needs a proper divisor, so only
+    # such sides get their divisors, and a side's multiples are taken among
+    # them alone.
+    unfree = [j for j, m in enumerate(sides) if not mono_is_squarefree(m)]
+    divisors = {p: sum(1 << i for i, a in enumerate(sets) if a < sets[p])
+                for p in unfree}
+    multiples = [sum(1 << p for p in unfree if s < sets[p]) for s in sets]
+    square = sum(1 << p for p in unfree)
     # The sides that hold edge v, and both sides of their binomials.
     holds = [sum(1 << j for j, m in enumerate(sides) if m[v])
              for v in range(len(names))]

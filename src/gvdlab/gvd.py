@@ -39,8 +39,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import (
-    Order, Ring, compile_order, initial_y_form, spec_from_form, spec_to_dict,
-    y_order, y_split,
+    Ring, initial_y_form, spec_to_dict, y_order, y_spec, y_split,
 )
 from .components import (
     UnmixednessEvidence, base_evidence, named, unmixedness_evidence,
@@ -65,7 +64,7 @@ class CnSplit:
     """The data of a candidate decomposition of I at the variable y.
 
     C is generated by all y-free factors q of the reduced basis elements
-    g = y^d q + r under the y-compatible ``order``; N by those with d = 0.
+    g = y^d q + r under the y-compatible ``y_order``; N by those with d = 0.
     N ⊆ C, and no generator of either mentions y (when y is absent from I,
     every d is 0 and the two generator lists are equal).
 
@@ -85,7 +84,6 @@ class CnSplit:
     """
 
     y: str
-    order: Order
     C: Ideal
     N: Ideal
     square_free_in_y: bool
@@ -112,22 +110,21 @@ def initial_y_ideal(I: Ideal, y) -> Ideal:
                         for g in I.groebner(y_order(ring, yname))])
 
 
-def cn_split(I: Ideal, y, order: Order = None) -> CnSplit:
-    """Split I at y into the C and N ideals of its reduced basis."""
+def cn_split(I: Ideal, y) -> CnSplit:
+    """Split I at y into the C and N ideals of its reduced basis under
+    ``y_order``, the one order every split is made under."""
     ring = I.ring
     yname = ring.names[ring.vidx(y)]
-    if order is None:
-        order = y_order(ring, yname)
     c_gens, n_gens = [], []
     square_free = True
-    for g in I.groebner(order):
+    for g in I.groebner(y_order(ring, yname)):
         d, q, _ = y_split(yname, g)
         if d > 1:
             square_free = False
         c_gens.append(q)
         if d == 0:
             n_gens.append(q)
-    return CnSplit(yname, order, Ideal(ring, c_gens), Ideal(ring, n_gens),
+    return CnSplit(yname, Ideal(ring, c_gens), Ideal(ring, n_gens),
                    square_free)
 
 
@@ -155,7 +152,8 @@ class GvdNode:
     this node ("gvd", "not-gvd" or "inconclusive"); for a certified node it
     is determined by the kind, children and unmixedness evidence.
     ``failures`` pairs a variable with the reason no decomposition works
-    there; ``order`` is an ``Order.form``.  Reasons name variables only
+    there.  A step's order is not stored: it is ``y_spec`` of its ring and
+    y, and the JSON writes it from there.  Reasons name variables only
     through the placeholder ``{i}`` for the i-th variable of the node's
     ring, as evidence details do.
     """
@@ -164,7 +162,6 @@ class GvdNode:
     verdict: str
     unmixedness: Optional[UnmixednessEvidence] = None
     y: Optional[int] = None
-    order: Optional[tuple] = None
     degenerate: Optional[bool] = None
     child_c: Optional["GvdNode"] = None
     child_n: Optional["GvdNode"] = None
@@ -212,9 +209,7 @@ class GvdCertificate:
                "ring": list(self.ring_names)}
         if self.y is not None:
             out["y"] = self.y
-        if self.node.order is not None:
-            out["order"] = spec_to_dict(spec_from_form(self.ring_names,
-                                                       self.node.order))
+            out["order"] = spec_to_dict(y_spec(self.ring_names, self.y))
         if self.degenerate is not None:
             out["degenerate"] = self.degenerate
         if self.unmixedness is not None:
@@ -302,8 +297,8 @@ def _decomposition(ring_names: tuple, ev: UnmixednessEvidence, split: CnSplit,
     """
     degenerate = split.C.gens == split.N.gens or c_branch.is_unit_ideal()
     y = ring_names.index(split.y)
-    step = dict(unmixedness=ev, y=y, order=split.order.form,
-                degenerate=degenerate, child_c=cert_c.node, child_n=cert_n.node)
+    step = dict(unmixedness=ev, y=y, degenerate=degenerate,
+                child_c=cert_c.node, child_n=cert_n.node)
     if ev.conclusive_unmixed or ev.status == "cited":
         return _certificate(ring_names, "decomposition", "gvd", **step)
     return inconclusive(
@@ -690,7 +685,7 @@ def replay_certificate(I: Ideal, cert: GvdCertificate,
 
     Certified-decomposable trees are replayed node by node: base-case kinds
     are recomputed, every decomposition identity is checked literally by
-    ``check_decomposition`` for C and N under the recorded order, the
+    ``check_decomposition`` for C and N under ``y_order``, the
     degeneracy flag is re-derived, unmixedness evidence is recomputed and
     must be conclusive again, and the reduced basis of a disjoint union
     must split over disjoint variables as its factors say.  A "not-gvd"
@@ -700,7 +695,7 @@ def replay_certificate(I: Ideal, cert: GvdCertificate,
     search afresh, with a memo of its own, and comparing verdicts, so every
     child of a "gvd" node must itself be "gvd".
     Returns True when everything matches; a malformed node (an unknown
-    variable or order, a missing child) does not.
+    variable, a missing child) does not.
 
     The search shares one node among every branch that reaches the same
     ideal and context by position, so a tree can hold a node many times.
@@ -774,11 +769,7 @@ def _replay_node(I: Ideal, node: GvdNode, context: Optional[Graph],
     if node.y not in range(len(names)):
         return False
     y = names[node.y]
-    try:
-        order = compile_order(I.ring, spec_from_form(names, node.order))
-    except (IndexError, TypeError, ValueError):
-        return False
-    split = cn_split(I, y, order=order)
+    split = cn_split(I, y)
     if (not check_decomposition(I, split)
             or split.degenerate() != node.degenerate):
         return False

@@ -5,13 +5,14 @@ read each step's identity off the reduced basis instead of computing it,
 so they are checked against each other and against the E/F statement
 checks, which verify every split literally.  A statement-check report is
 conclusive only when it verifies decomposability: a refuted statement C is
-about one split tree, not about the toric ideal.
+about one split tree, not about the toric ideal.  Every certificate the
+three certifiers build over the corpus also replays.
 """
 
 from gvdlab.bipartite import certify_bipartite_gvd
 from gvdlab.ef import check_statements_ABC, quadratic_pipeline
 from gvdlab.graphs import toric_ideal, universal_groebner_basis
-from gvdlab.gvd import is_gvd
+from gvdlab.gvd import is_gvd, replay_certificate
 
 from fixtures import two_triangles_bridged
 from graph_corpus import connected_graphs, to_graph
@@ -35,3 +36,18 @@ def test_conclusive_verdicts_agree():
     for G in GRAPHS:
         verdicts = conclusive_verdicts(G)
         assert len(set(verdicts.values())) <= 1, (G.edges, verdicts)
+
+
+def test_every_corpus_certificate_replays():
+    # Replay checks each step literally, under the order it derives from y.
+    corpus = GRAPHS[:-1]
+    certs = [(G, is_gvd(toric_ideal(G), context=G)) for G in GRAPHS]
+    assert len(certs) == 132 and certs[-1][1].verdict == "not-gvd"
+    bipartite = [(G, certify_bipartite_gvd(G)) for G in corpus
+                 if G.is_bipartite()]
+    quadratic = [(G, quadratic_pipeline(G)) for G in corpus
+                 if all(g.total_degree() == 2
+                        for g in universal_groebner_basis(G))]
+    assert (len(bipartite), len(quadratic)) == (68, 122)
+    for G, cert in certs + bipartite + quadratic:
+        assert replay_certificate(toric_ideal(G), cert, context=G), G.edges

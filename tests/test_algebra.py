@@ -10,7 +10,7 @@ from gvdlab import algebra
 from gvdlab.algebra import (
     Elim, GrLex, Lex, PackingOverflow, Poly, Ring, YFirst, _compile,
     compile_order, elim_order, format_poly, initial_term, initial_y_form,
-    lex_order, mono_divides, mono_mul, order_from_dict, parse_poly,
+    lex_order, mono_divides, mono_mul, parse_poly,
     storage_order, y_order, y_split,
 )
 
@@ -119,15 +119,6 @@ def test_order_must_decide_every_variable():
 def test_elim_order():
     o = elim_order(R4, ["e4"])
     assert initial_term(o, P("e4 - e1*e2*e3")).mono == (0, 0, 0, 1)
-
-
-def test_order_serialization_round_trip():
-    for o in [storage_order(R4), lex_order(R4), y_order(R4, "e3"), elim_order(R4, ["e2", "e4"]),
-              compile_order(R4, YFirst("e1", GrLex(R4.names)))]:
-        o2 = order_from_dict(R4, o.to_dict())
-        assert o2.to_dict() == o.to_dict()
-        for m in [(1, 2, 0, 1), (0, 0, 3, 0), (2, 0, 0, 2)]:
-            assert o.key(m) == o2.key(m)
 
 
 # ---------------------------------------------------------------------------

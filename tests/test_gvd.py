@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from gvdlab import components, graphs, groebner, gvd, util
-from gvdlab.algebra import Ring, lex_order, parse_poly
+from gvdlab.algebra import Ring, parse_poly
 from gvdlab.bipartite import certify_bipartite_gvd
 from gvdlab.components import UnmixednessEvidence
 from gvdlab.graphs import (
@@ -14,8 +14,8 @@ from gvdlab.graphs import (
 )
 from gvdlab.groebner import Ideal, contract, ideal_equal
 from gvdlab.gvd import (
-    GvdCertificate, GvdNode, base_certificate, check_decomposition, cn_split,
-    initial_y_ideal, is_gvd, replay_certificate,
+    CnSplit, GvdCertificate, GvdNode, base_certificate, check_decomposition,
+    cn_split, initial_y_ideal, is_gvd, replay_certificate,
 )
 from gvdlab.util import Budget
 
@@ -574,8 +574,7 @@ def test_replay_rejects_tampered_certificate():
     assert replay_certificate(J, cert, context=G)
     flipped = forged(cert, degenerate=not cert.degenerate)
     assert not replay_certificate(J, flipped, context=G)
-    for tamper in [dict(y=len(cert.ring_names)), dict(order=("nope",)),
-                   dict(child_c=None)]:
+    for tamper in [dict(y=len(cert.ring_names)), dict(child_c=None)]:
         assert not replay_certificate(J, forged(cert, **tamper), context=G)
 
 
@@ -743,25 +742,20 @@ def test_replay_rejects_a_decomposition_whose_branch_is_not_gvd():
     step = GvdNode(
         "decomposition", "gvd",
         unmixedness=UnmixednessEvidence("cited", "prime"), y=R.index["z"],
-        order=split.order.form, degenerate=True,
-        child_c=factor.node, child_n=factor.node)
+        degenerate=True, child_c=factor.node, child_n=factor.node)
     assert not replay_certificate(J, GvdCertificate(step, R.names))
 
 
-def test_replay_rejects_an_order_that_is_not_y_compatible():
+def test_check_decomposition_rejects_a_split_that_is_not_y_compatible():
     # Under lex x > z > y the basis of <y - x^2, y - z> is {x^2 - y, z - y}:
     # C is the unit ideal and N is zero, so N + y·C = <y>.  That is the ideal
-    # of the basis's y-forms, but in_y(I) = <y, x^2 - z>.
+    # of the basis's y-forms, but in_y(I) = <y, x^2 - z>, which the split
+    # under the y-compatible order gives.
     R = Ring(["x", "y", "z"])
     J = Ideal(R, [parse_poly(R, "y - x^2"), parse_poly(R, "y - z")])
-    XZ = Ring(["x", "z"])
-    step = GvdNode(
-        "decomposition", "gvd",
-        unmixedness=UnmixednessEvidence("cited", "prime"), y=R.index["y"],
-        order=lex_order(R, ["x", "z", "y"]).form, degenerate=True,
-        child_c=base_certificate(Ideal.unit(XZ)).node,
-        child_n=base_certificate(Ideal.zero(XZ)).node)
-    assert not replay_certificate(J, GvdCertificate(step, R.names))
+    assert not check_decomposition(
+        J, CnSplit("y", Ideal.unit(R), Ideal.zero(R), True))
+    assert check_decomposition(J, cn_split(J, "y"))
 
 
 def test_replay_does_not_read_the_shared_memo(monkeypatch):
