@@ -1,41 +1,35 @@
-"""Exact multivariate polynomials over Q and the monomial-order vocabulary.
+"""Exact multivariate polynomials over Q and monomial orders.
 
 Variables live in an immutable :class:`Ring` (an ordered tuple of names).
 Monomials are dense exponent tuples, polynomials are sparse maps from exponent
-tuple to ``Fraction``.  Monomial orders are small declarative specs compiled to
-key functions; supported kinds are lex, graded lex, y-degree-first (the
-"y-compatible" wrapper) and elimination (block-degree first).  All values are
-immutable after construction.
+tuple to ``Fraction``.  All values are immutable after construction.
 
-Orders compile to sort keys that compare as the spec says, and Groebner
-computations call them for every term they touch, so the common cases stay
-in C.  A lex key picks its variables out of the monomial with one
-``operator.itemgetter``; when the variables are the ring's own in ring order
-there is nothing to pick, and the key is the monomial itself (``tuple``).  A
-graded lex key is ``(degree, pick)``, so the storage order's key is
-``(sum(m), m)``.  A y-first key is ``(m[y], inner key)`` and an elimination
-key ``(degree in the block, inner key)``.  The monomial helpers
-(``mono_mul`` and the rest) likewise map ``operator`` functions over the two
-exponent tuples.  A key depends only on the spec's index form, the spec with
-each variable name replaced by its position in the ring, so
-``compile_order`` compiles each index form once, in a capped module cache
-that rings with other names share, and hands every caller a fresh ``Order``
-over its own ring.
+A monomial order is its rows, most significant first: degree rows, each a
+tuple of ring positions whose exponents it sums, then every position
+exactly once.  Monomials compare by the rows' values in turn.  The engine
+uses four orders: the storage order (graded lex in ring order), lex on a
+permutation (``lex_order``), lex with y first (``y_order``, under which
+every split is made) and an elimination order (``elim_order``).
+
+Groebner computations call an order's sort key for every term they touch,
+so the common cases stay in C.  Without degree rows the key picks the
+variables out of the monomial with one ``operator.itemgetter``; when they
+are the ring's own in ring order there is nothing to pick, and the key is
+the monomial itself (``tuple``).  The storage order's key is
+``(sum(m), m)``.  The monomial helpers (``mono_mul`` and the rest) likewise
+map ``operator`` functions over the two exponent tuples.  A key depends
+only on the arity and the rows, so ``compile_order`` compiles each once,
+in a capped module cache that rings with other names share, and hands
+every caller a fresh ``Order`` over its own ring.
 
 The Groebner and Graver kernels hold monomials as single ints instead
-(``Packing``).  An order's packing is built on first use and cached with its
-key.  Its fields are the rows of the order's key, most significant first:
-the degree rows of ``GrLex`` and ``Elim`` where they occur, and each
-variable at its first rank in the spec (a variable the spec ranks only
-inside a degree row gets a last field of its own).  Each field is ``width``
-bits wide with a guard bit on top, so it holds values below
-``2**(width - 1)``.  Every row is linear in the exponents and no field
-carries into the next, so:
+(``Packing``), with one field per row of the same rows, most significant
+first.  An order's packing is built on first use and cached with its key.
+Each field is ``width`` bits wide with a guard bit on top, so it holds
+values below ``2**(width - 1)``.  Every row is linear in the exponents and
+no field carries into the next, so:
 
-- int comparison is the order (a repeated variable row only ever compares
-  equal, so leaving it out changes nothing; where a spec's key ties two
-  monomials, as an elimination spec over part of the variables can, the
-  last fields break the tie);
+- int comparison is the order, since the key is the tuple of the fields;
 - a product is ``a + b`` and a quotient ``a - b``;
 - a divides b exactly when ``((b | G) - a) & G == G``, G the guard bits:
   a field of b with its guard set, less that of a, keeps the guard exactly
@@ -52,16 +46,13 @@ the layout.  A field that reaches its guard bit raises
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, itemgetter, le
 from typing import Iterable, Mapping, NamedTuple, Union
 
 __all__ = [
-    "Ring", "Poly", "Term",
-    "Lex", "GrLex", "YFirst", "Elim", "Order", "Packing", "PackingOverflow",
-    "compile_order", "storage_order", "lex_order", "y_spec", "y_order",
-    "elim_order", "spec_to_dict",
+    "Ring", "Poly", "Term", "Order", "Packing", "PackingOverflow",
+    "compile_order", "storage_order", "lex_order", "y_order", "elim_order",
     "initial_term", "initial_y_form", "y_split",
     "mono_mul", "mono_divides", "mono_support", "mono_is_squarefree",
     "mono_one",
@@ -337,40 +328,16 @@ class Poly:
 # ---------------------------------------------------------------------------
 # Monomial orders.
 
-@dataclass(frozen=True)
-class Lex:
-    vars: tuple  # sequence of names, most significant first
-
-
-@dataclass(frozen=True)
-class GrLex:
-    vars: tuple
-
-
-@dataclass(frozen=True)
-class YFirst:
-    """y-degree first, ties broken by the inner order (a y-compatible order)."""
-    y: str
-    inner: object
-
-
-@dataclass(frozen=True)
-class Elim:
-    """Degree in the eliminated block first; an elimination order for ``vars``."""
-    vars: tuple
-    inner: object
-
-
 class Order:
-    """A compiled monomial order: a spec plus a sort-key function, taken
-    from ``shared``, the cache entry of the spec's index form, which also
-    holds the packing once it is built."""
+    """A compiled monomial order over ``ring``: its ``rows`` (see
+    ``compile_order``) and their sort key, taken from ``shared``, the cache
+    entry of the rows, which also holds the packing once it is built."""
 
-    __slots__ = ("ring", "spec", "key", "_shared")
+    __slots__ = ("ring", "rows", "key", "_shared")
 
-    def __init__(self, ring: Ring, spec, shared: "_Compiled"):
+    def __init__(self, ring: Ring, shared: "_Compiled"):
         self.ring = ring
-        self.spec = spec
+        self.rows = shared.rows
         self.key = shared.key
         self._shared = shared
 
@@ -379,23 +346,22 @@ class Order:
         """The packed layout of this order, at the narrowest width."""
         shared = self._shared
         if shared.packing is None:
-            shared.packing = Packing(shared.arity,
-                                     _packed_rows(shared.arity, shared.form))
+            shared.packing = Packing(self.ring.arity, self.rows)
         return shared.packing
 
     def __repr__(self):
-        return "Order(%r)" % (self.spec,)
+        return "Order(%r, %r)" % (self.ring, self.rows)
 
 
 class _Compiled:
-    """What ``compile_order`` caches per arity and index form: the key, and
-    the packing once an Order asks for it."""
+    """What ``compile_order`` caches per arity and rows: the key, and the
+    packing once an Order asks for it."""
 
-    __slots__ = ("arity", "form", "key", "packing")
+    __slots__ = ("rows", "key", "packing")
 
-    def __init__(self, arity: int, form: tuple):
-        self.arity, self.form = arity, form
-        self.key = _compile_form(arity, form)
+    def __init__(self, arity: int, rows: tuple):
+        self.rows = rows
+        self.key = _row_key(arity, rows)
         self.packing = None
 
 
@@ -570,154 +536,87 @@ def _tuple_picker(idx, size: int):
     return lambda m: tuple(m[i] for i in idx)
 
 
-def _index_form(index: dict, spec) -> tuple:
-    """The spec with each variable name replaced by its position in the
-    ring (``index``), tagged by kind: all that its key and its packing
-    depend on, and shared by the rings whose names differ."""
-    kind = type(spec)
-    if kind is Lex or kind is GrLex:
-        return kind, tuple(map(index.__getitem__, spec.vars))
-    if kind is YFirst:
-        return kind, index[spec.y], _index_form(index, spec.inner)
-    if kind is Elim:
-        return kind, tuple(map(index.__getitem__, spec.vars)), _index_form(index, spec.inner)
-    raise TypeError("not an order spec: %r" % (spec,))
+def _row_key(arity: int, rows: tuple):
+    """The sort key of ``rows``: the sum of each degree row, then the
+    exponent of each variable, in row order.  It compares as the packed int
+    does.  Without degree rows it is the variables' ``itemgetter`` (the
+    monomial itself when they come in ring order), and for the storage
+    rows it is ``(sum(m), m)``."""
+    degrees = [r for r in rows if isinstance(r, tuple)]
+    pick = _tuple_picker(rows[len(degrees):], arity)
+    if not degrees:
+        return pick
+    if pick is tuple and degrees == [tuple(range(arity))]:
+        return _grlex_key
+    sums = [_tuple_picker(r, arity) for r in degrees]
+    return lambda m: tuple([sum(s(m)) for s in sums]) + pick(m)
 
 
-def _ranked(form: tuple) -> set:
-    """The positions an index form decides."""
-    kind = form[0]
-    if kind is Lex or kind is GrLex:
-        return set(form[1])
-    ranked = _ranked(form[2])
-    ranked.update((form[1],) if kind is YFirst else form[1])
-    return ranked
-
-
-def _packed_rows(arity: int, form: tuple) -> tuple:
-    """The fields of the packing of an order of this index form (see the
-    module docstring)."""
-    rows, ranked = [], set()
-    while form is not None:
-        kind = form[0]
-        if kind is YFirst:
-            ranks, form = (form[1],), form[2]
-        else:
-            ranks = form[1]
-            if kind is not Lex:
-                rows.append(ranks)  # the degree row of a GrLex or an Elim
-            if kind is Elim:
-                ranks, form = (), form[2]
-            else:
-                form = None
-        for i in ranks:
-            if i not in ranked:
-                ranked.add(i)
-                rows.append(i)
-    rows.extend(i for i in range(arity) if i not in ranked)
-    return tuple(rows)
-
-
-def _compile_form(arity: int, form: tuple):
-    """The key function of an index form."""
-    kind = form[0]
-    if kind is Lex:
-        return _tuple_picker(form[1], arity)  # tuple(m) is m itself
-    if kind is GrLex:
-        pick = _tuple_picker(form[1], arity)
-        if pick is tuple:
-            return _grlex_key
-
-        def grlex_key(m):
-            t = pick(m)
-            return sum(t), t
-        return grlex_key
-    inner = _compile_form(arity, form[2])
-    if kind is YFirst:
-        iy = form[1]
-        return lambda m: (m[iy], inner(m))
-    idx = form[1]
-    return lambda m: (sum(m[i] for i in idx), inner(m))
-
-
-def _compile(ring: Ring, spec):
-    """The key function of ``spec`` over ``ring``."""
-    return _compile_form(ring.arity, _index_form(ring.index, spec))
-
-
-# Compiled orders by (arity, index form), oldest first.  Every ideal the
-# search derives builds a new ``Ring``, often with the same names, and
-# rings with other names share index forms; caching on the ring alone would
-# compile the same order again and again.
+# Compiled orders by (arity, rows), oldest first.  Every ideal the search
+# derives builds a new ``Ring``, often with the same names, and rings with
+# other names share rows; caching on the ring alone would compile the same
+# order again and again.
 _ORDER_CACHE: dict = {}
 _ORDER_CACHE_SIZE = 1024
 
 
-def compile_order(ring: Ring, spec) -> Order:
-    """Compile a spec to an Order, checking it decides every variable.
+def compile_order(ring: Ring, rows) -> Order:
+    """The order of ``rows`` over ``ring``, most significant row first:
+    degree rows, each a tuple of ring positions whose exponents it sums,
+    then every position exactly once.  Monomials compare by the rows'
+    values in turn.
 
     The key function and the packing come from ``_ORDER_CACHE``; the
-    Order is new, so its ``ring`` and ``spec`` are the caller's.  Past
+    Order is new, so its ``ring`` is the caller's.  Past
     ``_ORDER_CACHE_SIZE`` entries the oldest is dropped.
     """
-    ck = (ring.arity, _index_form(ring.index, spec))
+    rows = tuple(rows)
+    ck = (ring.arity, rows)
     shared = _ORDER_CACHE.get(ck)
     if shared is None:
-        missing = set(range(ring.arity)) - _ranked(ck[1])
-        if missing:
-            raise ValueError("order does not decide variables: %s"
-                             % sorted(ring.names[i] for i in missing))
+        k = sum(isinstance(r, tuple) for r in rows)
+        positions = set(range(ring.arity))
+        if not (all(isinstance(r, tuple) and set(r) <= positions for r in rows[:k])
+                and len(rows) - k == len(positions) and set(rows[k:]) == positions):
+            raise ValueError("order rows must be degree rows, then every ring "
+                             "position exactly once: %r over %r" % (rows, ring))
         if len(_ORDER_CACHE) >= _ORDER_CACHE_SIZE:
             del _ORDER_CACHE[next(iter(_ORDER_CACHE))]
         shared = _ORDER_CACHE[ck] = _Compiled(*ck)
-    return Order(ring, spec, shared)
+    return Order(ring, shared)
 
 
 def storage_order(ring: Ring) -> Order:
     """The fixed canonical order (graded lex on the ring's own variable
     order), compiled once per ring."""
     if ring._storage is None:
-        ring._storage = compile_order(ring, GrLex(ring.names))
+        every = tuple(range(ring.arity))
+        ring._storage = compile_order(ring, (every,) + every)
     return ring._storage
 
 
-def lex_order(ring: Ring, names: Iterable[str] = None) -> Order:
-    seq = tuple(names) if names is not None else ring.names
-    if set(seq) != set(ring.names):
-        raise ValueError("lex order must list every ring variable exactly once")
-    return compile_order(ring, Lex(seq))
-
-
-def y_spec(names: tuple, y: str) -> YFirst:
-    """The engine's y-compatible order over a ring with these names:
-    y-degree first, then lex with y first and the other variables in ring
-    order, so the composite coincides with plain lex ``y > (others in ring
-    order)``.  Every split is made under it, and a certificate records it
-    next to its y."""
-    return YFirst(y, Lex((y,) + tuple(n for n in names if n != y)))
+def lex_order(ring: Ring, names: Iterable[Union[int, str]] = None) -> Order:
+    """Lex on ``names``, by name or position and most significant first:
+    every ring variable once, the ring's own order by default."""
+    if names is None:
+        return compile_order(ring, range(ring.arity))
+    return compile_order(ring, map(ring.vidx, names))
 
 
 def y_order(ring: Ring, y: Union[int, str]) -> Order:
-    """``y_spec`` compiled over ``ring``; y by name or position."""
-    return compile_order(ring, y_spec(ring.names, ring.names[ring.vidx(y)]))
+    """The engine's y-compatible order: lex with y first and the other
+    variables in ring order; y by name or position.  Every split is made
+    under it."""
+    iy = ring.vidx(y)
+    return compile_order(ring, (iy,) + tuple(i for i in range(ring.arity) if i != iy))
 
 
 def elim_order(ring: Ring, elim_vars: Iterable[str]) -> Order:
-    ev = tuple(elim_vars)
-    rest = tuple(n for n in ring.names if n not in set(ev))
-    return compile_order(ring, Elim(ev, GrLex(ev + rest)))
-
-
-def spec_to_dict(spec) -> dict:
-    if isinstance(spec, Lex):
-        return {"kind": "lex", "vars": list(spec.vars)}
-    if isinstance(spec, GrLex):
-        return {"kind": "grlex", "vars": list(spec.vars)}
-    if isinstance(spec, YFirst):
-        return {"kind": "y-first", "y": spec.y, "inner": spec_to_dict(spec.inner)}
-    if isinstance(spec, Elim):
-        return {"kind": "elim", "vars": list(spec.vars), "inner": spec_to_dict(spec.inner)}
-    raise TypeError("not an order spec: %r" % (spec,))
+    """Degree in ``elim_vars`` first, then graded lex with them first and
+    the other variables in ring order: an elimination order for them."""
+    ev = tuple(map(ring.vidx, elim_vars))
+    rest = tuple(i for i in range(ring.arity) if i not in ev)
+    return compile_order(ring, (ev, ev + rest) + ev + rest)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import Order, Ring, initial_term, lex_order, mono_is_squarefree
+from .algebra import Ring, initial_term, lex_order, mono_is_squarefree
 from .components import UnmixednessEvidence, unmixedness_evidence
 from .graphs import Graph, universal_groebner_basis
 from .groebner import (
@@ -61,16 +61,10 @@ QUADRATIC_CITED_DETAIL = ("Cohen-Macaulay for edge-split ideals of graphs "
                           "computed)")
 
 
-def label_order(ring: Ring) -> Order:
-    """Lex with earlier-labelled edges greater: e_1 > e_2 > ... > e_n."""
-    return lex_order(ring, list(ring.names))
-
-
 def squarefree_lex_initial(G: Graph) -> bool:
     """Whether the label-order initial ideal of the toric ideal is
     square-free (the framework's standing hypothesis)."""
-    ring = G.edge_ring()
-    order = label_order(ring)
+    order = lex_order(G.edge_ring())
     leads = [initial_term(order, g).mono for g in universal_groebner_basis(G)]
     return all(mono_is_squarefree(m)
                for m in minimal_monomial_generators(leads))
@@ -123,9 +117,10 @@ def _shadow_monomials(G: Graph, E: tuple, F: tuple) -> list:
     """Exponent tuples of the M_{E,F} generators: for each universal-basis
     element whose lead involves an E-edge and no F-edge, the lead with its
     E-part deleted (minimal ones only)."""
-    order = label_order(G.edge_ring())
-    eidx = {G.edge_ring().vidx(e) for e in E}
-    fidx = {G.edge_ring().vidx(f) for f in F}
+    ring = G.edge_ring()
+    order = lex_order(ring)
+    eidx = {ring.vidx(e) for e in E}
+    fidx = {ring.vidx(f) for f in F}
     found = []
     for g in universal_groebner_basis(G):
         lead = initial_term(order, g).mono
@@ -302,7 +297,7 @@ def check_statements_ABC(G: Graph, budget: Optional[Budget] = None) -> EFReport:
         return EFReport(False, (), False, False, "inconclusive",
                         "hypothesis-not-met")
     root = ef_tree(G)
-    order = label_order(G.edge_ring())
+    order = lex_order(G.edge_ring())
     checks = []
     a_ok = b_ok = True
     c_refuted = c_inconclusive = False

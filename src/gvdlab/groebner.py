@@ -31,9 +31,9 @@ return the same reduced basis.
 
 Inside ``buchberger``, ``normal_form`` and ``minimal_generators`` every
 monomial is one int, packed by the order's ``algebra.Packing``: a
-fixed-width field per row of the order key (each degree row, and each
-variable at its first rank), most significant first, with a guard bit on
-top of each field.  Int comparison is then the order, and a product or
+fixed-width field per row of the order (each degree row, then each
+variable), most significant first, with a guard bit on top of each
+field.  Int comparison is then the order, and a product or
 quotient is ``+`` or ``-``; divisibility, the lcm, supports and the
 overflow check are ``Packing`` methods, so this module does not see the
 layout.  Two monomials are coprime when their supports do not meet.
@@ -75,8 +75,8 @@ ONE = Fraction(1)
 class Ideal:
     """An ideal of Q[ring], held as an explicit generator tuple.
 
-    Reduced Groebner bases are cached per order spec; generators keep the
-    order the caller gave them (displays rely on that).
+    Reduced Groebner bases are cached per order's rows; generators keep
+    the order the caller gave them (displays rely on that).
     """
 
     __slots__ = ("ring", "gens", "_rgb")
@@ -114,11 +114,12 @@ class Ideal:
         """The reduced Groebner basis under ``order`` (storage order by default)."""
         if order is None:
             order = storage_order(self.ring)
-        key = order.spec
-        got = self._rgb.get(key)
+        elif order.ring.names != self.ring.names:
+            raise ValueError("order over %r for an ideal over %r"
+                             % (order.ring, self.ring))
+        got = self._rgb.get(order.rows)
         if got is None:
-            got = tuple(buchberger(order, self.gens))
-            self._rgb[key] = got
+            got = self._rgb[order.rows] = tuple(buchberger(order, self.gens))
         return got
 
     def contains(self, f: Poly) -> bool:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import (
-    Ring, initial_y_form, spec_to_dict, y_order, y_spec, y_split,
+    Ring, initial_y_form, y_order, y_split,
 )
 from .components import (
     UnmixednessEvidence, base_evidence, named, unmixedness_evidence,
@@ -152,8 +152,8 @@ class GvdNode:
     this node ("gvd", "not-gvd" or "inconclusive"); for a certified node it
     is determined by the kind, children and unmixedness evidence.
     ``failures`` pairs a variable with the reason no decomposition works
-    there.  A step's order is not stored: it is ``y_spec`` of its ring and
-    y, and the JSON writes it from there.  Reasons name variables only
+    there.  A step's order is not stored: it is ``y_order`` of its ring
+    and y, and ``_order_json`` writes it.  Reasons name variables only
     through the placeholder ``{i}`` for the i-th variable of the node's
     ring, as evidence details do.
     """
@@ -169,6 +169,13 @@ class GvdNode:
     failures: tuple = ()
     factors: tuple = ()  # a union's: the ring positions of each child's ring
     reason: str = ""
+
+
+def _order_json(names: tuple, y: str) -> dict:
+    """The JSON of ``y_order`` at y over a ring with these names: y-degree
+    first, then lex with y first and the other variables in ring order."""
+    return {"kind": "y-first", "y": y,
+            "inner": {"kind": "lex", "vars": [y] + [n for n in names if n != y]}}
 
 
 class GvdCertificate:
@@ -209,7 +216,7 @@ class GvdCertificate:
                "ring": list(self.ring_names)}
         if self.y is not None:
             out["y"] = self.y
-            out["order"] = spec_to_dict(y_spec(self.ring_names, self.y))
+            out["order"] = _order_json(self.ring_names, self.y)
         if self.degenerate is not None:
             out["degenerate"] = self.degenerate
         if self.unmixedness is not None:

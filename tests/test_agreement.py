@@ -6,9 +6,13 @@ so they are checked against each other and against the E/F statement
 checks, which verify every split literally.  A statement-check report is
 conclusive only when it verifies decomposability: a refuted statement C is
 about one split tree, not about the toric ideal.  Every certificate the
-three certifiers build over the corpus also replays.
+three certifiers build over the corpus also replays, and records at each
+step the order of its split.
 """
 
+from functools import lru_cache
+
+from gvdlab.algebra import Ring, y_order
 from gvdlab.bipartite import certify_bipartite_gvd
 from gvdlab.ef import check_statements_ABC, quadratic_pipeline
 from gvdlab.graphs import toric_ideal, universal_groebner_basis
@@ -38,16 +42,45 @@ def test_conclusive_verdicts_agree():
         assert len(set(verdicts.values())) <= 1, (G.edges, verdicts)
 
 
-def test_every_corpus_certificate_replays():
-    # Replay checks each step literally, under the order it derives from y.
+@lru_cache(maxsize=None)
+def corpus_certificates() -> tuple:
+    """(graph, certificate) lists of ``is_gvd`` over every graph, and of
+    the bipartite certifier and the quadratic pipeline over the corpus
+    graphs they apply to."""
     corpus = GRAPHS[:-1]
     certs = [(G, is_gvd(toric_ideal(G), context=G)) for G in GRAPHS]
-    assert len(certs) == 132 and certs[-1][1].verdict == "not-gvd"
     bipartite = [(G, certify_bipartite_gvd(G)) for G in corpus
                  if G.is_bipartite()]
     quadratic = [(G, quadratic_pipeline(G)) for G in corpus
                  if all(g.total_degree() == 2
                         for g in universal_groebner_basis(G))]
+    return certs, bipartite, quadratic
+
+
+def test_every_corpus_certificate_replays():
+    # Replay checks each step literally, under the order it derives from y.
+    certs, bipartite, quadratic = corpus_certificates()
+    assert len(certs) == 132 and certs[-1][1].verdict == "not-gvd"
     assert (len(bipartite), len(quadratic)) == (68, 122)
     for G, cert in certs + bipartite + quadratic:
         assert replay_certificate(toric_ideal(G), cert, context=G), G.edges
+
+
+def test_every_step_records_the_order_of_its_split():
+    steps = 0
+    for certs in corpus_certificates():
+        for G, cert in certs:
+            todo = [cert.to_json_dict()]
+            while todo:
+                node = todo.pop()
+                todo.extend(node.get("children", {}).values())
+                assert ("y" in node) == ("order" in node), node["kind"]
+                assert ("y" in node) or node["kind"] != "decomposition"
+                if "y" not in node:
+                    continue
+                steps += 1
+                ring, y, order = Ring(node["ring"]), node["y"], node["order"]
+                assert (order["kind"], order["y"], order["inner"]["kind"]) == ("y-first", y, "lex")
+                assert (tuple(map(ring.index.__getitem__, order["inner"]["vars"]))
+                        == y_order(ring, y).rows), (G.edges, node["ring"], y)
+    assert steps > 0

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from gvdlab import algebra
 from gvdlab.algebra import (
-    Elim, GrLex, Lex, PackingOverflow, Poly, Ring, YFirst, _compile,
-    compile_order, elim_order, format_poly, initial_term, initial_y_form,
-    lex_order, mono_divides, mono_mul, parse_poly,
-    storage_order, y_order, y_split,
+    PackingOverflow, Poly, Ring, compile_order, elim_order, format_poly,
+    initial_term, initial_y_form, lex_order, mono_divides, mono_mul,
+    parse_poly, storage_order, y_order, y_split,
 )
 
 from fixtures import compare, mono_div, mono_lcm
@@ -113,7 +112,24 @@ def test_grlex_degree_dominates():
 
 def test_order_must_decide_every_variable():
     with pytest.raises(ValueError):
-        compile_order(R4, Lex(("e1", "e2")))
+        compile_order(R4, (0, 1))
+
+
+@pytest.mark.parametrize("rows", [
+    (0, 1, 2, 3, 4),  # a position past the ring
+    (0, 1, 1, 2, 3),  # a position twice
+    (0, 1, 2, 3, (0, 1)),  # a degree row after the variables
+    ((0, 4), 0, 1, 2, 3),  # a degree row past the ring
+    ("e1", 1, 2, 3),  # a name, not a position
+])
+def test_order_rows_are_degree_rows_then_every_position_once(rows):
+    with pytest.raises(ValueError):
+        compile_order(R4, rows)
+
+
+def test_lex_order_rejects_a_repeated_name():
+    with pytest.raises(ValueError):
+        lex_order(Ring(["a", "b"]), ["a", "a", "b"])
 
 
 def test_elim_order():
@@ -214,55 +230,42 @@ def test_parse_format_agree(f):
 # ---------------------------------------------------------------------------
 # Compiled order keys against the plain definitions.
 
-def reference_key(ring, spec):
-    """The order key written out with generator expressions."""
-    if isinstance(spec, (Lex, GrLex)):
-        idx = tuple(ring.vidx(v) for v in spec.vars)
-        if isinstance(spec, Lex):
-            return lambda m: tuple(m[i] for i in idx)
-        return lambda m: (sum(m[i] for i in idx), tuple(m[i] for i in idx))
-    inner = reference_key(ring, spec.inner)
-    if isinstance(spec, YFirst):
-        iy = ring.vidx(spec.y)
-        return lambda m: (m[iy], inner(m))
-    idx = tuple(ring.vidx(v) for v in spec.vars)
-    return lambda m: (sum(m[i] for i in idx), inner(m))
+def reference_key(rows):
+    """The order key written out row by row: each degree row's sum, then
+    each variable's exponent."""
+    return lambda m: tuple(sum(m[i] for i in r) if isinstance(r, tuple) else m[r]
+                           for r in rows)
 
 
-def var_lists(names):
-    """The ring's own list, or any permuted part of it (possibly empty)."""
-    part = st.permutations(names).flatmap(
-        lambda p: st.integers(0, len(p)).map(lambda k: tuple(p[:k])))
-    return st.one_of(st.just(names), part)
-
-
-def specs(names, depth=2):
-    flat = st.one_of(var_lists(names).map(Lex), var_lists(names).map(GrLex))
-    if not depth or not names:
-        return flat
-    inner = specs(names, depth - 1)
-    # a y-first wrapper whose inner order may omit y, as y_order's rest does
-    yfirst = st.sampled_from(names).flatmap(lambda y: st.one_of(
-        inner, specs(tuple(n for n in names if n != y), depth - 1)).map(
-        lambda spec: YFirst(y, spec)))
-    elim = st.tuples(var_lists(names), inner).map(lambda t: Elim(*t))
-    return st.one_of(flat, yfirst, elim)
+@st.composite
+def order_rows(draw, n):
+    """Rows over n positions: 0 to 2 degree rows, each every position or a
+    permuted part of them (possibly none), then a permutation; or the
+    elimination shape, whose two degree rows are a block and then all of
+    the permutation."""
+    every = tuple(range(n))
+    perm = tuple(draw(st.permutations(every)))
+    part = st.permutations(every).flatmap(
+        lambda p: st.integers(0, n).map(lambda k: tuple(p[:k])))
+    degrees = draw(st.lists(st.one_of(st.just(every), part), max_size=2))
+    cut = draw(st.integers(0, n))
+    return draw(st.sampled_from([tuple(degrees) + perm, (perm[:cut], perm) + perm]))
 
 
 @st.composite
 def keyed_monomials(draw):
-    names = tuple("x%d" % i for i in range(draw(st.integers(0, 5))))
-    spec = draw(specs(names))
-    ms = draw(st.lists(st.tuples(*[st.integers(0, 3)] * len(names)),
+    n = draw(st.integers(0, 5))
+    rows = draw(order_rows(n))
+    ms = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n),
                        min_size=1, max_size=8))
-    return Ring(names), spec, ms
+    return Ring("x%d" % i for i in range(n)), rows, ms
 
 
 @given(keyed_monomials())
 @settings(max_examples=300)
 def test_compiled_keys_compare_as_the_plain_definitions(case):
-    ring, spec, ms = case
-    key, ref = _compile(ring, spec), reference_key(ring, spec)
+    ring, rows, ms = case
+    key, ref = compile_order(ring, rows).key, reference_key(rows)
     for a in ms:
         for b in ms:
             assert (key(a) < key(b)) == (ref(a) < ref(b))
@@ -270,39 +273,42 @@ def test_compiled_keys_compare_as_the_plain_definitions(case):
     assert sorted(ms, key=key) == sorted(ms, key=ref)
 
 
+def test_the_constructors_build_the_rows_of_their_orders():
+    assert storage_order(R4).rows == ((0, 1, 2, 3), 0, 1, 2, 3)
+    assert lex_order(R4, ["e3", "e1", "e4", "e2"]).rows == (2, 0, 3, 1)
+    assert lex_order(R4).rows == (0, 1, 2, 3)
+    assert y_order(R4, "e3").rows == (2, 0, 1, 3)
+    assert elim_order(R4, ["e2", "e4"]).rows == ((1, 3), (1, 3, 0, 2), 1, 3, 0, 2)
+
+
 # ---------------------------------------------------------------------------
 # The order cache and packed monomials.
 
 def test_compiled_orders_come_from_a_capped_cache():
     cap = algebra._ORDER_CACHE_SIZE
-    forms = [(n, r) for n in range(1, 50) for r in range(n)][:cap + 10]
-    for n, r in forms:  # lex orders rotated by r: distinct index forms
+    rings = [(n, r) for n in range(1, 50) for r in range(n)][:cap + 10]
+    for n, r in rings:  # lex orders rotated by r: distinct rows
         ring = Ring(["c%d" % i for i in range(n)])
-        compile_order(ring, Lex(ring.names[r:] + ring.names[:r])).packing
+        compile_order(ring, tuple(range(r, n)) + tuple(range(r))).packing
     assert len(algebra._ORDER_CACHE) == cap
-    # one compilation per index form: rings with other names, or other
-    # Ring objects, share it, and each Order keeps its own ring and spec
+    # one compilation per arity and rows: rings with other names, or other
+    # Ring objects, share it, and each Order keeps its own ring
     R, S, T = Ring(["a", "b"]), Ring(["a", "b"]), Ring(["u", "v"])
-    o, p, q = storage_order(R), compile_order(S, GrLex(("a", "b"))), storage_order(T)
-    assert o is not p and o.ring is R and p.ring is S and q.spec == GrLex(("u", "v"))
+    o, p, q = storage_order(R), compile_order(S, ((0, 1), 0, 1)), storage_order(T)
+    assert o is not p and o.ring is R and p.ring is S and q.ring is T
+    assert o.rows == p.rows == q.rows == ((0, 1), 0, 1)
     assert o.key is p.key is q.key and o.packing is p.packing is q.packing
 
 
 @st.composite
 def packed_monomials(draw):
-    """An order of each kind on permuted variables, and monomials whose
-    products and lcms may not fit the first field width."""
+    """Random rows, and monomials whose products and lcms may not fit the
+    first field width."""
     n = draw(st.integers(1, 5))
-    names = tuple("x%d" % i for i in range(n))
-    perm = tuple(draw(st.permutations(names)))
-    cut = draw(st.integers(0, n))
-    spec = draw(st.sampled_from([
-        Lex(perm), GrLex(perm),
-        YFirst(perm[0], Lex(perm[1:])), YFirst(perm[0], GrLex(perm)),
-        Elim(perm[:cut], GrLex(perm)), Elim(perm[:cut], Lex(perm[::-1]))]))
+    rows = draw(order_rows(n))
     ms = draw(st.lists(st.tuples(*[st.integers(0, 40)] * n),
                        min_size=2, max_size=6))
-    return compile_order(Ring(names), spec), ms
+    return compile_order(Ring("x%d" % i for i in range(n)), rows), ms
 
 
 @given(packed_monomials())

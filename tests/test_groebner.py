@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gvdlab.algebra import (
-    Elim, GrLex, Lex, Packing, PackingOverflow, Poly, Ring, YFirst,
-    compile_order, initial_term, lex_order, parse_poly, storage_order,
+    Packing, PackingOverflow, Poly, Ring, compile_order, initial_term,
+    lex_order, parse_poly, storage_order, y_order,
 )
 from gvdlab.groebner import (
     Ideal, _Binomials, _Fractions, buchberger, eliminate, ideal_contains,
@@ -34,6 +34,12 @@ def I(*texts, ring=XYZ):
 
 def gb_texts(ideal, order=None):
     return [str(g) for g in ideal.groebner(order)]
+
+
+def sympy_order(kind, names):
+    """sympy's order ``kind`` ("lex" or "grlex") on ``names``, by its rows."""
+    pos = tuple(map(XYZ.vidx, names))
+    return compile_order(XYZ, (pos,) + pos if kind == "grlex" else pos)
 
 
 # ---------------------------------------------------------------------------
@@ -130,22 +136,32 @@ def test_reduced_basis_matches_sympy_lex(texts):
 
 @pytest.mark.parametrize("texts", SYMPY_CASES)
 @pytest.mark.parametrize("gens", [("z", "x", "y"), ("y", "z", "x")])
-@pytest.mark.parametrize("spec,kind", [(Lex, "lex"), (GrLex, "grlex")])
-def test_reduced_basis_matches_sympy_under_permuted_variables(texts, gens, spec, kind):
-    order = compile_order(XYZ, spec(gens))
+# fixed ids keep these cases' names comparable across revisions
+@pytest.mark.parametrize("kind", ["lex", "grlex"], ids=["Lex-lex", "GrLex-grlex"])
+def test_reduced_basis_matches_sympy_under_permuted_variables(texts, gens, kind):
+    order = sympy_order(kind, gens)
     mine = {g.canonical() for g in I(*texts).groebner(order)}
     assert mine == _sympy_gb(texts, kind, gens)
+
+
+def test_groebner_rejects_an_order_over_another_ring():
+    # bases are cached by the order's rows, so a basis in the other ring's
+    # names would be served under the ideal's own order too
+    XY = Ring(["x", "y"])
+    J = I("x^2 - y", ring=XY)
+    with pytest.raises(ValueError):
+        J.groebner(lex_order(Ring(["u", "v"])))
+    assert gb_texts(J, lex_order(XY)) == ["x^2 - y"]
 
 
 # ---------------------------------------------------------------------------
 # Inputs that skip the pair heap: one generator, or monomials only.
 
 TRIVIAL_ORDERS = [
-    (GrLex(("x", "y", "z")), "grlex", ("x", "y", "z")),
-    (Lex(("z", "x", "y")), "lex", ("z", "x", "y")),
-    # y-degree first, ties by lex: the engine's y-compatible order, which
-    # is lex with y first
-    (YFirst("y", Lex(("y", "x", "z"))), "lex", ("y", "x", "z")),
+    (storage_order(XYZ), "grlex", ("x", "y", "z")),
+    (lex_order(XYZ, ("z", "x", "y")), "lex", ("z", "x", "y")),
+    # the engine's y-compatible order: lex with y first, then ring order
+    (y_order(XYZ, "y"), "lex", ("y", "x", "z")),
 ]
 
 _MONO = st.tuples(*[st.integers(0, 3)] * 3)
@@ -189,8 +205,7 @@ def monomial_lists(draw):
        st.sampled_from(TRIVIAL_ORDERS))
 @settings(max_examples=150, deadline=None)
 def test_trivial_inputs_match_sympy(gens, case):
-    spec, kind, names = case
-    order = compile_order(XYZ, spec)
+    order, kind, names = case
     got = buchberger(order, gens)
     assert {g.canonical() for g in got} == _sympy_gb([str(g) for g in gens],
                                                      kind, names)
@@ -221,12 +236,12 @@ def binomial_ideals(draw):
     for k, c in draw(st.lists(st.tuples(st.integers(0, len(gens) - 1), coeff),
                               max_size=2)):
         gens.append(gens[k] * c)
-    names = tuple(draw(st.permutations(ring.names)))
+    perm = tuple(draw(st.permutations(range(n))))
     cut = draw(st.integers(1, n - 1))
-    spec = draw(st.sampled_from([
-        Lex(names), GrLex(names), YFirst(names[0], Lex(names[1:])),
-        Elim(names[:cut], GrLex(names))]))
-    return ring, compile_order(ring, spec), gens
+    order = draw(st.sampled_from([
+        lex_order(ring, perm), compile_order(ring, (perm,) + perm),
+        y_order(ring, perm[0]), compile_order(ring, (perm[:cut], perm) + perm)]))
+    return ring, order, gens
 
 
 @given(binomial_ideals(), st.data())
@@ -245,16 +260,18 @@ def test_binomial_path_matches_the_fraction_path(case, data):
 # ---------------------------------------------------------------------------
 # Exponents past the first field width of the packed monomials.
 
+# generators, the order's variables (most significant first) and kind,
+# and the widths that the run widens from
 WIDE_CASES = [
     # inputs that fit the first width; S-pairs and reductions outgrow it
-    (["x^100*y - z", "x*y^2 - z^3"], GrLex(("x", "y", "z")), "grlex", [8]),
-    (["x^70*z - y^2", "y^3 - x*z^60"], Lex(("z", "x", "y")), "lex", [8]),
-    (["x^90 - 1/2*y^3 + z", "x*y - z^2"], GrLex(("x", "y", "z")), "grlex", [8]),
+    (["x^100*y - z", "x*y^2 - z^3"], ("x", "y", "z"), "grlex", [8]),
+    (["x^70*z - y^2", "y^3 - x*z^60"], ("z", "x", "y"), "lex", [8]),
+    (["x^90 - 1/2*y^3 + z", "x*y - z^2"], ("x", "y", "z"), "grlex", [8]),
     # a reduction step outgrows it: of the initial term, and of the tail
-    (["x^51*y*z^2 - y^83", "x*y - y^21"], Lex(("x", "y", "z")), "lex", [8]),
-    (["y*z^2 - y^2*z", "x^39*y^69*z^79 - x^63"], Lex(("x", "y", "z")), "lex", [8]),
+    (["x^51*y*z^2 - y^83", "x*y - y^21"], ("x", "y", "z"), "lex", [8]),
+    (["y*z^2 - y^2*z", "x^39*y^69*z^79 - x^63"], ("x", "y", "z"), "lex", [8]),
     # inputs that need two widenings before the pair loop starts
-    (["x^40000 - y", "y^2 - z"], Lex(("x", "y", "z")), "lex", [8, 16]),
+    (["x^40000 - y", "y^2 - z"], ("x", "y", "z"), "lex", [8, 16]),
 ]
 
 
@@ -269,15 +286,15 @@ def test_wide_exponents_widen_the_packing_and_match_sympy(
         return wider(pk)
 
     monkeypatch.setattr(Packing, "wider", spy)
-    got = buchberger(compile_order(XYZ, spec), [P(t) for t in texts])
+    got = buchberger(sympy_order(kind, spec), [P(t) for t in texts])
     assert widened == widths
-    assert {g.canonical() for g in got} == _sympy_gb(texts, kind, spec.vars)
+    assert {g.canonical() for g in got} == _sympy_gb(texts, kind, spec)
 
 
 @pytest.mark.parametrize("arith", [_Binomials, _Fractions])
 def test_an_s_polynomial_past_the_guard_raises(arith):
     # z > x > y: the S-polynomial of xz - y^100 and y^30 z - x is x^2 - y^130
-    ar = arith(compile_order(XYZ, Lex(("z", "x", "y"))).packing)
+    ar = arith(lex_order(XYZ, ("z", "x", "y")).packing)
     f, g = ar.store(P("x*z - y^100")), ar.store(P("y^30*z - x"))
     with pytest.raises(PackingOverflow):
         ar.reduce(s_polynomial(ar, f, g), [f, g])
