@@ -55,7 +55,9 @@ from .algebra import (
     ONE, Poly, Ring, initial_term, mono_is_squarefree, mono_support,
     storage_order,
 )
-from .graphs import Graph, toric_dimension, universal_groebner_basis
+from .graphs import (
+    Graph, lifted_basis, toric_dimension, universal_groebner_basis,
+)
 from .groebner import Ideal, ideal_equal, intersect, minimal_generators
 
 __all__ = [
@@ -221,16 +223,16 @@ def _binomial_sides(f: Poly):
 
 def _sign_canonical(f: Poly) -> frozenset:
     """Orientation-free key identifying a +1/-1 binomial up to sign: the set
-    of its two monomials.  Every caller passes only such binomials (the
-    universal basis, and generators ``_binomial_sides`` accepted), and
-    among them the monomials determine the binomial up to sign."""
+    of its two monomials.  Every caller passes only such binomials
+    (generators ``_binomial_sides`` accepted), and among them the monomials
+    determine the binomial up to sign.  ``_ugb_signs`` builds the same key
+    for each binomial of the universal basis from its pair of monomials."""
     return frozenset(f.terms)
 
 
 def _ugb_signs(G: Graph, ring) -> frozenset:
     """Sign-canonical forms of the universal basis, lifted into ``ring``."""
-    return frozenset(_sign_canonical(f.rename(ring))
-                     for f in universal_groebner_basis(G))
+    return frozenset(frozenset(pair) for pair in lifted_basis(G, ring))
 
 
 def _generates_toric_ideal(binomials, G: Graph, ring) -> bool:

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from operator import neg, sub
+from itertools import repeat
+from operator import itemgetter, neg, sub
 from typing import Iterable, Sequence
 
 from .algebra import Packing, Poly, Ring, mono_divides
@@ -30,7 +31,7 @@ __all__ = [
     "complete_bipartite", "ferrers_graph",
     "integer_kernel_basis", "graver_completion", "graver_basis",
     "oriented_minimal",
-    "universal_groebner_basis", "toric_ideal",
+    "universal_groebner_basis", "lifted_basis", "toric_ideal",
     "toric_dimension", "even_cycle_binomial", "glue_even_cycle",
     "disjoint_union", "is_gap_free", "four_cycles_containing",
     "vector_to_binomial",
@@ -470,8 +471,9 @@ def universal_groebner_basis(G: Graph) -> tuple:
 
     On a miss, a graph cut from others by ``delete_edges`` takes the basis
     of its nearest ancestor in the cache: the binomials that avoid the
-    deleted edges, renamed into G's ring.  Only a graph with no cached
-    ancestor calls ``graver_basis``.  This gives the same tuple:
+    deleted edges, lifted into G's ring (``_restricted_basis``).  Only a
+    graph with no cached ancestor calls ``graver_basis``.  This gives the
+    same tuple:
 
     - The same vectors.  The ancestor A has G's vertices and a superset of
       its edges, so ker G is the slice of ker A that is zero on the deleted
@@ -486,8 +488,11 @@ def universal_groebner_basis(G: Graph) -> tuple:
       Dropping a coordinate where both parts are zero changes neither
       degree, and drops a position where the two tuples agree, so the
       first position where they differ, and the comparison, stay.
-    - The same order and terms.  Renaming keeps each binomial's terms in
-      their order, and the result is sorted by the key used here.
+    - The same order and terms.  Lifting keeps each binomial's terms in
+      their order, and G's edges in A's order, so it only deletes
+      coordinates that are zero in every kept binomial.  Tuples compare
+      as before such a deletion, so the kept binomials stay sorted by the
+      key used here (degree, then ``canonical``) and need no sort.
     """
     if not G.edges:
         return ()
@@ -496,10 +501,12 @@ def universal_groebner_basis(G: Graph) -> tuple:
     if hit is not None:
         return hit
     ring = G.edge_ring()
-    polys = _restricted_basis(G, ring)
-    if polys is None:
+    lifted = _restricted_basis(G, ring)
+    if lifted is None:
         polys = [vector_to_binomial(ring, u) for u in graver_basis(G)]
-    polys.sort(key=lambda f: (f.total_degree(), f.canonical()))
+        polys.sort(key=lambda f: (f.total_degree(), f.canonical()))
+    else:
+        polys = [Poly(ring, {a: ONE, b: -ONE}) for a, b in lifted]
     out = tuple(polys)
     if len(_UGB_CACHE) >= _UGB_CACHE_SIZE:
         del _UGB_CACHE[next(iter(_UGB_CACHE))]
@@ -507,20 +514,52 @@ def universal_groebner_basis(G: Graph) -> tuple:
     return out
 
 
+def lifted_basis(G: Graph, ring: Ring) -> list:
+    """The universal basis of G in ``ring``, which holds every edge of G:
+    each binomial x^a - x^b as the pair (a, b) of exponent tuples in
+    ``ring``, read from the cached basis through a map of positions, with
+    no ``Poly`` built.  In G's own ring the pairs are the cached terms."""
+    basis = universal_groebner_basis(G)
+    if ring.names == G.edge_labels:
+        return [tuple(f.terms) for f in basis]
+    return _restricted_basis(G, ring) if basis else []
+
+
 def _restricted_basis(G: Graph, ring: Ring):
-    """The cached basis of G's nearest ancestor, restricted to G's edges
-    and renamed into ``ring``; None when no ancestor is cached."""
-    A = G.parent
+    """The binomials x^a - x^b of the cached basis of G or of its nearest
+    cached ancestor that avoid the edges G lacks, each as the pair (a, b)
+    lifted into ``ring`` through a map of positions, in the cached order;
+    None when no such basis is cached.  By ``universal_groebner_basis``
+    they are G's basis.  Every cached binomial is x^a - x^b with its terms
+    in that order (``vector_to_binomial``), and lifting keeps it so."""
+    A = G
     while A is not None:
         hit = _UGB_CACHE.get((A.vertices, A.edges))
         if hit is not None:
-            kept = set(G.edge_labels)
-            dropped = [i for i, label in enumerate(A.edge_labels)
-                       if label not in kept]
-            return [f.rename(ring) for f in hit
-                    if not any(m[i] for m in f.terms for i in dropped)]
+            break
         A = A.parent
-    return None
+    else:
+        return None
+    kept = set(G.edge_labels)
+    missing = kept - ring.index.keys()
+    if missing:
+        raise KeyError("edges %s not in the ring" % sorted(missing))
+    # A ring variable reads its exponent at its position in A, or from the
+    # zero padded after the last one when it is no edge of A.  The extra
+    # leading read makes ``lift`` return a tuple even for one variable.
+    labels = A.edge_labels
+    at = dict(zip(labels, range(len(labels))))
+    pad = (0,)
+    lift = itemgetter(0, *map(at.get, ring.names, repeat(len(labels))))
+    dropped = [at[label] for label in labels if label not in kept]
+    out = []
+    for f in hit:
+        a, b = f.terms
+        if dropped and (any(map(a.__getitem__, dropped))
+                        or any(map(b.__getitem__, dropped))):
+            continue
+        out.append((lift(a + pad)[1:], lift(b + pad)[1:]))
+    return out
 
 
 def toric_ideal(G: Graph) -> Ideal:

@@ -44,7 +44,7 @@ from .algebra import (
 from .components import (
     UnmixednessEvidence, base_evidence, named, unmixedness_evidence,
 )
-from .graphs import Graph
+from .graphs import Graph, lifted_basis
 from .groebner import Ideal, contract, ideal_equal, radical_contains
 from .util import Budget
 
@@ -393,32 +393,71 @@ def _variable_order(I: Ideal, rgb: tuple, present: set) -> list:
 
 
 def _context_key(I: Ideal, context: Optional[Graph]):
-    """The shape of ``context`` as the search sees it from I's ring: the
-    sorted list, over the vertices that carry an edge, of the ring
-    positions of their edges, after a flag for edges outside the ring;
-    None when there is no context.
+    """What the search reads of ``context`` from I's ring; None when there
+    is no context.
 
-    The key names no vertex and sees no isolated vertex.  Equal keys give
-    a bijection between the vertices with edges that fixes every edge
-    position: in a simple graph two vertices share their list only as the
-    two ends of an edge with no other edge at either end, and they may be
-    matched either way.  Conversely such a bijection keeps every list, so
-    the key catches every isomorphism that fixes the edge positions.
+    When every edge of the context lies in the ring, the key is the sorted
+    ring positions P of its edges, and the sign set of its universal basis
+    by ring position (``lifted_basis``): each binomial as the bytes of the
+    exponents of its smaller monomial, then of its larger one, sorted and
+    joined.  (The exponents of a primitive walk binomial are at most 2, so
+    each fits in a byte.)  A context with an edge outside the ring has no
+    basis in the ring; it keeps the shape key: True, then the sorted list,
+    over the vertices that carry an edge of the ring, of the ring
+    positions of their edges.
+
+    Why equal keys give equal nodes, when every edge lies in the ring.  Let
+    A be the incidence matrix of the context with its columns at the
+    positions P, and L = ker_Z(A), read in Z^n with zeros outside P.
+
+    - The key is a complete invariant of (P, L).  The universal basis is
+      the set of binomials x^{u+} - x^{u-} of the Graver basis of L
+      (``universal_groebner_basis``; Sturmfels, *Groebner Bases and Convex
+      Polytopes*, 1996, ch. 4 and 7), so the sign set is that Graver basis
+      up to sign, by position.  L fixes its Graver basis, and the Graver
+      basis spans L, since every vector of L is a conformal sum of Graver
+      elements.  (Put otherwise: L is saturated, so its toric ideal fixes
+      it, and the universal basis generates that ideal.)
+    - Deleting the edges D from the context leaves the positions P - D and
+      the lattice L ∩ {x_d = 0 for d in D}: a kernel vector of the other
+      columns, extended by zeros, lies in L, and conversely.  So deleting
+      y (``_child_context``) gives L ∩ {x_y = 0}, and the restriction to
+      a factor's ring (``_restrict_context``) gives L ∩ Z^S for the
+      positions S of P in that ring.  Both are read in the child's ring,
+      whose positions follow from the parent's.
+    - ``toric_dimension(sub)`` for the subgraph on the edges S is the rank
+      of A_S, which is |S| - rank(L ∩ Z^S).
+    - ``unmixedness_evidence``, ``_generates_toric_ideal`` and
+      ``binomial_monomial_split`` read the context through its edges by
+      position (the test for edges outside the ring, the removed edges of
+      a cover, the edges its subgraph keeps, and so the free variables),
+      the sign sets of the universal bases of the context and of its edge
+      deletions, an ``ideal_equal`` against such a basis, and the toric
+      dimensions of the deletions.  By the two items above each is a
+      function of (P, L) and positions.  Nothing reads vertex names,
+      isolated vertices, the order of the edges, or the ancestor that a
+      cached basis is restricted from, which gives the same basis.
 
     So a memo hit, the stored node read in another ring, is the node a
     fresh search would build.  Take nodes with equal memo keys: the same
-    reduced basis by position and contexts of one shape.  The search reads
-    names only through their ring positions.  The evidence reads the
-    context only through its edges (by name, in step with the ring), edge
-    deletions, universal bases up to sign, ``toric_dimension`` and
-    bipartiteness, none of which sees vertex names or isolated vertices.
-    A foreign edge matters only until a disjoint union restricts the
-    context to its ring, which drops it; until then it makes every split
-    with binomials inconclusive, whatever its ends.  So both searches take
-    the same steps, position for position, and build the same node.  The
-    only outputs ordered by name are the components of the evidence, which
+    reduced basis by position and the same (P, L).  The search reads names
+    only through their ring positions, and by the items above, step by
+    step, both searches reach children with equal bases and contexts with
+    equal (P, L), and build the same evidence.  So they take the same
+    steps, position for position, and build the same node.  The only
+    outputs ordered by name are the components of the evidence, which
     ``UnmixednessEvidence.to_json_dict`` sorts by the names of the ring it
     is given, as a fresh search sorts them.
+
+    The shape key names no vertex and sees no isolated vertex.  Equal shape
+    keys give a bijection between the vertices with ring edges that fixes
+    every edge position: in a simple graph two vertices share their list
+    only as the two ends of an edge with no other edge at either end, and
+    they may be matched either way.  A foreign edge matters only until a
+    disjoint union restricts the context to its ring, which drops it and
+    leaves a subgraph of the keyed shape; until then it makes every split
+    with binomials inconclusive, whatever its ends.  The flag keeps the two
+    kinds of key apart.
 
     A node whose reduced basis is one polynomial or all monomials is keyed
     with no context (``_node_key``), since no context changes its subtree.
@@ -433,23 +472,28 @@ def _context_key(I: Ideal, context: Optional[Graph]):
     """
     if context is None:
         return None
-    index = I.ring.index
-    at, foreign = {}, False
+    ring = I.ring
+    index = ring.index
+    positions = list(map(index.get, context.edge_labels))
+    if None not in positions:
+        signs = sorted(bytes(min(pair) + max(pair))
+                       for pair in lifted_basis(context, ring))
+        return tuple(sorted(positions)), b"".join(signs)
+    at = {}
     for label, u, v in context.edges:
         i = index.get(label)
-        if i is None:
-            foreign = True
-            continue
-        at.setdefault(u, []).append(i)
-        at.setdefault(v, []).append(i)
-    return foreign, tuple(sorted(tuple(sorted(p)) for p in at.values()))
+        if i is not None:
+            at.setdefault(u, []).append(i)
+            at.setdefault(v, []).append(i)
+    return True, tuple(sorted(tuple(sorted(p)) for p in at.values()))
 
 
 def _node_key(ring_key, I: Ideal, context: Optional[Graph]) -> tuple:
     """The key of I's node in the ring that ``ring_key`` stands for: its
     reduced basis by position, and the ``_context_key`` of ``context``
-    unless that basis is one polynomial or all monomials (see
-    ``_context_key``)."""
+    (its edge positions and kernel lattice, or its shape when an edge lies
+    outside the ring) unless that basis is one polynomial or all monomials
+    (see ``_context_key``)."""
     rgb = I.groebner()
     shape = None
     if len(rgb) > 1 and not all(g.is_monomial() for g in rgb):
@@ -524,7 +568,8 @@ def is_gvd(I: Ideal, context: Optional[Graph] = None,
     memo of its own, since a branch stuck when the budget ran out can let
     a later variable win.  The memo keys a node by its reduced basis by
     ring position and, unless that basis is one polynomial or all
-    monomials, the shape of its context (``_node_key``).
+    monomials, its context's edge positions and kernel lattice
+    (``_node_key``).
 
     A node whose unmixedness is refuted, or which the evidence proves not
     radical, is a "not-gvd" leaf.  A decomposable ideal is radical: base
@@ -727,7 +772,8 @@ def _replay(I: Ideal, node: GvdNode, context: Optional[Graph],
     ``seen``.  The key keeps the context: one walk can reach the same ring
     names through a union, which drops foreign edges, and through steps,
     which keep them, and a node shared between the two must be checked
-    under each."""
+    under each.  The foreign flag of the shape key keeps the two keys
+    apart: after the union the context's key is its lattice key."""
     key = _node_key(I.ring.names, I, context) + (id(node),)
     got = seen.get(key)
     if got is None:

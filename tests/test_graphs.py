@@ -3,16 +3,16 @@
 import pytest
 
 from gvdlab import graphs
-from gvdlab.algebra import Packing, Poly, lex_order, parse_poly
+from gvdlab.algebra import Packing, Poly, Ring, lex_order, parse_poly
 from gvdlab.groebner import (
     Ideal, _Fractions, ideal_equal, normal_form, s_polynomial,
 )
 from gvdlab.graphs import (
     Graph, complete_bipartite, complete_graph, cycle_graph, disjoint_union,
     ferrers_graph, four_cycles_containing, glue_even_cycle, graver_basis,
-    graver_completion, integer_kernel_basis, is_gap_free, oriented_minimal,
-    path_graph, toric_dimension, toric_ideal, universal_groebner_basis,
-    vector_to_binomial,
+    graver_completion, integer_kernel_basis, is_gap_free, lifted_basis,
+    oriented_minimal, path_graph, toric_dimension, toric_ideal,
+    universal_groebner_basis, vector_to_binomial,
 )
 
 from graph_corpus import connected_graphs, to_graph
@@ -272,7 +272,10 @@ def completed_basis(H):
 def test_restricted_basis_is_the_completed_one(monkeypatch):
     # Every one- and two-edge deletion, restricted from the root (directly,
     # and past an ancestor with no cached basis) and from a restricted
-    # one-edge deletion, against the basis of a fresh copy.
+    # one-edge deletion, against the basis of a fresh copy.  ``lifted_basis``
+    # gives the same binomials x^a - x^b, as pairs (a, b), in the same
+    # order, in the graph's ring and in one with the edges reversed and one
+    # more variable.
     roots = [to_graph(n, edges) for n, edges in connected_graphs(7)]
     roots += [complete_graph(5), two_k4_sharing_vertex()]
     completions = []
@@ -285,6 +288,10 @@ def test_restricted_basis_is_the_completed_one(monkeypatch):
         if want is None:
             want = expected[H.edges] = completed_basis(H)
         got = universal_groebner_basis(H)
+        for ring in (H.edge_ring(), Ring(("t",) + H.edge_labels[::-1])):
+            assert lifted_basis(H, ring) == [tuple(f.rename(ring).terms)
+                                             for f in want]
+        assert all(list(f.terms.values()) == [1, -1] for f in want)
         assert not completions
         assert got == want
         assert [list(f.terms) for f in got] == [list(f.terms) for f in want]
@@ -305,6 +312,8 @@ def test_restricted_basis_is_the_completed_one(monkeypatch):
             for b in labels[i + 1:]:
                 check(H.delete_edges([b]))
     assert compared == 5607
+    with pytest.raises(KeyError):
+        lifted_basis(H, Ring(H.edge_labels[1:]))
 
 
 def test_subgraph_without_cached_ancestor_completes_once(monkeypatch):

@@ -301,7 +301,8 @@ def test_gvd_refutes_the_benchmark_and_replays(monkeypatch):
     # with it 1,070 and 3,598.  Keying the memo by the context's shape
     # serves symmetric branches from one search: 511 and 2,066.  Keying
     # principal and monomial bases without the context: 463 _search calls.
-    assert calls["_search"] <= 480
+    # Keying the others by their context's edge positions and lattice: 446.
+    assert calls["_search"] <= 450
     assert calls["buchberger"] <= 2150
     assert replay_certificate(J, cert, context=G)
 
@@ -464,7 +465,9 @@ def test_memo_keys_principal_and_monomial_bases_without_the_context(
 
 def test_memo_keys_several_binomials_with_the_context(monkeypatch):
     # K_{2,3} with a pendant edge e7 at a vertex of either side: one toric
-    # ideal, with three binomials, over contexts of two shapes.
+    # ideal, with three binomials, over contexts of two shapes but one
+    # lattice and the same edge positions.  They share one memo entry, and
+    # under each context it reads as a fresh search.
     edges = [("e1", "a1", "b1"), ("e2", "a1", "b2"), ("e3", "a1", "b3"),
              ("e4", "a2", "b1"), ("e5", "a2", "b2"), ("e6", "a2", "b3")]
     vertices = ["a1", "a2", "b1", "b2", "b3", "p"]
@@ -474,11 +477,39 @@ def test_memo_keys_several_binomials_with_the_context(monkeypatch):
     assert len(J.groebner()) == 3
     assert J.gens == toric_ideal(contexts[1]).gens
     empty_shared_memo(monkeypatch)
-    keys = set()
+    keys, certs = set(), []
     for G in contexts:
-        assert is_gvd(J, context=G).verdict == "gvd"
+        certs.append(is_gvd(J, context=G))
         keys.add(gvd._node_key(J.ring.arity, J, G))
-    assert len(keys) == 2 and keys <= set(gvd._MEMO)
+    assert len(keys) == 1 and keys <= set(gvd._MEMO)
+    for G, cert in zip(contexts, certs):
+        assert cert.verdict == "gvd"
+        empty_shared_memo(monkeypatch)
+        assert cert.to_json_dict() == is_gvd(J, context=G).to_json_dict()
+
+
+def test_memo_keys_the_edge_positions_of_the_context(monkeypatch):
+    # A 4-cycle on e1..e4 with a pendant edge e5, and the 4-cycle alone:
+    # one lattice, but e5 is an edge of the first context only, so only
+    # there does the closed cover {e5} remove it.  A fresh search tells
+    # the two apart, and so must a shared memo.
+    ring = Ring(["e1", "e2", "e3", "e4", "e5"])
+    J = Ideal(ring, [parse_poly(ring, "e1*e3 - e2*e4"),
+                     parse_poly(ring, "e1*e5")])
+    square = [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "d"),
+              ("e4", "d", "a")]
+    contexts = [Graph("abcdp", square + [("e5", "a", "p")]),
+                Graph("abcd", square)]
+    fresh = []
+    for G in contexts:
+        empty_shared_memo(monkeypatch)
+        fresh.append(is_gvd(J, context=G).to_json_dict())
+    removed = [[c["removed_edges"] for c in d["unmixedness"]["components"]
+                if c["M"] == ["e5"]] for d in fresh]
+    assert removed == [[["e5"]], [[]]]
+    empty_shared_memo(monkeypatch)
+    for G, want in zip(contexts, fresh):
+        assert is_gvd(J, context=G).to_json_dict() == want
 
 
 def test_principal_and_monomial_nodes_read_no_context(monkeypatch):
@@ -519,17 +550,29 @@ def test_principal_and_monomial_nodes_read_no_context(monkeypatch):
     assert len(checked) > 50 and all(checked)
 
 
-def test_context_key_tells_a_path_from_a_star():
-    # Edges e2 and e3 both meet e1's ends; only the shape tells whether they
-    # meet at one end (a star) or at two (a path).  Vertex names, the
-    # orientation of an edge and isolated vertices do not count.
-    ring = Ring(["e1", "e2", "e3"])
+def test_context_key_is_the_edge_positions_and_the_lattice():
+    # A path, a star and a copy of the path on other vertex names are
+    # forests on e1..e4: the lattice {0} at the same edge positions, so one
+    # key.  A 4-cycle has another lattice, a path on e1..e3 other
+    # positions, and a context with an edge outside the ring keeps the
+    # shape key, flagged.
+    ring = Ring(["e1", "e2", "e3", "e4"])
     zero = Ideal(ring, [])
-    path = Graph("abcd", [("e1", "a", "b"), ("e2", "a", "c"), ("e3", "b", "d")])
-    star = Graph("abcd", [("e1", "a", "b"), ("e2", "a", "c"), ("e3", "a", "d")])
-    copy = Graph("vwxyz", [("e1", "x", "w"), ("e2", "x", "y"), ("e3", "w", "z")])
-    assert gvd._context_key(zero, path) != gvd._context_key(zero, star)
-    assert gvd._context_key(zero, copy) == gvd._context_key(zero, path)
+    path = Graph("abcde", [("e1", "a", "b"), ("e2", "b", "c"),
+                           ("e3", "c", "d"), ("e4", "d", "e")])
+    star = Graph("abcde", [("e1", "a", "b"), ("e2", "a", "c"),
+                           ("e3", "a", "d"), ("e4", "a", "e")])
+    copy = Graph("vwxyz", [("e1", "x", "w"), ("e2", "w", "z"),
+                           ("e3", "z", "y"), ("e4", "y", "v")])
+    square = Graph("abcd", [("e1", "a", "b"), ("e2", "b", "c"),
+                            ("e3", "c", "d"), ("e4", "d", "a")])
+    shorter = path.delete_edges(["e4"])
+    foreign = Graph("abcde", list(path.edges) + [("x", "a", "e")])
+    key = gvd._context_key
+    assert key(zero, path) == key(zero, star) == key(zero, copy)
+    others = [key(zero, G) for G in (square, shorter, foreign)]
+    assert len({key(zero, path)} | set(others)) == 4
+    assert others[2][0] is True
 
 
 def test_a_disjoint_union_drops_an_edge_outside_the_ring(monkeypatch):

@@ -92,7 +92,8 @@ def test_stopping_keeps_the_verdicts_on_small_graphs():
 
 
 def test_stopping_keeps_the_verdict_on_two_k4():
-    # 86 stops before the memo keyed contexts by their shape; the memo now
-    # serves the other 52 from symmetric branches.
-    assert check_against_unpruned([two_k4_sharing_vertex()]) == 34
+    # 86 stops before the memo keyed contexts by their shape, and 34 with
+    # that key.  Keyed by their edge positions and lattice, the memo now
+    # serves the other 56 from branches whose contexts share both.
+    assert check_against_unpruned([two_k4_sharing_vertex()]) == 30
 
