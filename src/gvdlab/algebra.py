@@ -22,9 +22,9 @@ only on the arity and the rows, so ``compile_order`` compiles each once,
 in a capped module cache that rings with other names share, and hands
 every caller a fresh ``Order`` over its own ring.
 
-The Groebner and Graver kernels hold monomials as single ints instead
-(``Packing``), with one field per row of the same rows, most significant
-first.  An order's packing is built on first use and cached with its key.
+The Groebner kernels hold monomials as single ints instead (``Packing``),
+with one field per row of the same rows, most significant first.  An
+order's packing is built on first use and cached with its key.
 Each field is ``width`` bits wide with a guard bit on top, so it holds
 values below ``2**(width - 1)``.  Every row is linear in the exponents and
 no field carries into the next, so:
@@ -466,7 +466,8 @@ class Packing:
 
     def pair_divisor(self, p: int, q: int, pairs):
         """The first (a, b) of ``pairs`` with a dividing p and b dividing
-        q, or None."""
+        q, or None.  With ``gcd``, it serves the Pottier completion that
+        the tests keep as the oracle of ``graphs.graver_basis``."""
         G = self.guard
         pG, qG = p | G, q | G
         for r in pairs:

@@ -56,9 +56,11 @@ from .algebra import (
     storage_order,
 )
 from .graphs import (
-    Graph, lifted_basis, toric_dimension, universal_groebner_basis,
+    Graph, lifted_basis, toric_dimension,
 )
-from .groebner import Ideal, ideal_equal, intersect, minimal_generators
+from .groebner import (
+    Ideal, ideal_contains, ideal_equal, intersect, minimal_generators,
+)
 
 __all__ = [
     "PrimeComponent", "UnmixednessEvidence", "SplitNotApplicable",
@@ -235,12 +237,57 @@ def _ugb_signs(G: Graph, ring) -> frozenset:
     return frozenset(frozenset(pair) for pair in lifted_basis(G, ring))
 
 
-def _generates_toric_ideal(binomials, G: Graph, ring) -> bool:
-    """True iff the binomials generate the toric ideal of G in ``ring``."""
-    if {_sign_canonical(f) for f in binomials} == _ugb_signs(G, ring):
+def _generates_toric_ideal(J: Ideal, binomials: list, G: Graph) -> bool:
+    """True iff ``binomials`` B generate the toric ideal I_G of G in J's
+    ring, where J = <V> + <B> for variables V, none an edge of G, none of
+    which divides a binomial of B that lies in I_G.  V may be empty; when
+    ``minimal_generators`` split J's generators into V and B, the last
+    condition holds (below).
+
+    The sign sets decide most cases.  Otherwise two checks decide it with
+    no Groebner basis beyond J's own:
+
+    1. Each b = x^u - x^v of B has u_i = v_i at every position that is not
+       an edge of G, and A_G(u - v) = 0 on the edges, A_G the incidence
+       matrix of G.
+    2. Each binomial of G's universal basis (``lifted_basis``) reduces to 0
+       modulo J's reduced basis.
+
+    Check 1 holds exactly when <B> lies in I_G.  Split a monomial as
+    x_S^a x_T^c, S the edges of G and T the rest of the ring.  The
+    generators of I_G avoid T, so the part of I_G of T-degree c is x_T^c
+    times the toric ideal in k[x_S], which holds no monomial.  So a
+    binomial x_S^a x_T^c - x_S^b x_T^d lies in I_G exactly when c = d and
+    x_S^a - x_S^b lies in the toric ideal, that is when A_G a = A_G b
+    (Sturmfels, *Groebner Bases and Convex Polytopes*, 1996, Lemma 4.1).
+
+    If <B> = I_G, both checks hold, since I_G = <B> lies in J.
+    Conversely, check 2 puts I_G inside J.  By check 1, each b of B is
+    x_T^c times a binomial in the edges, which V avoids, and no variable
+    of V divides it; so no variable of V occurs in b.  Sending V to 0 then
+    maps J onto <B> and fixes I_G, whose generators avoid V.  So I_G lies
+    in <B>, and the two are equal.
+
+    Why ``minimal_generators`` gives such a split.  A binomial b that
+    passes check 1 has degree 2 at least: a degree-1 one would join two
+    edges with equal columns, and G has no parallel edges.  The candidates
+    are taken by ascending degree, and one is kept only outside the ideal
+    of those kept before it.  So every variable of V was kept before b,
+    and b, kept outside <V>, is a multiple of none of them.
+    """
+    ring = J.ring
+    pairs = lifted_basis(G, ring)
+    if {_sign_canonical(f) for f in binomials} == frozenset(map(frozenset, pairs)):
         return True
-    ext = [f.rename(ring) for f in universal_groebner_basis(G)]
-    return ideal_equal(Ideal(ring, list(binomials)), Ideal(ring, ext))
+    edges = {ring.index[label] for label in G.edge_labels}
+    others = [i for i in range(ring.arity) if i not in edges]
+    rows = [[ring.index[label] for label, _ in G.neighbors(v)] for v in G.vertices]
+    for f in binomials:
+        u, v = f.terms
+        d = [a - b for a, b in zip(u, v)]
+        if any(d[i] for i in others) or any(sum(d[i] for i in row) for row in rows):
+            return False
+    return ideal_contains(J, *(Poly(ring, {a: ONE, b: -ONE}) for a, b in pairs))
 
 
 def binomial_monomial_split(monomials: list, binomials: list, context: Optional[Graph],
@@ -288,7 +335,7 @@ def binomial_monomial_split(monomials: list, binomials: list, context: Optional[
         toric_dim, toric_edges = 0, ()
         if context is not None:
             sub = context.delete_edges(removed)
-            if not _generates_toric_ideal(survivors, sub, ring):
+            if not _generates_toric_ideal(Ideal(ring, survivors), survivors, sub):
                 raise SplitNotApplicable(
                     "component toric part differs from the subgraph ideal")
             toric_dim, toric_edges = toric_dimension(sub), set(sub.edge_labels)
@@ -397,7 +444,7 @@ def unmixedness_evidence(I: Ideal, context: Optional[Graph] = None) -> Unmixedne
                           for i in mono_support(next(iter(g.terms)))}
                          & set(context.edge_labels))
         sub = context.delete_edges(removed)
-        if _generates_toric_ideal(binoms, sub, I.ring):
+        if _generates_toric_ideal(I, binoms, sub):
             return UnmixednessEvidence(
                 "prime", "variables plus the toric ideal of the context "
                 "subgraph, hence prime")

@@ -3,14 +3,15 @@
 The toric ideal of a graph G lives in Q[edge labels] and is generated by the
 binomials of closed even walks.  Its universal Groebner basis is the set of
 primitive walk binomials: the Graver basis of the integer kernel of the
-vertex-edge incidence matrix.  For a bipartite graph that basis is the set
-of its even cycles, listed directly; for any other graph it comes from
-Pottier completion of a lattice basis of the kernel.  A graph cut from
-another by ``delete_edges`` remembers it, and takes its basis from a cached
+vertex-edge incidence matrix.  ``graver_basis`` lists it from the
+subgraphs of the primitive walks: the even cycles, and the trees of cycles
+and cut edges that the block rule of Reyes-Tatakis-Thoma allows (for a
+bipartite graph, only the even cycles).  A graph cut from another by
+``delete_edges`` remembers it, and takes its basis from a cached
 ancestor's: the Graver elements that avoid the deleted edges, which are
 exactly the subgraph's (the proof is in ``universal_groebner_basis``).  So
 the decomposability search, whose contexts are all edge deletions of one
-graph, completes only that graph.  The graph operations
+graph, lists the walks of that graph only.  The graph operations
 that interact well with these ideals -- leaf removal, even-cycle gluing,
 disjoint union, gap-freeness and 4-cycle tests -- live here too.
 """
@@ -19,18 +20,17 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from itertools import repeat
-from operator import itemgetter, neg, sub
+from itertools import combinations, repeat
+from operator import itemgetter, neg
 from typing import Iterable, Sequence
 
-from .algebra import Packing, Poly, Ring, mono_divides
+from .algebra import Poly, Ring
 from .groebner import Ideal, ideal_equal, minimal_generators
 
 __all__ = [
     "Graph", "cycle_graph", "path_graph", "complete_graph",
     "complete_bipartite", "ferrers_graph",
-    "integer_kernel_basis", "graver_completion", "graver_basis",
-    "oriented_minimal",
+    "graver_basis",
     "universal_groebner_basis", "lifted_basis", "toric_ideal",
     "toric_dimension", "even_cycle_binomial", "glue_even_cycle",
     "disjoint_union", "is_gap_free", "four_cycles_containing",
@@ -253,32 +253,7 @@ def ferrers_graph(partition: Sequence[int]) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Integer linear algebra: kernel of the incidence matrix.
-
-def integer_kernel_basis(rows: list) -> list:
-    """A lattice basis of {u in Z^m : A u = 0} via unimodular column reduction."""
-    n = len(rows)
-    m = len(rows[0]) if rows else 0
-    cols = [[rows[i][j] for i in range(n)] for j in range(m)]
-    U = [[1 if i == j else 0 for i in range(m)] for j in range(m)]
-    lead = 0
-    for r in range(n):
-        while True:
-            nz = [j for j in range(lead, m) if cols[j][r] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda j: (abs(cols[j][r]), j))
-            j, k = nz[0], nz[1]
-            q = cols[k][r] // cols[j][r]
-            cols[k] = [a - q * b for a, b in zip(cols[k], cols[j])]
-            U[k] = [a - q * b for a, b in zip(U[k], U[j])]
-        if nz:
-            j = nz[0]
-            cols[lead], cols[j] = cols[j], cols[lead]
-            U[lead], U[j] = U[j], U[lead]
-            lead += 1
-    return [tuple(U[j]) for j in range(lead, m)]
-
+# Graver bases: the primitive walks, listed by their subgraphs.
 
 def _sign_parts(u: tuple) -> tuple:
     """The positive and negative parts (u+, u-) of an integer vector, as
@@ -287,160 +262,178 @@ def _sign_parts(u: tuple) -> tuple:
     return tuple(map(max, u, zero)), tuple(map(max, map(neg, u), zero))
 
 
-def graver_completion(lattice_basis: list) -> list:
-    """All conformally-minimal nonzero lattice vectors (Pottier completion),
-    as ``oriented_minimal`` returns them.
-
-    A vector s lies conformally below f (same sign as f wherever s is
-    nonzero, and no larger in absolute value) exactly when the monomial s+
-    divides f+ and s- divides f-; then f - s has the parts f+/s+ and f-/s-.
-    So the members of the growing set S are held as their sign parts, each
-    a packed monomial with one field per coordinate (``algebra.Packing``),
-    and the conformal test in the normal form is ``Packing.pair_divisor``,
-    two masked subtractions per member of S.
-    Two vectors have a sign conflict when the support of one's positive
-    part meets that of the other's negative part.  The parts of u + v are
-    u+ + v+ and u- + v-, less their fieldwise minimum.  A part that reaches
-    a guard bit restarts the completion with fields twice as wide.  The
-    scan order and the first-match rule are those of plain vector
-    reduction, so the result is the same.
-
-    Only pairs with a sign conflict are formed.  The completion is done
-    when every u + v over pairs of S is a sum of members of S conformally
-    below it; if u and v agree in sign wherever both are nonzero, then u
-    and v lie conformally below u + v, and u + v = u + v is such a sum
-    (Hemmecke, Math. Program. 2003).
-    """
-    n = len(lattice_basis[0]) if lattice_basis else 0
-    pk = Packing(n, range(n))
-    return pk.widening(lambda pk: oriented_minimal(
-        tuple(map(sub, pk.unpack(p), pk.unpack(q)))
-        for p, q in _completion(pk, lattice_basis)))
-
-
-def _completion(pk: Packing, lattice_basis: list) -> list:
-    """``graver_completion``'s set S, as packed sign parts (u+, u-)."""
-    checked, gcd, support, pair_divisor = pk.checked, pk.gcd, pk.support, pk.pair_divisor
-    S, sup_p, sup_n = [], [], []
-    seen = set()
-
-    def join(v):
-        seen.add(v)
-        S.append(v)
-        sup_p.append(support(v[0]))
-        sup_n.append(support(v[1]))
-
-    def conflicts(p, q):
-        sp, sn = support(p), support(q)
-        return [k for k in range(len(S)) if sp & sup_n[k] or sn & sup_p[k]]
-
-    for b in lattice_basis:
-        p, q = map(pk.pack, _sign_parts(tuple(b)))
-        for v in ((p, q), (q, p)):
-            if (p or q) and v not in seen:
-                join(v)
-
-    def nf(p, q):
-        while p or q:
-            s = pair_divisor(p, q, S)
-            if s is None:
-                return p, q
-            p -= s[0]
-            q -= s[1]
-        return None
-
-    queue = deque((i, j) for i in range(len(S)) for j in conflicts(*S[i]) if j > i)
-    while queue:
-        i, j = queue.popleft()
-        (pi, qi), (pj, qj) = S[i], S[j]
-        p, q = checked(pi + pj), checked(qi + qj)
-        common = gcd(p, q)
-        h = nf(p - common, q - common)
-        if h is None or h in seen:
-            continue
-        for v in (h, h[::-1]):
-            queue.extend((len(S), k) for k in conflicts(*v))
-            join(v)
-    return S
-
-
-def _cycle_vectors(G: Graph) -> list:
-    """Every cycle of G once, as the vector that is +1 and -1 alternately
-    along it (G bipartite, so each cycle is even and the vector lies in the
-    kernel of the incidence matrix).
-
-    A cycle is listed from its least vertex s, in the direction whose
-    second vertex precedes its last one.
-    """
-    vpos = {v: i for i, v in enumerate(G.vertices)}
-    epos = {label: j for j, label in enumerate(G.edge_labels)}
-    adj = [[(vpos[w], epos[label]) for label, w in G.neighbors(v)]
-           for v in G.vertices]
-    vec = [0] * len(G.edges)
-    on_path = [False] * len(adj)
+def _cycles(adj: list) -> list:
+    """Every cycle of a graph once, as the pair (its vertices, its edges)
+    in order around it: edge k joins vertex k to vertex k + 1, and the last
+    edge joins the last vertex to the first.  ``adj`` lists each vertex's
+    (neighbour, edge) pairs, all by position.  A cycle is listed from its
+    least vertex s, in the direction whose second vertex precedes its last
+    one."""
     out = []
 
-    def extend(s, second, v, sign):
+    def extend(s, v, vs, es, seen):
         for w, j in adj[v]:
             if w == s:
-                if second < v:
-                    vec[j] = sign
-                    out.append(tuple(vec))
-                    vec[j] = 0
-            elif w > s and not on_path[w]:
-                on_path[w] = True
-                vec[j] = sign
-                extend(s, w if v == s else second, w, -sign)
-                vec[j] = 0
-                on_path[w] = False
+                if vs[1] < v:
+                    out.append((vs, es + (j,)))
+            elif w > s and not seen >> w & 1:
+                extend(s, w, vs + (w,), es + (j,), seen | 1 << w)
 
     for s in range(len(adj)):
-        extend(s, None, s, 1)
+        extend(s, s, (s,), (), 1 << s)
     return out
 
 
 def graver_basis(G: Graph) -> list:
     """The Graver basis of the kernel of G's incidence matrix: its
-    conformally minimal nonzero vectors, one per +/- pair, oriented and
-    sorted as ``oriented_minimal`` returns them.
+    conformally minimal nonzero vectors, one per +/- pair, each oriented so
+    that its positive part is the larger monomial in the storage order
+    (graded lex in edge order), and sorted.
 
-    A bipartite G gets its cycles.  Its incidence matrix is totally
-    unimodular, so every Graver element is a circuit, and the circuits of
-    a graph are its even cycles (Sturmfels, *Groebner Bases and Convex
-    Polytopes*, 1996, ch. 4 and 8).  Directly: at each vertex the entries
-    of a kernel vector u on its edges sum to zero, so a walk that starts on
-    an edge where u is positive can leave every vertex it reaches by an
-    edge where u has the other sign.  When the walk first returns to a
-    vertex it has closed a cycle whose edges alternate in sign; the cycle
-    is even, as G is bipartite, so its +1/-1 vector signed as u lies
-    conformally below u, and a minimal u is that vector.  Conversely, a
-    kernel vector conformally below a cycle's vector is supported on the
-    cycle, where the kernel is spanned by that vector, whose entries are
-    +1 and -1; so each cycle is minimal.  Any other graph gets the
-    completion of a lattice basis of the kernel (``graver_completion``).
+    These are the vectors of G's primitive even closed walks, and a
+    primitive walk is fixed up to sign by its subgraph W (Villarreal,
+    *Comm. Algebra* 23 (1995); Ohsugi-Hibi, *J. Algebra* 218 (1999)).  The
+    subgraphs are those of Reyes-Tatakis-Thoma, *Adv. Appl. Math.* 48
+    (2012), Theorem 4.13 (see also Tatakis-Thoma, *JCTA* 118 (2011)): the
+    connected W with
+
+    - W an even cycle; or
+    - W not 2-connected, with no vertex of degree 1, every block a cycle
+      or a single cut edge, every cut vertex in exactly two blocks, and
+      every cyclic block B with |B| = k_B (mod 2), k_B the number of cut
+      vertices of W on B.  So a leaf block is an odd cycle.
+
+    The walk's vector u_W is +1 or -1 on the cycle edges and +2 or -2 on
+    the cut edges.  Along a cyclic block its sign alternates at each vertex
+    that is not a cut vertex; at a cut vertex the block's two edges have
+    the same sign; and at each cut vertex the contributions of its two
+    blocks cancel, as at every vertex (u lies in the kernel).  That fixes
+    u_W from one sign, since |B| - k_B changes of sign around a cyclic
+    block are even in number.  For G bipartite there are no odd cycles, so
+    only the even cycles are left: its incidence matrix is totally
+    unimodular and every Graver element is a circuit (Sturmfels, *Groebner
+    Bases and Convex Polytopes*, 1996, ch. 4 and 8).
+
+    ``_cycles`` lists the cycles, and ``_block_walks`` the subgraphs that
+    are not 2-connected.  The tests check the result against Pottier
+    completion of a lattice basis of the kernel.
     """
-    if G.is_bipartite():
-        return sorted(_oriented(u, *_sign_parts(u)) for u in _cycle_vectors(G))
-    return graver_completion(integer_kernel_basis(G.incidence_matrix()))
+    vpos = {v: i for i, v in enumerate(G.vertices)}
+    epos = {label: j for j, label in enumerate(G.edge_labels)}
+    adj = [[(vpos[w], epos[label]) for label, w in G.neighbors(v)]
+           for v in G.vertices]
+    cycles = _cycles(adj)
+    m = len(G.edges)
+    out = []
+    for _, es in cycles:
+        if not len(es) % 2:
+            u = [0] * m
+            for k, j in enumerate(es):
+                u[j] = -1 if k % 2 else 1
+            out.append(u)
+    if len(cycles) - len(out) > 1:  # two odd cycles
+        out += _block_walks(adj, cycles, m)
+    # An edge has two ends, so the rows of the incidence matrix add up to
+    # twice the row of ones, and the entries of a kernel vector u sum to 0:
+    # u+ and u- have one degree.  So u+ is the larger exactly when the first
+    # nonzero entry of u is positive.
+    return sorted(tuple(u) if next(filter(None, u)) > 0 else tuple(map(neg, u))
+                  for u in out)
 
 
-def _oriented(u: tuple, pos: tuple, negp: tuple) -> tuple:
-    """u or -u, whichever has the storage-order-larger positive part."""
-    return u if (sum(pos), pos) > (sum(negp), negp) else tuple(map(neg, u))
+def _block_walks(adj: list, cycles: list, m: int) -> list:
+    """The vectors u_W of ``graver_basis`` whose W is not 2-connected, each
+    once, from the graph's adjacency lists and ``_cycles``.
 
+    W is grown from its root: the leaf block of least index in ``cycles``.
+    A branch starts at a cut vertex v with a demand d, the sign that the
+    new block's edges at v must have for the two blocks to cancel there.
+    It is a path of cut edges, worth 2d, -2d, ... in turn, as the demand
+    changes sign at each step, and then a cycle C whose two edges at the
+    path's end take the demand there.  C meets what is grown only at that
+    vertex.  Any set of its other vertices whose size has the parity the
+    rule asks become its further cut vertices, and each starts a branch
+    whose demand is minus the sign of C's edges there.  Given its root,
+    each W is grown in exactly one way, and a leaf other than the root
+    must come later in ``cycles``.  A branch takes two fresh vertices at
+    least (a triangle), which bounds the search.
+    """
+    n = len(adj)
+    rings = [(vs, es, sum(1 << v for v in vs)) for vs, es in cycles]
+    # another leaf of W is an odd cycle that comes after the root and meets
+    # it in one vertex at most
+    odd = [(c, mask) for c, (vs, _, mask) in enumerate(rings) if len(vs) % 2]
+    roots = [c for i, (c, mask) in enumerate(odd)
+             if any((mask & other).bit_count() < 2 for _, other in odd[i + 1:])]
+    if not roots:
+        return []
+    # the cycles through each vertex, shortest first, as (length, index in
+    # ``cycles``, position of the vertex on the cycle)
+    through = [[] for _ in range(n)]
+    for c, (vs, _, _) in enumerate(rings):
+        for k, v in enumerate(vs):
+            through[v].append((len(vs), c, k))
+    for at in through:
+        at.sort()
+    vec = [0] * m
+    out = []
 
-def oriented_minimal(vectors) -> list:
-    """The conformally minimal members of a collection of lattice vectors,
-    one per +/- pair, oriented so the positive part is the
-    storage-order-larger monomial; sorted for determinism."""
-    vectors = [(u, _sign_parts(u)) for u in vectors]
-    out = set()
-    for u, (pos, negp) in vectors:
-        if any(v != u and mono_divides(vp, pos) and mono_divides(vn, negp)
-               for v, (vp, vn) in vectors):
-            continue
-        out.add(_oriented(u, pos, negp))
-    return sorted(out)
+    def signs(c, k, t, cuts):
+        """Sign cycle c from its vertex k, whose two edges get t, keeping
+        the sign at the vertices ``cuts`` and changing it at the others;
+        the branches of those cut vertices, as (vertex, demand)."""
+        vs, es, _ = rings[c]
+        size = len(vs)
+        branches = []
+        for step in range(size):
+            i = (k + step) % size
+            vec[es[i]] = t
+            if (i + 1) % size in cuts:
+                branches.append((vs[(i + 1) % size], -t))
+            else:
+                t = -t
+        return branches
+
+    def grow(pending, used):
+        if pending:
+            v, d = pending[-1]
+            attach(v, d, used, pending[:-1])
+        else:
+            out.append(vec[:])
+
+    def attach(v, d, used, rest):
+        # the fresh vertices this branch may take, after two for each of
+        # the branches still pending
+        room = n - used.bit_count() - 2 * len(rest)
+        for size, c, k in through[v]:
+            spare = room + 1 - size
+            if spare < 0:
+                break
+            vs, es, mask = rings[c]
+            if mask & used != 1 << v:
+                continue
+            others = [i for i in range(size) if i != k]
+            for cut in range((size - 1) % 2, min(size - 1, spare // 2) + 1, 2):
+                if cut or c > root:
+                    for cuts in combinations(others, cut):
+                        grow(rest + signs(c, k, d, cuts), used | mask)
+            for j in es:
+                vec[j] = 0
+        if room >= 3:
+            for w, j in adj[v]:
+                if not used >> w & 1:
+                    vec[j] = 2 * d
+                    attach(w, -d, used | 1 << w, rest)
+                    vec[j] = 0
+
+    for root in roots:
+        vs, es, mask = rings[root]
+        for k, v in enumerate(vs):
+            signs(root, k, 1, ())
+            attach(v, -1, mask, [])
+        for j in es:
+            vec[j] = 0
+    return out
 
 
 def vector_to_binomial(ring: Ring, u: tuple) -> Poly:
@@ -463,8 +456,8 @@ def universal_groebner_basis(G: Graph) -> tuple:
     """The primitive closed-even-walk binomials of G (its universal basis).
 
     They are the binomials of ``graver_basis(G)``, which is a universal
-    Groebner basis: the even cycles of a bipartite G, the completion for
-    any other graph.  Forests give the empty tuple.  Results are cached by
+    Groebner basis: one for each primitive walk of G, listed by its
+    subgraph.  Forests give the empty tuple.  Results are cached by
     graph structure, since the decomposability search revisits the same
     subgraphs many times; past ``_UGB_CACHE_SIZE`` entries the oldest is
     dropped.

@@ -445,11 +445,17 @@ def initial_ideal(order: Order, I: Ideal) -> Ideal:
 # ---------------------------------------------------------------------------
 # Membership and equality.
 
-def ideal_contains(I: Ideal, f: Poly) -> bool:
-    if f.is_zero():
-        return True
+def ideal_contains(I: Ideal, *polys: Poly) -> bool:
+    """True iff every one of ``polys`` lies in I: each reduces to 0 modulo
+    I's reduced basis, which is packed once for all of them."""
     order = storage_order(I.ring)
-    return normal_form(order, f, I.groebner(order)).is_zero()
+    basis = I.groebner(order)
+
+    def run(pk: Packing) -> bool:
+        ar = _Fractions(pk)
+        stored = list(map(ar.store, basis))
+        return not any(ar.remainder(ar.packed(f), stored) for f in polys)
+    return order.packing.widening(run)
 
 
 def minimal_generators(I: Ideal) -> list:

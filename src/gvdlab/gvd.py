@@ -432,8 +432,9 @@ def _context_key(I: Ideal, context: Optional[Graph]):
       position (the test for edges outside the ring, the removed edges of
       a cover, the edges its subgraph keeps, and so the free variables),
       the sign sets of the universal bases of the context and of its edge
-      deletions, an ``ideal_equal`` against such a basis, and the toric
-      dimensions of the deletions.  By the two items above each is a
+      deletions, the membership of such a basis's binomials in an ideal,
+      whether u - v lies in the lattice of a deletion for a binomial
+      x^u - x^v, and the toric dimensions of the deletions.  By the two items above each is a
       function of (P, L) and positions.  Nothing reads vertex names,
       isolated vertices, the order of the edges, or the ancestor that a
       cached basis is restricted from, which gives the same basis.

@@ -1,18 +1,22 @@
-"""Benchmark graphs, frozen expected values, the walk oracle, the small
-oracles (dimension, monomial and graph helpers) and the seeded random
-streams shared across the test suite."""
+"""Benchmark graphs, frozen expected values, the walk oracle, Pottier
+completion (the oracle for Graver bases), the small oracles (dimension,
+monomial and graph helpers) and the seeded random streams shared across
+the test suite."""
 
 import hashlib
+import importlib.util
 import random
-from operator import sub
+from collections import deque
+from operator import neg, sub
+from pathlib import Path
 
 from gvdlab import gvd
 from gvdlab.algebra import (
-    Order, initial_term, mono_is_squarefree, mono_support, parse_poly,
-    storage_order,
+    Order, Packing, initial_term, mono_divides, mono_is_squarefree,
+    mono_support, parse_poly, storage_order,
 )
 from gvdlab.graphs import (
-    Graph, four_cycles_containing, oriented_minimal, toric_ideal,
+    Graph, _sign_parts, four_cycles_containing, toric_ideal,
     vector_to_binomial,
 )
 from gvdlab.groebner import Ideal, contract, intersect
@@ -274,6 +278,132 @@ def primitive_walk_binomials(G: Graph, max_edges: int = 10) -> set:
 
 
 # ---------------------------------------------------------------------------
+# Pottier completion of a lattice basis of the incidence kernel: the oracle
+# for ``graphs.graver_basis``, which lists the primitive walks instead, and
+# the conformal filter that it and the walk oracle share.
+
+def _oriented(u: tuple, pos: tuple, negp: tuple) -> tuple:
+    """u or -u, whichever has the storage-order-larger positive part."""
+    return u if (sum(pos), pos) > (sum(negp), negp) else tuple(map(neg, u))
+
+
+def oriented_minimal(vectors) -> list:
+    """The conformally minimal members of a collection of lattice vectors,
+    one per +/- pair, oriented so the positive part is the
+    storage-order-larger monomial; sorted for determinism."""
+    vectors = [(u, _sign_parts(u)) for u in vectors]
+    out = set()
+    for u, (pos, negp) in vectors:
+        if any(v != u and mono_divides(vp, pos) and mono_divides(vn, negp)
+               for v, (vp, vn) in vectors):
+            continue
+        out.add(_oriented(u, pos, negp))
+    return sorted(out)
+
+
+def integer_kernel_basis(rows: list) -> list:
+    """A lattice basis of {u in Z^m : A u = 0} via unimodular column reduction."""
+    n = len(rows)
+    m = len(rows[0]) if rows else 0
+    cols = [[rows[i][j] for i in range(n)] for j in range(m)]
+    U = [[1 if i == j else 0 for i in range(m)] for j in range(m)]
+    lead = 0
+    for r in range(n):
+        while True:
+            nz = [j for j in range(lead, m) if cols[j][r] != 0]
+            if len(nz) <= 1:
+                break
+            nz.sort(key=lambda j: (abs(cols[j][r]), j))
+            j, k = nz[0], nz[1]
+            q = cols[k][r] // cols[j][r]
+            cols[k] = [a - q * b for a, b in zip(cols[k], cols[j])]
+            U[k] = [a - q * b for a, b in zip(U[k], U[j])]
+        if nz:
+            j = nz[0]
+            cols[lead], cols[j] = cols[j], cols[lead]
+            U[lead], U[j] = U[j], U[lead]
+            lead += 1
+    return [tuple(U[j]) for j in range(lead, m)]
+
+
+def graver_completion(lattice_basis: list) -> list:
+    """All conformally-minimal nonzero lattice vectors (Pottier completion),
+    as ``oriented_minimal`` returns them.
+
+    A vector s lies conformally below f (same sign as f wherever s is
+    nonzero, and no larger in absolute value) exactly when the monomial s+
+    divides f+ and s- divides f-; then f - s has the parts f+/s+ and f-/s-.
+    So the members of the growing set S are held as their sign parts, each
+    a packed monomial with one field per coordinate (``algebra.Packing``),
+    and the conformal test in the normal form is ``Packing.pair_divisor``,
+    two masked subtractions per member of S.
+    Two vectors have a sign conflict when the support of one's positive
+    part meets that of the other's negative part.  The parts of u + v are
+    u+ + v+ and u- + v-, less their fieldwise minimum.  A part that reaches
+    a guard bit restarts the completion with fields twice as wide.  The
+    scan order and the first-match rule are those of plain vector
+    reduction, so the result is the same.
+
+    Only pairs with a sign conflict are formed.  The completion is done
+    when every u + v over pairs of S is a sum of members of S conformally
+    below it; if u and v agree in sign wherever both are nonzero, then u
+    and v lie conformally below u + v, and u + v = u + v is such a sum
+    (Hemmecke, Math. Program. 2003).
+    """
+    n = len(lattice_basis[0]) if lattice_basis else 0
+    pk = Packing(n, range(n))
+    return pk.widening(lambda pk: oriented_minimal(
+        tuple(map(sub, pk.unpack(p), pk.unpack(q)))
+        for p, q in _completion(pk, lattice_basis)))
+
+
+def _completion(pk: Packing, lattice_basis: list) -> list:
+    """``graver_completion``'s set S, as packed sign parts (u+, u-)."""
+    checked, gcd, support, pair_divisor = pk.checked, pk.gcd, pk.support, pk.pair_divisor
+    S, sup_p, sup_n = [], [], []
+    seen = set()
+
+    def join(v):
+        seen.add(v)
+        S.append(v)
+        sup_p.append(support(v[0]))
+        sup_n.append(support(v[1]))
+
+    def conflicts(p, q):
+        sp, sn = support(p), support(q)
+        return [k for k in range(len(S)) if sp & sup_n[k] or sn & sup_p[k]]
+
+    for b in lattice_basis:
+        p, q = map(pk.pack, _sign_parts(tuple(b)))
+        for v in ((p, q), (q, p)):
+            if (p or q) and v not in seen:
+                join(v)
+
+    def nf(p, q):
+        while p or q:
+            s = pair_divisor(p, q, S)
+            if s is None:
+                return p, q
+            p -= s[0]
+            q -= s[1]
+        return None
+
+    queue = deque((i, j) for i in range(len(S)) for j in conflicts(*S[i]) if j > i)
+    while queue:
+        i, j = queue.popleft()
+        (pi, qi), (pj, qj) = S[i], S[j]
+        p, q = checked(pi + pj), checked(qi + qj)
+        common = gcd(p, q)
+        h = nf(p - common, q - common)
+        if h is None or h in seen:
+            continue
+        for v in (h, h[::-1]):
+            queue.extend((len(S), k) for k in conflicts(*v))
+            join(v)
+    return S
+
+
+# ---------------------------------------------------------------------------
 # Small oracles that only the tests call: monomial arithmetic, order
 # comparison, Krull dimension, and two graph checks.
 
@@ -356,6 +486,17 @@ def remove_leaves_fixpoint(G: Graph) -> Graph:
 
 def has_four_cycle(G: Graph) -> bool:
     return any(four_cycles_containing(G, label) for label in G.edge_labels)
+
+
+def census9_graphs(seed: int) -> list:
+    """The 710 connected 9-edge graph classes of the benchmark's census,
+    labelled as its ``seed`` labels them."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return [inputs.relabel(*inputs.census_graph(n, edges), seed, "census9/%d" % i).graph
+            for i, (n, edges) in enumerate(inputs.load_census())]
 
 
 def seeded_rng(seed: int, *labels: str) -> random.Random:

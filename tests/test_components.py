@@ -5,22 +5,24 @@ from dataclasses import replace
 
 import pytest
 
-from gvdlab import components
+from gvdlab import components, graphs
 from gvdlab.algebra import Ring, initial_y_form, parse_poly
 from gvdlab.components import (
     SplitNotApplicable, binomial_monomial_split, sqfree_monomial_components,
     unmixedness_evidence,
 )
 from gvdlab.graphs import (
-    complete_bipartite, complete_graph, cycle_graph, universal_groebner_basis,
+    complete_bipartite, complete_graph, cycle_graph, toric_ideal,
+    universal_groebner_basis,
 )
 from gvdlab.groebner import (
     Ideal, ideal_contains, ideal_equal, minimal_generators,
 )
+from gvdlab.gvd import is_gvd
 
 from fixtures import (
-    TWO_K4_C_E2, TWO_K4_LEX_E2_BASIS, TWO_K4_N_E2, intersection,
-    two_k4_sharing_vertex,
+    TWO_K4_C_E2, TWO_K4_LEX_E2_BASIS, TWO_K4_N_E2, empty_shared_memo,
+    intersection, two_k4_sharing_vertex,
 )
 
 XYZ = Ring(["x", "y", "z"])
@@ -234,3 +236,70 @@ def test_universal_basis_sign_sets_are_those_of_the_renamed_basis():
         ring = Ring(("t",) + G.edge_labels)
         assert components._ugb_signs(G, ring) == {
             frozenset(f.rename(ring).terms) for f in universal_groebner_basis(G)}
+
+
+# B is the binomial part of <t> + <B>, in the ring of K4's edges and t, as
+# ``unmixedness_evidence`` splits it; I_K4 is generated by e1*e6 - e2*e5,
+# e1*e6 - e3*e4 and e2*e5 - e3*e4.
+PRIME_PATH_CASES = {
+    # a binomial of I_K4 that is not primitive, and I_K4 not inside <B>
+    "not primitive": (["e1*e6 - e2*e5", "e1^2*e6^2 - e3^2*e4^2"], False),
+    # a binomial outside I_K4
+    "outside": (["e1*e6 - e2*e5", "e1*e6 - e3*e4", "e1*e2 - e3*e4"], False),
+    # I_K4 not inside <B>
+    "too few": (["e1*e6 - e2*e5"], False),
+    # two of the three generate the third
+    "two of three": (["e1*e6 - e2*e5", "e2*e5 - e3*e4"], True),
+}
+
+
+@pytest.mark.parametrize("case", PRIME_PATH_CASES)
+def test_prime_path_agrees_with_ideal_equality(case):
+    texts, generates = PRIME_PATH_CASES[case]
+    G = complete_graph(4)
+    ring = Ring(G.edge_labels + ("t",))
+    I = Ideal(ring, [parse_poly(ring, t) for t in ["t"] + texts])
+    gens = minimal_generators(I)
+    binoms = [g for g in gens if not g.is_monomial()]
+    assert [g for g in gens if g.is_monomial()] == [ring.var("t")]
+    assert len(binoms) == len(texts)
+    # the sign sets differ, so the checks decide
+    assert {frozenset(f.terms) for f in binoms} != components._ugb_signs(G, ring)
+    ext = [f.rename(ring) for f in universal_groebner_basis(G)]
+    assert ideal_equal(Ideal(ring, binoms), Ideal(ring, ext)) is generates
+    assert components._generates_toric_ideal(I, binoms, G) is generates
+
+
+def test_toric_tests_run_no_ideal_equality_on_two_k4(monkeypatch):
+    # Neither the prime path nor the split compares ideals: the checks
+    # reduce the universal basis modulo one reduced basis instead.
+    monkeypatch.setattr(graphs, "_UGB_CACHE", {})
+    empty_shared_memo(monkeypatch)
+    calls = {"tests": 0, "checked": 0, "ideal_equal": 0}
+    inside = []
+    test, equal, contains = (components._generates_toric_ideal,
+                             components.ideal_equal, components.ideal_contains)
+
+    def counted_test(*args):
+        calls["tests"] += 1
+        inside.append(True)
+        try:
+            return test(*args)
+        finally:
+            inside.pop()
+
+    def counted_equal(*args):
+        calls["ideal_equal"] += bool(inside)
+        return equal(*args)
+
+    def counted_contains(*args):
+        calls["checked"] += 1
+        return contains(*args)
+
+    monkeypatch.setattr(components, "_generates_toric_ideal", counted_test)
+    monkeypatch.setattr(components, "ideal_equal", counted_equal)
+    monkeypatch.setattr(components, "ideal_contains", counted_contains)
+    G = two_k4_sharing_vertex()
+    assert is_gvd(toric_ideal(G), context=G).verdict == "not-gvd"
+    assert calls["ideal_equal"] == 0
+    assert 0 < calls["checked"] <= calls["tests"]

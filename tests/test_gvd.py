@@ -273,7 +273,7 @@ def test_gvd_refutes_the_benchmark_and_replays(monkeypatch):
     monkeypatch.setattr(graphs, "_UGB_CACHE", {})
     empty_shared_memo(monkeypatch)
     G = two_k4_sharing_vertex()
-    calls = {"intersect": 0, "graver_completion": 0, "_search": 0,
+    calls = {"intersect": 0, "graver_basis": 0, "_search": 0,
              "buchberger": 0}
 
     def counted(module, name):
@@ -285,7 +285,7 @@ def test_gvd_refutes_the_benchmark_and_replays(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(components, "intersect")
-    counted(graphs, "graver_completion")
+    counted(graphs, "graver_basis")
     counted(gvd, "_search")
     counted(groebner, "buchberger")
     J = toric_ideal(G)
@@ -295,15 +295,17 @@ def test_gvd_refutes_the_benchmark_and_replays(monkeypatch):
     # The witness settles every non-radical step, and each context's
     # universal basis is restricted from the graph's.
     assert calls["intersect"] == 0
-    assert calls["graver_completion"] <= 1
+    assert calls["graver_basis"] <= 1
     # The work of the search, which stops at ideals proved not radical:
     # without that stop it made 1,490 _search and 5,261 buchberger calls,
     # with it 1,070 and 3,598.  Keying the memo by the context's shape
     # serves symmetric branches from one search: 511 and 2,066.  Keying
     # principal and monomial bases without the context: 463 _search calls.
     # Keying the others by their context's edge positions and lattice: 446.
+    # Testing toric parts by lattice and membership, not by comparing
+    # reduced bases: 1,824 buchberger calls, from 1,925.
     assert calls["_search"] <= 450
-    assert calls["buchberger"] <= 2150
+    assert calls["buchberger"] <= 1850
     assert replay_certificate(J, cert, context=G)
 
 
