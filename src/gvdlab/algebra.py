@@ -399,7 +399,7 @@ class Packing:
         # the variables in row order; each degree row as (its position in
         # the list of fields, a picker of its variables) for packing, and
         # as (its shift, the value bits of its variables, a mask clearing
-        # its field) for the lcm and the gcd
+        # its field) for the lcm
         self._var_pick = _tuple_picker([r for r in rows if isinstance(r, int)], arity)
         degree_rows = [(k, r) for k, r in enumerate(rows) if not isinstance(r, int)]
         self._sums = tuple((k, _tuple_picker(r, arity)) for k, r in degree_rows)
@@ -464,17 +464,6 @@ class Packing:
                 return r
         return None
 
-    def pair_divisor(self, p: int, q: int, pairs):
-        """The first (a, b) of ``pairs`` with a dividing p and b dividing
-        q, or None.  With ``gcd``, it serves the Pottier completion that
-        the tests keep as the oracle of ``graphs.graver_basis``."""
-        G = self.guard
-        pG, qG = p | G, q | G
-        for r in pairs:
-            if (pG - r[0]) & G == G and (qG - r[1]) & G == G:
-                return r
-        return None
-
     def support(self, a: int) -> int:
         """The guard bits of the variables that occur in a: (a + values)
         sets the guard of a field exactly when the field is nonzero."""
@@ -483,10 +472,6 @@ class Packing:
     def lcm(self, a: int, b: int) -> int:
         ge = self._at_least(a, b)
         return self._resummed(a & ge | b & ~ge)
-
-    def gcd(self, a: int, b: int) -> int:
-        ge = self._at_least(a, b)
-        return self._resummed(b & ge | a & ~ge)
 
     def _at_least(self, a: int, b: int) -> int:
         """The value bits of the fields where a is at least b."""

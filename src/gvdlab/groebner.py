@@ -7,13 +7,16 @@ Groebner bases are unique for a given order, which is what makes
 ``ideal_equal`` and the certificate replay byte-stable.
 
 The engine holds its elements in one of two representations, chosen from
-the input and kept to the end; the pair loop is the same for both.
-Generators that are all monomials c*x^a or pure differences c*(x^a - x^b)
-(c a nonzero rational, constants included) are held without coefficients,
-as pairs (initial monomial, tail monomial or None).  Any other input is held
-as records of monic polynomials with ``Fraction`` coefficients.  The first
-class is closed under what Buchberger does to it (Eisenbud-Sturmfels,
-*Binomial ideals*, Duke Math. J. 84 (1996)), so nothing is lost:
+the input by one rule (``_arithmetic``) and kept to the end.  Input that is
+all monomials c*x^a or pure differences c*(x^a - x^b) (c a nonzero
+rational, constants included) is held without coefficients, as pairs
+(initial monomial, tail monomial or None).  Any other input is held as
+records of monic polynomials with ``Fraction`` coefficients.  Three
+consumers apply the rule: ``buchberger`` to its generators,
+``ideal_contains`` to the basis and the polynomials it tests, and
+``minimal_generators`` to the candidates.  The first class is closed
+under what Buchberger does to it (Eisenbud-Sturmfels, *Binomial ideals*,
+Duke Math. J. 84 (1996)), so nothing is lost:
 
 - S-pairs.  Of the monic x^a - x^b and x^c - x^d (a tail may be absent),
   with L = lcm(a, c), the S-polynomial x^(L-a)(x^a - x^b) -
@@ -27,9 +30,10 @@ So every polynomial the engine forms has at most two terms, whose
 coefficients are k and -k, and made monic it is determined by its monomials
 and the order alone.  Reduction visits terms largest first and takes the
 first divisor in either representation, so both compute the same terms and
-return the same reduced basis.
+return the same reduced basis, the same memberships and the same minimal
+generators.
 
-Inside ``buchberger``, ``normal_form`` and ``minimal_generators`` every
+Inside ``buchberger``, ``ideal_contains`` and ``minimal_generators`` every
 monomial is one int, packed by the order's ``algebra.Packing``: a
 fixed-width field per row of the order (each degree row, then each
 variable), most significant first, with a guard bit on top of each
@@ -53,7 +57,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .algebra import (
     Order, Packing, Poly, Ring,
@@ -62,7 +66,7 @@ from .algebra import (
 )
 
 __all__ = [
-    "Ideal", "s_polynomial", "normal_form", "buchberger", "initial_ideal",
+    "Ideal", "s_polynomial", "buchberger", "initial_ideal",
     "ideal_equal", "ideal_contains", "intersect",
     "saturate_variable", "eliminate", "contract",
     "is_square_free_groebner_basis", "radical_contains", "radical_equal",
@@ -153,18 +157,6 @@ def _reducer(terms: dict, m: tuple, c: Fraction) -> tuple:
     return m, tuple((gm, gc) for gm, gc in _monic(terms, c).items() if gm != m)
 
 
-def normal_form(order: Order, f: Poly, basis: Sequence[Poly]) -> Poly:
-    """Fully reduce f modulo the list of polynomials (first divisor wins),
-    on packed monomials, as ``buchberger`` reduces."""
-    basis = [g for g in basis if not g.is_zero()]
-
-    def run(pk: Packing) -> Poly:
-        ar = _Fractions(pk)
-        rem = ar.remainder(ar.packed(f), list(map(ar.store, basis)))
-        return Poly(f.ring, {pk.unpack(m): c for m, c in rem.items()})
-    return order.packing.widening(run)
-
-
 class _Fractions:
     """Elements with coefficients: the record (initial monomial, tail) of a
     monic polynomial, the tail a tuple of (monomial, Fraction) in descending
@@ -176,13 +168,10 @@ class _Fractions:
     def __init__(self, pk: Packing):
         self.pk = pk
 
-    def packed(self, g: Poly) -> dict:
-        pack = self.pk.pack
-        return {pack(m): c for m, c in g.terms.items()}
-
     def store(self, g: Poly) -> tuple:
         # sorted, so that generators equal up to a scalar give equal records
-        terms = self.packed(g)
+        pack = self.pk.pack
+        terms = {pack(m): c for m, c in g.terms.items()}
         m = max(terms)
         m, tail = _reducer(terms, m, terms[m])
         return m, tuple(sorted(tail, reverse=True))
@@ -198,11 +187,12 @@ class _Fractions:
                 del out[mm]
         return out
 
-    def remainder(self, terms: dict, reducers) -> dict:
+    def reduce(self, terms: dict, reducers):
         """The full normal form of a term dict against the records
-        ``reducers`` (first divisor wins).  Terms leave ``work`` largest
-        first, so they enter the result in descending order, and a sum
-        that overflowed is caught as it leaves."""
+        ``reducers`` (first divisor wins), as a monic record, or None when
+        it is 0.  Terms leave ``work`` largest first, so they enter the
+        result in descending order, and a sum that overflowed is caught as
+        it leaves."""
         checked, divisor = self.pk.checked, self.pk.divisor
         work = dict(terms)
         rem: dict = {}
@@ -222,10 +212,6 @@ class _Fractions:
                     work[mm] = v
                 elif mm in work:
                     del work[mm]
-        return rem
-
-    def reduce(self, terms: dict, reducers):
-        rem = self.remainder(terms, reducers)
         if not rem:
             return None
         m = next(iter(rem))
@@ -314,6 +300,14 @@ def _is_binomial(g: Poly) -> bool:
     return a.numerator == -b.numerator and a.denominator == b.denominator
 
 
+def _arithmetic(polys: Iterable[Poly]) -> type:
+    """The representation for computing with these nonzero polynomials:
+    ``_Binomials`` when each is a monomial or a pure difference (a class
+    closed under reduction and S-pairs; see the module docstring),
+    ``_Fractions`` otherwise."""
+    return _Binomials if all(map(_is_binomial, polys)) else _Fractions
+
+
 def s_polynomial(arith, f: tuple, g: tuple):
     """The S-polynomial (lcm/in f)*f - (lcm/in g)*g of two elements stored
     by ``buchberger`` in the representation ``arith``.
@@ -333,9 +327,9 @@ def buchberger(order: Order, gens: Iterable[Poly]) -> list:
     i, j), with the coprime and chain criteria; the result is minimalized,
     fully inter-reduced, monic, and sorted by ascending initial term.
 
-    The representation of the elements is ``_Binomials`` when every
-    generator is a monomial or a pure difference (see the module docstring
-    for why the class is closed), ``_Fractions`` otherwise.  Only storing an
+    The representation of the elements is the one ``_arithmetic`` selects
+    from the generators: ``_Binomials`` when every one is a monomial or a
+    pure difference, ``_Fractions`` otherwise.  Only storing an
     element, forming an S-pair and reducing depend on it; the pair heap, the
     criteria, minimalization and inter-reduction are shared.  Either way
     each element is monic, and its initial monomial and that monomial's
@@ -360,7 +354,7 @@ def buchberger(order: Order, gens: Iterable[Poly]) -> list:
     gens = [g for g in gens if not g.is_zero()]
     if len(gens) <= 1:
         return [_made_monic(order, g) for g in gens]
-    arith = _Binomials if all(map(_is_binomial, gens)) else _Fractions
+    arith = _arithmetic(gens)
     return order.packing.widening(
         lambda pk: _reduced_basis(arith(pk), order.ring, gens))
 
@@ -447,14 +441,18 @@ def initial_ideal(order: Order, I: Ideal) -> Ideal:
 
 def ideal_contains(I: Ideal, *polys: Poly) -> bool:
     """True iff every one of ``polys`` lies in I: each reduces to 0 modulo
-    I's reduced basis, which is packed once for all of them."""
+    I's reduced basis, which is stored once for all of them, in the
+    representation that the basis and ``polys`` together select."""
     order = storage_order(I.ring)
     basis = I.groebner(order)
+    polys = [f for f in polys if not f.is_zero()]
+    arith = _arithmetic(basis + tuple(polys))
 
     def run(pk: Packing) -> bool:
-        ar = _Fractions(pk)
+        ar = arith(pk)
         stored = list(map(ar.store, basis))
-        return not any(ar.remainder(ar.packed(f), stored) for f in polys)
+        return all(ar.reduce(ar.terms(ar.store(f)), stored) is None
+                   for f in polys)
     return order.packing.widening(run)
 
 
@@ -484,13 +482,14 @@ def minimal_generators(I: Ideal) -> list:
     if not all(len(set(map(sum, f.terms))) == 1 for f in cands):
         return _greedy_generators(I.ring, cands)
     order = storage_order(I.ring)
+    arith = _arithmetic(cands)
     return order.packing.widening(
-        lambda pk: _graded_generators(_Fractions(pk), order, cands))
+        lambda pk: _graded_generators(arith(pk), order, cands))
 
 
-def _graded_generators(ar: _Fractions, order: Order, cands: list) -> list:
+def _graded_generators(ar, order: Order, cands: list) -> list:
     """``minimal_generators`` of homogeneous candidates, in ascending
-    degree, with monomials packed by ``ar.pk``."""
+    degree, in the representation ``ar`` at the packing ``ar.pk``."""
     kept, lower, echelon, degree = [], [], [], None
     for f in cands:
         if f.total_degree() != degree:
@@ -498,7 +497,7 @@ def _graded_generators(ar: _Fractions, order: Order, cands: list) -> list:
             if echelon:
                 lower = list(map(ar.store, Ideal(order.ring, kept).groebner(order)))
             echelon = []
-        e = ar.reduce(ar.packed(f), lower + echelon)
+        e = ar.reduce(ar.terms(ar.store(f)), lower + echelon)
         if e is not None:
             echelon.append(e)
             kept.append(f)

@@ -45,7 +45,7 @@ from .components import (
     UnmixednessEvidence, base_evidence, named, unmixedness_evidence,
 )
 from .graphs import Graph, lifted_basis
-from .groebner import Ideal, contract, ideal_equal, radical_contains
+from .groebner import Ideal, contract, ideal_equal
 from .util import Budget
 
 __all__ = [
@@ -81,23 +81,15 @@ class CnSplit:
     identity says in_y(I) is generated in y-degree ≤ 1, whatever the order
     (the square-free dichotomy; Klein–Rajchgot, Forum Math. Sigma 9
     (2021)): a failure at one y-compatible order is a failure at all.
+
+    Whether a step only shrinks the problem is read off the split and its
+    C branch (``_degenerate``).
     """
 
     y: str
     C: Ideal
     N: Ideal
     square_free_in_y: bool
-
-    def degenerate(self) -> bool:
-        """C is the unit ideal or √C = √N: a valid step that only shrinks
-        the problem.  N's generators are among C's, so only √C ⊆ √N is
-        tested, and not at all when the lists are equal (y absent).  This
-        is the literal test replay makes; the certifiers read the flag off
-        the certified branches instead (see ``_decomposition``)."""
-        n_gens = set(self.N.gens)
-        return (self.C.gens == self.N.gens or self.C.is_unit_ideal()
-                or all(radical_contains(self.N, c)
-                       for c in self.C.gens if c not in n_gens))
 
 
 def initial_y_ideal(I: Ideal, y) -> Ideal:
@@ -136,6 +128,31 @@ def check_decomposition(I: Ideal, split: CnSplit) -> bool:
     y = I.ring.var(split.y)
     rhs = split.N.with_extra([y * c for c in split.C.gens])
     return ideal_equal(initial_y_ideal(I, split.y), rhs)
+
+
+def _degenerate(split: CnSplit, c_branch: Ideal) -> bool:
+    """The ``degenerate`` flag of a step with this split, whose C branch
+    (the contraction of C) is ``c_branch``: the generator lists of C and N
+    are equal, or C's branch is the unit ideal.
+
+    The flag means that C is the unit ideal or √C = √N, a valid step that
+    only shrinks the problem, and the rule says exactly that when both
+    branches are radical.  They are wherever the flag counts: the
+    certifiers set it on a step whose branches both certified "gvd", and
+    replay accepts it only once both children replay as "gvd".  A "gvd"
+    ideal is radical (module docstring), and so are C and N, the
+    extensions of the branches by y: the quotient is a polynomial ring
+    over the branch's.  For radical N ⊆ C, √C = √N exactly
+    when C = N.  The lists are equal exactly when y is absent from the
+    reduced basis, and then C = N.  Otherwise C ≠ N: some element is
+    g = y^d·q + r with d ≥ 1, and q is a generator of C.  If q lay in N,
+    which lies in I, some initial term of the reduced basis would divide
+    in(q), and so properly divide in(g) = y^d·in(q) under the y-compatible
+    order, which a reduced basis rules out.  So past the two tests the step
+    is degenerate only if C is the unit ideal, and C's branch, which C
+    extends along the free Q[x] → Q[x][y], is unit exactly when C is.
+    """
+    return split.C.gens == split.N.gens or c_branch.is_unit_ideal()
 
 
 # ---------------------------------------------------------------------------
@@ -284,27 +301,11 @@ def _decomposition(ring_names: tuple, ev: UnmixednessEvidence, split: CnSplit,
 
     It is decomposable when the unmixedness evidence is conclusive or cited
     from a structural theorem, and otherwise inconclusive with the step
-    attached.
-
-    The flag ``degenerate`` is the value of ``split.degenerate()``, read
-    off the branches without a radical membership test: it holds exactly
-    when the generator lists of C and N are equal or C's branch is the
-    unit ideal.  Both branches certified "gvd", so both are radical
-    (module docstring), and so are C and N, their extensions by y: the
-    quotient is a polynomial ring over the branch's.  For radical N ⊆ C,
-    √C = √N exactly when C = N.  The lists are equal exactly when y is
-    absent from the reduced basis, and then C = N.  Otherwise C ≠ N: some
-    element is g = y^d·q + r with d ≥ 1, and q is a generator of C.  If q
-    lay in N, which lies in I, some initial term of the reduced basis
-    would divide in(q), and so properly divide in(g) = y^d·in(q) under the
-    y-compatible order, which a reduced basis rules out.  So past the two
-    tests the step is degenerate only if C is the unit ideal, and C's
-    branch, which C extends along the free Q[x] → Q[x][y], is unit
-    exactly when C is.
+    attached.  Both branches certified "gvd", so ``_degenerate`` reads the
+    flag ``degenerate`` off them without a radical membership test.
     """
-    degenerate = split.C.gens == split.N.gens or c_branch.is_unit_ideal()
     y = ring_names.index(split.y)
-    step = dict(unmixedness=ev, y=y, degenerate=degenerate,
+    step = dict(unmixedness=ev, y=y, degenerate=_degenerate(split, c_branch),
                 child_c=cert_c.node, child_n=cert_n.node)
     if ev.conclusive_unmixed or ev.status == "cited":
         return _certificate(ring_names, "decomposition", "gvd", **step)
@@ -342,7 +343,7 @@ def certify_step(I: Ideal, y: str, context: Optional[Graph], theorem: str,
                                    % names.index(y))
     n_branch = contract(split.N, y)
     c_branch = n_branch if split.C.gens == split.N.gens else contract(split.C, y)
-    if c_branch is n_branch or c_branch.is_unit_ideal():
+    if _degenerate(split, c_branch):
         cert_n = certify_n(n_branch)
         cert_c = cert_n if c_branch is n_branch else base_certificate(c_branch)
         if cert_n.verdict == "not-gvd":
@@ -739,7 +740,9 @@ def replay_certificate(I: Ideal, cert: GvdCertificate,
     Certified-decomposable trees are replayed node by node: base-case kinds
     are recomputed, every decomposition identity is checked literally by
     ``check_decomposition`` for C and N under ``y_order``, the
-    degeneracy flag is re-derived, unmixedness evidence is recomputed and
+    degeneracy flag is read off the branches by the certifiers' rule
+    (``_degenerate``, which holds since both children must replay as
+    "gvd"), unmixedness evidence is recomputed and
     must be conclusive again, and the reduced basis of a disjoint union
     must split over disjoint variables as its factors say.  A "not-gvd"
     leaf (no failures, no children) is checked without a search: its
@@ -824,13 +827,16 @@ def _replay_node(I: Ideal, node: GvdNode, context: Optional[Graph],
         return False
     y = names[node.y]
     split = cn_split(I, y)
-    if (not check_decomposition(I, split)
-            or split.degenerate() != node.degenerate):
+    if not check_decomposition(I, split):
+        return False
+    # The flag holds as ``_degenerate`` reads it once both children replay
+    # as "gvd", and the node is accepted only then.
+    c_branch = contract(split.C, y)
+    if _degenerate(split, c_branch) != node.degenerate:
         return False
     child_ctx = _child_context(context, y)
-    return all(_replay(contract(side, y), child, child_ctx, seen)
-               for side, child in ((split.C, node.child_c),
-                                   (split.N, node.child_n)))
+    return (_replay(c_branch, node.child_c, child_ctx, seen)
+            and _replay(contract(split.N, y), node.child_n, child_ctx, seen))
 
 
 def _replay_factors(I: Ideal, node: GvdNode, context: Optional[Graph],

@@ -335,8 +335,8 @@ def graver_completion(lattice_basis: list) -> list:
     divides f+ and s- divides f-; then f - s has the parts f+/s+ and f-/s-.
     So the members of the growing set S are held as their sign parts, each
     a packed monomial with one field per coordinate (``algebra.Packing``),
-    and the conformal test in the normal form is ``Packing.pair_divisor``,
-    two masked subtractions per member of S.
+    and the conformal test in the normal form is ``pair_divisor``, two
+    masked subtractions per member of S.
     Two vectors have a sign conflict when the support of one's positive
     part meets that of the other's negative part.  The parts of u + v are
     u+ + v+ and u- + v-, less their fieldwise minimum.  A part that reaches
@@ -359,7 +359,7 @@ def graver_completion(lattice_basis: list) -> list:
 
 def _completion(pk: Packing, lattice_basis: list) -> list:
     """``graver_completion``'s set S, as packed sign parts (u+, u-)."""
-    checked, gcd, support, pair_divisor = pk.checked, pk.gcd, pk.support, pk.pair_divisor
+    checked, support = pk.checked, pk.support
     S, sup_p, sup_n = [], [], []
     seen = set()
 
@@ -381,7 +381,7 @@ def _completion(pk: Packing, lattice_basis: list) -> list:
 
     def nf(p, q):
         while p or q:
-            s = pair_divisor(p, q, S)
+            s = pair_divisor(pk, p, q, S)
             if s is None:
                 return p, q
             p -= s[0]
@@ -393,7 +393,7 @@ def _completion(pk: Packing, lattice_basis: list) -> list:
         i, j = queue.popleft()
         (pi, qi), (pj, qj) = S[i], S[j]
         p, q = checked(pi + pj), checked(qi + qj)
-        common = gcd(p, q)
+        common = packed_gcd(pk, p, q)
         h = nf(p - common, q - common)
         if h is None or h in seen:
             continue
@@ -401,6 +401,25 @@ def _completion(pk: Packing, lattice_basis: list) -> list:
             queue.extend((len(S), k) for k in conflicts(*v))
             join(v)
     return S
+
+
+def pair_divisor(pk: Packing, p: int, q: int, pairs):
+    """The first (a, b) of ``pairs`` with a dividing p and b dividing q,
+    all monomials packed by ``pk``, or None."""
+    G = pk.guard
+    pG, qG = p | G, q | G
+    for r in pairs:
+        if (pG - r[0]) & G == G and (qG - r[1]) & G == G:
+            return r
+    return None
+
+
+def packed_gcd(pk: Packing, a: int, b: int) -> int:
+    """The gcd of the monomials a and b packed by ``pk``: their fieldwise
+    minimum, with each degree row summed again, as ``Packing.lcm`` takes
+    the maximum."""
+    ge = pk._at_least(a, b)
+    return pk._resummed(b & ge | a & ~ge)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ from gvdlab.algebra import (
     parse_poly, storage_order, y_order, y_split,
 )
 
-from fixtures import compare, mono_div, mono_lcm
+from fixtures import (
+    compare, mono_div, mono_lcm, packed_gcd, pair_divisor,
+)
 
 R4 = Ring(["e1", "e2", "e3", "e4"])
 
@@ -323,9 +325,6 @@ def test_packed_monomials_follow_the_order_and_the_tuple_operations(case):
         first = next(i for i, b in enumerate(ms) if mono_divides(b, a))
         assert pk.divisor(pa, records) == records[first]
         for b, pb in zip(ms, packed):
-            both = [(p, q) for (x, p), (y, q) in zip(zip(ms, packed), zip(ms[1:], packed[1:]))
-                    if mono_divides(x, a) and mono_divides(y, b)]
-            assert pk.pair_divisor(pa, pb, zip(packed, packed[1:])) == (both[0] if both else None)
             ka, kb = order.key(a), order.key(b)
             assert (pa < pb) == (ka < kb) and (pa == pb) == (ka == kb)
             assert pk.divides(pb, pa) == mono_divides(b, a)
@@ -347,4 +346,18 @@ def test_packed_monomials_follow_the_order_and_the_tuple_operations(case):
                     pk.lcm(pa, pb)
             else:
                 assert pk.lcm(pa, pb) == lcm
-            assert pk.gcd(pa, pb) == pk.pack(tuple(map(min, a, b)))
+
+
+@given(packed_monomials())
+@settings(max_examples=300, deadline=None)
+def test_the_completion_oracle_helpers_follow_the_tuple_operations(case):
+    # ``pair_divisor`` and ``packed_gcd`` serve the Pottier completion in
+    # the fixtures
+    order, ms = case
+    pk, packed = order.packing.widening(lambda pk: (pk, [pk.pack(m) for m in ms]))
+    for a, pa in zip(ms, packed):
+        for b, pb in zip(ms, packed):
+            both = [(p, q) for (x, p), (y, q) in zip(zip(ms, packed), zip(ms[1:], packed[1:]))
+                    if mono_divides(x, a) and mono_divides(y, b)]
+            assert pair_divisor(pk, pa, pb, zip(packed, packed[1:])) == (both[0] if both else None)
+            assert packed_gcd(pk, pa, pb) == pk.pack(tuple(map(min, a, b)))

@@ -13,7 +13,7 @@ from gvdlab.algebra import (
 )
 from gvdlab.groebner import (
     Ideal, _Binomials, _Fractions, buchberger, eliminate, ideal_contains,
-    ideal_equal, initial_ideal, intersect, normal_form, radical_contains,
+    ideal_equal, initial_ideal, intersect, radical_contains,
     radical_equal, s_polynomial, saturate_variable,
 )
 
@@ -54,15 +54,18 @@ def test_s_polynomial_cancels_leading_terms():
 
 
 def test_normal_form_full_reduction():
-    o = storage_order(XYZ)
-    r = normal_form(o, P("x^2*y + x*y^2 + y^2"), [P("x*y - 1"), P("y^2 - 1")])
-    assert r == P("x + y + 1")
+    # every term is reduced, not only the initial one; the remainder is monic
+    fr = _Fractions(storage_order(XYZ).packing)
+    basis = [fr.store(P("x*y - 1")), fr.store(P("y^2 - 1"))]
+    r = fr.reduce(fr.terms(fr.store(P("x^2*y + x*y^2 + y^2"))), basis)
+    assert fr.poly(XYZ, r) == P("x + y + 1")
 
 
 def test_normal_form_empty_basis_is_identity():
-    o = storage_order(XYZ)
     f = P("x^2 - y")
-    assert normal_form(o, f, []) == f
+    for arith in (_Binomials, _Fractions):
+        ar = arith(storage_order(XYZ).packing)
+        assert ar.poly(XYZ, ar.reduce(ar.terms(ar.store(f)), [])) == f
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The C/N split, the decomposition-identity check, and the recursive
 decomposability certifier, including refutations and certificate replay."""
 
+import sys
 from dataclasses import replace
 
 import pytest
@@ -9,6 +10,7 @@ from gvdlab import components, graphs, groebner, gvd, util
 from gvdlab.algebra import Ring, parse_poly
 from gvdlab.bipartite import certify_bipartite_gvd
 from gvdlab.components import UnmixednessEvidence
+from gvdlab.ef import quadratic_pipeline
 from gvdlab.graphs import (
     Graph, complete_bipartite, complete_graph, cycle_graph, toric_ideal,
 )
@@ -38,6 +40,11 @@ def I(*texts, ring=XYZW):
 def equal_to_display(ideal, texts):
     ring = ideal.ring
     return ideal_equal(ideal, Ideal(ring, [parse_poly(ring, t) for t in texts]))
+
+
+def degenerate(split) -> bool:
+    """The flag a step with this split records."""
+    return gvd._degenerate(split, contract(split.C, split.y))
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +106,7 @@ def test_check_holds_for_benchmark_at_e2():
     J = toric_ideal(G)
     split = cn_split(J, "e2")
     assert check_decomposition(J, split)
-    assert not split.degenerate()
+    assert not degenerate(split)
 
 
 def test_check_fails_for_square_generator():
@@ -109,14 +116,14 @@ def test_check_fails_for_square_generator():
     J = Ideal(R1, [parse_poly(R1, "e4^2")])
     split = cn_split(J, "e4")
     assert not check_decomposition(J, split)
-    assert split.degenerate()
+    assert degenerate(split)
 
 
 def test_check_degenerate_at_absent_variable():
     J = I("x*z - w^2")
     split = cn_split(J, "y")
     assert check_decomposition(J, split)
-    assert split.degenerate()
+    assert degenerate(split)
 
 
 def test_initial_y_ideal_of_principal():
@@ -623,13 +630,24 @@ def test_replay_rejects_tampered_certificate():
         assert not replay_certificate(J, forged(cert, **tamper), context=G)
 
 
-def test_the_certifiers_read_the_degenerate_flag_off_the_branches(monkeypatch):
-    # The certifiers set the flag from the certified branches, so they make
-    # no radical membership test; replay re-derives it literally, with them.
+def spied(monkeypatch, name: str) -> list:
+    """The arguments of every call of ``groebner.<name>``, under each alias
+    of it that a gvdlab module holds, until ``monkeypatch`` is undone."""
     calls = []
-    real = gvd.radical_contains
-    monkeypatch.setattr(gvd, "radical_contains",
-                        lambda *args: calls.append(args) or real(*args))
+    real = getattr(groebner, name)
+    for module in list(sys.modules.values()):
+        if (module.__name__.startswith("gvdlab.")
+                and getattr(module, name, None) is real):
+            monkeypatch.setattr(module, name,
+                                lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_the_certifiers_read_the_degenerate_flag_off_the_branches(monkeypatch):
+    # The certifiers set the flag from the certified branches, and replay
+    # checks it by the same rule once both children replay, so neither
+    # makes a radical membership test.
+    calls = spied(monkeypatch, "radical_contains")
     searched = [to_graph(n, edges) for n, edges in NINE_EDGE_GRAPHS]
     searched.append(two_k4_sharing_vertex())
     generic = [(G, is_gvd(toric_ideal(G), context=G)) for G in searched]
@@ -645,7 +663,42 @@ def test_the_certifiers_read_the_degenerate_flag_off_the_branches(monkeypatch):
     assert flags == {True, False}
     for G, cert in generic[1:3] + structural:
         assert replay_certificate(toric_ideal(G), cert, context=G)
-    assert calls
+    assert calls == []
+
+
+def test_the_certifiers_and_replay_compute_without_fractions(monkeypatch):
+    # Every ideal met below a toric ideal of a graph is generated by
+    # monomials and pure differences, so the search, the structural
+    # certifiers and replay build no Fraction arithmetic and make no radical
+    # membership test.
+    empty_shared_memo(monkeypatch)
+    built = []
+
+    class Counted(groebner._Fractions):
+        __slots__ = ()
+
+        def __init__(self, pk):
+            built.append(pk)
+            super().__init__(pk)
+
+    monkeypatch.setattr(groebner, "_Fractions", Counted)
+    calls = spied(monkeypatch, "radical_contains")
+    corpus = [to_graph(n, edges) for n, edges in connected_graphs(7)]
+    corpus.append(two_k4_sharing_vertex())
+    certs = []
+    for G in corpus:
+        certs.append((G, is_gvd(toric_ideal(G), context=G)))
+        if G.is_bipartite():
+            certs.append((G, certify_bipartite_gvd(G)))
+        if all(g.total_degree() == 2 for g in graphs.universal_groebner_basis(G)):
+            certs.append((G, quadratic_pipeline(G)))
+    assert len(certs) == 132 + 68 + 122
+    for G, cert in certs:
+        assert replay_certificate(toric_ideal(G), cert, context=G)
+    assert (built, calls) == ([], [])
+    # The counters see the general path.
+    assert groebner.radical_equal(I("x + y"), I("x^2 + 2*x*y + y^2"))
+    assert built and calls
 
 
 def tree_nodes(cert) -> list:
@@ -781,7 +834,7 @@ def test_replay_rejects_a_decomposition_whose_branch_is_not_gvd():
     R = Ring(K.ring.names + ("z",))
     J = K.rename(R)
     split = cn_split(J, "z")
-    assert check_decomposition(J, split) and split.degenerate()
+    assert check_decomposition(J, split) and degenerate(split)
     factor = is_gvd(K)
     assert factor.verdict == "not-gvd"
     step = GvdNode(

@@ -9,12 +9,13 @@ side as N + y·C, which is the same ideal because N ⊆ C and y is a
 nonzerodivisor modulo the y-free ideal C.  Where the basis is square-free
 in y, C is the saturation in_y(I) : y^∞, since y·C ⊆ in_y(I) ⊆ C.  The
 generators of C and N do not involve y, so ``contract`` renames them
-instead of eliminating y.  Degeneracy is tested one way only, √C ⊆ √N,
-since the generators of N are among those of C; and C = N only when y is
-absent from the reduced basis, which the certifiers rely on when they read
-the degenerate flag off the branches.  These facts are checked
-here at every variable, with ``intersect``, ``saturate_variable``,
-``eliminate`` and ``radical_equal``.
+instead of eliminating y.  The certifiers and replay read the degenerate
+flag off the branches (``gvd._degenerate``): the generator lists of C and
+N agree, or C's branch is the unit ideal.  That is C unit or √C = √N when
+the branches are radical, since C = N only when y is absent from the
+reduced basis.  These facts are checked here at every variable, with
+``intersect``, ``saturate_variable``, ``eliminate`` and ``radical_equal``,
+the last as the oracle of the flag.
 """
 
 import pytest
@@ -25,7 +26,9 @@ from gvdlab.groebner import (
     Ideal, contract, eliminate, ideal_equal, intersect, radical_equal,
     saturate_variable,
 )
-from gvdlab.gvd import check_decomposition, cn_split, initial_y_ideal
+from gvdlab.gvd import (
+    _degenerate, check_decomposition, cn_split, initial_y_ideal,
+)
 
 from fixtures import two_k4_chain
 from graph_corpus import connected_graphs, to_graph
@@ -59,8 +62,8 @@ def assert_check_facts(I: Ideal):
     the one computed the long way."""
     for y in I.ring.names:
         split = assert_split_facts(I, y)
-        assert split.degenerate() == (split.C.is_unit_ideal()
-                                      or radical_equal(split.C, split.N))
+        assert _degenerate(split, contract(split.C, y)) == (
+            split.C.is_unit_ideal() or radical_equal(split.C, split.N))
 
 
 @pytest.fixture(scope="module")
