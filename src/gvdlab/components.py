@@ -418,11 +418,12 @@ def unmixedness_evidence(I: Ideal, context: Optional[Graph] = None) -> Unmixedne
             dims, comps, not_radical=True)
 
     # Mixed monomial/binomial ideals: classify an irredundant generating
-    # subset rather than the reduced basis (S-polynomial completion can
-    # manufacture non-square-free monomials that a better generating set of
-    # the same ideal avoids).
+    # subset of the reduced basis rather than the whole basis (S-polynomial
+    # completion can manufacture non-square-free monomials that elements of
+    # lower degree already generate).  The subset is taken from the basis,
+    # not from I.gens, so the evidence depends on the ideal alone.
     variables, monos, binoms = [], [], []
-    for g in minimal_generators(I):
+    for g in minimal_generators(Ideal(I.ring, rgb)):
         if g.is_variable():
             variables.append(g)
         elif g.is_monomial():

@@ -81,6 +81,8 @@ class Ideal:
 
     Reduced Groebner bases are cached per order's rows; generators keep
     the order the caller gave them (displays rely on that).
+    ``Ideal.reduced`` and ``contract`` fill the storage order's entry with
+    a basis that a theorem fixes, so no Buchberger run makes it.
     """
 
     __slots__ = ("ring", "gens", "_rgb")
@@ -105,6 +107,16 @@ class Ideal:
     @staticmethod
     def unit(ring: Ring) -> "Ideal":
         return Ideal(ring, [ring.one()])
+
+    @staticmethod
+    def reduced(ring: Ring, basis: Iterable[Poly]) -> "Ideal":
+        """The ideal generated by ``basis``, which the caller has proved to
+        be its reduced Groebner basis under the storage order, as
+        ``buchberger`` returns it (monic, terms in descending order, sorted
+        by ascending initial term); it is cached as that basis."""
+        I = Ideal(ring, basis)
+        I._rgb[storage_order(ring).rows] = I.gens
+        return I
 
     def with_extra(self, extra: Iterable[Poly]) -> "Ideal":
         return Ideal(self.ring, list(self.gens) + list(extra))
@@ -553,17 +565,36 @@ def contract(I: Ideal, y: Union[int, str]) -> Ideal:
     ideal generated by y-free polynomials: the extension Q[x] → Q[x][y] is
     free, so such an ideal contracts to its own generators, with y's
     exponent dropped from every monomial.  A generator involving y raises
-    ``KeyError``; ``eliminate`` handles it."""
+    ``KeyError``; ``eliminate`` handles it.
+
+    When I's reduced basis under the storage order is cached, the
+    contraction's is that basis with y's exponent dropped, and it is cached
+    with no Buchberger run.  Let G' be the reduced basis of I ∩ Q[x] under
+    the restriction of the order.  It is a Groebner basis of I: every f in
+    I is a sum of y^k·f_k with each f_k in I ∩ Q[x] (the extension is
+    free), and their monomials are distinct, so in(f) = y^k·in(f_k) for
+    some k, which some in(g), g in G', divides.  It is reduced, so by
+    uniqueness I's cached basis is G', which is y-free.  Graded lex on the
+    smaller ring is the restriction of graded lex, so dropping y's
+    coordinate keeps each element monic with its terms in descending order
+    and keeps the basis sorted by initial term, as ``buchberger`` returns
+    it."""
     ring = I.ring
     i = ring.vidx(y)
     small = ring.without(i)
-    gens = []
-    for g in I.gens:
+
+    def dropped(g: Poly) -> Poly:
         if any(m[i] for m in g.terms):
             raise KeyError("variable %r not in target ring" % ring.names[i])
-        gens.append(Poly(small, {m[:i] + m[i + 1:]: c
-                                 for m, c in g.terms.items()}))
-    return Ideal(small, gens)
+        return Poly(small, {m[:i] + m[i + 1:]: c for m, c in g.terms.items()})
+
+    out = Ideal(small, map(dropped, I.gens))
+    basis = I._rgb.get(storage_order(ring).rows)
+    if basis is not None:
+        # generators that are the basis (``Ideal.reduced``) are dropped once
+        out._rgb[storage_order(small).rows] = (
+            out.gens if basis is I.gens else tuple(map(dropped, basis)))
+    return out
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:

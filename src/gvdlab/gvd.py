@@ -65,8 +65,14 @@ class CnSplit:
 
     C is generated by all y-free factors q of the reduced basis elements
     g = y^d q + r under the y-compatible ``y_order``; N by those with d = 0.
-    N ⊆ C, and no generator of either mentions y (when y is absent from I,
-    every d is 0 and the two generator lists are equal).
+    N ⊆ C, and no generator of either mentions y.
+
+    When y does not occur in I's reduced basis under the storage order, C
+    and N are both I, generated by that basis (``cn_split``).  That is the
+    split the rule above gives, with other generators: I is then extended
+    from the ring without y, so its reduced basis under every order is
+    y-free (see ``groebner.contract``), every d is 0, and both lists of
+    q's are the ``y_order`` basis of I.  Then in_y(I) = I as well.
 
     ``square_free_in_y`` (every d ≤ 1) is the verdict of the identity
     in_y(I) = C ∩ (N + <y>), whose right side is N + y·C: y is a
@@ -92,21 +98,45 @@ class CnSplit:
     square_free_in_y: bool
 
 
+def _extended(I: Ideal, y: str) -> Optional[Ideal]:
+    """I generated by its reduced basis under the storage order, with that
+    basis cached, when y does not occur in the basis; else None."""
+    rgb = I.groebner()
+    iy = I.ring.index[y]
+    if any(m[iy] for g in rgb for m in g.terms):
+        return None
+    return Ideal.reduced(I.ring, rgb)
+
+
 def initial_y_ideal(I: Ideal, y) -> Ideal:
     """in_y(I): the ideal of maximal-y-degree forms, via the reduced basis
     under the y-compatible ``y_order`` (which makes the generator-wise forms
-    a generating set)."""
+    a generating set).  When y does not occur in I's reduced basis under the
+    storage order, in_y(I) = I (see ``CnSplit``), generated by that basis,
+    and no ``y_order`` basis is computed."""
     ring = I.ring
     yname = ring.names[ring.vidx(y)]
+    same = _extended(I, yname)
+    if same is not None:
+        return same
     return Ideal(ring, [initial_y_form(yname, g)
                         for g in I.groebner(y_order(ring, yname))])
 
 
 def cn_split(I: Ideal, y) -> CnSplit:
     """Split I at y into the C and N ideals of its reduced basis under
-    ``y_order``, the one order every split is made under."""
+    ``y_order``, the one order every split is made under.  When y does not
+    occur in I's reduced basis under the storage order, C = N = I, generated
+    by that basis, which both cache (see ``CnSplit``): their contractions
+    then read their reduced bases off it (``groebner.contract``), and no
+    ``y_order`` basis is computed.  Which case applies is read off the
+    storage basis every time, so the generator lists do not depend on what
+    is cached."""
     ring = I.ring
     yname = ring.names[ring.vidx(y)]
+    same = _extended(I, yname)
+    if same is not None:
+        return CnSplit(yname, same, same, True)
     c_gens, n_gens = [], []
     square_free = True
     for g in I.groebner(y_order(ring, yname)):
@@ -124,10 +154,49 @@ def check_decomposition(I: Ideal, split: CnSplit) -> bool:
     """The literal identity in_y(I) = N + y·C (= C ∩ (N + <y>), see
     ``CnSplit``), for the verifiers, certificate replay and
     ``ef.check_statements_ABC``, which do not rest on the theorem the
-    certifiers use to read it off ``split.square_free_in_y``."""
+    certifiers use to read it off ``split.square_free_in_y``.
+
+    It is first proved from the generators: each generator of either side,
+    with its coefficients, is a generator of the other side or y times one,
+    so it lies in the other side, and the two ideals are equal.  This needs
+    no Groebner basis beyond I's own two, behind in_y(I).  When the proof
+    fails, the reduced bases of the two sides are compared, so the check is
+    exact for any split, however it was made.
+
+    For the square-free split ``cn_split`` makes, the proof always succeeds.
+    The generators of in_y(I) are the forms y^d·q with d ≤ 1, and those of
+    N + y·C are the q with d = 0 and y·q for every q.  A form with d = 0 is
+    q, a generator of N, and one with d = 1 is y·q.  Conversely, a q of N
+    is a form, y·q with d = 1 is a form, and y·q with d = 0 is y times the
+    form q.  When y is absent, both sides are generated by I's storage
+    basis B: in_y(I) by B, and N + y·C by B and y·B.  The proof itself
+    rests on no theorem.
+    """
     y = I.ring.var(split.y)
+    lhs = initial_y_ideal(I, split.y)
     rhs = split.N.with_extra([y * c for c in split.C.gens])
-    return ideal_equal(initial_y_ideal(I, split.y), rhs)
+    iy = I.ring.index[split.y]
+    if _among(lhs.gens, rhs.gens, iy) and _among(rhs.gens, lhs.gens, iy):
+        return True
+    return ideal_equal(lhs, rhs)
+
+
+def _among(polys: tuple, gens: tuple, iy: int) -> bool:
+    """Whether each of ``polys`` is one of ``gens`` or y times one, y the
+    variable at position ``iy``, coefficients included: then each lies in
+    the ideal of ``gens``.  Polynomials are looked up by their sets of
+    monomials, and their terms compared."""
+    table = {frozenset(g.terms): g.terms for g in gens}
+    for f in polys:
+        if table.get(frozenset(f.terms)) == f.terms:
+            continue
+        if all(m[iy] for m in f.terms):
+            low = {m[:iy] + (m[iy] - 1,) + m[iy + 1:]: c
+                   for m, c in f.terms.items()}
+            if table.get(frozenset(low)) == low:
+                continue
+        return False
+    return True
 
 
 def _degenerate(split: CnSplit, c_branch: Ideal) -> bool:
@@ -443,11 +512,14 @@ def _context_key(I: Ideal, context: Optional[Graph]):
     So a memo hit, the stored node read in another ring, is the node a
     fresh search would build.  Take nodes with equal memo keys: the same
     reduced basis by position and the same (P, L).  The search reads names
-    only through their ring positions, and by the items above, step by
-    step, both searches reach children with equal bases and contexts with
-    equal (P, L), and build the same evidence.  So they take the same
-    steps, position for position, and build the same node.  The only
-    outputs ordered by name are the components of the evidence, which
+    only through their ring positions, and it reads an ideal only through
+    its reduced bases, never its generator list: ``unmixedness_evidence``
+    classifies minimal generators taken from the storage basis, and the
+    splits and factors are read off reduced bases.  So by the items above,
+    step by step, both searches reach children with equal bases and
+    contexts with equal (P, L), and build the same evidence.  So they take
+    the same steps, position for position, and build the same node.  The
+    only outputs ordered by name are the components of the evidence, which
     ``UnmixednessEvidence.to_json_dict`` sorts by the names of the ring it
     is given, as a fresh search sorts them.
 
@@ -523,7 +595,21 @@ def _disjoint_factors(I: Ideal) -> Optional[tuple]:
     """The ring positions and ideals (each in its own ring) of the two
     factors of I: the generators linked through shared variables to the
     smallest variable of the reduced basis, and the rest, which also holds
-    the absent variables.  None when no generator is left for the rest."""
+    the absent variables.  None when no generator is left for the rest.
+
+    Each factor is generated by its part of I's reduced basis G under the
+    storage order, and that part is the factor's own reduced basis, cached
+    with no Buchberger run: the reduced basis of a sum over disjoint
+    variables is the union of the summands' reduced bases.  Reducing a
+    polynomial of a factor's ring modulo G only uses elements whose initial
+    term divides one of its monomials, and those are the factor's own: the
+    other factor's elements have nonconstant initial terms in variables
+    outside that ring.  So the S-pairs of the part, which reduce to 0
+    modulo G, reduce to 0 modulo the part, and it is a Groebner basis of
+    the factor.  It is monic and reduced as G is.  A factor's ring keeps
+    the ring order of its variables, so graded lex there is the
+    restriction of graded lex, and the part keeps the order of its terms
+    and of its elements that ``buchberger`` gives."""
     rgb = I.groebner()
     parent = {}
 
@@ -548,8 +634,9 @@ def _disjoint_factors(I: Ideal) -> Optional[tuple]:
     gens = ([], [])
     for g in rgb:
         gens[g.support()[0] not in first].append(g)
-    return parts, tuple(Ideal(I.ring, gs).rename(Ring(I.ring.names[i] for i in part))
-                        for gs, part in zip(gens, parts))
+    rings = [Ring(I.ring.names[i] for i in part) for part in parts]
+    return parts, tuple(Ideal.reduced(ring, [g.rename(ring) for g in gs])
+                        for gs, ring in zip(gens, rings))
 
 
 # The memo of every ``is_gvd`` call given no budget: the graphs of a
@@ -739,7 +826,9 @@ def replay_certificate(I: Ideal, cert: GvdCertificate,
 
     Certified-decomposable trees are replayed node by node: base-case kinds
     are recomputed, every decomposition identity is checked literally by
-    ``check_decomposition`` for C and N under ``y_order``, the
+    ``check_decomposition`` for C and N under ``y_order`` (proved from the
+    generators of its two sides, with the comparison of their reduced bases
+    as the exact fallback; no basis is built for a square-free split), the
     degeneracy flag is read off the branches by the certifiers' rule
     (``_degenerate``, which holds since both children must replay as
     "gvd"), unmixedness evidence is recomputed and

@@ -1,12 +1,13 @@
 """Minimal primes of square-free monomial ideals, the binomial-monomial
 splitting over a graph, and unmixedness evidence."""
 
+import json
 from dataclasses import replace
 
 import pytest
 
 from gvdlab import components, graphs
-from gvdlab.algebra import Ring, initial_y_form, parse_poly
+from gvdlab.algebra import Ring, initial_y_form, lex_order, parse_poly
 from gvdlab.components import (
     SplitNotApplicable, binomial_monomial_split, sqfree_monomial_components,
     unmixedness_evidence,
@@ -16,14 +17,15 @@ from gvdlab.graphs import (
     universal_groebner_basis,
 )
 from gvdlab.groebner import (
-    Ideal, ideal_contains, ideal_equal, minimal_generators,
+    Ideal, contract, ideal_contains, ideal_equal, minimal_generators,
 )
-from gvdlab.gvd import is_gvd
+from gvdlab.gvd import cn_split, is_gvd
 
 from fixtures import (
     TWO_K4_C_E2, TWO_K4_LEX_E2_BASIS, TWO_K4_N_E2, empty_shared_memo,
     intersection, two_k4_sharing_vertex,
 )
+from graph_corpus import NINE_EDGE_GRAPHS, connected_graphs, to_graph
 
 XYZ = Ring(["x", "y", "z"])
 
@@ -303,3 +305,44 @@ def test_toric_tests_run_no_ideal_equality_on_two_k4(monkeypatch):
     assert is_gvd(toric_ideal(G), context=G).verdict == "not-gvd"
     assert calls["ideal_equal"] == 0
     assert 0 < calls["checked"] <= calls["tests"]
+
+
+def test_evidence_reads_only_the_reduced_basis():
+    # The evidence is a function of the ideal and the context: given by its
+    # generators, by its reduced basis under the storage order and by its
+    # lex basis, each node gets the same evidence.  The nodes are the toric
+    # ideals of the 7-edge corpus, of the three 9-edge graphs and of two_k4,
+    # and their contracted C and N branches down two split levels, each
+    # distinct reduced basis once, over the first context met.
+    graphs_ = [to_graph(n, edges)
+               for n, edges in list(connected_graphs(7)) + list(NINE_EDGE_GRAPHS)]
+    graphs_.append(two_k4_sharing_vertex())
+    level = [(toric_ideal(G), G) for G in graphs_]
+    nodes = {}
+    for depth in range(3):
+        grown = []
+        for J, G in level:
+            key = (J.ring.names, tuple(g.canonical() for g in J.groebner()))
+            if key in nodes:
+                continue
+            nodes[key] = (J, G)
+            if depth < 2:
+                for y in J.ring.names:
+                    split = cn_split(J, y)
+                    grown += [(contract(B, y), G.delete_edges([y]))
+                              for B in (split.C, split.N)]
+        level = grown
+    assert len(nodes) == 1575
+    statuses = set()
+    for J, G in nodes.values():
+        ring = J.ring
+        got = set()
+        for K in (J, Ideal(ring, J.groebner()),
+                  Ideal(ring, J.groebner(lex_order(ring)))):
+            ev = unmixedness_evidence(K, G)
+            got.add((json.dumps(ev.to_json_dict(ring.names), sort_keys=True),
+                     ev.not_radical))
+            statuses.add(ev.status)
+        assert len(got) == 1, got
+    assert statuses == {"zero", "unit", "variables", "principal", "prime",
+                        "equal-dims", "inconclusive", "refuted"}

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from gvdlab import components, graphs, groebner, gvd, util
-from gvdlab.algebra import Ring, parse_poly
+from gvdlab.algebra import Ring, parse_poly, storage_order
 from gvdlab.bipartite import certify_bipartite_gvd
 from gvdlab.components import UnmixednessEvidence
 from gvdlab.ef import quadratic_pipeline
@@ -310,9 +310,11 @@ def test_gvd_refutes_the_benchmark_and_replays(monkeypatch):
     # principal and monomial bases without the context: 463 _search calls.
     # Keying the others by their context's edge positions and lattice: 446.
     # Testing toric parts by lattice and membership, not by comparing
-    # reduced bases: 1,824 buchberger calls, from 1,925.
+    # reduced bases: 1,824 buchberger calls, from 1,925.  Handing down the
+    # reduced bases that a theorem fixes (absent variables, contractions,
+    # disjoint factors): 1,221.
     assert calls["_search"] <= 450
-    assert calls["buchberger"] <= 1850
+    assert calls["buchberger"] <= 1230
     assert replay_certificate(J, cert, context=G)
 
 
@@ -854,6 +856,104 @@ def test_check_decomposition_rejects_a_split_that_is_not_y_compatible():
     assert not check_decomposition(
         J, CnSplit("y", Ideal.unit(R), Ideal.zero(R), True))
     assert check_decomposition(J, cn_split(J, "y"))
+
+
+def test_check_decomposition_falls_back_on_other_generators(monkeypatch):
+    # The split cn_split makes is proved from its generators.  The same
+    # split with C given by other generators is not, and the reduced bases
+    # accept it.
+    J = toric_ideal(two_k4_sharing_vertex())
+    split = cn_split(J, "e2")
+    gens = split.C.gens
+    other = Ideal(J.ring, gens[1:] + (gens[0] + gens[1],))
+    assert ideal_equal(other, split.C)
+    calls = spied(monkeypatch, "ideal_equal")
+    assert check_decomposition(J, split)
+    assert calls == []
+    assert check_decomposition(J, replace(split, C=other))
+    assert len(calls) == 1
+
+
+def corpus_certificates() -> list:
+    """(graph, toric ideal, certificate) for the search's certificate of
+    each graph of the 7-edge corpus and of two_k4, and the bipartite
+    certifier's for each bipartite one."""
+    corpus = [to_graph(n, edges) for n, edges in connected_graphs(7)]
+    corpus.append(two_k4_sharing_vertex())
+    out = []
+    for G in corpus:
+        J = toric_ideal(G)
+        out.append((G, J, is_gvd(J, context=G)))
+        if G.is_bipartite():
+            out.append((G, J, certify_bipartite_gvd(G)))
+    return out
+
+
+def test_handed_down_bases_are_the_reduced_bases(monkeypatch):
+    # A contraction of an ideal whose basis is cached, a split at a variable
+    # absent from the basis and the factors of a disjoint union cache a
+    # reduced basis that no Buchberger run made.  Over the searches, the
+    # bipartite certifier and the replays of the corpus, each is the basis a
+    # fresh run returns, term for term and in the same order.
+    empty_shared_memo(monkeypatch)
+    handed = {"contract": [], "cn_split": [], "_disjoint_factors": []}
+
+    def storage(J):
+        return storage_order(J.ring).rows
+
+    def spy(name, picked):
+        real = getattr(gvd, name)
+
+        def wrapper(*args):
+            out = real(*args)
+            handed[name].extend(picked(out))
+            return out
+        monkeypatch.setattr(gvd, name, wrapper)
+
+    spy("contract", lambda J: [J] if storage(J) in J._rgb else [])
+    spy("cn_split", lambda split: [split.C] if split.C is split.N else [])
+    spy("_disjoint_factors", lambda got: () if got is None else got[1])
+    for G, J, cert in corpus_certificates():
+        assert replay_certificate(J, cert, context=G)
+    monkeypatch.undo()
+    # 574 contractions, 409 absent splits and 1,048 factors
+    assert all(handed.values())
+
+    def terms(basis):
+        return [list(g.terms.items()) for g in basis]
+
+    for got in handed.values():
+        for J in got:
+            assert terms(J._rgb[storage(J)]) == terms(
+                groebner.buchberger(storage_order(J.ring), J.gens))
+
+
+def test_replay_proves_each_identity_from_generators(monkeypatch):
+    # Replay checks every step's identity by check_decomposition, and for
+    # the square-free splits of the certifiers it is proved from the
+    # generators: no Buchberger run happens inside the check.
+    empty_shared_memo(monkeypatch)
+    certs = [c for c in corpus_certificates() if c[2].verdict == "gvd"]
+    inside, checks, runs = [False], [], []
+    check, buchberger = gvd.check_decomposition, groebner.buchberger
+
+    def checked(*args):
+        inside[0] = True
+        try:
+            checks.append(args)
+            return check(*args)
+        finally:
+            inside[0] = False
+
+    def counted(*args):
+        if inside[0]:
+            runs.append(args)
+        return buchberger(*args)
+
+    monkeypatch.setattr(gvd, "check_decomposition", checked)
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    assert all(replay_certificate(J, cert, context=G) for G, J, cert in certs)
+    assert len(certs) == 199 and checks and runs == []
 
 
 def test_replay_does_not_read_the_shared_memo(monkeypatch):

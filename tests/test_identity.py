@@ -4,9 +4,11 @@ the general elimination routines.
 A step of the certifier splits I at y into C and N.  The certifiers read
 the identity in_y(I) = C ∩ (N + <y>) off the reduced basis: it holds
 exactly when the basis is square-free in y (proved at ``gvd.CnSplit``).
-``check_decomposition`` computes the identity literally, with the right
+``check_decomposition`` checks the identity literally, with the right
 side as N + y·C, which is the same ideal because N ⊆ C and y is a
-nonzerodivisor modulo the y-free ideal C.  Where the basis is square-free
+nonzerodivisor modulo the y-free ideal C.  It proves the identity from the
+generators of the two sides where it can, and compares their reduced bases
+where it cannot; at every variable it must agree with that comparison.  Where the basis is square-free
 in y, C is the saturation in_y(I) : y^∞, since y·C ⊆ in_y(I) ⊆ C.  The
 generators of C and N do not involve y, so ``contract`` renames them
 instead of eliminating y.  The certifiers and replay read the degenerate
@@ -46,8 +48,11 @@ def assert_split_facts(I: Ideal, y: str):
     C, N = split.C, split.N
     yvar = I.ring.var(y)
     rhs = intersect(C, N.with_extra([yvar]))
-    assert ideal_equal(N.with_extra([yvar * c for c in C.gens]), rhs)
-    assert check_decomposition(I, split) == split.square_free_in_y
+    literal = N.with_extra([yvar * c for c in C.gens])
+    assert ideal_equal(literal, rhs)
+    assert (check_decomposition(I, split)
+            == ideal_equal(initial_y_ideal(I, y), literal)
+            == split.square_free_in_y)
     if split.square_free_in_y:
         assert ideal_equal(saturate_variable(initial_y_ideal(I, y), y), C)
     for B in (C, N):
