@@ -13,20 +13,21 @@ matching cannot be extended, or decompose at a fresh matching edge -- and
 the recursion certifies decomposability of the toric ideal itself
 (the empty matching) for every bipartite graph.
 
-The structure only chooses the variable.  The root holds the toric ideal
+The structure only chooses the variable; every fact in a certificate is
+computed, and replay checks each again.  The root holds the toric ideal
 and every other node the contracted C or N branch of its parent's split,
 and ``gvd.certify_step`` accepts a step only when that ideal's reduced
 basis is square-free in y, which is the decomposition identity (see
-``gvd.CnSplit``).  So a structure that described a node wrongly could
-only leave it inconclusive.  By the theorem the structure is right: each
-node's ideal is its matching ideal (``bipartite_ideal``), whose natural
-generators are a Groebner basis with a square-free initial ideal, and the
-tests check both at every node of their corpus.  Only unmixedness rests
-on the theorem: where the evidence computed per node is inconclusive, a
-node whose ideal equals its matching ideal cites it (the family is
-Cohen-Macaulay) with a "cited" tag that replay treats as a citation, never
-as a computed fact.  Replay checks each identity literally.  The recursion
-keeps no memo: it seldom meets a node twice.
+``gvd.CnSplit``).  So a wrong structure could only leave a node
+inconclusive.  By the theorem the structure is right: each node's ideal
+is its matching ideal (``bipartite_ideal``), whose natural generators are
+a Groebner basis with a square-free initial ideal, and the tests check
+both at every node of their corpus.  The theorem also makes every node
+Cohen-Macaulay, but no certificate rests on it: each node's unmixedness
+evidence is computed as the search computes it, and the tests check that
+it is conclusive at every node of their corpus.  Replay recomputes the
+evidence and checks each identity literally.  The recursion keeps no
+memo: it seldom meets a node twice.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Optional
 
 from .algebra import Ring
 from .graphs import Graph, universal_groebner_basis
-from .groebner import Ideal, ideal_contains
+from .groebner import Ideal
 from .gvd import GvdCertificate, base_certificate, certify_step, inconclusive
 from .util import Budget
 
@@ -44,10 +45,6 @@ __all__ = [
     "PathOrderedMatching", "find_path_ordered_matchings", "right_extendable",
     "bipartite_ideal", "certify_bipartite_gvd",
 ]
-
-CITED_DETAIL = ("Cohen-Macaulay for path-ordered-matching ideals of "
-                "bipartite graphs (cited, not computed)")
-
 
 # ---------------------------------------------------------------------------
 # Path ordered matchings.
@@ -236,6 +233,20 @@ def _leaf_edge(G: Graph) -> Optional[str]:
     return None
 
 
+def _contained_variables(I: Ideal) -> list:
+    """The variables that lie in I, a proper ideal, in ring order: those
+    that are elements of its reduced basis G.
+
+    An element of G lies in I.  Conversely, let x_v lie in I.  Its initial
+    term x_v is divisible by the initial term of some g in G, which is not
+    1 since I is proper, so in(g) = x_v.  Then x_v - g lies in I, and its
+    terms are the other terms of the monic g, none of which is divisible
+    by an initial term of G, as G is reduced.  A nonzero element of I has
+    its initial term divisible by one, so x_v - g = 0."""
+    return [I.ring.names[i] for i in sorted(g.support()[0] for g in I.groebner()
+                                            if g.is_variable())]
+
+
 def certify_bipartite_gvd(G: Graph, budget: Optional[Budget] = None) -> GvdCertificate:
     """Certify decomposability of the toric ideal of a bipartite graph.
 
@@ -283,7 +294,7 @@ def _certify_node(G: Graph, pom: PathOrderedMatching, I: Ideal,
             y, pair = extension
             c_pom = pom.extended(pair, y)
         else:
-            contained = [v for v in ring.names if ideal_contains(I, ring.var(v))]
+            contained = _contained_variables(I)
             if not contained:
                 return inconclusive(
                     ring.names, "matching is not extendable yet the ideal "
@@ -298,7 +309,6 @@ def _certify_node(G: Graph, pom: PathOrderedMatching, I: Ideal,
         c_graph, c_pom = n_graph, pom
 
     return certify_step(
-        I, y, G.delete_edges(pom.edges), CITED_DETAIL,
-        lambda: bipartite_ideal(G, pom, ring),
+        I, y, G.delete_edges(pom.edges),
         lambda C: _certify_node(c_graph, c_pom, C, budget),
         lambda N: _certify_node(n_graph, pom, N, budget))

@@ -43,6 +43,12 @@ is not square-free, a witness monomial, and components that intersect to
 something other than I.  The evidence records them in ``not_radical``.  A
 decomposable ideal is radical (see ``gvd``), so each of them also refutes
 decomposability, whatever the dimensions say about unmixedness.
+
+This is the only source of unmixedness in a certificate: the search and
+the structural certifiers of ``bipartite`` and ``ef`` store what
+``unmixedness_evidence`` computes, and no theorem stands in for it.  So
+replay can recompute the evidence of every node and require the stored
+one, and a node whose evidence decides nothing stays inconclusive.
 """
 
 from __future__ import annotations
@@ -113,10 +119,11 @@ class UnmixednessEvidence:
     """Evidence about the associated primes of an ideal.
 
     status: one of "unit", "zero", "variables", "principal", "prime",
-    "equal-dims", "refuted", "inconclusive", "cited".  The first six are
-    conclusive evidence of unmixedness, "refuted" is conclusive evidence
-    against, "inconclusive" decides nothing, and "cited" marks unmixedness
-    taken from a structural theorem rather than a computation.  ``detail``
+    "equal-dims", "refuted", "inconclusive".  The first six are conclusive
+    evidence of unmixedness, "refuted" is conclusive evidence against, and
+    "inconclusive" decides nothing.  Every evidence is computed by
+    ``unmixedness_evidence`` (or ``base_evidence``, which it returns for a
+    base case), so certificate replay recomputes it and compares.  ``detail``
     quotes polynomials with the placeholder {i} for the i-th variable of
     the ideal's ring, and ``components`` hold ring positions, so the
     evidence reads the same in every ring of its arity: ``to_json_dict``

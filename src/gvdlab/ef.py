@@ -20,16 +20,17 @@ certifies the toric ideal decomposable.
 
 All three statements are checked computationally node by node; nothing is
 assumed.  When the universal basis is quadratic, ``quadratic_pipeline``
-turns the tree walk into a replayable decomposability certificate.  It
-takes only the next edge from the tree: the root holds the toric ideal and
-every other node the contracted branch of its parent's split, which
+turns the tree walk into a replayable decomposability certificate.  The
+tree only chooses the next edge; every fact in the certificate is
+computed, and replay checks each again.  The root holds the toric ideal
+and every other node the contracted branch of its parent's split, which
 ``gvd.certify_step`` accepts only when square-free in y (see
 ``gvd.CnSplit``), so a wrong tree could only leave a node inconclusive.
 By the framework each node's ideal is I^G_{E,F}, here the shadow
 variables plus the toric ideal of a smaller subgraph, which is prime; the
-tests check this at every node of their corpus.  Where the computed
-evidence is inconclusive, a node whose ideal equals I^G_{E,F} cites the
-theorem (``QUADRATIC_CITED_DETAIL``).
+tests check this at every node of their corpus.  Each node's unmixedness
+evidence is computed as the search computes it, and the tests check that
+it is conclusive at every node of their corpus.
 """
 
 from __future__ import annotations
@@ -55,10 +56,6 @@ __all__ = [
     "tree_nodes", "squarefree_lex_initial", "check_statements_ABC",
     "quadratic_pipeline",
 ]
-
-QUADRATIC_CITED_DETAIL = ("Cohen-Macaulay for edge-split ideals of graphs "
-                          "with quadratic universal bases (cited, not "
-                          "computed)")
 
 
 def squarefree_lex_initial(G: Graph) -> bool:
@@ -363,16 +360,14 @@ def quadratic_pipeline(G: Graph, budget: Optional[Budget] = None) -> GvdCertific
 def _quadratic_node(G: Graph, E: tuple, F: tuple, I: Ideal,
                     budget: Budget) -> GvdCertificate:
     # Every split (E, F) has one parent in the tree, so nothing is memoised.
-    ring = I.ring
     if budget.exceeded():
-        return inconclusive(ring.names, "budget exhausted")
+        return inconclusive(I.ring.names, "budget exhausted")
     base = base_certificate(I)
     if base is not None:
         return base
 
     y = G.edge_labels[len(E) + len(F)]
     return certify_step(
-        I, y, G.delete_edges(E + F), QUADRATIC_CITED_DETAIL,
-        lambda: Ideal(ring, _natural_generators(G, E, F, ring)),
+        I, y, G.delete_edges(E + F),
         lambda C: _quadratic_node(G, E + (y,), F, C, budget),
         lambda N: _quadratic_node(G, E, F + (y,), N, budget))

@@ -368,44 +368,43 @@ def _decomposition(ring_names: tuple, ev: UnmixednessEvidence, split: CnSplit,
     ``c_branch`` of C and that of N, certified as ``cert_c`` and
     ``cert_n``.
 
-    It is decomposable when the unmixedness evidence is conclusive or cited
-    from a structural theorem, and otherwise inconclusive with the step
-    attached.  Both branches certified "gvd", so ``_degenerate`` reads the
-    flag ``degenerate`` off them without a radical membership test.
+    It is decomposable when the unmixedness evidence ``ev``, computed for
+    I, is conclusive, and otherwise inconclusive with the step attached.
+    Both branches certified "gvd", so ``_degenerate`` reads the flag
+    ``degenerate`` off them without a radical membership test.  Replay
+    recomputes ``ev`` and accepts the node only if it is the stored one.
     """
     y = ring_names.index(split.y)
     step = dict(unmixedness=ev, y=y, degenerate=_degenerate(split, c_branch),
                 child_c=cert_c.node, child_n=cert_n.node)
-    if ev.conclusive_unmixed or ev.status == "cited":
+    if ev.conclusive_unmixed:
         return _certificate(ring_names, "decomposition", "gvd", **step)
     return inconclusive(
         ring_names, "decomposition found at {%d} but unmixedness evidence "
                     "is inconclusive (%s)" % (y, ev.detail), **step)
 
 
-def certify_step(I: Ideal, y: str, context: Optional[Graph], theorem: str,
-                 described, certify_c, certify_n) -> GvdCertificate:
+def certify_step(I: Ideal, y: str, context: Optional[Graph],
+                 certify_c, certify_n) -> GvdCertificate:
     """One node of a structural certifier, which has chosen the variable y.
 
-    The step is the split of I itself at y, which must be square-free in y
-    (see ``CnSplit``); ``certify_c(C)`` and ``certify_n(N)`` certify the
-    contracted branches.  So a structure that describes I wrongly can only
-    make the node inconclusive.  A degenerate step, where y is absent
-    (C = N) or lies in I (C is the unit ideal), certifies N only: C reuses
-    N's certificate or is the unit leaf, and a refuted N refutes I.
-    Unmixedness is computed over ``context``; evidence that refutes it or
-    proves I not radical makes the node a "not-gvd" leaf, as in the search.
-    Where it is inconclusive, the node cites ``theorem`` (the detail of the
-    structural result) only if I equals ``described()``, the ideal the
-    theorem is about.
+    The structure only chooses y; every fact the node states is computed
+    here for I itself, and replay checks each again.  The step is the
+    split of I at y, which must be square-free in y (see ``CnSplit``);
+    ``certify_c(C)`` and ``certify_n(N)`` certify the contracted branches.
+    So a structure that describes I wrongly can only make the node
+    inconclusive.  A degenerate step, where y is absent (C = N) or lies in
+    I (C is the unit ideal), certifies N only: C reuses N's certificate or
+    is the unit leaf, and a refuted N refutes I.  Unmixedness is computed
+    over ``context``, as the search computes it: evidence that refutes it
+    or proves I not radical makes the node a "not-gvd" leaf, and evidence
+    that decides nothing leaves the node inconclusive.
     """
     names = I.ring.names
     ev = unmixedness_evidence(I, context)
     leaf = _refutation(names, ev)
     if leaf is not None:
         return leaf
-    if not ev.conclusive_unmixed and ideal_equal(I, described()):
-        ev = UnmixednessEvidence("cited", theorem)
     split = cn_split(I, y)
     if not split.square_free_in_y:
         return inconclusive(names, "decomposition identity failed at {%d}"
@@ -595,7 +594,8 @@ def _disjoint_factors(I: Ideal) -> Optional[tuple]:
     """The ring positions and ideals (each in its own ring) of the two
     factors of I: the generators linked through shared variables to the
     smallest variable of the reduced basis, and the rest, which also holds
-    the absent variables.  None when no generator is left for the rest.
+    the absent variables.  None when no generator is left for the rest, or
+    when the basis has no variable (the zero and the unit ideal).
 
     Each factor is generated by its part of I's reduced basis G under the
     storage order, and that part is the factor's own reduced basis, cached
@@ -625,7 +625,7 @@ def _disjoint_factors(I: Ideal) -> Optional[tuple]:
             parent.setdefault(i, i)
         for i in sup[1:]:
             parent[find(sup[0])] = find(i)
-    root = find(min(parent))
+    root = find(min(parent)) if parent else None
     first = {i for i in parent if find(i) == root}
     if len(first) == len(parent):
         return None
@@ -824,23 +824,29 @@ def replay_certificate(I: Ideal, cert: GvdCertificate,
                        _walk: Optional[dict] = None) -> bool:
     """Re-verify a stored certificate from scratch.
 
-    Certified-decomposable trees are replayed node by node: base-case kinds
-    are recomputed, every decomposition identity is checked literally by
-    ``check_decomposition`` for C and N under ``y_order`` (proved from the
-    generators of its two sides, with the comparison of their reduced bases
-    as the exact fallback; no basis is built for a square-free split), the
-    degeneracy flag is read off the branches by the certifiers' rule
-    (``_degenerate``, which holds since both children must replay as
-    "gvd"), unmixedness evidence is recomputed and
-    must be conclusive again, and the reduced basis of a disjoint union
-    must split over disjoint variables as its factors say.  A "not-gvd"
-    leaf (no failures, no children) is checked without a search: its
-    recomputed evidence must refute unmixedness or prove the ideal not
-    radical.  Nodes with other verdicts are re-decided by running the
-    search afresh, with a memo of its own, and comparing verdicts, so every
-    child of a "gvd" node must itself be "gvd".
-    Returns True when everything matches; a malformed node (an unknown
-    variable, a missing child) does not.
+    Every fact a certificate states was computed, whoever chose its steps,
+    and replay computes it again; nothing is taken on trust.  A node that
+    stores unmixedness evidence must store exactly the evidence
+    ``unmixedness_evidence`` computes for its ideal and context, compared
+    as JSON in the node's ring.  Certified-decomposable trees are replayed
+    node by node: base-case kinds are recomputed, every decomposition
+    identity is checked literally by ``check_decomposition`` for C and N
+    under ``y_order`` (proved from the generators of its two sides, with
+    the comparison of their reduced bases as the exact fallback; no basis
+    is built for a square-free split), the degeneracy flag is read off the
+    branches by the certifiers' rule (``_degenerate``, which holds since
+    both children must replay as "gvd"), a decomposition's evidence must
+    be conclusive, and the reduced basis of a disjoint union must split
+    over disjoint variables as its factors say.  A "not-gvd" leaf (no
+    failures, no children) is checked without a search: its evidence must
+    refute unmixedness or prove the ideal not radical.  Nodes with other
+    verdicts are re-decided by running the search afresh, with a memo of
+    its own, and comparing verdicts, so every child of a "gvd" node must
+    itself be "gvd"; their stored evidence is compared with the evidence
+    the fresh search computed for the same ideal, where it computed any.
+    Returns True when everything matches; a malformed
+    node (an unknown variable, a missing child, a union over an ideal
+    with no variable) does not.
 
     The search shares one node among every branch that reaches the same
     ideal and context by position, so a tree can hold a node many times.
@@ -880,14 +886,33 @@ def _replay(I: Ideal, node: GvdNode, context: Optional[Graph],
 def _replay_node(I: Ideal, node: GvdNode, context: Optional[Graph],
                  seen: dict) -> bool:
     names = I.ring.names
-    if (node.kind == node.verdict == "not-gvd" and not node.failures
-            and node.child_c is None and node.child_n is None):
-        # A leaf refutation rests on its evidence alone.
-        return _refutation(names, unmixedness_evidence(I, context)) is not None
-    if node.verdict != "gvd":
+    leaf = (node.kind == node.verdict == "not-gvd" and not node.failures
+            and node.child_c is None and node.child_n is None)
+    ev = None
+    if node.verdict != "gvd" and not leaf:
         # A memo of its own: the shared memo holds the search's answers.
         fresh = _certify(I, context, Budget(None), {})
-        return fresh.verdict == node.verdict
+        if fresh.verdict != node.verdict:
+            return False
+        ev = fresh.unmixedness  # computed for I, where the search computed any
+    if node.unmixedness is not None:
+        # Stored evidence is a fact about I, so it must be the evidence
+        # computed now (``_context_key`` proves it is a function of I's
+        # reduced basis and context), read in I's ring.  Evidence naming a
+        # position outside the ring is forged.
+        ev = ev or unmixedness_evidence(I, context)
+        if not isinstance(node.unmixedness, UnmixednessEvidence):
+            return False
+        try:
+            stored = node.unmixedness.to_json_dict(names)
+        except IndexError:
+            return False
+        if stored != ev.to_json_dict(names):
+            return False
+    if node.verdict != "gvd":
+        # A leaf refutation rests on its evidence alone; a re-decided node
+        # has matched.
+        return not leaf or (ev is not None and _refutation(names, ev) is not None)
     if node.kind in ("decomposition", "disjoint-union") and not all(
             isinstance(c, GvdNode) and c.verdict == "gvd"
             for c in (node.child_c, node.child_n)):
@@ -900,19 +925,8 @@ def _replay_node(I: Ideal, node: GvdNode, context: Optional[Graph],
         base = base_certificate(I)
         return (base is not None and base.kind == node.kind
                 and set(base.node.variables) == set(node.variables))
-    if node.kind != "decomposition":
-        return False
-    ev = unmixedness_evidence(I, context)
-    # A certificate may cite unmixedness from a structural theorem (the
-    # stored status is "cited") instead of claiming a computation; replay
-    # then only requires that recomputation does not refute it.
-    cited = node.unmixedness is not None and node.unmixedness.status == "cited"
-    if cited:
-        if ev.refuted:
-            return False
-    elif not ev.conclusive_unmixed:
-        return False
-    if node.y not in range(len(names)):
+    if (node.kind != "decomposition" or ev is None or not ev.conclusive_unmixed
+            or node.y not in range(len(names))):
         return False
     y = names[node.y]
     split = cn_split(I, y)

@@ -7,7 +7,8 @@ checks, which verify every split literally.  A statement-check report is
 conclusive only when it verifies decomposability: a refuted statement C is
 about one split tree, not about the toric ideal.  Every certificate the
 three certifiers build over the corpus also replays, and records at each
-step the order of its split.
+step the order of its split.  The two structural certifiers store computed
+unmixedness evidence at every node, and it is always conclusive.
 """
 
 from functools import lru_cache
@@ -15,7 +16,10 @@ from functools import lru_cache
 from gvdlab.algebra import Ring, y_order
 from gvdlab.bipartite import certify_bipartite_gvd
 from gvdlab.ef import check_statements_ABC, quadratic_pipeline
-from gvdlab.graphs import toric_ideal, universal_groebner_basis
+from gvdlab.graphs import (
+    complete_bipartite, complete_graph, ferrers_graph, toric_ideal,
+    universal_groebner_basis,
+)
 from gvdlab.gvd import is_gvd, replay_certificate
 
 from fixtures import two_triangles_bridged
@@ -64,6 +68,25 @@ def test_every_corpus_certificate_replays():
     assert (len(bipartite), len(quadratic)) == (68, 122)
     for G, cert in certs + bipartite + quadratic:
         assert replay_certificate(toric_ideal(G), cert, context=G), G.edges
+
+
+def test_structural_evidence_is_always_conclusive():
+    # The structural certifiers store computed evidence only, and it decides
+    # unmixedness at every node they build: none needs a theorem to stand in.
+    _, bipartite, quadratic = corpus_certificates()
+    certs = [cert for _, cert in bipartite + quadratic]
+    certs += [certify_bipartite_gvd(G) for G in (
+        complete_bipartite(3, 3), complete_bipartite(4, 4), ferrers_graph((3, 2, 1)))]
+    certs.append(quadratic_pipeline(complete_graph(4)))
+    nodes = 0
+    for cert in certs:
+        todo = [cert]
+        while todo:
+            node = todo.pop()
+            todo.extend(kid for kid in (node.child_c, node.child_n) if kid is not None)
+            assert node.unmixedness is not None and node.unmixedness.conclusive_unmixed
+            nodes += 1
+    assert len(certs) == 68 + 122 + 4 and nodes > len(certs)
 
 
 def test_every_step_records_the_order_of_its_split():

@@ -16,7 +16,9 @@ from gvdlab.graphs import (
     complete_bipartite, complete_graph, cycle_graph, disjoint_union,
     ferrers_graph, path_graph, toric_ideal,
 )
-from gvdlab.groebner import Ideal, ideal_equal, is_square_free_groebner_basis
+from gvdlab.groebner import (
+    Ideal, ideal_contains, ideal_equal, is_square_free_groebner_basis,
+)
 from gvdlab.gvd import GvdCertificate, is_gvd, replay_certificate
 from gvdlab.components import UnmixednessEvidence
 from gvdlab.util import Budget
@@ -205,19 +207,21 @@ def test_certificates_replay():
         assert replay_certificate(toric_ideal(G), cert, context=G)
 
 
-def test_cited_unmixedness_replays():
-    # a certificate may cite unmixedness from the structural theorem; replay
-    # must accept the citation as long as recomputation does not refute it
+def test_cited_unmixedness_does_not_replay():
+    # Unmixedness is always computed, so evidence that only names a theorem
+    # is not the evidence replay recomputes.
     cert = certify_bipartite_gvd(C6)
     assert cert.kind == "decomposition"
+    assert replay_certificate(toric_ideal(C6), cert, context=C6)
     cert = GvdCertificate(replace(cert.node, unmixedness=UnmixednessEvidence(
         "cited", "structural theorem")), cert.ring_names)
-    assert replay_certificate(toric_ideal(C6), cert, context=C6)
+    assert not replay_certificate(toric_ideal(C6), cert, context=C6)
 
 
-def test_every_node_is_handed_its_matching_ideal(monkeypatch):
-    # The certifier splits the ideal it holds and never builds the matching
-    # ideal; on this corpus the two agree at every node.
+def recorded_nodes(monkeypatch) -> list:
+    """(graph, matching, ideal) of every node the certifier visits over the
+    bipartite 7-edge corpus, K_{3,3} and the Ferrers graph of (3, 2, 1), all
+    of which it certifies."""
     seen = []
     real = bipartite._certify_node
 
@@ -233,20 +237,39 @@ def test_every_node_is_handed_its_matching_ideal(monkeypatch):
         assert certify_bipartite_gvd(G).verdict == "gvd"
     monkeypatch.undo()
     assert len(seen) > len(graphs) + 2
-    for H, pom, I in seen:
+    return seen
+
+
+def test_every_node_is_handed_its_matching_ideal(monkeypatch):
+    # The certifier splits the ideal it holds and never builds the matching
+    # ideal; on this corpus the two agree at every node.
+    for H, pom, I in recorded_nodes(monkeypatch):
         assert ideal_equal(I, bipartite_ideal(H, pom, I.ring))
 
 
-def test_cited_only_for_the_described_ideal(monkeypatch):
-    # With no computed evidence, a node cites the theorem for its matching
-    # ideal, and only for it.
+def test_contained_variables_are_read_off_the_reduced_basis(monkeypatch):
+    # At every proper ideal the certifier visits, the variables among the
+    # reduced basis are those a membership test finds in the ideal.
+    found = 0
+    for _, _, I in recorded_nodes(monkeypatch):
+        if I.is_unit_ideal():
+            continue
+        ring = I.ring
+        members = [v for v in ring.names if ideal_contains(I, ring.var(v))]
+        assert bipartite._contained_variables(I) == members
+        found += bool(members)
+    assert found > 0
+
+
+def test_inconclusive_evidence_leaves_the_node_inconclusive(monkeypatch):
+    # No theorem stands in for computed evidence: with evidence that decides
+    # nothing, the toric ideal of C6, its matching ideal, does not certify.
     monkeypatch.setattr(gvd, "unmixedness_evidence",
                         lambda I, context=None: UnmixednessEvidence("inconclusive", "forced"))
     cert = bipartite._certify_node(C6, EMPTY_POM, toric_ideal(C6), Budget(None))
-    assert cert.verdict == "gvd"
-    assert cert.unmixedness.to_json_dict(cert.ring_names) == {
-        "status": "cited", "detail": bipartite.CITED_DETAIL}
-    # The same structure with another ideal.
+    assert cert.verdict == "inconclusive"
+    assert "did not certify" in cert.reason
+    # A node whose branches are base cases keeps its step.
     ring = C6.edge_ring()
     other = Ideal(ring, [ring.monomial({"e1": 1, "e3": 1})])
     cert = bipartite._certify_node(C6, EMPTY_POM, other, Budget(None))

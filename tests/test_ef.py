@@ -169,7 +169,7 @@ def test_quadratic_pipeline_refuses_cubic_bases():
 
 def test_quadratic_pipeline_evidence_is_computed():
     # on quadratic graphs every node ideal collapses to variables plus a
-    # smaller toric ideal, so no node needs to cite unmixedness
+    # smaller toric ideal, whose evidence is conclusive
     def statuses(cert, out):
         if cert.unmixedness is not None:
             out.add(cert.unmixedness.status)
@@ -179,7 +179,6 @@ def test_quadratic_pipeline_evidence_is_computed():
         return out
 
     found = statuses(quadratic_pipeline(K4), set())
-    assert "cited" not in found
     assert "inconclusive" not in found
 
 
@@ -224,13 +223,14 @@ def test_every_quadratic_node_is_variables_plus_a_toric_ideal(monkeypatch):
         assert ideal_equal(I, Ideal(ring, collapsed))
 
 
-def test_quadratic_cites_only_for_the_described_ideal(monkeypatch):
+def test_quadratic_inconclusive_evidence_leaves_the_node_inconclusive(monkeypatch):
+    # No theorem stands in for computed evidence: with evidence that decides
+    # nothing, the toric ideal of K4 does not certify, and a node whose
+    # branches are base cases keeps its step.
     monkeypatch.setattr(gvd, "unmixedness_evidence",
                         lambda I, context=None: UnmixednessEvidence("inconclusive", "forced"))
     cert = quadratic_pipeline(K4)
-    assert cert.verdict == "gvd"
-    assert cert.unmixedness.status == "cited"
-    assert cert.unmixedness.detail == ef.QUADRATIC_CITED_DETAIL
+    assert cert.verdict == "inconclusive"
     ring = C4.edge_ring()
     other = Ideal(ring, [ring.monomial({"e1": 1, "e3": 1})])
     cert = ef._quadratic_node(C4, (), (), other, Budget(None))

@@ -839,11 +839,101 @@ def test_replay_rejects_a_decomposition_whose_branch_is_not_gvd():
     assert check_decomposition(J, split) and degenerate(split)
     factor = is_gvd(K)
     assert factor.verdict == "not-gvd"
+    # The node stores J's own evidence, so only the branch rule rejects it.
+    ev = components.unmixedness_evidence(J)
+    assert ev.conclusive_unmixed
     step = GvdNode(
-        "decomposition", "gvd",
-        unmixedness=UnmixednessEvidence("cited", "prime"), y=R.index["z"],
+        "decomposition", "gvd", unmixedness=ev, y=R.index["z"],
         degenerate=True, child_c=factor.node, child_n=factor.node)
     assert not replay_certificate(J, GvdCertificate(step, R.names))
+    assert replay_certificate(J, GvdCertificate(
+        replace(step, verdict="not-gvd"), R.names))
+
+
+def test_replay_rejects_a_union_over_the_zero_and_the_unit_ideal():
+    # Neither ideal has a variable in its basis to split over.
+    R = Ring(["x", "y"])
+    unit = base_certificate(Ideal.unit(Ring(["x"]))).node
+    union = GvdNode("disjoint-union", "gvd", child_c=unit, child_n=unit,
+                    factors=((0,), (1,)))
+    for J in (Ideal.unit(R), Ideal.zero(R)):
+        assert replay_certificate(J, GvdCertificate(union, R.names)) is False
+
+
+def checked_occurrences(cert, sibling=None, path=()):
+    """(path, certificate, sibling) for every node occurrence that replay
+    checks itself: the root and each child of a "gvd" node.  ``path`` lists
+    the child fields that lead to it, and ``sibling`` is its parent's other
+    child."""
+    yield path, cert, sibling
+    if cert.verdict == "gvd":
+        kids = (("child_c", cert.child_c), ("child_n", cert.child_n))
+        for (side, kid), (_, other) in zip(kids, kids[::-1]):
+            if kid is not None:
+                yield from checked_occurrences(kid, other, path + (side,))
+
+
+def with_node(node, path, new):
+    """The tree below ``node`` with the node at ``path`` replaced by ``new``."""
+    if not path:
+        return new
+    return replace(node, **{path[0]: with_node(getattr(node, path[0]), path[1:], new)})
+
+
+def forged_evidence(cert):
+    """(source, copy) for copies of ``cert`` with the stored evidence of one
+    checked node replaced: by a bogus "equal-dims", a "cited" and an
+    "inconclusive" evidence, by one naming a variable outside the ring, and
+    by its sibling's where that reads otherwise in its ring.  ``source`` is
+    the status of the bogus evidence or "sibling".  Each node is forged once
+    per ring it is read in."""
+    bogus = [UnmixednessEvidence("equal-dims", "forged"),
+             UnmixednessEvidence("cited", "structural theorem"),
+             UnmixednessEvidence("inconclusive", "forged"),
+             UnmixednessEvidence("prime", "{99} is prime")]
+    seen = set()
+    for path, occ, sibling in checked_occurrences(cert):
+        node, names = occ.node, occ.ring_names
+        if node.unmixedness is None or (id(node), names) in seen:
+            continue
+        seen.add((id(node), names))
+        fakes = [(ev.status, ev) for ev in bogus]
+        other = sibling and sibling.node.unmixedness
+        if other is not None and other.to_json_dict(names) != node.unmixedness.to_json_dict(names):
+            fakes.append(("sibling", other))
+        for source, ev in fakes:
+            yield source, GvdCertificate(
+                with_node(cert.node, path, replace(node, unmixedness=ev)), cert.ring_names)
+
+
+def test_replay_rejects_forged_evidence():
+    # Every stored evidence is a fact about its node's ideal, so replay
+    # recomputes it and rejects any other: at steps, base cases, leaf
+    # refutations and refutations it re-decides, in certificates of the
+    # search and of both structural certifiers.
+    C4, C6, K33 = cycle_graph(4), cycle_graph(6), complete_bipartite(3, 3)
+    ring = C4.edge_ring()
+    leaf = Ideal(ring, [parse_poly(ring, "e1^2"), parse_poly(ring, "e1*e3 - e2*e4")])
+    bridged = two_triangles_bridged()
+    cases = [(toric_ideal(G), G, certify(G))
+             for certify in (lambda G: is_gvd(toric_ideal(G), context=G),
+                             certify_bipartite_gvd)
+             for G in (C6, K33)]
+    cases += [(toric_ideal(G), G, quadratic_pipeline(G))
+              for G in (complete_graph(4), complete_bipartite(2, 3))]
+    cases += [(leaf, C4, is_gvd(leaf, context=C4)),
+              (toric_ideal(bridged), bridged, is_gvd(toric_ideal(bridged), context=bridged))]
+    kinds, sources = set(), {}
+    for J, G, cert in cases:
+        assert replay_certificate(J, cert, context=G)
+        for source, fake in forged_evidence(cert):
+            assert replay_certificate(J, fake, context=G) is False
+            sources[source] = sources.get(source, 0) + 1
+        kinds |= {(occ.kind, occ.verdict) for _, occ, _ in checked_occurrences(cert)}
+    assert {("decomposition", "gvd"), ("variables", "gvd"), ("not-gvd", "not-gvd"),
+            ("disjoint-union", "gvd")} <= kinds
+    assert sorted(sources) == ["cited", "equal-dims", "inconclusive", "prime", "sibling"]
+    assert sum(sources.values()) > 200
 
 
 def test_check_decomposition_rejects_a_split_that_is_not_y_compatible():
