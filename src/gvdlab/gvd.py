@@ -8,9 +8,10 @@ geometrically vertex decomposable when it is unmixed and either a base case
 (zero, unit, generated by variables) or some variable admits the identity
 with both contracted pieces again decomposable.  The certifier below returns
 a full certificate tree for "decomposable", an exhaustive per-variable
-refutation for "not decomposable", and an explicit reason otherwise.  It
-reads the identity off the reduced basis by theorem (see ``CnSplit``), and
-replay checks it literally.
+refutation for "not decomposable", which keeps the refuted branch of each
+variable, and an explicit reason otherwise.  It reads the identity off the
+reduced basis by theorem (see ``CnSplit``).  Replay checks every node of
+either verdict from what the node stores, and never runs the search.
 
 A decomposable ideal is radical (Klein–Rajchgot, Forum Math. Sigma 9
 (2021)), so an ideal that ``unmixedness_evidence`` proves not radical is a
@@ -237,11 +238,17 @@ class GvdNode:
     "inconclusive" | "disjoint-union".  ``verdict`` is the overall call at
     this node ("gvd", "not-gvd" or "inconclusive"); for a certified node it
     is determined by the kind, children and unmixedness evidence.
-    ``failures`` pairs a variable with the reason no decomposition works
-    there.  A step's order is not stored: it is ``y_order`` of its ring
-    and y, and ``_order_json`` writes it.  Reasons name variables only
-    through the placeholder ``{i}`` for the i-th variable of the node's
-    ring, as evidence details do.
+    ``failures`` holds, for each variable ruled out, the triple (position,
+    kind, child): the kind is "identity" (the split is not square-free
+    there), "C" or "N" (that contracted branch is not decomposable) or
+    "absent" (the variable is absent from the reduced basis and the
+    contraction is not decomposable), and the child is the refuted
+    branch's node, read in the ring without the variable (None for
+    "identity").  Its reason is derived from the kind (``_REASONS``).  A
+    step's order is not stored: it is ``y_order`` of its ring and y, and
+    ``_order_json`` writes it.  Reasons name variables only through the
+    placeholder ``{i}`` for the i-th variable of the node's ring, as
+    evidence details do.
     """
 
     kind: str
@@ -255,6 +262,15 @@ class GvdNode:
     failures: tuple = ()
     factors: tuple = ()  # a union's: the ring positions of each child's ring
     reason: str = ""
+
+
+# The reason of each kind of failure at the variable at position i.
+_REASONS = {"identity": "identity fails: the reduced basis is not square-free "
+                        "in {%(i)d}, so no compatible order works",
+            "C": "C-branch is certified not decomposable",
+            "N": "N-branch is certified not decomposable",
+            "absent": "the ideal does not involve {%(i)d} and its contraction is "
+                      "certified not decomposable, which rules out every variable"}
 
 
 def _order_json(names: tuple, y: str) -> dict:
@@ -280,8 +296,9 @@ class GvdCertificate:
     reason = property(lambda self: self.node.reason)
     y = property(lambda self: None if self.node.y is None else self.ring_names[self.node.y])
     variables = property(lambda self: tuple(self.ring_names[i] for i in self.node.variables))
-    failures = property(lambda self: tuple((self.ring_names[i], r)
-                                           for i, r in self.node.failures))
+    failures = property(lambda self: tuple(
+        (self.ring_names[i], _REASONS[kind] % {"i": i})
+        for i, kind, _ in self.node.failures))
     child_c = property(lambda self: self._child(self.node.child_c, 0))
     child_n = property(lambda self: self._child(self.node.child_n, 1))
 
@@ -314,10 +331,19 @@ class GvdCertificate:
             out["children"] = {side: kid.to_json_dict()
                                for side, kid in kids.items() if kid is not None}
         if self.failures:
-            out["failures"] = [{"y": v, "reason": named(r, self.ring_names)}
-                               for v, r in self.failures]
+            out["failures"] = [self._failure_json(*f) for f in self.node.failures]
         if self.reason:
             out["reason"] = named(self.reason, self.ring_names)
+        return out
+
+    def _failure_json(self, i: int, kind: str, child: Optional[GvdNode]) -> dict:
+        """A failure, with its refuted branch read in the ring without y."""
+        names = self.ring_names
+        out = {"y": names[i], "kind": kind,
+               "reason": named(_REASONS[kind] % {"i": i}, names)}
+        if child is not None:
+            out["refutation"] = GvdCertificate(
+                child, names[:i] + names[i + 1:]).to_json_dict()
         return out
 
 
@@ -395,9 +421,11 @@ def certify_step(I: Ideal, y: str, context: Optional[Graph],
     So a structure that describes I wrongly can only make the node
     inconclusive.  A degenerate step, where y is absent (C = N) or lies in
     I (C is the unit ideal), certifies N only: C reuses N's certificate or
-    is the unit leaf, and a refuted N refutes I.  Unmixedness is computed
-    over ``context``, as the search computes it: evidence that refutes it
-    or proves I not radical makes the node a "not-gvd" leaf, and evidence
+    is the unit leaf.  A branch that does not certify, refuted or not,
+    leaves the node inconclusive, since a refutation must rule out every
+    variable (see ``_replay_refutation``).  Unmixedness is computed over
+    ``context``, as the search computes it: evidence that refutes it or
+    proves I not radical makes the node a "not-gvd" leaf, and evidence
     that decides nothing leaves the node inconclusive.
     """
     names = I.ring.names
@@ -414,11 +442,6 @@ def certify_step(I: Ideal, y: str, context: Optional[Graph],
     if _degenerate(split, c_branch):
         cert_n = certify_n(n_branch)
         cert_c = cert_n if c_branch is n_branch else base_certificate(c_branch)
-        if cert_n.verdict == "not-gvd":
-            return _certificate(
-                names, "not-gvd", "not-gvd", unmixedness=ev,
-                failures=((names.index(y), "the surviving branch of the "
-                           "degenerate step is certified not decomposable"),))
     else:
         cert_c = certify_c(c_branch)
         cert_n = certify_n(n_branch)
@@ -737,13 +760,9 @@ def _search(I: Ideal, rgb: tuple, context, budget: Budget,
     if leaf is not None:
         return leaf
 
-    # A variable absent from the reduced basis is absent from every reduced
-    # basis, so the ideal is extended from the smaller ring and is
-    # decomposable exactly when its contraction is: the step at the absent
-    # variable holds and is degenerate with C = N = I (see CnSplit), and
-    # conversely any working decomposition never mentions the absent
-    # variable, so it descends to the contraction.  Handle one absent
-    # variable per node instead of exploring every removal order.
+    # The ideal is decomposable exactly when its contraction away from an
+    # absent variable is (see ``_replay_refutation``), so one absent
+    # variable per node is handled instead of every removal order.
     present = {i for g in rgb for i in g.support()}
     absent = [i for i in range(ring.arity) if i not in present]
     if absent:
@@ -755,15 +774,8 @@ def _search(I: Ideal, rgb: tuple, context, budget: Budget,
         if core.verdict == "gvd":
             return _decomposition(names, ev, split, contraction, core, core)
         if core.verdict == "not-gvd":
-            # Decomposability is equivalent for the ideal and its contraction
-            # when the variable is absent, so the refutation needs no
-            # unmixedness evidence of its own.
-            return _certificate(
-                names, "not-gvd", "not-gvd", unmixedness=ev,
-                failures=((absent[0],
-                           "the ideal does not involve {%d} and its "
-                           "contraction is certified not decomposable, "
-                           "which rules out every variable" % absent[0]),))
+            return _certificate(names, "not-gvd", "not-gvd", unmixedness=ev,
+                                failures=((absent[0], "absent", core.node),))
         return inconclusive(
             names, "the contraction away from absent {%d} was inconclusive"
                    % absent[0], unmixedness=ev)
@@ -778,17 +790,13 @@ def _search(I: Ideal, rgb: tuple, context, budget: Budget,
         if not split.square_free_in_y:
             # By the square-free dichotomy (see CnSplit) the identity fails
             # here, and under every other y-compatible order at this variable.
-            failures.append(
-                (index[yname], "identity fails: the reduced basis is not "
-                               "square-free in {%d}, so no compatible order "
-                               "works" % index[yname]))
+            failures.append((index[yname], "identity", None))
             continue
         child_ctx = _child_context(context, yname)
         c_branch = contract(split.C, yname)
         cert_c = _certify(c_branch, child_ctx, budget, memo)
         if cert_c.verdict == "not-gvd":
-            failures.append(
-                (index[yname], "C-branch is certified not decomposable"))
+            failures.append((index[yname], "C", cert_c.node))
             continue
         if cert_c.verdict == "inconclusive":
             stuck.append((yname, "a branch was inconclusive"))
@@ -796,8 +804,7 @@ def _search(I: Ideal, rgb: tuple, context, budget: Budget,
         n_branch = contract(split.N, yname)
         cert_n = _certify(n_branch, child_ctx, budget, memo)
         if cert_n.verdict == "not-gvd":
-            failures.append(
-                (index[yname], "N-branch is certified not decomposable"))
+            failures.append((index[yname], "N", cert_n.node))
             continue
         if cert_n.verdict == "inconclusive":
             stuck.append((yname, "a branch was inconclusive"))
@@ -822,39 +829,46 @@ def _search(I: Ideal, rgb: tuple, context, budget: Budget,
 def replay_certificate(I: Ideal, cert: GvdCertificate,
                        context: Optional[Graph] = None, *,
                        _walk: Optional[dict] = None) -> bool:
-    """Re-verify a stored certificate from scratch.
+    """Re-verify a stored certificate from scratch, without a search.
 
     Every fact a certificate states was computed, whoever chose its steps,
-    and replay computes it again; nothing is taken on trust.  A node that
-    stores unmixedness evidence must store exactly the evidence
+    and replay computes it again from what the node stores; nothing is
+    taken on trust and no verdict is decided afresh.  A node that stores
+    unmixedness evidence must store exactly the evidence
     ``unmixedness_evidence`` computes for its ideal and context, compared
-    as JSON in the node's ring.  Certified-decomposable trees are replayed
-    node by node: base-case kinds are recomputed, every decomposition
-    identity is checked literally by ``check_decomposition`` for C and N
-    under ``y_order`` (proved from the generators of its two sides, with
-    the comparison of their reduced bases as the exact fallback; no basis
-    is built for a square-free split), the degeneracy flag is read off the
-    branches by the certifiers' rule (``_degenerate``, which holds since
-    both children must replay as "gvd"), a decomposition's evidence must
-    be conclusive, and the reduced basis of a disjoint union must split
-    over disjoint variables as its factors say.  A "not-gvd" leaf (no
-    failures, no children) is checked without a search: its evidence must
-    refute unmixedness or prove the ideal not radical.  Nodes with other
-    verdicts are re-decided by running the search afresh, with a memo of
-    its own, and comparing verdicts, so every child of a "gvd" node must
-    itself be "gvd"; their stored evidence is compared with the evidence
-    the fresh search computed for the same ideal, where it computed any.
-    Returns True when everything matches; a malformed
-    node (an unknown variable, a missing child, a union over an ideal
-    with no variable) does not.
+    as JSON in the node's ring.  Then each node is checked by its kind:
+
+    - a base case ("zero", "unit", "variables") is recomputed;
+    - a "decomposition" needs conclusive evidence and the identity at y,
+      checked literally by ``check_decomposition`` for C and N under
+      ``y_order`` (proved from the generators of its two sides, with the
+      comparison of their reduced bases as the exact fallback), and its
+      degeneracy flag is read off the branches by the certifiers' rule
+      (``_degenerate``, which holds since both children must replay as
+      "gvd");
+    - a "disjoint-union" must split the reduced basis over disjoint
+      variables as its factors say.  The sum is decomposable exactly when
+      every summand is, so a "gvd" union replays both children as "gvd",
+      and a "not-gvd" one stores one child, which replays as "not-gvd"
+      against its factor;
+    - a "not-gvd" leaf (no failures, no children) needs evidence that
+      refutes unmixedness or proves the ideal not radical;
+    - any other "not-gvd" node is checked by ``_replay_refutation``.
+
+    A child is accepted only with the verdict its parent's rule needs.  An
+    "inconclusive" node replays False: it states nothing replay can check.
+    Returns True when everything matches; a malformed node (an unknown
+    variable or kind, a missing child, a union over an ideal with no
+    variable) does not.
 
     The search shares one node among every branch that reaches the same
     ideal and context by position, so a tree can hold a node many times.
     Replay recurses through this function, one call per child, and passes
-    down in ``_walk`` the table of the nodes it has verified, keyed by
-    ``_node_key`` over the ring's names and by the node.  So each node is
-    verified once per key, and its other occurrences reuse that result.
-    Callers leave ``_walk`` unset.
+    down in ``_walk`` the table of the nodes it has verified, keyed as the
+    search keys its memo (``_node_key`` over the ring's arity) and by the
+    node.  So each node is verified once per key, and its other
+    occurrences, in whatever ring, reuse that result.  Callers leave
+    ``_walk`` unset.
     """
     if _walk is None:
         if (not isinstance(cert, GvdCertificate)
@@ -865,15 +879,22 @@ def replay_certificate(I: Ideal, cert: GvdCertificate,
     return _replay_node(I, cert.node, context, _walk)
 
 
-def _replay(I: Ideal, node: GvdNode, context: Optional[Graph],
-            seen: dict) -> bool:
-    """``replay_certificate`` on a child node, once per distinct key in
-    ``seen``.  The key keeps the context: one walk can reach the same ring
-    names through a union, which drops foreign edges, and through steps,
-    which keep them, and a node shared between the two must be checked
-    under each.  The foreign flag of the shape key keeps the two keys
-    apart: after the union the context's key is its lattice key."""
-    key = _node_key(I.ring.names, I, context) + (id(node),)
+def _replay(I: Ideal, node: GvdNode, context: Optional[Graph], seen: dict,
+            verdict: str) -> bool:
+    """``replay_certificate`` on a child node that must have ``verdict``,
+    once per distinct key in ``seen``.
+
+    A node's check reads names only through ring positions, as the search
+    does (``_context_key``), and compares evidence as JSON whose components
+    both sides sort by the same names, so its result is the same in every
+    ring of its arity.  The key keeps the context: one walk can reach the
+    same ideal through a union, which drops foreign edges, and through
+    steps, which keep them, and a node shared between the two must be
+    checked under each.  The foreign flag of the shape key keeps the two
+    keys apart: after the union the context's key is its lattice key."""
+    if not isinstance(node, GvdNode) or node.verdict != verdict:
+        return False
+    key = _node_key(I.ring.arity, I, context) + (id(node),)
     got = seen.get(key)
     if got is None:
         # The node is stored with its result, so its id is not reused by
@@ -886,21 +907,15 @@ def _replay(I: Ideal, node: GvdNode, context: Optional[Graph],
 def _replay_node(I: Ideal, node: GvdNode, context: Optional[Graph],
                  seen: dict) -> bool:
     names = I.ring.names
-    leaf = (node.kind == node.verdict == "not-gvd" and not node.failures
-            and node.child_c is None and node.child_n is None)
+    if node.verdict not in ("gvd", "not-gvd"):
+        return False
     ev = None
-    if node.verdict != "gvd" and not leaf:
-        # A memo of its own: the shared memo holds the search's answers.
-        fresh = _certify(I, context, Budget(None), {})
-        if fresh.verdict != node.verdict:
-            return False
-        ev = fresh.unmixedness  # computed for I, where the search computed any
     if node.unmixedness is not None:
         # Stored evidence is a fact about I, so it must be the evidence
         # computed now (``_context_key`` proves it is a function of I's
         # reduced basis and context), read in I's ring.  Evidence naming a
         # position outside the ring is forged.
-        ev = ev or unmixedness_evidence(I, context)
+        ev = unmixedness_evidence(I, context)
         if not isinstance(node.unmixedness, UnmixednessEvidence):
             return False
         try:
@@ -909,18 +924,10 @@ def _replay_node(I: Ideal, node: GvdNode, context: Optional[Graph],
             return False
         if stored != ev.to_json_dict(names):
             return False
-    if node.verdict != "gvd":
-        # A leaf refutation rests on its evidence alone; a re-decided node
-        # has matched.
-        return not leaf or (ev is not None and _refutation(names, ev) is not None)
-    if node.kind in ("decomposition", "disjoint-union") and not all(
-            isinstance(c, GvdNode) and c.verdict == "gvd"
-            for c in (node.child_c, node.child_n)):
-        # Both parts of a decomposable node must be decomposable; a child
-        # with another verdict would only be re-decided, not checked.
-        return False
     if node.kind == "disjoint-union":
         return _replay_factors(I, node, context, seen)
+    if node.verdict == "not-gvd":
+        return _replay_refutation(I, node, context, ev, seen)
     if node.kind in ("zero", "unit", "variables"):
         base = base_certificate(I)
         return (base is not None and base.kind == node.kind
@@ -938,18 +945,88 @@ def _replay_node(I: Ideal, node: GvdNode, context: Optional[Graph],
     if _degenerate(split, c_branch) != node.degenerate:
         return False
     child_ctx = _child_context(context, y)
-    return (_replay(c_branch, node.child_c, child_ctx, seen)
-            and _replay(contract(split.N, y), node.child_n, child_ctx, seen))
+    return (_replay(c_branch, node.child_c, child_ctx, seen, "gvd")
+            and _replay(contract(split.N, y), node.child_n, child_ctx, seen, "gvd"))
 
 
 def _replay_factors(I: Ideal, node: GvdNode, context: Optional[Graph],
                     seen: dict) -> bool:
-    """A "gvd" disjoint union: the reduced basis splits over disjoint
-    variables as the node's factors say, so I is the sum of the two factor
-    ideals, and each factor replays against its child."""
+    """A disjoint union: the reduced basis splits over disjoint variables as
+    the node's factors say, so I is the sum of the two factor ideals.  Each
+    child of a "gvd" union replays as "gvd" against its factor; a "not-gvd"
+    union stores the one refuted factor's child, which replays as
+    "not-gvd"."""
     split = _disjoint_factors(I)
     if split is None or split[0] != node.factors:
         return False
-    return all(_replay(factor, child,
-                       _restrict_context(context, factor.ring.names), seen)
-               for factor, child in zip(split[1], (node.child_c, node.child_n)))
+    kids = [(factor, kid) for factor, kid in zip(split[1], (node.child_c, node.child_n))
+            if kid is not None or node.verdict == "gvd"]
+    if node.verdict == "not-gvd" and len(kids) != 1:
+        return False
+    return all(_replay(factor, kid, _restrict_context(context, factor.ring.names),
+                       seen, node.verdict)
+               for factor, kid in kids)
+
+
+def _replay_refutation(I: Ideal, node: GvdNode, context: Optional[Graph],
+                       ev: Optional[UnmixednessEvidence], seen: dict) -> bool:
+    """A "not-gvd" node of kind "not-gvd": a leaf whose evidence refutes,
+    or a node whose failures rule out every variable.
+
+    By definition (Klein–Rajchgot) an ideal that is not a base case is
+    decomposable only through a step at some variable y whose identity
+    holds and whose contracted branches are decomposable.  So I, which must
+    not be a base case, is refuted by one failure per ring variable:
+
+    - "identity": the split is not square-free in y, so the identity fails
+      under every y-compatible order (the dichotomy in ``CnSplit``);
+    - "C" or "N": the split is square-free, and the child replays as
+      "not-gvd" against that contracted branch.  Where the identity holds,
+      N + y·C = in_y(I) fixes N as its y-free part and C as its quotient
+      by y, so no y-compatible order gives other branches.
+
+    The only other shape is one "absent" failure at a variable y absent
+    from the reduced basis, whose child replays as "not-gvd" against the
+    contraction J of I.  I is decomposable exactly when J is.  A
+    variable absent from the reduced basis is absent from every reduced
+    basis (``groebner.contract``), so I is J extended by y, and every
+    reduced basis of I is one of J.  (⇐) The step at y holds and is
+    degenerate with C = N = I (see ``CnSplit``), and both branches are J.
+    (⇒) Induct on the number of variables.  I is unmixed, so J is, since
+    the extension keeps the associated primes and adds 1 to each dimension.
+    If I is a base case, J has the same reduced basis and is one.  A step
+    of I at y has the branches J.  A step at z ≠ y is read off a reduced
+    basis of I, which is one of J, so J's split at z has the same
+    generators and the same identity, and I's branches are J's branches
+    extended by y; they are decomposable, so by induction J's are.
+    """
+    names = I.ring.names
+    failures = node.failures
+    if node.kind != "not-gvd" or node.child_c is not None or node.child_n is not None:
+        return False
+    if not failures:
+        return ev is not None and _refutation(names, ev) is not None
+    if (base_certificate(I) is not None
+            or not all(isinstance(f, tuple) and len(f) == 3 for f in failures)):
+        return False
+    if len(failures) == 1 and failures[0][1] == "absent":
+        i, _, child = failures[0]
+        if i not in range(len(names)) or any(g.degree_in(i) for g in I.groebner()):
+            return False
+        y = names[i]
+        return _replay(contract(cn_split(I, y).N, y), child,
+                       _child_context(context, y), seen, "not-gvd")
+    if len(failures) != len(names) or {f[0] for f in failures} != set(range(len(names))):
+        return False
+    for i, kind, child in failures:
+        y = names[i]
+        split = cn_split(I, y)
+        if kind == "identity":
+            ok = child is None and not split.square_free_in_y
+        else:
+            ok = kind in ("C", "N") and split.square_free_in_y and _replay(
+                contract(split.C if kind == "C" else split.N, y), child,
+                _child_context(context, y), seen, "not-gvd")
+        if not ok:
+            return False
+    return True

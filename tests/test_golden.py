@@ -60,4 +60,4 @@ def test_refutations():
                                  parse_poly(ring, "z*w")]))]
     assert [c.verdict for c in certs] == ["not-gvd", "not-gvd"]
     assert digest(certs) == (
-        "0a9259f2db21785d5ff0c3140ef4302fb88d41374048effc6a5539d4cd9d39c1")
+        "23317d110ad710ec04fedf32c0a98512074af1460b4c0071521f93f143e21130")

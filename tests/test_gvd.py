@@ -785,9 +785,10 @@ def test_replay_checks_a_disjoint_union_node_by_node(monkeypatch):
     assert not replay_certificate(J, swap_last(cert, union, fake)[0], context=G)
 
 
-def test_replay_walks_steps_unions_and_re_decisions():
+def test_replay_walks_steps_unions_and_refutations():
     # Replay accepts trees through steps (C6), a union (K_{3,3}) and a
-    # refutation it re-decides (two bridged triangles).
+    # refutation whose failures keep their refuted branches (two bridged
+    # triangles).
     cases = []
     for G in (cycle_graph(6), complete_bipartite(3, 3), two_triangles_bridged()):
         J = toric_ideal(G)
@@ -846,8 +847,14 @@ def test_replay_rejects_a_decomposition_whose_branch_is_not_gvd():
         "decomposition", "gvd", unmixedness=ev, y=R.index["z"],
         degenerate=True, child_c=factor.node, child_n=factor.node)
     assert not replay_certificate(J, GvdCertificate(step, R.names))
-    assert replay_certificate(J, GvdCertificate(
+    # A refutation is stated by failures, and the step relabelled "not-gvd"
+    # states none: replay does not decide the verdict afresh.  The same
+    # refutation as the failure at the absent z replays.
+    assert not replay_certificate(J, GvdCertificate(
         replace(step, verdict="not-gvd"), R.names))
+    absent = GvdNode("not-gvd", "not-gvd", unmixedness=ev,
+                     failures=((R.index["z"], "absent", factor.node),))
+    assert replay_certificate(J, GvdCertificate(absent, R.names))
 
 
 def test_replay_rejects_a_union_over_the_zero_and_the_unit_ideal():
@@ -909,8 +916,8 @@ def forged_evidence(cert):
 def test_replay_rejects_forged_evidence():
     # Every stored evidence is a fact about its node's ideal, so replay
     # recomputes it and rejects any other: at steps, base cases, leaf
-    # refutations and refutations it re-decides, in certificates of the
-    # search and of both structural certifiers.
+    # refutations and the roots of refutations by failures, in
+    # certificates of the search and of both structural certifiers.
     C4, C6, K33 = cycle_graph(4), cycle_graph(6), complete_bipartite(3, 3)
     ring = C4.edge_ring()
     leaf = Ideal(ring, [parse_poly(ring, "e1^2"), parse_poly(ring, "e1*e3 - e2*e4")])
@@ -1047,8 +1054,9 @@ def test_replay_proves_each_identity_from_generators(monkeypatch):
 
 
 def test_replay_does_not_read_the_shared_memo(monkeypatch):
-    # Replay re-decides a refutation with a memo of its own, so a tampered
-    # node under the refutation's key in the shared memo changes nothing.
+    # Replay checks a refutation from its failures and never searches, so
+    # a tampered node under the refutation's key in the shared memo changes
+    # nothing.
     empty_shared_memo(monkeypatch)
     G = two_triangles_bridged()
     J = toric_ideal(G)
@@ -1103,9 +1111,107 @@ def test_a_non_radical_factor_is_a_leaf():
     assert replay_certificate(J, cert, context=G)
 
 
-def test_replay_of_negative_certificate_reruns_the_engine():
+def test_replay_of_a_negative_certificate_checks_its_failures():
+    # <x^2> fails at its only variable by the identity, which replay checks
+    # from the split; claimed at a branch instead, it is rejected.
     R1 = Ring(["x"])
     J = Ideal(R1, [parse_poly(R1, "x^2")])
     cert = is_gvd(J)
     assert cert.verdict == "not-gvd"
+    assert cert.node.failures == ((0, "identity", None),)
     assert replay_certificate(J, cert)
+    assert not replay_certificate(J, forged(cert, failures=((0, "C", cert.node),)))
+
+
+def test_replay_rejects_tampered_refutations():
+    # Each forgery of a refutation's failures, or of the refuted factor of
+    # a union, replays False without raising, and so does a certificate
+    # that ran out of budget, since an inconclusive node states nothing.
+    G = two_triangles_bridged()
+    J = toric_ideal(G)
+    cert = is_gvd(J, context=G)
+    assert replay_certificate(J, cert, context=G)
+    failures = cert.node.failures
+    branch = [f for f in failures if f[1] in ("C", "N")]
+    first, other = branch[0], next(f for f in branch if f[2] is not branch[0][2])
+    at = failures.index(first)
+
+    def with_failure(new):
+        return failures[:at] + (new,) + failures[at + 1:]
+
+    flip = {"C": "N", "N": "C"}
+    fakes = [
+        with_failure((first[0], first[1], other[2])),  # a swapped child
+        failures[:-1],  # a dropped failure
+        ((first[0], "absent", first[2]),),  # one failure at a present variable
+        ((first[0], "C", first[2]),),
+        with_failure((99, first[1], first[2])),  # a position outside the ring
+        ((99, "absent", first[2]),),
+        with_failure((first[0], "identity", None)),  # the split is square-free
+        with_failure((first[0], "absent", first[2])),
+        failures + failures[-1:],
+    ]
+    fakes += [failures[:failures.index(f)] + ((f[0], flip[f[1]], f[2]),)
+              + failures[failures.index(f) + 1:] for f in branch]  # side flips
+    for fake in fakes:
+        assert replay_certificate(J, forged(cert, failures=fake), context=G) is False
+    # The refuted factor of a union is checked: with forged evidence and
+    # any reason, it no longer replays.
+    K = J.with_extra([J.ring.var("e1")])
+    union = is_gvd(K, context=G)
+    assert union.kind == "disjoint-union" and union.node.child_n is not None
+    assert replay_certificate(K, union, context=G)
+    factor = replace(union.node.child_n, reason="anything",
+                     unmixedness=UnmixednessEvidence("cited", "x"))
+    for fake in (dict(child_n=factor), dict(child_c=union.node.child_n, child_n=None),
+                 dict(child_c=union.node.child_n), dict(child_n=None)):
+        assert replay_certificate(K, forged(union, **fake), context=G) is False
+    starved = is_gvd(J, context=G, budget=Budget(0.0))
+    assert starved.verdict == "inconclusive"
+    assert replay_certificate(J, starved, context=G) is False
+
+
+def test_replay_never_searches(monkeypatch):
+    # Replay checks every verdict from what its nodes store: with the
+    # search unreachable, every certificate of the search and of both
+    # structural certifiers replays.
+    empty_shared_memo(monkeypatch)
+    certs = corpus_certificates()
+    corpus = [to_graph(n, edges) for n, edges in connected_graphs(7)]
+    certs += [(G, toric_ideal(G), quadratic_pipeline(G)) for G in corpus
+              if all(g.total_degree() == 2 for g in graphs.universal_groebner_basis(G))]
+    bridged = two_triangles_bridged()
+    certs.append((bridged, toric_ideal(bridged),
+                  is_gvd(toric_ideal(bridged), context=bridged)))
+    assert sorted({c.verdict for _, _, c in certs}) == ["gvd", "not-gvd"]
+
+    def unreachable(*args):
+        raise AssertionError("replay searched")
+
+    monkeypatch.setattr(gvd, "_search", unreachable)
+    monkeypatch.setattr(gvd, "_certify", unreachable)
+    for G, J, cert in certs:
+        assert replay_certificate(J, cert, context=G)
+
+
+def test_replay_keys_its_table_by_ring_position(monkeypatch):
+    # The two factors of two disjoint 4-cycles are the same ideal by
+    # position, and the search shares one node between them.  The second
+    # factor's names sort against its positions, and replay verifies the
+    # node once, as the search keys its memo.
+    first = cycle_graph(4)
+    second = Graph(["a", "b", "c", "d"],
+                   [("z4", "a", "b"), ("z3", "b", "c"), ("z2", "c", "d"),
+                    ("z1", "d", "a")])
+    U = graphs.disjoint_union(first, second)
+    J = toric_ideal(U)
+    empty_shared_memo(monkeypatch)
+    cert = is_gvd(J, context=U)
+    assert cert.kind == "disjoint-union" and cert.node.child_c is cert.node.child_n
+    assert cert.child_c.ring_names != cert.child_n.ring_names
+    calls = []
+    real = gvd._replay_node
+    monkeypatch.setattr(gvd, "_replay_node",
+                        lambda I, node, *rest: calls.append(node) or real(I, node, *rest))
+    assert replay_certificate(J, cert, context=U)
+    assert sum(node is cert.node.child_c for node in calls) == 1

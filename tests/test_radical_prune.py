@@ -28,7 +28,16 @@ def node_key(I, context):
 
 
 def root_json(cert) -> str:
-    return json.dumps(cert.to_json_dict(), sort_keys=True)
+    """The certificate's JSON without the refuted branches its failures
+    keep: below an ideal proved not radical, the second search finds other
+    refutations."""
+    def drop(out):
+        if isinstance(out, dict):
+            return {k: drop(v) for k, v in out.items() if k != "refutation"}
+        if isinstance(out, list):
+            return [drop(v) for v in out]
+        return out
+    return json.dumps(drop(cert.to_json_dict()), sort_keys=True)
 
 
 def pruned_search(G):
