@@ -26,8 +26,10 @@ both at every node of their corpus.  The theorem also makes every node
 Cohen-Macaulay, but no certificate rests on it: each node's unmixedness
 evidence is computed as the search computes it, and the tests check that
 it is conclusive at every node of their corpus.  Replay recomputes the
-evidence and checks each identity literally.  The recursion keeps no
-memo: it seldom meets a node twice.
+evidence and checks each identity literally.  Like ``gvd.is_gvd``, the
+recursion keeps a memo of certified nodes, keyed by position and
+structure (see ``_certify_node``): across a census the classes share
+most of their subproblems.
 """
 
 from __future__ import annotations
@@ -35,10 +37,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import Ring
+from .algebra import Ring, storage_order
 from .graphs import Graph, universal_groebner_basis
-from .groebner import Ideal
-from .gvd import GvdCertificate, base_certificate, certify_step, inconclusive
+from .groebner import Ideal, reduced_basis_of
+from .gvd import (GvdCertificate, _node_key, base_certificate, certify_step,
+                  inconclusive, memoised)
 from .util import Budget
 
 __all__ = [
@@ -247,6 +250,10 @@ def _contained_variables(I: Ideal) -> list:
                                             if g.is_variable())]
 
 
+# The memo of every ``certify_bipartite_gvd`` call given no budget.
+_MEMO: dict = {}
+
+
 def certify_bipartite_gvd(G: Graph, budget: Optional[Budget] = None) -> GvdCertificate:
     """Certify decomposability of the toric ideal of a bipartite graph.
 
@@ -255,34 +262,98 @@ def certify_bipartite_gvd(G: Graph, budget: Optional[Budget] = None) -> GvdCerti
     yield a contained variable, and extendable matchings decompose at the
     extension edge.  The structure only chooses the variable; each node
     decomposes the ideal it was handed (see the module docstring), and any
-    failure is reported as inconclusive, never papered over.
+    failure is reported as inconclusive, never papered over.  As with
+    ``gvd.is_gvd``, a call with no budget shares the memo ``_MEMO`` with
+    every other such call, and a budgeted one keeps a memo of its own.
+
+    The root holds the toric ideal generated by its reduced basis under
+    the storage order, which needs no S-pair: the universal basis is a
+    Groebner basis under every order, so minimalizing and inter-reducing it
+    gives the reduced basis, which is unique.
     """
     if not G.is_bipartite():
         raise ValueError("graph is not bipartite")
-    if budget is None:
-        budget = Budget(None)
-    root = Ideal(G.edge_ring(), universal_groebner_basis(G))
-    return _certify_node(G, EMPTY_POM, root, budget)
+    memo = _MEMO if budget is None else {}
+    ring = G.edge_ring()
+    root = Ideal.reduced(ring, reduced_basis_of(storage_order(ring),
+                                                universal_groebner_basis(G)))
+    return _certify_node(G, EMPTY_POM, root, budget or Budget(None), memo)
+
+
+def _structure_key(G: Graph, pom: PathOrderedMatching, index: dict) -> tuple:
+    """For each edge of G, in its order, its ring position (-1 outside the
+    ring) and its two ends, then the matching's pairs, with the vertices
+    numbered by their first appearance along the edge list."""
+    number = {}
+    edges = tuple((index.get(label, -1), number.setdefault(u, len(number)),
+                   number.setdefault(v, len(number))) for label, u, v in G.edges)
+    return edges, tuple((number[a], number[b]) for a, b in pom.pairs)
 
 
 def _certify_node(G: Graph, pom: PathOrderedMatching, I: Ideal,
-                  budget: Budget) -> GvdCertificate:
+                  budget: Budget, memo: dict) -> GvdCertificate:
     """Leaves are certified at once; a leaf matching edge is dropped; else
     the node decomposes at a leaf edge or at a contained variable (both
     degenerate steps, whose N branch carries the graph without that edge)
     or at the edge extending the matching, whose C branch carries the
-    extended matching."""
+    extended matching.  Any other node is the one ``memo`` holds for its
+    key, if any (``gvd.memoised``, which stores no inconclusive node): I's
+    ring arity, its reduced basis by position (``gvd._node_key`` with no
+    context) and ``_structure_key``.
+
+    Why equal keys give the same node.  Equal structure keys give a
+    bijection from the edges of G to those of G', the k-th to the k-th,
+    and one from the vertices that carry an edge, by their numbers, which
+    keep every edge's ends and ring position and map the matching's pairs
+    to the other's, in order and orientation.  G is simple, so a pair
+    fixes its matching edge.  Equal arities and bases make I and I' the
+    same ideal by ring position, so the ring positions in the key tie the
+    ring variables to the same edges.  The recursion reads its data only
+    through these maps:
+
+    - ``base_certificate`` and ``_contained_variables`` read I's reduced
+      basis, and name a variable by its position;
+    - ``_leaf_edge`` takes the first edge, in order, with an end of degree
+      1, and a vertex's degree is read off the edge list;
+    - whether the leaf is a matching edge, and which end of the matching
+      ``PathOrderedMatching.without_end`` drops, are read off the pairs;
+    - ``_extension_pairs`` walks the edges in order and reads the
+      matching's vertices, edges, right ends and last left end and the
+      adjacency of G, and ``PathOrderedMatching.extended`` appends the
+      pair it yields;
+    - ``certify_step`` reads I through its reduced bases and y by
+      position, and its context, G without the matching edges, by edge
+      positions and kernel lattice, or by shape when an edge lies outside
+      the ring (``gvd._context_key``).  Both are fixed by the edges' ring
+      positions and ends.  Its branches are computed from I's bases, so
+      they are equal by position.
+
+    So both calls take the same case at corresponding edges and ring
+    positions, and hand their children equal ideals by position and
+    structures that delete the same edge or extend the matching by
+    corresponding pairs, whose keys are again equal.  Each call lowers the
+    ring's arity or the number of edges, so by induction the children are
+    the same nodes, and the step builds the same node from them.
+    """
     if budget.exceeded():
         return inconclusive(I.ring.names, "budget exhausted")
     base = base_certificate(I)
     if base is not None:
         return base
+    key = _node_key(I.ring.arity, I, None) + (_structure_key(G, pom, I.ring.index),)
+    return memoised(memo, key, I.ring.names,
+                    lambda: _certify_structure(G, pom, I, budget, memo))
+
+
+def _certify_structure(G: Graph, pom: PathOrderedMatching, I: Ideal,
+                       budget: Budget, memo: dict) -> GvdCertificate:
+    """``_certify_node`` past its base case and memo."""
     leaf = _leaf_edge(G)
     if leaf is not None and leaf in pom.edges:
         # Dropping a leaf matching edge changes neither the ideal nor the
         # ring, only the structure.
         return _certify_node(G.delete_edges([leaf]), pom.without_end(leaf), I,
-                             budget)
+                             budget, memo)
 
     ring = I.ring
     c_pom = None
@@ -310,5 +381,5 @@ def _certify_node(G: Graph, pom: PathOrderedMatching, I: Ideal,
 
     return certify_step(
         I, y, G.delete_edges(pom.edges),
-        lambda C: _certify_node(c_graph, c_pom, C, budget),
-        lambda N: _certify_node(n_graph, pom, N, budget))
+        lambda C: _certify_node(c_graph, c_pom, C, budget, memo),
+        lambda N: _certify_node(n_graph, pom, N, budget, memo))

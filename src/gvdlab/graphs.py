@@ -315,13 +315,28 @@ def graver_basis(G: Graph) -> list:
     Bases and Convex Polytopes*, 1996, ch. 4 and 8).
 
     ``_cycles`` lists the cycles, and ``_block_walks`` the subgraphs that
-    are not 2-connected.  The tests check the result against Pottier
+    are not 2-connected, both over the 2-core of G: what is left after
+    vertices of degree at most 1 are removed, again and again.  Every W
+    lies in it.  Each vertex of W has degree at least 2 in W: it lies on a
+    cyclic block, or it is a cut vertex, which lies in two blocks.  Until
+    a first vertex of W is removed, every vertex of W keeps all its
+    W-edges, so none has degree below 2 and none can be the first.  The
+    vertices keep their positions, so ``_block_walks``' bound on the fresh
+    vertices only gets looser.  The tests check the result against Pottier
     completion of a lattice basis of the kernel.
     """
     vpos = {v: i for i, v in enumerate(G.vertices)}
     epos = {label: j for j, label in enumerate(G.edge_labels)}
     adj = [[(vpos[w], epos[label]) for label, w in G.neighbors(v)]
            for v in G.vertices]
+    leaves = [v for v, at in enumerate(adj) if len(at) < 2]
+    while leaves:
+        v = leaves.pop()
+        for w, _ in adj[v]:
+            adj[w] = [p for p in adj[w] if p[0] != v]
+            if len(adj[w]) == 1:
+                leaves.append(w)
+        adj[v] = []
     cycles = _cycles(adj)
     m = len(G.edges)
     out = []

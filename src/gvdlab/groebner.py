@@ -66,7 +66,7 @@ from .algebra import (
 )
 
 __all__ = [
-    "Ideal", "s_polynomial", "buchberger", "initial_ideal",
+    "Ideal", "s_polynomial", "buchberger", "reduced_basis_of", "initial_ideal",
     "ideal_equal", "ideal_contains", "intersect",
     "saturate_variable", "eliminate", "contract",
     "is_square_free_groebner_basis", "radical_contains", "radical_equal",
@@ -413,9 +413,32 @@ def _reduced_basis(ar, ring: Ring, gens: list) -> list:
         for k in range(n):
             heapq.heappush(heap, (lcm_of(lts[k], e[0]), k, n))
 
-    # inter-reduce tails; no initial term of a minimal basis divides
-    # another, so each keeps its monic initial term
-    minimal = [basis[i] for i in _minimal(lts, pk)]
+    return _interreduced(ar, ring, basis, lts)
+
+
+def reduced_basis_of(order: Order, basis: Iterable[Poly]) -> list:
+    """The reduced Groebner basis under ``order`` of ``basis``, which must
+    already be a Groebner basis under it (a universal basis is one under
+    every order): minimalized and inter-reduced as ``buchberger`` ends,
+    with no S-pair.  The reduced basis is unique, so this is the basis
+    ``buchberger`` returns, term for term."""
+    gens = [g for g in basis if not g.is_zero()]
+    arith = _arithmetic(gens)
+
+    def run(pk: Packing) -> list:
+        ar = arith(pk)
+        stored = [ar.store(g) for g in gens]
+        return _interreduced(ar, order.ring, stored, [e[0] for e in stored])
+
+    return order.packing.widening(run)
+
+
+def _interreduced(ar, ring: Ring, basis: list, lts: list) -> list:
+    """The reduced basis from a Groebner basis stored by ``ar``, whose
+    initial monomials are ``lts``: its minimal elements, in ascending
+    order, with their tails inter-reduced.  No initial term of a minimal
+    basis divides another, so each keeps its monic initial term."""
+    minimal = [basis[i] for i in _minimal(lts, ar.pk)]
     return [ar.poly(ring, ar.reduce(ar.terms(e), minimal[:i] + minimal[i + 1:]))
             for i, e in enumerate(minimal)]
 

@@ -944,9 +944,13 @@ def _replay_node(I: Ideal, node: GvdNode, context: Optional[Graph],
     c_branch = contract(split.C, y)
     if _degenerate(split, c_branch) != node.degenerate:
         return False
+    # When C is N (y is absent, see ``cn_split``) both branches are one
+    # ideal, and a child shared by both has one key in ``seen``.
+    n_branch = c_branch if split.N is split.C else contract(split.N, y)
     child_ctx = _child_context(context, y)
     return (_replay(c_branch, node.child_c, child_ctx, seen, "gvd")
-            and _replay(contract(split.N, y), node.child_n, child_ctx, seen, "gvd"))
+            and (n_branch is c_branch and node.child_n is node.child_c
+                 or _replay(n_branch, node.child_n, child_ctx, seen, "gvd")))
 
 
 def _replay_factors(I: Ideal, node: GvdNode, context: Optional[Graph],

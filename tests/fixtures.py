@@ -10,7 +10,7 @@ from collections import deque
 from operator import neg, sub
 from pathlib import Path
 
-from gvdlab import gvd
+from gvdlab import bipartite, gvd
 from gvdlab.algebra import (
     Order, Packing, initial_term, mono_divides, mono_is_squarefree,
     mono_support, parse_poly, storage_order,
@@ -24,10 +24,11 @@ from gvdlab.gvd import cn_split
 
 
 def empty_shared_memo(monkeypatch):
-    """Give ``is_gvd`` an empty shared memo until ``monkeypatch`` is undone,
-    so that a test sees all the work of its searches, and leaves no node
-    behind for the tests after it."""
+    """Give ``is_gvd`` and ``certify_bipartite_gvd`` empty shared memos
+    until ``monkeypatch`` is undone, so that a test sees all the work of
+    its certifiers, and leaves no node behind for the tests after it."""
     monkeypatch.setattr(gvd, "_MEMO", {})
+    monkeypatch.setattr(bipartite, "_MEMO", {})
 
 
 def two_k4_sharing_vertex() -> Graph:

@@ -6,7 +6,7 @@ from itertools import permutations
 
 import pytest
 
-from gvdlab import bipartite, gvd
+from gvdlab import bipartite, groebner, gvd
 from gvdlab.algebra import lex_order
 from gvdlab.bipartite import (
     EMPTY_POM, PathOrderedMatching, bipartite_ideal, certify_bipartite_gvd,
@@ -14,7 +14,7 @@ from gvdlab.bipartite import (
 )
 from gvdlab.graphs import (
     complete_bipartite, complete_graph, cycle_graph, disjoint_union,
-    ferrers_graph, path_graph, toric_ideal,
+    ferrers_graph, path_graph, toric_ideal, universal_groebner_basis,
 )
 from gvdlab.groebner import (
     Ideal, ideal_contains, ideal_equal, is_square_free_groebner_basis,
@@ -23,7 +23,7 @@ from gvdlab.gvd import GvdCertificate, is_gvd, replay_certificate
 from gvdlab.components import UnmixednessEvidence
 from gvdlab.util import Budget
 
-from fixtures import k2d_with_path
+from fixtures import empty_shared_memo, k2d_with_path
 from graph_corpus import connected_graphs, to_graph
 
 C4 = cycle_graph(4)
@@ -221,13 +221,14 @@ def test_cited_unmixedness_does_not_replay():
 def recorded_nodes(monkeypatch) -> list:
     """(graph, matching, ideal) of every node the certifier visits over the
     bipartite 7-edge corpus, K_{3,3} and the Ferrers graph of (3, 2, 1), all
-    of which it certifies."""
+    of which it certifies.  Each node is given an empty memo, so that none
+    is served from one and every node below it is visited."""
     seen = []
     real = bipartite._certify_node
 
-    def record(H, pom, I, budget):
+    def record(H, pom, I, budget, memo):
         seen.append((H, pom, I))
-        return real(H, pom, I, budget)
+        return real(H, pom, I, budget, {})
 
     monkeypatch.setattr(bipartite, "_certify_node", record)
     graphs = [to_graph(n, edges) for n, edges in connected_graphs(7)]
@@ -236,7 +237,7 @@ def recorded_nodes(monkeypatch) -> list:
     for G in graphs + [K33, ferrers_graph((3, 2, 1))]:
         assert certify_bipartite_gvd(G).verdict == "gvd"
     monkeypatch.undo()
-    assert len(seen) > len(graphs) + 2
+    assert len(seen) == 190
     return seen
 
 
@@ -264,18 +265,44 @@ def test_contained_variables_are_read_off_the_reduced_basis(monkeypatch):
 def test_inconclusive_evidence_leaves_the_node_inconclusive(monkeypatch):
     # No theorem stands in for computed evidence: with evidence that decides
     # nothing, the toric ideal of C6, its matching ideal, does not certify.
+    # The memo starts empty, or its "gvd" node for C6 would answer, and it
+    # stores no inconclusive node.
+    empty_shared_memo(monkeypatch)
     monkeypatch.setattr(gvd, "unmixedness_evidence",
                         lambda I, context=None: UnmixednessEvidence("inconclusive", "forced"))
-    cert = bipartite._certify_node(C6, EMPTY_POM, toric_ideal(C6), Budget(None))
+    cert = bipartite._certify_node(C6, EMPTY_POM, toric_ideal(C6), Budget(None),
+                                   bipartite._MEMO)
     assert cert.verdict == "inconclusive"
     assert "did not certify" in cert.reason
     # A node whose branches are base cases keeps its step.
     ring = C6.edge_ring()
     other = Ideal(ring, [ring.monomial({"e1": 1, "e3": 1})])
-    cert = bipartite._certify_node(C6, EMPTY_POM, other, Budget(None))
+    cert = bipartite._certify_node(C6, EMPTY_POM, other, Budget(None),
+                                   bipartite._MEMO)
     assert cert.verdict == "inconclusive" and cert.y == "e1"
     assert cert.unmixedness.status == "inconclusive"
     assert "unmixedness evidence is inconclusive" in cert.reason
+    assert bipartite._MEMO == {}
+
+
+def test_the_root_needs_no_buchberger_run_on_the_universal_basis(monkeypatch):
+    # The root is generated by its reduced basis, read off the universal
+    # basis with no S-pair, so no run starts from the 660 even cycles of
+    # K_{4,5}: none receives more generators than the 60 of that basis.
+    empty_shared_memo(monkeypatch)
+    G = complete_bipartite(4, 5)
+    assert len(universal_groebner_basis(G)) == 660
+    assert len(toric_ideal(G).groebner()) == 60
+    sizes, real = [], groebner.buchberger
+
+    def counted(order, gens):
+        gens = list(gens)
+        sizes.append(len(gens))
+        return real(order, gens)
+
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    assert certify_bipartite_gvd(G).verdict == "gvd"
+    assert sizes and max(sizes) <= 60
 
 
 def test_exhausted_budget_is_inconclusive():

@@ -11,15 +11,17 @@ from gvdlab.algebra import (
     Packing, PackingOverflow, Poly, Ring, compile_order, initial_term,
     lex_order, parse_poly, storage_order, y_order,
 )
+from gvdlab.graphs import complete_bipartite, universal_groebner_basis
 from gvdlab.groebner import (
     Ideal, _Binomials, _Fractions, buchberger, eliminate, ideal_contains,
     ideal_equal, initial_ideal, intersect, radical_contains,
-    radical_equal, s_polynomial, saturate_variable,
+    radical_equal, reduced_basis_of, s_polynomial, saturate_variable,
 )
 
 from fixtures import (
     is_generated_by_variables, is_square_free_monomial_ideal, krull_dimension,
 )
+from graph_corpus import connected_graphs, to_graph
 
 XYZ = Ring(["x", "y", "z"])
 
@@ -145,6 +147,26 @@ def test_reduced_basis_matches_sympy_under_permuted_variables(texts, gens, kind)
     order = sympy_order(kind, gens)
     mine = {g.canonical() for g in I(*texts).groebner(order)}
     assert mine == _sympy_gb(texts, kind, gens)
+
+
+def test_reduced_basis_of_a_universal_basis_is_buchbergers():
+    # A universal basis is a Groebner basis under every order, so
+    # minimalizing and inter-reducing it gives the reduced basis, term for
+    # term, under the storage order and under a y-order.
+    def terms(basis):
+        return [list(g.terms.items()) for g in basis]
+
+    graphs = [to_graph(n, edges) for n, edges in connected_graphs(7)]
+    graphs += [complete_bipartite(3, 3), complete_bipartite(4, 4)]
+    for G in graphs:
+        basis = universal_groebner_basis(G)
+        ring = G.edge_ring()
+        for order in (storage_order(ring), y_order(ring, ring.names[0])):
+            assert terms(reduced_basis_of(order, basis)) == terms(buchberger(order, basis))
+    G = complete_bipartite(4, 5)
+    order, basis = storage_order(G.edge_ring()), universal_groebner_basis(G)
+    assert len(basis) == 660
+    assert terms(reduced_basis_of(order, basis)) == terms(buchberger(order, basis))
 
 
 def test_groebner_rejects_an_order_over_another_ring():

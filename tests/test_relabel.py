@@ -8,20 +8,22 @@ change the search, but never the verdict, nor whether some lex order gives
 a square-free initial ideal.
 """
 
+import json
 import random
 
 import pytest
 
-from gvdlab import gvd
+from gvdlab import bipartite, gvd
 from gvdlab.algebra import Ring, parse_poly
 from gvdlab.bipartite import certify_bipartite_gvd
 from gvdlab.components import unmixedness_evidence
 from gvdlab.glicci import squarefree_lex_order
 from gvdlab.graphs import (
-    Graph, complete_bipartite, complete_graph, cycle_graph, toric_ideal,
+    Graph, complete_bipartite, complete_graph, cycle_graph, ferrers_graph,
+    toric_ideal,
 )
 from gvdlab.groebner import Ideal
-from gvdlab.gvd import certify_step, inconclusive, is_gvd
+from gvdlab.gvd import certify_step, inconclusive, is_gvd, replay_certificate
 from gvdlab.util import Budget
 
 from fixtures import empty_shared_memo, two_k4_sharing_vertex, two_triangles_bridged
@@ -133,6 +135,39 @@ def test_memo_hit_from_a_ring_sorted_otherwise_is_a_fresh_search(monkeypatch):
     empty_shared_memo(monkeypatch)
     is_gvd(I)
     assert is_gvd(J).to_json_dict() == fresh
+
+
+def test_bipartite_memo_hits_across_relabellings_are_fresh_certificates(monkeypatch):
+    # The bipartite memo keys a node by position and structure, never by
+    # name.  Warmed at one relabelling, it serves a second one entirely, and
+    # each certificate has the JSON of one built with an empty memo (a
+    # budgeted call keeps its own) and replays.  The last two graphs, of the
+    # 9-edge census, meet nodes with equal reduced bases and other
+    # structures, so a key without the structure would change the second's
+    # certificate.
+    graphs = [to_graph(n, edges) for n, edges in connected_graphs(7)]
+    graphs = [G for G in graphs if G.is_bipartite()]
+    assert len(graphs) == 68
+    graphs += [complete_bipartite(3, 3), complete_bipartite(4, 4), ferrers_graph((3, 2, 1)),
+               to_graph(7, ((0, 3), (0, 4), (1, 3), (1, 5), (2, 4), (2, 5), (3, 6),
+                            (4, 6), (5, 6))),
+               to_graph(8, ((0, 4), (1, 5), (2, 4), (2, 6), (3, 5), (3, 7), (4, 7),
+                            (5, 6), (6, 7)))]
+    empty_shared_memo(monkeypatch)
+    for G in graphs:
+        certify_bipartite_gvd(relabeled(G, 1, shuffled_rename)[0])
+    steps, real = [], bipartite.certify_step
+    monkeypatch.setattr(bipartite, "certify_step",
+                        lambda *args: steps.append(args) or real(*args))
+    warm = [(H, certify_bipartite_gvd(H))
+            for H in (relabeled(G, 2, shuffled_rename)[0] for G in graphs)]
+    assert steps == []
+    for H, cert in warm:
+        fresh = certify_bipartite_gvd(H, Budget(None))
+        assert (json.dumps(cert.to_json_dict(), sort_keys=True)
+                == json.dumps(fresh.to_json_dict(), sort_keys=True))
+        assert replay_certificate(toric_ideal(H), cert, context=H)
+    assert steps
 
 
 def test_every_memo_hit_is_what_a_fresh_search_builds(monkeypatch):
