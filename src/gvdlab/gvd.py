@@ -153,9 +153,8 @@ def cn_split(I: Ideal, y) -> CnSplit:
 
 def check_decomposition(I: Ideal, split: CnSplit) -> bool:
     """The literal identity in_y(I) = N + y·C (= C ∩ (N + <y>), see
-    ``CnSplit``), for the verifiers, certificate replay and
-    ``ef.check_statements_ABC``, which do not rest on the theorem the
-    certifiers use to read it off ``split.square_free_in_y``.
+    ``CnSplit``), for certificate replay, which does not rest on the
+    theorem the certifiers use to read it off ``split.square_free_in_y``.
 
     It is first proved from the generators: each generator of either side,
     with its coefficients, is a generator of the other side or y times one,
@@ -812,10 +811,11 @@ def _search(I: Ideal, rgb: tuple, context, budget: Budget,
         return _decomposition(names, ev, split, c_branch, cert_c, cert_n)
 
     if stuck:
+        # Replay rejects every inconclusive node and the memo stores none,
+        # so the failures found so far are not kept.
         reason = "; ".join("{%d}: %s" % (index[yname], why)
                            for yname, why in stuck)
-        return inconclusive(names, reason, unmixedness=ev,
-                            failures=tuple(failures))
+        return inconclusive(names, reason, unmixedness=ev)
     # Every variable carries a conclusive, order-independent failure, and the
     # ideal is none of the base cases, so no decomposition exists no matter
     # what the unmixedness status is.

@@ -1,7 +1,7 @@
 """Benchmark graphs, frozen expected values, the walk oracle, Pottier
-completion (the oracle for Graver bases), the small oracles (dimension,
-monomial and graph helpers) and the seeded random streams shared across
-the test suite."""
+completion (the oracle for Graver bases), the generators of the E/F
+framework's node ideals, the small oracles (dimension, monomial and graph
+helpers) and the seeded random streams shared across the test suite."""
 
 import hashlib
 import importlib.util
@@ -12,15 +12,18 @@ from pathlib import Path
 
 from gvdlab import bipartite, gvd
 from gvdlab.algebra import (
-    Order, Packing, initial_term, mono_divides, mono_is_squarefree,
-    mono_support, parse_poly, storage_order,
+    Order, Packing, Ring, initial_term, lex_order, mono_divides,
+    mono_is_squarefree, mono_support, parse_poly, storage_order,
 )
 from gvdlab.graphs import (
     Graph, _sign_parts, four_cycles_containing, toric_ideal,
-    vector_to_binomial,
+    universal_groebner_basis, vector_to_binomial,
 )
-from gvdlab.groebner import Ideal, contract, intersect
+from gvdlab.groebner import (
+    Ideal, contract, intersect, minimal_monomial_generators,
+)
 from gvdlab.gvd import cn_split
+from gvdlab.util import Budget
 
 
 def empty_shared_memo(monkeypatch):
@@ -29,6 +32,18 @@ def empty_shared_memo(monkeypatch):
     its certifiers, and leaves no node behind for the tests after it."""
     monkeypatch.setattr(gvd, "_MEMO", {})
     monkeypatch.setattr(bipartite, "_MEMO", {})
+
+
+class PolledBudget(Budget):
+    """A budget that runs out after ``polls`` calls of ``exceeded``."""
+
+    def __init__(self, polls: int):
+        super().__init__(None)
+        self.polls = polls
+
+    def exceeded(self) -> bool:
+        self.polls -= 1
+        return self.polls < 0
 
 
 def two_k4_sharing_vertex() -> Graph:
@@ -421,6 +436,41 @@ def packed_gcd(pk: Packing, a: int, b: int) -> int:
     the maximum."""
     ge = pk._at_least(a, b)
     return pk._resummed(b & ge | a & ~ge)
+
+
+# ---------------------------------------------------------------------------
+# The E/F framework's node ideals, from their definition (see ``gvdlab.ef``):
+# the oracle for the ideal each node of ``ef.quadratic_pipeline`` holds,
+# which the pipeline itself never builds.
+
+def _shadow_monomials(G: Graph, E: tuple, F: tuple) -> list:
+    """Exponent tuples of the M_{E,F} generators: for each universal-basis
+    element whose lead involves an E-edge and no F-edge, the lead with its
+    E-part deleted (minimal ones only)."""
+    ring = G.edge_ring()
+    order = lex_order(ring)
+    eidx = {ring.vidx(e) for e in E}
+    fidx = {ring.vidx(f) for f in F}
+    found = []
+    for g in universal_groebner_basis(G):
+        lead = initial_term(order, g).mono
+        if any(lead[i] for i in fidx) or not any(lead[i] for i in eidx):
+            continue
+        found.append(tuple(0 if i in eidx else e for i, e in enumerate(lead)))
+    return minimal_monomial_generators(found)
+
+
+def natural_generators(G: Graph, E: tuple, F: tuple, ring: Ring) -> list:
+    """Generators of I^G_{E,F}: the universal basis of the k-edges-deleted
+    subgraph plus the shadow monomials, as elements of ``ring`` (which they
+    never leave)."""
+    deleted = G.delete_edges(E + F)
+    gens = [g.rename(ring) for g in universal_groebner_basis(deleted)]
+    full = G.edge_ring()
+    for mono in _shadow_monomials(G, E, F):
+        gens.append(ring.monomial({full.names[i]: e
+                                   for i, e in enumerate(mono) if e}))
+    return gens
 
 
 # ---------------------------------------------------------------------------

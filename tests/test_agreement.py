@@ -1,21 +1,21 @@
-"""The four certifiers never reach conflicting conclusive verdicts.
+"""The three certifiers never reach conflicting conclusive verdicts.
 
-The generic search, the bipartite certifier and the quadratic pipeline
-read each step's identity off the reduced basis instead of computing it,
-so they are checked against each other and against the E/F statement
-checks, which verify every split literally.  A statement-check report is
-conclusive only when it verifies decomposability: a refuted statement C is
-about one split tree, not about the toric ideal.  Every certificate the
-three certifiers build over the corpus also replays, and records at each
-step the order of its split.  The two structural certifiers store computed
-unmixedness evidence at every node, and it is always conclusive.
+The generic search, the bipartite certifier and the E/F pipeline read
+each step's identity off the reduced basis instead of computing it, so
+they are checked against each other on every graph they run on.  The
+pipeline runs on every graph; it can only certify, since a toric ideal is
+prime, and a label order that fails says nothing of the toric ideal.
+Every certificate the three certifiers build over the corpus also
+replays, and records at each step the order of its split.  The two
+structural certifiers store computed unmixedness evidence at every node,
+and it is always conclusive.
 """
 
 from functools import lru_cache
 
 from gvdlab.algebra import Ring, y_order
 from gvdlab.bipartite import certify_bipartite_gvd
-from gvdlab.ef import check_statements_ABC, quadratic_pipeline
+from gvdlab.ef import quadratic_pipeline
 from gvdlab.graphs import (
     complete_bipartite, complete_graph, ferrers_graph, toric_ideal,
     universal_groebner_basis,
@@ -33,10 +33,7 @@ def conclusive_verdicts(G) -> dict:
     verdicts = {"is_gvd": is_gvd(toric_ideal(G), context=G).verdict}
     if G.is_bipartite():
         verdicts["bipartite"] = certify_bipartite_gvd(G).verdict
-    if all(g.total_degree() == 2 for g in universal_groebner_basis(G)):
-        verdicts["quadratic"] = quadratic_pipeline(G).verdict
-    if check_statements_ABC(G).conclusion == "decomposability-verified":
-        verdicts["ABC"] = "gvd"
+    verdicts["E/F"] = quadratic_pipeline(G).verdict
     return {k: v for k, v in verdicts.items() if v != "inconclusive"}
 
 

@@ -25,7 +25,7 @@ from fixtures import (
     TWO_K4_C_E2, TWO_K4_C_E5_OF_K, TWO_K4_C_E8_OF_J, TWO_K4_C_E11_OF_M,
     TWO_K4_C_E12_OF_L, TWO_K4_IN_E5_OF_K, TWO_K4_IN_E11_OF_M,
     TWO_K4_IN_E12_OF_L, TWO_K4_N_E2, TWO_K4_N_E8_OF_J, TWO_K4_N_E11_OF_M,
-    TWO_K4_N_E12_OF_L, empty_shared_memo, two_k4_chain,
+    TWO_K4_N_E12_OF_L, PolledBudget, empty_shared_memo, two_k4_chain,
     two_k4_sharing_vertex, two_triangles_bridged,
 )
 from graph_corpus import NINE_EDGE_GRAPHS, connected_graphs, to_graph
@@ -251,6 +251,18 @@ def test_gvd_refutes_bridged_triangles():
     assert set(reasons) == set(G.edge_labels)
     for e in ["e4", "e5"]:
         assert "square-free" in reasons[e]
+
+
+def test_an_inconclusive_search_node_keeps_no_failures():
+    # The budget lasts until the C branch at e1 is refuted, and the loop
+    # stops at e2.  Replay rejects every inconclusive node and the memo
+    # stores none, so the root keeps neither that failure nor its refuted
+    # branch.
+    G = two_triangles_bridged()
+    cert = is_gvd(toric_ideal(G), context=G, budget=PolledBudget(16))
+    assert cert.verdict == "inconclusive"
+    assert cert.to_json_dict()["reason"] == "e2: budget exhausted"
+    assert cert.node.failures == ()
 
 
 def test_gvd_refutes_quadratic_block_of_benchmark():

@@ -26,7 +26,9 @@ from gvdlab.groebner import Ideal
 from gvdlab.gvd import certify_step, inconclusive, is_gvd, replay_certificate
 from gvdlab.util import Budget
 
-from fixtures import empty_shared_memo, two_k4_sharing_vertex, two_triangles_bridged
+from fixtures import (
+    PolledBudget, empty_shared_memo, two_k4_sharing_vertex, two_triangles_bridged,
+)
 from graph_corpus import NINE_EDGE_GRAPHS, connected_graphs, to_graph
 from test_golden import digest
 
@@ -223,18 +225,6 @@ def test_rename_reaches_the_reason_of_a_failed_structural_step():
     assert cert.verdict == "inconclusive"
     assert renamed_reason(cert) == ("decomposition identity failed at x",
                                     "decomposition identity failed at zx")
-
-
-class PolledBudget(Budget):
-    """A budget that runs out after ``polls`` calls of ``exceeded``."""
-
-    def __init__(self, polls: int):
-        super().__init__(None)
-        self.polls = polls
-
-    def exceeded(self) -> bool:
-        self.polls -= 1
-        return self.polls < 0
 
 
 def test_rename_reaches_the_reason_of_a_starved_search():
