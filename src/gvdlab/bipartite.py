@@ -37,11 +37,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import Ring, storage_order
-from .graphs import Graph, universal_groebner_basis
-from .groebner import Ideal, reduced_basis_of
-from .gvd import (GvdCertificate, _node_key, base_certificate, certify_step,
-                  inconclusive, memoised)
+from .algebra import Ring
+from .graphs import Graph, reduced_toric_ideal, universal_groebner_basis
+from .groebner import Ideal
+from .gvd import (GvdCertificate, _node_key, certify_node, certify_step,
+                  inconclusive)
 from .util import Budget
 
 __all__ = [
@@ -265,19 +265,14 @@ def certify_bipartite_gvd(G: Graph, budget: Optional[Budget] = None) -> GvdCerti
     failure is reported as inconclusive, never papered over.  As with
     ``gvd.is_gvd``, a call with no budget shares the memo ``_MEMO`` with
     every other such call, and a budgeted one keeps a memo of its own.
-
-    The root holds the toric ideal generated by its reduced basis under
-    the storage order, which needs no S-pair: the universal basis is a
-    Groebner basis under every order, so minimalizing and inter-reducing it
-    gives the reduced basis, which is unique.
+    The root holds the toric ideal generated by its reduced basis, read
+    off the universal basis with no S-pair (``graphs.reduced_toric_ideal``).
     """
     if not G.is_bipartite():
         raise ValueError("graph is not bipartite")
     memo = _MEMO if budget is None else {}
-    ring = G.edge_ring()
-    root = Ideal.reduced(ring, reduced_basis_of(storage_order(ring),
-                                                universal_groebner_basis(G)))
-    return _certify_node(G, EMPTY_POM, root, budget or Budget(None), memo)
+    return _certify_node(G, EMPTY_POM, reduced_toric_ideal(G),
+                         budget or Budget(None), memo)
 
 
 def _structure_key(G: Graph, pom: PathOrderedMatching, index: dict) -> tuple:
@@ -296,8 +291,9 @@ def _certify_node(G: Graph, pom: PathOrderedMatching, I: Ideal,
     the node decomposes at a leaf edge or at a contained variable (both
     degenerate steps, whose N branch carries the graph without that edge)
     or at the edge extending the matching, whose C branch carries the
-    extended matching.  Any other node is the one ``memo`` holds for its
-    key, if any (``gvd.memoised``, which stores no inconclusive node): I's
+    extended matching.  Like every certifier's node, it enters through
+    ``gvd.certify_node``, so any other node is the one ``memo`` holds for
+    its key, if any, and no inconclusive node is stored.  The key is I's
     ring arity, its reduced basis by position (``gvd._node_key`` with no
     context) and ``_structure_key``.
 
@@ -323,10 +319,9 @@ def _certify_node(G: Graph, pom: PathOrderedMatching, I: Ideal,
       pair it yields;
     - ``certify_step`` reads I through its reduced bases and y by
       position, and its context, G without the matching edges, by edge
-      positions and kernel lattice, or by shape when an edge lies outside
-      the ring (``gvd._context_key``).  Both are fixed by the edges' ring
-      positions and ends.  Its branches are computed from I's bases, so
-      they are equal by position.
+      positions and kernel lattice (``gvd._context_key``).  Both are fixed
+      by the edges' ring positions and ends.  Its branches are computed
+      from I's bases, so they are equal by position.
 
     So both calls take the same case at corresponding edges and ring
     positions, and hand their children equal ideals by position and
@@ -335,14 +330,9 @@ def _certify_node(G: Graph, pom: PathOrderedMatching, I: Ideal,
     ring's arity or the number of edges, so by induction the children are
     the same nodes, and the step builds the same node from them.
     """
-    if budget.exceeded():
-        return inconclusive(I.ring.names, "budget exhausted")
-    base = base_certificate(I)
-    if base is not None:
-        return base
-    key = _node_key(I.ring.arity, I, None) + (_structure_key(G, pom, I.ring.index),)
-    return memoised(memo, key, I.ring.names,
-                    lambda: _certify_structure(G, pom, I, budget, memo))
+    return certify_node(
+        I, budget, lambda: _certify_structure(G, pom, I, budget, memo), memo,
+        lambda: _node_key(I, None) + (_structure_key(G, pom, I.ring.index),))
 
 
 def _certify_structure(G: Graph, pom: PathOrderedMatching, I: Ideal,

@@ -22,15 +22,18 @@ plus the toric ideal of a smaller graph, which is prime and so unmixed.
 ``quadratic_pipeline`` is the one implementation of the framework.  It
 walks the tree in label order through ``gvd.certify_step`` and returns a
 replayable certificate.  The tree only chooses the next edge: the root
-holds the toric ideal, and every other node the contracted branch of its
-parent's split, so the run never builds I^G_{E,F}.  Every fact in the
-certificate is computed, and replay checks each again.  A step must be
-square-free in y (see ``gvd.CnSplit``), and a node's unmixedness evidence
-is computed as the search computes it and must be conclusive, so soundness
-rests on no theorem: a graph off the theorem, or outside the hypothesis,
-can only come out inconclusive.  The tests check that every node the walk
-visits is I^G_{E,F}, against generators built from the definition above,
-and that on quadratic graphs it is variables plus a toric ideal.
+holds the toric ideal, generated by its reduced basis read off the
+universal basis with no S-pair, as the bipartite certifier's root is
+(``graphs.reduced_toric_ideal``), and every other node holds the
+contracted branch of its parent's split, so the run never builds
+I^G_{E,F}.  Every fact in the certificate is computed, and replay checks
+each again.  A step must be square-free in y (see ``gvd.CnSplit``), and a
+node's unmixedness evidence is computed as the search computes it and
+must be conclusive, so soundness rests on no theorem: a graph off the
+theorem, or outside the hypothesis, can only come out inconclusive.  The
+tests check that every node the walk visits is I^G_{E,F}, against
+generators built from the definition above, and that on quadratic graphs
+it is variables plus a toric ideal.
 """
 
 from __future__ import annotations
@@ -38,9 +41,9 @@ from __future__ import annotations
 from typing import Optional
 
 from .algebra import initial_term, lex_order, mono_is_squarefree
-from .graphs import Graph, universal_groebner_basis
+from .graphs import Graph, reduced_toric_ideal, universal_groebner_basis
 from .groebner import Ideal, minimal_monomial_generators
-from .gvd import GvdCertificate, base_certificate, certify_step, inconclusive
+from .gvd import GvdCertificate, certify_node, certify_step
 from .util import Budget
 
 __all__ = ["squarefree_lex_initial", "quadratic_pipeline"]
@@ -69,26 +72,20 @@ def quadratic_pipeline(G: Graph, budget: Optional[Budget] = None) -> GvdCertific
     a square-free label-order initial ideal certify, and none of the 22
     others do.
     """
-    if budget is None:
-        budget = Budget(None)
-    return _quadratic_node(G, (), (),
-                           Ideal(G.edge_ring(), universal_groebner_basis(G)),
-                           budget)
+    return _quadratic_node(G, (), (), reduced_toric_ideal(G),
+                           budget or Budget(None))
 
 
 def _quadratic_node(G: Graph, E: tuple, F: tuple, I: Ideal,
                     budget: Budget) -> GvdCertificate:
-    # Every split (E, F) has one parent in the tree, so nothing is memoised.
+    # Every split (E, F) has one parent in the tree, so no memo is kept.
     # Each step contracts y away, so once every edge is placed the ideal
     # involves no variable and is a base case.
-    if budget.exceeded():
-        return inconclusive(I.ring.names, "budget exhausted")
-    base = base_certificate(I)
-    if base is not None:
-        return base
+    def step() -> GvdCertificate:
+        y = G.edge_labels[len(E) + len(F)]
+        return certify_step(
+            I, y, G.delete_edges(E + F),
+            lambda C: _quadratic_node(G, E + (y,), F, C, budget),
+            lambda N: _quadratic_node(G, E, F + (y,), N, budget))
 
-    y = G.edge_labels[len(E) + len(F)]
-    return certify_step(
-        I, y, G.delete_edges(E + F),
-        lambda C: _quadratic_node(G, E + (y,), F, C, budget),
-        lambda N: _quadratic_node(G, E, F + (y,), N, budget))
+    return certify_node(I, budget, step)

@@ -24,14 +24,15 @@ from itertools import combinations, repeat
 from operator import itemgetter, neg
 from typing import Iterable, Sequence
 
-from .algebra import Poly, Ring
-from .groebner import Ideal, ideal_equal, minimal_generators
+from .algebra import Poly, Ring, storage_order
+from .groebner import Ideal, ideal_equal, minimal_generators, reduced_basis_of
 
 __all__ = [
     "Graph", "cycle_graph", "path_graph", "complete_graph",
     "complete_bipartite", "ferrers_graph",
     "graver_basis",
     "universal_groebner_basis", "lifted_basis", "toric_ideal",
+    "reduced_toric_ideal",
     "toric_dimension", "even_cycle_binomial", "glue_even_cycle",
     "disjoint_union", "is_gap_free", "four_cycles_containing",
     "vector_to_binomial",
@@ -580,6 +581,16 @@ def toric_ideal(G: Graph) -> Ideal:
     """
     ring = G.edge_ring()
     return Ideal(ring, minimal_generators(Ideal(ring, universal_groebner_basis(G))))
+
+
+def reduced_toric_ideal(G: Graph) -> Ideal:
+    """The toric ideal of G generated by its reduced basis under the
+    storage order, which needs no S-pair: the universal basis is a Groebner
+    basis under every order, so minimalizing and inter-reducing it gives
+    the reduced basis, which is unique (``reduced_basis_of``)."""
+    ring = G.edge_ring()
+    return Ideal.reduced(ring, reduced_basis_of(storage_order(ring),
+                                                universal_groebner_basis(G)))
 
 
 def toric_dimension(G: Graph) -> int:

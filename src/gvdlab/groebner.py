@@ -61,15 +61,14 @@ from typing import Iterable, Union
 
 from .algebra import (
     Order, Packing, Poly, Ring,
-    elim_order, initial_term, mono_divides, mono_is_squarefree,
-    storage_order,
+    elim_order, initial_term, mono_divides, storage_order,
 )
 
 __all__ = [
     "Ideal", "s_polynomial", "buchberger", "reduced_basis_of", "initial_ideal",
     "ideal_equal", "ideal_contains", "intersect",
     "saturate_variable", "eliminate", "contract",
-    "is_square_free_groebner_basis", "radical_contains", "radical_equal",
+    "radical_contains", "radical_equal",
     "minimal_generators", "minimal_monomial_generators",
 ]
 
@@ -681,13 +680,3 @@ def minimal_monomial_generators(monos: Iterable[tuple]) -> list:
         if not any(mono_divides(k, m) for k in out):
             out.append(m)
     return out
-
-
-def is_square_free_groebner_basis(order: Order, I: Ideal) -> bool:
-    """True iff the generators of I, as given, form a Groebner basis under
-    ``order`` whose initial ideal is square-free."""
-    leads = [initial_term(order, g).mono for g in I.gens]
-    if not all(mono_is_squarefree(m) for m in minimal_monomial_generators(leads)):
-        return False
-    lead_ideal = Ideal(I.ring, [Poly(I.ring, {m: ONE}) for m in leads])
-    return ideal_equal(lead_ideal, initial_ideal(order, I))

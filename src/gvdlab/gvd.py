@@ -37,6 +37,7 @@ the certificate tree:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .algebra import (
@@ -89,14 +90,49 @@ class CnSplit:
     (the square-free dichotomy; Klein–Rajchgot, Forum Math. Sigma 9
     (2021)): a failure at one y-compatible order is a failure at all.
 
-    Whether a step only shrinks the problem is read off the split and its
-    C branch (``_degenerate``).
+    The split owns its branches, the contractions of C and N to the ring
+    without y, built when first read: ``c_branch`` and ``n_branch`` are one
+    ideal exactly when C is N, that is when y is absent.  Whether the step
+    only shrinks the problem is read off the split (``degenerate``).
     """
 
     y: str
     C: Ideal
     N: Ideal
     square_free_in_y: bool
+
+    @cached_property
+    def n_branch(self) -> Ideal:
+        return contract(self.N, self.y)
+
+    @cached_property
+    def c_branch(self) -> Ideal:
+        return self.n_branch if self.C is self.N else contract(self.C, self.y)
+
+    @property
+    def degenerate(self) -> bool:
+        """The ``degenerate`` flag of a step with this split: C is N, or
+        C's branch is the unit ideal.
+
+        The flag means that C is the unit ideal or √C = √N, a valid step
+        that only shrinks the problem, and the rule says exactly that when
+        both branches are radical.  They are wherever the flag counts: the
+        certifiers set it on a step whose branches both certified "gvd",
+        and replay accepts it only once both children replay as "gvd".  A
+        "gvd" ideal is radical (module docstring), and so are C and N, the
+        extensions of the branches by y: the quotient is a polynomial ring
+        over the branch's.  For radical N ⊆ C, √C = √N exactly when C = N.
+        ``cn_split`` makes C and N one ideal exactly when y is absent from
+        the reduced basis.  Otherwise C ≠ N: some element is g = y^d·q + r
+        with d ≥ 1, and q is a generator of C.  If q lay in N, which lies
+        in I, some initial term of the reduced basis would divide in(q),
+        and so properly divide in(g) = y^d·in(q) under the y-compatible
+        order, which a reduced basis rules out.  So past the first test the
+        step is degenerate only if C is the unit ideal, and C's branch,
+        which C extends along the free Q[x] → Q[x][y], is unit exactly when
+        C is.
+        """
+        return self.C is self.N or self.c_branch.is_unit_ideal()
 
 
 def _extended(I: Ideal, y: str) -> Optional[Ideal]:
@@ -127,10 +163,10 @@ def initial_y_ideal(I: Ideal, y) -> Ideal:
 def cn_split(I: Ideal, y) -> CnSplit:
     """Split I at y into the C and N ideals of its reduced basis under
     ``y_order``, the one order every split is made under.  When y does not
-    occur in I's reduced basis under the storage order, C = N = I, generated
-    by that basis, which both cache (see ``CnSplit``): their contractions
-    then read their reduced bases off it (``groebner.contract``), and no
-    ``y_order`` basis is computed.  Which case applies is read off the
+    occur in I's reduced basis under the storage order, C and N are one
+    ideal, I generated by that basis, which it caches (see ``CnSplit``):
+    its one branch reads its reduced basis off it (``groebner.contract``),
+    and no ``y_order`` basis is computed.  Which case applies is read off the
     storage basis every time, so the generator lists do not depend on what
     is cached."""
     ring = I.ring
@@ -197,31 +233,6 @@ def _among(polys: tuple, gens: tuple, iy: int) -> bool:
                 continue
         return False
     return True
-
-
-def _degenerate(split: CnSplit, c_branch: Ideal) -> bool:
-    """The ``degenerate`` flag of a step with this split, whose C branch
-    (the contraction of C) is ``c_branch``: the generator lists of C and N
-    are equal, or C's branch is the unit ideal.
-
-    The flag means that C is the unit ideal or √C = √N, a valid step that
-    only shrinks the problem, and the rule says exactly that when both
-    branches are radical.  They are wherever the flag counts: the
-    certifiers set it on a step whose branches both certified "gvd", and
-    replay accepts it only once both children replay as "gvd".  A "gvd"
-    ideal is radical (module docstring), and so are C and N, the
-    extensions of the branches by y: the quotient is a polynomial ring
-    over the branch's.  For radical N ⊆ C, √C = √N exactly
-    when C = N.  The lists are equal exactly when y is absent from the
-    reduced basis, and then C = N.  Otherwise C ≠ N: some element is
-    g = y^d·q + r with d ≥ 1, and q is a generator of C.  If q lay in N,
-    which lies in I, some initial term of the reduced basis would divide
-    in(q), and so properly divide in(g) = y^d·in(q) under the y-compatible
-    order, which a reduced basis rules out.  So past the two tests the step
-    is degenerate only if C is the unit ideal, and C's branch, which C
-    extends along the free Q[x] → Q[x][y], is unit exactly when C is.
-    """
-    return split.C.gens == split.N.gens or c_branch.is_unit_ideal()
 
 
 # ---------------------------------------------------------------------------
@@ -387,20 +398,18 @@ def _refutation(ring_names: tuple,
 
 
 def _decomposition(ring_names: tuple, ev: UnmixednessEvidence, split: CnSplit,
-                   c_branch: Ideal,
                    cert_c: GvdCertificate, cert_n: GvdCertificate) -> GvdCertificate:
-    """The node for a verified step whose two branches, the contraction
-    ``c_branch`` of C and that of N, certified as ``cert_c`` and
-    ``cert_n``.
+    """The node for a verified step whose two branches certified as
+    ``cert_c`` and ``cert_n``.
 
     It is decomposable when the unmixedness evidence ``ev``, computed for
     I, is conclusive, and otherwise inconclusive with the step attached.
-    Both branches certified "gvd", so ``_degenerate`` reads the flag
-    ``degenerate`` off them without a radical membership test.  Replay
-    recomputes ``ev`` and accepts the node only if it is the stored one.
+    Both branches certified "gvd", so the split reads its flag
+    ``degenerate`` without a radical membership test.  Replay recomputes
+    ``ev`` and accepts the node only if it is the stored one.
     """
     y = ring_names.index(split.y)
-    step = dict(unmixedness=ev, y=y, degenerate=_degenerate(split, c_branch),
+    step = dict(unmixedness=ev, y=y, degenerate=split.degenerate,
                 child_c=cert_c.node, child_n=cert_n.node)
     if ev.conclusive_unmixed:
         return _certificate(ring_names, "decomposition", "gvd", **step)
@@ -416,10 +425,10 @@ def certify_step(I: Ideal, y: str, context: Optional[Graph],
     The structure only chooses y; every fact the node states is computed
     here for I itself, and replay checks each again.  The step is the
     split of I at y, which must be square-free in y (see ``CnSplit``);
-    ``certify_c(C)`` and ``certify_n(N)`` certify the contracted branches.
-    So a structure that describes I wrongly can only make the node
-    inconclusive.  A degenerate step, where y is absent (C = N) or lies in
-    I (C is the unit ideal), certifies N only: C reuses N's certificate or
+    ``certify_c`` and ``certify_n`` certify its branches.  So a structure
+    that describes I wrongly can only make the node inconclusive.  A
+    degenerate step, where y is absent (C is N) or lies in I (C is the
+    unit ideal), certifies N's branch only: C's reuses its certificate or
     is the unit leaf.  A branch that does not certify, refuted or not,
     leaves the node inconclusive, since a refutation must rule out every
     variable (see ``_replay_refutation``).  Unmixedness is computed over
@@ -436,16 +445,15 @@ def certify_step(I: Ideal, y: str, context: Optional[Graph],
     if not split.square_free_in_y:
         return inconclusive(names, "decomposition identity failed at {%d}"
                                    % names.index(y))
-    n_branch = contract(split.N, y)
-    c_branch = n_branch if split.C.gens == split.N.gens else contract(split.C, y)
-    if _degenerate(split, c_branch):
-        cert_n = certify_n(n_branch)
-        cert_c = cert_n if c_branch is n_branch else base_certificate(c_branch)
+    if split.degenerate:
+        cert_n = certify_n(split.n_branch)
+        cert_c = (cert_n if split.C is split.N
+                  else base_certificate(split.c_branch))
     else:
-        cert_c = certify_c(c_branch)
-        cert_n = certify_n(n_branch)
+        cert_c = certify_c(split.c_branch)
+        cert_n = certify_n(split.n_branch)
     if cert_c.verdict == "gvd" and cert_n.verdict == "gvd":
-        return _decomposition(names, ev, split, c_branch, cert_c, cert_n)
+        return _decomposition(names, ev, split, cert_c, cert_n)
     return inconclusive(names, "a branch at {%d} did not certify (C: %s, N: %s)"
                                % (names.index(y), cert_c.verdict, cert_n.verdict))
 
@@ -487,17 +495,16 @@ def _context_key(I: Ideal, context: Optional[Graph]):
     """What the search reads of ``context`` from I's ring; None when there
     is no context.
 
-    When every edge of the context lies in the ring, the key is the sorted
+    Every edge of the context lies in the ring: ``is_gvd`` refuses any
+    other context, and a child's context drops the edges its ring drops
+    (``_child_context``, ``_restrict_context``).  The key is the sorted
     ring positions P of its edges, and the sign set of its universal basis
     by ring position (``lifted_basis``): each binomial as the bytes of the
     exponents of its smaller monomial, then of its larger one, sorted and
     joined.  (The exponents of a primitive walk binomial are at most 2, so
-    each fits in a byte.)  A context with an edge outside the ring has no
-    basis in the ring; it keeps the shape key: True, then the sorted list,
-    over the vertices that carry an edge of the ring, of the ring
-    positions of their edges.
+    each fits in a byte.)
 
-    Why equal keys give equal nodes, when every edge lies in the ring.  Let
+    Why equal keys give equal nodes.  Let
     A be the incidence matrix of the context with its columns at the
     positions P, and L = ker_Z(A), read in Z^n with zeros outside P.
 
@@ -544,16 +551,6 @@ def _context_key(I: Ideal, context: Optional[Graph]):
     ``UnmixednessEvidence.to_json_dict`` sorts by the names of the ring it
     is given, as a fresh search sorts them.
 
-    The shape key names no vertex and sees no isolated vertex.  Equal shape
-    keys give a bijection between the vertices with ring edges that fixes
-    every edge position: in a simple graph two vertices share their list
-    only as the two ends of an edge with no other edge at either end, and
-    they may be matched either way.  A foreign edge matters only until a
-    disjoint union restricts the context to its ring, which drops it and
-    leaves a subgraph of the keyed shape; until then it makes every split
-    with binomials inconclusive, whatever its ends.  The flag keeps the two
-    kinds of key apart.
-
     A node whose reduced basis is one polynomial or all monomials is keyed
     with no context (``_node_key``), since no context changes its subtree.
     By induction on the subtree, every node below it is again principal,
@@ -567,33 +564,28 @@ def _context_key(I: Ideal, context: Optional[Graph]):
     """
     if context is None:
         return None
-    ring = I.ring
-    index = ring.index
-    positions = list(map(index.get, context.edge_labels))
-    if None not in positions:
-        signs = sorted(bytes(min(pair) + max(pair))
-                       for pair in lifted_basis(context, ring))
-        return tuple(sorted(positions)), b"".join(signs)
-    at = {}
-    for label, u, v in context.edges:
-        i = index.get(label)
-        if i is not None:
-            at.setdefault(u, []).append(i)
-            at.setdefault(v, []).append(i)
-    return True, tuple(sorted(tuple(sorted(p)) for p in at.values()))
+    signs = sorted(bytes(min(pair) + max(pair))
+                   for pair in lifted_basis(context, I.ring))
+    return (tuple(sorted(map(I.ring.index.__getitem__, context.edge_labels))),
+            b"".join(signs))
 
 
-def _node_key(ring_key, I: Ideal, context: Optional[Graph]) -> tuple:
-    """The key of I's node in the ring that ``ring_key`` stands for: its
-    reduced basis by position, and the ``_context_key`` of ``context``
-    (its edge positions and kernel lattice, or its shape when an edge lies
-    outside the ring) unless that basis is one polynomial or all monomials
-    (see ``_context_key``)."""
+def _node_key(I: Ideal, context: Optional[Graph]) -> tuple:
+    """The key of I's node: its ring's arity, its reduced basis by
+    position, and the ``_context_key`` of ``context`` (its edge positions
+    and kernel lattice) unless that basis is one polynomial or all
+    monomials (see ``_context_key``)."""
     rgb = I.groebner()
-    shape = None
+    lattice = None
     if len(rgb) > 1 and not all(g.is_monomial() for g in rgb):
-        shape = _context_key(I, context)
-    return ring_key, tuple(g.canonical() for g in rgb), shape
+        lattice = _context_key(I, context)
+    return I.ring.arity, tuple(g.canonical() for g in rgb), lattice
+
+
+def _in_ring(I: Ideal, context: Optional[Graph]) -> bool:
+    """Whether every edge of ``context``, if any, is a variable of I's
+    ring."""
+    return context is None or I.ring.index.keys() >= set(context.edge_labels)
 
 
 def _child_context(context: Optional[Graph], yname: str) -> Optional[Graph]:
@@ -673,12 +665,13 @@ def is_gvd(I: Ideal, context: Optional[Graph] = None,
 
     ``context`` is an optional graph whose toric structure powers the
     unmixedness evidence (pass the graph when I is a toric ideal of it);
-    ``budget`` bounds wall-clock time, with exhaustion reported as an
-    inconclusive verdict.  A call with no budget shares the memo ``_MEMO``
-    of certified nodes with every other such call; a budgeted one keeps a
-    memo of its own, since a branch stuck when the budget ran out can let
-    a later variable win.  The memo keys a node by its reduced basis by
-    ring position and, unless that basis is one polynomial or all
+    every edge of it must be a variable of I's ring, or ``ValueError`` is
+    raised.  ``budget`` bounds wall-clock time, with exhaustion reported
+    as an inconclusive verdict.  A call with no budget shares the memo
+    ``_MEMO`` of certified nodes with every other such call; a budgeted
+    one keeps a memo of its own, since a branch stuck when the budget ran
+    out can let a later variable win.  The memo keys a node by its reduced
+    basis by ring position and, unless that basis is one polynomial or all
     monomials, its context's edge positions and kernel lattice
     (``_node_key``).
 
@@ -689,38 +682,45 @@ def is_gvd(I: Ideal, context: Optional[Graph] = None,
     absent variables and disjoint unions over Q keep radicality (see the
     module docstring for the details).
     """
+    if not _in_ring(I, context):
+        raise ValueError("the context has an edge outside the ring of I")
     memo = _MEMO if budget is None else {}
     return _certify(I, context, budget or Budget(None), memo)
 
 
-def _certify(I: Ideal, context, budget: Budget, memo: dict) -> GvdCertificate:
-    """The certificate of I over ``context``: a base case at once, else the
-    node ``memo`` holds for its ``_node_key`` or a fresh ``_search``."""
+def certify_node(I: Ideal, budget: Budget, certify, memo: Optional[dict] = None,
+                 key=None) -> GvdCertificate:
+    """The entry of every certifier's node: "budget exhausted" once
+    ``budget`` is spent, else the base case if I is one, else ``certify()``.
+    Given a ``memo``, the node it stores under ``key()``, built only past
+    the base case, is read in I's ring instead, and a fresh node is stored
+    unless it is inconclusive (a node may be inconclusive for want of
+    budget), with the oldest entry dropped past ``_MEMO_SIZE``."""
     names = I.ring.names
     if budget.exceeded():
         return inconclusive(names, "budget exhausted")
     base = base_certificate(I)
     if base is not None:
         return base
-    rgb = I.groebner()
-    return memoised(memo, _node_key(I.ring.arity, I, context), names,
-                    lambda: _search(I, rgb, context, budget, memo))
-
-
-def memoised(memo: dict, key, ring_names: tuple, certify) -> GvdCertificate:
-    """``_certify``'s memo lookup: the node ``memo`` stores under ``key``,
-    read in the ring ``ring_names``; else ``certify()``, stored unless it
-    is inconclusive (a node may be inconclusive for want of budget), with
-    the oldest entry dropped past ``_MEMO_SIZE``."""
-    hit = memo.get(key)
+    if memo is None:
+        return certify()
+    k = key()
+    hit = memo.get(k)
     if hit is not None:
-        return GvdCertificate(hit, ring_names)
+        return GvdCertificate(hit, names)
     cert = certify()
     if cert.verdict != "inconclusive":
         if len(memo) >= _MEMO_SIZE:
             del memo[next(iter(memo))]
-        memo[key] = cert.node
+        memo[k] = cert.node
     return cert
+
+
+def _certify(I: Ideal, context, budget: Budget, memo: dict) -> GvdCertificate:
+    """The search's node entry, keyed by ``_node_key``."""
+    return certify_node(I, budget,
+                        lambda: _search(I, I.groebner(), context, budget, memo),
+                        memo, lambda: _node_key(I, context))
 
 
 def _search(I: Ideal, rgb: tuple, context, budget: Budget,
@@ -760,65 +760,46 @@ def _search(I: Ideal, rgb: tuple, context, budget: Budget,
         return leaf
 
     # The ideal is decomposable exactly when its contraction away from an
-    # absent variable is (see ``_replay_refutation``), so one absent
-    # variable per node is handled instead of every removal order.
+    # absent variable is (see ``_replay_refutation``), so when a variable is
+    # absent the loop makes one pass, at the first such variable: a
+    # degenerate step whose one branch polls the budget.
     present = {i for g in rgb for i in g.support()}
-    absent = [i for i in range(ring.arity) if i not in present]
-    if absent:
-        yname = names[absent[0]]
-        split = cn_split(I, yname)
-        contraction = contract(split.N, yname)
-        core = _certify(contraction, _child_context(context, yname),
-                        budget, memo)
-        if core.verdict == "gvd":
-            return _decomposition(names, ev, split, contraction, core, core)
-        if core.verdict == "not-gvd":
-            return _certificate(names, "not-gvd", "not-gvd", unmixedness=ev,
-                                failures=((absent[0], "absent", core.node),))
-        return inconclusive(
-            names, "the contraction away from absent {%d} was inconclusive"
-                   % absent[0], unmixedness=ev)
-
+    absent = [names[i] for i in range(ring.arity) if i not in present][:1]
     failures = []
-    stuck = []  # branches that ended without a conclusive failure
-    for yname in _variable_order(I, rgb, present):
-        if budget.exceeded():
-            stuck.append((yname, "budget exhausted"))
+    stuck = []  # why each branch that ended without a conclusive failure did
+    for yname in absent or _variable_order(I, rgb, present):
+        i = index[yname]
+        if not absent and budget.exceeded():
+            stuck.append("{%d}: budget exhausted" % i)
             break
         split = cn_split(I, yname)
         if not split.square_free_in_y:
             # By the square-free dichotomy (see CnSplit) the identity fails
             # here, and under every other y-compatible order at this variable.
-            failures.append((index[yname], "identity", None))
+            failures.append((i, "identity", None))
             continue
         child_ctx = _child_context(context, yname)
-        c_branch = contract(split.C, yname)
-        cert_c = _certify(c_branch, child_ctx, budget, memo)
-        if cert_c.verdict == "not-gvd":
-            failures.append((index[yname], "C", cert_c.node))
-            continue
-        if cert_c.verdict == "inconclusive":
-            stuck.append((yname, "a branch was inconclusive"))
-            continue
-        n_branch = contract(split.N, yname)
-        cert_n = _certify(n_branch, child_ctx, budget, memo)
-        if cert_n.verdict == "not-gvd":
-            failures.append((index[yname], "N", cert_n.node))
-            continue
-        if cert_n.verdict == "inconclusive":
-            stuck.append((yname, "a branch was inconclusive"))
-            continue
-        return _decomposition(names, ev, split, c_branch, cert_c, cert_n)
+        cert_c = cert = _certify(split.c_branch, child_ctx, budget, memo)
+        kind = "absent" if absent else "C"
+        if cert_c.verdict == "gvd" and not absent:
+            kind, cert = "N", _certify(split.n_branch, child_ctx, budget, memo)
+        if cert.verdict == "gvd":
+            return _decomposition(names, ev, split, cert_c, cert)
+        if cert.verdict == "not-gvd":
+            failures.append((i, kind, cert.node))
+        elif absent:
+            stuck.append("the contraction away from absent {%d} was inconclusive" % i)
+        else:
+            stuck.append("{%d}: a branch was inconclusive" % i)
 
     if stuck:
         # Replay rejects every inconclusive node and the memo stores none,
         # so the failures found so far are not kept.
-        reason = "; ".join("{%d}: %s" % (index[yname], why)
-                           for yname, why in stuck)
-        return inconclusive(names, reason, unmixedness=ev)
-    # Every variable carries a conclusive, order-independent failure, and the
-    # ideal is none of the base cases, so no decomposition exists no matter
-    # what the unmixedness status is.
+        return inconclusive(names, "; ".join(stuck), unmixedness=ev)
+    # The failures rule out every variable (an "absent" one does so alone),
+    # each conclusively and whatever the order, and the ideal is none of the
+    # base cases, so no decomposition exists no matter what the unmixedness
+    # status is.
     return _certificate(names, "not-gvd", "not-gvd", unmixedness=ev,
                         failures=tuple(failures))
 
@@ -843,9 +824,9 @@ def replay_certificate(I: Ideal, cert: GvdCertificate,
       checked literally by ``check_decomposition`` for C and N under
       ``y_order`` (proved from the generators of its two sides, with the
       comparison of their reduced bases as the exact fallback), and its
-      degeneracy flag is read off the branches by the certifiers' rule
-      (``_degenerate``, which holds since both children must replay as
-      "gvd");
+      degeneracy flag is read off the split by the certifiers' rule
+      (``CnSplit.degenerate``, which holds since both children must replay
+      as "gvd");
     - a "disjoint-union" must split the reduced basis over disjoint
       variables as its factors say.  The sum is decomposable exactly when
       every summand is, so a "gvd" union replays both children as "gvd",
@@ -859,21 +840,22 @@ def replay_certificate(I: Ideal, cert: GvdCertificate,
     "inconclusive" node replays False: it states nothing replay can check.
     Returns True when everything matches; a malformed node (an unknown
     variable or kind, a missing child, a union over an ideal with no
-    variable) does not.
+    variable) does not, and neither does a context with an edge outside
+    I's ring, which ``is_gvd`` refuses.
 
     The search shares one node among every branch that reaches the same
     ideal and context by position, so a tree can hold a node many times.
     Replay recurses through this function, one call per child, and passes
     down in ``_walk`` the table of the nodes it has verified, keyed as the
-    search keys its memo (``_node_key`` over the ring's arity) and by the
-    node.  So each node is verified once per key, and its other
-    occurrences, in whatever ring, reuse that result.  Callers leave
-    ``_walk`` unset.
+    search keys its memo (``_node_key``) and by the node.  So each node is
+    verified once per key, and its other occurrences, in whatever ring,
+    reuse that result.  Callers leave ``_walk`` unset.
     """
     if _walk is None:
         if (not isinstance(cert, GvdCertificate)
                 or not isinstance(cert.node, GvdNode)
-                or tuple(cert.ring_names) != I.ring.names):
+                or tuple(cert.ring_names) != I.ring.names
+                or not _in_ring(I, context)):
             return False
         _walk = {}
     return _replay_node(I, cert.node, context, _walk)
@@ -887,14 +869,12 @@ def _replay(I: Ideal, node: GvdNode, context: Optional[Graph], seen: dict,
     A node's check reads names only through ring positions, as the search
     does (``_context_key``), and compares evidence as JSON whose components
     both sides sort by the same names, so its result is the same in every
-    ring of its arity.  The key keeps the context: one walk can reach the
-    same ideal through a union, which drops foreign edges, and through
-    steps, which keep them, and a node shared between the two must be
-    checked under each.  The foreign flag of the shape key keeps the two
-    keys apart: after the union the context's key is its lattice key."""
+    ring of its arity, and under every context with the same
+    ``_context_key``.  The key keeps the context, since one node can occur
+    under contexts with other lattices, and must be checked under each."""
     if not isinstance(node, GvdNode) or node.verdict != verdict:
         return False
-    key = _node_key(I.ring.arity, I, context) + (id(node),)
+    key = _node_key(I, context) + (id(node),)
     got = seen.get(key)
     if got is None:
         # The node is stored with its result, so its id is not reused by
@@ -937,20 +917,16 @@ def _replay_node(I: Ideal, node: GvdNode, context: Optional[Graph],
         return False
     y = names[node.y]
     split = cn_split(I, y)
-    if not check_decomposition(I, split):
-        return False
-    # The flag holds as ``_degenerate`` reads it once both children replay
-    # as "gvd", and the node is accepted only then.
-    c_branch = contract(split.C, y)
-    if _degenerate(split, c_branch) != node.degenerate:
+    # The flag holds as the split reads it once both children replay as
+    # "gvd", and the node is accepted only then.
+    if not check_decomposition(I, split) or split.degenerate != node.degenerate:
         return False
     # When C is N (y is absent, see ``cn_split``) both branches are one
     # ideal, and a child shared by both has one key in ``seen``.
-    n_branch = c_branch if split.N is split.C else contract(split.N, y)
     child_ctx = _child_context(context, y)
-    return (_replay(c_branch, node.child_c, child_ctx, seen, "gvd")
-            and (n_branch is c_branch and node.child_n is node.child_c
-                 or _replay(n_branch, node.child_n, child_ctx, seen, "gvd")))
+    return (_replay(split.c_branch, node.child_c, child_ctx, seen, "gvd")
+            and (split.C is split.N and node.child_n is node.child_c
+                 or _replay(split.n_branch, node.child_n, child_ctx, seen, "gvd")))
 
 
 def _replay_factors(I: Ideal, node: GvdNode, context: Optional[Graph],
@@ -1015,11 +991,11 @@ def _replay_refutation(I: Ideal, node: GvdNode, context: Optional[Graph],
         return False
     if len(failures) == 1 and failures[0][1] == "absent":
         i, _, child = failures[0]
-        if i not in range(len(names)) or any(g.degree_in(i) for g in I.groebner()):
+        if i not in range(len(names)):
             return False
-        y = names[i]
-        return _replay(contract(cn_split(I, y).N, y), child,
-                       _child_context(context, y), seen, "not-gvd")
+        split = cn_split(I, names[i])
+        return split.C is split.N and _replay(
+            split.n_branch, child, _child_context(context, split.y), seen, "not-gvd")
     if len(failures) != len(names) or {f[0] for f in failures} != set(range(len(names))):
         return False
     for i, kind, child in failures:
@@ -1029,7 +1005,7 @@ def _replay_refutation(I: Ideal, node: GvdNode, context: Optional[Graph],
             ok = child is None and not split.square_free_in_y
         else:
             ok = kind in ("C", "N") and split.square_free_in_y and _replay(
-                contract(split.C if kind == "C" else split.N, y), child,
+                split.c_branch if kind == "C" else split.n_branch, child,
                 _child_context(context, y), seen, "not-gvd")
         if not ok:
             return False

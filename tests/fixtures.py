@@ -1,18 +1,20 @@
 """Benchmark graphs, frozen expected values, the walk oracle, Pottier
 completion (the oracle for Graver bases), the generators of the E/F
-framework's node ideals, the small oracles (dimension, monomial and graph
-helpers) and the seeded random streams shared across the test suite."""
+framework's node ideals, the small oracles (dimension, monomial, Groebner
+and graph helpers) and the seeded random streams shared across the test
+suite."""
 
 import hashlib
 import importlib.util
 import random
 from collections import deque
+from fractions import Fraction
 from operator import neg, sub
 from pathlib import Path
 
 from gvdlab import bipartite, gvd
 from gvdlab.algebra import (
-    Order, Packing, Ring, initial_term, lex_order, mono_divides,
+    Order, Packing, Poly, Ring, initial_term, lex_order, mono_divides,
     mono_is_squarefree, mono_support, parse_poly, storage_order,
 )
 from gvdlab.graphs import (
@@ -20,7 +22,8 @@ from gvdlab.graphs import (
     universal_groebner_basis, vector_to_binomial,
 )
 from gvdlab.groebner import (
-    Ideal, contract, intersect, minimal_monomial_generators,
+    Ideal, contract, ideal_equal, initial_ideal, intersect,
+    minimal_monomial_generators,
 )
 from gvdlab.gvd import cn_split
 from gvdlab.util import Budget
@@ -475,7 +478,7 @@ def natural_generators(G: Graph, E: tuple, F: tuple, ring: Ring) -> list:
 
 # ---------------------------------------------------------------------------
 # Small oracles that only the tests call: monomial arithmetic, order
-# comparison, Krull dimension, and two graph checks.
+# comparison, Krull dimension, a Groebner-basis check, and two graph checks.
 
 def mono_div(a: tuple, b: tuple) -> tuple:
     """a / b, assuming b divides a."""
@@ -541,6 +544,16 @@ def is_square_free_monomial_ideal(I: Ideal) -> bool:
     rgb = I.groebner()
     return all(g.is_monomial() and mono_is_squarefree(next(iter(g.terms)))
                for g in rgb)
+
+
+def is_square_free_groebner_basis(order: Order, I: Ideal) -> bool:
+    """True iff the generators of I, as given, form a Groebner basis under
+    ``order`` whose initial ideal is square-free."""
+    leads = [initial_term(order, g).mono for g in I.gens]
+    if not all(mono_is_squarefree(m) for m in minimal_monomial_generators(leads)):
+        return False
+    lead_ideal = Ideal(I.ring, [Poly(I.ring, {m: Fraction(1)}) for m in leads])
+    return ideal_equal(lead_ideal, initial_ideal(order, I))
 
 
 def remove_leaves_fixpoint(G: Graph) -> Graph:

@@ -12,18 +12,19 @@ from gvdlab.bipartite import (
     EMPTY_POM, PathOrderedMatching, bipartite_ideal, certify_bipartite_gvd,
     find_path_ordered_matchings, right_extendable, validate_pom,
 )
+from gvdlab.ef import quadratic_pipeline
 from gvdlab.graphs import (
     complete_bipartite, complete_graph, cycle_graph, disjoint_union,
     ferrers_graph, path_graph, toric_ideal, universal_groebner_basis,
 )
-from gvdlab.groebner import (
-    Ideal, ideal_contains, ideal_equal, is_square_free_groebner_basis,
-)
+from gvdlab.groebner import Ideal, ideal_contains, ideal_equal
 from gvdlab.gvd import GvdCertificate, is_gvd, replay_certificate
 from gvdlab.components import UnmixednessEvidence
 from gvdlab.util import Budget
 
-from fixtures import empty_shared_memo, k2d_with_path
+from fixtures import (
+    empty_shared_memo, is_square_free_groebner_basis, k2d_with_path,
+)
 from graph_corpus import connected_graphs, to_graph
 
 C4 = cycle_graph(4)
@@ -286,23 +287,26 @@ def test_inconclusive_evidence_leaves_the_node_inconclusive(monkeypatch):
 
 
 def test_the_root_needs_no_buchberger_run_on_the_universal_basis(monkeypatch):
-    # The root is generated by its reduced basis, read off the universal
-    # basis with no S-pair, so no run starts from the 660 even cycles of
-    # K_{4,5}: none receives more generators than the 60 of that basis.
-    empty_shared_memo(monkeypatch)
+    # The root of the bipartite certifier and of the E/F pipeline is
+    # generated by its reduced basis, read off the universal basis with no
+    # S-pair, so no run starts from the 660 even cycles of K_{4,5}: none
+    # receives more generators than the 60 of that basis.
     G = complete_bipartite(4, 5)
     assert len(universal_groebner_basis(G)) == 660
     assert len(toric_ideal(G).groebner()) == 60
-    sizes, real = [], groebner.buchberger
+    real = groebner.buchberger
+    for certify in (certify_bipartite_gvd, quadratic_pipeline):
+        empty_shared_memo(monkeypatch)
+        sizes = []
 
-    def counted(order, gens):
-        gens = list(gens)
-        sizes.append(len(gens))
-        return real(order, gens)
+        def counted(order, gens):
+            gens = list(gens)
+            sizes.append(len(gens))
+            return real(order, gens)
 
-    monkeypatch.setattr(groebner, "buchberger", counted)
-    assert certify_bipartite_gvd(G).verdict == "gvd"
-    assert sizes and max(sizes) <= 60
+        monkeypatch.setattr(groebner, "buchberger", counted)
+        assert certify(G).verdict == "gvd"
+        assert sizes and max(sizes) <= 60, certify.__name__
 
 
 def test_exhausted_budget_is_inconclusive():

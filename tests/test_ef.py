@@ -10,6 +10,7 @@ from gvdlab.algebra import initial_term, lex_order, mono_is_squarefree
 from gvdlab.bipartite import certify_bipartite_gvd
 from gvdlab.components import UnmixednessEvidence, unmixedness_evidence
 from gvdlab.ef import quadratic_pipeline, squarefree_lex_initial
+from gvdlab.glicci import squarefree_lex_order
 from gvdlab.graphs import (
     complete_bipartite, complete_graph, cycle_graph, path_graph, toric_ideal,
     universal_groebner_basis,
@@ -215,7 +216,9 @@ def test_census9_split_is_pinned():
     # The paper's theorem as a test: all 532 quadratic classes certify.
     # Off it, 680 of the 710 classes certify: 148 more square-free ones,
     # and none of the 22 without the hypothesis.  No two certifiers reach
-    # conflicting conclusive verdicts, and every certificate replays.
+    # conflicting conclusive verdicts, and every certificate replays.  Some
+    # lex order makes the initial ideal square-free exactly for the 705
+    # classes the search certifies (the conjecture's census evidence).
     walks = census9_walks()
     verdicts = Counter(cert.verdict for _, _, cert, _ in walks)
     assert verdicts == {"gvd": 680, "inconclusive": 30}
@@ -227,13 +230,17 @@ def test_census9_split_is_pinned():
     quadratic = [cert for G, _, cert, _ in walks if is_quadratic(G)]
     assert len(quadratic) == 532
     assert all(cert.verdict == "gvd" for cert in quadratic)
+    ordered = Counter()
     for G, _, cert, _ in walks:
-        found = {is_gvd(toric_ideal(G), context=G).verdict, cert.verdict}
+        search = is_gvd(toric_ideal(G), context=G).verdict
+        ordered[search, squarefree_lex_order(G) is not None] += 1
+        found = {search, cert.verdict}
         if G.is_bipartite():
             found.add(certify_bipartite_gvd(G).verdict)
         assert len(found - {"inconclusive"}) == 1, G.edges
         if cert.verdict == "gvd":
             assert replay_certificate(toric_ideal(G), cert, context=G), G.edges
+    assert ordered == {("gvd", True): 705, ("not-gvd", False): 5}
 
 
 # ---------------------------------------------------------------------------

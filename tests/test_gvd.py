@@ -44,7 +44,7 @@ def equal_to_display(ideal, texts):
 
 def degenerate(split) -> bool:
     """The flag a step with this split records."""
-    return gvd._degenerate(split, contract(split.C, split.y))
+    return split.degenerate
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +503,7 @@ def test_memo_keys_several_binomials_with_the_context(monkeypatch):
     keys, certs = set(), []
     for G in contexts:
         certs.append(is_gvd(J, context=G))
-        keys.add(gvd._node_key(J.ring.arity, J, G))
+        keys.add(gvd._node_key(J, G))
     assert len(keys) == 1 and keys <= set(gvd._MEMO)
     for G, cert in zip(contexts, certs):
         assert cert.verdict == "gvd"
@@ -576,9 +576,8 @@ def test_principal_and_monomial_nodes_read_no_context(monkeypatch):
 def test_context_key_is_the_edge_positions_and_the_lattice():
     # A path, a star and a copy of the path on other vertex names are
     # forests on e1..e4: the lattice {0} at the same edge positions, so one
-    # key.  A 4-cycle has another lattice, a path on e1..e3 other
-    # positions, and a context with an edge outside the ring keeps the
-    # shape key, flagged.
+    # key.  A 4-cycle has another lattice, and a path on e1..e3 other
+    # positions.
     ring = Ring(["e1", "e2", "e3", "e4"])
     zero = Ideal(ring, [])
     path = Graph("abcde", [("e1", "a", "b"), ("e2", "b", "c"),
@@ -590,36 +589,49 @@ def test_context_key_is_the_edge_positions_and_the_lattice():
     square = Graph("abcd", [("e1", "a", "b"), ("e2", "b", "c"),
                             ("e3", "c", "d"), ("e4", "d", "a")])
     shorter = path.delete_edges(["e4"])
-    foreign = Graph("abcde", list(path.edges) + [("x", "a", "e")])
     key = gvd._context_key
     assert key(zero, path) == key(zero, star) == key(zero, copy)
-    others = [key(zero, G) for G in (square, shorter, foreign)]
-    assert len({key(zero, path)} | set(others)) == 4
-    assert others[2][0] is True
+    others = [key(zero, G) for G in (square, shorter)]
+    assert len({key(zero, path)} | set(others)) == 3
 
 
-def test_a_disjoint_union_drops_an_edge_outside_the_ring(monkeypatch):
-    # An edge x outside the ring sets the foreign flag of the root's key,
-    # and the union's factors, whose contexts drop x, are the entries the
-    # call without x left: one more search, at the root, and one entry.
+def test_a_context_with_an_edge_outside_the_ring_is_refused(monkeypatch):
+    # Every edge of a context must be a variable of I's ring, so that the
+    # context is keyed by its edge positions and lattice alone: ``is_gvd``
+    # raises on a context with an edge x outside the ring, budgeted or not,
+    # before any search, and replay rejects a certificate under it.
     U = graphs.disjoint_union(cycle_graph(4), cycle_graph(6))
     foreign = Graph(U.vertices, list(U.edges) + [("x", "x1", "x6")])
     J = toric_ideal(U)
     empty_shared_memo(monkeypatch)
     cert = is_gvd(J, context=U)
     assert cert.kind == "disjoint-union" and cert.verdict == "gvd"
-    filled = set(gvd._MEMO)
+    assert replay_certificate(J, cert, context=U)
     calls = []
     real = gvd._search
     monkeypatch.setattr(gvd, "_search",
                         lambda *args: calls.append(args) or real(*args))
-    other = is_gvd(J, context=foreign)
-    assert len(calls) == 1
-    added = set(gvd._MEMO) - filled
-    assert added == {gvd._node_key(J.ring.arity, J, foreign)}
-    assert next(iter(added))[2][0] is True
-    assert other.to_json_dict() == cert.to_json_dict()
-    assert replay_certificate(J, other, context=foreign)
+    for budget in (None, Budget(60)):
+        with pytest.raises(ValueError):
+            is_gvd(J, context=foreign, budget=budget)
+    assert calls == []
+    assert not replay_certificate(J, cert, context=foreign)
+
+
+def test_the_branches_are_one_ideal_exactly_at_an_absent_variable():
+    # Over the 7-edge corpus, at every variable of each toric ideal, the
+    # split's C and N branches are one ideal exactly when the variable is
+    # absent from the storage basis; the corpus has both cases.
+    cases = {True: 0, False: 0}
+    for n, edges in connected_graphs(7):
+        J = toric_ideal(to_graph(n, edges))
+        present = {i for g in J.groebner() for i in g.support()}
+        for i, y in enumerate(J.ring.names):
+            split = cn_split(J, y)
+            absent = i not in present
+            assert (split.c_branch is split.n_branch) == absent
+            cases[absent] += 1
+    assert cases[True] and cases[False]
 
 
 # ---------------------------------------------------------------------------

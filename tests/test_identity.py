@@ -12,10 +12,9 @@ where it cannot; at every variable it must agree with that comparison.  Where th
 in y, C is the saturation in_y(I) : y^∞, since y·C ⊆ in_y(I) ⊆ C.  The
 generators of C and N do not involve y, so ``contract`` renames them
 instead of eliminating y.  The certifiers and replay read the degenerate
-flag off the branches (``gvd._degenerate``): the generator lists of C and
-N agree, or C's branch is the unit ideal.  That is C unit or √C = √N when
-the branches are radical, since C = N only when y is absent from the
-reduced basis.  These facts are checked here at every variable, with
+flag off the split (``CnSplit.degenerate``): C is N, or C's branch is the
+unit ideal.  That is C unit or √C = √N when the branches are radical,
+since C = N only when y is absent from the reduced basis.  These facts are checked here at every variable, with
 ``intersect``, ``saturate_variable``, ``eliminate`` and ``radical_equal``,
 the last as the oracle of the flag.
 """
@@ -28,9 +27,7 @@ from gvdlab.groebner import (
     Ideal, contract, eliminate, ideal_equal, intersect, radical_equal,
     saturate_variable,
 )
-from gvdlab.gvd import (
-    _degenerate, check_decomposition, cn_split, initial_y_ideal,
-)
+from gvdlab.gvd import check_decomposition, cn_split, initial_y_ideal
 
 from fixtures import two_k4_chain
 from graph_corpus import connected_graphs, to_graph
@@ -57,7 +54,7 @@ def assert_split_facts(I: Ideal, y: str):
         assert ideal_equal(saturate_variable(initial_y_ideal(I, y), y), C)
     for B in (C, N):
         assert ideal_equal(contract(B, y), eliminate(B, [y]))
-    if C.gens != N.gens:  # y occurs in the basis, so C ≠ N (gvd._decomposition)
+    if C.gens != N.gens:  # y occurs in the basis, so C ≠ N (``CnSplit.degenerate``)
         assert contract(C, y).groebner() != contract(N, y).groebner()
     return split
 
@@ -67,7 +64,7 @@ def assert_check_facts(I: Ideal):
     the one computed the long way."""
     for y in I.ring.names:
         split = assert_split_facts(I, y)
-        assert _degenerate(split, contract(split.C, y)) == (
+        assert split.degenerate == (
             split.C.is_unit_ideal() or radical_equal(split.C, split.N))
 
 

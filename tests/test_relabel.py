@@ -177,21 +177,22 @@ def test_every_memo_hit_is_what_a_fresh_search_builds(monkeypatch):
     # whose names sort differently (shuffled names make that common); each
     # hit must read as a fresh search.
     empty_shared_memo(monkeypatch)
-    real = gvd.memoised
+    real = gvd.certify_node
     hits = []
     stored_from = {}  # the ring names of the call that stored each key
 
-    def checked(memo, key, ring_names, certify):
-        hit = memo.get(key)
-        got = real(memo, key, ring_names, certify)
+    def checked(I, budget, certify, memo, key):
+        k = key()
+        hit = memo.get(k)
+        got = real(I, budget, certify, memo, key)
         if hit is not None:
-            hits.append((stored_from[key] != ring_names,
+            hits.append((stored_from[k] != I.ring.names,
                          got.to_json_dict() == certify().to_json_dict()))
-        elif key in memo:
-            stored_from[key] = ring_names
+        elif k in memo:
+            stored_from[k] = I.ring.names
         return got
 
-    monkeypatch.setattr(gvd, "memoised", checked)
+    monkeypatch.setattr(gvd, "certify_node", checked)
     for seed, (n, edges) in enumerate(connected_graphs(7) + list(NINE_EDGE_GRAPHS)):
         G, _, _ = relabeled(to_graph(n, edges), seed, shuffled_rename)
         is_gvd(toric_ideal(G), context=G)
