@@ -45,7 +45,7 @@ from .gvd import (GvdCertificate, _node_key, certify_node, certify_step,
 from .util import Budget
 
 __all__ = [
-    "PathOrderedMatching", "find_path_ordered_matchings", "right_extendable",
+    "PathOrderedMatching", "find_path_ordered_matchings",
     "bipartite_ideal", "certify_bipartite_gvd",
 ]
 
@@ -57,8 +57,9 @@ class PathOrderedMatching:
     """An ordered matching with its relabeling witness.
 
     ``pairs`` lists the (left, right) endpoints of the matching edges in
-    order; ``edges`` the corresponding edge labels.  The relabeling sends
-    the i-th left vertex to i and the i-th right vertex to i + length.
+    order; ``edges`` the corresponding edge labels.  The witnessed
+    relabeling sends the i-th left vertex to i and the i-th right vertex
+    to i + length.
     """
 
     pairs: tuple
@@ -71,14 +72,6 @@ class PathOrderedMatching:
     def vertex_set(self) -> set:
         return {v for pair in self.pairs for v in pair}
 
-    def relabeling(self) -> dict:
-        r = self.length
-        out = {}
-        for i, (left, right) in enumerate(self.pairs):
-            out[left] = i + 1
-            out[right] = i + 1 + r
-        return out
-
     def extended(self, pair: tuple, label: str) -> "PathOrderedMatching":
         return PathOrderedMatching(self.pairs + (pair,), self.edges + (label,))
 
@@ -88,11 +81,6 @@ class PathOrderedMatching:
         if label == self.edges[-1]:
             return PathOrderedMatching(self.pairs[:-1], self.edges[:-1])
         raise ValueError("%s is not an end of the matching" % label)
-
-    def to_json_dict(self) -> dict:
-        return {"edges": list(self.edges),
-                "pairs": [list(p) for p in self.pairs],
-                "relabeling": self.relabeling()}
 
 
 EMPTY_POM = PathOrderedMatching((), ())
@@ -139,13 +127,6 @@ def _extension_pairs(G: Graph, pom: PathOrderedMatching):
             if any(G.has_edge_between(left, rj) for rj in rights):
                 continue
             yield label, (left, right)
-
-
-def right_extendable(G: Graph, pom: PathOrderedMatching) -> Optional[str]:
-    """The first edge extending the matching on the right, if any."""
-    for label, _ in _extension_pairs(G, pom):
-        return label
-    return None
 
 
 def find_path_ordered_matchings(G: Graph, max_r: int) -> list:

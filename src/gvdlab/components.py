@@ -1,6 +1,5 @@
-"""Minimal primes of the ideals the decomposability search meets: square-free
-monomial ideals, and sums of square-free monomials and primitive walk
-binomials of a graph.
+"""Minimal primes of the ideals the decomposability search meets: monomial
+ideals, and sums of monomials and primitive walk binomials of a graph.
 
 One search decides both.  Given monomial supports and the sides (u, v) of
 binomials, a closed cover is a set W of variables that meets every support
@@ -26,8 +25,9 @@ generated by the monomials and by binomials with coefficients +1 and -1.
 
 Hence their intersection is the radical of I, and dim P_W counts the
 variables in neither W nor G minus W plus the toric dimension of G minus W.
-Without binomials this is Alexander duality: a square-free monomial ideal
-is the intersection of its <W>.  ``tests/test_minimal_primes.py`` checks
+A monomial ideal is the case with no binomials, which needs no graph: its
+minimal primes are the <W>, and a square-free monomial ideal is their
+intersection (Alexander duality).  ``tests/test_minimal_primes.py`` checks
 these facts with the general Groebner routines.  Anything outside this
 regime yields ``Inconclusive`` rather than a guess.
 
@@ -38,11 +38,12 @@ that is not square-free proves it is not: its support monomial r = sqrt(m)
 lies in the radical of I but not in I (see ``_non_radical_witness``).
 Only when neither applies are the components intersected.
 
-Three outcomes prove I not radical: a monomial ideal with a generator that
-is not square-free, a witness monomial, and components that intersect to
-something other than I.  The evidence records them in ``not_radical``.  A
-decomposable ideal is radical (see ``gvd``), so each of them also refutes
-decomposability, whatever the dimensions say about unmixedness.
+Where the dimensions agree, two outcomes prove I not radical: a witness
+monomial, which a monomial ideal with a generator that is not square-free
+always has, and components that intersect to something other than I.  The
+evidence, inconclusive about unmixedness, records them in ``not_radical``.
+A decomposable ideal is radical (see ``gvd``), so each of them also
+refutes decomposability.
 
 This is the only source of unmixedness in a certificate: the search and
 the structural certifiers of ``bipartite`` and ``ef`` store what
@@ -70,7 +71,7 @@ from .groebner import (
 
 __all__ = [
     "PrimeComponent", "UnmixednessEvidence", "SplitNotApplicable",
-    "sqfree_monomial_components", "binomial_monomial_split",
+    "binomial_monomial_split",
     "base_evidence", "unmixedness_evidence", "named",
 ]
 
@@ -129,8 +130,10 @@ class UnmixednessEvidence:
     evidence reads the same in every ring of its arity: ``to_json_dict``
     fills in the names of the ring it is given.
     ``not_radical`` records that the computation proved the ideal not
-    radical, which refutes decomposability (see ``gvd``); it is not
-    serialized, so certificates read the same with or without it.
+    radical, which refutes decomposability (see ``gvd``).  It is set only
+    on inconclusive evidence: refuted evidence refutes decomposability by
+    itself, so it is not read there.  It is not serialized, so
+    certificates read the same with or without it.
     """
 
     status: str
@@ -189,26 +192,6 @@ def _closed_covers(supports: list, side_pairs: list) -> list:
     return sorted(minimal, key=lambda c: (len(c), tuple(sorted(c))))
 
 
-def sqfree_monomial_components(I: Ideal) -> list:
-    """Minimal primes of a square-free monomial ideal, as variable-name sets.
-
-    The zero ideal yields [frozenset()] (the single empty cover).  The
-    returned variable ideals intersect to I (Alexander duality).
-    """
-    supports = []
-    for g in I.groebner():
-        if not g.is_monomial():
-            raise ValueError("not a monomial ideal")
-        (m, _), = g.terms.items()
-        if not mono_is_squarefree(m):
-            raise ValueError("not square-free: %s" % g)
-        supports.append(frozenset(I.ring.names[i] for i in mono_support(m)))
-    covers = _closed_covers(supports, [])
-    if not covers:
-        raise ValueError("empty support (the ideal contains a unit)")
-    return covers
-
-
 def _positions(ring, names) -> tuple:
     """The ring positions of ``names``, in increasing order."""
     return tuple(sorted(ring.index[n] for n in names))
@@ -230,17 +213,10 @@ def _binomial_sides(f: Poly):
             frozenset(names[i] for i in mono_support(m2)))
 
 
-def _sign_canonical(f: Poly) -> frozenset:
-    """Orientation-free key identifying a +1/-1 binomial up to sign: the set
-    of its two monomials.  Every caller passes only such binomials
-    (generators ``_binomial_sides`` accepted), and among them the monomials
-    determine the binomial up to sign.  ``_ugb_signs`` builds the same key
-    for each binomial of the universal basis from its pair of monomials."""
-    return frozenset(f.terms)
-
-
 def _ugb_signs(G: Graph, ring) -> frozenset:
-    """Sign-canonical forms of the universal basis, lifted into ``ring``."""
+    """The universal basis lifted into ``ring``, each binomial up to sign as
+    the set of its two monomials.  Among +1/-1 binomials, the only ones
+    compared with it, ``frozenset(f.terms)`` is the same key."""
     return frozenset(frozenset(pair) for pair in lifted_basis(G, ring))
 
 
@@ -284,7 +260,7 @@ def _generates_toric_ideal(J: Ideal, binomials: list, G: Graph) -> bool:
     """
     ring = J.ring
     pairs = lifted_basis(G, ring)
-    if {_sign_canonical(f) for f in binomials} == frozenset(map(frozenset, pairs)):
+    if {frozenset(f.terms) for f in binomials} == frozenset(map(frozenset, pairs)):
         return True
     edges = {ring.index[label] for label in G.edge_labels}
     others = [i for i in range(ring.arity) if i not in edges]
@@ -307,7 +283,8 @@ def binomial_monomial_split(monomials: list, binomials: list, context: Optional[
     the toric ideal of its subgraph; SplitNotApplicable is raised otherwise.
     Under these checks the components are exactly the minimal primes (see
     the module docstring): they intersect to the radical of the input, and
-    their dimensions follow from the subgraphs.
+    their dimensions follow from the subgraphs.  A monomial ideal is split
+    with no binomials and no context: its components are the <W>.
     """
     supports = []
     for f in monomials:
@@ -324,11 +301,9 @@ def binomial_monomial_split(monomials: list, binomials: list, context: Optional[
     if sides and context is None:
         raise SplitNotApplicable("binomials present but no graph context")
     if context is not None:
-        if not set(context.edge_labels) <= set(ring.names):
-            raise SplitNotApplicable("context graph edges not contained in the ring")
         in_ugb = _ugb_signs(context, ring)
         for f in binomials:
-            if _sign_canonical(f) not in in_ugb:
+            if frozenset(f.terms) not in in_ugb:
                 raise SplitNotApplicable(
                     "binomial %s is not a primitive walk binomial of the "
                     "context" % _placeheld(f))
@@ -375,19 +350,24 @@ def unmixedness_evidence(I: Ideal, context: Optional[Graph] = None) -> Unmixedne
 
     Conclusive positive evidence: the unit ideal (vacuous), the zero ideal,
     variable-generated and principal ideals, recognized toric-plus-variables
-    prime ideals, and verified splittings whose components intersect back to
-    the input ideal (then the split is a primary decomposition into primes,
-    so the associated primes are exactly the components).  Conclusive
-    negative evidence: verified splittings with differing dimensions
-    (minimal primes are associated primes no matter what, so unequal
-    dimensions always refute unmixedness).  When a non-radical ideal has
-    equal-dimensional minimal primes, its embedded primes remain undecided
-    and the evidence is inconclusive with the dimensions attached.  Whether
-    the split components intersect back to I is read off the reduced basis
-    when it has a square-free initial ideal (radical) or a witness
-    monomial (not radical; see the module docstring); otherwise they are
-    intersected.  Every outcome that proves I not radical sets
-    ``not_radical``.
+    prime ideals, and minimal primes of one dimension that intersect back
+    to the input ideal (then they are a primary decomposition into primes,
+    so the associated primes are exactly these).  Conclusive negative
+    evidence: minimal primes of differing dimensions (minimal primes are
+    associated primes no matter what, so unequal dimensions always refute
+    unmixedness).  When a non-radical ideal has equal-dimensional minimal
+    primes, its embedded primes remain undecided: the evidence is
+    inconclusive with the dimensions attached, and sets ``not_radical``.
+
+    The minimal primes are the components that ``binomial_monomial_split``
+    reads off the minimal generators.  A monomial ideal is the case with no
+    binomials, split with no context; its detail texts say "minimal
+    primes" and "radical" where the others say "split components" and
+    "their intersection".  Whether the components intersect back to I is
+    read off the reduced basis when it has a square-free initial ideal
+    (radical) or a witness monomial (not radical; see the module
+    docstring).  Otherwise they are intersected, which a monomial ideal
+    never needs: its reduced basis is square-free or holds a witness.
     """
     rgb = I.groebner()
     base = base_evidence(rgb)
@@ -396,41 +376,16 @@ def unmixedness_evidence(I: Ideal, context: Optional[Graph] = None) -> Unmixedne
     if len(rgb) == 1:
         return UnmixednessEvidence("principal", "principal ideals are unmixed")
 
-    if all(g.is_monomial() for g in rgb):
-        radical_input = all(mono_is_squarefree(next(iter(g.terms))) for g in rgb)
-        if radical_input:
-            target = I
-        else:
-            target = Ideal(I.ring, [
-                Poly(I.ring, {tuple(1 if e else 0 for e in next(iter(g.terms))): ONE})
-                for g in rgb])
-        covers = sqfree_monomial_components(target)
-        dims = tuple(I.ring.arity - len(c) for c in covers)
-        comps = tuple(PrimeComponent(_positions(I.ring, c), (), (), I.ring.arity - len(c))
-                      for c in covers)
-        # The reduced basis of a monomial ideal is its minimal generators, so
-        # the support of one that is not square-free is not in the ideal.
-        if len(set(dims)) > 1:
-            return UnmixednessEvidence("refuted",
-                                       "minimal primes of different dimensions",
-                                       dims, comps,
-                                       not_radical=not radical_input)
-        if radical_input:
-            return UnmixednessEvidence("equal-dims",
-                                       "all minimal primes share one dimension",
-                                       dims, comps)
-        return UnmixednessEvidence(
-            "inconclusive", "the minimal primes share one dimension but the "
-            "ideal is not radical, so embedded primes are undecided",
-            dims, comps, not_radical=True)
-
-    # Mixed monomial/binomial ideals: classify an irredundant generating
-    # subset of the reduced basis rather than the whole basis (S-polynomial
-    # completion can manufacture non-square-free monomials that elements of
-    # lower degree already generate).  The subset is taken from the basis,
-    # not from I.gens, so the evidence depends on the ideal alone.
+    # Classify an irredundant generating subset of the reduced basis rather
+    # than the whole basis (S-polynomial completion can manufacture
+    # non-square-free monomials that elements of lower degree already
+    # generate).  The subset is taken from the basis, not from I.gens, so the
+    # evidence depends on the ideal alone.  A monomial ideal's reduced basis
+    # is already its minimal generators.
+    gens = (rgb if all(g.is_monomial() for g in rgb)
+            else minimal_generators(Ideal(I.ring, rgb)))
     variables, monos, binoms = [], [], []
-    for g in minimal_generators(Ideal(I.ring, rgb)):
+    for g in gens:
         if g.is_variable():
             variables.append(g)
         elif g.is_monomial():
@@ -442,12 +397,12 @@ def unmixedness_evidence(I: Ideal, context: Optional[Graph] = None) -> Unmixedne
                 "inconclusive", "a generator is neither a monomial nor a "
                 "unit binomial")
 
-    if context is None:
+    if binoms and context is None:
         return UnmixednessEvidence(
             "inconclusive", "binomial generators but no graph context")
 
     # prime fast path: variables plus the toric ideal of a subgraph
-    if not monos and set(context.edge_labels) <= set(I.ring.names):
+    if binoms and not monos:
         removed = sorted({I.ring.names[i] for g in variables
                           for i in mono_support(next(iter(g.terms)))}
                          & set(context.edge_labels))
@@ -458,14 +413,17 @@ def unmixedness_evidence(I: Ideal, context: Optional[Graph] = None) -> Unmixedne
                 "subgraph, hence prime")
 
     try:
-        comps = binomial_monomial_split(variables + monos, binoms, context, I.ring)
+        comps = tuple(binomial_monomial_split(variables + monos, binoms,
+                                              context if binoms else None, I.ring))
     except SplitNotApplicable as exc:
         return UnmixednessEvidence("inconclusive", "splitting not applicable: %s" % exc)
+    primes = "split components" if binoms else "minimal primes"
     dims = tuple(c.dimension for c in comps)
     if len(set(dims)) > 1:
-        return UnmixednessEvidence("refuted",
-                                   "split components of different dimensions",
-                                   dims, tuple(comps))
+        return UnmixednessEvidence("refuted", "%s of different dimensions" % primes,
+                                   dims, comps)
+    equal_dims = UnmixednessEvidence("equal-dims", "all %s share one dimension" % primes,
+                                     dims, comps)
     # The components are the minimal primes, so they intersect to the
     # radical: equal to I exactly when I is radical.  A square-free initial
     # ideal proves that I is radical without intersecting: if f^k lies in I
@@ -474,24 +432,19 @@ def unmixedness_evidence(I: Ideal, context: Optional[Graph] = None) -> Unmixedne
     # monomial proves that I is not radical, again without intersecting.
     order = storage_order(I.ring)
     if all(mono_is_squarefree(initial_term(order, g).mono) for g in rgb):
-        return UnmixednessEvidence("equal-dims",
-                                   "all split components share one dimension",
-                                   dims, tuple(comps))
+        return equal_dims
     not_radical = UnmixednessEvidence(
         "inconclusive", "the minimal primes share one dimension but the ideal "
-        "is not their intersection, so embedded primes are undecided",
-        dims, tuple(comps), not_radical=True)
+        "is %s, so embedded primes are undecided"
+        % ("not their intersection" if binoms else "not radical"),
+        dims, comps, not_radical=True)
     if _non_radical_witness(rgb) is not None:
         return not_radical
     radical = None
     for c in comps:
         P = c.ideal(I.ring)
         radical = P if radical is None else intersect(radical, P)
-    if ideal_equal(radical, I):
-        return UnmixednessEvidence("equal-dims",
-                                   "all split components share one dimension",
-                                   dims, tuple(comps))
-    return not_radical
+    return equal_dims if ideal_equal(radical, I) else not_radical
 
 
 def _non_radical_witness(rgb: tuple) -> Optional[Poly]:

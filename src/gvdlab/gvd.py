@@ -496,10 +496,10 @@ def _context_key(I: Ideal, context: Optional[Graph]):
     is no context.
 
     Every edge of the context lies in the ring: ``is_gvd`` refuses any
-    other context, and a child's context drops the edges its ring drops
-    (``_child_context``, ``_restrict_context``).  The key is the sorted
-    ring positions P of its edges, and the sign set of its universal basis
-    by ring position (``lifted_basis``): each binomial as the bytes of the
+    other context, and a child's context is its restriction to the child's
+    ring (``_restrict_context``).  The key is the sorted ring positions P
+    of its edges, and the sign set of its universal basis by ring position
+    (``lifted_basis``): each binomial as the bytes of the
     exponents of its smaller monomial, then of its larger one, sorted and
     joined.  (The exponents of a primitive walk binomial are at most 2, so
     each fits in a byte.)
@@ -518,21 +518,21 @@ def _context_key(I: Ideal, context: Optional[Graph]):
       it, and the universal basis generates that ideal.)
     - Deleting the edges D from the context leaves the positions P - D and
       the lattice L ∩ {x_d = 0 for d in D}: a kernel vector of the other
-      columns, extended by zeros, lies in L, and conversely.  So deleting
-      y (``_child_context``) gives L ∩ {x_y = 0}, and the restriction to
-      a factor's ring (``_restrict_context``) gives L ∩ Z^S for the
-      positions S of P in that ring.  Both are read in the child's ring,
-      whose positions follow from the parent's.
+      columns, extended by zeros, lies in L, and conversely.  So the
+      restriction to a child's ring (``_restrict_context``), which drops y
+      at a step and the other factor's edges at a disjoint union, gives
+      L ∩ Z^S for the positions S of P in that ring, read in the child's
+      ring, whose positions follow from the parent's.
     - ``toric_dimension(sub)`` for the subgraph on the edges S is the rank
       of A_S, which is |S| - rank(L ∩ Z^S).
     - ``unmixedness_evidence``, ``_generates_toric_ideal`` and
       ``binomial_monomial_split`` read the context through its edges by
-      position (the test for edges outside the ring, the removed edges of
-      a cover, the edges its subgraph keeps, and so the free variables),
-      the sign sets of the universal bases of the context and of its edge
-      deletions, the membership of such a basis's binomials in an ideal,
-      whether u - v lies in the lattice of a deletion for a binomial
-      x^u - x^v, and the toric dimensions of the deletions.  By the two items above each is a
+      position (the removed edges of a cover, the edges its subgraph
+      keeps, and so the free variables), the sign sets of the universal
+      bases of the context and of its edge deletions, the membership of
+      such a basis's binomials in an ideal, whether u - v lies in the
+      lattice of a deletion for a binomial x^u - x^v, and the toric
+      dimensions of the deletions.  By the two items above each is a
       function of (P, L) and positions.  Nothing reads vertex names,
       isolated vertices, the order of the edges, or the ancestor that a
       cached basis is restricted from, which gives the same basis.
@@ -557,10 +557,10 @@ def _context_key(I: Ideal, context: Optional[Graph]):
     monomial, zero or unit: at y, the C branch of <f> with f = y^d·q + r is
     <q> and its N branch is 0; a contraction at an absent variable keeps
     the basis; and a monomial ideal splits into monomial factors and
-    branches.  For these kinds ``unmixedness_evidence`` returns before it
-    reads the context, and ``_search`` only passes the context on
-    (``_child_context``, ``_restrict_context``).  So a hit is the node a
-    fresh search builds under any context, None included.
+    branches.  For these kinds ``unmixedness_evidence`` never reads the
+    context (a monomial ideal has no binomial, and is split with none),
+    and ``_search`` only passes it on (``_restrict_context``).  So a hit is
+    the node a fresh search builds under any context, None included.
     """
     if context is None:
         return None
@@ -588,15 +588,10 @@ def _in_ring(I: Ideal, context: Optional[Graph]) -> bool:
     return context is None or I.ring.index.keys() >= set(context.edge_labels)
 
 
-def _child_context(context: Optional[Graph], yname: str) -> Optional[Graph]:
-    """Context for the contracted pieces: drop the decomposed edge."""
-    if context is not None and yname in set(context.edge_labels):
-        return context.delete_edges([yname])
-    return context
-
-
 def _restrict_context(context: Optional[Graph], names: tuple) -> Optional[Graph]:
-    """Context restricted to the edges that survive in ``names``."""
+    """The context of a child whose ring has the variables ``names``: the
+    edges that survive in ``names``.  Every context lies in its ring, so at
+    a step at y this drops exactly y."""
     if context is None:
         return None
     keep = set(names)
@@ -778,7 +773,7 @@ def _search(I: Ideal, rgb: tuple, context, budget: Budget,
             # here, and under every other y-compatible order at this variable.
             failures.append((i, "identity", None))
             continue
-        child_ctx = _child_context(context, yname)
+        child_ctx = _restrict_context(context, split.c_branch.ring.names)
         cert_c = cert = _certify(split.c_branch, child_ctx, budget, memo)
         kind = "absent" if absent else "C"
         if cert_c.verdict == "gvd" and not absent:
@@ -923,7 +918,7 @@ def _replay_node(I: Ideal, node: GvdNode, context: Optional[Graph],
         return False
     # When C is N (y is absent, see ``cn_split``) both branches are one
     # ideal, and a child shared by both has one key in ``seen``.
-    child_ctx = _child_context(context, y)
+    child_ctx = _restrict_context(context, split.c_branch.ring.names)
     return (_replay(split.c_branch, node.child_c, child_ctx, seen, "gvd")
             and (split.C is split.N and node.child_n is node.child_c
                  or _replay(split.n_branch, node.child_n, child_ctx, seen, "gvd")))
@@ -995,18 +990,20 @@ def _replay_refutation(I: Ideal, node: GvdNode, context: Optional[Graph],
             return False
         split = cn_split(I, names[i])
         return split.C is split.N and _replay(
-            split.n_branch, child, _child_context(context, split.y), seen, "not-gvd")
+            split.n_branch, child, _restrict_context(context, split.n_branch.ring.names),
+            seen, "not-gvd")
     if len(failures) != len(names) or {f[0] for f in failures} != set(range(len(names))):
         return False
     for i, kind, child in failures:
-        y = names[i]
-        split = cn_split(I, y)
+        split = cn_split(I, names[i])
         if kind == "identity":
             ok = child is None and not split.square_free_in_y
+        elif kind in ("C", "N") and split.square_free_in_y:
+            branch = split.c_branch if kind == "C" else split.n_branch
+            ok = _replay(branch, child, _restrict_context(context, branch.ring.names),
+                         seen, "not-gvd")
         else:
-            ok = kind in ("C", "N") and split.square_free_in_y and _replay(
-                split.c_branch if kind == "C" else split.n_branch, child,
-                _child_context(context, y), seen, "not-gvd")
+            ok = False
         if not ok:
             return False
     return True

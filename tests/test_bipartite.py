@@ -10,7 +10,7 @@ from gvdlab import bipartite, groebner, gvd
 from gvdlab.algebra import lex_order
 from gvdlab.bipartite import (
     EMPTY_POM, PathOrderedMatching, bipartite_ideal, certify_bipartite_gvd,
-    find_path_ordered_matchings, right_extendable, validate_pom,
+    find_path_ordered_matchings, validate_pom,
 )
 from gvdlab.ef import quadratic_pipeline
 from gvdlab.graphs import (
@@ -94,10 +94,8 @@ def test_complete_bipartite_matchings_have_length_one():
     assert all(p.length == 1 for p in find_path_ordered_matchings(K33, 4))
 
 
-def test_matching_relabeling_and_json():
+def test_matching_without_end():
     pom = PathOrderedMatching((("x1", "x2"), ("x5", "x6")), ("e1", "e5"))
-    assert pom.relabeling() == {"x1": 1, "x5": 2, "x2": 3, "x6": 4}
-    assert pom.to_json_dict()["edges"] == ["e1", "e5"]
     assert pom.without_end("e5").edges == ("e1",)
     assert pom.without_end("e1").edges == ("e5",)
     with pytest.raises(ValueError):
@@ -125,13 +123,6 @@ def test_validation_rejects_left_joined_to_earlier_right():
 def test_find_on_non_bipartite_raises():
     with pytest.raises(ValueError, match="bipartite"):
         find_path_ordered_matchings(complete_graph(3), 2)
-
-
-def test_right_extendable():
-    assert right_extendable(C6, EMPTY_POM) == "e1"
-    single = PathOrderedMatching((("x1", "x2"),), ("e1",))
-    assert right_extendable(C4, single) is None
-    assert right_extendable(C6, single) == "e5"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Minimal primes of square-free monomial ideals, the binomial-monomial
-splitting over a graph, and unmixedness evidence."""
+"""Minimal primes of monomial ideals, the binomial-monomial splitting over
+a graph, and unmixedness evidence."""
 
 import json
 from dataclasses import replace
@@ -9,8 +9,7 @@ import pytest
 from gvdlab import components, graphs
 from gvdlab.algebra import Ring, initial_y_form, lex_order, parse_poly
 from gvdlab.components import (
-    SplitNotApplicable, binomial_monomial_split, sqfree_monomial_components,
-    unmixedness_evidence,
+    SplitNotApplicable, binomial_monomial_split, unmixedness_evidence,
 )
 from gvdlab.graphs import (
     complete_bipartite, complete_graph, cycle_graph, toric_ideal,
@@ -35,26 +34,39 @@ def I(*texts, ring=XYZ):
 
 
 # ---------------------------------------------------------------------------
-# Square-free monomial components.
+# Monomial components: the split with no binomials and no graph.
+
+def monomial_covers(J: Ideal) -> list:
+    """The variable sets of the split's components of J's generators, all
+    monomials, in cover order; each component is <W> of dimension n - |W|."""
+    comps = binomial_monomial_split(J.gens, [], None, J.ring)
+    assert all(c.removed_edges == () and c.toric_gens == () for c in comps)
+    assert all(c.dimension == J.ring.arity - len(c.monomial_vars) for c in comps)
+    return [frozenset(J.ring.names[i] for i in c.monomial_vars) for c in comps]
+
 
 def test_components_of_principal_square_free():
-    assert sqfree_monomial_components(I("x*y")) == [frozenset(["x"]), frozenset(["y"])]
+    assert monomial_covers(I("x*y")) == [frozenset(["x"]), frozenset(["y"])]
 
 
 def test_components_of_zero_ideal():
-    assert sqfree_monomial_components(Ideal.zero(XYZ)) == [frozenset()]
+    assert monomial_covers(Ideal.zero(XYZ)) == [frozenset()]
 
 
 def test_components_two_generators():
     R = Ring(["e2", "e5", "e8", "e9"])
     J = Ideal(R, [parse_poly(R, "e2*e5"), parse_poly(R, "e2*e8*e9")])
-    assert sqfree_monomial_components(J) == [
+    assert monomial_covers(J) == [
         frozenset(["e2"]), frozenset(["e5", "e8"]), frozenset(["e5", "e9"])]
 
 
-def test_components_reject_non_square_free():
-    with pytest.raises(ValueError):
-        sqfree_monomial_components(I("x^2*y"))
+def test_components_of_non_square_free_are_those_of_the_radical():
+    # The covers read only supports, so a generator that is not square-free
+    # gives the minimal primes of its radical; the unit ideal has none.
+    assert monomial_covers(I("x^2*y", "y^3*z")) == monomial_covers(I("x*y", "y*z"))
+    assert monomial_covers(I("x^2*y")) == [frozenset(["x"]), frozenset(["y"])]
+    with pytest.raises(SplitNotApplicable):
+        monomial_covers(Ideal.unit(XYZ))
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +94,22 @@ def test_split_variable_plus_cycle_binomial():
         "M": ["e1"], "removed_edges": ["e1"], "dim": comps[0].dimension}
     got = comps[0].ideal(ring)
     assert ideal_equal(got, Ideal(ring, mono + bino))
+
+
+def test_a_context_with_an_edge_outside_the_ring_raises():
+    # The certifiers pass only contexts that lie in the ring (``is_gvd``
+    # refuses any other), so nothing tests for that: a foreign edge raises
+    # where the context is read, on the prime fast path and in the split.
+    G = complete_bipartite(2, 3)
+    ring = G.edge_ring()
+    foreign = G.with_edges(["w"], [("f", "x1", "w")])
+    toric = toric_ideal(G)
+    mixed = toric.with_extra([parse_poly(ring, "e1*e2")])
+    assert unmixedness_evidence(toric, G).status == "prime"
+    assert unmixedness_evidence(mixed, G).components is not None
+    for J in (toric, mixed):
+        with pytest.raises(KeyError):
+            unmixedness_evidence(J, foreign)
 
 
 def test_split_rejects_foreign_binomial():
@@ -153,10 +181,11 @@ def test_evidence_non_square_free_is_inconclusive():
     ev = unmixedness_evidence(I("x^2", "x*y"))
     assert ev.status == "inconclusive"
     # A minimal generator that is not square-free: x is in the radical
-    # only.  The flag holds where the dimensions also refute unmixedness.
+    # only.  Where the dimensions refute unmixedness, the evidence refutes
+    # decomposability by itself.
     assert ev.not_radical
     ev2 = unmixedness_evidence(I("x^2*y", "x*z"))
-    assert ev2.refuted and ev2.not_radical
+    assert ev2.refuted
 
 
 def test_not_radical_is_not_serialized():

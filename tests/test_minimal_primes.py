@@ -14,9 +14,7 @@ from gvdlab.algebra import (
     initial_term, initial_y_form, lex_order, mono_is_squarefree, parse_poly,
     storage_order,
 )
-from gvdlab.components import (
-    SplitNotApplicable, binomial_monomial_split, sqfree_monomial_components,
-)
+from gvdlab.components import SplitNotApplicable, binomial_monomial_split
 from gvdlab.graphs import toric_ideal
 from gvdlab.groebner import (
     Ideal, contract, ideal_contains, ideal_equal, initial_ideal,
@@ -101,8 +99,8 @@ def test_covers_of_square_free_initial_ideals_intersect_back():
             J = initial_ideal(order, I)
             if not J.gens or not is_square_free_monomial_ideal(J):
                 continue
-            covers = sqfree_monomial_components(J)
-            primes = [Ideal(J.ring, [J.ring.var(v) for v in sorted(W)]) for W in covers]
+            comps = binomial_monomial_split(J.gens, [], None, J.ring)
+            primes = [c.ideal(J.ring) for c in comps]
             assert ideal_equal(intersection(primes), J)
             checked += 1
     assert checked == 92
