@@ -802,10 +802,16 @@ def _search(I: Ideal, rgb: tuple, context, budget: Budget,
 # ---------------------------------------------------------------------------
 # Certificate replay.
 
+# The nodes every replay has verified, with their results, keyed by
+# ``_node_key`` and the node; the oldest entry is dropped past
+# ``_MEMO_SIZE``.  Separate from ``_MEMO``: replay never reads the search's.
+_VERIFIED: dict = {}
+
+
 def replay_certificate(I: Ideal, cert: GvdCertificate,
                        context: Optional[Graph] = None, *,
                        _walk: Optional[dict] = None) -> bool:
-    """Re-verify a stored certificate from scratch, without a search.
+    """Re-verify a stored certificate without a search.
 
     Every fact a certificate states was computed, whoever chose its steps,
     and replay computes it again from what the node stores; nothing is
@@ -839,12 +845,14 @@ def replay_certificate(I: Ideal, cert: GvdCertificate,
     I's ring, which ``is_gvd`` refuses.
 
     The search shares one node among every branch that reaches the same
-    ideal and context by position, so a tree can hold a node many times.
-    Replay recurses through this function, one call per child, and passes
-    down in ``_walk`` the table of the nodes it has verified, keyed as the
-    search keys its memo (``_node_key``) and by the node.  So each node is
-    verified once per key, and its other occurrences, in whatever ring,
-    reuse that result.  Callers leave ``_walk`` unset.
+    ideal and context by position, so a tree can hold a node many times,
+    and the certificates of a census share nodes too.  Replay recurses
+    through this function, one call per child, and checks each node
+    against ``_VERIFIED``, the table of the nodes verified earlier in the
+    process, keyed as the search keys its memo (``_node_key``) and by the
+    node.  So each node is verified once per key, and its other
+    occurrences, in whatever ring or certificate, reuse that result.
+    Callers leave ``_walk`` unset.
     """
     if _walk is None:
         if (not isinstance(cert, GvdCertificate)
@@ -852,7 +860,7 @@ def replay_certificate(I: Ideal, cert: GvdCertificate,
                 or tuple(cert.ring_names) != I.ring.names
                 or not _in_ring(I, context)):
             return False
-        _walk = {}
+        return _replay(I, cert.node, context, _VERIFIED, cert.node.verdict)
     return _replay_node(I, cert.node, context, _walk)
 
 
@@ -866,16 +874,21 @@ def _replay(I: Ideal, node: GvdNode, context: Optional[Graph], seen: dict,
     both sides sort by the same names, so its result is the same in every
     ring of its arity, and under every context with the same
     ``_context_key``.  The key keeps the context, since one node can occur
-    under contexts with other lattices, and must be checked under each."""
+    under contexts with other lattices, and must be checked under each.
+    Nothing here refers to the root or to the call, so a result holds for
+    every certificate that holds the node."""
     if not isinstance(node, GvdNode) or node.verdict != verdict:
         return False
     key = _node_key(I, context) + (id(node),)
     got = seen.get(key)
     if got is None:
-        # The node is stored with its result, so its id is not reused by
-        # another node while ``seen`` lives.
-        got = seen[key] = (node, replay_certificate(
+        got = (node, replay_certificate(
             I, GvdCertificate(node, I.ring.names), context, _walk=seen))
+        # The node is stored with its result, so its id is not reused by
+        # another node while the entry lives.
+        if len(seen) >= _MEMO_SIZE:
+            del seen[next(iter(seen))]
+        seen[key] = got
     return got[1]
 
 

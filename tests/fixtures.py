@@ -30,11 +30,14 @@ from gvdlab.util import Budget
 
 
 def empty_shared_memo(monkeypatch):
-    """Give ``is_gvd`` and ``certify_bipartite_gvd`` empty shared memos
-    until ``monkeypatch`` is undone, so that a test sees all the work of
-    its certifiers, and leaves no node behind for the tests after it."""
+    """Give ``is_gvd`` and ``certify_bipartite_gvd`` empty shared memos,
+    and ``replay_certificate`` an empty table of verified nodes, until
+    ``monkeypatch`` is undone, so that a test sees all the work of its
+    certifiers and of replay, and leaves no node behind for the tests
+    after it."""
     monkeypatch.setattr(gvd, "_MEMO", {})
     monkeypatch.setattr(bipartite, "_MEMO", {})
+    monkeypatch.setattr(gvd, "_VERIFIED", {})
 
 
 class PolledBudget(Budget):

@@ -757,6 +757,7 @@ def swap_last(cert, target, new):
 
 
 def test_replay_verifies_each_shared_node_once(monkeypatch):
+    empty_shared_memo(monkeypatch)
     G = cycle_graph(6)
     J = toric_ideal(G)
     cert = is_gvd(J, context=G)
@@ -768,7 +769,10 @@ def test_replay_verifies_each_shared_node_once(monkeypatch):
                         lambda I, node, *rest: calls.append(node) or real(I, node, *rest))
     assert gvd.replay_certificate(J, cert, context=G)
     assert len(calls) == 8
-    monkeypatch.undo()
+    # A later call checks none of them again.
+    calls.clear()
+    assert gvd.replay_certificate(J, cert, context=G)
+    assert calls == []
     # A copy of a shared node at its last occurrence is checked on its own:
     # accepted as it is, rejected once tampered.
     shared = next(c.node for c in nodes if c.kind == "decomposition"
@@ -777,12 +781,14 @@ def test_replay_verifies_each_shared_node_once(monkeypatch):
     assert replay_certificate(J, swap_last(cert, shared, copy)[0], context=G)
     copy = replace(shared, degenerate=not shared.degenerate)
     assert not replay_certificate(J, swap_last(cert, shared, copy)[0], context=G)
+    assert any(node is copy for node in calls)
     # One node under both branches is checked against each branch's ideal.
     assert not replay_certificate(J, forged(cert, child_n=cert.node.child_c),
                                   context=G)
 
 
 def test_replay_checks_a_disjoint_union_node_by_node(monkeypatch):
+    empty_shared_memo(monkeypatch)
     G = complete_bipartite(3, 3)
     J = toric_ideal(G)
     cert = is_gvd(J, context=G)
@@ -807,6 +813,52 @@ def test_replay_checks_a_disjoint_union_node_by_node(monkeypatch):
     assert not replay_certificate(J, swap_last(cert, union, fake)[0], context=G)
     fake = replace(union, factors=union.factors[::-1])
     assert not replay_certificate(J, swap_last(cert, union, fake)[0], context=G)
+
+
+def test_a_tampered_certificate_fails_alone_in_a_batch(monkeypatch):
+    # The certificates of the 7-edge corpus share nodes.  A tampered copy
+    # of a node that a certificate before it verified, and that one after
+    # it holds, fails its own certificate and no other.
+    empty_shared_memo(monkeypatch)
+    batch = [(G, toric_ideal(G)) for G in (to_graph(n, edges)
+                                            for n, edges in connected_graphs(7))]
+    batch = [(G, J, is_gvd(J, context=G)) for G, J in batch]
+    mid = len(batch) // 2
+    G, J, cert = batch[mid]
+    before, after = ({id(c.node) for _, _, other in part for c in tree_nodes(other)}
+                     for part in (batch[:mid], batch[mid + 1:]))
+    shared = next(c.node for c in tree_nodes(cert)[1:]
+                  if c.kind == "decomposition" and id(c.node) in before & after)
+    fake = replace(shared, degenerate=not shared.degenerate)
+    batch[mid] = (G, J, swap_last(cert, shared, fake)[0])
+    got = [replay_certificate(J, c, context=G) for G, J, c in batch]
+    assert got == [i != mid for i in range(len(batch))]
+
+
+def test_replay_table_is_capped_and_drops_its_oldest_entry_first(monkeypatch):
+    empty_shared_memo(monkeypatch)
+    certs = [(G, toric_ideal(G)) for G in (cycle_graph(6), complete_bipartite(3, 3),
+                                           two_triangles_bridged())]
+    certs = [(G, J, is_gvd(J, context=G)) for G, J in certs]
+    live, sizes = [], []
+
+    class Table(dict):
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            live.append(key)
+            sizes.append(len(self))
+
+        def __delitem__(self, key):
+            oldest = live.pop(0)
+            assert key == oldest
+            super().__delitem__(key)
+
+    monkeypatch.setattr(gvd, "_MEMO_SIZE", 3)
+    monkeypatch.setattr(gvd, "_VERIFIED", Table())
+    for G, J, cert in certs:
+        assert replay_certificate(J, cert, context=G)
+    assert max(sizes) == 3 and len(sizes) > 3
+    assert list(gvd._VERIFIED) == live
 
 
 def test_replay_walks_steps_unions_and_refutations():
@@ -937,11 +989,9 @@ def forged_evidence(cert):
                 with_node(cert.node, path, replace(node, unmixedness=ev)), cert.ring_names)
 
 
-def test_replay_rejects_forged_evidence():
-    # Every stored evidence is a fact about its node's ideal, so replay
-    # recomputes it and rejects any other: at steps, base cases, leaf
-    # refutations and the roots of refutations by failures, in
-    # certificates of the search and of both structural certifiers.
+def forged_evidence_cases() -> list:
+    """(ideal, graph, certificate) for the certificates whose evidence
+    ``test_replay_rejects_forged_evidence`` forges."""
     C4, C6, K33 = cycle_graph(4), cycle_graph(6), complete_bipartite(3, 3)
     ring = C4.edge_ring()
     leaf = Ideal(ring, [parse_poly(ring, "e1^2"), parse_poly(ring, "e1*e3 - e2*e4")])
@@ -954,8 +1004,16 @@ def test_replay_rejects_forged_evidence():
               for G in (complete_graph(4), complete_bipartite(2, 3))]
     cases += [(leaf, C4, is_gvd(leaf, context=C4)),
               (toric_ideal(bridged), bridged, is_gvd(toric_ideal(bridged), context=bridged))]
+    return cases
+
+
+def test_replay_rejects_forged_evidence():
+    # Every stored evidence is a fact about its node's ideal, so replay
+    # recomputes it and rejects any other: at steps, base cases, leaf
+    # refutations and the roots of refutations by failures, in
+    # certificates of the search and of both structural certifiers.
     kinds, sources = set(), {}
-    for J, G, cert in cases:
+    for J, G, cert in forged_evidence_cases():
         assert replay_certificate(J, cert, context=G)
         for source, fake in forged_evidence(cert):
             assert replay_certificate(J, fake, context=G) is False
@@ -1047,6 +1105,24 @@ def test_handed_down_bases_are_the_reduced_bases(monkeypatch):
         for J in got:
             assert terms(J._rgb[storage(J)]) == terms(
                 groebner.buchberger(storage_order(J.ring), J.gens))
+
+
+def test_replay_with_a_warm_table_agrees_with_an_empty_one(monkeypatch):
+    # A node verified by an earlier call is not checked again, so each
+    # certificate of the corpus, and each forgery of its evidence, replays
+    # as it does from an empty table.
+    empty_shared_memo(monkeypatch)
+    cases = forged_evidence_cases()
+    items = [(J, G, cert) for G, J, cert in corpus_certificates()] + cases
+    accepted = len(items)
+    items += [(J, G, fake) for J, G, cert in cases for _, fake in forged_evidence(cert)]
+    warm = [replay_certificate(J, cert, context=G) for J, G, cert in items]
+    cold = []
+    for J, G, cert in items:
+        monkeypatch.setattr(gvd, "_VERIFIED", {})
+        cold.append(replay_certificate(J, cert, context=G))
+    assert warm == cold
+    assert warm == [i < accepted for i in range(len(items))]
 
 
 def test_replay_proves_each_identity_from_generators(monkeypatch):
