@@ -212,12 +212,6 @@ class Poly:
             raise ValueError("degree of zero polynomial")
         return max(sum(m) for m in self.terms)
 
-    def degree_in(self, v: Union[int, str]) -> int:
-        i = self.ring.vidx(v)
-        if not self.terms:
-            return 0
-        return max(m[i] for m in self.terms)
-
     def support(self) -> tuple:
         """Sorted indices of variables appearing in some term."""
         s = set()

@@ -40,8 +40,8 @@ from typing import Optional
 from .algebra import Ring
 from .graphs import Graph, reduced_toric_ideal, universal_groebner_basis
 from .groebner import Ideal
-from .gvd import (GvdCertificate, _node_key, certify_node, certify_step,
-                  inconclusive)
+from .gvd import (GvdCertificate, GvdNode, _node_key, certify_node,
+                  certify_step, inconclusive)
 from .util import Budget
 
 __all__ = [
@@ -252,8 +252,9 @@ def certify_bipartite_gvd(G: Graph, budget: Optional[Budget] = None) -> GvdCerti
     if not G.is_bipartite():
         raise ValueError("graph is not bipartite")
     memo = _MEMO if budget is None else {}
-    return _certify_node(G, EMPTY_POM, reduced_toric_ideal(G),
-                         budget or Budget(None), memo)
+    I = reduced_toric_ideal(G)
+    return GvdCertificate(_certify_node(G, EMPTY_POM, I, budget or Budget(None), memo),
+                          I.ring.names)
 
 
 def _structure_key(G: Graph, pom: PathOrderedMatching, index: dict) -> tuple:
@@ -267,16 +268,18 @@ def _structure_key(G: Graph, pom: PathOrderedMatching, index: dict) -> tuple:
 
 
 def _certify_node(G: Graph, pom: PathOrderedMatching, I: Ideal,
-                  budget: Budget, memo: dict) -> GvdCertificate:
-    """Leaves are certified at once; a leaf matching edge is dropped; else
-    the node decomposes at a leaf edge or at a contained variable (both
-    degenerate steps, whose N branch carries the graph without that edge)
-    or at the edge extending the matching, whose C branch carries the
-    extended matching.  Like every certifier's node, it enters through
-    ``gvd.certify_node``, so any other node is the one ``memo`` holds for
-    its key, if any, and no inconclusive node is stored.  The key is I's
-    ring arity, its reduced basis by position (``gvd._node_key`` with no
-    context) and ``_structure_key``.
+                  budget: Budget, memo: dict) -> GvdNode:
+    """I's node, which holds its variables by ring position, as every
+    node does.  Leaves are certified at once; a leaf matching edge is
+    dropped; else the node decomposes at a leaf edge or at a contained
+    variable (both degenerate steps, whose N branch carries the graph
+    without that edge) or at the edge extending the matching, whose C
+    branch carries the extended matching.  Like every certifier's node, it
+    enters through ``gvd.certify_node``, so any other node is the one
+    ``memo`` holds for its key, if any, returned as it is, and no
+    inconclusive node is stored.  The key is I's ring arity, its reduced
+    basis by position (``gvd._node_key`` with no context) and
+    ``_structure_key``.
 
     Why equal keys give the same node.  Equal structure keys give a
     bijection from the edges of G to those of G', the k-th to the k-th,
@@ -288,7 +291,7 @@ def _certify_node(G: Graph, pom: PathOrderedMatching, I: Ideal,
     ring variables to the same edges.  The recursion reads its data only
     through these maps:
 
-    - ``base_certificate`` and ``_contained_variables`` read I's reduced
+    - ``base_node`` and ``_contained_variables`` read I's reduced
       basis, and name a variable by its position;
     - ``_leaf_edge`` takes the first edge, in order, with an end of degree
       1, and a vertex's degree is read off the edge list;
@@ -317,7 +320,7 @@ def _certify_node(G: Graph, pom: PathOrderedMatching, I: Ideal,
 
 
 def _certify_structure(G: Graph, pom: PathOrderedMatching, I: Ideal,
-                       budget: Budget, memo: dict) -> GvdCertificate:
+                       budget: Budget, memo: dict) -> GvdNode:
     """``_certify_node`` past its base case and memo."""
     leaf = _leaf_edge(G)
     if leaf is not None and leaf in pom.edges:
@@ -326,7 +329,6 @@ def _certify_structure(G: Graph, pom: PathOrderedMatching, I: Ideal,
         return _certify_node(G.delete_edges([leaf]), pom.without_end(leaf), I,
                              budget, memo)
 
-    ring = I.ring
     c_pom = None
     if leaf is not None:
         y = leaf
@@ -338,9 +340,8 @@ def _certify_structure(G: Graph, pom: PathOrderedMatching, I: Ideal,
         else:
             contained = _contained_variables(I)
             if not contained:
-                return inconclusive(
-                    ring.names, "matching is not extendable yet the ideal "
-                                "contains no variable")
+                return inconclusive("matching is not extendable yet the ideal "
+                                    "contains no variable")
             y = contained[0]
     n_graph = G.delete_edges([y])
     c_graph = G

@@ -43,7 +43,7 @@ from typing import Optional
 from .algebra import initial_term, lex_order, mono_is_squarefree
 from .graphs import Graph, reduced_toric_ideal, universal_groebner_basis
 from .groebner import Ideal, minimal_monomial_generators
-from .gvd import GvdCertificate, certify_node, certify_step
+from .gvd import GvdCertificate, GvdNode, certify_node, certify_step
 from .util import Budget
 
 __all__ = ["squarefree_lex_initial", "quadratic_pipeline"]
@@ -72,16 +72,17 @@ def quadratic_pipeline(G: Graph, budget: Optional[Budget] = None) -> GvdCertific
     a square-free label-order initial ideal certify, and none of the 22
     others do.
     """
-    return _quadratic_node(G, (), (), reduced_toric_ideal(G),
-                           budget or Budget(None))
+    I = reduced_toric_ideal(G)
+    return GvdCertificate(_quadratic_node(G, (), (), I, budget or Budget(None)),
+                          I.ring.names)
 
 
 def _quadratic_node(G: Graph, E: tuple, F: tuple, I: Ideal,
-                    budget: Budget) -> GvdCertificate:
+                    budget: Budget) -> GvdNode:
     # Every split (E, F) has one parent in the tree, so no memo is kept.
     # Each step contracts y away, so once every edge is placed the ideal
     # involves no variable and is a base case.
-    def step() -> GvdCertificate:
+    def step() -> GvdNode:
         y = G.edge_labels[len(E) + len(F)]
         return certify_step(
             I, y, G.delete_edges(E + F),

@@ -137,9 +137,6 @@ class Ideal:
             got = self._rgb[order.rows] = tuple(buchberger(order, self.gens))
         return got
 
-    def contains(self, f: Poly) -> bool:
-        return ideal_contains(self, f)
-
     def is_zero_ideal(self) -> bool:
         return not self.groebner()
 

@@ -53,7 +53,7 @@ from .util import Budget
 __all__ = [
     "CnSplit", "GvdNode", "GvdCertificate",
     "cn_split", "initial_y_ideal", "check_decomposition",
-    "base_certificate", "inconclusive", "certify_step",
+    "base_node", "inconclusive", "certify_step",
     "is_gvd", "replay_certificate",
 ]
 
@@ -292,7 +292,9 @@ def _order_json(names: tuple, y: str) -> dict:
 
 class GvdCertificate:
     """The tree below ``node`` read in the ring named ``ring_names``: its
-    fields name their variables, and a child is read in its own ring."""
+    fields name their variables, and a child is read in its own ring.  The
+    certifiers build one per call, for the root, as they return; every
+    step below passes nodes."""
 
     __slots__ = ("node", "ring_names")
 
@@ -357,14 +359,9 @@ class GvdCertificate:
         return out
 
 
-def _certificate(ring_names: tuple, kind: str, verdict: str,
-                 **fields) -> GvdCertificate:
-    return GvdCertificate(GvdNode(kind, verdict, **fields), ring_names)
-
-
-def base_certificate(I: Ideal) -> Optional[GvdCertificate]:
-    """The leaf for a base case (the zero ideal, the unit ideal, an ideal
-    generated by variables), or None when I is none of them."""
+def base_node(I: Ideal) -> Optional[GvdNode]:
+    """The leaf node for a base case (the zero ideal, the unit ideal, an
+    ideal generated by variables), or None when I is none of them."""
     rgb = I.groebner()
     ev = base_evidence(rgb)
     if ev is None:
@@ -372,18 +369,16 @@ def base_certificate(I: Ideal) -> Optional[GvdCertificate]:
     variables = ()
     if ev.status == "variables":
         variables = tuple(sorted(g.support()[0] for g in rgb))
-    return _certificate(I.ring.names, ev.status, "gvd", unmixedness=ev,
-                        variables=variables)
+    return GvdNode(ev.status, "gvd", unmixedness=ev, variables=variables)
 
 
-def inconclusive(ring_names: tuple, reason: str, **fields) -> GvdCertificate:
-    """A node that decides nothing, with the reason why."""
-    return _certificate(ring_names, "inconclusive", "inconclusive",
-                        reason=reason, **fields)
+def inconclusive(reason: str, **fields) -> GvdNode:
+    """A node that decides nothing, with the reason why, which names
+    variables by position (see ``GvdNode``)."""
+    return GvdNode("inconclusive", "inconclusive", reason=reason, **fields)
 
 
-def _refutation(ring_names: tuple,
-                ev: UnmixednessEvidence) -> Optional[GvdCertificate]:
+def _refutation(ev: UnmixednessEvidence) -> Optional[GvdNode]:
     """The "not-gvd" leaf for evidence that rules out decomposability by
     itself, or None: unmixedness refuted, or the ideal proved not radical
     (a decomposable ideal is radical; see the module docstring)."""
@@ -393,14 +388,13 @@ def _refutation(ring_names: tuple,
         reason = "not radical, and a decomposable ideal is radical"
     else:
         return None
-    return _certificate(ring_names, "not-gvd", "not-gvd", unmixedness=ev,
-                        reason=reason)
+    return GvdNode("not-gvd", "not-gvd", unmixedness=ev, reason=reason)
 
 
-def _decomposition(ring_names: tuple, ev: UnmixednessEvidence, split: CnSplit,
-                   cert_c: GvdCertificate, cert_n: GvdCertificate) -> GvdCertificate:
-    """The node for a verified step whose two branches certified as
-    ``cert_c`` and ``cert_n``.
+def _decomposition(y: int, ev: UnmixednessEvidence, split: CnSplit,
+                   node_c: GvdNode, node_n: GvdNode) -> GvdNode:
+    """The node for a verified step at the variable at position ``y``,
+    whose two branches certified as ``node_c`` and ``node_n``.
 
     It is decomposable when the unmixedness evidence ``ev``, computed for
     I, is conclusive, and otherwise inconclusive with the step attached.
@@ -408,62 +402,59 @@ def _decomposition(ring_names: tuple, ev: UnmixednessEvidence, split: CnSplit,
     ``degenerate`` without a radical membership test.  Replay recomputes
     ``ev`` and accepts the node only if it is the stored one.
     """
-    y = ring_names.index(split.y)
     step = dict(unmixedness=ev, y=y, degenerate=split.degenerate,
-                child_c=cert_c.node, child_n=cert_n.node)
+                child_c=node_c, child_n=node_n)
     if ev.conclusive_unmixed:
-        return _certificate(ring_names, "decomposition", "gvd", **step)
-    return inconclusive(
-        ring_names, "decomposition found at {%d} but unmixedness evidence "
-                    "is inconclusive (%s)" % (y, ev.detail), **step)
+        return GvdNode("decomposition", "gvd", **step)
+    return inconclusive("decomposition found at {%d} but unmixedness evidence "
+                        "is inconclusive (%s)" % (y, ev.detail), **step)
 
 
 def certify_step(I: Ideal, y: str, context: Optional[Graph],
-                 certify_c, certify_n) -> GvdCertificate:
+                 certify_c, certify_n) -> GvdNode:
     """One node of a structural certifier, which has chosen the variable y.
 
     The structure only chooses y; every fact the node states is computed
     here for I itself, and replay checks each again.  The step is the
     split of I at y, which must be square-free in y (see ``CnSplit``);
-    ``certify_c`` and ``certify_n`` certify its branches.  So a structure
-    that describes I wrongly can only make the node inconclusive.  A
-    degenerate step, where y is absent (C is N) or lies in I (C is the
-    unit ideal), certifies N's branch only: C's reuses its certificate or
-    is the unit leaf.  A branch that does not certify, refuted or not,
-    leaves the node inconclusive, since a refutation must rule out every
-    variable (see ``_replay_refutation``).  Unmixedness is computed over
-    ``context``, as the search computes it: evidence that refutes it or
-    proves I not radical makes the node a "not-gvd" leaf, and evidence
-    that decides nothing leaves the node inconclusive.
+    ``certify_c`` and ``certify_n`` certify its branches, each returning
+    the branch's node.  So a structure that describes I wrongly can only
+    make the node inconclusive.  A degenerate step, where y is absent (C is
+    N) or lies in I (C is the unit ideal), certifies N's branch only: C's
+    reuses its node or is the unit leaf.  A branch that does not certify,
+    refuted or not, leaves the node inconclusive, since a refutation must
+    rule out every variable (see ``_replay_refutation``).  Unmixedness is
+    computed over ``context``, as the search computes it: evidence that
+    refutes it or proves I not radical makes the node a "not-gvd" leaf, and
+    evidence that decides nothing leaves the node inconclusive.  The node
+    holds y by its position in I's ring, like every node.
     """
-    names = I.ring.names
     ev = unmixedness_evidence(I, context)
-    leaf = _refutation(names, ev)
+    leaf = _refutation(ev)
     if leaf is not None:
         return leaf
+    i = I.ring.index[y]
     split = cn_split(I, y)
     if not split.square_free_in_y:
-        return inconclusive(names, "decomposition identity failed at {%d}"
-                                   % names.index(y))
+        return inconclusive("decomposition identity failed at {%d}" % i)
     if split.degenerate:
-        cert_n = certify_n(split.n_branch)
-        cert_c = (cert_n if split.C is split.N
-                  else base_certificate(split.c_branch))
+        node_n = certify_n(split.n_branch)
+        node_c = node_n if split.C is split.N else base_node(split.c_branch)
     else:
-        cert_c = certify_c(split.c_branch)
-        cert_n = certify_n(split.n_branch)
-    if cert_c.verdict == "gvd" and cert_n.verdict == "gvd":
-        return _decomposition(names, ev, split, cert_c, cert_n)
-    return inconclusive(names, "a branch at {%d} did not certify (C: %s, N: %s)"
-                               % (names.index(y), cert_c.verdict, cert_n.verdict))
+        node_c = certify_c(split.c_branch)
+        node_n = certify_n(split.n_branch)
+    if node_c.verdict == "gvd" and node_n.verdict == "gvd":
+        return _decomposition(i, ev, split, node_c, node_n)
+    return inconclusive("a branch at {%d} did not certify (C: %s, N: %s)"
+                        % (i, node_c.verdict, node_n.verdict))
 
 
 # ---------------------------------------------------------------------------
 # The recursive certifier.
 
-def _variable_order(I: Ideal, rgb: tuple, present: set) -> list:
-    """Search order over the variables that occur in the basis, whose
-    indices are ``present``.
+def _variable_order(rgb: tuple, present: set) -> list:
+    """Search order over the ring positions ``present`` of the variables
+    that occur in the basis.
 
     They are ranked by a free proxy computed from the storage basis:
     variables whose y-graded factors are mostly single variables (their C
@@ -471,24 +462,22 @@ def _variable_order(I: Ideal, rgb: tuple, present: set) -> list:
     exponent two or more anywhere come last, since their decomposition
     identity is doomed to fail.
     """
-    ring = I.ring
     scored = []
     for i in sorted(present):
-        name = ring.names[i]
         doomed = False
         hard = 0
         n_size = 0
         for g in rgb:
-            d, q, _ = y_split(name, g)
+            d, q, _ = y_split(i, g)
             if d > 1:
                 doomed = True
             if not q.is_variable():
                 hard += 1
             if d == 0:
                 n_size += 1
-        scored.append(((1 if doomed else 0, hard, n_size, i), name))
+        scored.append((1 if doomed else 0, hard, n_size, i))
     scored.sort()
-    return [name for _, name in scored]
+    return [i for *_, i in scored]
 
 
 def _context_key(I: Ideal, context: Optional[Graph]):
@@ -680,21 +669,23 @@ def is_gvd(I: Ideal, context: Optional[Graph] = None,
     if not _in_ring(I, context):
         raise ValueError("the context has an edge outside the ring of I")
     memo = _MEMO if budget is None else {}
-    return _certify(I, context, budget or Budget(None), memo)
+    return GvdCertificate(_certify(I, context, budget or Budget(None), memo),
+                          I.ring.names)
 
 
 def certify_node(I: Ideal, budget: Budget, certify, memo: Optional[dict] = None,
-                 key=None) -> GvdCertificate:
-    """The entry of every certifier's node: "budget exhausted" once
-    ``budget`` is spent, else the base case if I is one, else ``certify()``.
-    Given a ``memo``, the node it stores under ``key()``, built only past
-    the base case, is read in I's ring instead, and a fresh node is stored
-    unless it is inconclusive (a node may be inconclusive for want of
-    budget), with the oldest entry dropped past ``_MEMO_SIZE``."""
-    names = I.ring.names
+                 key=None) -> GvdNode:
+    """The entry of every certifier's node, which returns I's node:
+    "budget exhausted" once ``budget`` is spent, else the base case if I is
+    one, else ``certify()``.  Given a ``memo``, the node it stores under
+    ``key()``, built only past the base case, is returned as it is (a node
+    holds its variables by ring position, so it serves I's ring), and a
+    fresh node is stored unless it is inconclusive (a node may be
+    inconclusive for want of budget), with the oldest entry dropped past
+    ``_MEMO_SIZE``."""
     if budget.exceeded():
-        return inconclusive(names, "budget exhausted")
-    base = base_certificate(I)
+        return inconclusive("budget exhausted")
+    base = base_node(I)
     if base is not None:
         return base
     if memo is None:
@@ -702,16 +693,16 @@ def certify_node(I: Ideal, budget: Budget, certify, memo: Optional[dict] = None,
     k = key()
     hit = memo.get(k)
     if hit is not None:
-        return GvdCertificate(hit, names)
-    cert = certify()
-    if cert.verdict != "inconclusive":
+        return hit
+    node = certify()
+    if node.verdict != "inconclusive":
         if len(memo) >= _MEMO_SIZE:
             del memo[next(iter(memo))]
-        memo[k] = cert.node
-    return cert
+        memo[k] = node
+    return node
 
 
-def _certify(I: Ideal, context, budget: Budget, memo: dict) -> GvdCertificate:
+def _certify(I: Ideal, context, budget: Budget, memo: dict) -> GvdNode:
     """The search's node entry, keyed by ``_node_key``."""
     return certify_node(I, budget,
                         lambda: _search(I, I.groebner(), context, budget, memo),
@@ -719,9 +710,7 @@ def _certify(I: Ideal, context, budget: Budget, memo: dict) -> GvdCertificate:
 
 
 def _search(I: Ideal, rgb: tuple, context, budget: Budget,
-            memo: dict) -> GvdCertificate:
-    ring = I.ring
-    names, index = ring.names, ring.index
+            memo: dict) -> GvdNode:
     # When the generators split into groups with disjoint variable supports,
     # the ideal is the sum of the groups over a tensor product of subrings
     # and is decomposable exactly when every summand is (and then unmixedness
@@ -736,21 +725,21 @@ def _search(I: Ideal, rgb: tuple, context, budget: Budget,
                            budget, memo)
             if kid.verdict == "not-gvd":
                 side = "child_n" if kids else "child_c"
-                return _certificate(
-                    names, "disjoint-union", "not-gvd", factors=parts,
+                return GvdNode(
+                    "disjoint-union", "not-gvd", factors=parts,
                     reason="the factor on %s is not decomposable"
                            % ", ".join("{%d}" % i for i in part),
-                    **{side: kid.node})
-            kids.append(kid.node)
+                    **{side: kid})
+            kids.append(kid)
         if all(kid.verdict == "gvd" for kid in kids):
-            return _certificate(
-                names, "disjoint-union", "gvd", factors=parts,
+            return GvdNode(
+                "disjoint-union", "gvd", factors=parts,
                 child_c=kids[0], child_n=kids[1],
                 reason="generators split over disjoint variables")
-        return inconclusive(names, "a disjoint factor was inconclusive")
+        return inconclusive("a disjoint factor was inconclusive")
 
     ev = unmixedness_evidence(I, context)
-    leaf = _refutation(names, ev)
+    leaf = _refutation(ev)
     if leaf is not None:
         return leaf
 
@@ -759,29 +748,28 @@ def _search(I: Ideal, rgb: tuple, context, budget: Budget,
     # absent the loop makes one pass, at the first such variable: a
     # degenerate step whose one branch polls the budget.
     present = {i for g in rgb for i in g.support()}
-    absent = [names[i] for i in range(ring.arity) if i not in present][:1]
+    absent = [i for i in range(I.ring.arity) if i not in present][:1]
     failures = []
     stuck = []  # why each branch that ended without a conclusive failure did
-    for yname in absent or _variable_order(I, rgb, present):
-        i = index[yname]
+    for i in absent or _variable_order(rgb, present):
         if not absent and budget.exceeded():
             stuck.append("{%d}: budget exhausted" % i)
             break
-        split = cn_split(I, yname)
+        split = cn_split(I, i)
         if not split.square_free_in_y:
             # By the square-free dichotomy (see CnSplit) the identity fails
             # here, and under every other y-compatible order at this variable.
             failures.append((i, "identity", None))
             continue
         child_ctx = _restrict_context(context, split.c_branch.ring.names)
-        cert_c = cert = _certify(split.c_branch, child_ctx, budget, memo)
+        node_c = node = _certify(split.c_branch, child_ctx, budget, memo)
         kind = "absent" if absent else "C"
-        if cert_c.verdict == "gvd" and not absent:
-            kind, cert = "N", _certify(split.n_branch, child_ctx, budget, memo)
-        if cert.verdict == "gvd":
-            return _decomposition(names, ev, split, cert_c, cert)
-        if cert.verdict == "not-gvd":
-            failures.append((i, kind, cert.node))
+        if node_c.verdict == "gvd" and not absent:
+            kind, node = "N", _certify(split.n_branch, child_ctx, budget, memo)
+        if node.verdict == "gvd":
+            return _decomposition(i, ev, split, node_c, node)
+        if node.verdict == "not-gvd":
+            failures.append((i, kind, node))
         elif absent:
             stuck.append("the contraction away from absent {%d} was inconclusive" % i)
         else:
@@ -790,13 +778,12 @@ def _search(I: Ideal, rgb: tuple, context, budget: Budget,
     if stuck:
         # Replay rejects every inconclusive node and the memo stores none,
         # so the failures found so far are not kept.
-        return inconclusive(names, "; ".join(stuck), unmixedness=ev)
+        return inconclusive("; ".join(stuck), unmixedness=ev)
     # The failures rule out every variable (an "absent" one does so alone),
     # each conclusively and whatever the order, and the ideal is none of the
     # base cases, so no decomposition exists no matter what the unmixedness
     # status is.
-    return _certificate(names, "not-gvd", "not-gvd", unmixedness=ev,
-                        failures=tuple(failures))
+    return GvdNode("not-gvd", "not-gvd", unmixedness=ev, failures=tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -809,8 +796,7 @@ _VERIFIED: dict = {}
 
 
 def replay_certificate(I: Ideal, cert: GvdCertificate,
-                       context: Optional[Graph] = None, *,
-                       _walk: Optional[dict] = None) -> bool:
+                       context: Optional[Graph] = None) -> bool:
     """Re-verify a stored certificate without a search.
 
     Every fact a certificate states was computed, whoever chose its steps,
@@ -847,27 +833,12 @@ def replay_certificate(I: Ideal, cert: GvdCertificate,
     The search shares one node among every branch that reaches the same
     ideal and context by position, so a tree can hold a node many times,
     and the certificates of a census share nodes too.  Replay recurses
-    through this function, one call per child, and checks each node
-    against ``_VERIFIED``, the table of the nodes verified earlier in the
-    process, keyed as the search keys its memo (``_node_key``) and by the
-    node.  So each node is verified once per key, and its other
-    occurrences, in whatever ring or certificate, reuse that result.
-    Callers leave ``_walk`` unset.
-    """
-    if _walk is None:
-        if (not isinstance(cert, GvdCertificate)
-                or not isinstance(cert.node, GvdNode)
-                or tuple(cert.ring_names) != I.ring.names
-                or not _in_ring(I, context)):
-            return False
-        return _replay(I, cert.node, context, _VERIFIED, cert.node.verdict)
-    return _replay_node(I, cert.node, context, _walk)
-
-
-def _replay(I: Ideal, node: GvdNode, context: Optional[Graph], seen: dict,
-            verdict: str) -> bool:
-    """``replay_certificate`` on a child node that must have ``verdict``,
-    once per distinct key in ``seen``.
+    through this function, one call per child (``_replay``), and checks
+    each node against ``_VERIFIED``, the table of the nodes verified
+    earlier in the process, keyed as the search keys its memo
+    (``_node_key``) and by the node.  So each node is verified once per
+    key, and its other occurrences, in whatever ring or certificate, reuse
+    that result.
 
     A node's check reads names only through ring positions, as the search
     does (``_context_key``), and compares evidence as JSON whose components
@@ -875,25 +846,37 @@ def _replay(I: Ideal, node: GvdNode, context: Optional[Graph], seen: dict,
     ring of its arity, and under every context with the same
     ``_context_key``.  The key keeps the context, since one node can occur
     under contexts with other lattices, and must be checked under each.
-    Nothing here refers to the root or to the call, so a result holds for
-    every certificate that holds the node."""
-    if not isinstance(node, GvdNode) or node.verdict != verdict:
+    Nothing in a check refers to the root or to the call, so a result
+    holds for every certificate that holds the node.
+    """
+    if (not isinstance(cert, GvdCertificate)
+            or not isinstance(cert.node, GvdNode)
+            or tuple(cert.ring_names) != I.ring.names
+            or not _in_ring(I, context)):
         return False
-    key = _node_key(I, context) + (id(node),)
-    got = seen.get(key)
+    key = _node_key(I, context) + (id(cert.node),)
+    got = _VERIFIED.get(key)
     if got is None:
-        got = (node, replay_certificate(
-            I, GvdCertificate(node, I.ring.names), context, _walk=seen))
         # The node is stored with its result, so its id is not reused by
         # another node while the entry lives.
-        if len(seen) >= _MEMO_SIZE:
-            del seen[next(iter(seen))]
-        seen[key] = got
+        got = (cert.node, _replay_node(I, cert.node, context))
+        if len(_VERIFIED) >= _MEMO_SIZE:
+            del _VERIFIED[next(iter(_VERIFIED))]
+        _VERIFIED[key] = got
     return got[1]
 
 
-def _replay_node(I: Ideal, node: GvdNode, context: Optional[Graph],
-                 seen: dict) -> bool:
+def _replay(I: Ideal, node: GvdNode, context: Optional[Graph],
+            verdict: str) -> bool:
+    """Whether ``node``, a child, has ``verdict`` and replays against I
+    under ``context``, through ``replay_certificate`` in I's ring.  The
+    child passes that call's root checks: it is read in I's own names, and
+    its context is restricted to I's ring (``_restrict_context``)."""
+    return (isinstance(node, GvdNode) and node.verdict == verdict
+            and replay_certificate(I, GvdCertificate(node, I.ring.names), context))
+
+
+def _replay_node(I: Ideal, node: GvdNode, context: Optional[Graph]) -> bool:
     names = I.ring.names
     if node.verdict not in ("gvd", "not-gvd"):
         return False
@@ -913,32 +896,30 @@ def _replay_node(I: Ideal, node: GvdNode, context: Optional[Graph],
         if stored != ev.to_json_dict(names):
             return False
     if node.kind == "disjoint-union":
-        return _replay_factors(I, node, context, seen)
+        return _replay_factors(I, node, context)
     if node.verdict == "not-gvd":
-        return _replay_refutation(I, node, context, ev, seen)
+        return _replay_refutation(I, node, context, ev)
     if node.kind in ("zero", "unit", "variables"):
-        base = base_certificate(I)
+        base = base_node(I)
         return (base is not None and base.kind == node.kind
-                and set(base.node.variables) == set(node.variables))
+                and set(base.variables) == set(node.variables))
     if (node.kind != "decomposition" or ev is None or not ev.conclusive_unmixed
             or node.y not in range(len(names))):
         return False
-    y = names[node.y]
-    split = cn_split(I, y)
+    split = cn_split(I, node.y)
     # The flag holds as the split reads it once both children replay as
     # "gvd", and the node is accepted only then.
     if not check_decomposition(I, split) or split.degenerate != node.degenerate:
         return False
     # When C is N (y is absent, see ``cn_split``) both branches are one
-    # ideal, and a child shared by both has one key in ``seen``.
+    # ideal, and a child shared by both has one key in ``_VERIFIED``.
     child_ctx = _restrict_context(context, split.c_branch.ring.names)
-    return (_replay(split.c_branch, node.child_c, child_ctx, seen, "gvd")
+    return (_replay(split.c_branch, node.child_c, child_ctx, "gvd")
             and (split.C is split.N and node.child_n is node.child_c
-                 or _replay(split.n_branch, node.child_n, child_ctx, seen, "gvd")))
+                 or _replay(split.n_branch, node.child_n, child_ctx, "gvd")))
 
 
-def _replay_factors(I: Ideal, node: GvdNode, context: Optional[Graph],
-                    seen: dict) -> bool:
+def _replay_factors(I: Ideal, node: GvdNode, context: Optional[Graph]) -> bool:
     """A disjoint union: the reduced basis splits over disjoint variables as
     the node's factors say, so I is the sum of the two factor ideals.  Each
     child of a "gvd" union replays as "gvd" against its factor; a "not-gvd"
@@ -952,12 +933,12 @@ def _replay_factors(I: Ideal, node: GvdNode, context: Optional[Graph],
     if node.verdict == "not-gvd" and len(kids) != 1:
         return False
     return all(_replay(factor, kid, _restrict_context(context, factor.ring.names),
-                       seen, node.verdict)
+                       node.verdict)
                for factor, kid in kids)
 
 
 def _replay_refutation(I: Ideal, node: GvdNode, context: Optional[Graph],
-                       ev: Optional[UnmixednessEvidence], seen: dict) -> bool:
+                       ev: Optional[UnmixednessEvidence]) -> bool:
     """A "not-gvd" node of kind "not-gvd": a leaf whose evidence refutes,
     or a node whose failures rule out every variable.
 
@@ -993,28 +974,28 @@ def _replay_refutation(I: Ideal, node: GvdNode, context: Optional[Graph],
     if node.kind != "not-gvd" or node.child_c is not None or node.child_n is not None:
         return False
     if not failures:
-        return ev is not None and _refutation(names, ev) is not None
-    if (base_certificate(I) is not None
+        return ev is not None and _refutation(ev) is not None
+    if (base_node(I) is not None
             or not all(isinstance(f, tuple) and len(f) == 3 for f in failures)):
         return False
     if len(failures) == 1 and failures[0][1] == "absent":
         i, _, child = failures[0]
         if i not in range(len(names)):
             return False
-        split = cn_split(I, names[i])
+        split = cn_split(I, i)
         return split.C is split.N and _replay(
             split.n_branch, child, _restrict_context(context, split.n_branch.ring.names),
-            seen, "not-gvd")
+            "not-gvd")
     if len(failures) != len(names) or {f[0] for f in failures} != set(range(len(names))):
         return False
     for i, kind, child in failures:
-        split = cn_split(I, names[i])
+        split = cn_split(I, i)
         if kind == "identity":
             ok = child is None and not split.square_free_in_y
         elif kind in ("C", "N") and split.square_free_in_y:
             branch = split.c_branch if kind == "C" else split.n_branch
             ok = _replay(branch, child, _restrict_context(context, branch.ring.names),
-                         seen, "not-gvd")
+                         "not-gvd")
         else:
             ok = False
         if not ok:

@@ -262,15 +262,15 @@ def test_inconclusive_evidence_leaves_the_node_inconclusive(monkeypatch):
     empty_shared_memo(monkeypatch)
     monkeypatch.setattr(gvd, "unmixedness_evidence",
                         lambda I, context=None: UnmixednessEvidence("inconclusive", "forced"))
-    cert = bipartite._certify_node(C6, EMPTY_POM, toric_ideal(C6), Budget(None),
-                                   bipartite._MEMO)
+    ring = C6.edge_ring()
+    cert = GvdCertificate(bipartite._certify_node(C6, EMPTY_POM, toric_ideal(C6), Budget(None),
+                                                  bipartite._MEMO), ring.names)
     assert cert.verdict == "inconclusive"
     assert "did not certify" in cert.reason
     # A node whose branches are base cases keeps its step.
-    ring = C6.edge_ring()
     other = Ideal(ring, [ring.monomial({"e1": 1, "e3": 1})])
-    cert = bipartite._certify_node(C6, EMPTY_POM, other, Budget(None),
-                                   bipartite._MEMO)
+    cert = GvdCertificate(bipartite._certify_node(C6, EMPTY_POM, other, Budget(None),
+                                                  bipartite._MEMO), ring.names)
     assert cert.verdict == "inconclusive" and cert.y == "e1"
     assert cert.unmixedness.status == "inconclusive"
     assert "unmixedness evidence is inconclusive" in cert.reason

@@ -16,7 +16,7 @@ from gvdlab.graphs import (
     universal_groebner_basis,
 )
 from gvdlab.groebner import Ideal, ideal_equal, initial_ideal
-from gvdlab.gvd import base_certificate, is_gvd, replay_certificate
+from gvdlab.gvd import GvdCertificate, base_node, is_gvd, replay_certificate
 from gvdlab.util import Budget
 
 from fixtures import (
@@ -129,7 +129,7 @@ def test_tree_is_pruned_at_trivial_nodes():
             if k < len(G.edges):
                 y = G.edge_labels[k]
                 below = {(E + (y,), F), (E, F + (y,))} & set(nodes)
-            assert bool(below) == (base_certificate(I) is None), (G.edges, E, F)
+            assert bool(below) == (base_node(I) is None), (G.edges, E, F)
 
 
 def test_tree_json_shape():
@@ -152,7 +152,7 @@ def test_splits_reproduce_children_and_leaves_are_trivial():
         for E, F, I in seen:
             assert ideal_equal(I, framework_ideal(G, E, F, I.ring)), (G.edges, E, F)
             if len(E) + len(F) == len(G.edges):
-                assert base_certificate(I).kind in ("zero", "unit")
+                assert base_node(I).kind in ("zero", "unit")
 
 
 def test_statement_checks_refuse_honestly():
@@ -332,7 +332,8 @@ def test_quadratic_inconclusive_evidence_leaves_the_node_inconclusive(monkeypatc
     assert cert.verdict == "inconclusive"
     ring = C4.edge_ring()
     other = Ideal(ring, [ring.monomial({"e1": 1, "e3": 1})])
-    cert = ef._quadratic_node(C4, (), (), other, Budget(None))
+    cert = GvdCertificate(ef._quadratic_node(C4, (), (), other, Budget(None)),
+                          ring.names)
     assert cert.verdict == "inconclusive" and cert.y == "e1"
     assert cert.unmixedness.status == "inconclusive"
 

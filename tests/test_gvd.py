@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from gvdlab import components, graphs, groebner, gvd, util
+from gvdlab import bipartite, components, ef, graphs, groebner, gvd, util
 from gvdlab.algebra import Ring, parse_poly, storage_order
 from gvdlab.bipartite import certify_bipartite_gvd
 from gvdlab.components import UnmixednessEvidence
@@ -14,9 +14,9 @@ from gvdlab.ef import quadratic_pipeline
 from gvdlab.graphs import (
     Graph, complete_bipartite, complete_graph, cycle_graph, toric_ideal,
 )
-from gvdlab.groebner import Ideal, contract, ideal_equal
+from gvdlab.groebner import Ideal, contract, ideal_contains, ideal_equal
 from gvdlab.gvd import (
-    CnSplit, GvdCertificate, GvdNode, base_certificate, check_decomposition,
+    CnSplit, GvdCertificate, GvdNode, base_node, check_decomposition,
     cn_split, initial_y_ideal, is_gvd, replay_certificate,
 )
 from gvdlab.util import Budget
@@ -75,7 +75,7 @@ def test_split_n_is_contained_in_c():
     G = two_k4_sharing_vertex()
     split = cn_split(toric_ideal(G), "e2")
     for g in split.N.gens:
-        assert split.C.contains(g)
+        assert ideal_contains(split.C, g)
 
 
 def test_split_of_benchmark_at_e2_matches_displays():
@@ -553,16 +553,17 @@ def test_principal_and_monomial_nodes_read_no_context(monkeypatch):
         return real_search(I, rgb, *rest)
 
     def certify(I, *rest):
-        cert = real_certify(I, *rest)
-        if (not inner and base_certificate(I) is None
+        node = real_certify(I, *rest)
+        if (not inner and base_node(I) is None
                 and context_free(I.groebner())):
             inner.append(True)
             with monkeypatch.context() as mp:
                 mp.setattr(gvd, "_MEMO", {})
                 fresh = is_gvd(I)
             inner.pop()
+            cert = GvdCertificate(node, I.ring.names)
             checked.append(cert.to_json_dict() == fresh.to_json_dict())
-        return cert
+        return node
 
     monkeypatch.setattr(gvd, "_search", search)
     monkeypatch.setattr(gvd, "_certify", certify)
@@ -756,6 +757,57 @@ def swap_last(cert, target, new):
     return GvdCertificate(node, cert.ring_names), found
 
 
+def test_each_certifier_wraps_its_root_once(monkeypatch):
+    # Every step below a public entry builds, memoises and returns a
+    # positional GvdNode; a GvdCertificate is made only as the call returns.
+    # The memos start empty, so the corpus builds its nodes afresh.
+    empty_shared_memo(monkeypatch)
+    init, wrapped, returned = GvdCertificate.__init__, [], []
+
+    def counted(self, *args):
+        wrapped.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(GvdCertificate, "__init__", counted)
+    for module, name in ((gvd, "certify_node"), (bipartite, "certify_node"),
+                         (bipartite, "certify_step"), (ef, "certify_node"),
+                         (ef, "certify_step")):
+        def spy(*args, real=getattr(module, name)):
+            got = real(*args)
+            returned.append(got)
+            return got
+        monkeypatch.setattr(module, name, spy)
+    corpus = [to_graph(n, edges) for n, edges in connected_graphs(7)]
+    for G in corpus + [two_k4_sharing_vertex()]:
+        runs = [lambda: is_gvd(toric_ideal(G), context=G), lambda: quadratic_pipeline(G)]
+        if G.is_bipartite():
+            runs.append(lambda: certify_bipartite_gvd(G))
+        for run in runs:
+            wrapped.clear()
+            cert = run()
+            assert wrapped == [cert], G.edges
+    assert returned and all(type(node) is GvdNode for node in returned)
+
+
+def test_replay_recurses_through_the_public_name(monkeypatch):
+    # Replay walks a certificate by calling replay_certificate once per
+    # child, so a tracer of that name sees the recursion.  With an empty
+    # table, K_{2,3}'s root is not a hit, and its children are replayed.
+    empty_shared_memo(monkeypatch)
+    G = complete_bipartite(2, 3)
+    I = toric_ideal(G)
+    cert = is_gvd(I, context=G)
+    real, calls = gvd.replay_certificate, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gvd, "replay_certificate", counted)
+    assert gvd.replay_certificate(I, cert, context=G)
+    assert len(calls) > 1
+
+
 def test_replay_verifies_each_shared_node_once(monkeypatch):
     empty_shared_memo(monkeypatch)
     G = cycle_graph(6)
@@ -878,7 +930,7 @@ def test_replay_walks_steps_unions_and_refutations():
 
 def test_replay_rejects_a_union_that_does_not_split_the_basis():
     J = I("x*y", ring=Ring(["x", "y"]))
-    zero = base_certificate(Ideal.zero(Ring(["x"]))).node
+    zero = base_node(Ideal.zero(Ring(["x"])))
     union = GvdNode("disjoint-union", "gvd", child_c=zero, child_n=zero,
                     factors=((0,), (1,)))
     assert not replay_certificate(J, GvdCertificate(union, J.ring.names))
@@ -936,7 +988,7 @@ def test_replay_rejects_a_decomposition_whose_branch_is_not_gvd():
 def test_replay_rejects_a_union_over_the_zero_and_the_unit_ideal():
     # Neither ideal has a variable in its basis to split over.
     R = Ring(["x", "y"])
-    unit = base_certificate(Ideal.unit(Ring(["x"]))).node
+    unit = base_node(Ideal.unit(Ring(["x"])))
     union = GvdNode("disjoint-union", "gvd", child_c=unit, child_n=unit,
                     factors=((0,), (1,)))
     for J in (Ideal.unit(R), Ideal.zero(R)):

@@ -20,7 +20,7 @@ from gvdlab.graphs import cycle_graph, toric_ideal
 from gvdlab.groebner import (
     Ideal, contract, ideal_contains, ideal_equal, radical_contains,
 )
-from gvdlab.gvd import base_certificate, cn_split
+from gvdlab.gvd import base_node, cn_split
 
 from fixtures import intersection, two_k4_sharing_vertex
 from graph_corpus import NINE_EDGE_GRAPHS, connected_graphs, to_graph
@@ -47,7 +47,7 @@ def witness_steps(graphs, wanted: int) -> list:
         if key in seen or len(steps) >= wanted:
             return
         seen.add(key)
-        if base_certificate(I) is not None:
+        if base_node(I) is not None:
             return
         found.clear()
         ev = components.unmixedness_evidence(I, context)

@@ -23,7 +23,9 @@ from gvdlab.graphs import (
     toric_ideal,
 )
 from gvdlab.groebner import Ideal
-from gvdlab.gvd import certify_step, inconclusive, is_gvd, replay_certificate
+from gvdlab.gvd import (
+    GvdCertificate, certify_step, inconclusive, is_gvd, replay_certificate,
+)
 from gvdlab.util import Budget
 
 from fixtures import (
@@ -186,8 +188,9 @@ def test_every_memo_hit_is_what_a_fresh_search_builds(monkeypatch):
         hit = memo.get(k)
         got = real(I, budget, certify, memo, key)
         if hit is not None:
+            json_of = lambda node: GvdCertificate(node, I.ring.names).to_json_dict()
             hits.append((stored_from[k] != I.ring.names,
-                         got.to_json_dict() == certify().to_json_dict()))
+                         json_of(got) == json_of(certify())))
         elif k in memo:
             stored_from[k] = I.ring.names
         return got
@@ -222,7 +225,7 @@ def test_rename_reaches_the_reason_of_a_failed_structural_step():
     # The basis of <x^2 - y*z> has x-degree 2, so the step at x fails.
     ring = Ring(["x", "y", "z"])
     I = Ideal(ring, [parse_poly(ring, "x^2 - y*z")])
-    cert = certify_step(I, "x", None, None, None)
+    cert = GvdCertificate(certify_step(I, "x", None, None, None), ring.names)
     assert cert.verdict == "inconclusive"
     assert renamed_reason(cert) == ("decomposition identity failed at x",
                                     "decomposition identity failed at zx")
@@ -244,7 +247,8 @@ def test_rename_reaches_the_polynomial_in_an_evidence_detail():
     G = two_k4_sharing_vertex()
     ring = G.edge_ring()
     I = Ideal(ring, [parse_poly(ring, "e1^2*e6 - e2*e5*e3"), parse_poly(ring, "e4")])
-    cert = inconclusive(ring.names, "no search", unmixedness=unmixedness_evidence(I, G))
+    cert = GvdCertificate(inconclusive("no search", unmixedness=unmixedness_evidence(I, G)),
+                          ring.names)
     name_map = {n: "z" + n[1:] for n in ring.names}
     details = [c.to_json_dict()["unmixedness"]["detail"]
                for c in (cert, cert.rename(name_map))]
