@@ -26,10 +26,10 @@ both at every node of their corpus.  The theorem also makes every node
 Cohen-Macaulay, but no certificate rests on it: each node's unmixedness
 evidence is computed as the search computes it, and the tests check that
 it is conclusive at every node of their corpus.  Replay recomputes the
-evidence and checks each identity literally.  Like ``gvd.is_gvd``, the
-recursion keeps a memo of certified nodes, keyed by position and
-structure (see ``_certify_node``): across a census the classes share
-most of their subproblems.
+evidence and checks each identity literally.  The recursion reads and
+fills ``gvd._MEMO``, the one memo of certified nodes, under keys of its
+own, by position and structure (see ``_certify_node``): across a census
+the classes share most of their subproblems.
 """
 
 from __future__ import annotations
@@ -231,10 +231,6 @@ def _contained_variables(I: Ideal) -> list:
                                             if g.is_variable())]
 
 
-# The memo of every ``certify_bipartite_gvd`` call given no budget.
-_MEMO: dict = {}
-
-
 def certify_bipartite_gvd(G: Graph, budget: Optional[Budget] = None) -> GvdCertificate:
     """Certify decomposability of the toric ideal of a bipartite graph.
 
@@ -244,16 +240,15 @@ def certify_bipartite_gvd(G: Graph, budget: Optional[Budget] = None) -> GvdCerti
     extension edge.  The structure only chooses the variable; each node
     decomposes the ideal it was handed (see the module docstring), and any
     failure is reported as inconclusive, never papered over.  As with
-    ``gvd.is_gvd``, a call with no budget shares the memo ``_MEMO`` with
-    every other such call, and a budgeted one keeps a memo of its own.
-    The root holds the toric ideal generated by its reduced basis, read
-    off the universal basis with no S-pair (``graphs.reduced_toric_ideal``).
+    ``gvd.is_gvd``, every call, with a budget or without, shares the memo
+    ``gvd._MEMO`` (see ``gvd.certify_node``).  The root holds the toric
+    ideal generated by its reduced basis, read off the universal basis
+    with no S-pair (``graphs.reduced_toric_ideal``).
     """
     if not G.is_bipartite():
         raise ValueError("graph is not bipartite")
-    memo = _MEMO if budget is None else {}
     I = reduced_toric_ideal(G)
-    return GvdCertificate(_certify_node(G, EMPTY_POM, I, budget or Budget(None), memo),
+    return GvdCertificate(_certify_node(G, EMPTY_POM, I, budget or Budget(None)),
                           I.ring.names)
 
 
@@ -268,7 +263,7 @@ def _structure_key(G: Graph, pom: PathOrderedMatching, index: dict) -> tuple:
 
 
 def _certify_node(G: Graph, pom: PathOrderedMatching, I: Ideal,
-                  budget: Budget, memo: dict) -> GvdNode:
+                  budget: Budget) -> GvdNode:
     """I's node, which holds its variables by ring position, as every
     node does.  Leaves are certified at once; a leaf matching edge is
     dropped; else the node decomposes at a leaf edge or at a contained
@@ -276,7 +271,7 @@ def _certify_node(G: Graph, pom: PathOrderedMatching, I: Ideal,
     without that edge) or at the edge extending the matching, whose C
     branch carries the extended matching.  Like every certifier's node, it
     enters through ``gvd.certify_node``, so any other node is the one
-    ``memo`` holds for its key, if any, returned as it is, and no
+    ``gvd._MEMO`` holds for its key, if any, returned as it is, and no
     inconclusive node is stored.  The key is I's ring arity, its reduced
     basis by position (``gvd._node_key`` with no context) and
     ``_structure_key``.
@@ -315,19 +310,18 @@ def _certify_node(G: Graph, pom: PathOrderedMatching, I: Ideal,
     the same nodes, and the step builds the same node from them.
     """
     return certify_node(
-        I, budget, lambda: _certify_structure(G, pom, I, budget, memo), memo,
-        lambda: _node_key(I, None) + (_structure_key(G, pom, I.ring.index),))
+        I, budget, lambda: _node_key(I, None) + (_structure_key(G, pom, I.ring.index),),
+        lambda: _certify_structure(G, pom, I, budget))
 
 
 def _certify_structure(G: Graph, pom: PathOrderedMatching, I: Ideal,
-                       budget: Budget, memo: dict) -> GvdNode:
+                       budget: Budget) -> GvdNode:
     """``_certify_node`` past its base case and memo."""
     leaf = _leaf_edge(G)
     if leaf is not None and leaf in pom.edges:
         # Dropping a leaf matching edge changes neither the ideal nor the
         # ring, only the structure.
-        return _certify_node(G.delete_edges([leaf]), pom.without_end(leaf), I,
-                             budget, memo)
+        return _certify_node(G.delete_edges([leaf]), pom.without_end(leaf), I, budget)
 
     c_pom = None
     if leaf is not None:
@@ -353,5 +347,5 @@ def _certify_structure(G: Graph, pom: PathOrderedMatching, I: Ideal,
 
     return certify_step(
         I, y, G.delete_edges(pom.edges),
-        lambda C: _certify_node(c_graph, c_pom, C, budget, memo),
-        lambda N: _certify_node(n_graph, pom, N, budget, memo))
+        lambda C: _certify_node(c_graph, c_pom, C, budget),
+        lambda N: _certify_node(n_graph, pom, N, budget))

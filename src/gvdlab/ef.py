@@ -43,7 +43,7 @@ from typing import Optional
 from .algebra import initial_term, lex_order, mono_is_squarefree
 from .graphs import Graph, reduced_toric_ideal, universal_groebner_basis
 from .groebner import Ideal, minimal_monomial_generators
-from .gvd import GvdCertificate, GvdNode, certify_node, certify_step
+from .gvd import GvdCertificate, GvdNode, _node_key, certify_node, certify_step
 from .util import Budget
 
 __all__ = ["squarefree_lex_initial", "quadratic_pipeline"]
@@ -79,14 +79,18 @@ def quadratic_pipeline(G: Graph, budget: Optional[Budget] = None) -> GvdCertific
 
 def _quadratic_node(G: Graph, E: tuple, F: tuple, I: Ideal,
                     budget: Budget) -> GvdNode:
-    # Every split (E, F) has one parent in the tree, so no memo is kept.
-    # Each step contracts y away, so once every edge is placed the ideal
+    # The node is shared through ``gvd._MEMO`` under the ``_node_key`` of I
+    # and its context, then "ef", within one graph's tree and across graphs
+    # (``gvd.certify_node`` proves equal keys give the same node).  Each
+    # step contracts y away, so once every edge is placed the ideal
     # involves no variable and is a base case.
+    context = G.delete_edges(E + F)
+
     def step() -> GvdNode:
         y = G.edge_labels[len(E) + len(F)]
         return certify_step(
-            I, y, G.delete_edges(E + F),
+            I, y, context,
             lambda C: _quadratic_node(G, E + (y,), F, C, budget),
             lambda N: _quadratic_node(G, E, F + (y,), N, budget))
 
-    return certify_node(I, budget, step)
+    return certify_node(I, budget, lambda: _node_key(I, context) + ("ef",), step)

@@ -637,8 +637,12 @@ def _disjoint_factors(I: Ideal) -> Optional[tuple]:
                         for gs, ring in zip(gens, rings))
 
 
-# The memo of every ``is_gvd`` call given no budget: the graphs of a
-# census share the subproblems of one shape.
+# The memo of certified nodes, shared by every call of the three
+# certifiers, with or without a budget: the graphs of a census share the
+# subproblems of one shape.  Each certifier keys its nodes its own way, and
+# keys of different certifiers never compare equal: the search's have three
+# entries, and the bipartite certifier's and the E/F walk's have four,
+# ending in a tuple and in "ef" (see ``certify_node``).
 _MEMO: dict = {}
 _MEMO_SIZE = 4096
 
@@ -651,13 +655,12 @@ def is_gvd(I: Ideal, context: Optional[Graph] = None,
     unmixedness evidence (pass the graph when I is a toric ideal of it);
     every edge of it must be a variable of I's ring, or ``ValueError`` is
     raised.  ``budget`` bounds wall-clock time, with exhaustion reported
-    as an inconclusive verdict.  A call with no budget shares the memo
-    ``_MEMO`` of certified nodes with every other such call; a budgeted
-    one keeps a memo of its own, since a branch stuck when the budget ran
-    out can let a later variable win.  The memo keys a node by its reduced
-    basis by ring position and, unless that basis is one polynomial or all
-    monomials, its context's edge positions and kernel lattice
-    (``_node_key``).
+    as an inconclusive verdict.  Every call, with a budget or without,
+    reads and fills the memo ``_MEMO`` of certified nodes, since a stored
+    node is the one a call with no budget builds (see ``certify_node``).
+    The memo keys a node by its reduced basis by ring position and,
+    unless that basis is one polynomial or all monomials, its context's
+    edge positions and kernel lattice (``_node_key``).
 
     A node whose unmixedness is refuted, or which the evidence proves not
     radical, is a "not-gvd" leaf.  A decomposable ideal is radical: base
@@ -668,49 +671,76 @@ def is_gvd(I: Ideal, context: Optional[Graph] = None,
     """
     if not _in_ring(I, context):
         raise ValueError("the context has an edge outside the ring of I")
-    memo = _MEMO if budget is None else {}
-    return GvdCertificate(_certify(I, context, budget or Budget(None), memo),
+    return GvdCertificate(_certify(I, context, budget or Budget(None)),
                           I.ring.names)
 
 
-def certify_node(I: Ideal, budget: Budget, certify, memo: Optional[dict] = None,
-                 key=None) -> GvdNode:
+def certify_node(I: Ideal, budget: Budget, key, certify) -> GvdNode:
     """The entry of every certifier's node, which returns I's node:
     "budget exhausted" once ``budget`` is spent, else the base case if I is
-    one, else ``certify()``.  Given a ``memo``, the node it stores under
-    ``key()``, built only past the base case, is returned as it is (a node
-    holds its variables by ring position, so it serves I's ring), and a
-    fresh node is stored unless it is inconclusive (a node may be
-    inconclusive for want of budget), with the oldest entry dropped past
-    ``_MEMO_SIZE``."""
+    one, else the node ``_MEMO`` stores under ``key()``, returned as it is
+    (a node holds its variables by ring position, so it serves I's ring),
+    else ``certify()``.  A fresh node is stored unless it is inconclusive,
+    with the oldest entry dropped past ``_MEMO_SIZE``.
+
+    Why a budgeted call may read and fill the memo.  A stored node was
+    built with every budget poll reading "not spent", so it is the node a
+    call with no budget builds.  Let a poll read "spent" during the build
+    of a node; then the node is inconclusive, by induction on the depth of
+    the calls between the poll and the node:
+
+    - this entry polls before its base case and its memo, so a spent poll
+      here returns "budget exhausted";
+    - a search node (``_search``) breaks with a stuck branch at a spent
+      poll of its variable loop.  A child that returns inconclusive is a
+      stuck branch, and the loop ends or polls again, which reads "spent",
+      since polls stay spent once spent; either way the node is
+      inconclusive;
+    - at a disjoint union, the next factor's entry polls and returns
+      inconclusive, and a union with an inconclusive factor and no
+      refuted one is inconclusive;
+    - ``certify_step`` needs both branches "gvd", and a bipartite node
+      whose leaf matching edge is dropped returns its child's node.
+
+    No inconclusive node is stored, so the memo never holds a node built
+    after a spent poll, and a memo hit answers a budgeted call as it
+    answers one with no budget.
+
+    Why the E/F walk's key (``_node_key`` of I and its context, then
+    "ef") gives the same node.  The walk's y is always the first variable
+    of I's ring: the root's ring lists the edges in label order, and each
+    step contracts away the next edge, position 0.  Its context, G without
+    the edges placed so far, is G restricted to I's ring, as a search
+    child's is.  So ``certify_step`` reads I through its reduced bases, y
+    by position, and the context by edge positions and kernel lattice, and
+    the argument of ``_context_key`` gives equal nodes for equal keys: the
+    steps read equal data, and hand their branches equal keys, so by
+    induction on the ring's arity the children are equal nodes too.
+    """
     if budget.exceeded():
         return inconclusive("budget exhausted")
     base = base_node(I)
     if base is not None:
         return base
-    if memo is None:
-        return certify()
     k = key()
-    hit = memo.get(k)
+    hit = _MEMO.get(k)
     if hit is not None:
         return hit
     node = certify()
     if node.verdict != "inconclusive":
-        if len(memo) >= _MEMO_SIZE:
-            del memo[next(iter(memo))]
-        memo[k] = node
+        if len(_MEMO) >= _MEMO_SIZE:
+            del _MEMO[next(iter(_MEMO))]
+        _MEMO[k] = node
     return node
 
 
-def _certify(I: Ideal, context, budget: Budget, memo: dict) -> GvdNode:
+def _certify(I: Ideal, context, budget: Budget) -> GvdNode:
     """The search's node entry, keyed by ``_node_key``."""
-    return certify_node(I, budget,
-                        lambda: _search(I, I.groebner(), context, budget, memo),
-                        memo, lambda: _node_key(I, context))
+    return certify_node(I, budget, lambda: _node_key(I, context),
+                        lambda: _search(I, I.groebner(), context, budget))
 
 
-def _search(I: Ideal, rgb: tuple, context, budget: Budget,
-            memo: dict) -> GvdNode:
+def _search(I: Ideal, rgb: tuple, context, budget: Budget) -> GvdNode:
     # When the generators split into groups with disjoint variable supports,
     # the ideal is the sum of the groups over a tensor product of subrings
     # and is decomposable exactly when every summand is (and then unmixedness
@@ -722,7 +752,7 @@ def _search(I: Ideal, rgb: tuple, context, budget: Budget,
         kids = []
         for part, factor in zip(parts, factors):
             kid = _certify(factor, _restrict_context(context, factor.ring.names),
-                           budget, memo)
+                           budget)
             if kid.verdict == "not-gvd":
                 side = "child_n" if kids else "child_c"
                 return GvdNode(
@@ -762,10 +792,10 @@ def _search(I: Ideal, rgb: tuple, context, budget: Budget,
             failures.append((i, "identity", None))
             continue
         child_ctx = _restrict_context(context, split.c_branch.ring.names)
-        node_c = node = _certify(split.c_branch, child_ctx, budget, memo)
+        node_c = node = _certify(split.c_branch, child_ctx, budget)
         kind = "absent" if absent else "C"
         if node_c.verdict == "gvd" and not absent:
-            kind, node = "N", _certify(split.n_branch, child_ctx, budget, memo)
+            kind, node = "N", _certify(split.n_branch, child_ctx, budget)
         if node.verdict == "gvd":
             return _decomposition(i, ev, split, node_c, node)
         if node.verdict == "not-gvd":
@@ -791,7 +821,7 @@ def _search(I: Ideal, rgb: tuple, context, budget: Budget,
 
 # The nodes every replay has verified, with their results, keyed by
 # ``_node_key`` and the node; the oldest entry is dropped past
-# ``_MEMO_SIZE``.  Separate from ``_MEMO``: replay never reads the search's.
+# ``_MEMO_SIZE``.  Separate from ``_MEMO``: replay never reads the certifiers'.
 _VERIFIED: dict = {}
 
 
@@ -876,6 +906,13 @@ def _replay(I: Ideal, node: GvdNode, context: Optional[Graph],
             and replay_certificate(I, GvdCertificate(node, I.ring.names), context))
 
 
+def _is_position(i, arity: int) -> bool:
+    """Whether ``i`` is a position of a ring of this arity.  Positions are
+    ints: a float or a bool equal to one would pass a range test, and index
+    the ring's names only by accident or not at all."""
+    return type(i) is int and 0 <= i < arity
+
+
 def _replay_node(I: Ideal, node: GvdNode, context: Optional[Graph]) -> bool:
     names = I.ring.names
     if node.verdict not in ("gvd", "not-gvd"):
@@ -902,9 +939,10 @@ def _replay_node(I: Ideal, node: GvdNode, context: Optional[Graph]) -> bool:
     if node.kind in ("zero", "unit", "variables"):
         base = base_node(I)
         return (base is not None and base.kind == node.kind
-                and set(base.variables) == set(node.variables))
+                and set(base.variables) == set(node.variables)
+                and all(type(i) is int for i in node.variables))
     if (node.kind != "decomposition" or ev is None or not ev.conclusive_unmixed
-            or node.y not in range(len(names))):
+            or not _is_position(node.y, len(names))):
         return False
     split = cn_split(I, node.y)
     # The flag holds as the split reads it once both children replay as
@@ -926,7 +964,8 @@ def _replay_factors(I: Ideal, node: GvdNode, context: Optional[Graph]) -> bool:
     union stores the one refuted factor's child, which replays as
     "not-gvd"."""
     split = _disjoint_factors(I)
-    if split is None or split[0] != node.factors:
+    if (split is None or split[0] != node.factors
+            or not all(type(i) is int for part in node.factors for i in part)):
         return False
     kids = [(factor, kid) for factor, kid in zip(split[1], (node.child_c, node.child_n))
             if kid is not None or node.verdict == "gvd"]
@@ -980,13 +1019,15 @@ def _replay_refutation(I: Ideal, node: GvdNode, context: Optional[Graph],
         return False
     if len(failures) == 1 and failures[0][1] == "absent":
         i, _, child = failures[0]
-        if i not in range(len(names)):
+        if not _is_position(i, len(names)):
             return False
         split = cn_split(I, i)
         return split.C is split.N and _replay(
             split.n_branch, child, _restrict_context(context, split.n_branch.ring.names),
             "not-gvd")
-    if len(failures) != len(names) or {f[0] for f in failures} != set(range(len(names))):
+    if (len(failures) != len(names)
+            or not all(_is_position(f[0], len(names)) for f in failures)
+            or {f[0] for f in failures} != set(range(len(names)))):
         return False
     for i, kind, child in failures:
         split = cn_split(I, i)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from operator import neg, sub
 from pathlib import Path
 
-from gvdlab import bipartite, gvd
+from gvdlab import gvd
 from gvdlab.algebra import (
     Order, Packing, Poly, Ring, initial_term, lex_order, mono_divides,
     mono_is_squarefree, mono_support, parse_poly, storage_order,
@@ -30,14 +30,21 @@ from gvdlab.util import Budget
 
 
 def empty_shared_memo(monkeypatch):
-    """Give ``is_gvd`` and ``certify_bipartite_gvd`` empty shared memos,
-    and ``replay_certificate`` an empty table of verified nodes, until
+    """Give the certifiers an empty memo of certified nodes, and
+    ``replay_certificate`` an empty table of verified nodes, until
     ``monkeypatch`` is undone, so that a test sees all the work of its
     certifiers and of replay, and leaves no node behind for the tests
     after it."""
     monkeypatch.setattr(gvd, "_MEMO", {})
-    monkeypatch.setattr(bipartite, "_MEMO", {})
     monkeypatch.setattr(gvd, "_VERIFIED", {})
+
+
+class StoresNothing(dict):
+    """A memo that stores nothing, so that no node is served from it and a
+    certifier visits every node below its root."""
+
+    def __setitem__(self, key, node):
+        pass
 
 
 class PolledBudget(Budget):

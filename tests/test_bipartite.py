@@ -23,7 +23,7 @@ from gvdlab.components import UnmixednessEvidence
 from gvdlab.util import Budget
 
 from fixtures import (
-    empty_shared_memo, is_square_free_groebner_basis, k2d_with_path,
+    StoresNothing, empty_shared_memo, is_square_free_groebner_basis, k2d_with_path,
 )
 from graph_corpus import connected_graphs, to_graph
 
@@ -213,16 +213,17 @@ def test_cited_unmixedness_does_not_replay():
 def recorded_nodes(monkeypatch) -> list:
     """(graph, matching, ideal) of every node the certifier visits over the
     bipartite 7-edge corpus, K_{3,3} and the Ferrers graph of (3, 2, 1), all
-    of which it certifies.  Each node is given an empty memo, so that none
-    is served from one and every node below it is visited."""
+    of which it certifies.  The memo stores nothing, so that no node is
+    served from it and every node below it is visited."""
     seen = []
     real = bipartite._certify_node
 
-    def record(H, pom, I, budget, memo):
+    def record(H, pom, I, budget):
         seen.append((H, pom, I))
-        return real(H, pom, I, budget, {})
+        return real(H, pom, I, budget)
 
     monkeypatch.setattr(bipartite, "_certify_node", record)
+    monkeypatch.setattr(gvd, "_MEMO", StoresNothing())
     graphs = [to_graph(n, edges) for n, edges in connected_graphs(7)]
     graphs = [G for G in graphs if G.is_bipartite()]
     assert len(graphs) == 68
@@ -263,18 +264,18 @@ def test_inconclusive_evidence_leaves_the_node_inconclusive(monkeypatch):
     monkeypatch.setattr(gvd, "unmixedness_evidence",
                         lambda I, context=None: UnmixednessEvidence("inconclusive", "forced"))
     ring = C6.edge_ring()
-    cert = GvdCertificate(bipartite._certify_node(C6, EMPTY_POM, toric_ideal(C6), Budget(None),
-                                                  bipartite._MEMO), ring.names)
+    cert = GvdCertificate(bipartite._certify_node(C6, EMPTY_POM, toric_ideal(C6), Budget(None)),
+                          ring.names)
     assert cert.verdict == "inconclusive"
     assert "did not certify" in cert.reason
     # A node whose branches are base cases keeps its step.
     other = Ideal(ring, [ring.monomial({"e1": 1, "e3": 1})])
-    cert = GvdCertificate(bipartite._certify_node(C6, EMPTY_POM, other, Budget(None),
-                                                  bipartite._MEMO), ring.names)
+    cert = GvdCertificate(bipartite._certify_node(C6, EMPTY_POM, other, Budget(None)),
+                          ring.names)
     assert cert.verdict == "inconclusive" and cert.y == "e1"
     assert cert.unmixedness.status == "inconclusive"
     assert "unmixedness evidence is inconclusive" in cert.reason
-    assert bipartite._MEMO == {}
+    assert gvd._MEMO == {}
 
 
 def test_the_root_needs_no_buchberger_run_on_the_universal_basis(monkeypatch):

@@ -20,8 +20,8 @@ from gvdlab.gvd import GvdCertificate, base_node, is_gvd, replay_certificate
 from gvdlab.util import Budget
 
 from fixtures import (
-    census9_graphs, natural_generators, seeded_rng, two_k4_sharing_vertex,
-    two_triangles_bridged,
+    StoresNothing, census9_graphs, empty_shared_memo, natural_generators,
+    seeded_rng, two_k4_sharing_vertex, two_triangles_bridged,
 )
 from graph_corpus import connected_graphs, to_graph
 
@@ -42,19 +42,20 @@ def framework_ideal(G, E: tuple, F: tuple, ring) -> Ideal:
 
 def walk(G) -> tuple:
     """The pipeline's certificate of G, and the (E, F, ideal) of every node
-    its walk visits, in the order visited."""
+    its walk visits, in the order visited.  The memo stores nothing, so
+    that no node is served from it and the walk visits every node."""
     seen = []
-    real = ef._quadratic_node
+    real, memo = ef._quadratic_node, gvd._MEMO
 
     def record(G, E, F, I, budget):
         seen.append((E, F, I))
         return real(G, E, F, I, budget)
 
-    ef._quadratic_node = record
+    ef._quadratic_node, gvd._MEMO = record, StoresNothing()
     try:
         cert = quadratic_pipeline(G)
     finally:
-        ef._quadratic_node = real
+        ef._quadratic_node, gvd._MEMO = real, memo
     return cert, seen
 
 
@@ -325,7 +326,9 @@ def test_every_quadratic_node_is_variables_plus_a_toric_ideal():
 def test_quadratic_inconclusive_evidence_leaves_the_node_inconclusive(monkeypatch):
     # No theorem stands in for computed evidence: with evidence that decides
     # nothing, the toric ideal of K4 does not certify, and a node whose
-    # branches are base cases keeps its step.
+    # branches are base cases keeps its step.  The memo starts empty, or
+    # its "gvd" node for K4 would answer.
+    empty_shared_memo(monkeypatch)
     monkeypatch.setattr(gvd, "unmixedness_evidence",
                         lambda I, context=None: UnmixednessEvidence("inconclusive", "forced"))
     cert = quadratic_pipeline(K4)

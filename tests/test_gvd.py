@@ -253,11 +253,12 @@ def test_gvd_refutes_bridged_triangles():
         assert "square-free" in reasons[e]
 
 
-def test_an_inconclusive_search_node_keeps_no_failures():
+def test_an_inconclusive_search_node_keeps_no_failures(monkeypatch):
     # The budget lasts until the C branch at e1 is refuted, and the loop
     # stops at e2.  Replay rejects every inconclusive node and the memo
     # stores none, so the root keeps neither that failure nor its refuted
-    # branch.
+    # branch.  The memo starts empty, or its refutation would answer.
+    empty_shared_memo(monkeypatch)
     G = two_triangles_bridged()
     cert = is_gvd(toric_ideal(G), context=G, budget=PolledBudget(16))
     assert cert.verdict == "inconclusive"
@@ -380,23 +381,65 @@ def test_gvd_budget_exhaustion_is_inconclusive():
     assert "budget" in cert.reason
 
 
-def test_budgeted_calls_keep_out_of_the_shared_memo(monkeypatch):
-    # Under a finite budget a stuck branch can let a later variable win, so
-    # a budgeted call neither fills the shared memo nor reads it.
+def stored_json(memo: dict) -> dict:
+    """The JSON of each node of ``memo``, read in a ring of its arity (the
+    first entry of every key), by key."""
+    return {k: GvdCertificate(node, tuple("v%d" % i for i in range(k[0]))).to_json_dict()
+            for k, node in memo.items()}
+
+
+def test_budgeted_calls_share_the_memo(monkeypatch):
+    # A spent poll leaves every node above it inconclusive, and no
+    # inconclusive node is stored, so every stored node is the one a call
+    # with no budget stores under its key, and every call shares one memo.
+    runs = {
+        "search": lambda G, budget: is_gvd(toric_ideal(G), context=G, budget=budget),
+        "bipartite": certify_bipartite_gvd,
+        "ef": quadratic_pipeline,
+    }
+    K4, K23 = complete_graph(4), complete_bipartite(2, 3)
+    sweeps = [("search", G) for G in (two_triangles_bridged(), K4, K23)]
+    sweeps += [("bipartite", K23), ("ef", K4), ("ef", K23)]
+    stored = 0
+    for name, G in sweeps:
+        empty_shared_memo(monkeypatch)
+        fresh = runs[name](G, None)
+        expected = stored_json(gvd._MEMO)
+        # Each budget from an empty memo, then each over the memo the
+        # smaller budgets left.
+        for warm in (False, True):
+            empty_shared_memo(monkeypatch)
+            polls = 0
+            while True:
+                if not warm:
+                    empty_shared_memo(monkeypatch)
+                before = set(gvd._MEMO)
+                budget = PolledBudget(polls)
+                cert = runs[name](G, budget)
+                for k, node in stored_json(gvd._MEMO).items():
+                    if k not in before:
+                        assert node == expected[k], (name, G.edges, polls)
+                        stored += 1
+                if budget.polls >= 0:
+                    break
+                assert cert.verdict == "inconclusive", (name, G.edges, polls)
+                polls += 1
+            assert cert.to_json_dict() == fresh.to_json_dict()
+    assert stored > 500
+    # A warm memo answers a budgeted call with no search.
+    C6 = cycle_graph(6)
     empty_shared_memo(monkeypatch)
-    C6, K23 = cycle_graph(6), complete_bipartite(2, 3)
     fresh = is_gvd(toric_ideal(C6), context=C6)
-    stored = dict(gvd._MEMO)
-    assert stored
-    for budget in (Budget(0.0), Budget(60)):
-        assert is_gvd(toric_ideal(K23), context=K23, budget=budget).verdict in (
-            "inconclusive", "gvd")
-        assert gvd._MEMO == stored  # nodes compare by identity
-    leaf = GvdNode("not-gvd", "not-gvd", reason="forged")
-    gvd._MEMO.update((key, leaf) for key in stored)
-    assert is_gvd(toric_ideal(C6), context=C6).verdict == "not-gvd"
+    searches, search = [], gvd._search
+    monkeypatch.setattr(gvd, "_search", lambda *args: searches.append(args) or search(*args))
     budgeted = is_gvd(toric_ideal(C6), context=C6, budget=Budget(60))
+    assert searches == []
     assert budgeted.to_json_dict() == fresh.to_json_dict()
+    # So a forged shared node answers budgeted and unbudgeted calls alike.
+    leaf = GvdNode("not-gvd", "not-gvd", reason="forged")
+    gvd._MEMO.update((key, leaf) for key in list(gvd._MEMO))
+    for budget in (None, Budget(60)):
+        assert is_gvd(toric_ideal(C6), context=C6, budget=budget).node is leaf
 
 
 def test_one_pass_searches_each_node_once(monkeypatch):
@@ -1321,6 +1364,35 @@ def test_replay_rejects_tampered_refutations():
     starved = is_gvd(J, context=G, budget=Budget(0.0))
     assert starved.verdict == "inconclusive"
     assert replay_certificate(J, starved, context=G) is False
+
+
+def test_replay_reads_positions_only_as_ints():
+    # A float or a bool equal to a position passes a range test; replay
+    # returns False on a failure, a step, a base case or a union that holds
+    # one, without raising.
+    G = two_triangles_bridged()
+    J = toric_ideal(G)
+    cert = is_gvd(J, context=G)
+    failures = cert.node.failures
+    at = [f[0] for f in failures].index(1)
+    for fake in (1.0, True):
+        new = failures[:at] + ((fake,) + failures[at][1:],) + failures[at + 1:]
+        assert replay_certificate(J, forged(cert, failures=new), context=G) is False
+    C4 = cycle_graph(4)
+    root = is_gvd(toric_ideal(C4), context=C4)
+    assert root.node.y == 0
+    for fake in (0.0, False, 1.0, True):
+        assert replay_certificate(toric_ideal(C4), forged(root, y=fake), context=C4) is False
+    K = I("x", "y*z - w^2")
+    union = is_gvd(K)
+    assert union.kind == "disjoint-union" and union.node.factors == ((0,), (1, 2, 3))
+    assert replay_certificate(K, union)
+    variables = GvdCertificate(union.node.child_c, ("x",))
+    assert variables.kind == "variables" and variables.node.variables == (0,)
+    for fake in (0.0, False):
+        assert replay_certificate(I("x", ring=Ring(["x"])),
+                                  forged(variables, variables=(fake,))) is False
+        assert replay_certificate(K, forged(union, factors=((fake,), (1, 2, 3)))) is False
 
 
 def test_replay_never_searches(monkeypatch):

@@ -13,10 +13,11 @@ import random
 
 import pytest
 
-from gvdlab import bipartite, gvd
+from gvdlab import bipartite, ef, gvd
 from gvdlab.algebra import Ring, parse_poly
 from gvdlab.bipartite import certify_bipartite_gvd
 from gvdlab.components import unmixedness_evidence
+from gvdlab.ef import quadratic_pipeline, squarefree_lex_initial
 from gvdlab.glicci import squarefree_lex_order
 from gvdlab.graphs import (
     Graph, complete_bipartite, complete_graph, cycle_graph, ferrers_graph,
@@ -26,7 +27,6 @@ from gvdlab.groebner import Ideal
 from gvdlab.gvd import (
     GvdCertificate, certify_step, inconclusive, is_gvd, replay_certificate,
 )
-from gvdlab.util import Budget
 
 from fixtures import (
     PolledBudget, empty_shared_memo, two_k4_sharing_vertex, two_triangles_bridged,
@@ -142,10 +142,10 @@ def test_memo_hit_from_a_ring_sorted_otherwise_is_a_fresh_search(monkeypatch):
 
 
 def test_bipartite_memo_hits_across_relabellings_are_fresh_certificates(monkeypatch):
-    # The bipartite memo keys a node by position and structure, never by
+    # The bipartite certifier keys a node by position and structure, never by
     # name.  Warmed at one relabelling, it serves a second one entirely, and
-    # each certificate has the JSON of one built with an empty memo (a
-    # budgeted call keeps its own) and replays.  The last two graphs, of the
+    # each certificate has the JSON of one built from an empty memo and
+    # replays.  The last two graphs, of the
     # 9-edge census, meet nodes with equal reduced bases and other
     # structures, so a key without the structure would change the second's
     # certificate.
@@ -167,7 +167,37 @@ def test_bipartite_memo_hits_across_relabellings_are_fresh_certificates(monkeypa
             for H in (relabeled(G, 2, shuffled_rename)[0] for G in graphs)]
     assert steps == []
     for H, cert in warm:
-        fresh = certify_bipartite_gvd(H, Budget(None))
+        empty_shared_memo(monkeypatch)
+        fresh = certify_bipartite_gvd(H)
+        assert (json.dumps(cert.to_json_dict(), sort_keys=True)
+                == json.dumps(fresh.to_json_dict(), sort_keys=True))
+        assert replay_certificate(toric_ideal(H), cert, context=H)
+    assert steps
+
+
+def test_ef_memo_hits_across_relabellings_are_fresh_certificates(monkeypatch):
+    # The E/F walk keys a node by position and context, never by name.
+    # Warmed at one relabelling of the 7-edge corpus, the memo serves a
+    # second one entirely, and each certificate has the JSON of one built
+    # from an empty memo and replays.  The corpus is the 130 graphs with a
+    # square-free label-order initial ideal, which all certify: the memo
+    # stores no inconclusive node, so the one other graph's walk is run
+    # again.
+    graphs = [to_graph(n, edges) for n, edges in connected_graphs(7)]
+    graphs = [G for G in graphs if squarefree_lex_initial(G)]
+    assert len(graphs) == 130
+    empty_shared_memo(monkeypatch)
+    for G in graphs:
+        quadratic_pipeline(relabeled(G, 1, shuffled_rename)[0])
+    steps, real = [], ef.certify_step
+    monkeypatch.setattr(ef, "certify_step",
+                        lambda *args: steps.append(args) or real(*args))
+    warm = [(H, quadratic_pipeline(H))
+            for H in (relabeled(G, 2, shuffled_rename)[0] for G in graphs)]
+    assert steps == []
+    for H, cert in warm:
+        empty_shared_memo(monkeypatch)
+        fresh = quadratic_pipeline(H)
         assert (json.dumps(cert.to_json_dict(), sort_keys=True)
                 == json.dumps(fresh.to_json_dict(), sort_keys=True))
         assert replay_certificate(toric_ideal(H), cert, context=H)
@@ -183,15 +213,15 @@ def test_every_memo_hit_is_what_a_fresh_search_builds(monkeypatch):
     hits = []
     stored_from = {}  # the ring names of the call that stored each key
 
-    def checked(I, budget, certify, memo, key):
+    def checked(I, budget, key, certify):
         k = key()
-        hit = memo.get(k)
-        got = real(I, budget, certify, memo, key)
+        hit = gvd._MEMO.get(k)
+        got = real(I, budget, key, certify)
         if hit is not None:
             json_of = lambda node: GvdCertificate(node, I.ring.names).to_json_dict()
             hits.append((stored_from[k] != I.ring.names,
                          json_of(got) == json_of(certify())))
-        elif k in memo:
+        elif k in gvd._MEMO:
             stored_from[k] = I.ring.names
         return got
 
@@ -231,9 +261,11 @@ def test_rename_reaches_the_reason_of_a_failed_structural_step():
                                     "decomposition identity failed at zx")
 
 
-def test_rename_reaches_the_reason_of_a_starved_search():
+def test_rename_reaches_the_reason_of_a_starved_search(monkeypatch):
     # The budget lasts for the root and its step at e1, so the C branch at
-    # e1 gives up and the loop stops at e2.
+    # e1 gives up and the loop stops at e2.  The memo starts empty, or a
+    # node it holds would answer before the budget runs out.
+    empty_shared_memo(monkeypatch)
     G = complete_graph(4)
     cert = is_gvd(toric_ideal(G), context=G, budget=PolledBudget(2))
     assert cert.verdict == "inconclusive"
