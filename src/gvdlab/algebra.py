@@ -243,15 +243,7 @@ class Poly:
         return Poly(self.ring, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, ZERO) - c
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
-        return Poly(self.ring, out)
+        return self + -other
 
     def __neg__(self) -> "Poly":
         return Poly(self.ring, {m: -c for m, c in self.terms.items()})

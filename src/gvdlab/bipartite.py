@@ -28,8 +28,10 @@ evidence is computed as the search computes it, and the tests check that
 it is conclusive at every node of their corpus.  Replay recomputes the
 evidence and checks each identity literally.  The recursion reads and
 fills ``gvd._MEMO``, the one memo of certified nodes, under keys of its
-own, by position and structure (see ``_certify_node``): across a census
-the classes share most of their subproblems.
+own, by position and structure (see ``_certify_node``), and stores a node
+by the rule of ``gvd.certify_node``: when no poll of the call's budget has
+read "spent".  Across a census the classes share most of their
+subproblems.
 """
 
 from __future__ import annotations
@@ -241,7 +243,8 @@ def certify_bipartite_gvd(G: Graph, budget: Optional[Budget] = None) -> GvdCerti
     decomposes the ideal it was handed (see the module docstring), and any
     failure is reported as inconclusive, never papered over.  As with
     ``gvd.is_gvd``, every call, with a budget or without, shares the memo
-    ``gvd._MEMO`` (see ``gvd.certify_node``).  The root holds the toric
+    ``gvd._MEMO``, which stores a node only while no poll of ``budget``
+    has read "spent" (see ``gvd.certify_node``).  The root holds the toric
     ideal generated by its reduced basis, read off the universal basis
     with no S-pair (``graphs.reduced_toric_ideal``).
     """
@@ -271,8 +274,9 @@ def _certify_node(G: Graph, pom: PathOrderedMatching, I: Ideal,
     without that edge) or at the edge extending the matching, whose C
     branch carries the extended matching.  Like every certifier's node, it
     enters through ``gvd.certify_node``, so any other node is the one
-    ``gvd._MEMO`` holds for its key, if any, returned as it is, and no
-    inconclusive node is stored.  The key is I's ring arity, its reduced
+    ``gvd._MEMO`` holds for its key, if any, returned as it is, and a
+    fresh node is stored, whatever its verdict, unless a poll of
+    ``budget`` has read "spent".  The key is I's ring arity, its reduced
     basis by position (``gvd._node_key`` with no context) and
     ``_structure_key``.
 

@@ -657,31 +657,25 @@ def glue_even_cycle(G: Graph, edge: str, length: int):
     return H, F
 
 
+def _fresh_names(names, taken) -> dict:
+    """Map each name to itself, or, when that is in ``taken`` or already
+    given, to the first free ``name_k`` for k = 2, 3, ..."""
+    taken, out = set(taken), {}
+    for name in names:
+        new, k = name, 2
+        while new in taken:
+            new, k = "%s_%d" % (name, k), k + 1
+        taken.add(new)
+        out[name] = new
+    return out
+
+
 def disjoint_union(G: Graph, H: Graph) -> Graph:
     """Disjoint union; colliding vertex/edge names on the H side get suffixes."""
-    taken_v = set(G.vertices)
-    taken_e = set(G.edge_labels)
-    vmap = {}
-    for v in H.vertices:
-        new = v
-        k = 2
-        while new in taken_v:
-            new = "%s_%d" % (v, k)
-            k += 1
-        taken_v.add(new)
-        vmap[v] = new
-    emap = {}
-    for label in H.edge_labels:
-        new = label
-        k = 2
-        while new in taken_e:
-            new = "%s_%d" % (label, k)
-            k += 1
-        taken_e.add(new)
-        emap[label] = new
-    new_edges = [(emap[label], vmap[u], vmap[v]) for label, u, v in H.edges]
-    return Graph(G.vertices + tuple(vmap[v] for v in H.vertices),
-                 G.edges + tuple(new_edges))
+    vmap = _fresh_names(H.vertices, G.vertices)
+    emap = _fresh_names(H.edge_labels, G.edge_labels)
+    return G.with_edges((vmap[v] for v in H.vertices),
+                        ((emap[label], vmap[u], vmap[v]) for label, u, v in H.edges))
 
 
 def is_gap_free(G: Graph) -> bool:

@@ -639,10 +639,12 @@ def _disjoint_factors(I: Ideal) -> Optional[tuple]:
 
 # The memo of certified nodes, shared by every call of the three
 # certifiers, with or without a budget: the graphs of a census share the
-# subproblems of one shape.  Each certifier keys its nodes its own way, and
-# keys of different certifiers never compare equal: the search's have three
-# entries, and the bipartite certifier's and the E/F walk's have four,
-# ending in a tuple and in "ef" (see ``certify_node``).
+# subproblems of one shape.  A node is stored, whatever its verdict, when
+# no poll of its call's budget has read "spent" (see ``certify_node``).
+# Each certifier keys its nodes its own way, and keys of different
+# certifiers never compare equal: the search's have three entries, and the
+# bipartite certifier's and the E/F walk's have four, ending in a tuple and
+# in "ef" (see ``certify_node``).
 _MEMO: dict = {}
 _MEMO_SIZE = 4096
 
@@ -656,7 +658,8 @@ def is_gvd(I: Ideal, context: Optional[Graph] = None,
     every edge of it must be a variable of I's ring, or ``ValueError`` is
     raised.  ``budget`` bounds wall-clock time, with exhaustion reported
     as an inconclusive verdict.  Every call, with a budget or without,
-    reads and fills the memo ``_MEMO`` of certified nodes, since a stored
+    reads and fills the memo ``_MEMO`` of certified nodes.  A node is
+    stored only while no poll of ``budget`` has read "spent", so a stored
     node is the one a call with no budget builds (see ``certify_node``).
     The memo keys a node by its reduced basis by ring position and,
     unless that basis is one polynomial or all monomials, its context's
@@ -680,31 +683,15 @@ def certify_node(I: Ideal, budget: Budget, key, certify) -> GvdNode:
     "budget exhausted" once ``budget`` is spent, else the base case if I is
     one, else the node ``_MEMO`` stores under ``key()``, returned as it is
     (a node holds its variables by ring position, so it serves I's ring),
-    else ``certify()``.  A fresh node is stored unless it is inconclusive,
-    with the oldest entry dropped past ``_MEMO_SIZE``.
+    else ``certify()``.  A fresh node is stored unless a poll of ``budget``
+    has read "spent" (``Budget.spent``), with the oldest entry dropped past
+    ``_MEMO_SIZE``.
 
-    Why a budgeted call may read and fill the memo.  A stored node was
-    built with every budget poll reading "not spent", so it is the node a
-    call with no budget builds.  Let a poll read "spent" during the build
-    of a node; then the node is inconclusive, by induction on the depth of
-    the calls between the poll and the node:
-
-    - this entry polls before its base case and its memo, so a spent poll
-      here returns "budget exhausted";
-    - a search node (``_search``) breaks with a stuck branch at a spent
-      poll of its variable loop.  A child that returns inconclusive is a
-      stuck branch, and the loop ends or polls again, which reads "spent",
-      since polls stay spent once spent; either way the node is
-      inconclusive;
-    - at a disjoint union, the next factor's entry polls and returns
-      inconclusive, and a union with an inconclusive factor and no
-      refuted one is inconclusive;
-    - ``certify_step`` needs both branches "gvd", and a bipartite node
-      whose leaf matching edge is dropped returns its child's node.
-
-    No inconclusive node is stored, so the memo never holds a node built
-    after a spent poll, and a memo hit answers a budgeted call as it
-    answers one with no budget.
+    Why a budgeted call may read and fill the memo.  Polls stay spent once
+    spent, so a node stored under this rule was built with every poll
+    reading "not spent", from hits stored under the same rule: that is the
+    build of a call with no budget.  So a hit answers a budgeted call as it
+    would answer one with no budget.
 
     Why the E/F walk's key (``_node_key`` of I and its context, then
     "ef") gives the same node.  The walk's y is always the first variable
@@ -727,7 +714,7 @@ def certify_node(I: Ideal, budget: Budget, key, certify) -> GvdNode:
     if hit is not None:
         return hit
     node = certify()
-    if node.verdict != "inconclusive":
+    if not budget.spent:
         if len(_MEMO) >= _MEMO_SIZE:
             del _MEMO[next(iter(_MEMO))]
         _MEMO[k] = node
@@ -806,8 +793,8 @@ def _search(I: Ideal, rgb: tuple, context, budget: Budget) -> GvdNode:
             stuck.append("{%d}: a branch was inconclusive" % i)
 
     if stuck:
-        # Replay rejects every inconclusive node and the memo stores none,
-        # so the failures found so far are not kept.
+        # Replay rejects every inconclusive node, so the failures found so
+        # far are not kept.
         return inconclusive("; ".join(stuck), unmixedness=ev)
     # The failures rule out every variable (an "absent" one does so alone),
     # each conclusively and whatever the order, and the ideal is none of the

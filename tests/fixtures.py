@@ -48,7 +48,8 @@ class StoresNothing(dict):
 
 
 class PolledBudget(Budget):
-    """A budget that runs out after ``polls`` calls of ``exceeded``."""
+    """A budget that runs out after ``polls`` calls of ``exceeded``, and
+    records it in ``spent`` as ``Budget`` does."""
 
     def __init__(self, polls: int):
         super().__init__(None)
@@ -56,7 +57,8 @@ class PolledBudget(Budget):
 
     def exceeded(self) -> bool:
         self.polls -= 1
-        return self.polls < 0
+        self.spent = self.polls < 0
+        return self.spent
 
 
 def two_k4_sharing_vertex() -> Graph:

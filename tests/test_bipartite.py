@@ -258,24 +258,28 @@ def test_contained_variables_are_read_off_the_reduced_basis(monkeypatch):
 def test_inconclusive_evidence_leaves_the_node_inconclusive(monkeypatch):
     # No theorem stands in for computed evidence: with evidence that decides
     # nothing, the toric ideal of C6, its matching ideal, does not certify.
-    # The memo starts empty, or its "gvd" node for C6 would answer, and it
-    # stores no inconclusive node.
+    # The memo starts empty, or its "gvd" node for C6 would answer.  No
+    # budget was polled as spent, so it stores both inconclusive roots.
     empty_shared_memo(monkeypatch)
     monkeypatch.setattr(gvd, "unmixedness_evidence",
                         lambda I, context=None: UnmixednessEvidence("inconclusive", "forced"))
     ring = C6.edge_ring()
-    cert = GvdCertificate(bipartite._certify_node(C6, EMPTY_POM, toric_ideal(C6), Budget(None)),
+    toric = toric_ideal(C6)
+    cert = GvdCertificate(bipartite._certify_node(C6, EMPTY_POM, toric, Budget(None)),
                           ring.names)
     assert cert.verdict == "inconclusive"
     assert "did not certify" in cert.reason
     # A node whose branches are base cases keeps its step.
     other = Ideal(ring, [ring.monomial({"e1": 1, "e3": 1})])
-    cert = GvdCertificate(bipartite._certify_node(C6, EMPTY_POM, other, Budget(None)),
-                          ring.names)
-    assert cert.verdict == "inconclusive" and cert.y == "e1"
-    assert cert.unmixedness.status == "inconclusive"
-    assert "unmixedness evidence is inconclusive" in cert.reason
-    assert gvd._MEMO == {}
+    other_cert = GvdCertificate(bipartite._certify_node(C6, EMPTY_POM, other, Budget(None)),
+                                ring.names)
+    assert other_cert.verdict == "inconclusive" and other_cert.y == "e1"
+    assert other_cert.unmixedness.status == "inconclusive"
+    assert "unmixedness evidence is inconclusive" in other_cert.reason
+    key = lambda I: (gvd._node_key(I, None)
+                     + (bipartite._structure_key(C6, EMPTY_POM, ring.index),))
+    assert gvd._MEMO[key(toric)] == cert.node
+    assert gvd._MEMO[key(other)] == other_cert.node
 
 
 def test_the_root_needs_no_buchberger_run_on_the_universal_basis(monkeypatch):

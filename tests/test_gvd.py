@@ -255,9 +255,9 @@ def test_gvd_refutes_bridged_triangles():
 
 def test_an_inconclusive_search_node_keeps_no_failures(monkeypatch):
     # The budget lasts until the C branch at e1 is refuted, and the loop
-    # stops at e2.  Replay rejects every inconclusive node and the memo
-    # stores none, so the root keeps neither that failure nor its refuted
-    # branch.  The memo starts empty, or its refutation would answer.
+    # stops at e2.  Replay rejects every inconclusive node, so the root
+    # keeps neither that failure nor its refuted branch.  The memo starts
+    # empty, or its refutation would answer.
     empty_shared_memo(monkeypatch)
     G = two_triangles_bridged()
     cert = is_gvd(toric_ideal(G), context=G, budget=PolledBudget(16))
@@ -374,6 +374,37 @@ def test_zero_budget_is_spent_before_the_clock_ticks(monkeypatch):
     assert not Budget(None).exceeded()
 
 
+def test_a_budget_stays_spent_once_a_poll_reads_spent(monkeypatch):
+    # ``spent`` is False until a poll reads "spent", and then stays True,
+    # even if the clock were to go back; an unlimited budget is never spent.
+    clock = [1000.0]
+    monkeypatch.setattr(util.time, "monotonic", lambda: clock[0])
+    budget, unlimited = Budget(1.0), Budget(None)
+    assert not budget.exceeded() and not budget.spent
+    clock[0] = 1001.0
+    assert not budget.spent
+    assert budget.exceeded() and budget.spent
+    clock[0] = 1000.0
+    assert budget.exceeded() and budget.spent
+    for _ in range(3):
+        assert not unlimited.exceeded() and not unlimited.spent
+
+
+def test_an_inconclusive_node_is_stored(monkeypatch):
+    # With no context the evidence for K4's toric ideal decides nothing, so
+    # the search is inconclusive with no budget spent; the memo keeps the
+    # root, and a second call answers from it with no search.
+    empty_shared_memo(monkeypatch)
+    I = toric_ideal(complete_graph(4))
+    first = is_gvd(I)
+    assert first.verdict == "inconclusive"
+    searches, search = [], gvd._search
+    monkeypatch.setattr(gvd, "_search", lambda *args: searches.append(args) or search(*args))
+    second = is_gvd(I)
+    assert searches == []
+    assert second.to_json_dict() == first.to_json_dict()
+
+
 def test_gvd_budget_exhaustion_is_inconclusive():
     G = two_k4_sharing_vertex()
     cert = is_gvd(toric_ideal(G), context=G, budget=Budget(0.0))
@@ -389,9 +420,9 @@ def stored_json(memo: dict) -> dict:
 
 
 def test_budgeted_calls_share_the_memo(monkeypatch):
-    # A spent poll leaves every node above it inconclusive, and no
-    # inconclusive node is stored, so every stored node is the one a call
-    # with no budget stores under its key, and every call shares one memo.
+    # A node is stored only when no poll of its call's budget has read
+    # "spent", so every stored node is the one a call with no budget stores
+    # under its key, and every call shares one memo.
     runs = {
         "search": lambda G, budget: is_gvd(toric_ideal(G), context=G, budget=budget),
         "bipartite": certify_bipartite_gvd,
@@ -420,7 +451,7 @@ def test_budgeted_calls_share_the_memo(monkeypatch):
                     if k not in before:
                         assert node == expected[k], (name, G.edges, polls)
                         stored += 1
-                if budget.polls >= 0:
+                if not budget.spent:
                     break
                 assert cert.verdict == "inconclusive", (name, G.edges, polls)
                 polls += 1

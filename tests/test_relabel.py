@@ -179,13 +179,12 @@ def test_ef_memo_hits_across_relabellings_are_fresh_certificates(monkeypatch):
     # The E/F walk keys a node by position and context, never by name.
     # Warmed at one relabelling of the 7-edge corpus, the memo serves a
     # second one entirely, and each certificate has the JSON of one built
-    # from an empty memo and replays.  The corpus is the 130 graphs with a
-    # square-free label-order initial ideal, which all certify: the memo
-    # stores no inconclusive node, so the one other graph's walk is run
-    # again.
+    # from an empty memo.  The 130 graphs with a square-free label-order
+    # initial ideal certify and replay; the other one is inconclusive, its
+    # root stored all the same, and replays False.
     graphs = [to_graph(n, edges) for n, edges in connected_graphs(7)]
-    graphs = [G for G in graphs if squarefree_lex_initial(G)]
-    assert len(graphs) == 130
+    assert len(graphs) == 131
+    assert sum(map(squarefree_lex_initial, graphs)) == 130
     empty_shared_memo(monkeypatch)
     for G in graphs:
         quadratic_pipeline(relabeled(G, 1, shuffled_rename)[0])
@@ -200,7 +199,9 @@ def test_ef_memo_hits_across_relabellings_are_fresh_certificates(monkeypatch):
         fresh = quadratic_pipeline(H)
         assert (json.dumps(cert.to_json_dict(), sort_keys=True)
                 == json.dumps(fresh.to_json_dict(), sort_keys=True))
-        assert replay_certificate(toric_ideal(H), cert, context=H)
+        assert (replay_certificate(toric_ideal(H), cert, context=H)
+                == (cert.verdict == "gvd"))
+    assert [cert.verdict for _, cert in warm].count("inconclusive") == 1
     assert steps
 
 
