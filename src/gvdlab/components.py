@@ -167,9 +167,9 @@ class UnmixednessEvidence:
 # Minimal closed covers.
 
 def _closed_covers(supports: list, side_pairs: list) -> list:
-    """The inclusion-minimal closed covers: sets of variable names meeting
+    """The inclusion-minimal closed covers: sets of ring positions meeting
     every set in ``supports`` and, for each pair (u, v) in ``side_pairs``,
-    meeting u exactly when they meet v.  Sorted by size, then by names;
+    meeting u exactly when they meet v.  Sorted by size, then by positions;
     empty when a support is empty."""
     found, seen = set(), set()
 
@@ -189,28 +189,22 @@ def _closed_covers(supports: list, side_pairs: list) -> list:
 
     grow(frozenset())
     minimal = [c for c in found if not any(d < c for d in found)]
-    return sorted(minimal, key=lambda c: (len(c), tuple(sorted(c))))
-
-
-def _positions(ring, names) -> tuple:
-    """The ring positions of ``names``, in increasing order."""
-    return tuple(sorted(ring.index[n] for n in names))
+    return sorted(minimal, key=lambda c: (len(c), sorted(c)))
 
 
 # ---------------------------------------------------------------------------
 # Binomial-monomial splitting over a graph context.
 
 def _binomial_sides(f: Poly):
-    """Support sets (as names) of the two monomials of a +1/-1 binomial."""
+    """Support sets (as ring positions) of the two monomials of a +1/-1
+    binomial."""
     items = sorted(f.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
     if len(items) != 2:
         return None
     (m1, c1), (m2, c2) = items
     if {c1, c2} != {1, -1}:
         return None
-    names = f.ring.names
-    return (frozenset(names[i] for i in mono_support(m1)),
-            frozenset(names[i] for i in mono_support(m2)))
+    return frozenset(mono_support(m1)), frozenset(mono_support(m2))
 
 
 def _ugb_signs(G: Graph, ring) -> frozenset:
@@ -289,7 +283,7 @@ def binomial_monomial_split(monomials: list, binomials: list, context: Optional[
     supports = []
     for f in monomials:
         (m, _), = f.terms.items()
-        supports.append(frozenset(ring.names[i] for i in mono_support(m)))
+        supports.append(frozenset(mono_support(m)))
     sides = []
     for f in binomials:
         pair = _binomial_sides(f)
@@ -308,22 +302,24 @@ def binomial_monomial_split(monomials: list, binomials: list, context: Optional[
                     "binomial %s is not a primitive walk binomial of the "
                     "context" % _placeheld(f))
 
-    edge_set = set(context.edge_labels) if context is not None else set()
+    # The context's edges by ring position: an edge outside the ring raises
+    # KeyError.  A component's subgraph keeps the edges outside its cover V,
+    # so its free variables are those outside V and the edges.
+    edges = frozenset() if context is None else frozenset(
+        ring.index[label] for label in context.edge_labels)
     components = []
     for V in _closed_covers(supports, sides):
-        removed = tuple(sorted(V & edge_set))
-        survivors = tuple(f for f, (u, v) in zip(binomials, sides)
-                          if not (u & V) and not (v & V))
-        toric_dim, toric_edges = 0, ()
+        removed = tuple(sorted(V & edges))
+        survivors = tuple(f for f, (u, v) in zip(binomials, sides) if not (u & V or v & V))
+        toric_dim = 0
         if context is not None:
-            sub = context.delete_edges(removed)
+            sub = context.delete_edges(ring.names[i] for i in removed)
             if not _generates_toric_ideal(Ideal(ring, survivors), survivors, sub):
                 raise SplitNotApplicable(
                     "component toric part differs from the subgraph ideal")
-            toric_dim, toric_edges = toric_dimension(sub), set(sub.edge_labels)
-        free = [n for n in ring.names if n not in V and n not in toric_edges]
-        components.append(PrimeComponent(_positions(ring, V), _positions(ring, removed),
-                                         survivors, len(free) + toric_dim))
+            toric_dim = toric_dimension(sub)
+        components.append(PrimeComponent(tuple(sorted(V)), removed, survivors,
+                                         ring.arity - len(V | edges) + toric_dim))
     if not components:
         raise SplitNotApplicable("no components found")
     return components
@@ -403,10 +399,8 @@ def unmixedness_evidence(I: Ideal, context: Optional[Graph] = None) -> Unmixedne
 
     # prime fast path: variables plus the toric ideal of a subgraph
     if binoms and not monos:
-        removed = sorted({I.ring.names[i] for g in variables
-                          for i in mono_support(next(iter(g.terms)))}
-                         & set(context.edge_labels))
-        sub = context.delete_edges(removed)
+        sub = context.delete_edges({I.ring.names[g.support()[0]] for g in variables}
+                                   & set(context.edge_labels))
         if _generates_toric_ideal(I, binoms, sub):
             return UnmixednessEvidence(
                 "prime", "variables plus the toric ideal of the context "

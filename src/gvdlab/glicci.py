@@ -261,9 +261,10 @@ def _gluing_check(G: Graph, budget: Optional[Budget]) -> GlicciCheck:
                   "initial ideal"})
 
 
-def _four_cycle_check(G: Graph, budget: Optional[Budget]) -> GlicciCheck:
-    candidates = [(y, four_cycles_containing(G, y)) for y in G.edge_labels]
-    candidates = [(y, cycles) for y, cycles in candidates if cycles]
+def _four_cycle_check(G: Graph, candidates: list,
+                      budget: Optional[Budget]) -> GlicciCheck:
+    """``candidates`` are the edges that lie on a 4-cycle, in edge order,
+    each with its 4-cycles."""
     if not candidates:
         return GlicciCheck("four-cycle-square-free-order", False,
                            {"reason": "no edge lies on a 4-cycle"})
@@ -283,14 +284,10 @@ def _four_cycle_check(G: Graph, budget: Optional[Budget]) -> GlicciCheck:
                   "square-free initial ideal"})
 
 
-def _gap_free_check(G: Graph) -> GlicciCheck:
+def _gap_free_check(G: Graph, candidates: list) -> GlicciCheck:
+    """``candidates`` as for ``_four_cycle_check``."""
     gap_free = is_gap_free(G)
-    cycle = None
-    for label in G.edge_labels:
-        cycles = four_cycles_containing(G, label)
-        if cycles:
-            cycle = cycles[0]
-            break
+    cycle = candidates[0][1][0] if candidates else None
     if gap_free and cycle is not None:
         return GlicciCheck("gap-free-with-four-cycle", True,
                            {"four_cycle": list(cycle)})
@@ -305,10 +302,12 @@ def _gap_free_check(G: Graph) -> GlicciCheck:
 
 def glicci_checks(G: Graph, budget: Optional[Budget] = None) -> GlicciReport:
     """Test all three sufficient conditions and report which ones fire."""
+    candidates = [(y, cycles) for y in G.edge_labels
+                  if (cycles := four_cycles_containing(G, y))]
     checks = (
         _gluing_check(G, budget),
-        _four_cycle_check(G, budget),
-        _gap_free_check(G),
+        _four_cycle_check(G, candidates, budget),
+        _gap_free_check(G, candidates),
     )
     fired = any(c.fired for c in checks)
     return GlicciReport(checks, "glicci-certified-by-theorem" if fired

@@ -18,9 +18,8 @@ disjoint union, gap-freeness and 4-cycle tests -- live here too.
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import combinations, product, repeat
 from operator import itemgetter, neg
 from typing import Iterable, Sequence
 
@@ -145,44 +144,32 @@ class Graph:
 
     # -- structure -----------------------------------------------------------
 
-    def components(self) -> list:
-        """Connected components as sorted vertex tuples (isolated included)."""
-        seen = set()
-        out = []
+    def _colourings(self) -> list:
+        """Each connected component, isolated vertices included, as the pair
+        (its vertices in the order reached, whether it is bipartite), from
+        one breadth-first 2-colouring: a component is bipartite exactly when
+        no edge joins two vertices of one colour."""
+        colour, out = {}, []
         for v0 in self.vertices:
-            if v0 in seen:
+            if v0 in colour:
                 continue
-            comp = {v0}
-            queue = deque([v0])
-            while queue:
-                v = queue.popleft()
+            colour[v0], comp, bipartite = 0, [v0], True
+            for v in comp:  # the list grows as the search reaches vertices
                 for _, w in self._adj[v]:
-                    if w not in comp:
-                        comp.add(w)
-                        queue.append(w)
-            seen |= comp
-            out.append(tuple(sorted(comp)))
+                    if w not in colour:
+                        colour[w] = 1 - colour[v]
+                        comp.append(w)
+                    elif colour[w] == colour[v]:
+                        bipartite = False
+            out.append((comp, bipartite))
         return out
 
-    def bipartition_of(self, comp: Iterable[str]):
-        """2-coloring of one component as (side0, side1), or None if odd cycle."""
-        comp = list(comp)
-        color = {comp[0]: 0}
-        queue = deque([comp[0]])
-        while queue:
-            v = queue.popleft()
-            for _, w in self._adj[v]:
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return None
-        side0 = tuple(sorted(v for v in comp if color.get(v) == 0))
-        side1 = tuple(sorted(v for v in comp if color.get(v) == 1))
-        return side0, side1
+    def components(self) -> list:
+        """Connected components as sorted vertex tuples (isolated included)."""
+        return [tuple(sorted(comp)) for comp, _ in self._colourings()]
 
     def is_bipartite(self) -> bool:
-        return all(self.bipartition_of(c) is not None for c in self.components())
+        return all(bipartite for _, bipartite in self._colourings())
 
     def incidence_matrix(self) -> list:
         """0/1 rows indexed by vertices, columns by edges."""
@@ -200,41 +187,33 @@ class Graph:
 # ---------------------------------------------------------------------------
 # Standard families.
 
+def _labelled(vertices: list, pairs: Iterable[tuple]) -> Graph:
+    """The graph on ``vertices`` whose k-th edge, counted from 1, joins the
+    k-th pair of ``pairs`` and is named ek."""
+    return Graph(vertices, (("e%d" % k, u, v) for k, (u, v) in enumerate(pairs, 1)))
+
+
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
     vs = ["x%d" % i for i in range(1, n + 1)]
-    es = [("e%d" % i, vs[i - 1], vs[i % n]) for i in range(1, n + 1)]
-    return Graph(vs, es)
+    return _labelled(vs, zip(vs, vs[1:] + vs[:1]))
 
 
 def path_graph(n: int) -> Graph:
     vs = ["x%d" % i for i in range(1, n + 1)]
-    es = [("e%d" % i, vs[i - 1], vs[i]) for i in range(1, n)]
-    return Graph(vs, es)
+    return _labelled(vs, zip(vs, vs[1:]))
 
 
 def complete_graph(n: int) -> Graph:
     vs = ["x%d" % i for i in range(1, n + 1)]
-    es = []
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            k += 1
-            es.append(("e%d" % k, vs[i], vs[j]))
-    return Graph(vs, es)
+    return _labelled(vs, combinations(vs, 2))
 
 
 def complete_bipartite(r: int, s: int) -> Graph:
     xs = ["x%d" % i for i in range(1, r + 1)]
     ys = ["y%d" % j for j in range(1, s + 1)]
-    es = []
-    k = 0
-    for i in range(r):
-        for j in range(s):
-            k += 1
-            es.append(("e%d" % k, xs[i], ys[j]))
-    return Graph(xs + ys, es)
+    return _labelled(xs + ys, product(xs, ys))
 
 
 def ferrers_graph(partition: Sequence[int]) -> Graph:
@@ -244,13 +223,7 @@ def ferrers_graph(partition: Sequence[int]) -> Graph:
         raise ValueError("partition must be positive and weakly decreasing")
     xs = ["x%d" % i for i in range(1, len(lam) + 1)]
     ys = ["y%d" % j for j in range(1, max(lam) + 1)]
-    es = []
-    k = 0
-    for i, p in enumerate(lam):
-        for j in range(p):
-            k += 1
-            es.append(("e%d" % k, xs[i], ys[j]))
-    return Graph(xs + ys, es)
+    return _labelled(xs + ys, ((x, y) for x, p in zip(xs, lam) for y in ys[:p]))
 
 
 # ---------------------------------------------------------------------------
@@ -594,12 +567,11 @@ def reduced_toric_ideal(G: Graph) -> Ideal:
 
 
 def toric_dimension(G: Graph) -> int:
-    """Rank of the incidence matrix over Q, by the component-wise formula."""
-    dim = 0
-    for comp in G.components():
-        if len(comp) > 1:  # a connected component with an edge
-            dim += len(comp) - 1 if G.bipartition_of(comp) else len(comp)
-    return dim
+    """Rank of the incidence matrix over Q, by the component-wise formula:
+    the vertices of each component with an edge, less one when it is
+    bipartite (Villarreal, *Comm. Algebra* 23 (1995))."""
+    return sum(len(comp) - bipartite for comp, bipartite in G._colourings()
+               if len(comp) > 1)
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,14 @@ def _arithmetic(polys: Iterable[Poly]) -> type:
     return _Binomials if all(map(_is_binomial, polys)) else _Fractions
 
 
+def _packed(order: Order, polys: Iterable[Poly], run):
+    """``run(ar)``, ``ar`` the representation that ``_arithmetic`` selects
+    for ``polys`` at a packing of ``order``: the narrowest that holds every
+    product ``run`` forms (``Packing.widening``)."""
+    arith = _arithmetic(polys)
+    return order.packing.widening(lambda pk: run(arith(pk)))
+
+
 def s_polynomial(arith, f: tuple, g: tuple):
     """The S-polynomial (lcm/in f)*f - (lcm/in g)*g of two elements stored
     by ``buchberger`` in the representation ``arith``.
@@ -362,9 +370,7 @@ def buchberger(order: Order, gens: Iterable[Poly]) -> list:
     gens = [g for g in gens if not g.is_zero()]
     if len(gens) <= 1:
         return [_made_monic(order, g) for g in gens]
-    arith = _arithmetic(gens)
-    return order.packing.widening(
-        lambda pk: _reduced_basis(arith(pk), order.ring, gens))
+    return _packed(order, gens, lambda ar: _reduced_basis(ar, order.ring, gens))
 
 
 def _reduced_basis(ar, ring: Ring, gens: list) -> list:
@@ -419,14 +425,12 @@ def reduced_basis_of(order: Order, basis: Iterable[Poly]) -> list:
     with no S-pair.  The reduced basis is unique, so this is the basis
     ``buchberger`` returns, term for term."""
     gens = [g for g in basis if not g.is_zero()]
-    arith = _arithmetic(gens)
 
-    def run(pk: Packing) -> list:
-        ar = arith(pk)
+    def run(ar) -> list:
         stored = [ar.store(g) for g in gens]
         return _interreduced(ar, order.ring, stored, [e[0] for e in stored])
 
-    return order.packing.widening(run)
+    return _packed(order, gens, run)
 
 
 def _interreduced(ar, ring: Ring, basis: list, lts: list) -> list:
@@ -477,14 +481,12 @@ def ideal_contains(I: Ideal, *polys: Poly) -> bool:
     order = storage_order(I.ring)
     basis = I.groebner(order)
     polys = [f for f in polys if not f.is_zero()]
-    arith = _arithmetic(basis + tuple(polys))
 
-    def run(pk: Packing) -> bool:
-        ar = arith(pk)
+    def run(ar) -> bool:
         stored = list(map(ar.store, basis))
         return all(ar.reduce(ar.terms(ar.store(f)), stored) is None
                    for f in polys)
-    return order.packing.widening(run)
+    return _packed(order, basis + tuple(polys), run)
 
 
 def minimal_generators(I: Ideal) -> list:
@@ -513,9 +515,7 @@ def minimal_generators(I: Ideal) -> list:
     if not all(len(set(map(sum, f.terms))) == 1 for f in cands):
         return _greedy_generators(I.ring, cands)
     order = storage_order(I.ring)
-    arith = _arithmetic(cands)
-    return order.packing.widening(
-        lambda pk: _graded_generators(arith(pk), order, cands))
+    return _packed(order, cands, lambda ar: _graded_generators(ar, order, cands))
 
 
 def _graded_generators(ar, order: Order, cands: list) -> list:

@@ -305,12 +305,11 @@ class GvdCertificate:
     verdict = property(lambda self: self.node.verdict)
     unmixedness = property(lambda self: self.node.unmixedness)
     degenerate = property(lambda self: self.node.degenerate)
-    reason = property(lambda self: self.node.reason)
+    reason = property(lambda self: named(self.node.reason, self.ring_names))
     y = property(lambda self: None if self.node.y is None else self.ring_names[self.node.y])
     variables = property(lambda self: tuple(self.ring_names[i] for i in self.node.variables))
     failures = property(lambda self: tuple(
-        (self.ring_names[i], _REASONS[kind] % {"i": i})
-        for i, kind, _ in self.node.failures))
+        (self.ring_names[i], self._reason(i, kind)) for i, kind, _ in self.node.failures))
     child_c = property(lambda self: self._child(self.node.child_c, 0))
     child_n = property(lambda self: self._child(self.node.child_n, 1))
 
@@ -342,17 +341,22 @@ class GvdCertificate:
         if kids["C"] is not None or kids["N"] is not None:
             out["children"] = {side: kid.to_json_dict()
                                for side, kid in kids.items() if kid is not None}
-        if self.failures:
+        if self.node.failures:
             out["failures"] = [self._failure_json(*f) for f in self.node.failures]
-        if self.reason:
-            out["reason"] = named(self.reason, self.ring_names)
+        reason = self.reason
+        if reason:
+            out["reason"] = reason
         return out
+
+    def _reason(self, i: int, kind: str) -> str:
+        """The reason of a failure of this kind at the variable at position
+        i, named in this ring."""
+        return named(_REASONS[kind] % {"i": i}, self.ring_names)
 
     def _failure_json(self, i: int, kind: str, child: Optional[GvdNode]) -> dict:
         """A failure, with its refuted branch read in the ring without y."""
         names = self.ring_names
-        out = {"y": names[i], "kind": kind,
-               "reason": named(_REASONS[kind] % {"i": i}, names)}
+        out = {"y": names[i], "kind": kind, "reason": self._reason(i, kind)}
         if child is not None:
             out["refutation"] = GvdCertificate(
                 child, names[:i] + names[i + 1:]).to_json_dict()

@@ -112,6 +112,25 @@ def test_a_context_with_an_edge_outside_the_ring_raises():
             unmixedness_evidence(J, foreign)
 
 
+def test_a_forest_context_with_an_edge_outside_the_ring_raises():
+    # A forest has no walk binomial, so no basis reads its edges; the split
+    # reads them by ring position and raises, as it does for a context with
+    # a cycle.  Read by name, the forest left by deleting e1 would add the
+    # toric dimension 1 of its edge x to the component <e1> of Q[e1, e2],
+    # whose dimension is 1.  ``is_gvd`` refuses both contexts.
+    ring = Ring(["e1", "e2"])
+    forest = graphs.Graph(["a", "b", "c", "d"], [("e1", "a", "b"), ("x", "c", "d")])
+    square = graphs.Graph(["a", "b", "c", "d"], [
+        ("e1", "a", "b"), ("e2", "b", "c"), ("x", "c", "d"), ("w", "d", "a")])
+    e1 = parse_poly(ring, "e1")
+    assert [c.dimension for c in binomial_monomial_split([e1], [], None, ring)] == [1]
+    for context in (forest, square):
+        with pytest.raises(KeyError):
+            binomial_monomial_split([e1], [], context, ring)
+        with pytest.raises(ValueError):
+            is_gvd(Ideal(ring, [e1]), context=context)
+
+
 def test_split_rejects_foreign_binomial():
     G = cycle_graph(4)
     ring = G.edge_ring()

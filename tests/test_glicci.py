@@ -1,6 +1,7 @@
 """Tests for the glicci sufficient-condition checks and the search for a
 square-free lex degeneration."""
 
+import hashlib
 import json
 import time
 
@@ -215,6 +216,18 @@ def test_a_spent_budget_is_reported_not_read_as_no_order():
     four = _check(report, "four-cycle-square-free-order")
     assert not four.fired
     assert four.witness == {"reason": "budget exhausted during the search"}
+
+
+def test_reports_over_the_seven_edge_corpus_are_pinned():
+    # The reports of all 131 graphs of the 7-edge corpus, as JSON: every
+    # witness and reason is pinned, and 42 graphs are certified.
+    reports = [glicci_checks(to_graph(n, edges)) for n, edges in connected_graphs(7)]
+    blob = json.dumps([r.to_json_dict() for r in reports], sort_keys=True,
+                      separators=(",", ":"))
+    assert len(reports) == 131
+    assert sum(r.conclusion == "glicci-certified-by-theorem" for r in reports) == 42
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "7d9b97b9497984a8246cfb2d28f3cb25b01694ef066b3d857f3b326272053099")
 
 
 def test_reports_serialize_to_json():

@@ -484,10 +484,15 @@ def test_subgraphs_are_the_graphs_a_checked_construction_builds():
 # Dimension.
 
 def test_toric_dimension_formula_matches_rank():
+    # Besides the families, every graph of the 7-edge corpus, and a union
+    # of a bipartite and an odd component with an isolated vertex.
+    union = disjoint_union(cycle_graph(3), cycle_graph(4))
     graphs = [cycle_graph(4), cycle_graph(5), complete_graph(4),
               complete_bipartite(3, 3), ferrers_graph([5, 3, 2, 1]),
-              two_k4_sharing_vertex(), path_graph(4),
-              disjoint_union(cycle_graph(3), cycle_graph(4))]
+              two_k4_sharing_vertex(), path_graph(4), union,
+              union.with_edges(["w"], [])]
+    graphs += [to_graph(n, edges) for n, edges in connected_graphs(7)]
+    assert len(graphs) == 9 + 131
     for G in graphs:
         assert toric_dimension(G) == rational_rank(G.incidence_matrix())
 

@@ -343,6 +343,25 @@ def test_gvd_certifies_benchmark_c_side_at_e3():
     assert replay_certificate(C3, cert, context=ctx)
 
 
+def test_the_certificate_view_names_its_reasons():
+    # The view's ``failures`` and ``reason`` name their variables as
+    # ``to_json_dict`` does, with no {i} placeholder left.
+    ring = Ring(["x", "y", "z"])
+    J = I("x^2*y - z^3", "x*y^2 - z^3", ring=ring)
+    cert = is_gvd(J)
+    assert cert.verdict == "not-gvd"
+    reasons = dict(cert.failures)
+    assert set(reasons) == {"x", "y", "z"}
+    assert "not square-free in y," in reasons["y"]
+    assert [(f["y"], f["reason"]) for f in cert.to_json_dict()["failures"]] == list(
+        cert.failures)
+    assert not cn_split(J, "x").square_free_in_y
+    step = GvdCertificate(gvd.certify_step(J, "x", None, None, None), ring.names)
+    assert step.reason == "decomposition identity failed at x"
+    assert step.to_json_dict()["reason"] == step.reason
+    assert not any("{" in r for r in list(reasons.values()) + [step.reason])
+
+
 # ---------------------------------------------------------------------------
 # Even cycles, unions, budgets, memoization.
 
