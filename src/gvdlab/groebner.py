@@ -80,8 +80,16 @@ class Ideal:
 
     Reduced Groebner bases are cached per order's rows; generators keep
     the order the caller gave them (displays rely on that).
-    ``Ideal.reduced`` and ``contract`` fill the storage order's entry with
-    a basis that a theorem fixes, so no Buchberger run makes it.
+    ``Ideal.reduced`` and ``contract`` fill the storage order's entry, and
+    ``gvd.cn_split`` the ``y_order`` entries of C and N, with a basis that a
+    theorem fixes, so no Buchberger run makes it.
+
+    Every cached basis stores each element's initial term first, as
+    ``buchberger`` returns it (its terms in descending order), and so do
+    ``reduced_basis_of``, ``_made_monic``, ``Ideal.reduced``, ``contract``,
+    ``gvd.cn_split`` and ``gvd._disjoint_factors``: ``groebner`` and
+    ``contract`` read the initial terms of a cached basis under its own
+    order off that first term.
     """
 
     __slots__ = ("ring", "gens", "_rgb")
@@ -126,7 +134,27 @@ class Ideal:
     # -- Groebner layer -------------------------------------------------------
 
     def groebner(self, order: Order = None) -> tuple:
-        """The reduced Groebner basis under ``order`` (storage order by default)."""
+        """The reduced Groebner basis under ``order`` (storage order by
+        default).
+
+        When it is not cached, a cached basis B whose first terms are also
+        the initial terms of its elements under ``order`` is read under it,
+        with no Buchberger run: each element's terms are sorted descending
+        under ``order``, and the elements by ascending initial term, as
+        ``buchberger`` returns them.  Why that is the reduced basis under
+        ``order``: write in_1 for B's order and in_2 for ``order``.  B's
+        first terms are its in_1 terms (see the class docstring) and its in_2
+        terms, so they lie in in_2(I) and generate in_1(I).  So in_1(I) ⊆
+        in_2(I), and every standard monomial of ``order`` is standard for
+        in_1.  Both sets of standard monomials are bases of R/I over Q, so
+        they are equal: a monomial standard for in_1 alone would be
+        congruent modulo I to a combination of the standard monomials of
+        ``order``, all standard for in_1, against their independence modulo
+        I.  So in_2(I) = in_1(I) is generated by B's initial terms, and B is
+        a Groebner basis under ``order``.  Reducedness reads only the
+        initial terms and the coefficients, so B is the reduced basis there
+        too.
+        """
         if order is None:
             order = storage_order(self.ring)
         elif order.ring.names != self.ring.names:
@@ -134,8 +162,20 @@ class Ideal:
                              % (order.ring, self.ring))
         got = self._rgb.get(order.rows)
         if got is None:
-            got = self._rgb[order.rows] = tuple(buchberger(order, self.gens))
+            got = self._agreeing(order)
+            if got is None:
+                got = tuple(buchberger(order, self.gens))
+            self._rgb[order.rows] = got
         return got
+
+    def _agreeing(self, order: Order):
+        """A cached basis whose first terms are its initial terms under
+        ``order``, read under ``order`` (see ``groebner``), or None."""
+        for basis in self._rgb.values():
+            if _leads(order, basis):
+                return tuple(sorted((_made_monic(order, g) for g in basis),
+                                    key=lambda g: order.key(next(iter(g.terms)))))
+        return None
 
     def is_zero_ideal(self) -> bool:
         return not self.groebner()
@@ -451,6 +491,13 @@ def _made_monic(order: Order, g: Poly) -> Poly:
     return Poly(order.ring, {m: terms[m] for m in ms})
 
 
+def _leads(order: Order, polys: Iterable[Poly]) -> bool:
+    """Whether the first term of each of ``polys`` is its initial term
+    under ``order``."""
+    key = order.key
+    return all(max(g.terms, key=key) == next(iter(g.terms)) for g in polys)
+
+
 def _minimal(lts: list, pk: Packing) -> list:
     """Indices of a minimal subset of the initial monomials ``lts``, packed
     by ``pk``, ascending: each is kept unless a kept one divides it, and a
@@ -586,18 +633,19 @@ def contract(I: Ideal, y: Union[int, str]) -> Ideal:
     exponent dropped from every monomial.  A generator involving y raises
     ``KeyError``; ``eliminate`` handles it.
 
-    When I's reduced basis under the storage order is cached, the
-    contraction's is that basis with y's exponent dropped, and it is cached
-    with no Buchberger run.  Let G' be the reduced basis of I ∩ Q[x] under
-    the restriction of the order.  It is a Groebner basis of I: every f in
-    I is a sum of y^k·f_k with each f_k in I ∩ Q[x] (the extension is
-    free), and their monomials are distinct, so in(f) = y^k·in(f_k) for
-    some k, which some in(g), g in G', divides.  It is reduced, so by
-    uniqueness I's cached basis is G', which is y-free.  Graded lex on the
-    smaller ring is the restriction of graded lex, so dropping y's
-    coordinate keeps each element monic with its terms in descending order
-    and keeps the basis sorted by initial term, as ``buchberger`` returns
-    it."""
+    When I's reduced basis under the storage order is cached, or can be
+    read off a cached basis with the same initial terms (``Ideal.groebner``),
+    the contraction's is that basis with y's exponent dropped, and it is
+    cached with no Buchberger run.  Let G' be the reduced basis of I ∩ Q[x]
+    under the restriction of the order.  It is a Groebner basis of I:
+    every f in I is a sum of y^k·f_k with each f_k in I ∩ Q[x] (the
+    extension is free), and their monomials are distinct, so in(f) =
+    y^k·in(f_k) for some k, which some in(g), g in G', divides.  It is
+    reduced, so by uniqueness I's storage basis is G', which is y-free.
+    Graded lex on the smaller ring is the restriction of graded lex, so
+    dropping y's coordinate keeps each element monic with its terms in
+    descending order and keeps the basis sorted by initial term, as
+    ``buchberger`` returns it."""
     ring = I.ring
     i = ring.vidx(y)
     small = ring.without(i)
@@ -608,7 +656,10 @@ def contract(I: Ideal, y: Union[int, str]) -> Ideal:
         return Poly(small, {m[:i] + m[i + 1:]: c for m, c in g.terms.items()})
 
     out = Ideal(small, map(dropped, I.gens))
-    basis = I._rgb.get(storage_order(ring).rows)
+    order = storage_order(ring)
+    basis = I._rgb.get(order.rows)
+    if basis is None:
+        basis = I._agreeing(order)
     if basis is not None:
         # generators that are the basis (``Ideal.reduced``) are dropped once
         out._rgb[storage_order(small).rows] = (

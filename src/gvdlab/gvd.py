@@ -40,14 +40,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .algebra import (
-    Ring, initial_y_form, y_order, y_split,
-)
+from .algebra import Poly, Ring, initial_y_form, y_order
 from .components import (
     UnmixednessEvidence, base_evidence, named, unmixedness_evidence,
 )
 from .graphs import Graph, lifted_basis
-from .groebner import Ideal, contract, ideal_equal
+from .groebner import Ideal, contract, ideal_equal, reduced_basis_of
 from .util import Budget
 
 __all__ = [
@@ -168,23 +166,44 @@ def cn_split(I: Ideal, y) -> CnSplit:
     its one branch reads its reduced basis off it (``groebner.contract``),
     and no ``y_order`` basis is computed.  Which case applies is read off the
     storage basis every time, so the generator lists do not depend on what
-    is cached."""
+    is cached.
+
+    Otherwise C and N are generated by the q's, and a square-free split
+    caches their reduced bases under ``y_order`` beside them, with no
+    S-pair.  The q's of C are a Groebner basis of C there
+    (Knutson–Miller–Yong, Thm 2.1), which ``reduced_basis_of`` reduces.
+    Those of N are N's reduced basis: they are the y-free elements of I's,
+    and each is its g.  Each q keeps the terms of g in their order, so
+    both bases store their initial terms first.  ``contract`` reads the
+    storage basis off them when graded lex picks the same initial terms,
+    and hands it to the branch.  It always does below a toric ideal of a
+    graph: such ideals are homogeneous, and so are their reduced bases and
+    their q's, and on a y-free homogeneous polynomial graded lex and
+    ``y_order`` pick the same initial term.  A split that is not
+    square-free is never certified, so it caches nothing."""
     ring = I.ring
     yname = ring.names[ring.vidx(y)]
     same = _extended(I, yname)
     if same is not None:
         return CnSplit(yname, same, same, True)
+    iy = ring.index[yname]
+    order = y_order(ring, yname)
     c_gens, n_gens = [], []
     square_free = True
-    for g in I.groebner(y_order(ring, yname)):
-        d, q, _ = y_split(yname, g)
+    for g in I.groebner(order):
+        d = max(m[iy] for m in g.terms)
         if d > 1:
             square_free = False
+        q = Poly(ring, {m[:iy] + (0,) + m[iy + 1:]: c
+                        for m, c in g.terms.items() if m[iy] == d})
         c_gens.append(q)
         if d == 0:
             n_gens.append(q)
-    return CnSplit(yname, Ideal(ring, c_gens), Ideal(ring, n_gens),
-                   square_free)
+    C, N = Ideal(ring, c_gens), Ideal(ring, n_gens)
+    if square_free:
+        C._rgb[order.rows] = tuple(reduced_basis_of(order, C.gens))
+        N._rgb[order.rows] = N.gens
+    return CnSplit(yname, C, N, square_free)
 
 
 def check_decomposition(I: Ideal, split: CnSplit) -> bool:
@@ -466,22 +485,25 @@ def _variable_order(rgb: tuple, present: set) -> list:
     exponent two or more anywhere come last, since their decomposition
     identity is doomed to fail.
     """
-    scored = []
-    for i in sorted(present):
-        doomed = False
-        hard = 0
-        n_size = 0
-        for g in rgb:
-            d, q, _ = y_split(i, g)
+    doomed = dict.fromkeys(present, 0)
+    hard = dict.fromkeys(present, 0)
+    n_size = dict.fromkeys(present, 0)
+    for g in rgb:
+        # g = y^d q + r at each y, read off the exponents: the y-degree d,
+        # and whether q, from the terms of y-degree d, is one variable
+        # with coefficient 1
+        degrees = list(map(max, zip(*g.terms)))
+        terms = [(m, c, sum(m)) for m, c in g.terms.items()]
+        for i in present:
+            d = degrees[i]
             if d > 1:
-                doomed = True
-            if not q.is_variable():
-                hard += 1
-            if d == 0:
-                n_size += 1
-        scored.append((1 if doomed else 0, hard, n_size, i))
-    scored.sort()
-    return [i for *_, i in scored]
+                doomed[i] = 1
+            elif d == 0:
+                n_size[i] += 1
+            top = [(c, deg) for m, c, deg in terms if m[i] == d]
+            if len(top) != 1 or top[0] != (1, d + 1):
+                hard[i] += 1
+    return sorted(present, key=lambda i: (doomed[i], hard[i], n_size[i], i))
 
 
 def _context_key(I: Ideal, context: Optional[Graph]):

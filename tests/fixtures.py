@@ -12,7 +12,7 @@ from fractions import Fraction
 from operator import neg, sub
 from pathlib import Path
 
-from gvdlab import gvd
+from gvdlab import groebner, gvd
 from gvdlab.algebra import (
     Order, Packing, Poly, Ring, initial_term, lex_order, mono_divides,
     mono_is_squarefree, mono_support, parse_poly, storage_order,
@@ -592,6 +592,33 @@ def census9_graphs(seed: int) -> list:
     spec.loader.exec_module(inputs)
     return [inputs.relabel(*inputs.census_graph(n, edges), seed, "census9/%d" % i).graph
             for i, (n, edges) in enumerate(inputs.load_census())]
+
+
+def counted_runs(monkeypatch) -> list:
+    """The arguments of every Buchberger run from now on."""
+    runs, real = [], groebner.buchberger
+
+    def counted(*args):
+        runs.append(args)
+        return real(*args)
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    return runs
+
+
+def corpus_ideals_and_branches() -> list:
+    """The toric ideal of each graph of the 7-edge corpus, each followed by
+    the C and N branches of its square-free splits at every edge, built
+    fresh."""
+    from graph_corpus import connected_graphs, to_graph
+    out = []
+    for n, edges in connected_graphs(7):
+        J = toric_ideal(to_graph(n, edges))
+        out.append(J)
+        for y in J.ring.names:
+            split = cn_split(J, y)
+            if split.square_free_in_y:
+                out += [split.c_branch, split.n_branch]
+    return out
 
 
 def seeded_rng(seed: int, *labels: str) -> random.Random:

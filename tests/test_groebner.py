@@ -19,7 +19,8 @@ from gvdlab.groebner import (
 )
 
 from fixtures import (
-    is_generated_by_variables, is_square_free_monomial_ideal, krull_dimension,
+    corpus_ideals_and_branches, counted_runs, is_generated_by_variables,
+    is_square_free_monomial_ideal, krull_dimension,
 )
 from graph_corpus import connected_graphs, to_graph
 
@@ -177,6 +178,73 @@ def test_groebner_rejects_an_order_over_another_ring():
     with pytest.raises(ValueError):
         J.groebner(lex_order(Ring(["u", "v"])))
     assert gb_texts(J, lex_order(XY)) == ["x^2 - y"]
+
+
+def test_a_basis_with_the_same_initial_terms_is_read_off_the_cache(monkeypatch):
+    # A y-order basis is read off the cached storage basis, with no
+    # Buchberger run, exactly when the two reduced bases are one set of
+    # polynomials, which is when their initial terms agree.  Over the
+    # corpus toric ideals and their C/N branches, at every y, the basis it
+    # returns is a fresh run's, term for term and in the same order.
+    def terms(basis):
+        return [list(g.terms.items()) for g in basis]
+
+    ideals = corpus_ideals_and_branches()
+    runs = counted_runs(monkeypatch)
+    reads = 0
+    for K in ideals:
+        basis = K.groebner()
+        for y in K.ring.names:
+            order = y_order(K.ring, y)
+            before = len(runs)
+            got = Ideal.reduced(K.ring, basis).groebner(order)
+            ran = len(runs) > before
+            want = buchberger(order, K.gens)
+            assert terms(got) == terms(want)
+            same = {g.canonical() for g in want} == {g.canonical() for g in basis}
+            assert ran != same
+            reads += same
+    assert reads > 0
+
+
+def test_a_basis_with_other_initial_terms_is_computed(monkeypatch):
+    # <x - y^2>: graded lex picks y^2 and lex picks x, so its lex basis is
+    # computed; lex with y first picks y^2 too, so that basis is read off
+    # the storage basis.
+    XY = Ring(["x", "y"])
+    J = I("x - y^2", ring=XY)
+    runs = counted_runs(monkeypatch)
+    assert [list(g.terms.items()) for g in J.groebner()] == [
+        [((0, 2), 1), ((1, 0), -1)]]
+    assert len(runs) == 1
+    assert [list(g.terms.items()) for g in J.groebner(lex_order(XY))] == [
+        [((1, 0), 1), ((0, 2), -1)]]
+    assert len(runs) == 2
+    assert [list(g.terms.items()) for g in J.groebner(y_order(XY, "y"))] == [
+        [((0, 2), 1), ((1, 0), -1)]]
+    assert len(runs) == 2
+
+
+_SMALL_MONO = st.tuples(*[st.integers(0, 2)] * 3)
+_SMALL_POLY = st.dictionaries(
+    _SMALL_MONO, st.integers(-3, 3).filter(bool).map(Fraction),
+    min_size=1, max_size=3).map(lambda terms: Poly(XYZ, terms))
+XYZ_ORDERS = [storage_order(XYZ), lex_order(XYZ), lex_order(XYZ, ("z", "y", "x")),
+              y_order(XYZ, "y"), y_order(XYZ, "z"),
+              compile_order(XYZ, ((0,), (0, 1, 2), 0, 1, 2))]
+
+
+@given(st.lists(_SMALL_POLY, min_size=1, max_size=2),
+       st.permutations(XYZ_ORDERS))
+@settings(max_examples=100, deadline=None)
+def test_every_basis_read_off_the_cache_is_buchbergers(gens, orders):
+    # Polynomials with coefficients, asked for bases under three orders in
+    # turn: each is a fresh run's, term for term, whichever bases are
+    # cached before it.
+    J = Ideal(XYZ, gens)
+    for order in orders[:3]:
+        assert ([list(g.terms.items()) for g in J.groebner(order)]
+                == [list(g.terms.items()) for g in buchberger(order, J.gens)])
 
 
 # ---------------------------------------------------------------------------

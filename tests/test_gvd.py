@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from gvdlab import bipartite, components, ef, graphs, groebner, gvd, util
-from gvdlab.algebra import Ring, parse_poly, storage_order
+from gvdlab.algebra import Ring, parse_poly, storage_order, y_order, y_split
 from gvdlab.bipartite import certify_bipartite_gvd
 from gvdlab.components import UnmixednessEvidence
 from gvdlab.ef import quadratic_pipeline
@@ -25,8 +25,9 @@ from fixtures import (
     TWO_K4_C_E2, TWO_K4_C_E5_OF_K, TWO_K4_C_E8_OF_J, TWO_K4_C_E11_OF_M,
     TWO_K4_C_E12_OF_L, TWO_K4_IN_E5_OF_K, TWO_K4_IN_E11_OF_M,
     TWO_K4_IN_E12_OF_L, TWO_K4_N_E2, TWO_K4_N_E8_OF_J, TWO_K4_N_E11_OF_M,
-    TWO_K4_N_E12_OF_L, PolledBudget, empty_shared_memo, two_k4_chain,
-    two_k4_sharing_vertex, two_triangles_bridged,
+    TWO_K4_N_E12_OF_L, PolledBudget, corpus_ideals_and_branches,
+    counted_runs, empty_shared_memo, two_k4_chain, two_k4_sharing_vertex,
+    two_triangles_bridged,
 )
 from graph_corpus import NINE_EDGE_GRAPHS, connected_graphs, to_graph
 
@@ -96,6 +97,70 @@ def test_split_is_order_independent_for_the_benchmark():
     split = cn_split(J, "e2")
     assert equal_to_display(split.C.rename(ring), TWO_K4_C_E2)
     assert equal_to_display(split.N.rename(ring), TWO_K4_N_E2)
+
+
+def test_a_square_free_split_hands_down_the_bases_of_c_and_n(monkeypatch):
+    # A square-free split caches C's and N's reduced bases under the y-order
+    # beside their generators, the q's, and their storage bases are read off
+    # those with no Buchberger run, as are their branches'.  Each is the
+    # basis a fresh run returns, term for term and in the same order.
+    # Below a toric ideal every ideal is homogeneous, so every square-free
+    # split hands down both.
+    def terms(basis):
+        return [list(g.terms.items()) for g in basis]
+
+    ideals = corpus_ideals_and_branches()
+    runs = counted_runs(monkeypatch)
+    for K in ideals:
+        for y in K.ring.names:
+            split = cn_split(K, y)
+            if not split.square_free_in_y:
+                continue
+            order = y_order(K.ring, y)
+            fresh = len(runs)
+            got = [(order, J, J.groebner(order)) for J in (split.C, split.N)]
+            got += [(storage_order(J.ring), J, J.groebner())
+                    for J in (split.C, split.N, split.c_branch, split.n_branch)]
+            assert len(runs) == fresh
+            for o, J, basis in got:
+                assert terms(basis) == terms(groebner.buchberger(o, J.gens))
+
+
+def test_a_split_whose_graded_initial_terms_differ_hands_down_no_basis(monkeypatch):
+    # The q of <xy - yz^2> at y is x - z^2, whose initial term is x under
+    # the y-order and z^2 under graded lex, so C's branch gets no storage
+    # basis and runs Buchberger.  The homogeneous <xy - yz> hands C's basis
+    # down to its branch.
+    XYZ = Ring(["x", "y", "z"])
+    other, graded = (cn_split(I(f, ring=XYZ), "y") for f in ("x*y - y*z^2", "x*y - y*z"))
+    assert other.square_free_in_y and graded.square_free_in_y
+    runs = counted_runs(monkeypatch)
+    assert [str(g) for g in other.c_branch.groebner()] == ["z^2 - x"]
+    assert len(runs) == 1
+    assert [str(g) for g in graded.c_branch.groebner()] == ["x - z"]
+    assert len(runs) == 1
+
+
+def test_variable_scores_read_off_exponents_match_y_split():
+    # The search orders variables by scores read off the exponents of the
+    # storage basis; they rank as the scores built from y_split do, over
+    # the corpus toric ideals and their branches.
+    def by_y_split(rgb, present):
+        scored = []
+        for i in sorted(present):
+            doomed, hard, n_size = 0, 0, 0
+            for g in rgb:
+                d, q, _ = y_split(i, g)
+                doomed |= d > 1
+                hard += not q.is_variable()
+                n_size += d == 0
+            scored.append((doomed, hard, n_size, i))
+        return [i for *_, i in sorted(scored)]
+
+    for K in corpus_ideals_and_branches():
+        rgb = K.groebner()
+        present = {i for g in rgb for i in g.support()}
+        assert gvd._variable_order(rgb, present) == by_y_split(rgb, present)
 
 
 # ---------------------------------------------------------------------------
@@ -1250,6 +1315,18 @@ def test_handed_down_bases_are_the_reduced_bases(monkeypatch):
         for J in got:
             assert terms(J._rgb[storage(J)]) == terms(
                 groebner.buchberger(storage_order(J.ring), J.gens))
+
+
+def test_two_k4_runs_buchberger_at_most_373_times(monkeypatch):
+    # Square-free splits hand C's and N's storage bases down, and a y-order
+    # basis with the storage basis's initial terms is read off it, so the
+    # refutation of two_k4 from an empty memo, with its toric ideal, makes
+    # at most 373 Buchberger runs (1,221 when each was computed).
+    empty_shared_memo(monkeypatch)
+    runs = counted_runs(monkeypatch)
+    G = two_k4_sharing_vertex()
+    assert is_gvd(toric_ideal(G), context=G).verdict == "not-gvd"
+    assert len(runs) <= 373
 
 
 def test_replay_with_a_warm_table_agrees_with_an_empty_one(monkeypatch):
