@@ -53,7 +53,7 @@ from typing import Iterable, Mapping, NamedTuple, Union
 __all__ = [
     "Ring", "Poly", "Term", "Order", "Packing", "PackingOverflow",
     "compile_order", "storage_order", "lex_order", "y_order", "elim_order",
-    "initial_term", "initial_y_form", "y_split",
+    "initial_term", "initial_y_form",
     "mono_mul", "mono_divides", "mono_support", "mono_is_squarefree",
     "mono_one",
     "parse_poly", "format_poly",
@@ -609,24 +609,6 @@ def initial_y_form(y: Union[int, str], f: Poly) -> Poly:
     iy = f.ring.vidx(y)
     d = max(m[iy] for m in f.terms)
     return Poly(f.ring, {m: c for m, c in f.terms.items() if m[iy] == d})
-
-
-def y_split(y: Union[int, str], f: Poly) -> tuple:
-    """Write f = y^d * q + r with y absent from q and deg_y(r) < d."""
-    if f.is_zero():
-        raise ValueError("y-split of zero polynomial")
-    ring = f.ring
-    iy = ring.vidx(y)
-    d = max(m[iy] for m in f.terms)
-    q, r = {}, {}
-    for m, c in f.terms.items():
-        if m[iy] == d:
-            mm = list(m)
-            mm[iy] = 0
-            q[tuple(mm)] = c
-        else:
-            r[m] = c
-    return d, Poly(ring, q), Poly(ring, r)
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ from .graphs import (
     Graph, lifted_basis, toric_dimension,
 )
 from .groebner import (
-    Ideal, ideal_contains, ideal_equal, intersect, minimal_generators,
+    Ideal, ideal_equal, intersect, minimal_generators,
 )
 
 __all__ = [
@@ -217,18 +217,21 @@ def _ugb_signs(G: Graph, ring) -> frozenset:
 def _generates_toric_ideal(J: Ideal, binomials: list, G: Graph) -> bool:
     """True iff ``binomials`` B generate the toric ideal I_G of G in J's
     ring, where J = <V> + <B> for variables V, none an edge of G, none of
-    which divides a binomial of B that lies in I_G.  V may be empty; when
-    ``minimal_generators`` split J's generators into V and B, the last
-    condition holds (below).
+    which divides a binomial of B that lies in I_G.  V may be empty.  When
+    J's reduced basis is split into its variables V and the rest B, as
+    ``unmixedness_evidence`` splits it, the last condition holds: in a
+    reduced basis no initial term divides a term of another element.
 
     The sign sets decide most cases.  Otherwise two checks decide it with
-    no Groebner basis beyond J's own:
+    no Groebner basis beyond J's own, and no reduction:
 
     1. Each b = x^u - x^v of B has u_i = v_i at every position that is not
        an edge of G, and A_G(u - v) = 0 on the edges, A_G the incidence
        matrix of G.
-    2. Each binomial of G's universal basis (``lifted_basis``) reduces to 0
-       modulo J's reduced basis.
+    2. The initial term of each binomial of G's universal basis
+       (``lifted_basis``) under the storage order, its larger packed
+       monomial, is divisible by the initial term of an element of J's
+       reduced basis, its first term (``groebner.Ideal``).
 
     Check 1 holds exactly when <B> lies in I_G.  Split a monomial as
     x_S^a x_T^c, S the edges of G and T the rest of the ring.  The
@@ -238,19 +241,19 @@ def _generates_toric_ideal(J: Ideal, binomials: list, G: Graph) -> bool:
     x_S^a - x_S^b lies in the toric ideal, that is when A_G a = A_G b
     (Sturmfels, *Groebner Bases and Convex Polytopes*, 1996, Lemma 4.1).
 
-    If <B> = I_G, both checks hold, since I_G = <B> lies in J.
-    Conversely, check 2 puts I_G inside J.  By check 1, each b of B is
-    x_T^c times a binomial in the edges, which V avoids, and no variable
-    of V divides it; so no variable of V occurs in b.  Sending V to 0 then
-    maps J onto <B> and fixes I_G, whose generators avoid V.  So I_G lies
-    in <B>, and the two are equal.
-
-    Why ``minimal_generators`` gives such a split.  A binomial b that
-    passes check 1 has degree 2 at least: a degree-1 one would join two
-    edges with equal columns, and G has no parallel edges.  The candidates
-    are taken by ascending degree, and one is kept only outside the ideal
-    of those kept before it.  So every variable of V was kept before b,
-    and b, kept outside <V>, is a multiple of none of them.
+    By check 1, each b of B is x_T^c times a binomial in the edges, which
+    V avoids, and no variable of V divides it; so no variable of V occurs
+    in b.  Let J' = <V> + I_G.  The universal basis is a Groebner basis of
+    I_G under every order (Sturmfels, ch. 7), and V and I_G have disjoint
+    variables, so in(J') = <V> + in(I_G).  If <B> = I_G, then J = J', and
+    check 2 holds.  Conversely, check 1 puts J inside J', and check 2 puts
+    in(I_G), and so in(J'), inside in(J).  Nested ideals with equal
+    initial ideals are equal (Cox-Little-O'Shea, *Ideals, Varieties, and
+    Algorithms*, ch. 2): the remainder of an element of J' modulo J's
+    reduced basis lies in J', so it is zero or has its initial term in
+    in(J') = in(J), which no remainder has.  So J = J'.  Sending V to 0
+    maps J onto <B> and J' onto I_G, whose generators avoid V, so the two
+    are equal.
     """
     ring = J.ring
     pairs = lifted_basis(G, ring)
@@ -264,7 +267,13 @@ def _generates_toric_ideal(J: Ideal, binomials: list, G: Graph) -> bool:
         d = [a - b for a, b in zip(u, v)]
         if any(d[i] for i in others) or any(sum(d[i] for i in row) for row in rows):
             return False
-    return ideal_contains(J, *(Poly(ring, {a: ONE, b: -ONE}) for a, b in pairs))
+    basis = J.groebner()
+
+    def scan(pk) -> bool:
+        leads = [(pk.pack(next(iter(g.terms))),) for g in basis]
+        return all(pk.divisor(max(pk.pack(a), pk.pack(b)), leads) is not None
+                   for a, b in pairs)
+    return storage_order(ring).packing.widening(scan)
 
 
 def binomial_monomial_split(monomials: list, binomials: list, context: Optional[Graph],
@@ -355,6 +364,19 @@ def unmixedness_evidence(I: Ideal, context: Optional[Graph] = None) -> Unmixedne
     primes, its embedded primes remain undecided: the evidence is
     inconclusive with the dimensions attached, and sets ``not_radical``.
 
+    A prime ideal <V> + I_sub, V variables and I_sub the toric ideal of the
+    context less V's edges, is recognized off the reduced basis, before any
+    minimal generator is taken: V is the basis's variables and B the rest,
+    and the evidence is "prime" when every element of B is a unit binomial
+    and B generates I_sub (``_generates_toric_ideal``).  V and I_sub have
+    disjoint variables, so the reduced basis of <V> + I_sub is V plus that
+    of I_sub, whose elements are unit binomials: the test holds exactly
+    when I = <V> + I_sub.  The minimal generators, a subset of the basis,
+    keep every variable in it, so a path through them reads the same V and
+    decides the same.  A proven-prime I keeps V plus the universal basis of
+    the subgraph, a Groebner basis under every order, and reads each basis
+    it is asked for off it (``groebner.Ideal``), with no Buchberger run.
+
     The minimal primes are the components that ``binomial_monomial_split``
     reads off the minimal generators.  A monomial ideal is the case with no
     binomials, split with no context; its detail texts say "minimal
@@ -371,6 +393,21 @@ def unmixedness_evidence(I: Ideal, context: Optional[Graph] = None) -> Unmixedne
         return base
     if len(rgb) == 1:
         return UnmixednessEvidence("principal", "principal ideals are unmixed")
+
+    # Variables plus the toric ideal of a subgraph, read off the reduced
+    # basis: its variables V and the rest B, all unit binomials.
+    V = [g for g in rgb if g.is_variable()]
+    B = [g for g in rgb if not g.is_variable()]
+    if context is not None and all(_binomial_sides(g) is not None for g in B):
+        ring = I.ring
+        sub = context.delete_edges({ring.names[g.support()[0]] for g in V}
+                                   & set(context.edge_labels))
+        if _generates_toric_ideal(I, B, sub):
+            I._universal = lambda: V + [
+                Poly(ring, {a: ONE, b: -ONE}) for a, b in lifted_basis(sub, ring)]
+            return UnmixednessEvidence(
+                "prime", "variables plus the toric ideal of the context "
+                "subgraph, hence prime")
 
     # Classify an irredundant generating subset of the reduced basis rather
     # than the whole basis (S-polynomial completion can manufacture
@@ -396,15 +433,6 @@ def unmixedness_evidence(I: Ideal, context: Optional[Graph] = None) -> Unmixedne
     if binoms and context is None:
         return UnmixednessEvidence(
             "inconclusive", "binomial generators but no graph context")
-
-    # prime fast path: variables plus the toric ideal of a subgraph
-    if binoms and not monos:
-        sub = context.delete_edges({I.ring.names[g.support()[0]] for g in variables}
-                                   & set(context.edge_labels))
-        if _generates_toric_ideal(I, binoms, sub):
-            return UnmixednessEvidence(
-                "prime", "variables plus the toric ideal of the context "
-                "subgraph, hence prime")
 
     try:
         comps = tuple(binomial_monomial_split(variables + monos, binoms,

@@ -171,15 +171,6 @@ class Graph:
     def is_bipartite(self) -> bool:
         return all(bipartite for _, bipartite in self._colourings())
 
-    def incidence_matrix(self) -> list:
-        """0/1 rows indexed by vertices, columns by edges."""
-        vpos = {v: i for i, v in enumerate(self.vertices)}
-        rows = [[0] * len(self.edges) for _ in self.vertices]
-        for j, (_, u, v) in enumerate(self.edges):
-            rows[vpos[u]][j] = 1
-            rows[vpos[v]][j] = 1
-        return rows
-
     def __repr__(self):
         return "Graph(%d vertices, %d edges)" % (len(self.vertices), len(self.edges))
 

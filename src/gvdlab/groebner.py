@@ -82,7 +82,11 @@ class Ideal:
     the order the caller gave them (displays rely on that).
     ``Ideal.reduced`` and ``contract`` fill the storage order's entry, and
     ``gvd.cn_split`` the ``y_order`` entries of C and N, with a basis that a
-    theorem fixes, so no Buchberger run makes it.
+    theorem fixes, so no Buchberger run makes it.  A third way fills any
+    entry: ``components.unmixedness_evidence``, once it proves an ideal
+    variables plus the toric ideal of a subgraph, sets ``_universal`` to a
+    function returning those variables and the subgraph's universal basis,
+    a Groebner basis under every order, and ``groebner`` reduces it.
 
     Every cached basis stores each element's initial term first, as
     ``buchberger`` returns it (its terms in descending order), and so do
@@ -92,7 +96,7 @@ class Ideal:
     order off that first term.
     """
 
-    __slots__ = ("ring", "gens", "_rgb")
+    __slots__ = ("ring", "gens", "_rgb", "_universal")
 
     def __init__(self, ring: Ring, gens: Iterable[Poly]):
         kept = []
@@ -104,6 +108,7 @@ class Ideal:
         self.ring = ring
         self.gens = tuple(kept)
         self._rgb = {}
+        self._universal = None
 
     # -- constructors --------------------------------------------------------
 
@@ -139,8 +144,10 @@ class Ideal:
 
         When it is not cached, a cached basis B whose first terms are also
         the initial terms of its elements under ``order`` is read under it,
-        with no Buchberger run: each element's terms are sorted descending
-        under ``order``, and the elements by ascending initial term, as
+        else the universal basis ``_universal`` returns, if any, is reduced
+        (``reduced_basis_of``), with no Buchberger run either way.  B is
+        read so: each element's terms are sorted descending under
+        ``order``, and the elements by ascending initial term, as
         ``buchberger`` returns them.  Why that is the reduced basis under
         ``order``: write in_1 for B's order and in_2 for ``order``.  B's
         first terms are its in_1 terms (see the class docstring) and its in_2
@@ -153,7 +160,8 @@ class Ideal:
         I.  So in_2(I) = in_1(I) is generated by B's initial terms, and B is
         a Groebner basis under ``order``.  Reducedness reads only the
         initial terms and the coefficients, so B is the reduced basis there
-        too.
+        too.  A universal basis is a Groebner basis under ``order``, so
+        reducing it gives the reduced basis, which is unique.
         """
         if order is None:
             order = storage_order(self.ring)
@@ -163,6 +171,8 @@ class Ideal:
         got = self._rgb.get(order.rows)
         if got is None:
             got = self._agreeing(order)
+            if got is None and self._universal is not None:
+                got = tuple(reduced_basis_of(order, self._universal()))
             if got is None:
                 got = tuple(buchberger(order, self.gens))
             self._rgb[order.rows] = got

@@ -544,13 +544,16 @@ def _context_key(I: Ideal, context: Optional[Graph]):
       ``binomial_monomial_split`` read the context through its edges by
       position (the removed edges of a cover, the edges its subgraph
       keeps, and so the free variables), the sign sets of the universal
-      bases of the context and of its edge deletions, the membership of
-      such a basis's binomials in an ideal, whether u - v lies in the
-      lattice of a deletion for a binomial x^u - x^v, and the toric
-      dimensions of the deletions.  By the two items above each is a
-      function of (P, L) and positions.  Nothing reads vertex names,
-      isolated vertices, the order of the edges, or the ancestor that a
-      cached basis is restricted from, which gives the same basis.
+      bases of the context and of its edge deletions, whether the initial
+      term of each such basis's binomials under the storage order is
+      divisible by an initial term of an ideal's reduced basis, whether
+      u - v lies in the lattice of a deletion for a binomial x^u - x^v,
+      and the toric dimensions of the deletions.  By the two items above
+      each is a function of (P, L) and positions.  Nothing reads vertex
+      names, isolated vertices, the order of the edges, or the ancestor
+      that a cached basis is restricted from, which gives the same basis.
+      The universal basis that "prime" evidence leaves with an ideal
+      changes how its reduced bases are computed, not what they are.
 
     So a memo hit, the stored node read in another ring, is the node a
     fresh search would build.  Take nodes with equal memo keys: the same

@@ -605,20 +605,60 @@ def counted_runs(monkeypatch) -> list:
     return runs
 
 
-def corpus_ideals_and_branches() -> list:
-    """The toric ideal of each graph of the 7-edge corpus, each followed by
-    the C and N branches of its square-free splits at every edge, built
-    fresh."""
+def corpus_nodes(graphs=None) -> list:
+    """The toric ideal of each graph of the 7-edge corpus, or of
+    ``graphs``, each followed by the C and N branches of its square-free
+    splits at every edge, built fresh, each as the pair (ideal, context):
+    the graph, restricted to the ideal's ring as the search restricts it."""
     from graph_corpus import connected_graphs, to_graph
+    if graphs is None:
+        graphs = [to_graph(n, edges) for n, edges in connected_graphs(7)]
     out = []
-    for n, edges in connected_graphs(7):
-        J = toric_ideal(to_graph(n, edges))
-        out.append(J)
+    for G in graphs:
+        J = toric_ideal(G)
+        out.append((J, G))
         for y in J.ring.names:
             split = cn_split(J, y)
             if split.square_free_in_y:
-                out += [split.c_branch, split.n_branch]
+                context = gvd._restrict_context(G, split.n_branch.ring.names)
+                out += [(split.c_branch, context), (split.n_branch, context)]
     return out
+
+
+def corpus_ideals_and_branches() -> list:
+    """The ideals of ``corpus_nodes``, with no context."""
+    return [J for J, _ in corpus_nodes()]
+
+
+def y_split(y, f: Poly) -> tuple:
+    """Write f = y^d * q + r with y absent from q and deg_y(r) < d: the
+    oracle of the split's exponent reading (``gvd._variable_order``)."""
+    if f.is_zero():
+        raise ValueError("y-split of zero polynomial")
+    ring = f.ring
+    iy = ring.vidx(y)
+    d = max(m[iy] for m in f.terms)
+    q, r = {}, {}
+    for m, c in f.terms.items():
+        if m[iy] == d:
+            mm = list(m)
+            mm[iy] = 0
+            q[tuple(mm)] = c
+        else:
+            r[m] = c
+    return d, Poly(ring, q), Poly(ring, r)
+
+
+def incidence_matrix(G: Graph) -> list:
+    """The 0/1 incidence matrix of G: rows indexed by vertices, columns by
+    edges.  The oracle of the kernel, the Graver basis and the toric
+    dimension."""
+    vpos = {v: i for i, v in enumerate(G.vertices)}
+    rows = [[0] * len(G.edges) for _ in G.vertices]
+    for j, (_, u, v) in enumerate(G.edges):
+        rows[vpos[u]][j] = 1
+        rows[vpos[v]][j] = 1
+    return rows
 
 
 def seeded_rng(seed: int, *labels: str) -> random.Random:

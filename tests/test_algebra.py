@@ -10,11 +10,11 @@ from gvdlab import algebra
 from gvdlab.algebra import (
     PackingOverflow, Poly, Ring, compile_order, elim_order, format_poly,
     initial_term, initial_y_form, lex_order, mono_divides, mono_mul,
-    parse_poly, storage_order, y_order, y_split,
+    parse_poly, storage_order, y_order,
 )
 
 from fixtures import (
-    compare, mono_div, mono_lcm, packed_gcd, pair_divisor,
+    compare, mono_div, mono_lcm, packed_gcd, pair_divisor, y_split,
 )
 
 R4 = Ring(["e1", "e2", "e3", "e4"])

@@ -6,14 +6,18 @@ from dataclasses import replace
 
 import pytest
 
-from gvdlab import components, graphs
-from gvdlab.algebra import Ring, initial_y_form, lex_order, parse_poly
+from gvdlab import components, graphs, groebner
+from gvdlab.algebra import (
+    ONE, Packing, Poly, Ring, initial_y_form, lex_order, parse_poly,
+    storage_order, y_order,
+)
 from gvdlab.components import (
-    SplitNotApplicable, binomial_monomial_split, unmixedness_evidence,
+    SplitNotApplicable, UnmixednessEvidence, binomial_monomial_split,
+    unmixedness_evidence,
 )
 from gvdlab.graphs import (
-    complete_bipartite, complete_graph, cycle_graph, toric_ideal,
-    universal_groebner_basis,
+    complete_bipartite, complete_graph, cycle_graph, lifted_basis,
+    toric_ideal, universal_groebner_basis,
 )
 from gvdlab.groebner import (
     Ideal, contract, ideal_contains, ideal_equal, minimal_generators,
@@ -21,8 +25,8 @@ from gvdlab.groebner import (
 from gvdlab.gvd import cn_split, is_gvd
 
 from fixtures import (
-    TWO_K4_C_E2, TWO_K4_LEX_E2_BASIS, TWO_K4_N_E2, empty_shared_memo,
-    intersection, two_k4_sharing_vertex,
+    TWO_K4_C_E2, TWO_K4_LEX_E2_BASIS, TWO_K4_N_E2, corpus_nodes,
+    counted_runs, empty_shared_memo, intersection, two_k4_sharing_vertex,
 )
 from graph_corpus import NINE_EDGE_GRAPHS, connected_graphs, to_graph
 
@@ -288,8 +292,8 @@ def test_universal_basis_sign_sets_are_those_of_the_renamed_basis():
             frozenset(f.rename(ring).terms) for f in universal_groebner_basis(G)}
 
 
-# B is the binomial part of <t> + <B>, in the ring of K4's edges and t, as
-# ``unmixedness_evidence`` splits it; I_K4 is generated by e1*e6 - e2*e5,
+# B is the binomial part of the minimal generators of <t> + <B>, in the
+# ring of K4's edges and t; I_K4 is generated by e1*e6 - e2*e5,
 # e1*e6 - e3*e4 and e2*e5 - e3*e4.
 PRIME_PATH_CASES = {
     # a binomial of I_K4 that is not primitive, and I_K4 not inside <B>
@@ -321,38 +325,57 @@ def test_prime_path_agrees_with_ideal_equality(case):
 
 
 def test_toric_tests_run_no_ideal_equality_on_two_k4(monkeypatch):
-    # Neither the prime path nor the split compares ideals: the checks
-    # reduce the universal basis modulo one reduced basis instead.
+    # Neither the prime path nor the split compares ideals or reduces
+    # anything: the checks scan the universal basis's initial terms for a
+    # divisor among those of one reduced basis instead.
     monkeypatch.setattr(graphs, "_UGB_CACHE", {})
     empty_shared_memo(monkeypatch)
-    calls = {"tests": 0, "checked": 0, "ideal_equal": 0}
-    inside = []
+    calls = {"tests": 0, "scanned": 0, "ideal_equal": 0, "ideal_contains": 0,
+             "reduced": 0}
+    inside, divisors = [], [0]
     test, equal, contains = (components._generates_toric_ideal,
-                             components.ideal_equal, components.ideal_contains)
+                             components.ideal_equal, groebner.ideal_contains)
+    divisor = Packing.divisor
 
-    def counted_test(*args):
+    def counted_test(J, *args):
         calls["tests"] += 1
+        J.groebner()  # so that the only divisor scans inside are the test's
+        before = divisors[0]
         inside.append(True)
         try:
-            return test(*args)
+            return test(J, *args)
         finally:
             inside.pop()
+            calls["scanned"] += divisors[0] > before
 
     def counted_equal(*args):
         calls["ideal_equal"] += bool(inside)
         return equal(*args)
 
     def counted_contains(*args):
-        calls["checked"] += 1
+        calls["ideal_contains"] += bool(inside)
         return contains(*args)
+
+    def counted_divisor(self, *args):
+        divisors[0] += bool(inside)
+        return divisor(self, *args)
+
+    def counted_reduce(reduce):
+        def counted(self, *args):
+            calls["reduced"] += bool(inside)
+            return reduce(self, *args)
+        return counted
 
     monkeypatch.setattr(components, "_generates_toric_ideal", counted_test)
     monkeypatch.setattr(components, "ideal_equal", counted_equal)
-    monkeypatch.setattr(components, "ideal_contains", counted_contains)
+    monkeypatch.setattr(groebner, "ideal_contains", counted_contains)
+    monkeypatch.setattr(Packing, "divisor", counted_divisor)
+    for arith in (groebner._Binomials, groebner._Fractions):
+        monkeypatch.setattr(arith, "reduce", counted_reduce(arith.reduce))
     G = two_k4_sharing_vertex()
     assert is_gvd(toric_ideal(G), context=G).verdict == "not-gvd"
-    assert calls["ideal_equal"] == 0
-    assert 0 < calls["checked"] <= calls["tests"]
+    assert calls["ideal_equal"] == calls["ideal_contains"] == calls["reduced"] == 0
+    assert 0 < calls["scanned"] <= calls["tests"]
 
 
 def test_evidence_reads_only_the_reduced_basis():
@@ -394,3 +417,148 @@ def test_evidence_reads_only_the_reduced_basis():
         assert len(got) == 1, got
     assert statuses == {"zero", "unit", "variables", "principal", "prime",
                         "equal-dims", "inconclusive", "refuted"}
+
+
+# ---------------------------------------------------------------------------
+# Proven-prime nodes: the initial-term scan, the prime evidence read off the
+# reduced basis, and the universal basis it hands to the ideal.
+
+def basis_parts(J: Ideal, G):
+    """J's reduced basis as its variables V and the rest B, with G less the
+    edges in V; None unless B is nonempty and all unit binomials."""
+    rgb = J.groebner()
+    V = [g for g in rgb if g.is_variable()]
+    B = [g for g in rgb if not g.is_variable()]
+    if not B or any(components._binomial_sides(g) is None for g in B):
+        return None
+    names = {J.ring.names[g.support()[0]] for g in V}
+    return V, B, G.delete_edges(names & set(G.edge_labels))
+
+
+def lifted_polys(G, ring) -> list:
+    return [Poly(ring, {a: ONE, b: -ONE}) for a, b in lifted_basis(G, ring)]
+
+
+def wider_corpus() -> list:
+    """The corpus nodes, then those of two_k4 and K_{3,3}, whose bases
+    hold more binomials than the corpus's."""
+    return corpus_nodes() + corpus_nodes([two_k4_sharing_vertex(),
+                                          complete_bipartite(3, 3)])
+
+
+def test_the_initial_term_scan_agrees_with_membership(monkeypatch):
+    # Over the corpus ideals and their C and N branches, and those of two_k4
+    # and K_{3,3}, whose reduced basis is variables V and unit binomials B: B, and B less any one element,
+    # generate the toric ideal of the context less V's edges exactly when
+    # they lie in it and its universal basis lies in <V> + <B>, the
+    # membership test that the scan of initial terms replaced.  The scan
+    # reduces nothing.
+    reductions, inside = [0], []
+    for arith in (groebner._Binomials, groebner._Fractions):
+        def counted(self, *args, reduce=arith.reduce):
+            reductions[0] += bool(inside)
+            return reduce(self, *args)
+        monkeypatch.setattr(arith, "reduce", counted)
+    outcomes = set()
+    for J, G in wider_corpus():
+        parts = basis_parts(J, G)
+        if parts is None:
+            continue
+        V, B, sub = parts
+        ugb = lifted_polys(sub, J.ring)
+        for drop in [None] + list(range(len(B))):
+            kept = [b for i, b in enumerate(B) if i != drop]
+            K = Ideal(J.ring, V + kept)
+            K.groebner()
+            inside.append(True)
+            got = components._generates_toric_ideal(K, kept, sub)
+            inside.pop()
+            in_toric = ideal_contains(Ideal(J.ring, ugb), *kept)
+            assert got == (in_toric and ideal_contains(K, *ugb))
+            outcomes.add((got, in_toric))
+    assert reductions[0] == 0
+    assert outcomes == {(True, True), (False, True)}
+
+
+PRIME = UnmixednessEvidence("prime", "variables plus the toric ideal of the "
+                                     "context subgraph, hence prime")
+
+
+def test_prime_evidence_is_the_minimal_generator_paths(monkeypatch):
+    # The evidence says "prime" before any minimal generator is taken,
+    # exactly where the path it replaced did: the minimal generators of the
+    # reduced basis are variables V and unit binomials, and the ideal is
+    # <V> plus the toric ideal of the context less V's edges.
+    real, calls = minimal_generators, []
+    monkeypatch.setattr(components, "minimal_generators",
+                        lambda I: calls.append(I) or real(I))
+    seen = set()
+    for J, G in corpus_nodes():
+        rgb = J.groebner()
+        if components.base_evidence(rgb) is not None or len(rgb) == 1:
+            continue
+        gens = rgb if all(g.is_monomial() for g in rgb) else real(Ideal(J.ring, rgb))
+        parts = basis_parts(Ideal(J.ring, gens), G)
+        prime = parts is not None and ideal_equal(
+            J, Ideal(J.ring, parts[0] + lifted_polys(parts[2], J.ring)))
+        calls.clear()
+        ev = unmixedness_evidence(J, G)
+        assert (ev == PRIME) is prime
+        assert not (prime and calls)
+        seen.add(prime)
+    assert seen == {True, False}
+
+
+def test_a_prime_node_reads_every_basis_off_its_universal_basis(monkeypatch):
+    # A node of the corpus, two_k4 or K_{3,3} whose evidence says "prime"
+    # keeps the universal basis of its variables and subgraph, and a basis
+    # read off it under the storage order or under y_order at any variable
+    # is Buchberger's, term for term, with no run.
+    real = groebner.buchberger
+    runs = counted_runs(monkeypatch)
+    read = 0
+    for J, G in wider_corpus():
+        if unmixedness_evidence(J, G) != PRIME:
+            continue
+        ring = J.ring
+        for order in [storage_order(ring)] + [y_order(ring, y) for y in ring.names]:
+            fresh = Ideal(ring, J.gens)
+            fresh._universal = J._universal
+            runs.clear()
+            got = fresh.groebner(order)
+            assert runs == []
+            want = real(order, J.gens)
+            assert [list(g.terms.items()) for g in got] == [
+                list(g.terms.items()) for g in want]
+            read += 1
+    assert read > 0
+
+
+def test_a_node_that_is_not_prime_keeps_no_universal_basis():
+    # Evidence that does not say "prime" leaves the ideal with no universal
+    # basis, and its y-order bases are still Buchberger's, term for term.
+    # The nodes are those of the corpus, two_k4 and K_{3,3}, each prime one
+    # again with no context, and each prime one less the largest binomial
+    # of its reduced basis, whose basis is variables and unit binomials
+    # that may no longer generate a toric ideal.
+    nodes = []
+    for J, G in wider_corpus():
+        if unmixedness_evidence(J, G) != PRIME:
+            nodes.append((J, G))
+            continue
+        nodes.append((Ideal(J.ring, J.gens), None))
+        V, B, _ = basis_parts(J, G)
+        if len(B) > 1:
+            nodes.append((Ideal(J.ring, V + B[:-1]), G))
+    tested = 0
+    for J, G in nodes:
+        if unmixedness_evidence(J, G) == PRIME:
+            continue
+        assert J._universal is None
+        for y in J.ring.names:
+            order = y_order(J.ring, y)
+            assert [list(g.terms.items()) for g in J.groebner(order)] == [
+                list(g.terms.items()) for g in groebner.buchberger(order, J.gens)]
+        tested += (G is not None and len(J.groebner()) > 1
+                   and basis_parts(J, G) is not None)
+    assert tested > 0

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from gvdlab import bipartite, components, ef, graphs, groebner, gvd, util
-from gvdlab.algebra import Ring, parse_poly, storage_order, y_order, y_split
+from gvdlab.algebra import Ring, parse_poly, storage_order, y_order
 from gvdlab.bipartite import certify_bipartite_gvd
 from gvdlab.components import UnmixednessEvidence
 from gvdlab.ef import quadratic_pipeline
@@ -27,7 +27,7 @@ from fixtures import (
     TWO_K4_IN_E12_OF_L, TWO_K4_N_E2, TWO_K4_N_E8_OF_J, TWO_K4_N_E11_OF_M,
     TWO_K4_N_E12_OF_L, PolledBudget, corpus_ideals_and_branches,
     counted_runs, empty_shared_memo, two_k4_chain, two_k4_sharing_vertex,
-    two_triangles_bridged,
+    two_triangles_bridged, y_split,
 )
 from graph_corpus import NINE_EDGE_GRAPHS, connected_graphs, to_graph
 
@@ -1317,16 +1317,18 @@ def test_handed_down_bases_are_the_reduced_bases(monkeypatch):
                 groebner.buchberger(storage_order(J.ring), J.gens))
 
 
-def test_two_k4_runs_buchberger_at_most_373_times(monkeypatch):
-    # Square-free splits hand C's and N's storage bases down, and a y-order
-    # basis with the storage basis's initial terms is read off it, so the
-    # refutation of two_k4 from an empty memo, with its toric ideal, makes
-    # at most 373 Buchberger runs (1,221 when each was computed).
+def test_two_k4_runs_buchberger_at_most_91_times(monkeypatch):
+    # Square-free splits hand C's and N's storage bases down, a y-order
+    # basis with the storage basis's initial terms is read off it, and a
+    # node whose evidence proves it variables plus a toric ideal reads its
+    # y-order bases off their universal basis, so the refutation of two_k4
+    # from an empty memo, with its toric ideal, makes at most 91 Buchberger
+    # runs (373 with no universal basis, 1,221 when each was computed).
     empty_shared_memo(monkeypatch)
     runs = counted_runs(monkeypatch)
     G = two_k4_sharing_vertex()
     assert is_gvd(toric_ideal(G), context=G).verdict == "not-gvd"
-    assert len(runs) <= 373
+    assert len(runs) <= 91
 
 
 def test_replay_with_a_warm_table_agrees_with_an_empty_one(monkeypatch):
