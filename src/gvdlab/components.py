@@ -209,9 +209,10 @@ def _binomial_sides(f: Poly):
 
 def _ugb_signs(G: Graph, ring) -> frozenset:
     """The universal basis lifted into ``ring``, each binomial up to sign as
-    the set of its two monomials.  Among +1/-1 binomials, the only ones
+    the set of its two monomials, kept with the lift
+    (``graphs.lifted_basis``).  Among +1/-1 binomials, the only ones
     compared with it, ``frozenset(f.terms)`` is the same key."""
-    return frozenset(frozenset(pair) for pair in lifted_basis(G, ring))
+    return lifted_basis(G, ring).signs
 
 
 def _generates_toric_ideal(J: Ideal, binomials: list, G: Graph) -> bool:
@@ -228,10 +229,10 @@ def _generates_toric_ideal(J: Ideal, binomials: list, G: Graph) -> bool:
     1. Each b = x^u - x^v of B has u_i = v_i at every position that is not
        an edge of G, and A_G(u - v) = 0 on the edges, A_G the incidence
        matrix of G.
-    2. The initial term of each binomial of G's universal basis
-       (``lifted_basis``) under the storage order, its larger packed
-       monomial, is divisible by the initial term of an element of J's
-       reduced basis, its first term (``groebner.Ideal``).
+    2. Each minimal generator of in(I_G) under the storage order, kept
+       with the lift of G's universal basis (``graphs.LiftedBasis.leads``),
+       is divisible by the initial term of an element of J's reduced
+       basis, its first term (``groebner.Ideal``).
 
     Check 1 holds exactly when <B> lies in I_G.  Split a monomial as
     x_S^a x_T^c, S the edges of G and T the rest of the ring.  The
@@ -247,7 +248,12 @@ def _generates_toric_ideal(J: Ideal, binomials: list, G: Graph) -> bool:
     I_G under every order (Sturmfels, ch. 7), and V and I_G have disjoint
     variables, so in(J') = <V> + in(I_G).  If <B> = I_G, then J = J', and
     check 2 holds.  Conversely, check 1 puts J inside J', and check 2 puts
-    in(I_G), and so in(J'), inside in(J).  Nested ideals with equal
+    in(I_G), which its minimal generators generate, and so in(J'), inside
+    in(J).  Scanning only the minimal generators loses nothing: the initial
+    term of each binomial of the universal basis, its larger packed
+    monomial, lies in in(I_G), so it is a multiple of a minimal generator,
+    and has a divisor among J's initial terms whenever that generator
+    does.  Nested ideals with equal
     initial ideals are equal (Cox-Little-O'Shea, *Ideals, Varieties, and
     Algorithms*, ch. 2): the remainder of an element of J' modulo J's
     reduced basis lies in J', so it is zero or has its initial term in
@@ -256,8 +262,8 @@ def _generates_toric_ideal(J: Ideal, binomials: list, G: Graph) -> bool:
     are equal.
     """
     ring = J.ring
-    pairs = lifted_basis(G, ring)
-    if {frozenset(f.terms) for f in binomials} == frozenset(map(frozenset, pairs)):
+    lift = lifted_basis(G, ring)
+    if {frozenset(f.terms) for f in binomials} == lift.signs:
         return True
     edges = {ring.index[label] for label in G.edge_labels}
     others = [i for i in range(ring.arity) if i not in edges]
@@ -271,8 +277,8 @@ def _generates_toric_ideal(J: Ideal, binomials: list, G: Graph) -> bool:
 
     def scan(pk) -> bool:
         leads = [(pk.pack(next(iter(g.terms))),) for g in basis]
-        return all(pk.divisor(max(pk.pack(a), pk.pack(b)), leads) is not None
-                   for a, b in pairs)
+        return all(pk.divisor(pk.pack(m), leads) is not None
+                   for m in lift.leads)
     return storage_order(ring).packing.widening(scan)
 
 
@@ -373,9 +379,12 @@ def unmixedness_evidence(I: Ideal, context: Optional[Graph] = None) -> Unmixedne
     of I_sub, whose elements are unit binomials: the test holds exactly
     when I = <V> + I_sub.  The minimal generators, a subset of the basis,
     keep every variable in it, so a path through them reads the same V and
-    decides the same.  A proven-prime I keeps V plus the universal basis of
-    the subgraph, a Groebner basis under every order, and reads each basis
-    it is asked for off it (``groebner.Ideal``), with no Buchberger run.
+    decides the same.  A proven-prime I keeps, in ``Ideal._universal``, the
+    data (V, pairs): V and the pairs of the subgraph's universal basis as
+    ``graphs.lifted_basis`` caches them, with no ``Poly`` built.  Every reduced
+    basis of I is V plus a subset of that universal basis, so each basis I
+    is asked for is selected from it (``groebner.selected_basis``), with
+    no Buchberger run and no reduction.
 
     The minimal primes are the components that ``binomial_monomial_split``
     reads off the minimal generators.  A monomial ideal is the case with no
@@ -403,8 +412,7 @@ def unmixedness_evidence(I: Ideal, context: Optional[Graph] = None) -> Unmixedne
         sub = context.delete_edges({ring.names[g.support()[0]] for g in V}
                                    & set(context.edge_labels))
         if _generates_toric_ideal(I, B, sub):
-            I._universal = lambda: V + [
-                Poly(ring, {a: ONE, b: -ONE}) for a, b in lifted_basis(sub, ring)]
+            I._universal = (tuple(V), lifted_basis(sub, ring).pairs)
             return UnmixednessEvidence(
                 "prime", "variables plus the toric ideal of the context "
                 "subgraph, hence prime")

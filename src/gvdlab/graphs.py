@@ -24,13 +24,14 @@ from operator import itemgetter, neg
 from typing import Iterable, Sequence
 
 from .algebra import Poly, Ring, storage_order
-from .groebner import Ideal, ideal_equal, minimal_generators, reduced_basis_of
+from .groebner import Ideal, ideal_equal, minimal_generators, selected_basis
 
 __all__ = [
     "Graph", "cycle_graph", "path_graph", "complete_graph",
     "complete_bipartite", "ferrers_graph",
     "graver_basis",
-    "universal_groebner_basis", "lifted_basis", "toric_ideal",
+    "universal_groebner_basis", "LiftedBasis", "lifted_basis",
+    "toric_ideal",
     "reduced_toric_ideal",
     "toric_dimension", "even_cycle_binomial", "glue_even_cycle",
     "disjoint_union", "is_gap_free", "four_cycles_containing",
@@ -487,24 +488,97 @@ def universal_groebner_basis(G: Graph) -> tuple:
     return out
 
 
-def lifted_basis(G: Graph, ring: Ring) -> list:
-    """The universal basis of G in ``ring``, which holds every edge of G:
-    each binomial x^a - x^b as the pair (a, b) of exponent tuples in
-    ``ring``, read from the cached basis through a map of positions, with
-    no ``Poly`` built.  In G's own ring the pairs are the cached terms."""
+class LiftedBasis:
+    """G's universal basis read in one ring, and what is read off it there.
+
+    ``names`` are the ring's names, ``edges`` the sorted ring positions of
+    G's edges, and ``pairs`` holds each binomial x^a - x^b as the pair
+    (a, b) of exponent tuples, in the cached order (``lifted_basis``).  The
+    rest is derived from them when first read and kept:
+
+    - ``signs``: each binomial up to sign, as the set of its two monomials;
+    - ``key``: ``edges``, and the bytes of each binomial's smaller
+      monomial, then of its larger one, sorted and joined
+      (``gvd._context_key``; an exponent of a primitive walk binomial is at
+      most 2, so it fits in a byte);
+    - ``leads``: the minimal generators of the initial ideal of I_G under
+      the ring's storage order, in ascending order: the initial terms of
+      the reduced basis that ``groebner.selected_basis`` selects.
+    """
+
+    __slots__ = ("names", "edges", "pairs", "_signs", "_key", "_leads")
+
+    def __init__(self, names: tuple, edges: tuple, pairs: tuple):
+        self.names, self.edges, self.pairs = names, edges, pairs
+        self._signs = self._key = self._leads = None
+
+    @property
+    def signs(self) -> frozenset:
+        if self._signs is None:
+            self._signs = frozenset(map(frozenset, self.pairs))
+        return self._signs
+
+    @property
+    def key(self) -> tuple:
+        if self._key is None:
+            signs = sorted(bytes(min(pair) + max(pair)) for pair in self.pairs)
+            self._key = (self.edges, b"".join(signs))
+        return self._key
+
+    @property
+    def leads(self) -> tuple:
+        if self._leads is None:
+            order = storage_order(Ring(self.names))
+            self._leads = tuple(next(iter(g.terms))
+                                for g in selected_basis(order, (), self.pairs))
+        return self._leads
+
+
+# Lifted bases by (vertices, edges, ring names), oldest first, capped as
+# the universal bases are.
+_LIFTED: dict = {}
+
+
+def lifted_basis(G: Graph, ring: Ring) -> LiftedBasis:
+    """G's universal basis in ``ring``, which holds every edge of G, as a
+    ``LiftedBasis``: each binomial x^a - x^b as the pair (a, b) of
+    exponent tuples in ``ring``, read from the cached basis through a map
+    of positions (``_restricted_basis``), with no ``Poly`` built.  In G's
+    own ring the pairs are the cached terms.  An edge of G missing from
+    ``ring`` raises ``KeyError``.
+
+    Entries are cached by G's vertices and edges and the ring's names,
+    which fix the pairs: the universal basis is a function of the graph's
+    structure (``universal_groebner_basis``, whichever ancestor it is
+    restricted from), and the ring's names fix the map of positions.  So a
+    hit is the entry a fresh lift builds.  Past ``_UGB_CACHE_SIZE``
+    entries the oldest is dropped.
+    """
+    key = (G.vertices, G.edges, ring.names)
+    hit = _LIFTED.get(key)
+    if hit is not None:
+        return hit
+    edges = tuple(sorted(map(ring.index.__getitem__, G.edge_labels)))
     basis = universal_groebner_basis(G)
     if ring.names == G.edge_labels:
-        return [tuple(f.terms) for f in basis]
-    return _restricted_basis(G, ring) if basis else []
+        pairs = tuple(tuple(f.terms) for f in basis)
+    else:
+        pairs = tuple(_restricted_basis(G, ring)) if basis else ()
+    out = LiftedBasis(ring.names, edges, pairs)
+    if len(_LIFTED) >= _UGB_CACHE_SIZE:
+        del _LIFTED[next(iter(_LIFTED))]
+    _LIFTED[key] = out
+    return out
 
 
 def _restricted_basis(G: Graph, ring: Ring):
     """The binomials x^a - x^b of the cached basis of G or of its nearest
     cached ancestor that avoid the edges G lacks, each as the pair (a, b)
-    lifted into ``ring`` through a map of positions, in the cached order;
-    None when no such basis is cached.  By ``universal_groebner_basis``
-    they are G's basis.  Every cached binomial is x^a - x^b with its terms
-    in that order (``vector_to_binomial``), and lifting keeps it so."""
+    lifted into ``ring``, which holds every edge of G, through a map of
+    positions, in the cached order; None when no such basis is cached.  By
+    ``universal_groebner_basis`` they are G's basis.  Every cached binomial
+    is x^a - x^b with its terms in that order (``vector_to_binomial``), and
+    lifting keeps it so."""
     A = G
     while A is not None:
         hit = _UGB_CACHE.get((A.vertices, A.edges))
@@ -514,9 +588,6 @@ def _restricted_basis(G: Graph, ring: Ring):
     else:
         return None
     kept = set(G.edge_labels)
-    missing = kept - ring.index.keys()
-    if missing:
-        raise KeyError("edges %s not in the ring" % sorted(missing))
     # A ring variable reads its exponent at its position in A, or from the
     # zero padded after the last one when it is no edge of A.  The extra
     # leading read makes ``lift`` return a tuple even for one variable.
@@ -549,12 +620,12 @@ def toric_ideal(G: Graph) -> Ideal:
 
 def reduced_toric_ideal(G: Graph) -> Ideal:
     """The toric ideal of G generated by its reduced basis under the
-    storage order, which needs no S-pair: the universal basis is a Groebner
-    basis under every order, so minimalizing and inter-reducing it gives
-    the reduced basis, which is unique (``reduced_basis_of``)."""
+    storage order, which needs no S-pair and no reduction: every reduced
+    basis of a toric ideal is a subset of its universal basis, which
+    ``selected_basis`` picks out."""
     ring = G.edge_ring()
-    return Ideal.reduced(ring, reduced_basis_of(storage_order(ring),
-                                                universal_groebner_basis(G)))
+    return Ideal.reduced(ring, selected_basis(storage_order(ring), (),
+                                              lifted_basis(G, ring).pairs))
 
 
 def toric_dimension(G: Graph) -> int:

@@ -65,7 +65,8 @@ from .algebra import (
 )
 
 __all__ = [
-    "Ideal", "s_polynomial", "buchberger", "reduced_basis_of", "initial_ideal",
+    "Ideal", "s_polynomial", "buchberger", "reduced_basis_of", "selected_basis",
+    "initial_ideal",
     "ideal_equal", "ideal_contains", "intersect",
     "saturate_variable", "eliminate", "contract",
     "radical_contains", "radical_equal",
@@ -84,16 +85,19 @@ class Ideal:
     ``gvd.cn_split`` the ``y_order`` entries of C and N, with a basis that a
     theorem fixes, so no Buchberger run makes it.  A third way fills any
     entry: ``components.unmixedness_evidence``, once it proves an ideal
-    variables plus the toric ideal of a subgraph, sets ``_universal`` to a
-    function returning those variables and the subgraph's universal basis,
-    a Groebner basis under every order, and ``groebner`` reduces it.
+    variables V plus the toric ideal of a subgraph, stores in
+    ``_universal`` the data (V, pairs): V's elements and the subgraph's
+    universal basis lifted into the ring (``graphs.lifted_basis``), and
+    ``groebner`` selects each reduced basis from them
+    (``selected_basis``), with no S-pair and no reduction.
 
     Every cached basis stores each element's initial term first, as
     ``buchberger`` returns it (its terms in descending order), and so do
-    ``reduced_basis_of``, ``_made_monic``, ``Ideal.reduced``, ``contract``,
-    ``gvd.cn_split`` and ``gvd._disjoint_factors``: ``groebner`` and
-    ``contract`` read the initial terms of a cached basis under its own
-    order off that first term.
+    ``reduced_basis_of``, ``selected_basis``, ``_made_monic``,
+    ``Ideal.reduced``, ``contract``, ``gvd.cn_split`` and
+    ``gvd._disjoint_factors``: ``groebner`` and ``contract`` read the
+    initial terms of a cached basis under its own order off that first
+    term.
     """
 
     __slots__ = ("ring", "gens", "_rgb", "_universal")
@@ -144,8 +148,10 @@ class Ideal:
 
         When it is not cached, a cached basis B whose first terms are also
         the initial terms of its elements under ``order`` is read under it,
-        else the universal basis ``_universal`` returns, if any, is reduced
-        (``reduced_basis_of``), with no Buchberger run either way.  B is
+        else, when the slot ``_universal`` holds its data, variables V and
+        the pairs of a universal basis, the reduced basis is selected from
+        them, with no tail reduced (``selected_basis``), with no Buchberger
+        run either way.  B is
         read so: each element's terms are sorted descending under
         ``order``, and the elements by ascending initial term, as
         ``buchberger`` returns them.  Why that is the reduced basis under
@@ -160,8 +166,7 @@ class Ideal:
         I.  So in_2(I) = in_1(I) is generated by B's initial terms, and B is
         a Groebner basis under ``order``.  Reducedness reads only the
         initial terms and the coefficients, so B is the reduced basis there
-        too.  A universal basis is a Groebner basis under ``order``, so
-        reducing it gives the reduced basis, which is unique.
+        too.  The docstring of ``selected_basis`` proves the selection.
         """
         if order is None:
             order = storage_order(self.ring)
@@ -172,7 +177,7 @@ class Ideal:
         if got is None:
             got = self._agreeing(order)
             if got is None and self._universal is not None:
-                got = tuple(reduced_basis_of(order, self._universal()))
+                got = selected_basis(order, *self._universal)
             if got is None:
                 got = tuple(buchberger(order, self.gens))
             self._rgb[order.rows] = got
@@ -481,6 +486,52 @@ def reduced_basis_of(order: Order, basis: Iterable[Poly]) -> list:
         return _interreduced(ar, order.ring, stored, [e[0] for e in stored])
 
     return _packed(order, gens, run)
+
+
+def selected_basis(order: Order, variables: Iterable[Poly],
+                   pairs: Iterable[tuple]) -> tuple:
+    """The reduced Groebner basis under ``order`` of <V> + I, where V is
+    ``variables`` and I a toric ideal in other variables whose universal
+    basis holds the binomial x^a - x^b for each pair (a, b) of ``pairs``,
+    in either orientation.  It is selected, not reduced: each element is
+    packed with its larger monomial first, the elements are sorted by
+    (initial term, tail), and each is kept unless the initial term of a
+    kept one divides its own.  Only the kept elements become ``Poly``s,
+    with their initial terms first and in ascending order, as
+    ``buchberger`` returns them.
+
+    Why that is the reduced basis.  Every reduced Groebner basis of a
+    toric ideal is a subset of its universal basis, up to the sign of each
+    binomial (Sturmfels, *Groebner Bases and Convex Polytopes*, 1996, ch.
+    7).  Each element of the reduced basis is m - NF(m) for a minimal
+    generator m of in(I), and the other elements with initial term m have
+    a larger tail: if m - t and m - t' both lie in I, then t - t' does, so
+    when t != t' the larger of the two lies in in(I) and is not standard,
+    while NF(m) is.  In ascending order a divisor comes before its
+    multiples, so the elements kept are, for each minimal generator m, the
+    first with initial term m, which has the least tail: the reduced basis
+    of I.  V's variables are disjoint from the variables of I, so no
+    initial term of either part divides one of the other, the reduced
+    basis of <V> + I is V together with that of I, and V is kept whole.
+    """
+    monomials = [next(iter(v.terms)) for v in variables]
+
+    def run(pk) -> list:
+        pack, divisor = pk.pack, pk.divisor
+        elems = [(pack(m), -1, m, None) for m in monomials]
+        for a, b in pairs:
+            pa, pb = pack(a), pack(b)
+            elems.append((pa, pb, a, b) if pa > pb else (pb, pa, b, a))
+        elems.sort()
+        kept = []
+        for e in elems:
+            if divisor(e[0], kept) is None:
+                kept.append(e)
+        return kept
+
+    ring = order.ring
+    return tuple(Poly(ring, {a: ONE} if b is None else {a: ONE, b: -ONE})
+                 for _, _, a, b in order.packing.widening(run))
 
 
 def _interreduced(ar, ring: Ring, basis: list, lts: list) -> list:

@@ -37,7 +37,6 @@ the certificate tree:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 from .algebra import Poly, Ring, initial_y_form, y_order
@@ -89,23 +88,33 @@ class CnSplit:
     (2021)): a failure at one y-compatible order is a failure at all.
 
     The split owns its branches, the contractions of C and N to the ring
-    without y, built when first read: ``c_branch`` and ``n_branch`` are one
-    ideal exactly when C is N, that is when y is absent.  Whether the step
-    only shrinks the problem is read off the split (``degenerate``).
+    without y, built when first read and kept in plain fields:
+    ``c_branch`` and ``n_branch`` are one ideal exactly when C is N, that
+    is when y is absent.  Whether the step only shrinks the problem is
+    read off the split (``degenerate``).
     """
 
     y: str
     C: Ideal
     N: Ideal
     square_free_in_y: bool
+    # the branches once read: plain instance fields over these class-level
+    # Nones, and not dataclass fields, so ``replace`` starts them afresh
+    _c_branch = None
+    _n_branch = None
 
-    @cached_property
+    @property
     def n_branch(self) -> Ideal:
-        return contract(self.N, self.y)
+        if self._n_branch is None:
+            object.__setattr__(self, "_n_branch", contract(self.N, self.y))
+        return self._n_branch
 
-    @cached_property
+    @property
     def c_branch(self) -> Ideal:
-        return self.n_branch if self.C is self.N else contract(self.C, self.y)
+        if self._c_branch is None:
+            branch = self.n_branch if self.C is self.N else contract(self.C, self.y)
+            object.__setattr__(self, "_c_branch", branch)
+        return self._c_branch
 
     @property
     def degenerate(self) -> bool:
@@ -513,11 +522,15 @@ def _context_key(I: Ideal, context: Optional[Graph]):
     Every edge of the context lies in the ring: ``is_gvd`` refuses any
     other context, and a child's context is its restriction to the child's
     ring (``_restrict_context``).  The key is the sorted ring positions P
-    of its edges, and the sign set of its universal basis by ring position
-    (``lifted_basis``): each binomial as the bytes of the
-    exponents of its smaller monomial, then of its larger one, sorted and
-    joined.  (The exponents of a primitive walk binomial are at most 2, so
-    each fits in a byte.)
+    of its edges, and the sign set of its universal basis by ring position:
+    each binomial as the bytes of the exponents of its smaller monomial,
+    then of its larger one, sorted and joined.  (The exponents of a
+    primitive walk binomial are at most 2, so each fits in a byte.)  It is
+    built once per context and ring and kept with the lifted basis
+    (``graphs.LiftedBasis.key``).  A kept key is the key a fresh
+    computation builds: it is a function of the lifted pairs and of the
+    ring's names, and ``graphs.lifted_basis`` caches its entries under the
+    context's vertices and edges and the ring's names, which fix both.
 
     Why equal keys give equal nodes.  Let
     A be the incidence matrix of the context with its columns at the
@@ -582,10 +595,7 @@ def _context_key(I: Ideal, context: Optional[Graph]):
     """
     if context is None:
         return None
-    signs = sorted(bytes(min(pair) + max(pair))
-                   for pair in lifted_basis(context, I.ring))
-    return (tuple(sorted(map(I.ring.index.__getitem__, context.edge_labels))),
-            b"".join(signs))
+    return lifted_basis(context, I.ring).key
 
 
 def _node_key(I: Ideal, context: Optional[Graph]) -> tuple:

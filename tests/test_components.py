@@ -436,7 +436,7 @@ def basis_parts(J: Ideal, G):
 
 
 def lifted_polys(G, ring) -> list:
-    return [Poly(ring, {a: ONE, b: -ONE}) for a, b in lifted_basis(G, ring)]
+    return [Poly(ring, {a: ONE, b: -ONE}) for a, b in lifted_basis(G, ring).pairs]
 
 
 def wider_corpus() -> list:
@@ -532,6 +532,28 @@ def test_a_prime_node_reads_every_basis_off_its_universal_basis(monkeypatch):
                 list(g.terms.items()) for g in want]
             read += 1
     assert read > 0
+
+
+def test_the_selected_basis_is_buchbergers():
+    # On every prime node of the corpus, two_k4 and K_{3,3}, the slot holds
+    # data, V and the lifted pairs, and the basis selected from them under
+    # the storage order, lex and y_order at every variable is Buchberger's,
+    # term for term.
+    selected = 0
+    for J, G in wider_corpus():
+        if unmixedness_evidence(J, G) != PRIME:
+            continue
+        V, pairs = J._universal
+        assert all(v.is_variable() for v in V) and isinstance(pairs, tuple)
+        ring = J.ring
+        for order in ([storage_order(ring), lex_order(ring)]
+                      + [y_order(ring, y) for y in ring.names]):
+            got = groebner.selected_basis(order, V, pairs)
+            want = groebner.buchberger(order, J.gens)
+            assert [list(g.terms.items()) for g in got] == [
+                list(g.terms.items()) for g in want]
+            selected += 1
+    assert selected == 584
 
 
 def test_a_node_that_is_not_prime_keeps_no_universal_basis():

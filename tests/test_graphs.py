@@ -354,6 +354,44 @@ def test_universal_basis_cache_is_capped_and_drops_the_oldest(monkeypatch):
     assert calls == [a, b, c, a] and len(graphs._UGB_CACHE) == 2
 
 
+def test_lifted_basis_cache_is_capped_and_drops_the_oldest(monkeypatch):
+    # Each (graph, ring) pair is lifted once: a repeated lift hits, a hit
+    # is what a fresh lift gives, the table keeps at most _UGB_CACHE_SIZE
+    # entries and drops the oldest first, and a ring missing an edge
+    # raises KeyError on a miss.
+    K4 = complete_graph(4)
+    a, b, c = (K4.delete_edges([e]) for e in ("e1", "e2", "e3"))
+    ring = Ring(("t",) + K4.edge_labels)
+    lifts = []
+    real = graphs._restricted_basis
+
+    def counted(G, into):
+        if into.names == ring.names:  # not a universal basis's own lift
+            lifts.append(G)
+        return real(G, into)
+    monkeypatch.setattr(graphs, "_restricted_basis", counted)
+    monkeypatch.setattr(graphs, "_LIFTED", {})
+    monkeypatch.setattr(graphs, "_UGB_CACHE_SIZE", 2)
+    first = {}
+    for G in (a, b, c):
+        first[G] = lifted_basis(G, ring)
+        assert len(graphs._LIFTED) <= 2
+    assert lifted_basis(c, ring) is first[c]
+    assert lifts == [a, b, c]  # the repeated lookups hit
+    assert lifted_basis(a, ring) is not first[a]  # evicted as the oldest
+    assert lifts == [a, b, c, a] and len(graphs._LIFTED) == 2
+    for G in (a, b, c):
+        hit = lifted_basis(G, ring)
+        monkeypatch.setattr(graphs, "_LIFTED", {})
+        fresh = lifted_basis(G, ring)
+        assert fresh is not hit
+        assert (fresh.pairs, fresh.signs, fresh.key, fresh.leads) == (
+            hit.pairs, hit.signs, hit.key, hit.leads)
+    for H in (a, cycle_graph(4), path_graph(3)):  # path_graph(3): a forest
+        with pytest.raises(KeyError):
+            lifted_basis(H, Ring(H.edge_labels[1:]))
+
+
 def completed_basis(H):
     """The universal basis of a fresh copy of H, with no parent to restrict
     from, built from ``graver_basis`` and sorted as the library sorts it."""
@@ -384,8 +422,8 @@ def test_restricted_basis_is_the_completed_one(monkeypatch):
             want = expected[H.edges] = completed_basis(H)
         got = universal_groebner_basis(H)
         for ring in (H.edge_ring(), Ring(("t",) + H.edge_labels[::-1])):
-            assert lifted_basis(H, ring) == [tuple(f.rename(ring).terms)
-                                             for f in want]
+            assert list(lifted_basis(H, ring).pairs) == [
+                tuple(f.rename(ring).terms) for f in want]
         assert all(list(f.terms.values()) == [1, -1] for f in want)
         assert not completions
         assert got == want
@@ -397,10 +435,12 @@ def test_restricted_basis_is_the_completed_one(monkeypatch):
         labels = G.edge_labels
         root = {(G.vertices, G.edges): completed_basis(G)}
         monkeypatch.setattr(graphs, "_UGB_CACHE", dict(root))
+        monkeypatch.setattr(graphs, "_LIFTED", {})
         for i, a in enumerate(labels):
             for b in labels[i + 1:]:
                 check(G.delete_edges([a]).delete_edges([b]))
         monkeypatch.setattr(graphs, "_UGB_CACHE", dict(root))
+        monkeypatch.setattr(graphs, "_LIFTED", {})
         for i, a in enumerate(labels):
             H = G.delete_edges([a])
             check(H)

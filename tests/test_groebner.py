@@ -16,6 +16,7 @@ from gvdlab.groebner import (
     Ideal, _Binomials, _Fractions, buchberger, eliminate, ideal_contains,
     ideal_equal, initial_ideal, intersect, radical_contains,
     radical_equal, reduced_basis_of, s_polynomial, saturate_variable,
+    selected_basis,
 )
 
 from fixtures import (
@@ -168,6 +169,28 @@ def test_reduced_basis_of_a_universal_basis_is_buchbergers():
     order, basis = storage_order(G.edge_ring()), universal_groebner_basis(G)
     assert len(basis) == 660
     assert terms(reduced_basis_of(order, basis)) == terms(buchberger(order, basis))
+
+
+def test_selection_keeps_the_least_tail_of_a_shared_initial_term():
+    # The toric ideal of the matrix (1 1 1) has the universal basis a - b,
+    # a - c and b - c.  Under lex the first two share the initial term a,
+    # and the one listed first has the larger tail: the selection keeps
+    # a - c, as Buchberger does, and a variable of another ring position
+    # joins the basis whole.
+    ring = Ring(["a", "b", "c", "t"])
+    order = lex_order(ring)
+    pairs = (((1, 0, 0, 0), (0, 1, 0, 0)), ((1, 0, 0, 0), (0, 0, 1, 0)),
+             ((0, 0, 1, 0), (0, 1, 0, 0)))
+    got = selected_basis(order, (), pairs)
+    assert [str(g) for g in got] == ["b - c", "a - c"]
+    gens = [Poly(ring, {a: Fraction(1), b: Fraction(-1)}) for a, b in pairs]
+    assert [list(g.terms.items()) for g in got] == [
+        list(g.terms.items()) for g in buchberger(order, gens)]
+    t = ring.var("t")
+    got = selected_basis(order, (t,), pairs)
+    assert [str(g) for g in got] == ["t", "b - c", "a - c"]
+    assert [list(g.terms.items()) for g in got] == [
+        list(g.terms.items()) for g in buchberger(order, gens + [t])]
 
 
 def test_groebner_rejects_an_order_over_another_ring():

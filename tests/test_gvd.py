@@ -793,6 +793,25 @@ def test_the_branches_are_one_ideal_exactly_at_an_absent_variable():
     assert cases[True] and cases[False]
 
 
+def test_a_split_builds_each_branch_once_and_replace_starts_afresh(monkeypatch):
+    # The branches are plain fields filled on first read: a second read
+    # contracts nothing, and a split copied with another C by ``replace``
+    # contracts its own C rather than reading the original's branch.
+    J = toric_ideal(two_k4_sharing_vertex())
+    split = cn_split(J, "e2")
+    contracted = []
+    real = gvd.contract
+    monkeypatch.setattr(gvd, "contract",
+                        lambda K, y: contracted.append(K) or real(K, y))
+    c, n = split.c_branch, split.n_branch
+    assert (split.c_branch, split.n_branch) == (c, n)
+    assert contracted == [split.C, split.N]
+    other = Ideal(J.ring, split.C.gens[::-1])
+    copy = replace(split, C=other)
+    assert copy.c_branch is not c and contracted[-1] is other
+    assert copy.n_branch is not n
+
+
 # ---------------------------------------------------------------------------
 # Replay.
 
