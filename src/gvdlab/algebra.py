@@ -189,6 +189,16 @@ class Poly:
         self.ring = ring
         self.terms = {m: c for m, c in terms.items() if c}
 
+    @classmethod
+    def _adopt(cls, ring: Ring, terms: dict) -> "Poly":
+        """The engine's builder: a Poly holding ``terms`` itself, with no
+        copy.  Precondition: every coefficient is nonzero, and the caller
+        hands over the dict, which no one uses again."""
+        f = object.__new__(cls)
+        f.ring = ring
+        f.terms = terms
+        return f
+
     # -- basic queries ------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -202,7 +202,7 @@ def _binomial_sides(f: Poly):
     if len(items) != 2:
         return None
     (m1, c1), (m2, c2) = items
-    if {c1, c2} != {1, -1}:
+    if (c1, c2) not in ((1, -1), (-1, 1)):
         return None
     return frozenset(mono_support(m1)), frozenset(mono_support(m2))
 

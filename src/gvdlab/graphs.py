@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 ONE = Fraction(1)
+_MINUS_ONE = -ONE
 
 
 class Graph:
@@ -420,7 +421,7 @@ def _block_walks(adj: list, cycles: list, m: int) -> list:
 def vector_to_binomial(ring: Ring, u: tuple) -> Poly:
     """The binomial x^{u+} - x^{u-} of an integer vector."""
     pos, negp = _sign_parts(u)
-    return Poly(ring, {pos: ONE, negp: -ONE})
+    return Poly._adopt(ring, {pos: ONE, negp: _MINUS_ONE})
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +481,7 @@ def universal_groebner_basis(G: Graph) -> tuple:
         polys = [vector_to_binomial(ring, u) for u in graver_basis(G)]
         polys.sort(key=lambda f: (f.total_degree(), f.canonical()))
     else:
-        polys = [Poly(ring, {a: ONE, b: -ONE}) for a, b in lifted]
+        polys = [Poly._adopt(ring, {a: ONE, b: _MINUS_ONE}) for a, b in lifted]
     out = tuple(polys)
     if len(_UGB_CACHE) >= _UGB_CACHE_SIZE:
         del _UGB_CACHE[next(iter(_UGB_CACHE))]

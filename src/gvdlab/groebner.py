@@ -74,6 +74,7 @@ __all__ = [
 ]
 
 ONE = Fraction(1)
+_MINUS_ONE = -ONE
 
 
 class Ideal:
@@ -97,7 +98,8 @@ class Ideal:
     ``Ideal.reduced``, ``contract``, ``gvd.cn_split`` and
     ``gvd._disjoint_factors``: ``groebner`` and ``contract`` read the
     initial terms of a cached basis under its own order off that first
-    term.
+    term.  A storage-order basis holds all of each element's terms in
+    descending order, and ``gvd._node_key`` keys it by them as stored.
     """
 
     __slots__ = ("ring", "gens", "_rgb", "_universal")
@@ -185,11 +187,15 @@ class Ideal:
 
     def _agreeing(self, order: Order):
         """A cached basis whose first terms are its initial terms under
-        ``order``, read under ``order`` (see ``groebner``), or None."""
+        ``order``, read under ``order`` (see ``groebner``), or None.  An
+        element of at most two terms is kept as it is: monic, its initial
+        term first, it is what ``_made_monic`` returns."""
+        key = order.key
         for basis in self._rgb.values():
             if _leads(order, basis):
-                return tuple(sorted((_made_monic(order, g) for g in basis),
-                                    key=lambda g: order.key(next(iter(g.terms)))))
+                return tuple(sorted(
+                    (g if len(g.terms) <= 2 else _made_monic(order, g) for g in basis),
+                    key=lambda g: key(next(iter(g.terms)))))
         return None
 
     def is_zero_ideal(self) -> bool:
@@ -287,7 +293,7 @@ class _Fractions:
 
     def poly(self, ring: Ring, e: tuple) -> Poly:
         unpack = self.pk.unpack
-        return Poly(ring, {unpack(m): c for m, c in self.terms(e).items()})
+        return Poly._adopt(ring, {unpack(m): c for m, c in self.terms(e).items()})
 
 
 class _Binomials:
@@ -348,8 +354,8 @@ class _Binomials:
         m, t = e
         unpack = self.pk.unpack
         if t is None:
-            return Poly(ring, {unpack(m): ONE})
-        return Poly(ring, {unpack(m): ONE, unpack(t): -ONE})
+            return Poly._adopt(ring, {unpack(m): ONE})
+        return Poly._adopt(ring, {unpack(m): ONE, unpack(t): _MINUS_ONE})
 
 
 def _is_binomial(g: Poly) -> bool:
@@ -530,7 +536,7 @@ def selected_basis(order: Order, variables: Iterable[Poly],
         return kept
 
     ring = order.ring
-    return tuple(Poly(ring, {a: ONE} if b is None else {a: ONE, b: -ONE})
+    return tuple(Poly._adopt(ring, {a: ONE} if b is None else {a: ONE, b: _MINUS_ONE})
                  for _, _, a, b in order.packing.widening(run))
 
 
@@ -549,7 +555,7 @@ def _made_monic(order: Order, g: Poly) -> Poly:
     order, as the pair loop returns them."""
     ms = sorted(g.terms, key=order.key, reverse=True)
     terms = _monic(g.terms, g.terms[ms[0]])
-    return Poly(order.ring, {m: terms[m] for m in ms})
+    return Poly._adopt(order.ring, {m: terms[m] for m in ms})
 
 
 def _leads(order: Order, polys: Iterable[Poly]) -> bool:
@@ -710,11 +716,16 @@ def contract(I: Ideal, y: Union[int, str]) -> Ideal:
     ring = I.ring
     i = ring.vidx(y)
     small = ring.without(i)
+    done = {}  # each Poly object is dropped once, generator or basis element
 
     def dropped(g: Poly) -> Poly:
-        if any(m[i] for m in g.terms):
-            raise KeyError("variable %r not in target ring" % ring.names[i])
-        return Poly(small, {m[:i] + m[i + 1:]: c for m, c in g.terms.items()})
+        h = done.get(id(g))
+        if h is None:
+            if any(m[i] for m in g.terms):
+                raise KeyError("variable %r not in target ring" % ring.names[i])
+            h = done[id(g)] = Poly._adopt(
+                small, {m[:i] + m[i + 1:]: c for m, c in g.terms.items()})
+        return h
 
     out = Ideal(small, map(dropped, I.gens))
     order = storage_order(ring)
@@ -722,9 +733,7 @@ def contract(I: Ideal, y: Union[int, str]) -> Ideal:
     if basis is None:
         basis = I._agreeing(order)
     if basis is not None:
-        # generators that are the basis (``Ideal.reduced``) are dropped once
-        out._rgb[storage_order(small).rows] = (
-            out.gens if basis is I.gens else tuple(map(dropped, basis)))
+        out._rgb[storage_order(small).rows] = tuple(map(dropped, basis))
     return out
 
 

@@ -37,6 +37,7 @@ the certificate tree:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .algebra import Poly, Ring, initial_y_form, y_order
@@ -203,8 +204,8 @@ def cn_split(I: Ideal, y) -> CnSplit:
         d = max(m[iy] for m in g.terms)
         if d > 1:
             square_free = False
-        q = Poly(ring, {m[:iy] + (0,) + m[iy + 1:]: c
-                        for m, c in g.terms.items() if m[iy] == d})
+        q = Poly._adopt(ring, {m[:iy] + (0,) + m[iy + 1:]: c
+                               for m, c in g.terms.items() if m[iy] == d})
         c_gens.append(q)
         if d == 0:
             n_gens.append(q)
@@ -602,12 +603,19 @@ def _node_key(I: Ideal, context: Optional[Graph]) -> tuple:
     """The key of I's node: its ring's arity, its reduced basis by
     position, and the ``_context_key`` of ``context`` (its edge positions
     and kernel lattice) unless that basis is one polynomial or all
-    monomials (see ``_context_key``)."""
+    monomials (see ``_context_key``).  Each basis element is keyed by its
+    monomials as stored and its coefficients as (numerator, denominator),
+    with no sort and no ``Fraction`` hash: a storage-order basis stores
+    its terms in descending order (``groebner.Ideal``), so this is
+    ``g.canonical()`` re-encoded."""
     rgb = I.groebner()
     lattice = None
     if len(rgb) > 1 and not all(g.is_monomial() for g in rgb):
         lattice = _context_key(I, context)
-    return I.ring.arity, tuple(g.canonical() for g in rgb), lattice
+    ratio = Fraction.as_integer_ratio
+    return (I.ring.arity,
+            tuple((tuple(g.terms), tuple(map(ratio, g.terms.values()))) for g in rgb),
+            lattice)
 
 
 def _in_ring(I: Ideal, context: Optional[Graph]) -> bool:

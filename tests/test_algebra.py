@@ -53,6 +53,13 @@ def test_add_cancels_to_zero():
     assert (f - f).is_zero()
 
 
+def test_the_public_constructor_drops_zeros_and_copies():
+    # ``Poly._adopt`` trusts its caller; the public constructor does not
+    terms = {(1, 0, 0, 0): Fraction(0), (0, 1, 0, 0): Fraction(2)}
+    f = Poly(R4, terms)
+    assert f.terms == {(0, 1, 0, 0): 2} and f.terms is not terms
+
+
 def test_exact_fractions():
     f = P("1/3*e1") + P("1/6*e1")
     assert f == P("1/2*e1")

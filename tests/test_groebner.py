@@ -7,6 +7,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gvdlab import groebner
 from gvdlab.algebra import (
     Packing, PackingOverflow, Poly, Ring, compile_order, initial_term,
     lex_order, parse_poly, storage_order, y_order,
@@ -246,6 +247,28 @@ def test_a_basis_with_other_initial_terms_is_computed(monkeypatch):
     assert [list(g.terms.items()) for g in J.groebner(y_order(XY, "y"))] == [
         [((0, 2), 1), ((1, 0), -1)]]
     assert len(runs) == 2
+
+
+def test_a_basis_with_three_terms_is_made_monic_when_read(monkeypatch):
+    # x^3 + 1/2*y^2 - 3*z leads with x^3 under graded lex and under lex on
+    # x, z, y, but its tail is y^2, z under the first and z, y^2 under the
+    # second: an element of three terms is sorted again (``_made_monic``),
+    # while an element of two is read as it is stored.
+    f = P("x^3 + 1/2*y^2 - 3*z")
+    J = Ideal.reduced(XYZ, [f])
+    order = lex_order(XYZ, ("x", "z", "y"))
+    want = [list(g.terms.items()) for g in buchberger(order, [f])]
+    made, real = [], groebner._made_monic
+    monkeypatch.setattr(groebner, "_made_monic",
+                        lambda order, g: made.append(g) or real(order, g))
+    got = J.groebner(order)
+    assert made == [f] and [list(g.terms.items()) for g in got] == want
+    assert [list(g.terms) for g in got] == [[(3, 0, 0), (0, 0, 1), (0, 2, 0)]]
+    # x - z and y^3 are read as stored, re-sorted by their lex initial terms
+    K = Ideal.reduced(XYZ, [P("x - z"), P("y^3")])
+    got = K.groebner(order)
+    assert made == [f] and len(got) == 2
+    assert all(g is h for g, h in zip(got, K.gens[::-1]))
 
 
 _SMALL_MONO = st.tuples(*[st.integers(0, 2)] * 3)

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from gvdlab import bipartite, components, ef, graphs, groebner, gvd, util
-from gvdlab.algebra import Ring, parse_poly, storage_order, y_order
+from gvdlab.algebra import Poly, Ring, parse_poly, storage_order, y_order
 from gvdlab.bipartite import certify_bipartite_gvd
 from gvdlab.components import UnmixednessEvidence
 from gvdlab.ef import quadratic_pipeline
@@ -25,7 +25,7 @@ from fixtures import (
     TWO_K4_C_E2, TWO_K4_C_E5_OF_K, TWO_K4_C_E8_OF_J, TWO_K4_C_E11_OF_M,
     TWO_K4_C_E12_OF_L, TWO_K4_IN_E5_OF_K, TWO_K4_IN_E11_OF_M,
     TWO_K4_IN_E12_OF_L, TWO_K4_N_E2, TWO_K4_N_E8_OF_J, TWO_K4_N_E11_OF_M,
-    TWO_K4_N_E12_OF_L, PolledBudget, corpus_ideals_and_branches,
+    TWO_K4_N_E12_OF_L, PolledBudget, census9_graphs, corpus_ideals_and_branches,
     counted_runs, empty_shared_memo, two_k4_chain, two_k4_sharing_vertex,
     two_triangles_bridged, y_split,
 )
@@ -1587,3 +1587,104 @@ def test_replay_keys_its_table_by_ring_position(monkeypatch):
                         lambda I, node, *rest: calls.append(node) or real(I, node, *rest))
     assert replay_certificate(J, cert, context=U)
     assert sum(node is cert.node.child_c for node in calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# Bases read as stored.
+
+def watched_searches(monkeypatch) -> int:
+    """Search two_k4, then the 7-edge corpus and census9 at seed 0, from
+    an empty memo; the number of ``_search`` calls two_k4 makes."""
+    empty_shared_memo(monkeypatch)
+    searches, search = [0], gvd._search
+
+    def counted(*args):
+        searches[0] += 1
+        return search(*args)
+    monkeypatch.setattr(gvd, "_search", counted)
+    G = two_k4_sharing_vertex()
+    assert is_gvd(toric_ideal(G), context=G).verdict == "not-gvd"
+    two_k4 = searches[0]
+    for G in [to_graph(n, edges) for n, edges in connected_graphs(7)] + census9_graphs(0):
+        is_gvd(toric_ideal(G), context=G)
+    return two_k4
+
+
+def test_the_memo_key_re_encodes_the_canonical_basis(monkeypatch):
+    # The basis part of every key the searches build determines, and is
+    # determined by, the canonical forms of the storage basis: the key
+    # reads each element's terms as stored, which is canonical order.  No
+    # memo hit turns into a miss, so two_k4 still makes 446 searches.
+    canon, real = {}, gvd._node_key
+
+    def spy(I, context):
+        key = real(I, context)
+        canon.setdefault(key[1], set()).add(tuple(g.canonical() for g in I.groebner()))
+        return key
+    monkeypatch.setattr(gvd, "_node_key", spy)
+    assert watched_searches(monkeypatch) == 446
+    assert len(canon) > 800
+    assert all(len(forms) == 1 for forms in canon.values())
+    assert len(set().union(*canon.values())) == len(canon)
+
+
+def test_a_reused_basis_is_the_made_monic_one(monkeypatch):
+    # Each basis ``Ideal._agreeing`` returns in the searches equals the
+    # basis with every element made monic (``_made_monic``): the same terms
+    # in the same order, and the same order of elements.
+    def made_monic(I, order):
+        for basis in I._rgb.values():
+            if groebner._leads(order, basis):
+                return sorted((groebner._made_monic(order, g) for g in basis),
+                              key=lambda g: order.key(next(iter(g.terms))))
+        return None
+
+    def terms(basis):
+        return None if basis is None else [list(g.terms.items()) for g in basis]
+
+    reused, real = [0], Ideal._agreeing
+
+    def spy(self, order):
+        got = real(self, order)
+        assert terms(got) == terms(made_monic(self, order))
+        if got is not None:
+            cached = {id(g) for basis in self._rgb.values() for g in basis}
+            reused[0] += sum(id(g) in cached for g in got)
+        return got
+    monkeypatch.setattr(Ideal, "_agreeing", spy)
+    watched_searches(monkeypatch)
+    assert reused[0] > 1000
+
+
+def test_the_engine_hands_each_poly_a_fresh_dict_of_nonzero_terms(monkeypatch):
+    # Every ``Poly._adopt`` call over two_k4 and census9 at seed 0, from
+    # empty basis caches, gets nonzero coefficients and a dict that no
+    # other call and no public construction holds, and that stays as it
+    # was handed over.
+    monkeypatch.setattr(graphs, "_UGB_CACHE", {})
+    monkeypatch.setattr(graphs, "_LIFTED", {})
+    empty_shared_memo(monkeypatch)
+    adopted, public = [], set()
+    adopt, init = Poly._adopt.__func__, Poly.__init__
+
+    def spy_adopt(cls, ring, terms):
+        assert all(terms.values())
+        f = adopt(cls, ring, terms)
+        assert f.terms is terms
+        adopted.append((f, dict(terms)))
+        return f
+
+    def spy_init(self, ring, terms):
+        init(self, ring, terms)
+        public.add(id(self.terms))
+        adopted.append((self, None))  # kept alive, so ids stay unique
+    monkeypatch.setattr(Poly, "_adopt", classmethod(spy_adopt))
+    monkeypatch.setattr(Poly, "__init__", spy_init)
+    for G in [two_k4_sharing_vertex()] + census9_graphs(0):
+        is_gvd(toric_ideal(G), context=G)
+    monkeypatch.undo()
+    handed = [(f.terms, copy) for f, copy in adopted if copy is not None]
+    assert len(handed) > 10000
+    assert all(terms == copy for terms, copy in handed)
+    ids = [id(terms) for terms, _ in handed]
+    assert len(set(ids)) == len(ids) and not public & set(ids)
